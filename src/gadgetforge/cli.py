@@ -233,19 +233,15 @@ def extract(inst_path: str, sched_path: str, trace: bool):
               help="Require machine sets to be intervals (strip-packing mode).")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="Node budget per root branch.")
-@click.option("--threads", type=int, default=None,
-              help="Worker threads (default: GADGETFORGE_THREADS or 1).")
 @_guard
 def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
-           budget: int, threads: int | None):
+           budget: int):
     """Exact zero-idle search: witness, proved-none, or an honest refusal."""
     if (target is None) == (not use_w):
         raise click.UsageError("give exactly one of --target or --target-w")
     inst = SchedulingInstance.from_json(_read(inst_path))
     goal = inst.W if use_w else int(target)
-    decision = decide_target(
-        inst, goal, contiguous, budget=budget, threads=threads
-    )
+    decision = decide_target(inst, goal, contiguous, budget=budget)
     _emit(decision.to_dict())
     _log(f"{decision.outcome} after {decision.nodes} nodes")
     sys.exit(_DECISION_EXITS[decision.outcome])

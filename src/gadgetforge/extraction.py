@@ -21,6 +21,9 @@ from typing import Any, Mapping
 
 from .reduction import (
     SchedulingInstance,
+    canonical_ids,
+    canonical_slots,
+    chain_values,
     family_length,
     recognize,
     recover_values,
@@ -193,9 +196,8 @@ def normalize_machines(
         sched = do_swap(0, 1, 4)
 
     on = {m: set(_on_machine(inst, sched, m)) for m in (1, 2, 3, 4)}
-    want_1 = _ids(inst, "A", "a", "alpha") | {"lambda1"}
-    want_4 = _ids(inst, "B", "b", "beta") | {"lambda2"}
-    backbone = _ids(inst, "A", "B", "c")
+    want_1, want_4 = canonical_ids(inst, 1), canonical_ids(inst, 4)
+    backbone = canonical_ids(inst, 2) & canonical_ids(inst, 3)
     problems = []
     if on[1] != want_1:
         problems.append(f"machine 1 holds {sorted(on[1] ^ want_1)} unexpectedly")
@@ -280,46 +282,45 @@ def check_alternation(
 
 
 def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
-    """Full per-separator count chains, including the trailing-cap rule:
-    the closing cap finishes after every late separator."""
+    """The separators' count chains (`COUNT_CHAINS["A"]` and `["B"]`),
+    plus the trailing-cap rule: the closing cap finishes after every late
+    separator.
+
+    `check_alternation` has already pinned, at the i-th early separator,
+    one finished opening cap, i finished early and i+1 finished late
+    separators, and at the i-th late separator i finished of each; the
+    trailing-cap rule pins the closing cap at 0 there.  With those counts
+    fixed, a chain holds exactly when every term of it equals i."""
     stage = "count-equations"
-    fams = {t: _ids(inst, t) for t in ("A", "B", "a", "b", "c", "alpha", "beta")}
-    for i, anchor in enumerate(a_seq):
-        chain = {
-            "own": count_before(inst, sched, anchor, fams["A"]),
-            "opposite-1": count_before(inst, sched, anchor, fams["B"]) - 1,
-            "filler-1": count_before(inst, sched, anchor, fams["c"]) - 1,
-            "side-single": count_before(inst, sched, anchor, fams["alpha"]),
-            "narrow-late": count_before(inst, sched, anchor, fams["b"]),
-            "narrow-early": count_before(inst, sched, anchor, fams["a"]),
-        }
-        bad = {k: v for k, v in chain.items() if v != i}
-        if bad:
-            raise LemmaViolation(stage, "early-separator-chain", f"{anchor}: {bad}")
-    for i, anchor in enumerate(b_seq):
+    fams: dict[str, list[str]] = {}
+    for job in inst.jobs:
+        fams.setdefault(job.tag, []).append(job.id)
+
+    def broken(anchor: str) -> str | None:
+        count = lambda tag: count_before(inst, sched, anchor, fams[tag])
+        values = chain_values(inst.by_id[anchor].tag, count)
+        if len(set(values.values())) == 1:
+            return None
+        return f"{anchor}: " + ", ".join(f"{k} = {v}" for k, v in values.items())
+
+    for anchor in a_seq:
+        if detail := broken(anchor):
+            raise LemmaViolation(stage, "early-separator-chain", detail)
+    for anchor in b_seq:
         if count_before(inst, sched, anchor, ["lambda2"]) != 0:
             raise LemmaViolation(
                 stage, "trailing-cap", f"closing cap finishes before {anchor}"
             )
-        chain = {
-            "own": count_before(inst, sched, anchor, fams["B"]),
-            "opposite": count_before(inst, sched, anchor, fams["A"]),
-            "filler": count_before(inst, sched, anchor, fams["c"]),
-            "side-single": count_before(inst, sched, anchor, fams["beta"]),
-            "narrow-early": count_before(inst, sched, anchor, fams["a"]),
-            "narrow-late": count_before(inst, sched, anchor, fams["b"]),
-        }
-        bad = {k: v for k, v in chain.items() if v != i}
-        if bad:
-            raise LemmaViolation(stage, "late-separator-chain", f"{anchor}: {bad}")
+        if detail := broken(anchor):
+            raise LemmaViolation(stage, "late-separator-chain", detail)
 
 
 def _check_side_orders(inst, sched) -> tuple[list[str], list[str]]:
     """Machines 1 and 4 must run their fixed tag patterns back to back."""
     stage = "side-order"
     m1, m4 = _on_machine(inst, sched, 1), _on_machine(inst, sched, 4)
-    want_1 = ["lambda1", "A"] + ["a", "alpha", "A"] * inst.z
-    want_4 = ["B"] + ["beta", "b", "B"] * inst.z + ["lambda2"]
+    want_1 = [tag for tag, _ in canonical_slots(1, inst.z)]
+    want_4 = [tag for tag, _ in canonical_slots(4, inst.z)]
     got_1 = [inst.by_id[i].tag for i in m1]
     got_4 = [inst.by_id[i].tag for i in m4]
     if got_1 != want_1:
@@ -378,8 +379,7 @@ def _make_pairs_contiguous(inst, sched, m1, m4, events) -> Schedule:
                 events.append(
                     {"stage": stage, "event": "swap", "t": str(t), "machines": [2, 3]}
                 )
-    want_2 = _ids(inst, "A", "B", "c", "a", "gamma", "P")
-    want_3 = _ids(inst, "A", "B", "c", "b", "delta")
+    want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
     on_2 = set(_on_machine(inst, sched, 2))
     on_3 = set(_on_machine(inst, sched, 3))
     if on_2 != want_2 or on_3 != want_3:

@@ -25,6 +25,11 @@ Twelve job families, by tag:
 
 The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
+
+The shape of every target schedule is stated once, at the end of this
+module, and read by synthesis, the audit, extraction and the solver:
+`CANONICAL_LAYOUT` holds each machine's job sequence and `COUNT_CHAINS` the
+count identities at every separator and filler start.
 """
 
 from __future__ import annotations
@@ -32,25 +37,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .exactnum import digit_bound
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
-STRUCTURE_TAGS = (
-    "A",
-    "B",
-    "a",
-    "b",
-    "c",
-    "alpha",
-    "beta",
-    "gamma",
-    "delta",
-    "lambda1",
-    "lambda2",
-)
-ALL_TAGS = STRUCTURE_TAGS + ("P",)
 
 
 class ParamViolation(ValueError):
@@ -388,3 +380,75 @@ def partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int], ...]:
         lo, _ = gamma_window(inst, j)
         gaps.append((lo, block_separator_start("B", j, z, D)))
     return tuple(gaps)
+
+
+# ===== the canonical shape =====
+#
+# Machine sequences in the orientation where a B job opens machine 2, as
+# "prologue | block | epilogue": the block is repeated for i = 1..z, and its
+# slot P_i stands for the value jobs of the i-th witness triple.
+
+CANONICAL_LAYOUT: dict[int, str] = {
+    1: "lambda1 A_0 | a_i alpha_i A_i |",
+    2: "B_0 c_0 A_0 | a_i gamma_i P_i B_i c_i A_i |",
+    3: "B_0 c_0 A_0 | delta_i b_i B_i c_i A_i |",
+    4: "B_0 | beta_i b_i B_i | lambda2",
+}
+
+
+def _slot(token: str, i: int | None) -> tuple[str, int | None]:
+    tag, _, index = token.partition("_")
+    if not index:
+        return tag, None
+    return tag, i if index == "i" else int(index)
+
+
+def canonical_slots(m: int, z: int) -> list[tuple[str, int | None]]:
+    """Machine m's jobs in start order as (tag, index) pairs; a ("P", i)
+    slot stands for the value jobs of block i."""
+    head, block, tail = (part.split() for part in CANONICAL_LAYOUT[m].split("|"))
+    slots = [_slot(token, None) for token in head]
+    for i in range(1, z + 1):
+        slots += [_slot(token, i) for token in block]
+    return slots + [_slot(token, None) for token in tail]
+
+
+def canonical_ids(inst: SchedulingInstance, m: int) -> frozenset[str]:
+    """Every job that machine m runs in the canonical layout, with the P
+    slots standing for all value jobs together."""
+    slots = set(canonical_slots(m, inst.z))
+    values = any(tag == "P" for tag, _ in slots)
+    return frozenset(
+        j.id
+        for j in inst.jobs
+        if (j.tag, j.index) in slots or (values and j.tag == "P")
+    )
+
+
+# Count chains: at the start of every job of the keyed family, the terms of
+# its chain are equal.  A term is a signed sum of finished-job counts, one
+# per named family.
+
+COUNT_CHAINS: dict[str, tuple[str, ...]] = {
+    "A": ("c - lambda1", "B - lambda1", "alpha", "b", "a"),
+    "B": ("c - lambda2", "A - lambda2", "beta", "a", "b"),
+    "a": ("B", "alpha + lambda1", "c"),
+    "b": ("A", "beta + lambda2", "c"),
+    "c": ("b", "a"),
+}
+CHECKPOINT_TAGS = tuple(COUNT_CHAINS)
+
+
+def chain_values(tag: str, count: Callable[[str], int]) -> dict[str, int]:
+    """Each term of the family's count chain, named the way the audit names
+    it ("count(c) - count(lambda1)"), with its value for the given
+    finished-job count per family."""
+    values = {}
+    for term in COUNT_CHAINS[tag]:
+        tokens = ["+", *term.split()]
+        parts = list(zip(tokens[::2], tokens[1::2]))
+        name = " ".join(f"{sign} count({fam})" for sign, fam in parts)[2:]
+        values[name] = sum(
+            count(fam) if sign == "+" else -count(fam) for sign, fam in parts
+        )
+    return values

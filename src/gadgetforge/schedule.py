@@ -11,10 +11,10 @@ relabelings of a zero-idle schedule.
 
 The audit checks, at the start of every 2- and 3-machine job, that each
 digit of the decomposed start time equals the number of finished jobs on
-that machine from the families contributing that digit, plus a handful of
-cross-machine count identities.  For a feasible zero-idle schedule with the
-target makespan these are theorems; for perturbed schedules the first
-violated check pinpoints what broke.
+that machine from the families contributing that digit, plus the
+cross-machine count chains of `reduction.COUNT_CHAINS`.  For a feasible
+zero-idle schedule with the target makespan these are theorems; for
+perturbed schedules the first violated check pinpoints what broke.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exactnum import decompose
-from .reduction import SchedulingInstance, recognize
-
-CHECKPOINT_TAGS = ("A", "B", "a", "b", "c")
+from .reduction import CHECKPOINT_TAGS, SchedulingInstance, chain_values, recognize
 
 # Which job families contribute one unit to each audited digit of a start
 # time.  (The D^7 and unit digits are index- and value-dependent, so they
@@ -376,52 +374,18 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
 
 
 def _checkpoint_equations(job, start, finished) -> list[AuditCheck]:
-    """Cross-machine count identities tied to the checkpoint's family."""
-    n = lambda *tags: finished(start, tags)
-    if job.tag == "A":
-        chain = [
-            ("count(c) - count(lambda1)", n("c") - n("lambda1")),
-            ("count(B) - count(lambda1)", n("B") - n("lambda1")),
-            ("count(alpha)", n("alpha")),
-            ("count(b)", n("b")),
-            ("count(a)", n("a")),
-        ]
-    elif job.tag == "B":
-        chain = [
-            ("count(c) - count(lambda2)", n("c") - n("lambda2")),
-            ("count(A) - count(lambda2)", n("A") - n("lambda2")),
-            ("count(beta)", n("beta")),
-            ("count(a)", n("a")),
-            ("count(b)", n("b")),
-        ]
-    elif job.tag == "a":
-        chain = [
-            ("count(B)", n("B")),
-            ("count(alpha) + count(lambda1)", n("alpha") + n("lambda1")),
-            ("count(c)", n("c")),
-        ]
-    elif job.tag == "b":
-        chain = [
-            ("count(A)", n("A")),
-            ("count(beta) + count(lambda2)", n("beta") + n("lambda2")),
-            ("count(c)", n("c")),
-        ]
-    else:  # c
-        chain = [("count(b)", n("b")), ("count(a)", n("a"))]
-
-    checks = []
-    (_, base_value) = chain[0]
-    base_name = chain[0][0]
-    for name, value in chain[1:]:
-        checks.append(
-            AuditCheck(
-                checkpoint=job.id,
-                start=start,
-                machine=None,
-                kind=f"eq:{job.tag}[{base_name} = {name}]",
-                expected=base_value,
-                observed=value,
-                ok=base_value == value,
-            )
+    """The checkpoint family's count chain, each term against the first."""
+    values = chain_values(job.tag, lambda tag: finished(start, (tag,)))
+    (base, expected), *rest = values.items()
+    return [
+        AuditCheck(
+            checkpoint=job.id,
+            start=start,
+            machine=None,
+            kind=f"eq:{job.tag}[{base} = {name}]",
+            expected=expected,
+            observed=value,
+            ok=expected == value,
         )
-    return checks
+        for name, value in rest
+    ]

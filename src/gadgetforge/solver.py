@@ -20,12 +20,13 @@ effect can be measured:
   Activates only when the target and every length decompose cleanly and the
   per-power totals are too small to carry.
 * ``equations``   - on reduction instances searched at their own target,
-  enforce the count identities and the forced start positions (forward or
-  mirrored, tracked as a shrinking orientation set) that every feasible
-  target schedule satisfies.
+  enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
+  positions (forward or mirrored, tracked as a shrinking orientation set)
+  that every feasible target schedule satisfies.
 
 All three rules are sound, so a ProvedNone outcome still means the entire
-space of zero-idle schedules was covered.
+space of zero-idle schedules was covered.  Both deciders reject malformed
+jobs (a duplicate id, q outside 1..m, p below 1) with ValueError.
 
 `optimize_small` is an independent exact optimizer for a handful of jobs:
 branch and bound over job orders with greedy least-loaded placement.  An
@@ -36,27 +37,26 @@ to an equal or better one, so the minimum over orders is exact.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
 from .reduction import (
+    CHECKPOINT_TAGS,
     Job,
     SchedulingInstance,
+    chain_values,
     forced_starts,
     gamma_window,
     partition_gaps,
     recognize,
 )
-from .schedule import CHECKPOINT_TAGS, Schedule, verify
+from .schedule import Schedule, verify
 from .threepartition import SearchBudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
-THREADS_ENV = "GADGETFORGE_THREADS"
 
 _FWD = 1
 _MIR = 2
@@ -99,6 +99,30 @@ class Decision:
 
 class _BudgetHit(Exception):
     pass
+
+
+def _check_jobs(jobs: Iterable[Job], m: int) -> None:
+    seen: set[str] = set()
+    for j in jobs:
+        if not 1 <= j.q <= m:
+            raise ValueError(f"job {j.id!r} needs {j.q} of {m} machines")
+        if j.p <= 0:
+            raise ValueError(f"job {j.id!r} has nonpositive length {j.p}")
+        if j.id in seen:
+            raise ValueError(f"job id {j.id!r} is used twice")
+        seen.add(j.id)
+
+
+def _identical_predecessors(jobs: Iterable[Job], key) -> dict[str, str]:
+    """Each job id mapped to the closest smaller id whose job has the same
+    key, so that identical jobs can be placed in ascending id order only."""
+    pred: dict[str, str] = {}
+    latest: dict[tuple, str] = {}
+    for j in sorted(jobs, key=lambda j: j.id):
+        if key(j) in latest:
+            pred[j.id] = latest[key(j)]
+        latest[key(j)] = j.id
+    return pred
 
 
 def _coeff_tables(inst: SchedulingInstance, target: int):
@@ -182,13 +206,7 @@ class _Context:
         self.budget = budget
         self.by_id = inst.by_id
         self.order = tuple(sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id)))
-        self.pred: dict[str, str] = {}
-        latest: dict[tuple, str] = {}
-        for j in sorted(inst.jobs, key=lambda j: j.id):
-            key = (j.p, j.q, j.tag)
-            if key in latest:
-                self.pred[j.id] = latest[key]
-            latest[key] = j.id
+        self.pred = _identical_predecessors(inst.jobs, lambda j: (j.p, j.q, j.tag))
         self.coeff = _coeff_tables(inst, target) if rules.coeff_budget else None
         self.eq = None
         if rules.equations and target == inst.W:
@@ -238,18 +256,7 @@ class _Search:
             job = by_id[jid]
             if s + job.p <= t:
                 fin[job.tag] += 1
-        l1, l2 = fin["lambda1"], fin["lambda2"]
-        if tag == "A":
-            vals = (fin["c"] - l1, fin["B"] - l1, fin["alpha"], fin["b"], fin["a"])
-        elif tag == "B":
-            vals = (fin["c"] - l2, fin["A"] - l2, fin["beta"], fin["a"], fin["b"])
-        elif tag == "a":
-            vals = (fin["B"], fin["alpha"] + l1, fin["c"])
-        elif tag == "b":
-            vals = (fin["A"], fin["beta"] + l2, fin["c"])
-        else:
-            vals = (fin["b"], fin["a"])
-        return len(set(vals)) == 1
+        return len(set(chain_values(tag, fin.__getitem__).values())) == 1
 
     def _equation_mask(self, job: Job, t: int) -> int:
         eq = self.ctx.eq
@@ -380,13 +387,6 @@ class _Search:
         return None
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        threads = int(raw) if raw else 1
-    return max(1, threads)
-
-
 def decide_target(
     inst: SchedulingInstance,
     target: int,
@@ -394,7 +394,6 @@ def decide_target(
     *,
     budget: int = DEFAULT_BUDGET,
     rules: PruneRules | None = None,
-    threads: int | None = None,
 ) -> Decision:
     """Decide whether some schedule finishes exactly at `target`.
 
@@ -403,13 +402,8 @@ def decide_target(
     incomplete, so the decision is refused.  `budget` caps the nodes each
     root branch may expand.  With `contiguous` the machine set of every job
     must be an interval, matching the strip-packing reading.
-
-    Root branches can run on a thread pool (`threads` argument, else the
-    GADGETFORGE_THREADS variable).  The outcome and the witness are the
-    same for every thread count: the first witness in branch order wins.
-    Node totals may differ, since a sequential run stops early once a
-    witness is found.
     """
+    _check_jobs(inst.jobs, inst.m)
     rules = rules or PruneRules()
     total = inst.total_work
     if total > 4 * target:
@@ -439,38 +433,21 @@ def decide_target(
     ctx = _Context(inst, target, contiguous, rules, budget)
     probe = _Search(ctx)
     roots = probe._candidates(0)
-
-    def run_branch(root):
-        job, subset, mask = root
-        branch = _Search(ctx)
-        try:
-            branch._place(job, subset, 0, mask)
-            return branch.search(), branch.nodes, branch.prunes, False
-        except _BudgetHit:
-            return None, branch.nodes, branch.prunes, True
-
-    workers = _thread_count(threads)
-    if workers > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_branch, roots))
-    else:
-        results = []
-        for root in roots:
-            outcome = run_branch(root)
-            results.append(outcome)
-            if outcome[0] is not None:
-                break
-
     nodes = 0
     prunes = Counter(probe.prunes)
     witness = None
     starved = False
-    for found, n, pr, hit in results:
-        nodes += n
-        prunes.update(pr)
-        starved = starved or hit
-        if witness is None and found is not None:
-            witness = found
+    for job, subset, mask in roots:
+        branch = _Search(ctx)
+        try:
+            branch._place(job, subset, 0, mask)
+            witness = branch.search()
+        except _BudgetHit:
+            starved = True
+        nodes += branch.nodes
+        prunes.update(branch.prunes)
+        if witness is not None:
+            break
 
     if witness is not None:
         report = verify(inst, witness)
@@ -507,24 +484,14 @@ def optimize_small(
     SearchBudgetExceeded when the order tree outgrows `budget` expansions.
     """
     jobs = tuple(jobs)
+    _check_jobs(jobs, m)
     if len(jobs) > 8:
         raise ValueError("optimize_small handles at most 8 jobs")
-    for j in jobs:
-        if not 1 <= j.q <= m:
-            raise ValueError(f"job {j.id!r} needs {j.q} of {m} machines")
-        if j.p <= 0:
-            raise ValueError(f"job {j.id!r} has nonpositive length {j.p}")
     if not jobs:
         return 0, Schedule(starts={}, machines={})
 
     by_id = {j.id: j for j in jobs}
-    pred: dict[str, str] = {}
-    latest: dict[tuple, str] = {}
-    for j in sorted(jobs, key=lambda j: j.id):
-        key = (j.p, j.q)
-        if key in latest:
-            pred[j.id] = latest[key]
-        latest[key] = j.id
+    pred = _identical_predecessors(jobs, lambda j: (j.p, j.q))
 
     memo: dict[tuple[frozenset, tuple], tuple[int, str]] = {}
     nodes = 0

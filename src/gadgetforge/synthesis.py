@@ -1,26 +1,27 @@
 """Canonical zero-idle schedule (and packing) from a 3-Partition witness.
 
 The layout is accumulated machine by machine rather than taken from closed
-forms: each machine gets its job sequence, and a small event loop places the
-next job whose turn has come on all of its machines at once, asserting that
-those machines agree on the time.  Agreement is guaranteed exactly because
-every witness triple sums to D; the closed-form starts are derived elsewhere
-and the test suite checks the two constructions coincide.
-
-Machine sequences (block i runs 1..z, P(i) is the i-th witness triple sorted
-by value):
-
-    machine 1:  lambda1, A_0 | a_i, alpha_i, A_i
-    machine 2:  B_0, c_0, A_0 | a_i, gamma_i, P(i)..., B_i, c_i, A_i
-    machine 3:  B_0, c_0, A_0 | delta_i, b_i, B_i, c_i, A_i
-    machine 4:  B_0 | beta_i, b_i, B_i | lambda2
+forms: each machine gets its job sequence from `reduction.CANONICAL_LAYOUT`
+(the slot P_i filled with the i-th witness triple, sorted by value), and a
+small event loop places the next job whose turn has come on all of its
+machines at once, asserting that those machines agree on the time.
+Agreement is guaranteed exactly because every witness triple sums to D; the
+closed-form starts are derived elsewhere and the test suite checks the two
+constructions coincide.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .reduction import SchedulingInstance, StripInstance, recognize, recover_values
+from .reduction import (
+    CANONICAL_LAYOUT,
+    SchedulingInstance,
+    StripInstance,
+    canonical_slots,
+    recognize,
+    recover_values,
+)
 from .schedule import Schedule, verify
 from .strip import Packing, schedule_to_packing
 from .threepartition import Partition, validate_partition
@@ -52,25 +53,19 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
         raise ValueError("build_schedule needs an unmodified reduction instance")
     _check_witness(inst, witness)
 
-    z = inst.z
     values = recover_values(inst).values
+    by_slot = {(j.tag, j.index): j.id for j in inst.jobs}
 
-    def block_p(i: int) -> list[str]:
+    def ids(tag: str, i: int | None) -> list[str]:
+        if tag != "P":
+            return [by_slot[tag, i]]
         triple = sorted(witness[i - 1], key=lambda idx: (values[idx - 1], idx))
-        return [f"P_{idx}" for idx in triple]
+        return [by_slot["P", idx] for idx in triple]
 
     seq: dict[int, deque[str]] = {
-        1: deque(["lambda1", "A_0"]),
-        2: deque(["B_0", "c_0", "A_0"]),
-        3: deque(["B_0", "c_0", "A_0"]),
-        4: deque(["B_0"]),
+        m: deque(jid for tag, i in canonical_slots(m, inst.z) for jid in ids(tag, i))
+        for m in CANONICAL_LAYOUT
     }
-    for i in range(1, z + 1):
-        seq[1] += [f"a_{i}", f"alpha_{i}", f"A_{i}"]
-        seq[2] += [f"a_{i}", f"gamma_{i}", *block_p(i), f"B_{i}", f"c_{i}", f"A_{i}"]
-        seq[3] += [f"delta_{i}", f"b_{i}", f"B_{i}", f"c_{i}", f"A_{i}"]
-        seq[4] += [f"beta_{i}", f"b_{i}", f"B_{i}"]
-    seq[4].append("lambda2")
 
     homes: dict[str, frozenset[int]] = {}
     for m, queue in seq.items():

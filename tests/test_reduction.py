@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from gadgetforge.exactnum import CoeffVector, decompose
 from gadgetforge.reduction import (
+    CANONICAL_LAYOUT,
+    CHECKPOINT_TAGS,
     Job,
     ParamViolation,
     SchedulingInstance,
     StripInstance,
     build_jobs,
     build_strip,
+    canonical_ids,
+    canonical_slots,
     family_length,
     forced_starts,
     gamma_window,
@@ -23,7 +27,9 @@ from gadgetforge.reduction import (
     recognize,
     recover_values,
     target_makespan,
+    chain_values,
 )
+from gadgetforge.schedule import count_finished_by
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
 # (10, 11, 12) gives z=1, D=33, and 33 > 32 = 4z(7z+1): reduction-ready as is.
@@ -242,3 +248,37 @@ def test_strip_json_roundtrip():
     strip = build_strip(INST_D33)
     text = strip.to_json()
     assert StripInstance.from_json(text).to_json() == text
+
+
+# ===== the canonical shape, against the hand-built z=1 schedule =====
+
+
+def test_layout_reproduces_every_machine_of_the_fixture(canonical_z1):
+    _, inst, sched = canonical_z1
+    for m in CANONICAL_LAYOUT:
+        on_m = sorted(
+            (jid for jid, ms in sched.machines.items() if m in ms),
+            key=lambda jid: sched.starts[jid],
+        )
+        assert canonical_ids(inst, m) == set(on_m)
+        # read in start order, the fixture runs the layout's tag sequence;
+        # the one value slot holds the block's three value jobs
+        tags = []
+        for jid in on_m:
+            tag = inst.by_id[jid].tag
+            if tag != "P" or tags[-1] != "P":
+                tags.append(tag)
+        assert tags == [tag for tag, _ in canonical_slots(m, inst.z)]
+
+
+def test_count_chains_hold_at_every_checkpoint_of_the_fixture(canonical_z1):
+    _, inst, sched = canonical_z1
+    checkpoints = [j for j in inst.jobs if j.tag in CHECKPOINT_TAGS]
+    assert len(checkpoints) == 5 * inst.z + 3
+    for job in checkpoints:
+        t = sched.starts[job.id]
+        count = lambda tag: count_finished_by(
+            inst, sched, t, [j.id for j in inst.tagged(tag)]
+        )
+        values = chain_values(job.tag, count)
+        assert len(set(values.values())) == 1, (job.id, values)

@@ -212,20 +212,26 @@ def test_symmetry_changes_node_counts_not_outcomes():
     assert bare.nodes > default.nodes
 
 
-def test_threads_do_not_change_the_witness():
-    inst3p, _ = gen_yes(1, 9)
-    inst = build_jobs(inst3p)
-    solo = decide_target(inst, inst.W, threads=1)
-    duo = decide_target(inst, inst.W, threads=3)
-    assert solo.outcome == duo.outcome == "witness"
-    assert solo.schedule == duo.schedule
-
-
-def test_threads_env_variable_is_read(monkeypatch):
-    monkeypatch.setenv("GADGETFORGE_THREADS", "2")
-    inst = generic([(4, 4), (2, 2), (2, 2)])
-    decision = decide_target(inst, 6)
-    assert decision.outcome == "witness"
+@pytest.mark.parametrize(
+    "dims, ids, message",
+    [
+        ([(4, 0), (4, 4)], ("J0", "J1"), "needs 0 of 4"),
+        ([(4, 5)], ("J0",), "needs 5 of 4"),
+        ([(-4, 4), (8, 4)], ("J0", "J1"), "nonpositive"),
+        ([(0, 4), (4, 4)], ("J0", "J1"), "nonpositive"),
+        ([(2, 4), (2, 4)], ("J0", "J0"), "used twice"),
+    ],
+)
+def test_malformed_jobs_are_rejected(dims, ids, message):
+    jobs = tuple(
+        Job(id=jid, p=p, q=q, tag="J") for jid, (p, q) in zip(ids, dims)
+    )
+    inst = SchedulingInstance(m=4, z=0, D=0, W=0, jobs=jobs)
+    target = sum(j.p * j.q for j in jobs) // 4
+    with pytest.raises(ValueError, match=message):
+        decide_target(inst, target)
+    with pytest.raises(ValueError, match=message):
+        optimize_small(jobs)
 
 
 def test_decision_serializes():
