@@ -178,13 +178,13 @@ def test_equations_off_abstains_rather_than_misanswers():
     assert starved.outcome == "budget-exceeded"
 
 
-def digit_trap_instance():
+def digit_trap_instance(D=33):
     """Four cube jobs D^3 and smalls {3,3,3,3,2,2} (in units of D^2) with
     target D^3 + 4D^2: the smalls cannot split into four groups of exactly
     4, so no witness exists.  Branches that stack smalls on a machine still
     owing its cube fit time-wise but overflow the D^2 digit, which only the
-    coefficient rule sees early."""
-    D = 33
+    coefficient rule sees early (at D = 17 the digit totals could carry, so
+    the rule stays off)."""
     dims = [(D**3, 1)] * 4 + [(3 * D**2, 1)] * 4 + [(2 * D**2, 1)] * 2
     jobs = tuple(
         Job(id=f"J{i:02d}", p=p, q=q, tag="J", index=i)
@@ -202,6 +202,55 @@ def test_coeff_budget_cuts_digit_overflow_branches():
     assert on.outcome == off.outcome == "proved-none"
     assert on.prunes.get("coeff-budget", 0) > 0
     assert on.nodes < off.nodes
+
+
+def _at_w(inst3p):
+    inst = build_jobs(inst3p)
+    return inst, inst.W
+
+
+@pytest.mark.parametrize(
+    "run, outcome, nodes, prunes",
+    [
+        pytest.param(
+            lambda: decide_target(*_at_w(gen_no(2, 3)), contiguous=True),
+            "proved-none", 73_260,
+            {"equations": 427_705, "no-fit": 646_836, "symmetry": 65_202},
+            id="no(2,3)-contiguous",
+        ),
+        pytest.param(
+            lambda: decide_target(*_at_w(gen_yes(16, 0)[0])),
+            "witness", 751,
+            {"equations": 39_677, "no-fit": 36_062, "symmetry": 16_037},
+            id="yes(16,0)",
+        ),
+        pytest.param(
+            lambda: decide_target(*_at_w(gen_yes(16, 3)[0]), budget=1000),
+            "budget-exceeded", 4_004,
+            {"equations": 201_589, "no-fit": 180_710, "symmetry": 82_170},
+            id="yes(16,3)-budget-1000",
+        ),
+        pytest.param(
+            lambda: decide_target(*digit_trap_instance(17)),
+            "proved-none", 3_346, {"no-fit": 3_308, "symmetry": 2_275},
+            id="trap-D17",
+        ),
+        pytest.param(
+            lambda: decide_target(*digit_trap_instance(33)),
+            "proved-none", 782,
+            {"coeff-budget": 340, "no-fit": 384, "symmetry": 1_158},
+            id="trap-D33",
+        ),
+    ],
+)
+def test_node_and_prune_counts_are_pinned(run, outcome, nodes, prunes):
+    # The search visits its tree in a fixed order, so these counts are exact:
+    # a change to candidate generation that alters the tree shows here, and
+    # a rule that never fires must not appear as a zero-valued key.
+    decision = run()
+    assert decision.outcome == outcome
+    assert decision.nodes == nodes
+    assert dict(decision.prunes) == prunes
 
 
 def test_symmetry_changes_node_counts_not_outcomes():
