@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from .exactnum import digit_bound
 from .threepartition import ThreePartitionInstance, validate
@@ -56,6 +56,20 @@ class Job:
     q: int
     tag: str
     index: int | None = None
+
+
+def check_jobs(jobs: Iterable[Job], m: int) -> None:
+    """Reject jobs no m-machine instance can hold: a duplicate id, q outside
+    1..m, or a length below 1.  Raises ValueError naming the first such job."""
+    seen: set[str] = set()
+    for j in jobs:
+        if not 1 <= j.q <= m:
+            raise ValueError(f"job {j.id!r} needs {j.q} of {m} machines")
+        if j.p <= 0:
+            raise ValueError(f"job {j.id!r} has nonpositive length {j.p}")
+        if j.id in seen:
+            raise ValueError(f"job id {j.id!r} is used twice")
+        seen.add(j.id)
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,7 @@ class SchedulingInstance:
             )
             for j in payload["jobs"]
         )
+        check_jobs(jobs, int(payload["m"]))
         return cls(
             m=int(payload["m"]),
             z=int(payload["z"]),

@@ -25,7 +25,13 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exactnum import decompose
-from .reduction import CHECKPOINT_TAGS, SchedulingInstance, chain_values, recognize
+from .reduction import (
+    CHECKPOINT_TAGS,
+    SchedulingInstance,
+    chain_values,
+    check_jobs,
+    recognize,
+)
 
 # Which job families contribute one unit to each audited digit of a start
 # time.  (The D^7 and unit digits are index- and value-dependent, so they
@@ -169,10 +175,12 @@ def _check_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
 def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
     """Exact feasibility check: machine counts, overlaps, makespan, idle.
 
-    Raises UnknownJob / MachineOutOfRange for malformed input; everything
-    else (overlaps, wrong machine multiplicity, negative starts) is reported
-    as problems with feasible=False.
+    Raises ValueError for jobs no instance can hold (`reduction.check_jobs`)
+    and UnknownJob / MachineOutOfRange for a schedule that does not match
+    the instance; everything else (overlaps, wrong machine multiplicity,
+    negative starts) is reported as problems with feasible=False.
     """
+    check_jobs(inst.jobs, inst.m)
     _check_job_universe(inst, sched)
     problems: list[str] = []
 

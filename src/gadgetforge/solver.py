@@ -18,7 +18,8 @@ effect can be measured:
 * ``coeff_budget`` - track per-machine digit sums in the mixed-radix
   representation and cut any branch where a digit would exceed the target's.
   Activates only when the target and every length decompose cleanly and the
-  per-power totals are too small to carry.
+  per-power totals are too small to carry, and only when the equations rule
+  is not active for the decision (see below).
 * ``equations``   - on reduction instances searched at their own target,
   enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
   positions (forward or mirrored, tracked as a shrinking orientation set)
@@ -26,7 +27,39 @@ effect can be measured:
 
 All three rules are sound, so a ProvedNone outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
-jobs (a duplicate id, q outside 1..m, p below 1) with ValueError.
+jobs (`reduction.check_jobs`) with ValueError.
+
+Candidates at a node.  The search always fills the earliest free instant t,
+and a node lists, in (-q, -p, id) order, every remaining job that could
+start there together with each machine set it could take.  The work per
+node is kept to the jobs that can fit:
+
+* jobs are bucketed by width q; a remaining job wider than the idle
+  machines is counted as a no-fit prune from a per-width tally of remaining
+  jobs, and only the buckets with q at most that width are scanned;
+* the machine sets depend only on the idle set and q, so they are computed
+  once per pair and reused;
+* the value-job gaps are indexed by start with a running maximum of their
+  ends, so one bisection per orientation gives the latest end a value job
+  starting at t may reach, and each value job then costs one comparison;
+* the finished-job counts that the count chains read are built at most once
+  per node, on first need, and each chain is evaluated once per node;
+* prunes are tallied in local counters and added to the decision once per
+  node, so a rule that never fires leaves no key behind.
+
+The ``coeff_budget`` rule is evaluated only when the equation tables are
+inactive.  Dropping a sound rule can never change the outcome of a finished
+search: a witness is re-verified from scratch and a proved-none still
+covers every zero-idle schedule, only the node count can grow.  Under the
+equation tables the forced starts and count chains already fix nearly
+every placement, and on every reduction decision measured (the test suite
+and both decision workloads of the benchmark) the digit check fired zero
+times, so evaluating it there only cost time.  On instances the tables do
+not recognise, such as the digit trap in the tests, it is what cuts early.
+
+The search walks the tree with an explicit stack, one frame of pending
+candidates per placed job, so its depth is not limited by the interpreter's
+recursion limit.
 
 `optimize_small` is an independent exact optimizer for a handful of jobs:
 branch and bound over job orders with greedy least-loaded placement.  An
@@ -37,9 +70,10 @@ to an equal or better one, so the minimum over orders is exact.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
@@ -48,6 +82,7 @@ from .reduction import (
     Job,
     SchedulingInstance,
     chain_values,
+    check_jobs,
     forced_starts,
     gamma_window,
     partition_gaps,
@@ -101,18 +136,6 @@ class _BudgetHit(Exception):
     pass
 
 
-def _check_jobs(jobs: Iterable[Job], m: int) -> None:
-    seen: set[str] = set()
-    for j in jobs:
-        if not 1 <= j.q <= m:
-            raise ValueError(f"job {j.id!r} needs {j.q} of {m} machines")
-        if j.p <= 0:
-            raise ValueError(f"job {j.id!r} has nonpositive length {j.p}")
-        if j.id in seen:
-            raise ValueError(f"job id {j.id!r} is used twice")
-        seen.add(j.id)
-
-
 def _identical_predecessors(jobs: Iterable[Job], key) -> dict[str, str]:
     """Each job id mapped to the closest smaller id whose job has the same
     key, so that identical jobs can be placed in ascending id order only."""
@@ -149,6 +172,18 @@ def _coeff_tables(inst: SchedulingInstance, target: int):
     return caps, rows
 
 
+def _gap_reach(gaps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gap starts in ascending order, each paired with the latest end of any
+    gap starting no later.  A value job of length p placed at t lies inside
+    some gap [lo, hi) exactly when t + p <= reach[i] for the last i with
+    starts[i] <= t, so one bisection per node serves every value job."""
+    gaps = sorted(gaps)
+    return (
+        tuple(lo for lo, _ in gaps),
+        tuple(accumulate((hi for _, hi in gaps), max)),
+    )
+
+
 @dataclass(frozen=True)
 class _EquationTables:
     """Forced start positions of a reduction instance, both orientations.
@@ -163,8 +198,8 @@ class _EquationTables:
     fam_mir: Mapping[str, tuple[int, ...]]
     gamma_fwd: Mapping[str, tuple[int, int]]
     gamma_mir: Mapping[str, tuple[int, int]]
-    gaps_fwd: tuple[tuple[int, int], ...]
-    gaps_mir: tuple[tuple[int, int], ...]
+    gaps_fwd: tuple[tuple[int, ...], tuple[int, ...]]
+    gaps_mir: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _equation_tables(inst: SchedulingInstance) -> _EquationTables | None:
@@ -189,13 +224,21 @@ def _equation_tables(inst: SchedulingInstance) -> _EquationTables | None:
         fam_mir={k: tuple(sorted(v)) for k, v in mir.items()},
         gamma_fwd=gamma_fwd,
         gamma_mir=gamma_mir,
-        gaps_fwd=gaps,
-        gaps_mir=tuple(sorted((W - hi, W - lo) for lo, hi in gaps)),
+        gaps_fwd=_gap_reach(gaps),
+        gaps_mir=_gap_reach((W - hi, W - lo) for lo, hi in gaps),
     )
 
 
+def _reach_at(gaps: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
+    """Latest end of a gap containing t; t itself (no room) when none does."""
+    starts, reach = gaps
+    i = bisect_right(starts, t) - 1
+    return reach[i] if i >= 0 else t
+
+
 class _Context:
-    """Immutable per-decision data shared by every search branch."""
+    """Per-decision data shared by every search branch: fixed tables, plus
+    a memo of the machine sets each idle set offers."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -205,12 +248,46 @@ class _Context:
         self.rules = rules
         self.budget = budget
         self.by_id = inst.by_id
-        self.order = tuple(sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id)))
-        self.pred = _identical_predecessors(inst.jobs, lambda j: (j.p, j.q, j.tag))
-        self.coeff = _coeff_tables(inst, target) if rules.coeff_budget else None
+        order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
+        # jobs by width, each bucket in the (-q, -p, id) order above
+        self.by_width = tuple(
+            tuple(j for j in order if j.q == q) for q in range(self.m + 1)
+        )
+        self.pred = (
+            _identical_predecessors(inst.jobs, lambda j: (j.p, j.q, j.tag))
+            if rules.symmetry
+            else {}
+        )
         self.eq = None
         if rules.equations and target == inst.W:
             self.eq = _equation_tables(inst)
+        self.coeff = None
+        if rules.coeff_budget and self.eq is None:
+            self.coeff = _coeff_tables(inst, target)
+        self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+
+    def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+        """Machine sets for a q-machine job over the idle machines `avail`,
+        each holding the lowest idle machine; memoized, since only the idle
+        set and q decide them."""
+        runs = self._subsets.get((avail, q))
+        if runs is not None:
+            return runs
+        mstar = avail[0]
+        if self.contiguous:
+            pool = set(avail)
+            runs = []
+            for lo in range(self.m - q + 1):
+                run = tuple(range(lo, lo + q))
+                if mstar in run and all(m in pool for m in run):
+                    runs.append(run)
+        elif self.rules.symmetry:
+            # machines idle at the same instant are interchangeable
+            runs = [avail[:q]]
+        else:
+            runs = [(mstar, *rest) for rest in combinations(avail[1:], q - 1)]
+        self._subsets[avail, q] = runs
+        return runs
 
 
 class _Search:
@@ -220,6 +297,7 @@ class _Search:
         self.ctx = ctx
         self.free = [0] * ctx.m
         self.remaining = set(ctx.by_id)
+        self.left = [len(bucket) for bucket in ctx.by_width]
         self.starts: dict[str, int] = {}
         self.placed: dict[str, tuple[int, ...]] = {}
         self.nodes = 0
@@ -232,57 +310,14 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _subsets(self, avail: list[int], q: int) -> list[tuple[int, ...]]:
-        mstar = avail[0]
-        if self.ctx.contiguous:
-            pool = set(avail)
-            runs = []
-            for lo in range(self.ctx.m - q + 1):
-                run = tuple(range(lo, lo + q))
-                if mstar in run and all(m in pool for m in run):
-                    runs.append(run)
-            return runs
-        if self.ctx.rules.symmetry:
-            # machines idle at the same instant are interchangeable
-            return [tuple(avail[:q])]
-        return [
-            (mstar, *rest) for rest in combinations(avail[1:], q - 1)
-        ]
-
-    def _chain_ok(self, tag: str, t: int) -> bool:
+    def _finished(self, t: int) -> Counter[str]:
         fin: Counter[str] = Counter()
         by_id = self.ctx.by_id
         for jid, s in self.starts.items():
             job = by_id[jid]
             if s + job.p <= t:
                 fin[job.tag] += 1
-        return len(set(chain_values(tag, fin.__getitem__).values())) == 1
-
-    def _equation_mask(self, job: Job, t: int) -> int:
-        eq = self.ctx.eq
-        bits = 0
-        if job.tag == "gamma":
-            lo, hi = eq.gamma_fwd[job.id]
-            if lo <= t <= hi:
-                bits |= _FWD
-            lo, hi = eq.gamma_mir[job.id]
-            if lo <= t <= hi:
-                bits |= _MIR
-        elif job.tag == "P":
-            if any(lo <= t and t + job.p <= hi for lo, hi in eq.gaps_fwd):
-                bits |= _FWD
-            if any(lo <= t and t + job.p <= hi for lo, hi in eq.gaps_mir):
-                bits |= _MIR
-        else:
-            k = self.fam_count[job.tag]
-            if eq.fam_fwd[job.tag][k] == t:
-                bits |= _FWD
-            if eq.fam_mir[job.tag][k] == t:
-                bits |= _MIR
-        bits &= self.orient
-        if bits and job.tag in CHECKPOINT_TAGS and not self._chain_ok(job.tag, t):
-            return 0
-        return bits
+        return fin
 
     def _coeff_ok(self, job: Job, subset: tuple[int, ...]) -> bool:
         caps, rows = self.ctx.coeff
@@ -296,31 +331,79 @@ class _Search:
 
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...], int]]:
         ctx = self.ctx
-        avail = [m for m in range(ctx.m) if self.free[m] == t]
+        eq = ctx.eq
+        avail = tuple([m for m in range(ctx.m) if self.free[m] == t])
         width = len(avail)
+        remaining = self.remaining
+        pred = ctx.pred
+        room = ctx.target - t
+        orient = self.orient
+        # every remaining job wider than the idle machines is a no-fit
+        no_fit = sum(self.left[width + 1 :])
+        symmetric = equations = coeff = 0
+        if eq is not None:
+            end_fwd = _reach_at(eq.gaps_fwd, t)
+            end_mir = _reach_at(eq.gaps_mir, t)
+            fin = None
+            chain_ok: dict[str, bool] = {}
         out = []
-        for job in ctx.order:
-            if job.id not in self.remaining:
-                continue
-            if job.q > width or t + job.p > ctx.target:
-                self.prunes["no-fit"] += 1
-                continue
-            if ctx.rules.symmetry:
-                prev = ctx.pred.get(job.id)
-                if prev is not None and prev in self.remaining:
-                    self.prunes["symmetry"] += 1
+        for q in range(width, 0, -1):
+            subsets = None
+            for job in ctx.by_width[q]:
+                jid = job.id
+                if jid not in remaining:
                     continue
-            mask = self.orient
-            if ctx.eq is not None:
-                mask = self._equation_mask(job, t)
-                if mask == 0:
-                    self.prunes["equations"] += 1
+                if job.p > room:
+                    no_fit += 1
                     continue
-            for subset in self._subsets(avail, job.q):
-                if self.acc is not None and not self._coeff_ok(job, subset):
-                    self.prunes["coeff-budget"] += 1
+                prev = pred.get(jid)
+                if prev is not None and prev in remaining:
+                    symmetric += 1
                     continue
-                out.append((job, subset, mask))
+                mask = orient
+                if eq is not None:
+                    tag = job.tag
+                    if tag == "P":
+                        end = t + job.p
+                        mask &= (_FWD if end <= end_fwd else 0) | (
+                            _MIR if end <= end_mir else 0
+                        )
+                    elif tag == "gamma":
+                        lo, hi = eq.gamma_fwd[jid]
+                        bits = _FWD if lo <= t <= hi else 0
+                        lo, hi = eq.gamma_mir[jid]
+                        mask &= bits | (_MIR if lo <= t <= hi else 0)
+                    else:
+                        k = self.fam_count[tag]
+                        mask &= (_FWD if eq.fam_fwd[tag][k] == t else 0) | (
+                            _MIR if eq.fam_mir[tag][k] == t else 0
+                        )
+                        if mask and tag in CHECKPOINT_TAGS:
+                            if tag not in chain_ok:
+                                if fin is None:
+                                    fin = self._finished(t)
+                                terms = chain_values(tag, fin.__getitem__)
+                                chain_ok[tag] = len(set(terms.values())) == 1
+                            if not chain_ok[tag]:
+                                mask = 0
+                    if not mask:
+                        equations += 1
+                        continue
+                if subsets is None:
+                    subsets = ctx.subsets(avail, q)
+                for subset in subsets:
+                    if self.acc is not None and not self._coeff_ok(job, subset):
+                        coeff += 1
+                        continue
+                    out.append((job, subset, mask))
+        for rule, count in (
+            ("no-fit", no_fit),
+            ("symmetry", symmetric),
+            ("equations", equations),
+            ("coeff-budget", coeff),
+        ):
+            if count:
+                self.prunes[rule] += count
         return out
 
     # ----- state transitions -----
@@ -330,6 +413,7 @@ class _Search:
         if self.nodes > self.ctx.budget:
             raise _BudgetHit
         self.remaining.remove(job.id)
+        self.left[job.q] -= 1
         self.starts[job.id] = t
         self.placed[job.id] = subset
         for m in subset:
@@ -351,6 +435,7 @@ class _Search:
         del self.starts[job.id]
         del self.placed[job.id]
         self.remaining.add(job.id)
+        self.left[job.q] += 1
         for m in subset:
             self.free[m] = t
         if self.ctx.eq is not None:
@@ -373,17 +458,36 @@ class _Search:
         )
 
     def search(self) -> Schedule | None:
+        """Depth-first over the candidates at the earliest free instant.
+
+        The path is an explicit stack of candidate iterators, one per placed
+        job below the starting prefix, so depth is bounded by memory rather
+        than by the interpreter's recursion limit."""
+        target = self.ctx.target
         if not self.remaining:
             return self._snapshot()
         t = min(self.free)
-        if t >= self.ctx.target:
+        if t >= target:
             return None
-        for job, subset, mask in self._candidates(t):
-            undo = self._place(job, subset, t, mask)
-            found = self.search()
-            if found is not None:
-                return found
-            self._unplace(undo)
+        frames = [(t, iter(self._candidates(t)))]
+        undos = []
+        while frames:
+            t, pending = frames[-1]
+            step = next(pending, None)
+            if step is None:
+                frames.pop()
+                if undos:
+                    self._unplace(undos.pop())
+                continue
+            job, subset, mask = step
+            undos.append(self._place(job, subset, t, mask))
+            if not self.remaining:
+                return self._snapshot()
+            t = min(self.free)
+            if t < target:
+                frames.append((t, iter(self._candidates(t))))
+            else:
+                self._unplace(undos.pop())
         return None
 
 
@@ -403,7 +507,7 @@ def decide_target(
     root branch may expand.  With `contiguous` the machine set of every job
     must be an interval, matching the strip-packing reading.
     """
-    _check_jobs(inst.jobs, inst.m)
+    check_jobs(inst.jobs, inst.m)
     rules = rules or PruneRules()
     total = inst.total_work
     if total > 4 * target:
@@ -484,7 +588,7 @@ def optimize_small(
     SearchBudgetExceeded when the order tree outgrows `budget` expansions.
     """
     jobs = tuple(jobs)
-    _check_jobs(jobs, m)
+    check_jobs(jobs, m)
     if len(jobs) > 8:
         raise ValueError("optimize_small handles at most 8 jobs")
     if not jobs:

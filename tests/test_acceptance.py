@@ -342,6 +342,7 @@ def test_criterion_7d_bridge_roundtrip(forward_corpus):
     report(7, problems, f"(d) bridge identities on {len(corpus)} schedules")
 
 
+@pytest.mark.slow
 def test_criterion_7e_pruning_rules_change_counts_not_outcomes():
     """20-case regression set.  A rule toggle may only move node counts;
     completed runs must agree on the outcome, and a budget-capped run may

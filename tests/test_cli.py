@@ -89,6 +89,37 @@ def test_verify_infeasible_exit_one(workspace, tmp_path):
     assert not json.loads(result.stdout)["feasible"]
 
 
+def hand_written(tmp_path, jobs, starts):
+    """An instance and a one-machine-per-job schedule written by hand,
+    bypassing the library's constructors."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "m": 4, "z": 0, "D": "0", "W": "4",
+        "jobs": [{"id": jid, "p": str(p), "q": 1, "tag": "J"} for jid, p in jobs],
+    }))
+    sched = tmp_path / "sched.json"
+    sched.write_text(Schedule(
+        starts=starts, machines={jid: frozenset({1}) for jid in starts},
+    ).to_json())
+    return str(inst), str(sched)
+
+
+@pytest.mark.parametrize(
+    "jobs, starts, reason",
+    [
+        ([("J", 4), ("J", 4)], {"J": 0}, "job id 'J' is used twice"),
+        ([("K", 4), ("J", -2)], {"K": 0, "J": 3}, "job 'J' has nonpositive length -2"),
+    ],
+    ids=["duplicate-id", "negative-length"],
+)
+def test_verify_rejects_malformed_jobs(tmp_path, jobs, starts, reason):
+    inst, sched = hand_written(tmp_path, jobs, starts)
+    result = run("verify", "--inst", inst, "--sched", sched)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert reason in result.stderr
+
+
 def test_audit_clean_then_violated(workspace, tmp_path):
     good = run("audit", "--inst", str(workspace / "inst.json"),
                "--sched", str(workspace / "sched.json"))

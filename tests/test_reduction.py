@@ -5,6 +5,8 @@ identities are restated in terms of plain exponent arithmetic so the module
 under test never supplies its own expected values.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +232,23 @@ def test_scheduling_json_roundtrip():
     back = SchedulingInstance.from_json(text)
     assert back.to_json() == text
     assert back == sched
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        ([("J", "4", 4), ("J", "4", 4)], "used twice"),
+        ([("J", "-2", 1)], "nonpositive length -2"),
+        ([("J", "4", 5)], "needs 5 of 4"),
+    ],
+)
+def test_scheduling_json_rejects_malformed_jobs(jobs, message):
+    text = json.dumps({
+        "m": 4, "z": 0, "D": "0", "W": "4",
+        "jobs": [{"id": i, "p": p, "q": q, "tag": "J"} for i, p, q in jobs],
+    })
+    with pytest.raises(ValueError, match=message):
+        SchedulingInstance.from_json(text)
 
 
 def test_strip_items_mirror_jobs():

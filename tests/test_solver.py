@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -6,7 +8,7 @@ import pytest
 
 from gadgetforge.extraction import extract_partition
 from gadgetforge.reduction import Job, SchedulingInstance, build_jobs
-from gadgetforge.schedule import verify
+from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
 from gadgetforge.threepartition import SearchBudgetExceeded, gen_no, gen_yes
 
@@ -253,6 +255,27 @@ def test_node_and_prune_counts_are_pinned(run, outcome, nodes, prunes):
     assert dict(decision.prunes) == prunes
 
 
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # gen_yes(16, 0) has 197 jobs: a search that recursed once per placed
+    # job would need more frames than this limit leaves.
+    inst, target = _at_w(gen_yes(16, 0)[0])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        decision = decide_target(inst, target)
+    finally:
+        sys.setrecursionlimit(old)
+    assert decision.outcome == "witness"
+    assert decision.nodes == 751
+
+
 def test_symmetry_changes_node_counts_not_outcomes():
     inst = generic([(5, 2), (3, 2), (2, 2), (2, 2)])
     default = decide_target(inst, 6)
@@ -281,6 +304,8 @@ def test_malformed_jobs_are_rejected(dims, ids, message):
         decide_target(inst, target)
     with pytest.raises(ValueError, match=message):
         optimize_small(jobs)
+    with pytest.raises(ValueError, match=message):
+        verify(inst, Schedule(starts={}, machines={}))
 
 
 def test_decision_serializes():
@@ -288,6 +313,60 @@ def test_decision_serializes():
     payload = decision.to_dict()
     assert payload["outcome"] == "witness"
     assert payload["witness"]["starts"] == {"J0": "0"}
+
+
+# ===== decide_target against optimize_small =====
+
+D_DIFF = 33
+
+
+def random_balanced(rng, digits):
+    """At most eight jobs of total work 4T.  With `digits` every length is
+    a D^2 + b D^3 for D = 33 and small a, b, so the coefficient rule is
+    active; otherwise lengths are small and the rule stays off.  A last
+    one-machine job tops each digit total up to a multiple of 4."""
+    unit = D_DIFF**2 if digits else 1
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        a, b = (rng.randint(0, 3), rng.randint(0, 3)) if digits else (rng.randint(1, 6), 0)
+        if a or b:
+            rows.append((a, b, rng.randint(1, 4)))
+    fix = (-sum(a * q for a, _, q in rows) % 4, -sum(b * q for _, b, q in rows) % 4)
+    if any(fix):
+        rows.append((*fix, 1))
+    jobs = tuple(
+        Job(id=f"J{i}", p=(a + b * D_DIFF) * unit, q=q, tag="J", index=i)
+        for i, (a, b, q) in enumerate(rows)
+    )
+    inst = SchedulingInstance(
+        m=4, z=1 if digits else 0, D=D_DIFF if digits else 0, W=0, jobs=jobs
+    )
+    return inst, inst.total_work // 4
+
+
+def test_decide_target_agrees_with_optimize_small():
+    # Every zero-idle answer must match an independent exact optimizer: a
+    # witness at T exactly when the optimum is T (it is never below, since
+    # the work is 4T).  Each instance runs with the default rules and with
+    # symmetry and coeff_budget switched off in turn.
+    rng = random.Random("solver-differential")
+    seen = Counter()
+    for trial in range(200):
+        inst, target = random_balanced(rng, digits=trial % 2 == 0)
+        opt, _ = optimize_small(inst.jobs)
+        for rules in (
+            PruneRules(),
+            PruneRules(symmetry=False),
+            PruneRules(coeff_budget=False),
+        ):
+            decision = decide_target(inst, target, rules=rules)
+            assert decision.outcome in ("witness", "proved-none"), trial
+            assert (decision.outcome == "witness") == (opt == target), trial
+            seen.update(decision.prunes.keys())
+        seen[decision.outcome] += 1
+    assert seen["witness"] and seen["proved-none"]
+    # both optional rules actually fired somewhere in the set
+    assert seen["coeff-budget"] and seen["symmetry"]
 
 
 # ===== optimize_small =====
