@@ -148,7 +148,25 @@ def _identical_predecessors(jobs: Iterable[Job], key) -> dict[str, str]:
     return pred
 
 
-def _coeff_tables(inst: SchedulingInstance, target: int):
+@dataclass(frozen=True)
+class _CoeffTables:
+    """Digit rows packed one field per power, so that a machine's running
+    digit sums are one integer and the cap test is one subtraction.
+
+    Every field is `width` bits plus a guard bit above them.  `guarded`
+    holds each target digit plus its guard bit; for a machine sum `acc`
+    and a job row, ``(guarded - acc - row) & guards`` keeps a field's guard
+    bit exactly when that digit stays within the target's.  This holds
+    because every digit sum and cap is below D < 2**width, so no field
+    borrows from its neighbour.
+    """
+
+    guarded: int
+    guards: int
+    rows: Mapping[str, int]
+
+
+def _coeff_tables(inst: SchedulingInstance, target: int) -> _CoeffTables | None:
     """Digit caps and per-job digit rows, or None when the rule is unsound.
 
     Soundness needs every digit nonnegative and the per-power totals over
@@ -162,14 +180,24 @@ def _coeff_tables(inst: SchedulingInstance, target: int):
         jvecs = {j.id: decompose(j.p, z, D) for j in inst.jobs}
     except ValueError:
         return None
-    caps = tuple(tvec.digit(k) for k in POWERS)
-    rows = {jid: tuple(v.digit(k) for k in POWERS) for jid, v in jvecs.items()}
+    caps = [tvec.digit(k) for k in POWERS]
+    rows = {jid: [v.digit(k) for k in POWERS] for jid, v in jvecs.items()}
     for i in range(len(POWERS)):
         if sum(row[i] for row in rows.values()) >= D:
             return None
     if sum(abs(v.x0) for v in jvecs.values()) + abs(tvec.x0) >= D * D:
         return None
-    return caps, rows
+    width = D.bit_length()
+
+    def pack(digits) -> int:
+        return sum(d << (i * (width + 1)) for i, d in enumerate(digits))
+
+    guards = pack([1 << width] * len(POWERS))
+    return _CoeffTables(
+        guarded=pack(caps) + guards,
+        guards=guards,
+        rows={jid: pack(row) for jid, row in rows.items()},
+    )
 
 
 def _gap_reach(gaps) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -304,9 +332,8 @@ class _Search:
         self.prunes: Counter[str] = Counter()
         self.orient = _FWD | _MIR
         self.fam_count: Counter[str] = Counter()
-        self.acc = (
-            [[0] * len(POWERS) for _ in range(ctx.m)] if ctx.coeff else None
-        )
+        # packed per-machine digit sums, see _CoeffTables
+        self.acc = [0] * ctx.m if ctx.coeff else None
 
     # ----- candidate generation -----
 
@@ -318,16 +345,6 @@ class _Search:
             if s + job.p <= t:
                 fin[job.tag] += 1
         return fin
-
-    def _coeff_ok(self, job: Job, subset: tuple[int, ...]) -> bool:
-        caps, rows = self.ctx.coeff
-        row = rows[job.id]
-        for m in subset:
-            acc = self.acc[m]
-            for i, cap in enumerate(caps):
-                if acc[i] + row[i] > cap:
-                    return False
-        return True
 
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...], int]]:
         ctx = self.ctx
@@ -341,6 +358,9 @@ class _Search:
         # every remaining job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
         symmetric = equations = coeff = 0
+        acc = self.acc
+        if acc is not None:
+            guards = ctx.coeff.guards
         if eq is not None:
             end_fwd = _reach_at(eq.gaps_fwd, t)
             end_mir = _reach_at(eq.gaps_mir, t)
@@ -391,11 +411,18 @@ class _Search:
                         continue
                 if subsets is None:
                     subsets = ctx.subsets(avail, q)
+                if acc is None:
+                    out += [(job, subset, mask) for subset in subsets]
+                    continue
+                # digit sums that stay within the target's, see _CoeffTables
+                headroom = ctx.coeff.guarded - ctx.coeff.rows[jid]
                 for subset in subsets:
-                    if self.acc is not None and not self._coeff_ok(job, subset):
-                        coeff += 1
-                        continue
-                    out.append((job, subset, mask))
+                    for m in subset:
+                        if (headroom - acc[m]) & guards != guards:
+                            coeff += 1
+                            break
+                    else:
+                        out.append((job, subset, mask))
         for rule, count in (
             ("no-fit", no_fit),
             ("symmetry", symmetric),
@@ -423,11 +450,9 @@ class _Search:
             self.orient = mask
             self.fam_count[job.tag] += 1
         if self.acc is not None:
-            row = self.ctx.coeff[1][job.id]
+            row = self.ctx.coeff.rows[job.id]
             for m in subset:
-                acc = self.acc[m]
-                for i, d in enumerate(row):
-                    acc[i] += d
+                self.acc[m] += row
         return (job, subset, t, old_mask)
 
     def _unplace(self, undo):
@@ -442,11 +467,9 @@ class _Search:
             self.orient = old_mask
             self.fam_count[job.tag] -= 1
         if self.acc is not None:
-            row = self.ctx.coeff[1][job.id]
+            row = self.ctx.coeff.rows[job.id]
             for m in subset:
-                acc = self.acc[m]
-                for i, d in enumerate(row):
-                    acc[i] -= d
+                self.acc[m] -= row
 
     def _snapshot(self) -> Schedule:
         return Schedule(

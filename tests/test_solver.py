@@ -243,6 +243,15 @@ def _at_w(inst3p):
             {"coeff-budget": 340, "no-fit": 384, "symmetry": 1_158},
             id="trap-D33",
         ),
+        pytest.param(
+            lambda: decide_target(
+                *_at_w(gen_yes(1, 5)[0]), budget=2000,
+                rules=PruneRules(equations=False),
+            ),
+            "budget-exceeded", 30_015,
+            {"coeff-budget": 62_032, "no-fit": 95_538, "symmetry": 41},
+            id="yes(1,5)-equations-off-budget-2000",
+        ),
     ],
 )
 def test_node_and_prune_counts_are_pinned(run, outcome, nodes, prunes):
