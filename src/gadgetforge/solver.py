@@ -42,8 +42,10 @@ node is kept to the jobs that can fit:
 * the value-job gaps are indexed by start with a running maximum of their
   ends, so one bisection per orientation gives the latest end a value job
   starting at t may reach, and each value job then costs one comparison;
-* the finished-job counts that the count chains read are built at most once
-  per node, on first need, and each chain is evaluated once per node;
+* the finished-job counts that the count chains read, and every chain's
+  verdict, are built at most once per node, on first need;
+* the coefficient rule keeps each machine's digit sums packed in one
+  integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
   node, so a rule that never fires leaves no key behind.
 
@@ -337,16 +339,26 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _finished(self, t: int) -> Counter[str]:
+    def _chains_holding(self, t: int) -> set[str]:
+        """Checkpoint families whose count chain holds over the jobs
+        finished by t."""
         fin: Counter[str] = Counter()
         by_id = self.ctx.by_id
         for jid, s in self.starts.items():
             job = by_id[jid]
             if s + job.p <= t:
                 fin[job.tag] += 1
-        return fin
+        return {
+            tag
+            for tag in CHECKPOINT_TAGS
+            if len(set(chain_values(tag, fin.__getitem__).values())) == 1
+        }
 
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...], int]]:
+        """(job, machine set, orientation mask) for every placement at t, in
+        (-q, -p, id) order.  A rejected job counts as a prune of the first
+        rule that rejects it: no-fit, symmetry, equations, and coeff-budget
+        once per machine set."""
         ctx = self.ctx
         eq = ctx.eq
         avail = tuple([m for m in range(ctx.m) if self.free[m] == t])
@@ -362,10 +374,10 @@ class _Search:
         if acc is not None:
             guards = ctx.coeff.guards
         if eq is not None:
+            # latest end a value job starting at t may reach, per orientation
             end_fwd = _reach_at(eq.gaps_fwd, t)
             end_mir = _reach_at(eq.gaps_mir, t)
-            fin = None
-            chain_ok: dict[str, bool] = {}
+            chains = None  # built on first need, once per node
         out = []
         for q in range(width, 0, -1):
             subsets = None
@@ -382,6 +394,7 @@ class _Search:
                     continue
                 mask = orient
                 if eq is not None:
+                    # the orientations whose forced positions allow t
                     tag = job.tag
                     if tag == "P":
                         end = t + job.p
@@ -399,12 +412,9 @@ class _Search:
                             _MIR if eq.fam_mir[tag][k] == t else 0
                         )
                         if mask and tag in CHECKPOINT_TAGS:
-                            if tag not in chain_ok:
-                                if fin is None:
-                                    fin = self._finished(t)
-                                terms = chain_values(tag, fin.__getitem__)
-                                chain_ok[tag] = len(set(terms.values())) == 1
-                            if not chain_ok[tag]:
+                            if chains is None:
+                                chains = self._chains_holding(t)
+                            if tag not in chains:
                                 mask = 0
                     if not mask:
                         equations += 1
