@@ -186,12 +186,14 @@ class StripInstance:
             )
             for it in payload["items"]
         )
-        return cls(
+        strip = cls(
             width=int(payload["width"]),
             z=payload["z"],
             D=int(payload["D"]),
             items=items,
         )
+        check_jobs(strip.to_scheduling().jobs, MACHINES)
+        return strip
 
 
 def _index_from_id(job_id: str) -> int | None:

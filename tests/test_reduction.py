@@ -242,13 +242,19 @@ def test_scheduling_json_roundtrip():
         ([("J", "4", 5)], "needs 5 of 4"),
     ],
 )
-def test_scheduling_json_rejects_malformed_jobs(jobs, message):
+def test_json_loaders_reject_malformed_jobs(jobs, message):
     text = json.dumps({
         "m": 4, "z": 0, "D": "0", "W": "4",
         "jobs": [{"id": i, "p": p, "q": q, "tag": "J"} for i, p, q in jobs],
     })
     with pytest.raises(ValueError, match=message):
         SchedulingInstance.from_json(text)
+    strip = json.dumps({
+        "width": "4", "z": 0, "D": "0",
+        "items": [{"id": i, "w": p, "h": q, "tag": "J"} for i, p, q in jobs],
+    })
+    with pytest.raises(ValueError, match=message):
+        StripInstance.from_json(strip)
 
 
 def test_strip_items_mirror_jobs():

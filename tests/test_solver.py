@@ -185,8 +185,8 @@ def digit_trap_instance(D=33):
     target D^3 + 4D^2: the smalls cannot split into four groups of exactly
     4, so no witness exists.  Branches that stack smalls on a machine still
     owing its cube fit time-wise but overflow the D^2 digit, which only the
-    coefficient rule sees early (at D = 17 the digit totals could carry, so
-    the rule stays off)."""
+    coefficient rule sees early (for D = 17, not above the digit cap
+    4z(7z+1) = 32, the lengths do not decompose and the rule stays off)."""
     dims = [(D**3, 1)] * 4 + [(3 * D**2, 1)] * 4 + [(2 * D**2, 1)] * 2
     jobs = tuple(
         Job(id=f"J{i:02d}", p=p, q=q, tag="J", index=i)
@@ -337,7 +337,10 @@ def random_balanced(rng, digits):
     unit = D_DIFF**2 if digits else 1
     rows = []
     for _ in range(rng.randint(1, 7)):
-        a, b = (rng.randint(0, 3), rng.randint(0, 3)) if digits else (rng.randint(1, 6), 0)
+        if digits:
+            a, b = rng.randint(0, 3), rng.randint(0, 3)
+        else:
+            a, b = rng.randint(1, 6), 0
         if a or b:
             rows.append((a, b, rng.randint(1, 4)))
     fix = (-sum(a * q for a, _, q in rows) % 4, -sum(b * q for _, b, q in rows) % 4)
