@@ -11,7 +11,9 @@ fixpoint; coordinates become integral in the first sweep, so deciding
 
 from __future__ import annotations
 
+import heapq
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -104,12 +106,25 @@ def _check_item_universe(strip: StripInstance, packing: Packing) -> None:
 
 def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
     """Exact overlap/bounds check.  MissingItem and WidthExceeded are hard
-    errors; overlaps and negative coordinates are reported as problems."""
+    errors; overlaps and negative coordinates are reported as problems.
+
+    Overlaps are found by a sweep in x: items are taken in (x, index) order,
+    and a heap keyed by right edge holds the items still open.  Before an
+    item is placed, every open item whose right edge is at or left of its x
+    is closed, so the items left open are exactly those that overlap it in
+    x (widths are at least 1, as `reduction.check_jobs` demands of every
+    loaded instance), and only they are tested for vertical overlap.  The
+    pairs are sorted by item index before they are reported, so `problems`
+    lists them in the order of the pairwise test.  The cost is the sorting
+    plus, per item, the items open at its left edge, which in a feasible
+    packing of height H is at most H.
+    """
     _check_item_universe(strip, packing)
     problems: list[str] = []
 
-    for item in strip.items:
-        x, y = packing.positions[item.id]
+    items = strip.items
+    boxes = [packing.positions[item.id] for item in items]
+    for item, (x, y) in zip(items, boxes):
         if x + item.w > strip.width:
             raise WidthExceeded(
                 f"item {item.id} spans [{x}, {x + item.w}) in a strip of "
@@ -120,20 +135,22 @@ def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
         if y < 0:
             problems.append(f"item {item.id} has y={y} < 0")
 
-    boxes = [
-        (item, packing.positions[item.id]) for item in strip.items
-    ]
-    for i, (it1, (x1, y1)) in enumerate(boxes):
-        for it2, (x2, y2) in boxes[i + 1 :]:
-            if (
-                x1 < x2 + it2.w
-                and x2 < x1 + it1.w
-                and y1 < y2 + it2.h
-                and y2 < y1 + it1.h
-            ):
-                problems.append(f"items {it1.id} and {it2.id} overlap")
+    pairs: list[tuple[int, int]] = []
+    open_items: list[tuple[Coord, int]] = []
+    for k in sorted(range(len(items)), key=lambda k: boxes[k][0]):
+        x, y = boxes[k]
+        while open_items and open_items[0][0] <= x:
+            heapq.heappop(open_items)
+        top = y + items[k].h
+        for _, o in open_items:
+            oy = boxes[o][1]
+            if oy < top and y < oy + items[o].h:
+                pairs.append((o, k) if o < k else (k, o))
+        heapq.heappush(open_items, (x + items[k].w, k))
+    pairs.sort()
+    problems += [f"items {items[i].id} and {items[j].id} overlap" for i, j in pairs]
 
-    height = max((y + it.h for it, (_, y) in boxes), default=0)
+    height = max((y + it.h for it, (_, y) in zip(items, boxes)), default=0)
     free_area = strip.width * height - strip.total_area
     return PackingReport(
         feasible=not problems,
@@ -147,12 +164,29 @@ def normalize(strip: StripInstance, packing: Packing) -> Packing:
     """Push every item down, then left, until nothing moves.
 
     Requires a feasible packing.  Items settle in deterministic (coordinate,
-    id) order; each falls to the highest top of the already-settled items it
-    overlaps horizontally (the floor otherwise), then slides against the
-    rightmost edge of its vertical neighbors.  One down sweep makes all y
-    integral and one left sweep all x, after which the coordinate sum is a
-    strictly decreasing nonnegative integer, so the loop terminates.  The
-    result never gets taller or feasibility-worse.
+    other coordinate, id) order; each falls to the highest top of the
+    already-settled items it overlaps horizontally (the floor otherwise),
+    then slides against the rightmost edge of its vertical neighbors.  One
+    down sweep makes all y integral and one left sweep all x, after which
+    the coordinate sum is a strictly decreasing nonnegative integer, so the
+    loop terminates.  The result never gets taller or feasibility-worse.
+
+    A sweep keeps a skyline: sorted breakpoints `xs` on the other axis, and
+    `hs[i]`, the highest settled edge over [xs[i], xs[i+1]).  An item's new
+    edge is the maximum of `hs` over its span, found with two bisections,
+    and placing it sets the span to edge + size.  That equals the highest
+    edge of the settled items overlapping it on the other axis because:
+
+    * the packing is feasible when a sweep starts, and items are visited in
+      (coordinate, other, id) order, so a settled item that overlaps the
+      current one on the other axis lay wholly before it and has only moved
+      back: its settled edge is at most the current coordinate, and every
+      such neighbour is one the item rests against, never one past it;
+    * the level a placement assigns is at least every level it overwrites,
+      so the skyline at each point is the maximum settled edge over it.
+
+    The sweep leaves the packing feasible, as every later item settles at or
+    past every earlier one it overlaps, so the next sweep may rely on it.
     """
     report = verify_packing(strip, packing)
     if not report.feasible:
@@ -168,27 +202,27 @@ def normalize(strip: StripInstance, packing: Packing) -> Packing:
             strip.items,
             key=lambda it: (pos[it.id][axis], pos[it.id][1 - axis], it.id),
         )
-        settled: list = []
+        xs: list[Coord] = [0]
+        hs: list[Coord] = [0]
         for item in order:
             x, y = pos[item.id]
             if axis == 1:
-                lo, hi, size = x, x + item.w, item.h
+                coord, lo, hi, size = y, x, x + item.w, item.h
             else:
-                lo, hi, size = y, y + item.h, item.w
-            edge = 0
-            for other, (olo, ohi, oedge) in settled:
-                if olo < hi and lo < ohi and oedge <= (y if axis == 1 else x):
-                    edge = max(edge, oedge)
-            if axis == 1:
-                if edge < y:
-                    moved = True
-                pos[item.id] = (x, edge)
-                settled.append((item, (lo, hi, edge + size)))
+                coord, lo, hi, size = x, y, y + item.h, item.w
+            a = bisect_right(xs, lo) - 1
+            b = bisect_left(xs, hi)
+            edge = max(hs[a:b])
+            if b < len(xs) and xs[b] == hi:
+                new_xs, new_hs = [lo], [edge + size]
             else:
-                if edge < x:
-                    moved = True
-                pos[item.id] = (edge, y)
-                settled.append((item, (lo, hi, edge + size)))
+                new_xs, new_hs = [lo, hi], [edge + size, hs[b - 1]]
+            if xs[a] != lo:
+                a += 1
+            xs[a:b], hs[a:b] = new_xs, new_hs
+            if edge < coord:
+                moved = True
+            pos[item.id] = (x, edge) if axis == 1 else (edge, y)
         return moved
 
     while True:
