@@ -16,6 +16,7 @@ input was not a feasible zero-idle schedule at the target.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -33,7 +34,7 @@ from .schedule import (
     MachineOutOfRange,
     Schedule,
     UnknownJob,
-    count_before,
+    finished_by_index,
     mirror,
     swap_after,
     verify,
@@ -98,7 +99,9 @@ def _health(inst: SchedulingInstance, sched: Schedule):
     return r.feasible, r.makespan, r.idle
 
 
-def _gate(inst: SchedulingInstance, sched: Schedule) -> None:
+def _gate(inst: SchedulingInstance, sched: Schedule) -> tuple[bool, int, int]:
+    """Admit a reduction instance and a schedule at its target makespan, and
+    return the schedule's health (feasible, makespan, idle)."""
     if recognize(inst) is None:
         raise ValueError("extraction needs an unmodified reduction instance")
     try:
@@ -109,6 +112,7 @@ def _gate(inst: SchedulingInstance, sched: Schedule) -> None:
         raise NotTargetMakespan(
             f"makespan {report.makespan} differs from target {inst.W}"
         )
+    return report.feasible, report.makespan, report.idle
 
 
 def _ids(inst: SchedulingInstance, *tags: str) -> frozenset[str]:
@@ -139,9 +143,17 @@ def normalize_machines(
     """Swap machine contents until machine 1 carries the early side family,
     machine 4 the late side family, and both middle machines carry every
     three-machine separator.  Start times are untouched."""
+    return _normalize_machines(inst, sched, _gate(inst, sched), log)
+
+
+def _normalize_machines(
+    inst: SchedulingInstance,
+    sched: Schedule,
+    health: tuple[bool, int, int],
+    log: list | None,
+) -> Schedule:
+    """`normalize_machines` past the gate, which returned `health`."""
     stage = "normalize"
-    _gate(inst, sched)
-    health = _health(inst, sched)
     events = log if log is not None else []
 
     for job in inst.jobs:
@@ -260,23 +272,23 @@ def check_alternation(
             raise LemmaViolation(
                 stage, "interleaving", f"rank {i}: {b_seq[i + 1]} precedes {a_seq[i]}"
             )
-    A, B = _ids(inst, "A"), _ids(inst, "B")
+    finished = finished_by_index(inst, sched)
     for i, anchor in enumerate(a_seq):
-        lam = count_before(inst, sched, anchor, ["lambda1"])
+        t = sched.starts[anchor]
+        lam = finished(t, ("lambda1",))
         if lam != 1:
             raise LemmaViolation(
                 stage, "separator-counts", f"{anchor}: opening cap count {lam} != 1"
             )
-        if count_before(inst, sched, anchor, A) != i:
+        if finished(t, ("A",)) != i:
             raise LemmaViolation(stage, "separator-counts", f"{anchor}: own rank != {i}")
-        if count_before(inst, sched, anchor, B) != i + 1:
+        if finished(t, ("B",)) != i + 1:
             raise LemmaViolation(
                 stage, "separator-counts", f"{anchor}: opposite rank != {i + 1}"
             )
     for i, anchor in enumerate(b_seq):
-        if count_before(inst, sched, anchor, B) != i or count_before(
-            inst, sched, anchor, A
-        ) != i:
+        t = sched.starts[anchor]
+        if finished(t, ("B",)) != i or finished(t, ("A",)) != i:
             raise LemmaViolation(stage, "separator-counts", f"{anchor}: rank != {i}")
     return tuple(a_seq), tuple(b_seq)
 
@@ -292,13 +304,11 @@ def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
     trailing-cap rule pins the closing cap at 0 there.  With those counts
     fixed, a chain holds exactly when every term of it equals i."""
     stage = "count-equations"
-    fams: dict[str, list[str]] = {}
-    for job in inst.jobs:
-        fams.setdefault(job.tag, []).append(job.id)
+    finished = finished_by_index(inst, sched)
 
     def broken(anchor: str) -> str | None:
-        count = lambda tag: count_before(inst, sched, anchor, fams[tag])
-        values = chain_values(inst.by_id[anchor].tag, count)
+        t = sched.starts[anchor]
+        values = chain_values(inst.by_id[anchor].tag, lambda tag: finished(t, (tag,)))
         if len(set(values.values())) == 1:
             return None
         return f"{anchor}: " + ", ".join(f"{k} = {v}" for k, v in values.items())
@@ -307,7 +317,7 @@ def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
         if detail := broken(anchor):
             raise LemmaViolation(stage, "early-separator-chain", detail)
     for anchor in b_seq:
-        if count_before(inst, sched, anchor, ["lambda2"]) != 0:
+        if finished(sched.starts[anchor], ("lambda2",)) != 0:
             raise LemmaViolation(
                 stage, "trailing-cap", f"closing cap finishes before {anchor}"
             )
@@ -339,9 +349,12 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
     following early one, and its length matches the gap exactly."""
     stage = "filler-fit"
     p_b = family_length("B", inst.z, inst.D)
+    fillers: dict[int, list] = {}
+    for job in inst.tagged("c"):
+        fillers.setdefault(sched.starts[job.id], []).append(job)
     for i in range(inst.z + 1):
         t = sched.starts[b_seq[i]] + p_b
-        hits = [j for j in inst.tagged("c") if sched.starts[j.id] == t]
+        hits = fillers.get(t, [])
         if len(hits) != 1:
             raise LemmaViolation(
                 stage, "filler-fit", f"{len(hits)} fillers start at {t} after {b_seq[i]}"
@@ -401,6 +414,8 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
     gammas = {by_len[j.p]: j for j in inst.tagged("gamma") if j.p in by_len}
     if len(gammas) != z:
         raise LemmaViolation(stage, "narrow-window", "window filler lengths collide")
+    values = sorted(inst.tagged("P"), key=lambda j: sched.starts[j.id])
+    value_starts = [sched.starts[j.id] for j in values]
     sets = []
     for i in range(1, z + 1):
         a_i = m1[3 * i - 1]
@@ -414,10 +429,8 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
         assert hi - edge == g.p + D
         # The filler may sit anywhere inside the window; the value jobs tile
         # whatever it leaves on either side.
-        occupants = sorted(
-            [g, *(j for j in inst.tagged("P") if edge <= sched.starts[j.id] < hi)],
-            key=lambda j: sched.starts[j.id],
-        )
+        inside = values[bisect_left(value_starts, edge) : bisect_left(value_starts, hi)]
+        occupants = sorted([g, *inside], key=lambda j: sched.starts[j.id])
         cursor, members = edge, []
         for j in occupants:
             if sched.starts[j.id] != cursor or 2 not in sched.machines[j.id]:
@@ -444,10 +457,10 @@ def extract_partition(
     structural identities (i.e. it was never feasible)."""
     if recover_values(inst).values != inst3p.values:
         raise ValueError("scheduling instance does not encode the given values")
-    _gate(inst, sched)
+    health = _gate(inst, sched)
     events: list[dict[str, Any]] = []
     try:
-        sched = normalize_machines(inst, sched, log=events)
+        sched = _normalize_machines(inst, sched, health, events)
         sched = orient(inst, sched, log=events)
         a_seq, b_seq = check_alternation(inst, sched)
         events.append({"stage": "alternation", "event": "ok"})
