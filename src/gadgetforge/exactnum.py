@@ -50,6 +50,21 @@ class NegativeResult(ValueError):
     """Decomposition input or composition result below zero."""
 
 
+def parse_int(token, what: str) -> int:
+    """`token` as an int: an int (a bool is not one) passes, a string that
+    `int` reads in base 10, such as "-12", is converted, and anything else,
+    a float above all, raises ValueError naming `what` instead of being
+    truncated."""
+    if type(token) is int:
+        return token
+    if type(token) is str:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer or a decimal string, not {token!r}")
+
+
 def digit_bound(z: int) -> int:
     """Largest digit any audited sum can reach: 4z(7z+1), the total D^7
     coefficient across all four machine loads."""

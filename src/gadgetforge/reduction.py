@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .exactnum import digit_bound
+from .exactnum import digit_bound, parse_int
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
@@ -110,20 +110,21 @@ class SchedulingInstance:
         payload = json.loads(text)
         jobs = tuple(
             Job(
-                id=j["id"],
-                p=int(j["p"]),
-                q=int(j["q"]),
-                tag=j["tag"],
-                index=_index_from_id(j["id"]),
+                j["id"],
+                parse_int(j["p"], "a length p"),
+                parse_int(j["q"], "a machine count q"),
+                j["tag"],
+                _index_from_id(j["id"]),
             )
             for j in payload["jobs"]
         )
-        check_jobs(jobs, int(payload["m"]))
+        m = parse_int(payload["m"], "m")
+        check_jobs(jobs, m)
         return cls(
-            m=int(payload["m"]),
-            z=int(payload["z"]),
-            D=int(payload["D"]),
-            W=int(payload["W"]),
+            m=m,
+            z=parse_int(payload["z"], "z"),
+            D=parse_int(payload["D"], "D"),
+            W=parse_int(payload["W"], "W"),
             jobs=jobs,
         )
 
@@ -178,18 +179,18 @@ class StripInstance:
         payload = json.loads(text)
         items = tuple(
             StripItem(
-                id=it["id"],
-                w=int(it["w"]),
-                h=int(it["h"]),
-                tag=it["tag"],
-                index=_index_from_id(it["id"]),
+                it["id"],
+                parse_int(it["w"], "a width w"),
+                parse_int(it["h"], "a height h"),
+                it["tag"],
+                _index_from_id(it["id"]),
             )
             for it in payload["items"]
         )
         strip = cls(
-            width=int(payload["width"]),
-            z=payload["z"],
-            D=int(payload["D"]),
+            width=parse_int(payload["width"], "width"),
+            z=parse_int(payload["z"], "z"),
+            D=parse_int(payload["D"], "D"),
             items=items,
         )
         check_jobs(strip.to_scheduling().jobs, MACHINES)
@@ -197,8 +198,6 @@ class StripInstance:
 
 
 def _index_from_id(job_id: str) -> int | None:
-    if "_" not in job_id:
-        return None
     head, _, tail = job_id.rpartition("_")
     return int(tail) if head and tail.isdigit() else None
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import decompose
+from .exactnum import decompose, parse_int
 from .reduction import (
     CHECKPOINT_TAGS,
     SchedulingInstance,
@@ -86,9 +86,9 @@ class Schedule:
     def from_json(cls, text: str) -> "Schedule":
         payload = json.loads(text)
         return cls(
-            starts={k: int(v) for k, v in payload["starts"].items()},
+            starts={k: parse_int(v, "a start") for k, v in payload["starts"].items()},
             machines={
-                k: frozenset(int(m) for m in v)
+                k: frozenset([m if type(m) is int else parse_int(m, "a machine") for m in v])
                 for k, v in payload["machines"].items()
             },
         )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .exactnum import parse_int
 from .reduction import SchedulingInstance, StripInstance
 from .schedule import Schedule
 
@@ -66,17 +67,19 @@ class Packing:
         raw = json.loads(text)["positions"]
         positions = {}
         for item_id, (x, y) in raw.items():
-            positions[item_id] = (_parse_coord(x), int(y))
+            positions[item_id] = (_parse_coord(x), parse_int(y, "y"))
         return cls(positions=positions)
 
 
 def _parse_coord(token) -> Coord:
-    if isinstance(token, int):
-        return token
-    text = str(token)
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    """An integer (see `parse_int`) or a "p/q" string with q >= 1."""
+    if type(token) is str and "/" in token:
+        num, den = token.split("/", 1)
+        den = parse_int(den, "the denominator of x")
+        if den < 1:
+            raise ValueError(f"x {token!r} needs a positive denominator")
+        return Fraction(parse_int(num, "the numerator of x"), den)
+    return parse_int(token, "x")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .exactnum import digit_bound
+from .exactnum import digit_bound, parse_int
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -59,9 +59,10 @@ class ThreePartitionInstance:
     @classmethod
     def from_json(cls, text: str) -> "ThreePartitionInstance":
         payload = json.loads(text)
-        values = tuple(int(v) for v in payload["values"])
+        values = tuple(parse_int(v, "a value") for v in payload["values"])
         inst = cls(values)
-        if payload.get("z") != inst.z:
+        declared = payload.get("z")
+        if type(declared) is not int or declared != inst.z:
             raise ValueError(
                 f"declared z={payload.get('z')} but {len(values)} values"
             )
@@ -286,4 +287,6 @@ def partition_to_json(partition: Partition) -> str:
 
 def partition_from_json(text: str) -> Partition:
     payload = json.loads(text)
-    return _canonical([tuple(int(i) for i in s) for s in payload["sets"]])
+    return _canonical(
+        [tuple(parse_int(i, "a set member") for i in s) for s in payload["sets"]]
+    )

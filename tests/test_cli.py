@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 from gadgetforge.cli import main
 from gadgetforge.reduction import SchedulingInstance, StripInstance
 from gadgetforge.schedule import Schedule
+from gadgetforge.strip import schedule_to_packing
 
 runner = CliRunner()
 
@@ -31,6 +33,10 @@ def workspace(tmp_path_factory):
     syn = run("synth", "--inst", str(root / "inst.json"),
               "--witness", str(root / "w.json"))
     (root / "sched.json").write_text(syn.stdout)
+    packing = schedule_to_packing(
+        SchedulingInstance.from_json(red.stdout), Schedule.from_json(syn.stdout)
+    )
+    (root / "pack.json").write_text(packing.to_json())
     return root
 
 
@@ -118,6 +124,55 @@ def test_verify_rejects_malformed_jobs(tmp_path, jobs, starts, reason):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert reason in result.stderr
+
+
+def _loader_command(workspace, name, path):
+    """A subcommand that reads the file `name` from `path` and the rest of
+    the pipeline from the workspace."""
+    ws = {n: str(workspace / n) for n in ("inst.json", "sched.json", "strip.json", "pack.json")}
+    ws[name] = path
+    out = str(Path(path).with_suffix(".svg"))
+    return {
+        "inst3.json": ["reduce", "--in", path],
+        "inst.json": ["verify", "--inst", path, "--sched", ws["sched.json"]],
+        "sched.json": ["verify", "--inst", ws["inst.json"], "--sched", path],
+        "strip.json": ["render", "--strip", path, "--packing", ws["pack.json"], "--out", out],
+        "pack.json": ["render", "--strip", ws["strip.json"], "--packing", path, "--out", out],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, keys, bad, what",
+    [
+        ("inst3.json", ("values", 0), lambda v: v + 0.9, "a value"),
+        ("inst3.json", ("z",), lambda v: True, "declared z=True"),
+        ("sched.json", ("starts", "P_1"), lambda v: float(v) + 0.5, "a start"),
+        ("sched.json", ("machines", "P_1", 0), lambda v: v + 0.7, "a machine"),
+        ("pack.json", ("positions", "P_1", 1), lambda v: v + 0.9, "y must be"),
+        ("inst.json", ("jobs", 0, "p"), lambda v: float(v) + 0.5, "a length p"),
+        ("strip.json", ("items", 0, "h"), lambda v: v + 0.5, "a height h"),
+    ],
+    ids=[
+        "instance-float-value", "instance-bool-z", "schedule-float-start",
+        "schedule-float-machine", "packing-float-y", "jobs-float-p",
+        "strip-float-h",
+    ],
+)
+def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, what):
+    """A number the loader would have to round is refused (exit 2), never
+    truncated into a different, valid-looking input."""
+    payload = json.loads((workspace / name).read_text())
+    *path, last = keys
+    node = payload
+    for key in path:
+        node = node[key]
+    node[last] = bad(node[last])
+    edited = tmp_path / name
+    edited.write_text(json.dumps(payload))
+    result = run(*_loader_command(workspace, name, str(edited)))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert what in result.stderr
 
 
 def test_audit_clean_then_violated(workspace, tmp_path):

@@ -1,5 +1,6 @@
 """Packing verification, gravity normalization, and the schedule bridge."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,21 @@ def test_packing_json_rejects_fractional_y():
     packing = Packing(positions={"r0": (0, Fraction(1, 2))})
     with pytest.raises(NonIntegralY):
         packing.to_json()
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1.5, 0), ("3/0", 0), ("3/-2", 0), ("1.5", 0), (True, 0), ("1", 1.9), ("1", False)],
+)
+def test_packing_json_rejects_inexact_coordinates(x, y):
+    text = json.dumps({"positions": {"r0": [x, y]}})
+    with pytest.raises(ValueError):
+        Packing.from_json(text)
+
+
+def test_packing_json_reads_fractions_and_signs():
+    text = json.dumps({"positions": {"r0": ["-3/2", "-1"], "r1": [7, 2]}})
+    assert Packing.from_json(text).positions == {
+        "r0": (Fraction(-3, 2), -1),
+        "r1": (7, 2),
+    }
