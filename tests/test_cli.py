@@ -149,18 +149,21 @@ def _loader_command(workspace, name, path):
         ("sched.json", ("starts", "P_1"), lambda v: float(v) + 0.5, "a start"),
         ("sched.json", ("machines", "P_1", 0), lambda v: v + 0.7, "a machine"),
         ("pack.json", ("positions", "P_1", 1), lambda v: v + 0.9, "y must be"),
+        ("pack.json", ("positions", "P_1", 0), lambda v: "1/0", "positive denominator"),
         ("inst.json", ("jobs", 0, "p"), lambda v: float(v) + 0.5, "a length p"),
         ("strip.json", ("items", 0, "h"), lambda v: v + 0.5, "a height h"),
     ],
     ids=[
         "instance-float-value", "instance-bool-z", "schedule-float-start",
-        "schedule-float-machine", "packing-float-y", "jobs-float-p",
+        "schedule-float-machine", "packing-float-y", "packing-zero-denominator",
+        "jobs-float-p",
         "strip-float-h",
     ],
 )
 def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, what):
-    """A number the loader would have to round is refused (exit 2), never
-    truncated into a different, valid-looking input."""
+    """A number no loader can read exactly (a float, a boolean, a fraction
+    over zero) is refused with exit 2, never truncated into a different,
+    valid-looking input or left to raise."""
     payload = json.loads((workspace / name).read_text())
     *path, last = keys
     node = payload
