@@ -14,6 +14,8 @@ from gadgetforge.schedule import (
     UnknownJob,
     audit,
     count_before,
+    count_finished_by,
+    finished_by_index,
     mirror,
     swap_after,
     verify,
@@ -117,6 +119,30 @@ def test_count_before_counts_exact_finish(canonical_z1):
     # lambda1 ends exactly at A_0's start and must be counted
     _, inst, sched = canonical_z1
     assert count_before(inst, sched, "A_0", ["lambda1"]) == 1
+
+
+def test_finished_by_index_agrees_with_count_finished_by(canonical_z1):
+    # every job's start and end, one unit either side, on every machine
+    _, inst, sched = canonical_z1
+    finished = finished_by_index(inst, sched)
+    tags = sorted({j.tag for j in inst.jobs}) + ["unknown"]
+    times = {sched.starts[j.id] + d for j in inst.jobs for d in (-1, 0, 1)}
+    times |= {sched.starts[j.id] + j.p + d for j in inst.jobs for d in (-1, 0, 1)}
+    for t in sorted(times):
+        for tag in tags:
+            for machine in (None, 1, 2, 3, 4):
+                ids = [
+                    j.id
+                    for j in inst.jobs
+                    if j.tag == tag
+                    and (machine is None or machine in sched.machines[j.id])
+                ]
+                assert finished(t, (tag,), machine) == count_finished_by(
+                    inst, sched, t, ids
+                )
+        assert finished(t, tags) == count_finished_by(
+            inst, sched, t, [j.id for j in inst.jobs]
+        )
 
 
 # ===== swap_after =====
