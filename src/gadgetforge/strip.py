@@ -216,6 +216,8 @@ def normalize(strip: StripInstance, packing: Packing) -> Packing:
             a = bisect_right(xs, lo) - 1
             b = bisect_left(xs, hi)
             edge = max(hs[a:b])
+            # [lo, hi) now stands at edge + size; past hi the old level
+            # resumes, so hi becomes a breakpoint unless it is one already
             if b < len(xs) and xs[b] == hi:
                 new_xs, new_hs = [lo], [edge + size]
             else:
