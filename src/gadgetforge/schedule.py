@@ -88,9 +88,7 @@ class Schedule:
         return cls(
             starts={k: parse_int(v, "a start") for k, v in payload["starts"].items()},
             machines={
-                k: frozenset(
-                    [m if type(m) is int else parse_int(m, "a machine") for m in v]
-                )
+                k: frozenset([parse_int(m, "a machine") for m in v])
                 for k, v in payload["machines"].items()
             },
         )
