@@ -156,8 +156,7 @@ def _loader_command(workspace, name, path):
     ids=[
         "instance-float-value", "instance-bool-z", "schedule-float-start",
         "schedule-float-machine", "packing-float-y", "packing-zero-denominator",
-        "jobs-float-p",
-        "strip-float-h",
+        "jobs-float-p", "strip-float-h",
     ],
 )
 def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, what):
