@@ -151,7 +151,7 @@ def reduce_cmd(in_path: str, strip: bool):
     inst3 = ThreePartitionInstance.from_json(_read(in_path))
     built = build_strip(inst3) if strip else build_jobs(inst3)
     _emit(built.to_json())
-    _log(f"reduced z={inst3.z}: {len(built.items if strip else built.jobs)} pieces, width {built.width if strip else built.W}")
+    _log(f"reduced z={inst3.z}: {len(built.jobs)} pieces, width {built.W}")
 
 
 @main.command("synth")

@@ -325,12 +325,14 @@ def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
             raise LemmaViolation(stage, "late-separator-chain", detail)
 
 
-def _check_side_orders(inst, sched) -> tuple[list[str], list[str]]:
-    """Machines 1 and 4 must run their fixed tag patterns back to back."""
+def _check_side_orders(inst, sched) -> tuple[dict, dict]:
+    """Machines 1 and 4 must run their fixed tag patterns back to back.
+    Returns each side machine's jobs keyed by canonical (tag, index) slot."""
     stage = "side-order"
     m1, m4 = _on_machine(inst, sched, 1), _on_machine(inst, sched, 4)
-    want_1 = [tag for tag, _ in canonical_slots(1, inst.z)]
-    want_4 = [tag for tag, _ in canonical_slots(4, inst.z)]
+    slots_1, slots_4 = canonical_slots(1, inst.z), canonical_slots(4, inst.z)
+    want_1 = [tag for tag, _ in slots_1]
+    want_4 = [tag for tag, _ in slots_4]
     got_1 = [inst.by_id[i].tag for i in m1]
     got_4 = [inst.by_id[i].tag for i in m4]
     if got_1 != want_1:
@@ -341,7 +343,7 @@ def _check_side_orders(inst, sched) -> tuple[list[str], list[str]]:
         broken = _tiling_break(inst, sched, m)
         if broken:
             raise LemmaViolation(stage, "zero-idle", broken)
-    return m1, m4
+    return dict(zip(slots_1, m1)), dict(zip(slots_4, m4))
 
 
 def _check_fillers(inst, sched, a_seq, b_seq) -> None:
@@ -373,7 +375,7 @@ def _make_pairs_contiguous(inst, sched, m1, m4, events) -> Schedule:
     stage = "pair-columns"
     health = _health(inst, sched)
     for i in range(1, inst.z + 1):
-        a_i, b_i = m1[3 * i - 1], m4[3 * i - 1]
+        a_i, b_i = m1["a", i], m4["b", i]
         sa = sched.machines[a_i] - {1}
         sb = sched.machines[b_i] - {4}
         if sa == sb:
@@ -381,7 +383,7 @@ def _make_pairs_contiguous(inst, sched, m1, m4, events) -> Schedule:
                 stage, "pair-columns", f"{a_i} and {b_i} share machine {sorted(sa)}"
             )
         if sa == {3}:
-            t1, t2 = sched.starts[m1[3 * i - 2]], sched.starts[m4[3 * i]]
+            t1, t2 = sched.starts[m1["A", i - 1]], sched.starts[m4["B", i]]
             try:
                 sched = swap_after(inst, sched, t1, 2, 3)
                 sched = swap_after(inst, sched, t2, 2, 3)
@@ -418,9 +420,9 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
     value_starts = [sched.starts[j.id] for j in values]
     sets = []
     for i in range(1, z + 1):
-        a_i = m1[3 * i - 1]
+        a_i = m1["a", i]
         edge = sched.starts[a_i] + inst.by_id[a_i].p
-        hi = sched.starts[m4[3 * i]]
+        hi = sched.starts[m4["B", i]]
         g = gammas[i]
         if 2 not in sched.machines[g.id] or not edge <= sched.starts[g.id] <= hi - g.p:
             raise LemmaViolation(

@@ -5,9 +5,10 @@ D > 4z(7z+1)), `build_jobs` emits 12z+5 jobs, each needing 1, 2, or 3 of the
 4 machines simultaneously.  The job lengths are polynomials in D chosen so
 that a schedule with makespan W (the target load) exists iff the instance is
 a yes-instance, and any such schedule has zero idle time and essentially one
-shape.  `build_strip` emits the same gadgets as strip-packing items (width =
+shape.  Read sideways, the same jobs are strip-packing items (width =
 length, height = machine count) in a strip of width W, where the question
-becomes packing height 4 versus 5.
+becomes packing height 4 versus 5; `build_strip` returns the instance as a
+`StripInstance`, which differs only in its JSON keys.
 
 Twelve job families, by tag:
 
@@ -80,6 +81,11 @@ class SchedulingInstance:
     W: int
     jobs: tuple[Job, ...]
 
+    # The JSON key of each field, and the label a bad p or q is reported
+    # under.  `StripInstance` names the same fields the strip way.
+    _keys = {"m": "m", "W": "W", "jobs": "jobs", "p": "p", "q": "q"}
+    _labels = {"p": "a length p", "q": "a machine count q"}
+
     @cached_property
     def by_id(self) -> dict[str, Job]:
         return {job.id: job for job in self.jobs}
@@ -93,108 +99,52 @@ class SchedulingInstance:
         return sum(j.p * j.q for j in self.jobs)
 
     def to_json(self) -> str:
+        k = self._keys
         payload = {
-            "m": self.m,
             "z": self.z,
             "D": str(self.D),
-            "W": str(self.W),
-            "jobs": [
-                {"id": j.id, "p": str(j.p), "q": j.q, "tag": j.tag}
+            k["W"]: str(self.W),
+            k["jobs"]: [
+                {"id": j.id, k["p"]: str(j.p), k["q"]: j.q, "tag": j.tag}
                 for j in self.jobs
             ],
         }
+        if k["m"]:
+            payload[k["m"]] = self.m
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingInstance":
         payload = json.loads(text)
+        k, label = cls._keys, cls._labels
         jobs = tuple(
             Job(
                 j["id"],
-                parse_int(j["p"], "a length p"),
-                parse_int(j["q"], "a machine count q"),
+                parse_int(j[k["p"]], label["p"]),
+                parse_int(j[k["q"]], label["q"]),
                 j["tag"],
                 _index_from_id(j["id"]),
             )
-            for j in payload["jobs"]
+            for j in payload[k["jobs"]]
         )
-        m = parse_int(payload["m"], "m")
+        m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
         check_jobs(jobs, m)
         return cls(
             m=m,
             z=parse_int(payload["z"], "z"),
             D=parse_int(payload["D"], "D"),
-            W=parse_int(payload["W"], "W"),
+            W=parse_int(payload[k["W"]], k["W"]),
             jobs=jobs,
         )
 
 
-@dataclass(frozen=True)
-class StripItem:
-    id: str
-    w: int
-    h: int
-    tag: str
-    index: int | None = None
+class StripInstance(SchedulingInstance):
+    """A 4-machine instance read sideways, in the strip JSON form: item
+    width w = job length p, item height h = machine count q, strip width =
+    W.  Only the JSON keys differ; there is no "m" key."""
 
-
-@dataclass(frozen=True)
-class StripInstance:
-    width: int
-    z: int
-    D: int
-    items: tuple[StripItem, ...]
-
-    @cached_property
-    def by_id(self) -> dict[str, StripItem]:
-        return {item.id: item for item in self.items}
-
-    @property
-    def total_area(self) -> int:
-        return sum(it.w * it.h for it in self.items)
-
-    def to_scheduling(self) -> SchedulingInstance:
-        jobs = tuple(
-            Job(id=it.id, p=it.w, q=it.h, tag=it.tag, index=it.index)
-            for it in self.items
-        )
-        return SchedulingInstance(
-            m=MACHINES, z=self.z, D=self.D, W=self.width, jobs=jobs
-        )
-
-    def to_json(self) -> str:
-        payload = {
-            "width": str(self.width),
-            "z": self.z,
-            "D": str(self.D),
-            "items": [
-                {"id": it.id, "w": str(it.w), "h": it.h, "tag": it.tag}
-                for it in self.items
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "StripInstance":
-        payload = json.loads(text)
-        items = tuple(
-            StripItem(
-                it["id"],
-                parse_int(it["w"], "a width w"),
-                parse_int(it["h"], "a height h"),
-                it["tag"],
-                _index_from_id(it["id"]),
-            )
-            for it in payload["items"]
-        )
-        strip = cls(
-            width=parse_int(payload["width"], "width"),
-            z=parse_int(payload["z"], "z"),
-            D=parse_int(payload["D"], "D"),
-            items=items,
-        )
-        check_jobs(strip.to_scheduling().jobs, MACHINES)
-        return strip
+    _keys = {"m": None, "W": "width", "jobs": "items", "p": "w", "q": "h"}
+    _labels = {"p": "a width w", "q": "a height h"}
 
 
 def _index_from_id(job_id: str) -> int | None:
@@ -293,13 +243,9 @@ def build_jobs(inst: ThreePartitionInstance) -> SchedulingInstance:
 
 
 def build_strip(inst: ThreePartitionInstance) -> StripInstance:
-    """Same gadgets as strip-packing items: width = length, height = machines."""
+    """The same instance in the strip JSON form."""
     sched = build_jobs(inst)
-    items = tuple(
-        StripItem(id=j.id, w=j.p, h=j.q, tag=j.tag, index=j.index)
-        for j in sched.jobs
-    )
-    return StripInstance(width=sched.W, z=sched.z, D=sched.D, items=items)
+    return StripInstance(sched.m, sched.z, sched.D, sched.W, sched.jobs)
 
 
 def recover_values(inst: SchedulingInstance) -> ThreePartitionInstance:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
-from .reduction import SchedulingInstance, StripInstance
+from .reduction import SchedulingInstance
 from .schedule import Schedule
 from .strip import Packing
 
@@ -176,6 +176,33 @@ def _write(text: str, path: str | None) -> str:
     return text
 
 
+def _figure(
+    inst: SchedulingInstance,
+    heading: str,
+    rows: list[str],
+    axis: _Axis,
+    boxes: list[str],
+    path: str | None,
+) -> str:
+    """The frame both pictures share: heading, one labelled and ruled row
+    per label in `rows` (top to bottom), the boxes, the axis, and a legend
+    of the instance's tags."""
+    rows_bottom = _TOP + len(rows) * _ROW
+    parts = [f'<text x="{_LEFT}" y="20">{heading}</text>']
+    for k, label in enumerate(rows):
+        y = _TOP + k * _ROW
+        parts.append(f'<text x="8" y="{y + _ROW / 2 + 4:.0f}">{label}</text>')
+        parts.append(
+            f'<line x1="{_LEFT}" y1="{y + _ROW:.0f}" x2="{axis.right:.0f}" '
+            f'y2="{y + _ROW:.0f}" stroke="#ddd"/>'
+        )
+    parts.extend(boxes)
+    parts.extend(_axis_parts(axis, rows_bottom + 8))
+    tags = sorted({j.tag for j in inst.jobs})
+    parts.extend(_legend_parts(tags, rows_bottom + 62))
+    return _write(_svg(parts, axis.right + 24, rows_bottom + 92), path)
+
+
 def render_schedule_svg(
     inst: SchedulingInstance, sched: Schedule, path: str | None = None
 ) -> str:
@@ -187,78 +214,50 @@ def render_schedule_svg(
         times.append(sched.starts[job.id] + job.p)
     axis = _Axis(times, base)
 
-    rows_bottom = _TOP + inst.m * _ROW
-    parts = [
-        f'<text x="{_LEFT}" y="20">schedule: {len(inst.jobs)} jobs on '
-        f"{inst.m} machines, span {_fmt(axis.ticks[-1] - axis.ticks[0])}</text>"
-    ]
-    for m in range(1, inst.m + 1):
-        y = _TOP + (m - 1) * _ROW
-        parts.append(
-            f'<text x="8" y="{y + _ROW / 2 + 4:.0f}">M{m}</text>'
-        )
-        parts.append(
-            f'<line x1="{_LEFT}" y1="{y + _ROW:.0f}" x2="{axis.right:.0f}" '
-            f'y2="{y + _ROW:.0f}" stroke="#ddd"/>'
-        )
+    boxes = []
     for job in sorted(inst.jobs, key=lambda j: (sched.starts[j.id], j.id)):
         x0 = axis.pos(sched.starts[job.id])
         x1 = axis.pos(sched.starts[job.id] + job.p)
         for m in sched.machines[job.id]:
             y = _TOP + (m - 1) * _ROW
-            parts.extend(_job_rect(x0, x1, y + 3, y + _ROW - 3, _color(job.tag), job.id))
+            boxes.extend(_job_rect(x0, x1, y + 3, y + _ROW - 3, _color(job.tag), job.id))
 
-    parts.extend(_axis_parts(axis, rows_bottom + 8))
-    tags = sorted({j.tag for j in inst.jobs})
-    parts.extend(_legend_parts(tags, rows_bottom + 62))
-    return _write(
-        _svg(parts, axis.right + 24, rows_bottom + 92), path
+    heading = (
+        f"schedule: {len(inst.jobs)} jobs on {inst.m} machines, "
+        f"span {_fmt(axis.ticks[-1] - axis.ticks[0])}"
     )
+    rows = [f"M{m}" for m in range(1, inst.m + 1)]
+    return _figure(inst, heading, rows, axis, boxes, path)
 
 
 def render_packing_svg(
-    inst: StripInstance, packing: Packing, path: str | None = None
+    inst: SchedulingInstance, packing: Packing, path: str | None = None
 ) -> str:
     """Strip picture: x is the banded width axis, y counts machine lanes."""
     base = inst.D if inst.D >= 2 else 10
-    times = [0, inst.width]
-    for item in inst.items:
-        x = packing.positions[item.id][0]
+    times = [0, inst.W]
+    for job in inst.jobs:
+        x = packing.positions[job.id][0]
         times.append(int(x))
-        times.append(int(x) + item.w)
+        times.append(int(x) + job.p)
     axis = _Axis(times, base)
 
-    tops = [
-        packing.positions[item.id][1] + item.h for item in inst.items
-    ]
+    tops = [packing.positions[job.id][1] + job.q for job in inst.jobs]
     height_units = int(max([*tops, 1]))
-    rows_bottom = _TOP + height_units * _ROW
-    parts = [
-        f'<text x="{_LEFT}" y="20">packing: {len(inst.items)} items, strip '
-        f"width {_fmt(inst.width)}, height {height_units}</text>"
-    ]
-    for lane in range(height_units):
-        y = _TOP + lane * _ROW
-        parts.append(
-            f'<text x="8" y="{y + _ROW / 2 + 4:.0f}">y={height_units - lane - 1}</text>'
-        )
-        parts.append(
-            f'<line x1="{_LEFT}" y1="{y + _ROW:.0f}" x2="{axis.right:.0f}" '
-            f'y2="{y + _ROW:.0f}" stroke="#ddd"/>'
-        )
-    for item in sorted(inst.items, key=lambda i: (packing.positions[i.id][0], i.id)):
-        x, y = packing.positions[item.id]
+    boxes = []
+    for job in sorted(inst.jobs, key=lambda j: (packing.positions[j.id][0], j.id)):
+        x, y = packing.positions[job.id]
         x0 = axis.pos(x)
-        x1 = axis.pos(x + item.w)
+        x1 = axis.pos(x + job.p)
         # flip so y=0 sits at the bottom like the packing convention
-        top = _TOP + (height_units - float(y) - item.h) * _ROW
-        parts.extend(
-            _job_rect(x0, x1, top + 3, top + item.h * _ROW - 3, _color(item.tag), item.id)
+        top = _TOP + (height_units - float(y) - job.q) * _ROW
+        boxes.extend(
+            _job_rect(x0, x1, top + 3, top + job.q * _ROW - 3, _color(job.tag), job.id)
         )
 
-    parts.extend(_axis_parts(axis, rows_bottom + 8))
-    tags = sorted({i.tag for i in inst.items})
-    parts.extend(_legend_parts(tags, rows_bottom + 62))
-    return _write(
-        _svg(parts, axis.right + 24, rows_bottom + 92), path
+    heading = (
+        f"packing: {len(inst.jobs)} items, strip width {_fmt(inst.W)}, "
+        f"height {height_units}"
     )
+    rows = [f"y={y}" for y in range(height_units - 1, -1, -1)]
+    return _figure(inst, heading, rows, axis, boxes, path)

@@ -1,8 +1,10 @@
-"""Strip packings of the reduction items, and the bridge to schedules.
+"""Strip packings of a scheduling instance, and the bridge to schedules.
 
-Items are axis-aligned rectangles (width = job length, height = machine
-count) packed without rotation into a strip of fixed width.  A packing in
-which every item sits at an integral y with total height 4 is exactly a
+A strip is a `SchedulingInstance` read sideways: each job is an
+axis-aligned rectangle of width p (its length) and height q (its machine
+count), packed without rotation into a strip of width W; `StripInstance`
+is the same instance with the strip JSON keys.  A packing in which every
+item sits at an integral y with total height 4 is exactly a
 contiguous-machine schedule read sideways: machine k is the horizontal lane
 [k-1, k).  `normalize` pushes any feasible packing down and left to a
 fixpoint; coordinates become integral in the first sweep, so deciding
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exactnum import parse_int
-from .reduction import SchedulingInstance, StripInstance
+from .reduction import SchedulingInstance
 from .schedule import Schedule
 
 Coord = int | Fraction
@@ -98,16 +100,16 @@ class PackingReport:
         }
 
 
-def _check_item_universe(strip: StripInstance, packing: Packing) -> None:
+def _check_item_universe(inst: SchedulingInstance, packing: Packing) -> None:
     for item_id in packing.positions:
-        if item_id not in strip.by_id:
+        if item_id not in inst.by_id:
             raise MissingItem(f"packing mentions unknown item {item_id!r}")
-    for item in strip.items:
-        if item.id not in packing.positions:
-            raise MissingItem(f"item {item.id!r} is missing from the packing")
+    for job in inst.jobs:
+        if job.id not in packing.positions:
+            raise MissingItem(f"item {job.id!r} is missing from the packing")
 
 
-def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
+def verify_packing(strip: SchedulingInstance, packing: Packing) -> PackingReport:
     """Exact overlap/bounds check.  MissingItem and WidthExceeded are hard
     errors; overlaps and negative coordinates are reported as problems.
 
@@ -125,13 +127,13 @@ def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
     _check_item_universe(strip, packing)
     problems: list[str] = []
 
-    items = strip.items
+    items = strip.jobs
     boxes = [packing.positions[item.id] for item in items]
     for item, (x, y) in zip(items, boxes):
-        if x + item.w > strip.width:
+        if x + item.p > strip.W:
             raise WidthExceeded(
-                f"item {item.id} spans [{x}, {x + item.w}) in a strip of "
-                f"width {strip.width}"
+                f"item {item.id} spans [{x}, {x + item.p}) in a strip of "
+                f"width {strip.W}"
             )
         if x < 0:
             problems.append(f"item {item.id} has x={x} < 0")
@@ -144,17 +146,17 @@ def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
         x, y = boxes[k]
         while open_items and open_items[0][0] <= x:
             heapq.heappop(open_items)
-        top = y + items[k].h
+        top = y + items[k].q
         for _, o in open_items:
             oy = boxes[o][1]
-            if oy < top and y < oy + items[o].h:
+            if oy < top and y < oy + items[o].q:
                 pairs.append((o, k) if o < k else (k, o))
-        heapq.heappush(open_items, (x + items[k].w, k))
+        heapq.heappush(open_items, (x + items[k].p, k))
     pairs.sort()
     problems += [f"items {items[i].id} and {items[j].id} overlap" for i, j in pairs]
 
-    height = max((y + it.h for it, (_, y) in zip(items, boxes)), default=0)
-    free_area = strip.width * height - strip.total_area
+    height = max((y + it.q for it, (_, y) in zip(items, boxes)), default=0)
+    free_area = strip.W * height - strip.total_work
     return PackingReport(
         feasible=not problems,
         height=height,
@@ -163,7 +165,7 @@ def verify_packing(strip: StripInstance, packing: Packing) -> PackingReport:
     )
 
 
-def normalize(strip: StripInstance, packing: Packing) -> Packing:
+def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
     """Push every item down, then left, until nothing moves.
 
     Requires a feasible packing.  Items settle in deterministic (coordinate,
@@ -202,7 +204,7 @@ def normalize(strip: StripInstance, packing: Packing) -> Packing:
         # axis 1: drop down (pack y against tops)
         moved = False
         order = sorted(
-            strip.items,
+            strip.jobs,
             key=lambda it: (pos[it.id][axis], pos[it.id][1 - axis], it.id),
         )
         xs: list[Coord] = [0]
@@ -210,9 +212,9 @@ def normalize(strip: StripInstance, packing: Packing) -> Packing:
         for item in order:
             x, y = pos[item.id]
             if axis == 1:
-                coord, lo, hi, size = y, x, x + item.w, item.h
+                coord, lo, hi, size = y, x, x + item.p, item.q
             else:
-                coord, lo, hi, size = x, y, y + item.h, item.w
+                coord, lo, hi, size = x, y, y + item.q, item.p
             a = bisect_right(xs, lo) - 1
             b = bisect_left(xs, hi)
             edge = max(hs[a:b])
@@ -265,16 +267,17 @@ def schedule_to_packing(inst: SchedulingInstance, sched: Schedule) -> Packing:
 
 
 def packing_to_schedule(inst: SchedulingInstance, packing: Packing) -> Schedule:
-    """Read a height-4 integral packing as a schedule: machines y+1 .. y+h."""
+    """Read a height-4 integral packing as a schedule: machines y+1 .. y+q."""
+    _check_item_universe(inst, packing)
     starts = {}
     machines = {}
     for job in inst.jobs:
-        if job.id not in packing.positions:
-            raise MissingItem(f"item {job.id!r} is missing from the packing")
         x, y = packing.positions[job.id]
         if y != int(y):
             raise NonIntegralY(f"item {job.id} has y={y}")
         y = int(y)
+        if y < 0:
+            raise HeightExceeds4(f"item {job.id} sits below the strip at y={y}")
         if y + job.q > inst.m:
             raise HeightExceeds4(
                 f"item {job.id} reaches height {y + job.q} > {inst.m}"

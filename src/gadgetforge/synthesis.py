@@ -17,7 +17,6 @@ from collections import deque
 from .reduction import (
     CANONICAL_LAYOUT,
     SchedulingInstance,
-    StripInstance,
     canonical_slots,
     recognize,
     recover_values,
@@ -104,7 +103,6 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
     return sched
 
 
-def build_packing(strip: StripInstance, witness: Partition) -> Packing:
+def build_packing(strip: SchedulingInstance, witness: Partition) -> Packing:
     """Height-4 packing realizing the witness (schedule laid sideways)."""
-    inst = strip.to_scheduling()
-    return schedule_to_packing(inst, build_schedule(inst, witness))
+    return schedule_to_packing(strip, build_schedule(strip, witness))

@@ -24,8 +24,6 @@ from gadgetforge.extraction import (
 from gadgetforge.reduction import (
     Job,
     SchedulingInstance,
-    StripInstance,
-    StripItem,
     build_jobs,
 )
 from gadgetforge.schedule import Schedule, audit, mirror, swap_after, verify
@@ -299,11 +297,11 @@ def test_criterion_7c_normalize_is_monotone_idempotent():
     def staircase(case):
         count = rng.randint(1, 6)
         dims = [(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(count)]
-        items = tuple(
-            StripItem(id=f"r{i}", w=w, h=h, tag="r", index=i)
+        jobs = tuple(
+            Job(id=f"r{i}", p=w, q=h, tag="r", index=i)
             for i, (w, h) in enumerate(dims)
         )
-        strip = StripInstance(width=7 * count, z=0, D=0, items=items)
+        strip = SchedulingInstance(m=4, z=0, D=0, W=7 * count, jobs=jobs)
         positions, x, y = {}, Fraction(0), Fraction(0)
         for i, (w, h) in enumerate(dims):
             x += Fraction(rng.randint(0, 12), 4)
@@ -314,7 +312,7 @@ def test_criterion_7c_normalize_is_monotone_idempotent():
 
     def height(strip, packing):
         return max(
-            packing.positions[i.id][1] + i.h for i in strip.items
+            packing.positions[j.id][1] + j.q for j in strip.jobs
         )
 
     problems = []

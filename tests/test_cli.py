@@ -77,7 +77,7 @@ def test_reduce_emits_parseable_instances(workspace):
     inst = SchedulingInstance.from_json((workspace / "inst.json").read_text())
     assert len(inst.jobs) == 12 * inst.z + 5
     strip = StripInstance.from_json((workspace / "strip.json").read_text())
-    assert strip.width == inst.W
+    assert strip.W == inst.W
 
 
 def test_verify_feasible_exit_zero(workspace):

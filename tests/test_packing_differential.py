@@ -11,11 +11,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gadgetforge.reduction import StripItem
+from gadgetforge.reduction import Job, SchedulingInstance
 from gadgetforge.strip import (
     Packing,
     PackingReport,
-    StripInstance,
     WidthExceeded,
     normalize,
     verify_packing,
@@ -24,32 +23,32 @@ from gadgetforge.strip import (
 
 def reference_verify(strip, packing):
     problems = []
-    for item in strip.items:
+    for item in strip.jobs:
         x, y = packing.positions[item.id]
-        if x + item.w > strip.width:
+        if x + item.p > strip.W:
             raise WidthExceeded(
-                f"item {item.id} spans [{x}, {x + item.w}) in a strip of "
-                f"width {strip.width}"
+                f"item {item.id} spans [{x}, {x + item.p}) in a strip of "
+                f"width {strip.W}"
             )
         if x < 0:
             problems.append(f"item {item.id} has x={x} < 0")
         if y < 0:
             problems.append(f"item {item.id} has y={y} < 0")
-    boxes = [(item, packing.positions[item.id]) for item in strip.items]
+    boxes = [(item, packing.positions[item.id]) for item in strip.jobs]
     for i, (it1, (x1, y1)) in enumerate(boxes):
         for it2, (x2, y2) in boxes[i + 1 :]:
             if (
-                x1 < x2 + it2.w
-                and x2 < x1 + it1.w
-                and y1 < y2 + it2.h
-                and y2 < y1 + it1.h
+                x1 < x2 + it2.p
+                and x2 < x1 + it1.p
+                and y1 < y2 + it2.q
+                and y2 < y1 + it1.q
             ):
                 problems.append(f"items {it1.id} and {it2.id} overlap")
-    height = max((y + it.h for it, (_, y) in boxes), default=0)
+    height = max((y + it.q for it, (_, y) in boxes), default=0)
     return PackingReport(
         feasible=not problems,
         height=height,
-        free_area=strip.width * height - strip.total_area,
+        free_area=strip.W * height - strip.total_work,
         problems=tuple(problems),
     )
 
@@ -63,16 +62,16 @@ def reference_normalize(strip, packing):
     def sweep(axis):
         moved = False
         order = sorted(
-            strip.items,
+            strip.jobs,
             key=lambda it: (pos[it.id][axis], pos[it.id][1 - axis], it.id),
         )
         settled = []
         for item in order:
             x, y = pos[item.id]
             if axis == 1:
-                coord, lo, hi, size = y, x, x + item.w, item.h
+                coord, lo, hi, size = y, x, x + item.p, item.q
             else:
-                coord, lo, hi, size = x, y, y + item.h, item.w
+                coord, lo, hi, size = x, y, y + item.q, item.p
             edge = 0
             for olo, ohi, oedge in settled:
                 if olo < hi and lo < ohi and oedge <= coord:
@@ -114,12 +113,12 @@ def loose_packings(draw):
     for i in range(count):
         w = draw(st.integers(min_value=1, max_value=4))
         h = draw(st.integers(min_value=1, max_value=3))
-        items.append(StripItem(id=f"r{i}", w=w, h=h, tag="J"))
+        items.append(Job(id=f"r{i}", p=w, q=h, tag="J"))
         x, y = draw(coords), draw(coords)
         integral = draw(st.booleans())
         positions[f"r{i}"] = (int(x), int(y)) if integral else (x, y)
     width = draw(st.integers(min_value=8, max_value=20))
-    return StripInstance(width=width, z=0, D=0, items=tuple(items)), Packing(
+    return SchedulingInstance(m=4, z=0, D=0, W=width, jobs=tuple(items)), Packing(
         positions=positions
     )
 
@@ -136,13 +135,13 @@ def feasible_packings(draw):
         h = draw(st.integers(min_value=1, max_value=3))
         x = draw(coords.filter(lambda c: 0 <= c <= width - w))
         y = draw(coords.filter(lambda c: c >= 0))
-        item = StripItem(id=f"r{i}", w=w, h=h, tag="J")
-        trial = StripInstance(width=width, z=0, D=0, items=(*items, item))
+        item = Job(id=f"r{i}", p=w, q=h, tag="J")
+        trial = SchedulingInstance(m=4, z=0, D=0, W=width, jobs=(*items, item))
         placed = Packing(positions={**positions, item.id: (x, y)})
         if reference_verify(trial, placed).feasible:
             items.append(item)
             positions[item.id] = (x, y)
-    return StripInstance(width=width, z=0, D=0, items=tuple(items)), Packing(
+    return SchedulingInstance(m=4, z=0, D=0, W=width, jobs=tuple(items)), Packing(
         positions=positions
     )
 

@@ -21,7 +21,7 @@ from gadgetforge.extraction import (
     RefutationCertificate,
     extract_partition,
 )
-from gadgetforge.reduction import StripInstance, build_jobs, build_strip
+from gadgetforge.reduction import SchedulingInstance, build_jobs, build_strip
 from gadgetforge.schedule import NotZeroIdle, Schedule, audit, mirror, swap_after
 from gadgetforge.strip import Packing, normalize
 from gadgetforge.synthesis import build_packing, build_schedule
@@ -97,13 +97,13 @@ def pin_digests(z: int, seed: int) -> dict[str, str]:
     # fractions on every axis for normalize to remove.
     strip = build_strip(inst3)
     packing = build_packing(strip, witness)
-    wide = StripInstance(
-        width=strip.width + 1, z=strip.z, D=strip.D, items=strip.items
+    wide = SchedulingInstance(
+        m=strip.m, z=strip.z, D=strip.D, W=strip.W + 1, jobs=strip.jobs
     )
     lifted = {
-        item.id: (x + Fraction(x, strip.width), 2 * y + Fraction(k % 5, 5))
-        for k, item in enumerate(strip.items)
-        for x, y in [packing.positions[item.id]]
+        job.id: (x + Fraction(x, strip.W), 2 * y + Fraction(k % 5, 5))
+        for k, job in enumerate(strip.jobs)
+        for x, y in [packing.positions[job.id]]
     }
     settled = normalize(wide, Packing(positions=lifted))
     pins["normalize"] = digest(

@@ -32,6 +32,8 @@ from gadgetforge.reduction import (
     chain_values,
 )
 from gadgetforge.schedule import count_finished_by
+from gadgetforge.strip import normalize, verify_packing
+from gadgetforge.synthesis import build_packing
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
 # (10, 11, 12) gives z=1, D=33, and 33 > 32 = 4z(7z+1): reduction-ready as is.
@@ -257,22 +259,39 @@ def test_json_loaders_reject_malformed_jobs(jobs, message):
         StripInstance.from_json(strip)
 
 
+def _fields(inst):
+    return inst.m, inst.z, inst.D, inst.W, inst.jobs
+
+
 def test_strip_items_mirror_jobs():
     strip = build_strip(INST_D33)
     sched = build_jobs(INST_D33)
-    assert strip.width == sched.W
-    assert strip.total_area == 4 * sched.W
-    assert all(it.w < strip.width for it in strip.items)
-    assert {(i.id, i.w, i.h) for i in strip.items} == {
-        (j.id, j.p, j.q) for j in sched.jobs
-    }
-    assert strip.to_scheduling() == sched
+    assert strip.W == sched.W
+    assert strip.total_work == 4 * sched.W
+    assert all(j.p < strip.W for j in strip.jobs)
+    assert _fields(strip) == _fields(sched)
+    # both JSON forms of one reduction load to the same instance
+    assert _fields(StripInstance.from_json(strip.to_json())) == _fields(sched)
+    assert _fields(SchedulingInstance.from_json(sched.to_json())) == _fields(sched)
+    # the packing checkers take a plain scheduling instance as the strip
+    packing = build_packing(sched, ((1, 2, 3),))
+    report = verify_packing(sched, packing)
+    assert report.feasible and report.height == 4 and report.free_area == 0
+    assert normalize(sched, packing) == packing
 
 
 def test_strip_json_roundtrip():
-    strip = build_strip(INST_D33)
-    text = strip.to_json()
-    assert StripInstance.from_json(text).to_json() == text
+    forms = [
+        (build_strip(INST_D33), StripInstance, "width items w h"),
+        (build_jobs(INST_D33), SchedulingInstance, "m W jobs p q"),
+    ]
+    for inst, cls, keys in forms:
+        text = inst.to_json()
+        payload = json.loads(text)
+        *top, jobs, p, q = keys.split()
+        assert set(payload) == {"z", "D", *top, jobs}
+        assert all(set(j) == {"id", p, q, "tag"} for j in payload[jobs])
+        assert cls.from_json(text).to_json() == text
 
 
 # ===== the canonical shape, against the hand-built z=1 schedule =====

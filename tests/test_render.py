@@ -68,7 +68,7 @@ def test_packing_svg_round():
         for el in root.iter("{http://www.w3.org/2000/svg}rect")
         if el.get("class") == "job"
     ]
-    assert len(rects) == len(strip.items)
+    assert len(rects) == len(strip.jobs)
     assert "height 4" in svg
 
 

@@ -6,21 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadgetforge.reduction import build_strip
+from gadgetforge.reduction import Job, SchedulingInstance, build_strip
 from gadgetforge.strip import (
     HeightExceeds4,
     MissingItem,
     NonIntegralY,
     NotContiguous,
     Packing,
-    StripInstance,
     WidthExceeded,
     normalize,
     packing_to_schedule,
     schedule_to_packing,
     verify_packing,
 )
-from gadgetforge.reduction import StripItem
 from gadgetforge.threepartition import ThreePartitionInstance
 
 from conftest import make_canonical_z1
@@ -29,11 +27,10 @@ INST_D33 = ThreePartitionInstance((10, 11, 12))
 
 
 def tiny_strip(*dims, width=10):
-    items = tuple(
-        StripItem(id=f"r{i}", w=w, h=h, tag="J")
-        for i, (w, h) in enumerate(dims)
+    jobs = tuple(
+        Job(id=f"r{i}", p=w, q=h, tag="J") for i, (w, h) in enumerate(dims)
     )
-    return StripInstance(width=width, z=0, D=0, items=items)
+    return SchedulingInstance(m=4, z=0, D=0, W=width, jobs=jobs)
 
 
 # ===== verify_packing =====
@@ -233,6 +230,22 @@ def test_bridge_rejects_tall_placement(canonical_z1):
     positions["B_1"] = (x, 2)
     with pytest.raises(HeightExceeds4):
         packing_to_schedule(inst, Packing(positions=positions))
+
+
+@pytest.mark.parametrize(
+    "positions, error",
+    [({"ghost": (0, 0)}, MissingItem), ({"J": (0, -1)}, HeightExceeds4)],
+    ids=["unknown-item", "below-the-floor"],
+)
+def test_bridge_rejects_what_verify_packing_rejects(positions, error):
+    """An item the instance lacks, or one below y = 0, has no schedule
+    reading: it is refused, never dropped or put on machine 0."""
+    inst = SchedulingInstance(
+        m=4, z=0, D=0, W=4, jobs=(Job(id="J", p=4, q=2, tag="J"),)
+    )
+    packing = Packing(positions={"J": (0, 0), **positions})
+    with pytest.raises(error):
+        packing_to_schedule(inst, packing)
 
 
 # ===== serialization =====
