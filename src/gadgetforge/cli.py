@@ -22,7 +22,6 @@ import click
 
 from .extraction import NotTargetMakespan, RefutationCertificate, extract_partition
 from .reduction import (
-    ParamViolation,
     SchedulingInstance,
     StripInstance,
     build_jobs,
@@ -30,10 +29,10 @@ from .reduction import (
     recover_values,
 )
 from .render import render_packing_svg, render_schedule_svg
-from .schedule import MachineOutOfRange, Schedule, UnknownJob, audit, verify
+from .schedule import Schedule, audit, verify
 from .solver import DEFAULT_BUDGET, decide_target
 from .strip import Packing
-from .synthesis import InvalidWitness, build_schedule
+from .synthesis import build_schedule
 from .threepartition import (
     GenerationFailed,
     SearchBudgetExceeded,
@@ -83,11 +82,7 @@ def _guard(fn):
             _fail(EXIT_BUDGET, f"budget: {exc}")
         except NotTargetMakespan as exc:
             _fail(EXIT_NEGATIVE, f"rejected: {exc}")
-        except (UnknownJob, MachineOutOfRange) as exc:
-            _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
-        except (ParamViolation, InvalidWitness) as exc:
-            _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
 
     return wrapped

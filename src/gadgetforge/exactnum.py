@@ -65,6 +65,15 @@ def parse_int(token, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a decimal string, not {token!r}")
 
 
+def check_shape(token, kind: type, what: str):
+    """`token` when it is the JSON object, list or string that `kind` (dict,
+    list or str) asks for; anything else raises ValueError naming `what`."""
+    if type(token) is not kind:
+        shape = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{what} must be {shape}, not {token!r:.60}")
+    return token
+
+
 def digit_bound(z: int) -> int:
     """Largest digit any audited sum can reach: 4z(7z+1), the total D^7
     coefficient across all four machine loads."""
@@ -96,17 +105,6 @@ class CoeffVector:
         if power not in POWERS:
             raise ValueError(f"no digit at D^{power}")
         return getattr(self, f"x{power}")
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            f"x{k}": self.digit(k)
-            for k in (0,) + POWERS
-            if self.digit(k) != 0
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "CoeffVector":
-        return cls(**d)
 
 
 def compose(cv: CoeffVector, D: int) -> int:

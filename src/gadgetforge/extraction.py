@@ -25,15 +25,12 @@ from .reduction import (
     canonical_ids,
     canonical_slots,
     chain_values,
-    family_length,
     recognize,
     recover_values,
 )
 from .schedule import (
     CrossingJob,
-    MachineOutOfRange,
     Schedule,
-    UnknownJob,
     finished_by_index,
     mirror,
     swap_after,
@@ -104,15 +101,10 @@ def _gate(inst: SchedulingInstance, sched: Schedule) -> tuple[bool, int, int]:
     return the schedule's health (feasible, makespan, idle)."""
     if recognize(inst) is None:
         raise ValueError("extraction needs an unmodified reduction instance")
-    try:
-        report = verify(inst, sched)
-    except (UnknownJob, MachineOutOfRange) as exc:
-        raise NotTargetMakespan(f"schedule does not fit the instance: {exc}") from exc
-    if report.makespan != inst.W:
-        raise NotTargetMakespan(
-            f"makespan {report.makespan} differs from target {inst.W}"
-        )
-    return report.feasible, report.makespan, report.idle
+    feasible, makespan, idle = _health(inst, sched)
+    if makespan != inst.W:
+        raise NotTargetMakespan(f"makespan {makespan} differs from target {inst.W}")
+    return feasible, makespan, idle
 
 
 def _ids(inst: SchedulingInstance, *tags: str) -> frozenset[str]:
@@ -329,28 +321,25 @@ def _check_side_orders(inst, sched) -> tuple[dict, dict]:
     """Machines 1 and 4 must run their fixed tag patterns back to back.
     Returns each side machine's jobs keyed by canonical (tag, index) slot."""
     stage = "side-order"
-    m1, m4 = _on_machine(inst, sched, 1), _on_machine(inst, sched, 4)
-    slots_1, slots_4 = canonical_slots(1, inst.z), canonical_slots(4, inst.z)
-    want_1 = [tag for tag, _ in slots_1]
-    want_4 = [tag for tag, _ in slots_4]
-    got_1 = [inst.by_id[i].tag for i in m1]
-    got_4 = [inst.by_id[i].tag for i in m4]
-    if got_1 != want_1:
-        raise LemmaViolation(stage, "side-order", f"machine 1 runs {got_1}")
-    if got_4 != want_4:
-        raise LemmaViolation(stage, "side-order", f"machine 4 runs {got_4}")
-    for m in (1, 4):
+    keyed = []
+    for m in SIDES:
+        on, slots = _on_machine(inst, sched, m), canonical_slots(m, inst.z)
+        got = [inst.by_id[i].tag for i in on]
+        if got != [tag for tag, _ in slots]:
+            raise LemmaViolation(stage, "side-order", f"machine {m} runs {got}")
+        keyed.append(dict(zip(slots, on)))
+    for m in SIDES:
         broken = _tiling_break(inst, sched, m)
         if broken:
             raise LemmaViolation(stage, "zero-idle", broken)
-    return dict(zip(slots_1, m1)), dict(zip(slots_4, m4))
+    return keyed[0], keyed[1]
 
 
 def _check_fillers(inst, sched, a_seq, b_seq) -> None:
     """Exactly one two-machine filler bridges each late separator to the
     following early one, and its length matches the gap exactly."""
     stage = "filler-fit"
-    p_b = family_length("B", inst.z, inst.D)
+    p_b = inst.by_slot["B", 0].p
     fillers: dict[int, list] = {}
     for job in inst.tagged("c"):
         fillers.setdefault(sched.starts[job.id], []).append(job)
@@ -368,12 +357,12 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
             )
 
 
-def _make_pairs_contiguous(inst, sched, m1, m4, events) -> Schedule:
+def _make_pairs_contiguous(inst, sched, m1, m4, health, events) -> Schedule:
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
-    machines' contents inside the block window."""
+    machines' contents inside the block window.  `health` is the
+    schedule's, which every swap must keep."""
     stage = "pair-columns"
-    health = _health(inst, sched)
     for i in range(1, inst.z + 1):
         a_i, b_i = m1["a", i], m4["b", i]
         sa = sched.machines[a_i] - {1}
@@ -411,24 +400,19 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
     """Each narrow window leaves exactly D free in front of its late
     separator; the single-machine value jobs tiling it form one triple."""
     stage = "gap-readout"
-    z, D = inst.z, inst.D
-    by_len = {family_length("gamma", z, D, i): i for i in range(1, z + 1)}
-    gammas = {by_len[j.p]: j for j in inst.tagged("gamma") if j.p in by_len}
-    if len(gammas) != z:
-        raise LemmaViolation(stage, "narrow-window", "window filler lengths collide")
     values = sorted(inst.tagged("P"), key=lambda j: sched.starts[j.id])
     value_starts = [sched.starts[j.id] for j in values]
     sets = []
-    for i in range(1, z + 1):
+    for i in range(1, inst.z + 1):
         a_i = m1["a", i]
         edge = sched.starts[a_i] + inst.by_id[a_i].p
         hi = sched.starts[m4["B", i]]
-        g = gammas[i]
+        g = inst.by_slot["gamma", i]
         if 2 not in sched.machines[g.id] or not edge <= sched.starts[g.id] <= hi - g.p:
             raise LemmaViolation(
                 stage, "narrow-window", f"{g.id} is outside the window after {a_i}"
             )
-        assert hi - edge == g.p + D
+        assert hi - edge == g.p + inst.D
         # The filler may sit anywhere inside the window; the value jobs tile
         # whatever it leaves on either side.
         inside = values[bisect_left(value_starts, edge) : bisect_left(value_starts, hi)]
@@ -454,7 +438,8 @@ def extract_partition(
     """Full pipeline: normalize, orient, check the order structure, make the
     narrow pairs contiguous, and read the partition out of the gaps.
 
-    Raises NotTargetMakespan when the schedule misses the target load, and
+    Raises UnknownJob or MachineOutOfRange when the schedule does not fit
+    the instance, NotTargetMakespan when it misses the target load, and
     RefutationCertificate when it holds the target but violates one of the
     structural identities (i.e. it was never feasible)."""
     if recover_values(inst).values != inst3p.values:
@@ -464,12 +449,15 @@ def extract_partition(
     try:
         sched = _normalize_machines(inst, sched, health, events)
         sched = orient(inst, sched, log=events)
+        mirrored = events[-1]["event"] == "mirror"
+        if mirrored:  # the mirror of a schedule with a start below 0 ends past W
+            health = _health(inst, sched)
         a_seq, b_seq = check_alternation(inst, sched)
         events.append({"stage": "alternation", "event": "ok"})
         _check_count_equations(inst, sched, a_seq, b_seq)
         m1, m4 = _check_side_orders(inst, sched)
         _check_fillers(inst, sched, a_seq, b_seq)
-        sched = _make_pairs_contiguous(inst, sched, m1, m4, events)
+        sched = _make_pairs_contiguous(inst, sched, m1, m4, health, events)
         # machine 2 needs no tiling check: every job on it is position-pinned
         # by the side orders, the filler fits, and the gap readout below
         broken = _tiling_break(inst, sched, 3)
@@ -479,7 +467,6 @@ def extract_partition(
     except LemmaViolation as violation:
         raise RefutationCertificate(violation, events) from violation
     assert validate_partition(inst3p, partition) == []
-    mirrored = any(e.get("event") == "mirror" for e in events)
     events.append({"stage": "gap-readout", "event": "ok"})
     return partition, ExtractionTrace(
         mirrored=mirrored, events=tuple(events), partition=partition

@@ -38,9 +38,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
-from .exactnum import digit_bound, parse_int
+from .exactnum import check_shape, digit_bound, parse_int
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
@@ -90,6 +91,24 @@ class SchedulingInstance:
     def by_id(self) -> dict[str, Job]:
         return {job.id: job for job in self.jobs}
 
+    @cached_property
+    def by_slot(self) -> Mapping[tuple[str, int | None], Job]:
+        """Each job by its (tag, index) slot, such as ("gamma", 1), read-only;
+        on a recognised instance every slot holds exactly one job."""
+        return MappingProxyType({(job.tag, job.index): job for job in self.jobs})
+
+    @cached_property
+    def _recognized(self) -> tuple[int, int] | None:
+        """`recognize`'s answer, worked out once: the jobs, index included,
+        and (m, z, D, W) must be exactly what `build_jobs` makes of the
+        values the P jobs carry."""
+        try:
+            rebuilt = build_jobs(recover_values(self))
+        except ValueError:
+            return None
+        key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
+        return (self.z, self.D) if key(self) == key(rebuilt) else None
+
     def tagged(self, *tags: str) -> tuple[Job, ...]:
         chosen = set(tags)
         return tuple(j for j in self.jobs if j.tag in chosen)
@@ -115,17 +134,17 @@ class SchedulingInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingInstance":
-        payload = json.loads(text)
+        payload = check_shape(json.loads(text), dict, "an instance")
         k, label = cls._keys, cls._labels
         jobs = tuple(
             Job(
-                j["id"],
+                check_shape(j["id"], str, "a job id"),
                 parse_int(j[k["p"]], label["p"]),
                 parse_int(j[k["q"]], label["q"]),
-                j["tag"],
+                check_shape(j["tag"], str, "a tag"),
                 _index_from_id(j["id"]),
             )
-            for j in payload[k["jobs"]]
+            for j in check_shape(payload[k["jobs"]], list, k["jobs"])
         )
         m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
         check_jobs(jobs, m)
@@ -256,32 +275,17 @@ def recover_values(inst: SchedulingInstance) -> ThreePartitionInstance:
 
 def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
     """(z, D) when `inst` is exactly a reduction instance, else None."""
-    try:
-        values = recover_values(inst)
-        rebuilt = build_jobs(values)
-    except (ParamViolation, ValueError):
-        return None
-    same_jobs = sorted(
-        (j.id, j.p, j.q, j.tag) for j in inst.jobs
-    ) == sorted((j.id, j.p, j.q, j.tag) for j in rebuilt.jobs)
-    if same_jobs and (inst.m, inst.z, inst.D, inst.W) == (
-        rebuilt.m,
-        rebuilt.z,
-        rebuilt.D,
-        rebuilt.W,
-    ):
-        return inst.z, inst.D
-    return None
+    return inst._recognized
 
 
 # ===== canonical geometry =====
 #
 # In the orientation where a B job opens the schedule, every job outside the
 # gamma and P families has exactly one possible start time in a zero-idle
-# makespan-W schedule.  These closed forms are consumed by the extraction
-# pipeline and by the solver's structural pruning; the synthesizer builds the
-# same schedule independently, by accumulation, so the two derivations
-# cross-check each other in the tests.
+# makespan-W schedule.  These closed forms are read only by the solver's
+# structural pruning; the synthesizer builds the same schedule
+# independently, by accumulation, so the two derivations cross-check each
+# other in the tests.
 
 
 def block_separator_start(tag: str, i: int, z: int, D: int) -> int:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .reduction import SchedulingInstance
-from .schedule import Schedule
-from .strip import Packing
+from .schedule import Schedule, _check_job_universe
+from .strip import Packing, _check_item_universe
 
 _PALETTE = {
     "A": "#4c78a8",
@@ -44,6 +44,7 @@ _LEFT = 64
 _GAP_MIN = 12
 _GAP_STEP = 15
 _LABEL_MIN = 30
+_MAX_ROWS = 100  # machines or lanes one figure draws, one row each
 
 
 def _color(tag: str) -> str:
@@ -207,6 +208,9 @@ def render_schedule_svg(
     inst: SchedulingInstance, sched: Schedule, path: str | None = None
 ) -> str:
     """Gantt chart: one row per machine, one rectangle per machine-slice."""
+    if inst.m > _MAX_ROWS:
+        raise ValueError(f"{inst.m} machines are more rows than a figure holds")
+    _check_job_universe(inst, sched)
     base = inst.D if inst.D >= 2 else 10
     times = [0]
     for job in inst.jobs:
@@ -234,6 +238,7 @@ def render_packing_svg(
     inst: SchedulingInstance, packing: Packing, path: str | None = None
 ) -> str:
     """Strip picture: x is the banded width axis, y counts machine lanes."""
+    _check_item_universe(inst, packing)
     base = inst.D if inst.D >= 2 else 10
     times = [0, inst.W]
     for job in inst.jobs:
@@ -244,6 +249,8 @@ def render_packing_svg(
 
     tops = [packing.positions[job.id][1] + job.q for job in inst.jobs]
     height_units = int(max([*tops, 1]))
+    if height_units > _MAX_ROWS:
+        raise ValueError(f"height {height_units} is more rows than a figure holds")
     boxes = []
     for job in sorted(inst.jobs, key=lambda j: (packing.positions[j.id][0], j.id)):
         x, y = packing.positions[job.id]

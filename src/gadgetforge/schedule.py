@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import decompose, parse_int
+from .exactnum import check_shape, decompose, parse_int
 from .reduction import (
     CHECKPOINT_TAGS,
     SchedulingInstance,
@@ -84,12 +84,16 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        payload = json.loads(text)
+        payload = check_shape(json.loads(text), dict, "a schedule")
+        starts = check_shape(payload["starts"], dict, "starts")
+        machines = check_shape(payload["machines"], dict, "machines")
         return cls(
-            starts={k: parse_int(v, "a start") for k, v in payload["starts"].items()},
+            starts={k: parse_int(v, "a start") for k, v in starts.items()},
             machines={
-                k: frozenset([parse_int(m, "a machine") for m in v])
-                for k, v in payload["machines"].items()
+                k: frozenset(
+                    [parse_int(m, "a machine") for m in check_shape(v, list, "machines")]
+                )
+                for k, v in machines.items()
             },
         )
 
@@ -197,16 +201,14 @@ def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
             )
         makespan = max(makespan, start + job.p)
 
-    per_machine: dict[int, list[tuple[int, int, str]]] = {
-        m: [] for m in range(1, inst.m + 1)
-    }
+    per_machine: dict[int, list[tuple[int, int, str]]] = {}
     for job in inst.jobs:
         start = sched.starts[job.id]
         for m in sched.machines[job.id]:
-            per_machine[m].append((start, start + job.p, job.id))
+            per_machine.setdefault(m, []).append((start, start + job.p, job.id))
 
     busy = {}
-    for m, intervals in per_machine.items():
+    for m, intervals in sorted(per_machine.items()):
         intervals.sort()
         busy[m] = sum(end - start for start, end, _ in intervals)
         for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
@@ -238,7 +240,7 @@ def finished_by_index(
 
     The end times are sorted once per (tag, machine) and per tag, so each
     count is one `bisect_right` per family: jobs ending exactly at t count,
-    as in `count_finished_by`.
+    as in the finished-before count defined above.
     """
     ends: dict[tuple[str, int | None], list[int]] = {}
     for job in inst.jobs:
@@ -252,32 +254,6 @@ def finished_by_index(
         return sum(bisect_right(ends.get((tag, machine), ()), t) for tag in tags)
 
     return finished
-
-
-def count_finished_by(
-    inst: SchedulingInstance, sched: Schedule, t: int, job_ids: Iterable[str]
-) -> int:
-    """|{j : start(j) + p(j) <= t}| over the given ids."""
-    total = 0
-    for job_id in job_ids:
-        job = inst.by_id.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        if sched.starts[job_id] + job.p <= t:
-            total += 1
-    return total
-
-
-def count_before(
-    inst: SchedulingInstance,
-    sched: Schedule,
-    anchor_id: str,
-    job_ids: Iterable[str],
-) -> int:
-    """#_anchor S: members of S finished by the anchor job's start."""
-    if anchor_id not in inst.by_id:
-        raise UnknownJob(anchor_id)
-    return count_finished_by(inst, sched, sched.starts[anchor_id], job_ids)
 
 
 def swap_after(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactnum import parse_int
+from .exactnum import check_shape, parse_int
 from .reduction import SchedulingInstance
 from .schedule import Schedule
 
@@ -66,9 +66,10 @@ class Packing:
 
     @classmethod
     def from_json(cls, text: str) -> "Packing":
-        raw = json.loads(text)["positions"]
+        payload = check_shape(json.loads(text), dict, "a packing")
         positions = {}
-        for item_id, (x, y) in raw.items():
+        for item_id, xy in check_shape(payload["positions"], dict, "positions").items():
+            x, y = check_shape(xy, list, "a position")
             positions[item_id] = (_parse_coord(x), parse_int(y, "y"))
         return cls(positions=positions)
 

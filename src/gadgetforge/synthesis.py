@@ -53,13 +53,12 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
     _check_witness(inst, witness)
 
     values = recover_values(inst).values
-    by_slot = {(j.tag, j.index): j.id for j in inst.jobs}
 
     def ids(tag: str, i: int | None) -> list[str]:
         if tag != "P":
-            return [by_slot[tag, i]]
+            return [inst.by_slot[tag, i].id]
         triple = sorted(witness[i - 1], key=lambda idx: (values[idx - 1], idx))
-        return [by_slot["P", idx] for idx in triple]
+        return [inst.by_slot["P", idx].id for idx in triple]
 
     seq: dict[int, deque[str]] = {
         m: deque(jid for tag, i in canonical_slots(m, inst.z) for jid in ids(tag, i))

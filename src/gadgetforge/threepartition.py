@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .exactnum import digit_bound, parse_int
+from .exactnum import check_shape, digit_bound, parse_int
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -58,8 +58,9 @@ class ThreePartitionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ThreePartitionInstance":
-        payload = json.loads(text)
-        values = tuple(parse_int(v, "a value") for v in payload["values"])
+        payload = check_shape(json.loads(text), dict, "a 3-partition instance")
+        raw = check_shape(payload["values"], list, "values")
+        values = tuple(parse_int(v, "a value") for v in raw)
         inst = cls(values)
         declared = payload.get("z")
         if type(declared) is not int or declared != inst.z:
@@ -286,7 +287,10 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def partition_from_json(text: str) -> Partition:
-    payload = json.loads(text)
+    payload = check_shape(json.loads(text), dict, "a witness")
     return _canonical(
-        [tuple(parse_int(i, "a set member") for i in s) for s in payload["sets"]]
+        [
+            tuple(parse_int(i, "a set member") for i in check_shape(s, list, "a set"))
+            for s in check_shape(payload["sets"], list, "sets")
+        ]
     )

@@ -4,12 +4,18 @@
 the z=1, D=33 instance (10, 11, 12) with every start written out from the
 closed forms.  It is constructed here, independently of the synthesizer, so
 the package's own builders can be checked against it.
+
+`count_finished_by` and `count_before` count finished jobs one by one, the
+way the finished-before count is defined; they are the reference that
+`schedule.finished_by_index` is checked against.
 """
+
+from typing import Iterable
 
 import pytest
 
-from gadgetforge.reduction import build_jobs
-from gadgetforge.schedule import Schedule
+from gadgetforge.reduction import SchedulingInstance, build_jobs
+from gadgetforge.schedule import Schedule, UnknownJob
 from gadgetforge.threepartition import ThreePartitionInstance
 
 D = 33
@@ -83,3 +89,29 @@ def make_canonical_z1():
 @pytest.fixture
 def canonical_z1():
     return make_canonical_z1()
+
+
+def count_finished_by(
+    inst: SchedulingInstance, sched: Schedule, t: int, job_ids: Iterable[str]
+) -> int:
+    """|{j : start(j) + p(j) <= t}| over the given ids."""
+    total = 0
+    for job_id in job_ids:
+        job = inst.by_id.get(job_id)
+        if job is None:
+            raise UnknownJob(job_id)
+        if sched.starts[job_id] + job.p <= t:
+            total += 1
+    return total
+
+
+def count_before(
+    inst: SchedulingInstance,
+    sched: Schedule,
+    anchor_id: str,
+    job_ids: Iterable[str],
+) -> int:
+    """#_anchor S: members of S finished by the anchor job's start."""
+    if anchor_id not in inst.by_id:
+        raise UnknownJob(anchor_id)
+    return count_finished_by(inst, sched, sched.starts[anchor_id], job_ids)

@@ -138,7 +138,22 @@ def _loader_command(workspace, name, path):
         "sched.json": ["verify", "--inst", ws["inst.json"], "--sched", path],
         "strip.json": ["render", "--strip", path, "--packing", ws["pack.json"], "--out", out],
         "pack.json": ["render", "--strip", ws["strip.json"], "--packing", path, "--out", out],
+        "w.json": ["synth", "--inst", ws["inst.json"], "--witness", path],
     }[name]
+
+
+def _run_edited(workspace, tmp_path, name, keys, bad):
+    """Run `name`'s loader command on a copy of the workspace file whose
+    field at `keys` is replaced by `bad(old value)`."""
+    payload = json.loads((workspace / name).read_text())
+    *path, last = keys
+    node = payload
+    for key in path:
+        node = node[key]
+    node[last] = bad(node[last])
+    edited = tmp_path / name
+    edited.write_text(json.dumps(payload))
+    return run(*_loader_command(workspace, name, str(edited)))
 
 
 @pytest.mark.parametrize(
@@ -163,15 +178,54 @@ def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, wh
     """A number no loader can read exactly (a float, a boolean, a fraction
     over zero) is refused with exit 2, never truncated into a different,
     valid-looking input or left to raise."""
-    payload = json.loads((workspace / name).read_text())
-    *path, last = keys
-    node = payload
-    for key in path:
-        node = node[key]
-    node[last] = bad(node[last])
-    edited = tmp_path / name
+    result = _run_edited(workspace, tmp_path, name, keys, bad)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert what in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, keys, bad, what",
+    [
+        ("sched.json", ("starts",), lambda v: [], "starts must be an object"),
+        ("pack.json", ("positions",), lambda v: [], "positions must be an object"),
+        ("inst.json", ("jobs", 0, "id"), lambda v: 5, "a job id must be a string"),
+        ("sched.json", ("machines", "P_1"), lambda v: "12", "machines must be a list"),
+        ("w.json", ("sets", 0), lambda v: "123", "a set must be a list"),
+        ("inst3.json", ("values",), lambda v: "555", "values must be a list"),
+    ],
+    ids=[
+        "schedule-starts-list", "packing-positions-list", "jobs-int-id",
+        "schedule-machines-string", "witness-set-string", "instance-values-string",
+    ],
+)
+def test_loaders_reject_the_wrong_shape(workspace, tmp_path, name, keys, bad, what):
+    """A list where an object belongs, or a string where a list or an id
+    belongs, is refused with exit 2: never a traceback, and never a string
+    read one character at a time as a list of numbers."""
+    result = _run_edited(workspace, tmp_path, name, keys, bad)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert what in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "audit", "extract"])
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (lambda s: s["machines"].update(P_1=[9]), "uses machine 9"),
+        (lambda s: s["starts"].pop("A_0"), "job 'A_0' is missing from the schedule"),
+    ],
+    ids=["machine-9", "missing-job"],
+)
+def test_schedule_that_does_not_fit_exits_two(workspace, tmp_path, command, edit, what):
+    """A schedule that names a machine the instance lacks, or leaves a job
+    out, is invalid input to every command that reads one."""
+    payload = json.loads((workspace / "sched.json").read_text())
+    edit(payload)
+    edited = tmp_path / "sched.json"
     edited.write_text(json.dumps(payload))
-    result = run(*_loader_command(workspace, name, str(edited)))
+    result = run(command, "--inst", str(workspace / "inst.json"), "--sched", str(edited))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert what in result.stderr
@@ -269,6 +323,49 @@ def test_render_gantt_and_packing(workspace, tmp_path):
     result2 = run("render", "--strip", str(workspace / "strip.json"),
                   "--packing", str(pack_path), "--out", str(fig2))
     assert result2.exit_code == 0 and fig2.exists()
+
+
+@pytest.mark.parametrize(
+    "inputs, field, what",
+    [
+        (("--inst", "inst.json", "--sched", "sched.json"), "starts",
+         "job 'A_0' is missing from the schedule"),
+        (("--strip", "strip.json", "--packing", "pack.json"), "positions",
+         "item 'A_0' is missing from the packing"),
+    ],
+    ids=["gantt", "packing"],
+)
+def test_render_rejects_an_incomplete_input(workspace, tmp_path, inputs, field, what):
+    """`render` checks the job universe first, so a missing job is reported
+    as `verify` and `verify_packing` report it, not as a bare KeyError."""
+    name = inputs[3]
+    payload = json.loads((workspace / name).read_text())
+    del payload[field]["A_0"]
+    edited = tmp_path / name
+    edited.write_text(json.dumps(payload))
+    result = run("render", inputs[0], str(workspace / inputs[1]), inputs[2], str(edited),
+                 "--out", str(tmp_path / "fig.svg"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert what in result.stderr
+
+
+def test_a_huge_machine_count_or_height_costs_nothing(workspace, tmp_path):
+    """`verify` works only on the machines a schedule uses, and `render`
+    refuses a figure with more rows than it can draw, so neither tries to
+    build 10**12 machines or lanes."""
+    big = 10**12
+    result = _run_edited(workspace, tmp_path, "inst.json", ("m",), lambda v: big)
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["idle"] != "0"
+    gantt = run("render", "--inst", str(tmp_path / "inst.json"),
+                "--sched", str(workspace / "sched.json"), "--out", str(tmp_path / "g.svg"))
+    assert gantt.exit_code == 2
+    assert f"{big} machines are more rows than a figure holds" in gantt.stderr
+    packing = _run_edited(workspace, tmp_path, "pack.json", ("positions", "P_1", 1),
+                          lambda v: big)
+    assert packing.exit_code == 2
+    assert "more rows than a figure holds" in packing.stderr
 
 
 def test_render_mode_conflict(workspace, tmp_path):

@@ -1,0 +1,140 @@
+"""Fuzz the CLI loaders: arbitrary JSON in place of a valid z=1 file, or of
+one field of it, must end in a documented exit code, with no exception
+escaping and at most one JSON document on stdout.
+
+`decide` is left out on purpose: a fuzzed instance can make a real search
+run for a long time.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gadgetforge.cli import main
+from gadgetforge.reduction import build_jobs, build_strip
+from gadgetforge.strip import schedule_to_packing
+from gadgetforge.synthesis import build_schedule
+from gadgetforge.threepartition import gen_yes, partition_to_json
+
+# the commands that read each file, with "{}" where the file goes
+COMMANDS = {
+    "inst.json": [
+        ["verify", "--inst", "{}", "--sched", "sched.json"],
+        ["audit", "--inst", "{}", "--sched", "sched.json"],
+        ["extract", "--inst", "{}", "--sched", "sched.json"],
+        ["synth", "--inst", "{}", "--witness", "w.json"],
+        ["render", "--inst", "{}", "--sched", "sched.json", "--out", "fig.svg"],
+    ],
+    "sched.json": [
+        ["verify", "--inst", "inst.json", "--sched", "{}"],
+        ["audit", "--inst", "inst.json", "--sched", "{}"],
+        ["extract", "--inst", "inst.json", "--sched", "{}"],
+        ["render", "--inst", "inst.json", "--sched", "{}", "--out", "fig.svg"],
+    ],
+    "strip.json": [
+        ["render", "--strip", "{}", "--packing", "pack.json", "--out", "fig.svg"],
+    ],
+    "pack.json": [
+        ["render", "--strip", "strip.json", "--packing", "{}", "--out", "fig.svg"],
+    ],
+    "w.json": [
+        ["synth", "--inst", "inst.json", "--witness", "{}"],
+    ],
+}
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["0", "-1", "9", "1/0", "1/2", "P_1", "A_0", "x_1", "10" * 12])
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON document, the whole document first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The directory holding one valid z=1 file of each kind, and the
+    parsed documents."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst3, witness = gen_yes(1, 5)
+    inst = build_jobs(inst3)
+    sched = build_schedule(inst, witness)
+    texts = {
+        "inst.json": inst.to_json(),
+        "sched.json": sched.to_json(),
+        "strip.json": build_strip(inst3).to_json(),
+        "pack.json": schedule_to_packing(inst, sched).to_json(),
+        "w.json": partition_to_json(witness),
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root, {name: json.loads(text) for name, text in texts.items()}
+
+
+@st.composite
+def fuzzed_calls(draw, documents):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    paths = list(_paths(documents[name]))
+    path = draw(st.just(()) | st.sampled_from(paths))
+    document = _replaced(documents[name], path, draw(json_values))
+    command = draw(st.sampled_from(COMMANDS[name]))
+    return name, document, command
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_a_documented_exit_code(valid, data):
+    root, documents = valid
+    name, document, command = data.draw(fuzzed_calls(documents))
+    fuzzed = root / f"fuzzed-{name}"
+    fuzzed.write_text(json.dumps(document))
+    def place(arg):
+        if arg == "{}":
+            return str(fuzzed)
+        return str(root / arg) if arg.endswith((".json", ".svg")) else arg
+
+    args = [place(arg) for arg in command]
+    result = CliRunner().invoke(main, args)
+    escaped = result.exception
+    assert escaped is None or isinstance(escaped, SystemExit), (
+        f"{command[0]} on {name} = {json.dumps(document)[:300]}: {escaped!r}"
+    )
+    assert result.exit_code in (0, 1, 2), (result.exit_code, result.stderr)
+    lines = result.stdout.splitlines()
+    assert len(lines) <= 1, result.stdout[:300]
+    if lines:
+        json.loads(lines[0])

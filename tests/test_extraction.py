@@ -13,7 +13,7 @@ from gadgetforge.extraction import (
     orient,
 )
 from gadgetforge.reduction import build_jobs
-from gadgetforge.schedule import Schedule, mirror, verify
+from gadgetforge.schedule import Schedule, mirror, swap_after, verify
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
@@ -143,6 +143,26 @@ def test_refutation_names_broken_gap_tiling(canonical_z1):
     with pytest.raises(RefutationCertificate) as exc:
         extract_partition(inst3p, inst, forged)
     assert exc.value.lemma == "gap-tiling"
+
+
+def test_refutation_after_mirroring_a_start_below_zero():
+    """A backward schedule whose value job on machine 3 starts before 0 is
+    at the target makespan, but its mirror ends past W.  The pair-columns
+    swaps check their health against the mirrored schedule's, so the input
+    is refuted instead of tripping that check."""
+    inst3, witness = gen_yes(2, 1)
+    inst = build_jobs(inst3)
+    sched = build_schedule(inst, witness)
+    for t in (sched.starts["A_0"], sched.starts["B_1"]):
+        sched = swap_after(inst, sched, t, 2, 3)
+    sched = mirror(inst, sched, inst.W)
+    value = next(j.id for j in inst.tagged("P") if sched.machines[j.id] == {3})
+    forged = Schedule({**sched.starts, value: -5}, sched.machines)
+    assert verify(inst, forged).makespan == inst.W
+    with pytest.raises(RefutationCertificate) as exc:
+        extract_partition(inst3, inst, forged)
+    assert exc.value.lemma == "pair-columns"
+    assert {"stage": "orient", "event": "mirror"} in exc.value.events
 
 
 # ===== normalize_machines =====

@@ -5,12 +5,15 @@ identities are restated in terms of plain exponent arithmetic so the module
 under test never supplies its own expected values.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gadgetforge import reduction
 from gadgetforge.exactnum import CoeffVector, decompose
+from gadgetforge.extraction import extract_partition
 from gadgetforge.reduction import (
     CANONICAL_LAYOUT,
     CHECKPOINT_TAGS,
@@ -31,10 +34,13 @@ from gadgetforge.reduction import (
     target_makespan,
     chain_values,
 )
-from gadgetforge.schedule import count_finished_by
+from gadgetforge.schedule import audit, mirror
+from gadgetforge.solver import decide_target
 from gadgetforge.strip import normalize, verify_packing
-from gadgetforge.synthesis import build_packing
+from gadgetforge.synthesis import build_packing, build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
+
+from conftest import count_finished_by
 
 # (10, 11, 12) gives z=1, D=33, and 33 > 32 = 4z(7z+1): reduction-ready as is.
 INST_D33 = ThreePartitionInstance((10, 11, 12))
@@ -225,6 +231,55 @@ def test_recognize_rejects_tampering():
         m=sched.m, z=sched.z, D=sched.D, W=sched.W, jobs=tuple(jobs)
     )
     assert recognize(tampered) is None
+
+
+@pytest.mark.parametrize(
+    "index_of",
+    [
+        lambda j: 2 if j.id == "gamma_1" else j.index,
+        lambda j: None if j.tag == "P" else j.index,
+    ],
+    ids=["gamma_1-index-2", "P-index-none"],
+)
+def test_recognize_checks_every_index(index_of):
+    """A job whose index disagrees with its id makes the instance no
+    reduction instance, so the synthesizer refuses it up front instead of
+    missing a slot later."""
+    inst3, witness = gen_yes(2, 3)
+    built = build_jobs(inst3)
+    jobs = tuple(dataclasses.replace(j, index=index_of(j)) for j in built.jobs)
+    inst = dataclasses.replace(built, jobs=jobs)
+    assert recognize(inst) is None
+    with pytest.raises(ValueError, match="needs an unmodified reduction instance"):
+        build_schedule(inst, witness)
+
+
+def test_recognition_is_worked_out_once_per_instance(monkeypatch):
+    """Every gate on one instance object reads one recognition: a single
+    rebuild of the job table serves them all."""
+    inst3, witness = gen_yes(2, 3)
+    inst = build_jobs(inst3)
+    calls = []
+    rebuild = reduction.build_jobs
+    monkeypatch.setattr(
+        reduction, "build_jobs", lambda values: calls.append(values) or rebuild(values)
+    )
+    assert recognize(inst) == (inst.z, inst.D)
+    sched = build_schedule(inst, witness)
+    assert audit(inst, sched).passed
+    for given_sched in (sched, mirror(inst, sched, inst.W)):
+        partition, _ = extract_partition(inst3, inst, given_sched)
+        assert {frozenset(s) for s in partition} == {frozenset(s) for s in witness}
+    assert decide_target(inst, inst.W).outcome == "witness"
+    assert calls == [inst3]
+
+
+def test_by_slot_is_read_only_and_names_every_job(generated):
+    _, inst = generated
+    assert len(inst.by_slot) == len(inst.jobs)
+    assert all(inst.by_slot[j.tag, j.index] is j for j in inst.jobs)
+    with pytest.raises(TypeError):
+        inst.by_slot["gamma", 1] = inst.jobs[0]
 
 
 def test_scheduling_json_roundtrip():

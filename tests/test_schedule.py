@@ -13,8 +13,6 @@ from gadgetforge.schedule import (
     Schedule,
     UnknownJob,
     audit,
-    count_before,
-    count_finished_by,
     finished_by_index,
     mirror,
     swap_after,
@@ -22,7 +20,7 @@ from gadgetforge.schedule import (
 )
 from gadgetforge.threepartition import ThreePartitionInstance
 
-from conftest import make_canonical_z1
+from conftest import count_before, count_finished_by, make_canonical_z1
 
 
 def tiny_instance(jobs):
