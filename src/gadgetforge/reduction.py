@@ -168,7 +168,7 @@ class StripInstance(SchedulingInstance):
 
 def _index_from_id(job_id: str) -> int | None:
     head, _, tail = job_id.rpartition("_")
-    return int(tail) if head and tail.isdigit() else None
+    return int(tail) if head and tail.isdecimal() else None
 
 
 def _checked_params(inst: ThreePartitionInstance) -> tuple[int, int]:

@@ -1,15 +1,15 @@
-"""Exact deciders for the four-machine rigid-job makespan question.
+"""Exact deciders for the rigid-job makespan question on m machines.
 
 `decide_target` answers "is there a schedule of makespan exactly T" for
-instances whose total work equals 4T.  Any such schedule keeps all four
+instances whose total work equals m*T.  Any such schedule keeps all m
 machines busy from 0 to T, so the search only ever branches on which job
 covers the earliest free machine; that restriction is what keeps reduction
 instances decidable at desk scale.  A mismatched work total never reaches
-the search: more work than 4T already proves no target schedule exists,
+the search: more work than m*T already proves no target schedule exists,
 and less work makes the zero-idle method inapplicable, so the call is
 refused rather than answered wrongly.
 
-Three pruning rules cut the tree, each individually toggleable so its
+Four pruning rules cut the tree, each individually toggleable so its
 effect can be measured:
 
 * ``symmetry``    - collapse machine relabelings (machines free at the same
@@ -24,8 +24,12 @@ effect can be measured:
   enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
   positions (forward or mirrored, tracked as a shrinking orientation set)
   that every feasible target schedule satisfies.
+* ``dead_states`` - remember every search state whose subtree was
+  exhausted without a witness, under a key that is canonical up to machine
+  symmetry, and cut any later branch that reaches an equal key (see "Dead
+  states" below).
 
-All three rules are sound, so a ProvedNone outcome still means the entire
+All four rules are sound, so a ProvedNone outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
 jobs (`reduction.check_jobs`) with ValueError.
 
@@ -58,6 +62,57 @@ every placement, and on every reduction decision measured (the test suite
 and both decision workloads of the benchmark) the digit check fired zero
 times, so evaluating it there only cost time.  On instances the tables do
 not recognise, such as the digit trap in the tests, it is what cuts early.
+
+Dead states.  One set per decision, shared by every root branch, holds the
+key of each state whose frame of candidates ran out: its subtree held no
+witness.  Nothing is recorded after a budget hit or on the path to a
+witness, since those frames never run out.  A placement that reaches a
+recorded key is counted as a node, undone and tallied as a
+``dead-state`` prune.  The key is one int packing the remaining-job
+bitmask, the orientation mask and one cell per machine: its free time and,
+for a machine still busy at t (the earliest free instant), a small code of
+the (tag, q) of the job running on it.  Plain searches sort the cells;
+contiguous searches take the smaller of the cell list and its reflection
+k <-> m+1-k.  The table stops growing at `DEAD_STATE_CAP` entries, which
+only loses prunes.  Why an equal key means an equal verdict:
+
+1. The key fixes everything the subtree reads.  `_candidates` and `_place`
+   read the free times, the remaining set, the orientation mask,
+   `fam_count` and `pred` (both functions of the remaining set), the
+   machines' digit sums and, through the count chains, the finished counts
+   by tag.  A finished count is the placed count (fixed by the remaining
+   set) minus the jobs running at t.  The running jobs are the last jobs of
+   the machines free after t: a job of tag g on q machines shows as q cells
+   with the code of (g, q) and its end as free time, so the cells give the
+   running jobs of each tag at t and their ends, and with them the finished
+   counts at every later instant.  The code of an idle machine's last job
+   is dropped: that job is finished either way.  The digit sums need no
+   place in the key: the prefix is zero-idle, so a machine's free time is
+   the sum S of its jobs' lengths, and under the conditions `_coeff_tables`
+   checks (every digit nonnegative, each power's total over all jobs below
+   D, the unit terms' absolute total below D^2) S fixes its digit sums.
+   Write S = X + D^2 N, X the sum of the jobs' unit terms and
+   N = sum_k A_k D^(k-2) with digit sums 0 <= A_k < D.  Another set of jobs with the same
+   S and X', N' has |X - X'| at most the absolute total of all unit terms,
+   so below D^2; as X - X' = D^2 (N' - N), N = N', and the base-D digits of N
+   are the A_k.  So two states with equal raw (unsorted) keys have
+   identical subtrees.
+2. Dead is a property of the schedule prefix, not of the search.  Every
+   rule is sound (a dead-state cut by induction on the order in which the
+   table was filled) and the symmetry rule is complete (a zero-idle
+   completion can be relabelled over the machines idle at t and over the
+   remaining identical jobs, which always form an id suffix), so the
+   subtree of a state runs out exactly when no zero-idle completion that
+   keeps the forced starts of an orientation in the mask exists.  Permuting
+   the machines of a prefix and of its completions (plain) or reflecting
+   them (contiguous, where intervals stay intervals) maps completions onto
+   completions, so deadness is invariant under the permutations the
+   canonical key forgets.  A state whose canonical key was recorded thus
+   has the raw key of some image of a dead state, and by 1 that image's
+   subtree, like the dead one's, holds no witness.
+3. A cut removes only subtrees without a witness, and the search is
+   depth first in a fixed order, so the first witness found, and with it
+   the outcome, is the one the search finds without the table.
 
 The search walks the tree with an explicit stack, one frame of pending
 candidates per placed job, so its depth is not limited by the interpreter's
@@ -94,6 +149,8 @@ from .schedule import Schedule, verify
 from .threepartition import SearchBudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
+# entries of the dead-state table; past it the table stops inserting
+DEAD_STATE_CAP = 1 << 22
 
 _FWD = 1
 _MIR = 2
@@ -104,6 +161,7 @@ class PruneRules:
     symmetry: bool = True
     coeff_budget: bool = True
     equations: bool = True
+    dead_states: bool = True
 
 
 @dataclass(frozen=True)
@@ -267,8 +325,9 @@ def _reach_at(gaps: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
 
 
 class _Context:
-    """Per-decision data shared by every search branch: fixed tables, plus
-    a memo of the machine sets each idle set offers."""
+    """Per-decision data shared by every search branch: fixed tables, a
+    memo of the machine sets each idle set offers and the dead-state
+    table."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -295,6 +354,18 @@ class _Context:
         if rules.coeff_budget and self.eq is None:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
+        self.dead: set[int] | None = None
+        if rules.dead_states:
+            self.dead = set()
+            # one remaining-set bit per job, one code per (tag, q), 0 = idle
+            self.bit = {j.id: 1 << i for i, j in enumerate(order)}
+            codes: dict[tuple[str, int], int] = {}
+            self.code = {
+                j.id: codes.setdefault((j.tag, j.q), len(codes) + 1)
+                for j in order
+            }
+            self.code_bits = len(codes).bit_length()
+            self.cell_bits = target.bit_length() + self.code_bits
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
@@ -336,6 +407,9 @@ class _Search:
         self.fam_count: Counter[str] = Counter()
         # packed per-machine digit sums, see _CoeffTables
         self.acc = [0] * ctx.m if ctx.coeff else None
+        # dead-state key parts: remaining bitmask, per-machine cells
+        self.rem_mask = (1 << len(ctx.by_id)) - 1
+        self.cells = [0] * ctx.m
 
     # ----- candidate generation -----
 
@@ -463,10 +537,17 @@ class _Search:
             row = self.ctx.coeff.rows[job.id]
             for m in subset:
                 self.acc[m] += row
-        return (job, subset, t, old_mask)
+        old_cells = self.cells
+        if self.ctx.dead is not None:
+            self.rem_mask ^= self.ctx.bit[job.id]
+            cell = (t + job.p) << self.ctx.code_bits | self.ctx.code[job.id]
+            self.cells = cells = old_cells.copy()
+            for m in subset:
+                cells[m] = cell
+        return (job, subset, t, old_mask, old_cells)
 
     def _unplace(self, undo):
-        job, subset, t, old_mask = undo
+        job, subset, t, old_mask, self.cells = undo
         del self.starts[job.id]
         del self.placed[job.id]
         self.remaining.add(job.id)
@@ -480,6 +561,8 @@ class _Search:
             row = self.ctx.coeff.rows[job.id]
             for m in subset:
                 self.acc[m] -= row
+        if self.ctx.dead is not None:
+            self.rem_mask ^= self.ctx.bit[job.id]
 
     def _snapshot(self) -> Schedule:
         return Schedule(
@@ -490,25 +573,56 @@ class _Search:
             },
         )
 
+    def _key(self, t: int) -> int:
+        """The dead-state key of the current state, whose earliest free
+        instant is t: see "Dead states" in the module docstring."""
+        ctx = self.ctx
+        idle = t << ctx.code_bits
+        busy = idle + (1 << ctx.code_bits)
+        cells = [c if c >= busy else idle for c in self.cells]
+        if not ctx.contiguous:
+            cells.sort()
+        elif cells[::-1] < cells:
+            cells.reverse()
+        packed = self.rem_mask << 2 | self.orient
+        for c in cells:
+            packed = packed << ctx.cell_bits | c
+        return packed
+
+    def _open(self, t: int):
+        """The frame of candidates at t, or None when the state's key is a
+        recorded dead state."""
+        key = None
+        dead = self.ctx.dead
+        if dead is not None:
+            key = self._key(t)
+            if key in dead:
+                self.prunes["dead-state"] += 1
+                return None
+        return (t, iter(self._candidates(t)), key)
+
     def search(self) -> Schedule | None:
         """Depth-first over the candidates at the earliest free instant.
 
         The path is an explicit stack of candidate iterators, one per placed
         job below the starting prefix, so depth is bounded by memory rather
-        than by the interpreter's recursion limit."""
+        than by the interpreter's recursion limit.  A frame that runs out
+        records its state as dead."""
         target = self.ctx.target
+        dead = self.ctx.dead
         if not self.remaining:
             return self._snapshot()
         t = min(self.free)
-        if t >= target:
-            return None
-        frames = [(t, iter(self._candidates(t)))]
+        frame = self._open(t) if t < target else None
+        frames = [frame] if frame is not None else []
         undos = []
         while frames:
-            t, pending = frames[-1]
+            t, pending, key = frames[-1]
             step = next(pending, None)
             if step is None:
                 frames.pop()
+                if key is not None and len(dead) < DEAD_STATE_CAP:
+                    dead.add(key)
                 if undos:
                     self._unplace(undos.pop())
                 continue
@@ -517,10 +631,11 @@ class _Search:
             if not self.remaining:
                 return self._snapshot()
             t = min(self.free)
-            if t < target:
-                frames.append((t, iter(self._candidates(t))))
-            else:
+            frame = self._open(t) if t < target else None
+            if frame is None:
                 self._unplace(undos.pop())
+            else:
+                frames.append(frame)
         return None
 
 
@@ -534,32 +649,34 @@ def decide_target(
 ) -> Decision:
     """Decide whether some schedule finishes exactly at `target`.
 
-    Requires total work equal to 4*target; above that the answer is a
-    proved negative by arithmetic, below it the zero-idle search would be
-    incomplete, so the decision is refused.  `budget` caps the nodes each
-    root branch may expand.  With `contiguous` the machine set of every job
-    must be an interval, matching the strip-packing reading.
+    Requires total work equal to m*target for the instance's m machines;
+    above that the answer is a proved negative by arithmetic, below it the
+    zero-idle search would be incomplete, so the decision is refused.
+    `budget` caps the nodes each root branch may expand; the dead-state
+    table is shared by all of them.  With `contiguous` the machine set of
+    every job must be an interval, matching the strip-packing reading.
     """
     check_jobs(inst.jobs, inst.m)
     rules = rules or PruneRules()
     total = inst.total_work
-    if total > 4 * target:
+    m = inst.m
+    if total > m * target:
         return Decision(
             "proved-none",
             None,
             0,
             reason=(
-                f"work-overflow: total work {total} exceeds 4*{target}, "
+                f"work-overflow: total work {total} exceeds {m}*{target}, "
                 "some machine must run past the target"
             ),
         )
-    if total < 4 * target:
+    if total < m * target:
         return Decision(
             "refused",
             None,
             0,
             reason=(
-                f"work-underflow: total work {total} is below 4*{target}; a "
+                f"work-underflow: total work {total} is below {m}*{target}; a "
                 "target schedule would have to idle, which this zero-idle "
                 "search cannot rule on"
             ),

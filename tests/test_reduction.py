@@ -291,6 +291,19 @@ def test_scheduling_json_roundtrip():
     assert back == sched
 
 
+def test_an_id_whose_tail_is_not_decimal_loads_without_an_index():
+    # "²" passes str.isdigit but int() cannot read it
+    text = json.dumps({
+        "m": 4, "z": 0, "D": "0", "W": "4",
+        "jobs": [
+            {"id": "x_²", "p": "4", "q": 2, "tag": "J"},
+            {"id": "y_7", "p": "4", "q": 2, "tag": "J"},
+        ],
+    })
+    inst = SchedulingInstance.from_json(text)
+    assert [j.index for j in inst.jobs] == [None, 7]
+
+
 @pytest.mark.parametrize(
     "jobs, message",
     [

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from gadgetforge import solver
 from gadgetforge.extraction import extract_partition
 from gadgetforge.reduction import Job, SchedulingInstance, build_jobs
 from gadgetforge.schedule import Schedule, verify
@@ -86,6 +87,23 @@ def test_work_underflow_is_refused():
     assert decision.outcome == "refused"
     assert decision.reason.startswith("work-underflow")
     assert decision.schedule is None
+
+
+def test_work_is_compared_with_m_times_the_target():
+    # two one-machine jobs fill two machines up to 5 without idling
+    decision = decide_target(generic([(5, 1), (5, 1)], m=2), 5)
+    assert decision.outcome == "witness"
+    assert decision.schedule.machines == {"J0": {1}, "J1": {2}}
+    over = decide_target(generic([(5, 1), (5, 1)], m=2), 4)
+    assert over.outcome == "proved-none"
+    assert over.reason.startswith("work-overflow: total work 10 exceeds 2*4,")
+    # a billion machines would idle: refused before any per-machine state
+    huge = decide_target(generic([(5, 1)] * 4, m=10**9), 5)
+    assert huge.outcome == "refused"
+    assert huge.reason.startswith(
+        "work-underflow: total work 20 is below 1000000000*5;"
+    )
+    assert huge.nodes == 0
 
 
 def test_empty_instance_is_trivially_witnessed():
@@ -211,57 +229,203 @@ def _at_w(inst3p):
     return inst, inst.W
 
 
+# each pinned decision as a function of the rules, dead-state table included
+PINNED_RUNS = {
+    "no(2,3)-contiguous": lambda rules: decide_target(
+        *_at_w(gen_no(2, 3)), contiguous=True, rules=rules
+    ),
+    "yes(16,0)": lambda rules: decide_target(
+        *_at_w(gen_yes(16, 0)[0]), rules=rules
+    ),
+    "yes(16,3)-budget-1000": lambda rules: decide_target(
+        *_at_w(gen_yes(16, 3)[0]), budget=1000, rules=rules
+    ),
+    "trap-D17": lambda rules: decide_target(*digit_trap_instance(17), rules=rules),
+    "trap-D33": lambda rules: decide_target(*digit_trap_instance(33), rules=rules),
+    "yes(1,5)-equations-off-budget-2000": lambda rules: decide_target(
+        *_at_w(gen_yes(1, 5)[0]), budget=2000,
+        rules=replace(rules, equations=False),
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "run, outcome, nodes, prunes",
+    "run, dead_states, outcome, nodes, prunes",
     [
         pytest.param(
-            lambda: decide_target(*_at_w(gen_no(2, 3)), contiguous=True),
-            "proved-none", 73_260,
+            "no(2,3)-contiguous", False, "proved-none", 73_260,
             {"equations": 427_705, "no-fit": 646_836, "symmetry": 65_202},
             id="no(2,3)-contiguous",
         ),
         pytest.param(
-            lambda: decide_target(*_at_w(gen_yes(16, 0)[0])),
-            "witness", 751,
+            "yes(16,0)", False, "witness", 751,
             {"equations": 39_677, "no-fit": 36_062, "symmetry": 16_037},
             id="yes(16,0)",
         ),
         pytest.param(
-            lambda: decide_target(*_at_w(gen_yes(16, 3)[0]), budget=1000),
-            "budget-exceeded", 4_004,
+            "yes(16,3)-budget-1000", False, "budget-exceeded", 4_004,
             {"equations": 201_589, "no-fit": 180_710, "symmetry": 82_170},
             id="yes(16,3)-budget-1000",
         ),
         pytest.param(
-            lambda: decide_target(*digit_trap_instance(17)),
-            "proved-none", 3_346, {"no-fit": 3_308, "symmetry": 2_275},
+            "trap-D17", False, "proved-none", 3_346,
+            {"no-fit": 3_308, "symmetry": 2_275},
             id="trap-D17",
         ),
         pytest.param(
-            lambda: decide_target(*digit_trap_instance(33)),
-            "proved-none", 782,
+            "trap-D33", False, "proved-none", 782,
             {"coeff-budget": 340, "no-fit": 384, "symmetry": 1_158},
             id="trap-D33",
         ),
         pytest.param(
-            lambda: decide_target(
-                *_at_w(gen_yes(1, 5)[0]), budget=2000,
-                rules=PruneRules(equations=False),
-            ),
-            "budget-exceeded", 30_015,
+            "yes(1,5)-equations-off-budget-2000", False, "budget-exceeded",
+            30_015,
             {"coeff-budget": 62_032, "no-fit": 95_538, "symmetry": 41},
             id="yes(1,5)-equations-off-budget-2000",
         ),
+        pytest.param(
+            "no(2,3)-contiguous", True, "proved-none", 9_392,
+            {"dead-state": 4_910, "equations": 26_505, "no-fit": 41_898,
+             "symmetry": 4_441},
+            id="no(2,3)-contiguous-table",
+        ),
+        pytest.param(
+            "yes(16,0)", True, "witness", 751,
+            {"equations": 39_677, "no-fit": 36_062, "symmetry": 16_037},
+            id="yes(16,0)-table",
+        ),
+        pytest.param(
+            "yes(16,3)-budget-1000", True, "budget-exceeded", 4_004,
+            {"dead-state": 1_352, "equations": 116_690, "no-fit": 100_973,
+             "symmetry": 51_145},
+            id="yes(16,3)-budget-1000-table",
+        ),
+        pytest.param(
+            "trap-D17", True, "proved-none", 291,
+            {"dead-state": 115, "no-fit": 99, "symmetry": 296},
+            id="trap-D17-table",
+        ),
+        pytest.param(
+            "trap-D33", True, "proved-none", 117,
+            {"coeff-budget": 51, "dead-state": 44, "no-fit": 6,
+             "symmetry": 211},
+            id="trap-D33-table",
+        ),
+        pytest.param(
+            "yes(1,5)-equations-off-budget-2000", True, "budget-exceeded",
+            30_015,
+            {"coeff-budget": 21_212, "dead-state": 11_805, "no-fit": 66_332,
+             "symmetry": 41},
+            id="yes(1,5)-equations-off-budget-2000-table",
+        ),
     ],
 )
-def test_node_and_prune_counts_are_pinned(run, outcome, nodes, prunes):
+def test_node_and_prune_counts_are_pinned(run, dead_states, outcome, nodes, prunes):
     # The search visits its tree in a fixed order, so these counts are exact:
     # a change to candidate generation that alters the tree shows here, and
-    # a rule that never fires must not appear as a zero-valued key.
-    decision = run()
+    # a rule that never fires must not appear as a zero-valued key.  The
+    # cases without the dead-state table pin the tree it prunes.
+    decision = PINNED_RUNS[run](PruneRules(dead_states=dead_states))
     assert decision.outcome == outcome
     assert decision.nodes == nodes
     assert dict(decision.prunes) == prunes
+
+
+def _carves(rng, count):
+    """`count` random zero-idle carves of 12 to 20 jobs."""
+    out = []
+    while len(out) < count:
+        inst = random_zero_idle(rng, rng.randint(6, 14))
+        if 12 <= len(inst.jobs) <= 20:
+            out.append(inst)
+    return out
+
+
+def _answer(decision):
+    """A decision without its node and prune counts."""
+    payload = decision.to_dict()
+    del payload["nodes"], payload["prunes"]
+    return payload
+
+
+def test_dead_states_keep_every_answer_on_random_carves():
+    # A cut removes only subtrees without a witness, so the first witness
+    # found depth first is the same with the table on and off.
+    seen = Counter()
+    for inst in _carves(random.Random("dead-state-differential"), 40):
+        target = inst.total_work // 4
+        for contiguous in (False, True):
+            on = decide_target(inst, target, contiguous)
+            off = decide_target(
+                inst, target, contiguous, rules=PruneRules(dead_states=False)
+            )
+            assert _answer(on) == _answer(off)
+            assert on.nodes <= off.nodes
+            seen.update(on.prunes.keys())
+    assert seen["dead-state"]
+
+
+@pytest.mark.parametrize(
+    "inst3p, contiguous",
+    [
+        pytest.param(gen_no(2, 0), True, id="no(2,0)-contiguous"),
+        *(
+            pytest.param(gen_yes(2, s)[0], True, id=f"yes(2,{s})-contiguous")
+            for s in range(4)
+        ),
+        *(pytest.param(gen_yes(6, s)[0], False, id=f"yes(6,{s})") for s in range(4)),
+    ],
+)
+def test_dead_states_keep_every_answer_on_reductions(inst3p, contiguous):
+    # the count chains read the running jobs' tags, which the key carries
+    inst = build_jobs(inst3p)
+    on = decide_target(inst, inst.W, contiguous)
+    off = decide_target(
+        inst, inst.W, contiguous, rules=PruneRules(dead_states=False)
+    )
+    assert _answer(on) == _answer(off)
+    assert on.nodes <= off.nodes
+
+
+def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
+    inst, target = _at_w(gen_no(2, 3))
+    full = {c: decide_target(inst, target, c).nodes for c in (False, True)}
+    tables = []
+    init = solver._Context.__init__
+
+    def keep_table(ctx, *args):
+        init(ctx, *args)
+        tables.append(ctx.dead)
+
+    monkeypatch.setattr(solver._Context, "__init__", keep_table)
+    monkeypatch.setattr(solver, "DEAD_STATE_CAP", 5)
+    for contiguous in (False, True):
+        capped = decide_target(inst, target, contiguous)
+        assert capped.outcome == "proved-none"
+        assert full[contiguous] < capped.nodes
+        assert len(tables.pop()) == 5
+
+
+def test_no_instance_at_z3_is_proved_none_plain():
+    decision = decide_target(*_at_w(gen_no(3, 3)))
+    assert decision.outcome == "proved-none"
+    assert decision.nodes == 118_950
+
+
+@pytest.mark.slow
+def test_no_instance_at_z3_is_proved_none_contiguous():
+    decision = decide_target(*_at_w(gen_no(3, 3)), contiguous=True)
+    assert decision.outcome == "proved-none"
+    assert decision.nodes == 528_205
+
+
+def test_yes_instance_at_z4_contiguous_is_witnessed_within_1e5_nodes():
+    inst3p, _ = gen_yes(4, 5)
+    inst = build_jobs(inst3p)
+    decision = decide_target(inst, inst.W, contiguous=True)
+    assert decision.outcome == "witness"
+    assert decision.nodes < 10**5
+    extract_partition(inst3p, inst, decision.schedule)
 
 
 def _stack_depth():
@@ -360,7 +524,7 @@ def test_decide_target_agrees_with_optimize_small():
     # Every zero-idle answer must match an independent exact optimizer: a
     # witness at T exactly when the optimum is T (it is never below, since
     # the work is 4T).  Each instance runs with the default rules and with
-    # symmetry and coeff_budget switched off in turn.
+    # symmetry, coeff_budget and dead_states switched off in turn.
     rng = random.Random("solver-differential")
     seen = Counter()
     for trial in range(200):
@@ -370,6 +534,7 @@ def test_decide_target_agrees_with_optimize_small():
             PruneRules(),
             PruneRules(symmetry=False),
             PruneRules(coeff_budget=False),
+            PruneRules(dead_states=False),
         ):
             decision = decide_target(inst, target, rules=rules)
             assert decision.outcome in ("witness", "proved-none"), trial
