@@ -7,88 +7,68 @@ zero-idle schedule for a witness, pull the witness back out of any feasible
 target-makespan schedule, and decide small instances exactly.
 """
 
-from .exactnum import CoeffVector, compose, decompose, digit_bound
-from .extraction import (
-    ExtractionTrace,
-    RefutationCertificate,
-    extract_partition,
-    normalize_machines,
-)
-from .reduction import (
-    Job,
-    ParamViolation,
-    SchedulingInstance,
-    StripInstance,
-    build_jobs,
-    build_strip,
-    forced_starts,
-    recognize,
-    recover_values,
-)
-from .render import render_packing_svg, render_schedule_svg
-from .schedule import Schedule, VerifyReport, audit, mirror, swap_after, verify
-from .solver import Decision, PruneRules, decide_target, optimize_small
-from .strip import (
-    Packing,
-    normalize,
-    packing_to_schedule,
-    schedule_to_packing,
-    verify_packing,
-)
-from .synthesis import build_packing, build_schedule
-from .threepartition import (
-    Partition,
-    ThreePartitionInstance,
-    gen_no,
-    gen_yes,
-    solve,
-    validate_partition,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoeffVector",
-    "compose",
-    "decompose",
-    "digit_bound",
-    "ExtractionTrace",
-    "RefutationCertificate",
-    "extract_partition",
-    "normalize_machines",
-    "Job",
-    "ParamViolation",
-    "SchedulingInstance",
-    "StripInstance",
-    "build_jobs",
-    "build_strip",
-    "forced_starts",
-    "recognize",
-    "recover_values",
-    "render_packing_svg",
-    "render_schedule_svg",
-    "Schedule",
-    "VerifyReport",
-    "audit",
-    "mirror",
-    "swap_after",
-    "verify",
-    "Decision",
-    "PruneRules",
-    "decide_target",
-    "optimize_small",
-    "Packing",
-    "normalize",
-    "packing_to_schedule",
-    "schedule_to_packing",
-    "verify_packing",
-    "build_packing",
-    "build_schedule",
-    "Partition",
-    "ThreePartitionInstance",
-    "gen_no",
-    "gen_yes",
-    "solve",
-    "validate_partition",
-    "__version__",
-]
+# Each exported name and the module that defines it.  A name is imported on
+# first access (PEP 562), so `python -m gadgetforge.cli` loads only the
+# modules its subcommand runs.
+_EXPORTS = {
+    "CoeffVector": "exactnum",
+    "compose": "exactnum",
+    "decompose": "exactnum",
+    "digit_bound": "exactnum",
+    "ExtractionTrace": "extraction",
+    "RefutationCertificate": "extraction",
+    "extract_partition": "extraction",
+    "normalize_machines": "extraction",
+    "Job": "reduction",
+    "ParamViolation": "reduction",
+    "SchedulingInstance": "reduction",
+    "StripInstance": "reduction",
+    "build_jobs": "reduction",
+    "build_strip": "reduction",
+    "forced_starts": "reduction",
+    "recognize": "reduction",
+    "recover_values": "reduction",
+    "render_packing_svg": "render",
+    "render_schedule_svg": "render",
+    "Schedule": "schedule",
+    "VerifyReport": "schedule",
+    "audit": "schedule",
+    "mirror": "schedule",
+    "swap_after": "schedule",
+    "verify": "schedule",
+    "Decision": "solver",
+    "PruneRules": "solver",
+    "decide_target": "solver",
+    "optimize_small": "solver",
+    "Packing": "strip",
+    "normalize": "strip",
+    "packing_to_schedule": "strip",
+    "schedule_to_packing": "strip",
+    "verify_packing": "strip",
+    "build_packing": "synthesis",
+    "build_schedule": "synthesis",
+    "Partition": "threepartition",
+    "ThreePartitionInstance": "threepartition",
+    "gen_no": "threepartition",
+    "gen_yes": "threepartition",
+    "solve": "threepartition",
+    "validate_partition": "threepartition",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

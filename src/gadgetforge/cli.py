@@ -9,6 +9,9 @@ Exit codes:
     1   negative decision (infeasible, violations, proved-none, refutation)
     2   invalid input (usage, malformed JSON, parameter violations, refusals)
     3   budget exhausted before a decision
+
+Each subcommand imports the library modules it runs when it runs, so a
+process that verifies a schedule never loads the solver or the renderer.
 """
 
 from __future__ import annotations
@@ -20,20 +23,10 @@ from pathlib import Path
 
 import click
 
-from .extraction import NotTargetMakespan, RefutationCertificate, extract_partition
-from .reduction import (
-    SchedulingInstance,
-    StripInstance,
-    build_jobs,
-    build_strip,
-    recover_values,
-)
-from .render import render_packing_svg, render_schedule_svg
-from .schedule import Schedule, audit, verify
-from .solver import DEFAULT_BUDGET, decide_target
-from .strip import Packing
-from .synthesis import build_schedule
+# Every subcommand runs this module, directly or through reduction, so its
+# names are imported here; the rest are imported by the subcommands.
 from .threepartition import (
+    DEFAULT_BUDGET,
     GenerationFailed,
     SearchBudgetExceeded,
     ThreePartitionInstance,
@@ -80,9 +73,12 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except (SearchBudgetExceeded, GenerationFailed) as exc:
             _fail(EXIT_BUDGET, f"budget: {exc}")
-        except NotTargetMakespan as exc:
-            _fail(EXIT_NEGATIVE, f"rejected: {exc}")
         except (KeyError, TypeError, ValueError) as exc:
+            # imported only on this path, so gen3p and reduce never load it
+            from .schedule import NotTargetMakespan
+
+            if isinstance(exc, NotTargetMakespan):
+                _fail(EXIT_NEGATIVE, f"rejected: {exc}")
             _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
 
     return wrapped
@@ -143,6 +139,8 @@ def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
 @_guard
 def reduce_cmd(in_path: str, strip: bool):
     """Reduce a 3-partition instance to a scheduling (or strip) instance."""
+    from .reduction import build_jobs, build_strip
+
     inst3 = ThreePartitionInstance.from_json(_read(in_path))
     built = build_strip(inst3) if strip else build_jobs(inst3)
     _emit(built.to_json())
@@ -157,6 +155,9 @@ def reduce_cmd(in_path: str, strip: bool):
 @_guard
 def synth(inst_path: str, witness_path: str):
     """Build the canonical zero-idle schedule realizing a witness."""
+    from .reduction import SchedulingInstance
+    from .synthesis import build_schedule
+
     inst = SchedulingInstance.from_json(_read(inst_path))
     witness = partition_from_json(_read(witness_path))
     sched = build_schedule(inst, witness)
@@ -170,6 +171,9 @@ def synth(inst_path: str, witness_path: str):
 @_guard
 def verify_cmd(inst_path: str, sched_path: str):
     """Check feasibility, makespan, idle time, and contiguity."""
+    from .reduction import SchedulingInstance
+    from .schedule import Schedule, verify
+
     inst = SchedulingInstance.from_json(_read(inst_path))
     sched = Schedule.from_json(_read(sched_path))
     report = verify(inst, sched)
@@ -186,6 +190,9 @@ def verify_cmd(inst_path: str, sched_path: str):
 def audit_cmd(inst_path: str, sched_path: str):
     """Check the start-time and precedence-count identities of a reduction
     schedule at the target makespan."""
+    from .reduction import SchedulingInstance
+    from .schedule import Schedule, audit
+
     inst = SchedulingInstance.from_json(_read(inst_path))
     sched = Schedule.from_json(_read(sched_path))
     report = audit(inst, sched)
@@ -203,6 +210,10 @@ def audit_cmd(inst_path: str, sched_path: str):
 @_guard
 def extract(inst_path: str, sched_path: str, trace: bool):
     """Normalize a target-makespan schedule and read the partition out."""
+    from .extraction import RefutationCertificate, extract_partition
+    from .reduction import SchedulingInstance, recover_values
+    from .schedule import Schedule
+
     inst = SchedulingInstance.from_json(_read(inst_path))
     sched = Schedule.from_json(_read(sched_path))
     inst3 = recover_values(inst)
@@ -234,8 +245,12 @@ def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
     """Exact zero-idle search: witness, proved-none, or an honest refusal."""
     if (target is None) == (not use_w):
         raise click.UsageError("give exactly one of --target or --target-w")
+    from .exactnum import parse_int
+    from .reduction import SchedulingInstance
+    from .solver import decide_target
+
     inst = SchedulingInstance.from_json(_read(inst_path))
-    goal = inst.W if use_w else int(target)
+    goal = inst.W if use_w else parse_int(target, "--target")
     decision = decide_target(inst, goal, contiguous, budget=budget)
     _emit(decision.to_dict())
     _log(f"{decision.outcome} after {decision.nodes} nodes")
@@ -255,6 +270,11 @@ def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
 @_guard
 def render(inst_path, sched_path, strip_path, packing_path, out_path):
     """Draw an SVG figure with a banded (per-magnitude) time axis."""
+    from .reduction import SchedulingInstance, StripInstance
+    from .render import render_packing_svg, render_schedule_svg
+    from .schedule import Schedule
+    from .strip import Packing
+
     if inst_path and sched_path and not (strip_path or packing_path):
         inst = SchedulingInstance.from_json(_read(inst_path))
         sched = Schedule.from_json(_read(sched_path))
@@ -278,6 +298,11 @@ def render(inst_path, sched_path, strip_path, packing_path, out_path):
 @_guard
 def roundtrip(z: int, trials: int, seed: int):
     """Generate, reduce, synthesize, verify, audit, extract, compare."""
+    from .extraction import extract_partition
+    from .reduction import build_jobs
+    from .schedule import audit, verify
+    from .synthesis import build_schedule
+
     passes = 0
     failures = []
     for k in range(trials):

@@ -51,17 +51,21 @@ class NegativeResult(ValueError):
 
 
 def parse_int(token, what: str) -> int:
-    """`token` as an int: an int (a bool is not one) passes, a string that
-    `int` reads in base 10, such as "-12", is converted, and anything else,
-    a float above all, raises ValueError naming `what` instead of being
-    truncated."""
+    """`token` as an int: an int (a bool is not one) passes, a string of
+    ASCII digits with an optional leading minus, such as "-12", is
+    converted, and anything else raises ValueError naming `what`.  So a
+    float is refused instead of truncated, and so is a string that only
+    `int` reads, such as "1_0", " 7" or non-ASCII digits, which the
+    canonical form never writes."""
     if type(token) is int:
         return token
     if type(token) is str:
-        try:
-            return int(token)
-        except ValueError:
-            pass
+        digits = token[1:] if token[:1] == "-" else token
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(token)
+            except ValueError:  # more digits than int() converts
+                pass
     raise ValueError(f"{what} must be an integer or a decimal string, not {token!r}")
 
 

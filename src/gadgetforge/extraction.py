@@ -28,8 +28,9 @@ from .reduction import (
     recognize,
     recover_values,
 )
-from .schedule import (
+from .schedule import (  # NotTargetMakespan is re-exported
     CrossingJob,
+    NotTargetMakespan,
     Schedule,
     finished_by_index,
     mirror,
@@ -40,10 +41,6 @@ from .threepartition import Partition, ThreePartitionInstance, validate_partitio
 
 MIDDLE = (2, 3)
 SIDES = (1, 4)
-
-
-class NotTargetMakespan(ValueError):
-    """The schedule does not even reach/hold the target load."""
 
 
 class LemmaViolation(Exception):

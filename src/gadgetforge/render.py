@@ -16,7 +16,6 @@ deterministic for a given instance and schedule.
 from __future__ import annotations
 
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .reduction import SchedulingInstance
 from .schedule import Schedule, _check_job_universe
@@ -51,6 +50,13 @@ def _color(tag: str) -> str:
     if tag in _PALETTE:
         return _PALETTE[tag]
     return _FALLBACK[sum(tag.encode()) % len(_FALLBACK)]
+
+
+def _escape(text: str) -> str:
+    """`text` with &, > and < written as entities, in that order, as
+    `xml.sax.saxutils.escape` does; that module is not imported because it
+    loads the urllib and http packages."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _magnitude(gap: int, base: int) -> int:
@@ -150,7 +156,7 @@ def _legend_parts(tags: list[str], y: float) -> list[str]:
             f'fill="{_color(tag)}" stroke="#333" stroke-width="0.6"/>'
         )
         parts.append(
-            f'<text x="{x + 16:.1f}" y="{y + 10:.0f}">{escape(tag)}</text>'
+            f'<text x="{x + 16:.1f}" y="{y + 10:.0f}">{_escape(tag)}</text>'
         )
         x += 24 + 7 * len(tag)
     return parts
@@ -165,7 +171,7 @@ def _job_rect(x0, x1, y0, y1, fill, label) -> list[str]:
     if x1 - x0 >= _LABEL_MIN:
         parts.append(
             f'<text x="{(x0 + x1) / 2:.1f}" y="{(y0 + y1) / 2 + 4:.1f}" '
-            f'text-anchor="middle">{escape(label)}</text>'
+            f'text-anchor="middle">{_escape(label)}</text>'
         )
     return parts
 

@@ -70,6 +70,10 @@ class NotZeroIdle(ValueError):
     pass
 
 
+class NotTargetMakespan(ValueError):
+    """The schedule does not even reach/hold the target load."""
+
+
 @dataclass(frozen=True)
 class Schedule:
     starts: Mapping[str, int]

@@ -146,9 +146,8 @@ from .reduction import (
     recognize,
 )
 from .schedule import Schedule, verify
-from .threepartition import SearchBudgetExceeded
+from .threepartition import DEFAULT_BUDGET, SearchBudgetExceeded
 
-DEFAULT_BUDGET = 10_000_000
 # entries of the dead-state table; past it the table stops inserting
 DEAD_STATE_CAP = 1 << 22
 

@@ -20,6 +20,10 @@ Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
 
 
+# node budget per root branch of `solver.decide_target` and `gadgetforge decide`
+DEFAULT_BUDGET = 10_000_000
+
+
 class SearchBudgetExceeded(Exception):
     def __init__(self, nodes: int):
         self.nodes = nodes

@@ -300,6 +300,22 @@ def test_decide_needs_exactly_one_target(workspace):
     assert both.exit_code == 2
 
 
+def test_decide_target_is_a_strict_decimal(workspace):
+    """`--target` is read as the canonical form writes numbers: `int` would
+    take "1_0" as 10, the loaders do not, and neither does `decide`."""
+    result = run("decide", "--inst", str(workspace / "inst.json"), "--target", "1_0")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--target must be an integer" in result.stderr
+
+
+def test_decide_help_states_the_default_budget():
+    result = run("decide", "--help")
+    assert result.exit_code == 0
+    lines = [line.strip() for line in result.stdout.splitlines()]
+    assert "--budget INTEGER        Node budget per root branch.  [default: 10000000]" in lines
+
+
 def test_render_gantt_and_packing(workspace, tmp_path):
     fig = tmp_path / "fig.svg"
     result = run("render", "--inst", str(workspace / "inst.json"),

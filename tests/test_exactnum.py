@@ -17,6 +17,7 @@ from gadgetforge.exactnum import (
     compose,
     decompose,
     digit_bound,
+    parse_int,
 )
 
 Z1, D1 = 1, 33
@@ -100,6 +101,30 @@ def test_negative_composition_rejected():
 def test_d_must_exceed_cap():
     with pytest.raises(ValueError):
         decompose(0, 1, 32)
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [(0, 0), (-5, -5), ("12", 12), ("-12", -12), ("007", 7), ("-0", 0),
+     ("9" * 400, int("9" * 400))],
+)
+def test_parse_int_reads_ints_and_ascii_decimal_strings(token, value):
+    assert parse_int(token, "n") == value
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1_0", " 7\n", "7 ", "\u0661\u0662", "\uff11", "\u00b2", "+5", "--1", "-",
+     "", "1.0", "1e3", "0x1f", True, 1.0, None],
+    ids=["underscore", "whitespace", "trailing-space", "arabic-indic",
+         "fullwidth", "superscript", "plus", "double-minus", "bare-minus",
+         "empty", "decimal-point", "exponent", "hex", "bool", "float", "null"],
+)
+def test_parse_int_rejects_every_other_form(token):
+    """Only what the canonical form writes, an int or ASCII `-?[0-9]+`, is
+    read: `int` would also take "1_0", " 7\n" or Arabic-Indic digits."""
+    with pytest.raises(ValueError, match="n must be an integer"):
+        parse_int(token, "n")
 
 
 # ===== property tests =====

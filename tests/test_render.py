@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
+from gadgetforge import render
 from gadgetforge.reduction import Job, SchedulingInstance, build_jobs, build_strip
 from gadgetforge.render import render_packing_svg, render_schedule_svg
 from gadgetforge.schedule import Schedule
@@ -95,3 +97,40 @@ def test_generic_instance_falls_back_to_base_10():
     svg = render_schedule_svg(inst, sched)
     ET.fromstring(svg)
     assert "log_10" in svg
+
+
+def test_ids_and_tags_are_escaped_as_saxutils_escapes_them(monkeypatch):
+    """The renderer's own escape writes the same bytes as
+    `xml.sax.saxutils.escape`, on a schedule and a packing whose job ids and
+    tags hold &, < and >, and on an id that already looks like an entity."""
+    inst = SchedulingInstance(
+        m=4,
+        z=0,
+        D=0,
+        W=0,
+        jobs=(
+            Job(id="J<&>0", p=3000, q=4, tag="T&<>"),
+            Job(id="J>1&amp;", p=3000, q=2, tag="K<"),
+            Job(id="J2", p=3000, q=2, tag="&K"),
+        ),
+    )
+    sched = Schedule(
+        starts={"J<&>0": 0, "J>1&amp;": 3000, "J2": 3000},
+        machines={
+            "J<&>0": frozenset({1, 2, 3, 4}),
+            "J>1&amp;": frozenset({1, 2}),
+            "J2": frozenset({3, 4}),
+        },
+    )
+    packing = schedule_to_packing(inst, sched)
+    ours = [render_schedule_svg(inst, sched), render_packing_svg(inst, packing)]
+    monkeypatch.setattr(render, "_escape", escape)
+    theirs = [render_schedule_svg(inst, sched), render_packing_svg(inst, packing)]
+    assert [s.encode() for s in ours] == [s.encode() for s in theirs]
+    for svg in ours:
+        ET.fromstring(svg)
+        assert ">J&lt;&amp;&gt;0</text>" in svg
+        assert ">J&gt;1&amp;amp;</text>" in svg
+        assert ">T&amp;&lt;&gt;</text>" in svg
+    for text in ("", "plain", "a&b<c>d", "&amp;", "<<>>&&", "]]>"):
+        assert render._escape(text) == escape(text)
