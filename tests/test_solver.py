@@ -246,6 +246,15 @@ PINNED_RUNS = {
         *_at_w(gen_yes(1, 5)[0]), budget=2000,
         rules=replace(rules, equations=False),
     ),
+    # with symmetry off every class of identical jobs is a single job
+    "yes(16,3)-symmetry-off-budget-100": lambda rules: decide_target(
+        *_at_w(gen_yes(16, 3)[0]), budget=100,
+        rules=replace(rules, symmetry=False),
+    ),
+    "yes(2,0)-contiguous-symmetry-off": lambda rules: decide_target(
+        *_at_w(gen_yes(2, 0)[0]), contiguous=True,
+        rules=replace(rules, symmetry=False),
+    ),
 }
 
 
@@ -284,6 +293,17 @@ PINNED_RUNS = {
             id="yes(1,5)-equations-off-budget-2000",
         ),
         pytest.param(
+            "yes(16,3)-symmetry-off-budget-100", False, "budget-exceeded",
+            10_504,
+            {"equations": 1_173_361, "no-fit": 750_664},
+            id="yes(16,3)-symmetry-off-budget-100",
+        ),
+        pytest.param(
+            "yes(2,0)-contiguous-symmetry-off", False, "witness", 4_771,
+            {"equations": 30_135, "no-fit": 36_820},
+            id="yes(2,0)-contiguous-symmetry-off",
+        ),
+        pytest.param(
             "no(2,3)-contiguous", True, "proved-none", 9_392,
             {"dead-state": 4_910, "equations": 26_505, "no-fit": 41_898,
              "symmetry": 4_441},
@@ -317,6 +337,17 @@ PINNED_RUNS = {
             {"coeff-budget": 21_212, "dead-state": 11_805, "no-fit": 66_332,
              "symmetry": 41},
             id="yes(1,5)-equations-off-budget-2000-table",
+        ),
+        pytest.param(
+            "yes(16,3)-symmetry-off-budget-100", True, "budget-exceeded",
+            10_504,
+            {"dead-state": 3_930, "equations": 725_339, "no-fit": 466_497},
+            id="yes(16,3)-symmetry-off-budget-100-table",
+        ),
+        pytest.param(
+            "yes(2,0)-contiguous-symmetry-off", True, "witness", 681,
+            {"dead-state": 413, "equations": 1_784, "no-fit": 1_846},
+            id="yes(2,0)-contiguous-symmetry-off-table",
         ),
     ],
 )
