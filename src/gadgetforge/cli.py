@@ -23,8 +23,9 @@ from pathlib import Path
 
 import click
 
-# Every subcommand runs this module, directly or through reduction, so its
-# names are imported here; the rest are imported by the subcommands.
+# Every subcommand runs these modules, directly or through reduction, so
+# their names are imported here; the rest are imported by the subcommands.
+from .exactnum import parse_int
 from .threepartition import (
     DEFAULT_BUDGET,
     GenerationFailed,
@@ -89,6 +90,20 @@ def _read(path: str) -> str:
 
 
 _in_file = click.Path(exists=True, dir_okay=False)
+
+
+class _StrictInt(click.ParamType):
+    """An integer option read the way the canonical form writes numbers
+    (`exactnum.parse_int`): click's `int` would also take "1_0", " 7" and
+    non-ASCII digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return parse_int(value, f"--{param.name}" if param else "value")
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 @click.group()
@@ -237,15 +252,14 @@ def extract(inst_path: str, sched_path: str, trace: bool):
               help="Use the instance's designed target load W.")
 @click.option("--contiguous", is_flag=True,
               help="Require machine sets to be intervals (strip-packing mode).")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="Node budget per root branch.")
+@click.option("--budget", type=_StrictInt(), default=DEFAULT_BUDGET,
+              show_default=True, help="Node budget per root branch.")
 @_guard
 def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
            budget: int):
     """Exact zero-idle search: witness, proved-none, or an honest refusal."""
     if (target is None) == (not use_w):
         raise click.UsageError("give exactly one of --target or --target-w")
-    from .exactnum import parse_int
     from .reduction import SchedulingInstance
     from .solver import decide_target
 

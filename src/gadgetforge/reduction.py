@@ -405,16 +405,31 @@ COUNT_CHAINS: dict[str, tuple[str, ...]] = {
 CHECKPOINT_TAGS = tuple(COUNT_CHAINS)
 
 
+def _compile_term(term: str) -> tuple[str, tuple[tuple[int, str], ...]]:
+    """A term as its audit name ("count(c) - count(lambda1)") and its
+    (sign, family) pairs."""
+    tokens = ["+", *term.split()]
+    parts = list(zip(tokens[::2], tokens[1::2]))
+    name = " ".join(f"{sign} count({fam})" for sign, fam in parts)[2:]
+    return name, tuple((1 if sign == "+" else -1, fam) for sign, fam in parts)
+
+
+# COUNT_CHAINS parsed once: each family's terms as (name, signed pairs)
+CHAIN_TERMS: Mapping[str, tuple[tuple[str, tuple[tuple[int, str], ...]], ...]] = (
+    MappingProxyType(
+        {
+            tag: tuple(_compile_term(term) for term in terms)
+            for tag, terms in COUNT_CHAINS.items()
+        }
+    )
+)
+
+
 def chain_values(tag: str, count: Callable[[str], int]) -> dict[str, int]:
     """Each term of the family's count chain, named the way the audit names
     it ("count(c) - count(lambda1)"), with its value for the given
     finished-job count per family."""
-    values = {}
-    for term in COUNT_CHAINS[tag]:
-        tokens = ["+", *term.split()]
-        parts = list(zip(tokens[::2], tokens[1::2]))
-        name = " ".join(f"{sign} count({fam})" for sign, fam in parts)[2:]
-        values[name] = sum(
-            count(fam) if sign == "+" else -count(fam) for sign, fam in parts
-        )
-    return values
+    return {
+        name: sum(sign * count(fam) for sign, fam in signed)
+        for name, signed in CHAIN_TERMS[tag]
+    }

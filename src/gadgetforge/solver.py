@@ -34,20 +34,58 @@ space of zero-idle schedules was covered.  Both deciders reject malformed
 jobs (`reduction.check_jobs`) with ValueError.
 
 Candidates at a node.  The search always fills the earliest free instant t,
-and a node lists, in (-q, -p, id) order, every remaining job that could
-start there together with each machine set it could take.  The work per
-node is kept to the jobs that can fit:
+and a node lists, in (-q, -p, id) order, every unplaced job that could
+start there together with each machine set it could take.  A job that
+cannot is counted as a prune of the first rule that rejects it: no-fit when
+it is wider than the idle machines or longer than the room T - t left,
+symmetry when an identical job with a smaller id is still unplaced,
+equations when no orientation's forced positions allow t, and coeff-budget
+once per machine set whose digit sums it would overflow.
 
-* jobs are bucketed by width q; a remaining job wider than the idle
-  machines is counted as a no-fit prune from a per-width tally of remaining
-  jobs, and only the buckets with q at most that width are scanned;
+The scan visits classes, not jobs.  A class is a set of identical jobs under
+the symmetry rule's (p, q, tag) key, members in id order; with the rule off
+every job is a class of its own.  Classes are grouped into families: by
+(q, tag) when the equation tables are active, else by q alone.  A search
+keeps the number of placed members of each class and, per family, a live
+list of the classes that still have unplaced members, in (-p, id) order;
+`_place` and `_unplace` update both in LIFO order, so a placed job is never
+visited again.  At a node:
+
+* the unplaced jobs wider than the idle machines are no-fit, read from a
+  per-width tally; only the families at most that wide are scanned;
+* the classes at the head of a live list that are longer than the room are
+  no-fit, every member of them;
+* each other class offers its first unplaced member, and its other members
+  are symmetry prunes, counted in bulk as the unplaced total less the
+  no-fit prunes and the offered members.  This equals the per-job count
+  because the placed members of a class always form an id prefix: only a
+  class's first unplaced member is ever placed, and undoing a placement
+  takes back the last member placed.  The per-job rule rejects a member
+  exactly when the member before it in id order is unplaced, which for an
+  id prefix holds for every unplaced member but the first;
+* the equation rule settles a family in one step where it is family-wide.
+  A pinned family (every tag but gamma and P) forces its k-th placement to
+  one start per orientation, so it tests that start and its count chain
+  once for all its classes.  A value job (P) placed at t keeps orientation
+  o exactly when t + p <= end_o, the latest end of a gap that starts by t
+  in o (t itself when none does, see `_gap_reach`), so its mask is nonzero
+  exactly when p is at most the gap reach minus t, the reach being the
+  largest end_o over the orientations still in the mask.  The value
+  family is walked from its shortest class up until one overshoots that
+  bound, and the classes left count as equations in bulk; as every end_o
+  is below T, a class within the bound also fits the room.  Each gamma
+  job is checked against its own window;
+* a family lists its candidates in (-p, id) order and families come widest
+  first, so the candidates are sorted only to merge the families of one
+  width under the equation tables, or, with one family per width, when
+  two classes of equal length and different tags can interleave their ids;
 * the machine sets depend only on the idle set and q, so they are computed
   once per pair and reused;
-* the value-job gaps are indexed by start with a running maximum of their
-  ends, so one bisection per orientation gives the latest end a value job
-  starting at t may reach, and each value job then costs one comparison;
-* the finished-job counts that the count chains read, and every chain's
-  verdict, are built at most once per node, on first need;
+* the count chains read each family's finished count as its placed count
+  minus its jobs running at t, which are the last jobs of the at most m
+  machines busy past t; the chains themselves are parsed once, into
+  `reduction.CHAIN_TERMS`, and their verdicts are built at most once per
+  node, on first need;
 * the coefficient rule keeps each machine's digit sums packed in one
   integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
@@ -78,25 +116,25 @@ only loses prunes.  Why an equal key means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
    read the free times, the remaining set, the orientation mask,
-   `fam_count` and `pred` (both functions of the remaining set), the
-   machines' digit sums and, through the count chains, the finished counts
-   by tag.  A finished count is the placed count (fixed by the remaining
-   set) minus the jobs running at t.  The running jobs are the last jobs of
-   the machines free after t: a job of tag g on q machines shows as q cells
-   with the code of (g, q) and its end as free time, so the cells give the
-   running jobs of each tag at t and their ends, and with them the finished
-   counts at every later instant.  The code of an idle machine's last job
-   is dropped: that job is finished either way.  The digit sums need no
-   place in the key: the prefix is zero-idle, so a machine's free time is
-   the sum S of its jobs' lengths, and under the conditions `_coeff_tables`
-   checks (every digit nonnegative, each power's total over all jobs below
-   D, the unit terms' absolute total below D^2) S fixes its digit sums.
-   Write S = X + D^2 N, X the sum of the jobs' unit terms and
-   N = sum_k A_k D^(k-2) with digit sums 0 <= A_k < D.  Another set of jobs with the same
-   S and X', N' has |X - X'| at most the absolute total of all unit terms,
-   so below D^2; as X - X' = D^2 (N' - N), N = N', and the base-D digits of N
-   are the A_k.  So two states with equal raw (unsorted) keys have
-   identical subtrees.
+   `fam_count`, the placed count of each class and the live lists (all
+   functions of the remaining set), the machines' digit sums and, through
+   the count chains, the finished counts by tag.  A finished count is the
+   placed count (fixed by the remaining set) minus the jobs running at t.
+   The running jobs are the last jobs of the machines free after t: a job
+   of tag g on q machines shows as q cells with the code of (g, q) and its
+   end as free time, so the cells give the running jobs of each tag at t
+   and their ends, and with them the finished counts at every later
+   instant.  The code of an idle machine's last job is dropped: that job is
+   finished either way.  The digit sums need no place in the key: the
+   prefix is zero-idle, so a machine's free time is the sum S of its jobs'
+   lengths, and under the conditions `_coeff_tables` checks (every digit
+   nonnegative, each power's total over all jobs below D, the unit terms'
+   absolute total below D^2) S fixes its digit sums.  Write S = X + D^2 N,
+   X the sum of the jobs' unit terms and N = sum_k A_k D^(k-2) with digit
+   sums 0 <= A_k < D.  Another set of jobs with the same S and X', N' has
+   |X - X'| at most the absolute total of all unit terms, so below D^2; as
+   X - X' = D^2 (N' - N), N = N', and the base-D digits of N are the A_k.
+   So two states with equal raw (unsorted) keys have identical subtrees.
 2. Dead is a property of the schedule prefix, not of the search.  Every
    rule is sound (a dead-state cut by induction on the order in which the
    table was filled) and the symmetry rule is complete (a zero-idle
@@ -135,10 +173,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
 from .reduction import (
-    CHECKPOINT_TAGS,
+    CHAIN_TERMS,
     Job,
     SchedulingInstance,
-    chain_values,
     check_jobs,
     forced_starts,
     gamma_window,
@@ -153,6 +190,10 @@ DEAD_STATE_CAP = 1 << 22
 
 _FWD = 1
 _MIR = 2
+
+# how a family of classes is tested at a node: no equation rule, a forced
+# start per placement, a gap of value jobs, a window per gamma job
+_PLAIN, _PINNED, _VALUE, _WINDOW = range(4)
 
 
 @dataclass(frozen=True)
@@ -324,9 +365,9 @@ def _reach_at(gaps: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
 
 
 class _Context:
-    """Per-decision data shared by every search branch: fixed tables, a
-    memo of the machine sets each idle set offers and the dead-state
-    table."""
+    """Per-decision data shared by every search branch: fixed tables, the
+    classes and families of the jobs, a memo of the machine sets each idle
+    set offers and the dead-state table."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -335,17 +376,8 @@ class _Context:
         self.contiguous = contiguous
         self.rules = rules
         self.budget = budget
-        self.by_id = inst.by_id
         order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
-        # jobs by width, each bucket in the (-q, -p, id) order above
-        self.by_width = tuple(
-            tuple(j for j in order if j.q == q) for q in range(self.m + 1)
-        )
-        self.pred = (
-            _identical_predecessors(inst.jobs, lambda j: (j.p, j.q, j.tag))
-            if rules.symmetry
-            else {}
-        )
+        self.n = len(order)
         self.eq = None
         if rules.equations and target == inst.W:
             self.eq = _equation_tables(inst)
@@ -365,6 +397,71 @@ class _Context:
             }
             self.code_bits = len(codes).bit_length()
             self.cell_bits = target.bit_length() + self.code_bits
+        self._families(order)
+
+    def _families(self, order: list[Job]) -> None:
+        """Classes of identical jobs grouped into families, see "Candidates
+        at a node".  `order` is every job in (-q, -p, id) order."""
+        if self.rules.symmetry:
+            key = lambda j: (j.p, j.q, j.tag)
+        else:
+            key = lambda j: j.id
+        classes: dict = {}
+        for j in order:
+            classes.setdefault(key(j), []).append(j)
+        # classes in the order of their first members, members in id order
+        self.members = tuple(map(tuple, classes.values()))
+        self.rank = {j.id: i for i, j in enumerate(order)}
+        self.cls_p = tuple(js[0].p for js in self.members)
+        self.size = tuple(map(len, self.members))
+        eq = self.eq
+        families: dict = {}
+        for c, js in enumerate(self.members):
+            j = js[0]
+            families.setdefault((j.q, j.tag) if eq else j.q, []).append(c)
+        # each family's classes in (-p, id) order, the start of every live list
+        self.live = tuple(map(tuple, families.values()))
+        specs = []
+        fam_of = {}
+        for f, cs in enumerate(self.live):
+            fam_of.update(dict.fromkeys(cs, f))
+            j = self.members[cs[0]][0]
+            if eq is None:
+                kind = _PLAIN
+            else:
+                kind = {"P": _VALUE, "gamma": _WINDOW}.get(j.tag, _PINNED)
+            specs.append((f, kind, j.q, j.tag))
+        # the families at most w wide, for every idle width w
+        top = max(spec[2] for spec in specs)
+        upto = [
+            tuple(spec for spec in specs if spec[2] <= w) for w in range(top + 1)
+        ]
+        self.upto = upto + upto[-1:] * (self.m - top)
+        # The families in `upto` come widest first, and under the equation
+        # rule each lists its candidates in (-p, id) order, so only the
+        # candidates of families sharing a width need a merge.  With one
+        # family per width, two classes of equal length and different tags
+        # can interleave their ids, and the family's list then needs a sort.
+        self.interleave = (
+            eq is None
+            and self.rules.symmetry
+            and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
+        )
+        # what a placement updates, per job: (class, family, class size,
+        # remaining-set bit, (tag, q) code, packed digit row)
+        dead, coeff = self.dead is not None, self.coeff is not None
+        self.rec = {
+            j.id: (
+                c,
+                fam_of[c],
+                len(js),
+                self.bit[j.id] if dead else 0,
+                self.code[j.id] if dead else 0,
+                self.coeff.rows[j.id] if coeff else 0,
+            )
+            for c, js in enumerate(self.members)
+            for j in js
+        }
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
@@ -396,8 +493,17 @@ class _Search:
     def __init__(self, ctx: _Context):
         self.ctx = ctx
         self.free = [0] * ctx.m
-        self.remaining = set(ctx.by_id)
-        self.left = [len(bucket) for bucket in ctx.by_width]
+        self.unplaced = ctx.n
+        # unplaced jobs per width
+        self.left = [0] * (ctx.m + 1)
+        for js in ctx.members:
+            self.left[js[0].q] += len(js)
+        # placed members per class (an id prefix) and each family's classes
+        # that still have unplaced members, in (-p, id) order
+        self.taken = [0] * len(ctx.members)
+        self.live = [list(cs) for cs in ctx.live]
+        # the job last placed on each machine
+        self.last: list[Job | None] = [None] * ctx.m
         self.starts: dict[str, int] = {}
         self.placed: dict[str, tuple[int, ...]] = {}
         self.nodes = 0
@@ -407,25 +513,26 @@ class _Search:
         # packed per-machine digit sums, see _CoeffTables
         self.acc = [0] * ctx.m if ctx.coeff else None
         # dead-state key parts: remaining bitmask, per-machine cells
-        self.rem_mask = (1 << len(ctx.by_id)) - 1
+        self.rem_mask = (1 << ctx.n) - 1
         self.cells = [0] * ctx.m
 
     # ----- candidate generation -----
 
     def _chains_holding(self, t: int) -> set[str]:
         """Checkpoint families whose count chain holds over the jobs
-        finished by t."""
-        fin: Counter[str] = Counter()
-        by_id = self.ctx.by_id
-        for jid, s in self.starts.items():
-            job = by_id[jid]
-            if s + job.p <= t:
-                fin[job.tag] += 1
-        return {
-            tag
-            for tag in CHECKPOINT_TAGS
-            if len(set(chain_values(tag, fin.__getitem__).values())) == 1
-        }
+        finished by t: each family's placed count minus its jobs running at
+        t, which are the last jobs of the machines busy past t."""
+        free = self.free
+        running = {j.id: j.tag for m, j in enumerate(self.last) if free[m] > t}
+        fin = dict(self.fam_count)
+        for tag in running.values():
+            fin[tag] -= 1
+        holding = set()
+        for tag, terms in CHAIN_TERMS.items():
+            if len({sum(sign * fin.get(fam, 0) for sign, fam in signed)
+                    for _, signed in terms}) == 1:
+                holding.add(tag)
+        return holding
 
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...], int]]:
         """(job, machine set, orientation mask) for every placement at t, in
@@ -433,79 +540,118 @@ class _Search:
         rule that rejects it: no-fit, symmetry, equations, and coeff-budget
         once per machine set."""
         ctx = self.ctx
-        eq = ctx.eq
-        avail = tuple([m for m in range(ctx.m) if self.free[m] == t])
+        free = self.free
+        avail = tuple([m for m in range(ctx.m) if free[m] == t])
         width = len(avail)
-        remaining = self.remaining
-        pred = ctx.pred
         room = ctx.target - t
         orient = self.orient
-        # every remaining job wider than the idle machines is a no-fit
-        no_fit = sum(self.left[width + 1 :])
-        symmetric = equations = coeff = 0
+        taken = self.taken
+        lives = self.live
+        members = ctx.members
+        cls_p = ctx.cls_p
+        size = ctx.size
         acc = self.acc
-        if acc is not None:
-            guards = ctx.coeff.guards
-        if eq is not None:
-            # latest end a value job starting at t may reach, per orientation
-            end_fwd = _reach_at(eq.gaps_fwd, t)
-            end_mir = _reach_at(eq.gaps_mir, t)
-            chains = None  # built on first need, once per node
+        eq = ctx.eq
+        # every unplaced job wider than the idle machines is a no-fit
+        no_fit = sum(self.left[width + 1 :])
+        firsts = equations = coeff = emitters = 0
+        chains = None  # built on first need, once per node
         out = []
-        for q in range(width, 0, -1):
-            subsets = None
-            for job in ctx.by_width[q]:
-                jid = job.id
-                if jid not in remaining:
+        add = out.append
+        for f, kind, q, tag in ctx.upto[width]:
+            live = lives[f]
+            n = len(live)
+            i = 0
+            while i < n and cls_p[live[i]] > room:
+                c = live[i]
+                no_fit += size[c] - taken[c]
+                i += 1
+            # the first unplaced member of each class that fits
+            firsts += n - i
+            if i == n:
+                continue
+            if kind == _PINNED:
+                # the orientations whose forced positions allow t
+                k = self.fam_count[tag]
+                mask = orient & (
+                    (_FWD if eq.fam_fwd[tag][k] == t else 0)
+                    | (_MIR if eq.fam_mir[tag][k] == t else 0)
+                )
+                if mask and tag in CHAIN_TERMS:
+                    if chains is None:
+                        chains = self._chains_holding(t)
+                    if tag not in chains:
+                        mask = 0
+                if not mask:
+                    equations += n - i
                     continue
-                if job.p > room:
-                    no_fit += 1
-                    continue
-                prev = pred.get(jid)
-                if prev is not None and prev in remaining:
-                    symmetric += 1
-                    continue
-                mask = orient
-                if eq is not None:
-                    # the orientations whose forced positions allow t
-                    tag = job.tag
-                    if tag == "P":
-                        end = t + job.p
-                        mask &= (_FWD if end <= end_fwd else 0) | (
+            elif kind == _VALUE:
+                # latest end a value job starting at t may reach, per
+                # orientation; from the shortest job up, until one overshoots
+                end_fwd = _reach_at(eq.gaps_fwd, t) if orient & _FWD else t
+                end_mir = _reach_at(eq.gaps_mir, t) if orient & _MIR else t
+                reach = max(end_fwd, end_mir) - t
+                j = n
+                while j > i and cls_p[live[j - 1]] <= reach:
+                    j -= 1
+                equations += j - i
+                if j < n:
+                    emitters += 1
+                    subsets = ctx.subsets(avail, q)
+                    for c in live[j:]:
+                        end = t + cls_p[c]
+                        mask = (_FWD if end <= end_fwd else 0) | (
                             _MIR if end <= end_mir else 0
                         )
-                    elif tag == "gamma":
-                        lo, hi = eq.gamma_fwd[jid]
-                        bits = _FWD if lo <= t <= hi else 0
-                        lo, hi = eq.gamma_mir[jid]
-                        mask &= bits | (_MIR if lo <= t <= hi else 0)
-                    else:
-                        k = self.fam_count[tag]
-                        mask &= (_FWD if eq.fam_fwd[tag][k] == t else 0) | (
-                            _MIR if eq.fam_mir[tag][k] == t else 0
-                        )
-                        if mask and tag in CHECKPOINT_TAGS:
-                            if chains is None:
-                                chains = self._chains_holding(t)
-                            if tag not in chains:
-                                mask = 0
+                        job = members[c][taken[c]]
+                        for subset in subsets:
+                            add((job, subset, mask))
+                continue
+            elif kind == _WINDOW:
+                subsets = None
+                for c in live[i:]:
+                    job = members[c][taken[c]]
+                    lo, hi = eq.gamma_fwd[job.id]
+                    bits = _FWD if lo <= t <= hi else 0
+                    lo, hi = eq.gamma_mir[job.id]
+                    mask = orient & (bits | (_MIR if lo <= t <= hi else 0))
                     if not mask:
                         equations += 1
                         continue
-                if subsets is None:
-                    subsets = ctx.subsets(avail, q)
-                if acc is None:
-                    out += [(job, subset, mask) for subset in subsets]
-                    continue
-                # digit sums that stay within the target's, see _CoeffTables
-                headroom = ctx.coeff.guarded - ctx.coeff.rows[jid]
+                    if subsets is None:
+                        emitters += 1
+                        subsets = ctx.subsets(avail, q)
+                    for subset in subsets:
+                        add((job, subset, mask))
+                continue
+            else:
+                mask = orient
+            emitters += 1
+            subsets = ctx.subsets(avail, q)
+            if acc is None:
+                for c in live[i:]:
+                    job = members[c][taken[c]]
+                    for subset in subsets:
+                        add((job, subset, mask))
+                continue
+            # digit sums that stay within the target's, see _CoeffTables
+            guarded, guards = ctx.coeff.guarded, ctx.coeff.guards
+            rows = ctx.coeff.rows
+            for c in live[i:]:
+                job = members[c][taken[c]]
+                headroom = guarded - rows[job.id]
                 for subset in subsets:
                     for m in subset:
                         if (headroom - acc[m]) & guards != guards:
                             coeff += 1
                             break
                     else:
-                        out.append((job, subset, mask))
+                        add((job, subset, mask))
+        if ctx.interleave or (emitters > 1 and eq is not None):
+            rank = ctx.rank
+            out.sort(key=lambda cand: rank[cand[0].id])
+        # every other unplaced job trails a first member of its class
+        symmetric = self.unplaced - no_fit - firsts
         for rule, count in (
             ("no-fit", no_fit),
             ("symmetry", symmetric),
@@ -520,48 +666,67 @@ class _Search:
 
     def _place(self, job, subset, t, mask):
         self.nodes += 1
-        if self.nodes > self.ctx.budget:
+        ctx = self.ctx
+        if self.nodes > ctx.budget:
             raise _BudgetHit
-        self.remaining.remove(job.id)
+        rec = ctx.rec[job.id]
+        c, f, full, bit, code, row = rec
+        # job is the first unplaced member of class c
+        taken = self.taken
+        taken[c] += 1
+        pos = None
+        if taken[c] == full:
+            live = self.live[f]
+            pos = live.index(c)
+            del live[pos]
+        self.unplaced -= 1
         self.left[job.q] -= 1
         self.starts[job.id] = t
         self.placed[job.id] = subset
+        end = t + job.p
         for m in subset:
-            self.free[m] = t + job.p
+            self.free[m] = end
         old_mask = self.orient
-        if self.ctx.eq is not None:
+        old_last = self.last
+        if ctx.eq is not None:
             self.orient = mask
             self.fam_count[job.tag] += 1
+            self.last = last = old_last.copy()
+            for m in subset:
+                last[m] = job
         if self.acc is not None:
-            row = self.ctx.coeff.rows[job.id]
             for m in subset:
                 self.acc[m] += row
         old_cells = self.cells
-        if self.ctx.dead is not None:
-            self.rem_mask ^= self.ctx.bit[job.id]
-            cell = (t + job.p) << self.ctx.code_bits | self.ctx.code[job.id]
+        if ctx.dead is not None:
+            self.rem_mask ^= bit
+            cell = end << ctx.code_bits | code
             self.cells = cells = old_cells.copy()
             for m in subset:
                 cells[m] = cell
-        return (job, subset, t, old_mask, old_cells)
+        return (job, subset, t, rec, pos, old_mask, old_last, old_cells)
 
     def _unplace(self, undo):
-        job, subset, t, old_mask, self.cells = undo
+        job, subset, t, rec, pos, old_mask, self.last, self.cells = undo
+        c, f, _, bit, _, row = rec
+        ctx = self.ctx
         del self.starts[job.id]
         del self.placed[job.id]
-        self.remaining.add(job.id)
+        self.taken[c] -= 1
+        if pos is not None:
+            self.live[f].insert(pos, c)
+        self.unplaced += 1
         self.left[job.q] += 1
         for m in subset:
             self.free[m] = t
-        if self.ctx.eq is not None:
+        if ctx.eq is not None:
             self.orient = old_mask
             self.fam_count[job.tag] -= 1
         if self.acc is not None:
-            row = self.ctx.coeff.rows[job.id]
             for m in subset:
                 self.acc[m] -= row
-        if self.ctx.dead is not None:
-            self.rem_mask ^= self.ctx.bit[job.id]
+        if ctx.dead is not None:
+            self.rem_mask ^= bit
 
     def _snapshot(self) -> Schedule:
         return Schedule(
@@ -609,7 +774,7 @@ class _Search:
         records its state as dead."""
         target = self.ctx.target
         dead = self.ctx.dead
-        if not self.remaining:
+        if not self.unplaced:
             return self._snapshot()
         t = min(self.free)
         frame = self._open(t) if t < target else None
@@ -627,7 +792,7 @@ class _Search:
                 continue
             job, subset, mask = step
             undos.append(self._place(job, subset, t, mask))
-            if not self.remaining:
+            if not self.unplaced:
                 return self._snapshot()
             t = min(self.free)
             frame = self._open(t) if t < target else None
@@ -636,6 +801,16 @@ class _Search:
             else:
                 frames.append(frame)
         return None
+
+
+def _require(*checks: tuple[bool, str]) -> None:
+    """Raise RuntimeError naming the first property that a schedule about
+    to be returned fails on re-verification.  A raise, not an assert:
+    ``python -O`` strips asserts, and an unverified schedule would then be
+    returned."""
+    for ok, name in checks:
+        if not ok:
+            raise RuntimeError(f"the schedule found fails re-verification: not {name}")
 
 
 def decide_target(
@@ -654,7 +829,10 @@ def decide_target(
     `budget` caps the nodes each root branch may expand; the dead-state
     table is shared by all of them.  With `contiguous` the machine set of
     every job must be an interval, matching the strip-packing reading.
+    A budget below 1 is refused with ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 node, not {budget}")
     check_jobs(inst.jobs, inst.m)
     rules = rules or PruneRules()
     total = inst.total_work
@@ -704,9 +882,12 @@ def decide_target(
 
     if witness is not None:
         report = verify(inst, witness)
-        assert report.feasible and report.makespan == target and report.idle == 0
-        if contiguous:
-            assert report.contiguous
+        _require(
+            (report.feasible, "feasible"),
+            (report.makespan == target, f"makespan {target}"),
+            (report.idle == 0, "zero idle"),
+            (report.contiguous or not contiguous, "contiguous"),
+        )
         return Decision("witness", witness, nodes, dict(prunes))
     if starved:
         return Decision(
@@ -799,8 +980,7 @@ def optimize_small(
         lows = sorted(free)
         prof = tuple(x - lows[0] for x in lows)
 
-    assert max(free) == opt
     sched = Schedule(starts=starts, machines=machines)
     report = verify(SchedulingInstance(m=m, z=0, D=0, W=opt, jobs=jobs), sched)
-    assert report.feasible and report.makespan == opt
+    _require((report.feasible, "feasible"), (report.makespan == opt, f"makespan {opt}"))
     return opt, sched

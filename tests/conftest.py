@@ -8,13 +8,24 @@ the package's own builders can be checked against it.
 `count_finished_by` and `count_before` count finished jobs one by one, the
 way the finished-before count is defined; they are the reference that
 `schedule.finished_by_index` is checked against.
+
+`reference_candidates` is the solver's node scan written job by job, the
+way each prune rule is stated; it is the reference that the family scan
+of `solver._Search._candidates` is checked against.
 """
 
+from collections import Counter
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
 import pytest
 
-from gadgetforge.reduction import SchedulingInstance, build_jobs
+from gadgetforge.reduction import (
+    CHECKPOINT_TAGS,
+    SchedulingInstance,
+    build_jobs,
+    chain_values,
+)
 from gadgetforge.schedule import Schedule, UnknownJob
 from gadgetforge.threepartition import ThreePartitionInstance
 
@@ -115,3 +126,103 @@ def count_before(
     if anchor_id not in inst.by_id:
         raise UnknownJob(anchor_id)
     return count_finished_by(inst, sched, sched.starts[anchor_id], job_ids)
+
+
+_SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _scan_order(ctx):
+    """The jobs in (-q, -p, id) order, and each job's closest smaller id
+    with the same (p, q, tag) when the symmetry rule is on; once per
+    decision."""
+    if ctx in _SCAN_ORDERS:
+        return _SCAN_ORDERS[ctx]
+    inst = ctx.inst
+    pred, latest = {}, {}
+    if ctx.rules.symmetry:
+        for j in sorted(inst.jobs, key=lambda j: j.id):
+            key = (j.p, j.q, j.tag)
+            if key in latest:
+                pred[j.id] = latest[key]
+            latest[key] = j.id
+    order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
+    _SCAN_ORDERS[ctx] = order, pred
+    return order, pred
+
+
+def reference_candidates(search, t: int):
+    """The candidates of `search` at its earliest free instant t and the
+    prunes they add, found by visiting every job in (-q, -p, id) order; the
+    search itself is left untouched.
+
+    Each job is rejected by the first rule that rejects it: no-fit when it
+    is wider than the idle machines or longer than the room left, symmetry
+    when the next smaller id with the same (p, q, tag) is still unplaced,
+    equations when no orientation's forced positions allow t, and
+    coeff-budget once per machine set whose digit sums it would overflow.
+    """
+    from gadgetforge.solver import _FWD, _MIR, _reach_at
+
+    ctx = search.ctx
+    order, pred = _scan_order(ctx)
+    remaining = {j.id for j in order} - set(search.starts)
+    eq = ctx.eq
+    avail = tuple(m for m in range(ctx.m) if search.free[m] == t)
+    room = ctx.target - t
+    counts = Counter()
+    chains = None
+    out = []
+    for job in order:
+        jid = job.id
+        if jid not in remaining:
+            continue
+        if job.q > len(avail) or job.p > room:
+            counts["no-fit"] += 1
+            continue
+        if pred.get(jid) in remaining:
+            counts["symmetry"] += 1
+            continue
+        mask = search.orient
+        if eq is not None:
+            if job.tag == "P":
+                end = t + job.p
+                mask &= (_FWD if end <= _reach_at(eq.gaps_fwd, t) else 0) | (
+                    _MIR if end <= _reach_at(eq.gaps_mir, t) else 0
+                )
+            elif job.tag == "gamma":
+                lo, hi = eq.gamma_fwd[jid]
+                bits = _FWD if lo <= t <= hi else 0
+                lo, hi = eq.gamma_mir[jid]
+                mask &= bits | (_MIR if lo <= t <= hi else 0)
+            else:
+                k = search.fam_count[job.tag]
+                mask &= (_FWD if eq.fam_fwd[job.tag][k] == t else 0) | (
+                    _MIR if eq.fam_mir[job.tag][k] == t else 0
+                )
+                if mask and job.tag in CHECKPOINT_TAGS:
+                    if chains is None:
+                        fin = Counter(
+                            ctx.inst.by_id[i].tag
+                            for i, s in search.starts.items()
+                            if s + ctx.inst.by_id[i].p <= t
+                        )
+                        chains = {
+                            tag
+                            for tag in CHECKPOINT_TAGS
+                            if len(set(chain_values(tag, fin.__getitem__).values()))
+                            == 1
+                        }
+                    if job.tag not in chains:
+                        mask = 0
+            if not mask:
+                counts["equations"] += 1
+                continue
+        for subset in ctx.subsets(avail, job.q):
+            if search.acc is not None:
+                headroom = ctx.coeff.guarded - ctx.coeff.rows[jid]
+                guards = ctx.coeff.guards
+                if any((headroom - search.acc[m]) & guards != guards for m in subset):
+                    counts["coeff-budget"] += 1
+                    continue
+            out.append((job, subset, mask))
+    return out, counts

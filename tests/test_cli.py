@@ -309,6 +309,24 @@ def test_decide_target_is_a_strict_decimal(workspace):
     assert "--target must be an integer" in result.stderr
 
 
+@pytest.mark.parametrize("budget", ["1_0", " 7", "\u0661\u0660", "7.0", ""])
+def test_decide_budget_is_a_strict_decimal(workspace, budget):
+    result = run("decide", "--inst", str(workspace / "inst.json"), "--target-w",
+                 "--budget", budget)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--budget must be an integer or a decimal string" in result.stderr
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_decide_refuses_a_budget_below_one(workspace, budget):
+    result = run("decide", "--inst", str(workspace / "inst.json"), "--target-w",
+                 "--budget", budget)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"budget must be at least 1 node, not {budget}" in result.stderr
+
+
 def test_decide_help_states_the_default_budget():
     result = run("decide", "--help")
     assert result.exit_code == 0

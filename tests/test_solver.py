@@ -1,8 +1,11 @@
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from gadgetforge.reduction import Job, SchedulingInstance, build_jobs
 from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
 from gadgetforge.threepartition import SearchBudgetExceeded, gen_no, gen_yes
+
+from conftest import reference_candidates
 
 
 def generic(dims, m=4):
@@ -435,6 +440,112 @@ def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
         assert capped.outcome == "proved-none"
         assert full[contiguous] < capped.nodes
         assert len(tables.pop()) == 5
+
+
+def _tagged_carve(rng):
+    """A random carve whose jobs carry one of two tags, so that classes of
+    equal length and different tags interleave their ids."""
+    inst = random_zero_idle(rng, rng.randint(6, 10))
+    jobs = tuple(replace(j, tag=rng.choice("JK")) for j in inst.jobs)
+    return replace(inst, jobs=jobs)
+
+
+def _scan_cases():
+    rng = random.Random("family-scan")
+    cases = [(*digit_trap_instance(D), 200) for D in (17, 33)]
+    cases += [(inst, inst.total_work // 4, 200) for inst in _carves(rng, 4)]
+    cases += [(inst, inst.total_work // 4, 200)
+              for inst in (_tagged_carve(rng) for _ in range(4))]
+    cases += [(*_at_w(gen_yes(z, z % 4)[0]), 6) for z in (6, 10, 16)]
+    # a witness: its value jobs fill their gaps exactly
+    cases.append((*_at_w(gen_yes(1, 5)[0]), 200))
+    cases.append((*_at_w(gen_no(2, 3)), 150))
+    return cases
+
+
+SCAN_RULES = (
+    PruneRules(),
+    PruneRules(equations=False),
+    PruneRules(symmetry=False),
+    PruneRules(symmetry=False, equations=False),
+)
+
+
+def test_family_scan_matches_the_per_job_scan(monkeypatch):
+    # At every node the family scan must list the same placements in the
+    # same order and add the same prune counts as the reference scan, which
+    # visits every job; with the equations off the coefficient rule is on.
+    scan = solver._Search._candidates
+    seen = Counter()
+
+    def both(search, t):
+        before = Counter(search.prunes)
+        out = scan(search, t)
+        added = Counter(search.prunes)
+        added.subtract(before)
+        want, counts = reference_candidates(search, t)
+        assert [(j.id, s, m) for j, s, m in out] == [
+            (j.id, s, m) for j, s, m in want
+        ]
+        assert +added == counts
+        seen["nodes"] += 1
+        seen["interleave"] += search.ctx.interleave
+        seen["equations"] += search.ctx.eq is not None
+        seen["coeff"] += search.ctx.coeff is not None
+        return out
+
+    monkeypatch.setattr(solver._Search, "_candidates", both)
+    for inst, target, budget in _scan_cases():
+        for rules in SCAN_RULES:
+            for contiguous in (False, True):
+                decide_target(inst, target, contiguous, budget=budget, rules=rules)
+    assert seen["nodes"] > 10_000
+    assert seen["interleave"] and seen["equations"] and seen["coeff"]
+
+
+def test_a_budget_below_one_is_refused():
+    inst = generic([(5, 4)])
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            decide_target(inst, 5, budget=budget)
+    assert decide_target(inst, 5, budget=1).outcome == "witness"
+
+
+REVERIFY_UNDER_O = """
+import sys
+from gadgetforge import solver
+from gadgetforge.reduction import Job, SchedulingInstance
+from gadgetforge.schedule import VerifyReport
+
+assert False, "this check runs under python -O only"
+solver.verify = lambda inst, sched: VerifyReport(
+    feasible=False, makespan=5, idle=0, contiguous=True, problems=("forged",)
+)
+inst = SchedulingInstance(m=4, z=0, D=0, W=0, jobs=(Job("J0", 5, 4, "J"),))
+calls = {
+    "decide": lambda: solver.decide_target(inst, 5),
+    "optimize": lambda: solver.optimize_small(inst.jobs),
+}
+try:
+    calls[sys.argv[1]]()
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call", ["decide", "optimize"])
+def test_a_witness_that_fails_verification_is_never_returned(call):
+    # `python -O` strips asserts, so the re-verification must be a raise.
+    env = dict(os.environ)
+    src = str(Path(solver.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", REVERIFY_UNDER_O, call],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert result.stdout.strip() == (
+        "the schedule found fails re-verification: not feasible"
+    )
 
 
 def test_no_instance_at_z3_is_proved_none_plain():
