@@ -413,7 +413,6 @@ class _Context:
         self.members = tuple(map(tuple, classes.values()))
         self.rank = {j.id: i for i, j in enumerate(order)}
         self.cls_p = tuple(js[0].p for js in self.members)
-        self.size = tuple(map(len, self.members))
         eq = self.eq
         families: dict = {}
         for c, js in enumerate(self.members):
@@ -549,7 +548,6 @@ class _Search:
         lives = self.live
         members = ctx.members
         cls_p = ctx.cls_p
-        size = ctx.size
         acc = self.acc
         eq = ctx.eq
         # every unplaced job wider than the idle machines is a no-fit
@@ -564,7 +562,7 @@ class _Search:
             i = 0
             while i < n and cls_p[live[i]] > room:
                 c = live[i]
-                no_fit += size[c] - taken[c]
+                no_fit += len(members[c]) - taken[c]
                 i += 1
             # the first unplaced member of each class that fits
             firsts += n - i
