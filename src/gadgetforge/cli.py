@@ -101,7 +101,7 @@ class _StrictInt(click.ParamType):
 
     def convert(self, value, param, ctx):
         try:
-            return parse_int(value, f"--{param.name}" if param else "value")
+            return parse_int(value, f"--{param.name}")
         except ValueError as exc:
             self.fail(str(exc), param, ctx)
 

@@ -415,13 +415,9 @@ def _compile_term(term: str) -> tuple[str, tuple[tuple[int, str], ...]]:
 
 
 # COUNT_CHAINS parsed once: each family's terms as (name, signed pairs)
-CHAIN_TERMS: Mapping[str, tuple[tuple[str, tuple[tuple[int, str], ...]], ...]] = (
-    MappingProxyType(
-        {
-            tag: tuple(_compile_term(term) for term in terms)
-            for tag, terms in COUNT_CHAINS.items()
-        }
-    )
+CHAIN_TERMS: Mapping[str, tuple[tuple[str, tuple[tuple[int, str], ...]], ...]]
+CHAIN_TERMS = MappingProxyType(
+    {tag: tuple(map(_compile_term, terms)) for tag, terms in COUNT_CHAINS.items()}
 )
 
 
