@@ -120,8 +120,8 @@ def main():
 @main.command("gen3p")
 @click.option("--yes/--no", "want_yes", default=None,
               help="Generate a solvable instance (with witness) or a certified unsolvable one.")
-@click.option("--z", type=int, required=True, help="Number of partition sets.")
-@click.option("--seed", type=int, required=True)
+@click.option("--z", type=_StrictInt(), required=True, help="Number of partition sets.")
+@click.option("--seed", type=_StrictInt(), required=True)
 @click.option("--witness-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the witness JSON to this file (solvable only).")
 @_guard
@@ -306,9 +306,9 @@ def render(inst_path, sched_path, strip_path, packing_path, out_path):
 
 
 @main.command("roundtrip")
-@click.option("--z", type=int, required=True)
-@click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--z", type=_StrictInt(), required=True)
+@click.option("--trials", type=_StrictInt(), required=True)
+@click.option("--seed", type=_StrictInt(), default=0, show_default=True)
 @_guard
 def roundtrip(z: int, trials: int, seed: int):
     """Generate, reduce, synthesize, verify, audit, extract, compare."""

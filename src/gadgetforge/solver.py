@@ -82,10 +82,10 @@ visited again.  At a node:
 * the machine sets depend only on the idle set and q, so they are computed
   once per pair and reused;
 * the count chains read each family's finished count as its placed count
-  minus its jobs running at t, which are the last jobs of the at most m
-  machines busy past t; the chains themselves are parsed once, into
-  `reduction.CHAIN_TERMS`, and their verdicts are built at most once per
-  node, on first need;
+  minus its jobs running at t, read from the cells of the machines busy
+  past t, the same cells the dead-state key packs (see "Dead states"); the
+  chains themselves are parsed once, into `reduction.CHAIN_TERMS`, and
+  their verdicts are built at most once per node, on first need;
 * the coefficient rule keeps each machine's digit sums packed in one
   integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
@@ -101,12 +101,12 @@ and both decision workloads of the benchmark) the digit check fired zero
 times, so evaluating it there only cost time.  On instances the tables do
 not recognise, such as the digit trap in the tests, it is what cuts early.
 
-Dead states.  One set per decision, shared by every root branch, holds the
-key of each state whose frame of candidates ran out: its subtree held no
-witness.  Nothing is recorded after a budget hit or on the path to a
-witness, since those frames never run out.  A placement that reaches a
-recorded key is counted as a node, undone and tallied as a
-``dead-state`` prune.  The key is one int packing the remaining-job
+Dead states.  One set per decision holds the key of each state whose
+frame of candidates ran out: its subtree held no witness.  Nothing is
+recorded for the frames a budget hit abandons or on the path to a witness,
+since those frames never run out, nor for the root, after which the search
+ends.  A placement that reaches a recorded key is counted as a node, undone
+and tallied as a ``dead-state`` prune.  The key is one int packing the remaining-job
 bitmask, the orientation mask and one cell per machine: its free time and,
 for a machine still busy at t (the earliest free instant), a small code of
 the (tag, q) of the job running on it.  Plain searches sort the cells;
@@ -124,8 +124,9 @@ only loses prunes.  Why an equal key means an equal verdict:
    of tag g on q machines shows as q cells with the code of (g, q) and its
    end as free time, so the cells give the running jobs of each tag at t
    and their ends, and with them the finished counts at every later
-   instant.  The code of an idle machine's last job is dropped: that job is
-   finished either way.  The digit sums need no place in the key: the
+   instant; `_chains_holding` reads the running jobs from the cells in just
+   this way.  The code of an idle machine's last job is dropped: that job
+   is finished either way.  The digit sums need no place in the key: the
    prefix is zero-idle, so a machine's free time is the sum S of its jobs'
    lengths, and under the conditions `_coeff_tables` checks (every digit
    nonnegative, each power's total over all jobs below D, the unit terms'
@@ -152,9 +153,13 @@ only loses prunes.  Why an equal key means an equal verdict:
    depth first in a fixed order, so the first witness found, and with it
    the outcome, is the one the search finds without the table.
 
-The search walks the tree with an explicit stack, one frame of pending
-candidates per placed job, so its depth is not limited by the interpreter's
-recursion limit.
+One search runs per decision, over one state that each placement updates
+and its undo takes back exactly.  It walks the tree with an explicit stack,
+the root's frame of pending candidates and one per placed job, so its depth
+is not limited by the interpreter's recursion limit; the placed jobs with
+their undo records are the path, from which a witness is read.  Each
+candidate of the root frame opens a root branch with its own node budget
+(see `_Search.search`).
 
 `optimize_small` is an independent exact optimizer for a handful of jobs:
 branch and bound over job orders with greedy least-loaded placement.  An
@@ -230,22 +235,6 @@ class Decision:
                 json.loads(self.schedule.to_json()) if self.schedule else None
             ),
         }
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-def _identical_predecessors(jobs: Iterable[Job], key) -> dict[str, str]:
-    """Each job id mapped to the closest smaller id whose job has the same
-    key, so that identical jobs can be placed in ascending id order only."""
-    pred: dict[str, str] = {}
-    latest: dict[tuple, str] = {}
-    for j in sorted(jobs, key=lambda j: j.id):
-        if key(j) in latest:
-            pred[j.id] = latest[key(j)]
-        latest[key(j)] = j.id
-    return pred
 
 
 @dataclass(frozen=True)
@@ -385,18 +374,17 @@ class _Context:
         if rules.coeff_budget and self.eq is None:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
-        self.dead: set[int] | None = None
-        if rules.dead_states:
-            self.dead = set()
-            # one remaining-set bit per job, one code per (tag, q), 0 = idle
-            self.bit = {j.id: 1 << i for i, j in enumerate(order)}
-            codes: dict[tuple[str, int], int] = {}
-            self.code = {
-                j.id: codes.setdefault((j.tag, j.q), len(codes) + 1)
-                for j in order
-            }
-            self.code_bits = len(codes).bit_length()
-            self.cell_bits = target.bit_length() + self.code_bits
+        self.dead: set[int] | None = set() if rules.dead_states else None
+        # one remaining-set bit per job, one code per (tag, q), 0 = idle
+        self.bit = {j.id: 1 << i for i, j in enumerate(order)}
+        codes: dict[tuple[str, int], int] = {}
+        self.code = {
+            j.id: codes.setdefault((j.tag, j.q), len(codes) + 1) for j in order
+        }
+        # the (tag, q) of each code
+        self.kinds = (None, *codes)
+        self.code_bits = len(codes).bit_length()
+        self.cell_bits = target.bit_length() + self.code_bits
         self._families(order)
 
     def _families(self, order: list[Job]) -> None:
@@ -448,14 +436,14 @@ class _Context:
         )
         # what a placement updates, per job: (class, family, class size,
         # remaining-set bit, (tag, q) code, packed digit row)
-        dead, coeff = self.dead is not None, self.coeff is not None
+        coeff = self.coeff is not None
         self.rec = {
             j.id: (
                 c,
                 fam_of[c],
                 len(js),
-                self.bit[j.id] if dead else 0,
-                self.code[j.id] if dead else 0,
+                self.bit[j.id],
+                self.code[j.id],
                 self.coeff.rows[j.id] if coeff else 0,
             )
             for c, js in enumerate(self.members)
@@ -487,12 +475,12 @@ class _Context:
 
 
 class _Search:
-    """One mutable depth-first search over zero-idle schedule prefixes."""
+    """The depth-first search of one decision over zero-idle schedule
+    prefixes: one mutable state, taken back placement by placement."""
 
     def __init__(self, ctx: _Context):
         self.ctx = ctx
         self.free = [0] * ctx.m
-        self.unplaced = ctx.n
         # unplaced jobs per width
         self.left = [0] * (ctx.m + 1)
         for js in ctx.members:
@@ -501,31 +489,35 @@ class _Search:
         # that still have unplaced members, in (-p, id) order
         self.taken = [0] * len(ctx.members)
         self.live = [list(cs) for cs in ctx.live]
-        # the job last placed on each machine
-        self.last: list[Job | None] = [None] * ctx.m
-        self.starts: dict[str, int] = {}
-        self.placed: dict[str, tuple[int, ...]] = {}
+        # the placed jobs in order, each with what undoes its placement
+        self.path: list[tuple] = []
         self.nodes = 0
+        self.starved = False
         self.prunes: Counter[str] = Counter()
         self.orient = _FWD | _MIR
         self.fam_count: Counter[str] = Counter()
         # packed per-machine digit sums, see _CoeffTables
         self.acc = [0] * ctx.m if ctx.coeff else None
-        # dead-state key parts: remaining bitmask, per-machine cells
-        self.rem_mask = (1 << ctx.n) - 1
+        # per machine, its free time and the (tag, q) code of its last job
+        # in one cell; the remaining-set bitmask
         self.cells = [0] * ctx.m
+        self.rem_mask = (1 << ctx.n) - 1
 
     # ----- candidate generation -----
 
     def _chains_holding(self, t: int) -> set[str]:
         """Checkpoint families whose count chain holds over the jobs
         finished by t: each family's placed count minus its jobs running at
-        t, which are the last jobs of the machines busy past t."""
-        free = self.free
-        running = {j.id: j.tag for m, j in enumerate(self.last) if free[m] > t}
+        t.  A job running on q machines shows as q cells with its (tag, q)
+        code, those of the machines busy past t."""
+        ctx = self.ctx
+        busy = t + 1 << ctx.code_bits
+        low = (1 << ctx.code_bits) - 1
         fin = dict(self.fam_count)
-        for tag in running.values():
-            fin[tag] -= 1
+        running = Counter(c & low for c in self.cells if c >= busy)
+        for code, cells in running.items():
+            tag, q = ctx.kinds[code]
+            fin[tag] -= cells // q
         holding = set()
         for tag, terms in CHAIN_TERMS.items():
             if len({sum(sign * fin.get(fam, 0) for sign, fam in signed)
@@ -649,7 +641,7 @@ class _Search:
             rank = ctx.rank
             out.sort(key=lambda cand: rank[cand[0].id])
         # every other unplaced job trails a first member of its class
-        symmetric = self.unplaced - no_fit - firsts
+        symmetric = ctx.n - len(self.path) - no_fit - firsts
         for rule, count in (
             ("no-fit", no_fit),
             ("symmetry", symmetric),
@@ -663,10 +655,7 @@ class _Search:
     # ----- state transitions -----
 
     def _place(self, job, subset, t, mask):
-        self.nodes += 1
         ctx = self.ctx
-        if self.nodes > ctx.budget:
-            raise _BudgetHit
         rec = ctx.rec[job.id]
         c, f, full, bit, code, row = rec
         # job is the first unplaced member of class c
@@ -677,43 +666,31 @@ class _Search:
             live = self.live[f]
             pos = live.index(c)
             del live[pos]
-        self.unplaced -= 1
         self.left[job.q] -= 1
-        self.starts[job.id] = t
-        self.placed[job.id] = subset
         end = t + job.p
+        old_cells = self.cells
+        self.cells = cells = old_cells.copy()
+        cell = end << ctx.code_bits | code
         for m in subset:
             self.free[m] = end
+            cells[m] = cell
         old_mask = self.orient
-        old_last = self.last
         if ctx.eq is not None:
             self.orient = mask
             self.fam_count[job.tag] += 1
-            self.last = last = old_last.copy()
-            for m in subset:
-                last[m] = job
         if self.acc is not None:
             for m in subset:
                 self.acc[m] += row
-        old_cells = self.cells
-        if ctx.dead is not None:
-            self.rem_mask ^= bit
-            cell = end << ctx.code_bits | code
-            self.cells = cells = old_cells.copy()
-            for m in subset:
-                cells[m] = cell
-        return (job, subset, t, rec, pos, old_mask, old_last, old_cells)
+        self.rem_mask ^= bit
+        self.path.append((job, subset, t, rec, pos, old_mask, old_cells))
 
-    def _unplace(self, undo):
-        job, subset, t, rec, pos, old_mask, self.last, self.cells = undo
+    def _unplace(self):
+        job, subset, t, rec, pos, old_mask, self.cells = self.path.pop()
         c, f, _, bit, _, row = rec
         ctx = self.ctx
-        del self.starts[job.id]
-        del self.placed[job.id]
         self.taken[c] -= 1
         if pos is not None:
             self.live[f].insert(pos, c)
-        self.unplaced += 1
         self.left[job.q] += 1
         for m in subset:
             self.free[m] = t
@@ -723,15 +700,14 @@ class _Search:
         if self.acc is not None:
             for m in subset:
                 self.acc[m] -= row
-        if ctx.dead is not None:
-            self.rem_mask ^= bit
+        self.rem_mask ^= bit
 
     def _snapshot(self) -> Schedule:
         return Schedule(
-            starts=dict(self.starts),
+            starts={job.id: t for job, _, t, *_ in self.path},
             machines={
-                jid: frozenset(m + 1 for m in subset)
-                for jid, subset in self.placed.items()
+                job.id: frozenset(m + 1 for m in subset)
+                for job, subset, *_ in self.path
             },
         )
 
@@ -764,41 +740,52 @@ class _Search:
         return (t, iter(self._candidates(t)), key)
 
     def search(self) -> Schedule | None:
-        """Depth-first over the candidates at the earliest free instant.
+        """Depth-first over the candidates at the earliest free instant,
+        from the empty schedule.
 
-        The path is an explicit stack of candidate iterators, one per placed
-        job below the starting prefix, so depth is bounded by memory rather
-        than by the interpreter's recursion limit.  A frame that runs out
-        records its state as dead."""
-        target = self.ctx.target
-        dead = self.ctx.dead
-        if not self.unplaced:
-            return self._snapshot()
-        t = min(self.free)
-        frame = self._open(t) if t < target else None
-        frames = [frame] if frame is not None else []
-        undos = []
-        while frames:
+        The frames of pending candidates are an explicit stack, the root's
+        and one per placed job, so depth is bounded by memory rather than
+        by the interpreter's recursion limit.  A frame that runs out
+        records its state as dead, except the root's, after which the
+        search ends.  Each candidate of the root frame opens a root branch
+        that may place at most `budget` jobs, itself included: the
+        placement past that is counted as a node, sets `starved`, and the
+        branch is abandoned, its frames unwound to the root without being
+        recorded, since they did not run out."""
+        ctx = self.ctx
+        target, dead, budget = ctx.target, ctx.dead, ctx.budget
+        path = self.path
+        frames = [self._open(0)]
+        while True:
             t, pending, key = frames[-1]
             step = next(pending, None)
             if step is None:
+                if not path:
+                    return None
                 frames.pop()
+                self._unplace()
                 if key is not None and len(dead) < DEAD_STATE_CAP:
                     dead.add(key)
-                if undos:
-                    self._unplace(undos.pop())
+                continue
+            if not path:
+                limit = self.nodes + budget
+            self.nodes += 1
+            if self.nodes > limit:
+                self.starved = True
+                del frames[1:]
+                while path:
+                    self._unplace()
                 continue
             job, subset, mask = step
-            undos.append(self._place(job, subset, t, mask))
-            if not self.unplaced:
+            self._place(job, subset, t, mask)
+            if len(path) == ctx.n:
                 return self._snapshot()
             t = min(self.free)
             frame = self._open(t) if t < target else None
             if frame is None:
-                self._unplace(undos.pop())
+                self._unplace()
             else:
                 frames.append(frame)
-        return None
 
 
 def _require(*checks: tuple[bool, str]) -> None:
@@ -824,9 +811,14 @@ def decide_target(
     Requires total work equal to m*target for the instance's m machines;
     above that the answer is a proved negative by arithmetic, below it the
     zero-idle search would be incomplete, so the decision is refused.
-    `budget` caps the nodes each root branch may expand; the dead-state
-    table is shared by all of them.  With `contiguous` the machine set of
-    every job must be an interval, matching the strip-packing reading.
+    `budget` caps the nodes of each root branch, one per candidate
+    placement at time 0: a branch that would place more jobs than that,
+    its root placement included, is abandoned and the next root branch
+    tried, so a witness in a later branch is still found; with no
+    witness, one abandoned branch makes the outcome budget-exceeded.  The
+    dead-state table is shared by all root branches.  With `contiguous`
+    the machine set of every job must be an interval, matching the
+    strip-packing reading.
     A budget below 1 is refused with ValueError.
     """
     if budget < 1:
@@ -859,24 +851,9 @@ def decide_target(
     if not inst.jobs:
         return Decision("witness", Schedule(starts={}, machines={}), 0)
 
-    ctx = _Context(inst, target, contiguous, rules, budget)
-    probe = _Search(ctx)
-    roots = probe._candidates(0)
-    nodes = 0
-    prunes = Counter(probe.prunes)
-    witness = None
-    starved = False
-    for job, subset, mask in roots:
-        branch = _Search(ctx)
-        try:
-            branch._place(job, subset, 0, mask)
-            witness = branch.search()
-        except _BudgetHit:
-            starved = True
-        nodes += branch.nodes
-        prunes.update(branch.prunes)
-        if witness is not None:
-            break
+    search = _Search(_Context(inst, target, contiguous, rules, budget))
+    witness = search.search()
+    nodes, prunes = search.nodes, dict(search.prunes)
 
     if witness is not None:
         report = verify(inst, witness)
@@ -886,20 +863,20 @@ def decide_target(
             (report.idle == 0, "zero idle"),
             (report.contiguous or not contiguous, "contiguous"),
         )
-        return Decision("witness", witness, nodes, dict(prunes))
-    if starved:
+        return Decision("witness", witness, nodes, prunes)
+    if search.starved:
         return Decision(
             "budget-exceeded",
             None,
             nodes,
-            dict(prunes),
+            prunes,
             reason=f"node budget {budget} per root branch exhausted",
         )
     return Decision(
         "proved-none",
         None,
         nodes,
-        dict(prunes),
+        prunes,
         reason="exhausted: every zero-idle branch reached a dead end",
     )
 
@@ -923,7 +900,14 @@ def optimize_small(
         return 0, Schedule(starts={}, machines={})
 
     by_id = {j.id: j for j in jobs}
-    pred = _identical_predecessors(jobs, lambda j: (j.p, j.q))
+    # each job's closest smaller id of the same (p, q): identical jobs are
+    # placed in ascending id order only
+    pred: dict[str, str] = {}
+    latest: dict[tuple[int, int], str] = {}
+    for j in sorted(jobs, key=lambda j: j.id):
+        if (j.p, j.q) in latest:
+            pred[j.id] = latest[j.p, j.q]
+        latest[j.p, j.q] = j.id
 
     memo: dict[tuple[frozenset, tuple], tuple[int, str]] = {}
     nodes = 0

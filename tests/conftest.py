@@ -165,7 +165,8 @@ def reference_candidates(search, t: int):
 
     ctx = search.ctx
     order, pred = _scan_order(ctx)
-    remaining = {j.id for j in order} - set(search.starts)
+    starts = {job.id: start for job, _, start, *_ in search.path}
+    remaining = {j.id for j in order} - set(starts)
     eq = ctx.eq
     avail = tuple(m for m in range(ctx.m) if search.free[m] == t)
     room = ctx.target - t
@@ -203,7 +204,7 @@ def reference_candidates(search, t: int):
                     if chains is None:
                         fin = Counter(
                             ctx.inst.by_id[i].tag
-                            for i, s in search.starts.items()
+                            for i, s in starts.items()
                             if s + ctx.inst.by_id[i].p <= t
                         )
                         chains = {

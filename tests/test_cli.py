@@ -318,6 +318,23 @@ def test_decide_budget_is_a_strict_decimal(workspace, budget):
     assert "--budget must be an integer or a decimal string" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (("gen3p", "--yes", "--z", "1_0", "--seed", "1"), "--z"),
+        (("gen3p", "--yes", "--z", "1", "--seed", " 7"), "--seed"),
+        (("roundtrip", "--z", "1_0", "--trials", "1"), "--z"),
+        (("roundtrip", "--z", "1", "--trials", "1_0"), "--trials"),
+        (("roundtrip", "--z", "1", "--trials", "1", "--seed", "7.0"), "--seed"),
+    ],
+)
+def test_every_integer_option_is_a_strict_decimal(args, option):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{option} must be an integer or a decimal string" in result.stderr
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_decide_refuses_a_budget_below_one(workspace, budget):
     result = run("decide", "--inst", str(workspace / "inst.json"), "--target-w",

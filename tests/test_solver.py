@@ -11,7 +11,13 @@ import pytest
 
 from gadgetforge import solver
 from gadgetforge.extraction import extract_partition
-from gadgetforge.reduction import Job, SchedulingInstance, build_jobs
+from gadgetforge.reduction import (
+    CHECKPOINT_TAGS,
+    Job,
+    SchedulingInstance,
+    build_jobs,
+    chain_values,
+)
 from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
 from gadgetforge.threepartition import SearchBudgetExceeded, gen_no, gen_yes
@@ -260,6 +266,10 @@ PINNED_RUNS = {
         *_at_w(gen_yes(2, 0)[0]), contiguous=True,
         rules=replace(rules, symmetry=False),
     ),
+    # an early root branch starves and a later one finds a witness
+    "yes(1,0)-contiguous-budget-30": lambda rules: decide_target(
+        *_at_w(gen_yes(1, 0)[0]), contiguous=True, budget=30, rules=rules
+    ),
 }
 
 
@@ -309,6 +319,11 @@ PINNED_RUNS = {
             id="yes(2,0)-contiguous-symmetry-off",
         ),
         pytest.param(
+            "yes(1,0)-contiguous-budget-30", False, "witness", 79,
+            {"equations": 377, "no-fit": 201, "symmetry": 12},
+            id="yes(1,0)-contiguous-budget-30",
+        ),
+        pytest.param(
             "no(2,3)-contiguous", True, "proved-none", 9_392,
             {"dead-state": 4_910, "equations": 26_505, "no-fit": 41_898,
              "symmetry": 4_441},
@@ -354,6 +369,11 @@ PINNED_RUNS = {
             {"dead-state": 413, "equations": 1_784, "no-fit": 1_846},
             id="yes(2,0)-contiguous-symmetry-off-table",
         ),
+        pytest.param(
+            "yes(1,0)-contiguous-budget-30", True, "witness", 79,
+            {"dead-state": 13, "equations": 334, "no-fit": 178, "symmetry": 12},
+            id="yes(1,0)-contiguous-budget-30-table",
+        ),
     ],
 )
 def test_node_and_prune_counts_are_pinned(run, dead_states, outcome, nodes, prunes):
@@ -365,6 +385,22 @@ def test_node_and_prune_counts_are_pinned(run, dead_states, outcome, nodes, prun
     assert decision.outcome == outcome
     assert decision.nodes == nodes
     assert dict(decision.prunes) == prunes
+
+
+def test_a_later_root_branch_answers_after_an_earlier_one_starves():
+    # Unbudgeted, the witness lies in a root branch that starves at budget
+    # 30, so the capped search finds another one in a later root branch.
+    # The abandoned frames of a starved branch did not run out; recording
+    # them as dead would cut the later witness and leave budget-exceeded.
+    inst, target = _at_w(gen_yes(1, 0)[0])
+    free = decide_target(inst, target, contiguous=True)
+    assert free.outcome == "witness" and free.nodes == 59
+    for dead_states in (True, False):
+        capped = PINNED_RUNS["yes(1,0)-contiguous-budget-30"](
+            PruneRules(dead_states=dead_states)
+        )
+        assert capped.outcome == "witness"
+        assert capped.schedule.to_json() != free.schedule.to_json()
 
 
 def _carves(rng, count):
@@ -501,6 +537,43 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
                 decide_target(inst, target, contiguous, budget=budget, rules=rules)
     assert seen["nodes"] > 10_000
     assert seen["interleave"] and seen["equations"] and seen["coeff"]
+
+
+def test_count_chains_count_each_running_job_once():
+    # A job running on q machines shows as q cells, and the chains must
+    # count it once.  Random placements reach states the pruned searches
+    # above never do, such as a two-machine checkpoint job still running
+    # when a chain is read.
+    rng = random.Random("chain-cells")
+    inst, target = _at_w(gen_yes(2, 1)[0])
+    ctx = solver._Context(inst, target, False, PruneRules(), 1)
+    wide_running = 0
+    for _ in range(40):
+        search = solver._Search(ctx)
+        while True:
+            t = min(search.free)
+            fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
+            assert search._chains_holding(t) == {
+                tag
+                for tag in CHECKPOINT_TAGS
+                if len(set(chain_values(tag, fin.__getitem__).values())) == 1
+            }
+            wide_running += any(
+                j.tag in CHECKPOINT_TAGS and j.q > 1 and s + j.p > t
+                for j, _, s, *_ in search.path
+            )
+            idle = [m for m in range(ctx.m) if search.free[m] == t]
+            jobs = [
+                js[k]
+                for js, k in zip(ctx.members, search.taken)
+                if k < len(js) and js[k].q <= len(idle) and js[k].p <= target - t
+            ]
+            if not jobs:
+                break
+            job = rng.choice(jobs)
+            subset = tuple(sorted(rng.sample(idle, job.q)))
+            search._place(job, subset, t, search.orient)
+    assert wide_running
 
 
 def test_a_budget_below_one_is_refused():
