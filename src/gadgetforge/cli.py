@@ -267,7 +267,8 @@ def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
     goal = inst.W if use_w else parse_int(target, "--target")
     decision = decide_target(inst, goal, contiguous, budget=budget)
     _emit(decision.to_dict())
-    _log(f"{decision.outcome} after {decision.nodes} nodes")
+    reason = f": {decision.reason}" if decision.reason else ""
+    _log(f"{decision.outcome} after {decision.nodes} nodes{reason}")
     sys.exit(_DECISION_EXITS[decision.outcome])
 
 

@@ -45,11 +45,11 @@ once per machine set whose digit sums it would overflow.
 The scan visits classes, not jobs.  A class is a set of identical jobs under
 the symmetry rule's (p, q, tag) key, members in id order; with the rule off
 every job is a class of its own.  Classes are grouped into families: by
-(q, tag) when the equation tables are active, else by q alone.  A search
-keeps the number of placed members of each class and, per family, a live
-list of the classes that still have unplaced members, in (-p, id) order;
-`_place` and `_unplace` update both in LIFO order, so a placed job is never
-visited again.  At a node:
+(q, tag) when the equation tables are active (a reduction's tags each
+have one width), else by q alone.  A search keeps the placed count of each
+class and family and, per family, a live list of the classes that still
+have unplaced members, in (-p, id) order; `_place` and `_unplace` update
+them in LIFO order, so a placed job is never visited again.  At a node:
 
 * the unplaced jobs wider than the idle machines are no-fit, read from a
   per-width tally; only the families at most that wide are scanned;
@@ -115,11 +115,12 @@ k <-> m+1-k.  The table stops growing at `DEAD_STATE_CAP` entries, which
 only loses prunes.  Why an equal key means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
-   read the free times, the remaining set, the orientation mask,
-   `fam_count`, the placed count of each class and the live lists (all
-   functions of the remaining set), the machines' digit sums and, through
-   the count chains, the finished counts by tag.  A finished count is the
-   placed count (fixed by the remaining set) minus the jobs running at t.
+   read the free times, the remaining set, the orientation mask, the
+   placed counts of each class and family, the unplaced counts per width
+   and the live lists (all functions of the remaining set), the machines'
+   digit sums and, through the count chains, the finished counts by tag.
+   A finished count is the placed count (fixed by the remaining set)
+   minus the jobs running at t.
    The running jobs are the last jobs of the machines free after t: a job
    of tag g on q machines shows as q cells with the code of (g, q) and its
    end as free time, so the cells give the running jobs of each tag at t
@@ -153,13 +154,14 @@ only loses prunes.  Why an equal key means an equal verdict:
    depth first in a fixed order, so the first witness found, and with it
    the outcome, is the one the search finds without the table.
 
-One search runs per decision, over one state that each placement updates
-and its undo takes back exactly.  It walks the tree with an explicit stack,
-the root's frame of pending candidates and one per placed job, so its depth
-is not limited by the interpreter's recursion limit; the placed jobs with
-their undo records are the path, from which a witness is read.  Each
-candidate of the root frame opens a root branch with its own node budget
-(see `_Search.search`).
+A decision is one `_Search`, holding its tables, the dead-state table and
+one state that each placement updates and its undo takes back exactly.  The
+state keeps each fact once: a machine's free time is read from its cell.
+The search walks the tree with an explicit stack, the root's frame of
+pending candidates and one per placed job, so its depth is not limited by
+the interpreter's recursion limit; the placed jobs with their undo records
+are the path, from which a witness is read.  Each candidate of the root
+frame opens a root branch with its own node budget (see `_Search.search`).
 
 `optimize_small` is an independent exact optimizer for a handful of jobs:
 branch and bound over job orders with greedy least-loaded placement.  An
@@ -192,6 +194,11 @@ from .threepartition import DEFAULT_BUDGET, SearchBudgetExceeded
 
 # entries of the dead-state table; past it the table stops inserting
 DEAD_STATE_CAP = 1 << 22
+
+# machines a search is built for: it holds a cell, a digit sum and a family
+# list per machine, so a larger m (one job can balance any m) is refused
+# before any of them is built.  The paper's question has 4.
+MAX_MACHINES = 1 << 10
 
 _FWD = 1
 _MIR = 2
@@ -353,10 +360,11 @@ def _reach_at(gaps: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
     return reach[i] if i >= 0 else t
 
 
-class _Context:
-    """Per-decision data shared by every search branch: fixed tables, the
-    classes and families of the jobs, a memo of the machine sets each idle
-    set offers and the dead-state table."""
+class _Search:
+    """The depth-first search of one decision over zero-idle schedule
+    prefixes: its fixed tables, the classes and families of its jobs, a
+    memo of the machine sets each idle set offers, the dead-state table and
+    one mutable state, taken back placement by placement."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -375,19 +383,35 @@ class _Context:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
-        # one remaining-set bit per job, one code per (tag, q), 0 = idle
-        self.bit = {j.id: 1 << i for i, j in enumerate(order)}
+        # one code per (tag, q), 0 = idle, and the (tag, q) of each code
         codes: dict[tuple[str, int], int] = {}
-        self.code = {
-            j.id: codes.setdefault((j.tag, j.q), len(codes) + 1) for j in order
-        }
-        # the (tag, q) of each code
+        for j in order:
+            codes.setdefault((j.tag, j.q), len(codes) + 1)
         self.kinds = (None, *codes)
         self.code_bits = len(codes).bit_length()
         self.cell_bits = target.bit_length() + self.code_bits
-        self._families(order)
+        self._families(order, codes)
+        # unplaced jobs per width
+        self.left = [0] * (self.m + 1)
+        for js in self.members:
+            self.left[js[0].q] += len(js)
+        # placed members per class (an id prefix) and per family
+        self.taken = [0] * len(self.members)
+        self.placed = [0] * len(self.live)
+        # the placed jobs in order, each with what undoes its placement
+        self.path: list[tuple] = []
+        self.nodes = 0
+        self.starved = False
+        self.prunes: Counter[str] = Counter()
+        self.orient = _FWD | _MIR
+        # packed per-machine digit sums, see _CoeffTables
+        self.acc = [0] * self.m if self.coeff else None
+        # per machine, its free time and the (tag, q) code of its last job
+        # in one cell; the remaining-set bitmask
+        self.cells = [0] * self.m
+        self.rem_mask = (1 << self.n) - 1
 
-    def _families(self, order: list[Job]) -> None:
+    def _families(self, order: list[Job], codes: dict[tuple[str, int], int]) -> None:
         """Classes of identical jobs grouped into families, see "Candidates
         at a node".  `order` is every job in (-q, -p, id) order."""
         if self.rules.symmetry:
@@ -406,8 +430,8 @@ class _Context:
         for c, js in enumerate(self.members):
             j = js[0]
             families.setdefault((j.q, j.tag) if eq else j.q, []).append(c)
-        # each family's classes in (-p, id) order, the start of every live list
-        self.live = tuple(map(tuple, families.values()))
+        # per family, its classes with unplaced members, in (-p, id) order
+        self.live = [list(cs) for cs in families.values()]
         specs = []
         fam_of = {}
         for f, cs in enumerate(self.live):
@@ -435,15 +459,16 @@ class _Context:
             and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
         )
         # what a placement updates, per job: (class, family, class size,
-        # remaining-set bit, (tag, q) code, packed digit row)
+        # remaining-set bit (its place in `order`), (tag, q) code, packed
+        # digit row)
         coeff = self.coeff is not None
         self.rec = {
             j.id: (
                 c,
                 fam_of[c],
                 len(js),
-                self.bit[j.id],
-                self.code[j.id],
+                1 << self.rank[j.id],
+                codes[j.tag, j.q],
                 self.coeff.rows[j.id] if coeff else 0,
             )
             for c, js in enumerate(self.members)
@@ -473,36 +498,6 @@ class _Context:
         self._subsets[avail, q] = runs
         return runs
 
-
-class _Search:
-    """The depth-first search of one decision over zero-idle schedule
-    prefixes: one mutable state, taken back placement by placement."""
-
-    def __init__(self, ctx: _Context):
-        self.ctx = ctx
-        self.free = [0] * ctx.m
-        # unplaced jobs per width
-        self.left = [0] * (ctx.m + 1)
-        for js in ctx.members:
-            self.left[js[0].q] += len(js)
-        # placed members per class (an id prefix) and each family's classes
-        # that still have unplaced members, in (-p, id) order
-        self.taken = [0] * len(ctx.members)
-        self.live = [list(cs) for cs in ctx.live]
-        # the placed jobs in order, each with what undoes its placement
-        self.path: list[tuple] = []
-        self.nodes = 0
-        self.starved = False
-        self.prunes: Counter[str] = Counter()
-        self.orient = _FWD | _MIR
-        self.fam_count: Counter[str] = Counter()
-        # packed per-machine digit sums, see _CoeffTables
-        self.acc = [0] * ctx.m if ctx.coeff else None
-        # per machine, its free time and the (tag, q) code of its last job
-        # in one cell; the remaining-set bitmask
-        self.cells = [0] * ctx.m
-        self.rem_mask = (1 << ctx.n) - 1
-
     # ----- candidate generation -----
 
     def _chains_holding(self, t: int) -> set[str]:
@@ -510,13 +505,14 @@ class _Search:
         finished by t: each family's placed count minus its jobs running at
         t.  A job running on q machines shows as q cells with its (tag, q)
         code, those of the machines busy past t."""
-        ctx = self.ctx
-        busy = t + 1 << ctx.code_bits
-        low = (1 << ctx.code_bits) - 1
-        fin = dict(self.fam_count)
+        busy = t + 1 << self.code_bits
+        low = (1 << self.code_bits) - 1
+        # placed counts by tag: the families at most m wide are all of
+        # them, one per tag under the equation rule
+        fin = {tag: self.placed[f] for f, _, _, tag in self.upto[-1]}
         running = Counter(c & low for c in self.cells if c >= busy)
         for code, cells in running.items():
-            tag, q = ctx.kinds[code]
+            tag, q = self.kinds[code]
             fin[tag] -= cells // q
         holding = set()
         for tag, terms in CHAIN_TERMS.items():
@@ -530,25 +526,26 @@ class _Search:
         (-q, -p, id) order.  A rejected job counts as a prune of the first
         rule that rejects it: no-fit, symmetry, equations, and coeff-budget
         once per machine set."""
-        ctx = self.ctx
-        free = self.free
-        avail = tuple([m for m in range(ctx.m) if free[m] == t])
+        cells = self.cells
+        # t is the earliest free instant, so free at t means free by t
+        busy = t + 1 << self.code_bits
+        avail = tuple([m for m in range(self.m) if cells[m] < busy])
         width = len(avail)
-        room = ctx.target - t
+        room = self.target - t
         orient = self.orient
         taken = self.taken
         lives = self.live
-        members = ctx.members
-        cls_p = ctx.cls_p
+        members = self.members
+        cls_p = self.cls_p
         acc = self.acc
-        eq = ctx.eq
+        eq = self.eq
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
         firsts = equations = coeff = emitters = 0
         chains = None  # built on first need, once per node
         out = []
         add = out.append
-        for f, kind, q, tag in ctx.upto[width]:
+        for f, kind, q, tag in self.upto[width]:
             live = lives[f]
             n = len(live)
             i = 0
@@ -562,7 +559,7 @@ class _Search:
                 continue
             if kind == _PINNED:
                 # the orientations whose forced positions allow t
-                k = self.fam_count[tag]
+                k = self.placed[f]
                 mask = orient & (
                     (_FWD if eq.fam_fwd[tag][k] == t else 0)
                     | (_MIR if eq.fam_mir[tag][k] == t else 0)
@@ -587,7 +584,7 @@ class _Search:
                 equations += j - i
                 if j < n:
                     emitters += 1
-                    subsets = ctx.subsets(avail, q)
+                    subsets = self.subsets(avail, q)
                     for c in live[j:]:
                         end = t + cls_p[c]
                         mask = (_FWD if end <= end_fwd else 0) | (
@@ -610,14 +607,14 @@ class _Search:
                         continue
                     if subsets is None:
                         emitters += 1
-                        subsets = ctx.subsets(avail, q)
+                        subsets = self.subsets(avail, q)
                     for subset in subsets:
                         add((job, subset, mask))
                 continue
             else:
                 mask = orient
             emitters += 1
-            subsets = ctx.subsets(avail, q)
+            subsets = self.subsets(avail, q)
             if acc is None:
                 for c in live[i:]:
                     job = members[c][taken[c]]
@@ -625,8 +622,8 @@ class _Search:
                         add((job, subset, mask))
                 continue
             # digit sums that stay within the target's, see _CoeffTables
-            guarded, guards = ctx.coeff.guarded, ctx.coeff.guards
-            rows = ctx.coeff.rows
+            guarded, guards = self.coeff.guarded, self.coeff.guards
+            rows = self.coeff.rows
             for c in live[i:]:
                 job = members[c][taken[c]]
                 headroom = guarded - rows[job.id]
@@ -637,11 +634,11 @@ class _Search:
                             break
                     else:
                         add((job, subset, mask))
-        if ctx.interleave or (emitters > 1 and eq is not None):
-            rank = ctx.rank
+        if self.interleave or (emitters > 1 and eq is not None):
+            rank = self.rank
             out.sort(key=lambda cand: rank[cand[0].id])
         # every other unplaced job trails a first member of its class
-        symmetric = ctx.n - len(self.path) - no_fit - firsts
+        symmetric = self.n - len(self.path) - no_fit - firsts
         for rule, count in (
             ("no-fit", no_fit),
             ("symmetry", symmetric),
@@ -655,8 +652,7 @@ class _Search:
     # ----- state transitions -----
 
     def _place(self, job, subset, t, mask):
-        ctx = self.ctx
-        rec = ctx.rec[job.id]
+        rec = self.rec[job.id]
         c, f, full, bit, code, row = rec
         # job is the first unplaced member of class c
         taken = self.taken
@@ -667,17 +663,15 @@ class _Search:
             pos = live.index(c)
             del live[pos]
         self.left[job.q] -= 1
-        end = t + job.p
+        self.placed[f] += 1
         old_cells = self.cells
         self.cells = cells = old_cells.copy()
-        cell = end << ctx.code_bits | code
+        cell = t + job.p << self.code_bits | code
         for m in subset:
-            self.free[m] = end
             cells[m] = cell
+        # without the equation tables every mask is the full orientation set
         old_mask = self.orient
-        if ctx.eq is not None:
-            self.orient = mask
-            self.fam_count[job.tag] += 1
+        self.orient = mask
         if self.acc is not None:
             for m in subset:
                 self.acc[m] += row
@@ -685,18 +679,13 @@ class _Search:
         self.path.append((job, subset, t, rec, pos, old_mask, old_cells))
 
     def _unplace(self):
-        job, subset, t, rec, pos, old_mask, self.cells = self.path.pop()
+        job, subset, _, rec, pos, self.orient, self.cells = self.path.pop()
         c, f, _, bit, _, row = rec
-        ctx = self.ctx
         self.taken[c] -= 1
         if pos is not None:
             self.live[f].insert(pos, c)
         self.left[job.q] += 1
-        for m in subset:
-            self.free[m] = t
-        if ctx.eq is not None:
-            self.orient = old_mask
-            self.fam_count[job.tag] -= 1
+        self.placed[f] -= 1
         if self.acc is not None:
             for m in subset:
                 self.acc[m] -= row
@@ -714,24 +703,23 @@ class _Search:
     def _key(self, t: int) -> int:
         """The dead-state key of the current state, whose earliest free
         instant is t: see "Dead states" in the module docstring."""
-        ctx = self.ctx
-        idle = t << ctx.code_bits
-        busy = idle + (1 << ctx.code_bits)
+        idle = t << self.code_bits
+        busy = idle + (1 << self.code_bits)
         cells = [c if c >= busy else idle for c in self.cells]
-        if not ctx.contiguous:
+        if not self.contiguous:
             cells.sort()
         elif cells[::-1] < cells:
             cells.reverse()
         packed = self.rem_mask << 2 | self.orient
         for c in cells:
-            packed = packed << ctx.cell_bits | c
+            packed = packed << self.cell_bits | c
         return packed
 
     def _open(self, t: int):
         """The frame of candidates at t, or None when the state's key is a
         recorded dead state."""
         key = None
-        dead = self.ctx.dead
+        dead = self.dead
         if dead is not None:
             key = self._key(t)
             if key in dead:
@@ -752,8 +740,8 @@ class _Search:
         placement past that is counted as a node, sets `starved`, and the
         branch is abandoned, its frames unwound to the root without being
         recorded, since they did not run out."""
-        ctx = self.ctx
-        target, dead, budget = ctx.target, ctx.dead, ctx.budget
+        target, dead, budget = self.target, self.dead, self.budget
+        code_bits = self.code_bits
         path = self.path
         frames = [self._open(0)]
         while True:
@@ -778,9 +766,9 @@ class _Search:
                 continue
             job, subset, mask = step
             self._place(job, subset, t, mask)
-            if len(path) == ctx.n:
+            if len(path) == self.n:
                 return self._snapshot()
-            t = min(self.free)
+            t = min(self.cells) >> code_bits
             frame = self._open(t) if t < target else None
             if frame is None:
                 self._unplace()
@@ -819,7 +807,8 @@ def decide_target(
     dead-state table is shared by all root branches.  With `contiguous`
     the machine set of every job must be an interval, matching the
     strip-packing reading.
-    A budget below 1 is refused with ValueError.
+    A budget below 1 is refused with ValueError; a balanced instance of
+    more than `MAX_MACHINES` machines is refused before any search state.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 node, not {budget}")
@@ -850,8 +839,18 @@ def decide_target(
         )
     if not inst.jobs:
         return Decision("witness", Schedule(starts={}, machines={}), 0)
+    if m > MAX_MACHINES:
+        return Decision(
+            "refused",
+            None,
+            0,
+            reason=(
+                f"too-many-machines: {m} machines exceed the {MAX_MACHINES} "
+                "this search keeps per-machine state for"
+            ),
+        )
 
-    search = _Search(_Context(inst, target, contiguous, rules, budget))
+    search = _Search(inst, target, contiguous, rules, budget)
     witness = search.search()
     nodes, prunes = search.nodes, dict(search.prunes)
 

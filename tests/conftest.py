@@ -131,23 +131,33 @@ def count_before(
 _SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _scan_order(ctx):
+def _scan_order(search):
     """The jobs in (-q, -p, id) order, and each job's closest smaller id
     with the same (p, q, tag) when the symmetry rule is on; once per
     decision."""
-    if ctx in _SCAN_ORDERS:
-        return _SCAN_ORDERS[ctx]
-    inst = ctx.inst
+    if search in _SCAN_ORDERS:
+        return _SCAN_ORDERS[search]
+    inst = search.inst
     pred, latest = {}, {}
-    if ctx.rules.symmetry:
+    if search.rules.symmetry:
         for j in sorted(inst.jobs, key=lambda j: j.id):
             key = (j.p, j.q, j.tag)
             if key in latest:
                 pred[j.id] = latest[key]
             latest[key] = j.id
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
-    _SCAN_ORDERS[ctx] = order, pred
+    _SCAN_ORDERS[search] = order, pred
     return order, pred
+
+
+def path_free_times(search) -> list[int]:
+    """Each machine's free time, the latest end of the jobs on the search's
+    path that run on it, read from the path alone."""
+    free = [0] * search.m
+    for job, subset, start, *_ in search.path:
+        for m in subset:
+            free[m] = max(free[m], start + job.p)
+    return free
 
 
 def reference_candidates(search, t: int):
@@ -163,13 +173,13 @@ def reference_candidates(search, t: int):
     """
     from gadgetforge.solver import _FWD, _MIR, _reach_at
 
-    ctx = search.ctx
-    order, pred = _scan_order(ctx)
+    order, pred = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
     remaining = {j.id for j in order} - set(starts)
-    eq = ctx.eq
-    avail = tuple(m for m in range(ctx.m) if search.free[m] == t)
-    room = ctx.target - t
+    eq = search.eq
+    avail = tuple(m for m, end in enumerate(path_free_times(search)) if end == t)
+    placed = Counter(job.tag for job, *_ in search.path)
+    room = search.target - t
     counts = Counter()
     chains = None
     out = []
@@ -196,16 +206,16 @@ def reference_candidates(search, t: int):
                 lo, hi = eq.gamma_mir[jid]
                 mask &= bits | (_MIR if lo <= t <= hi else 0)
             else:
-                k = search.fam_count[job.tag]
+                k = placed[job.tag]
                 mask &= (_FWD if eq.fam_fwd[job.tag][k] == t else 0) | (
                     _MIR if eq.fam_mir[job.tag][k] == t else 0
                 )
                 if mask and job.tag in CHECKPOINT_TAGS:
                     if chains is None:
                         fin = Counter(
-                            ctx.inst.by_id[i].tag
+                            search.inst.by_id[i].tag
                             for i, s in starts.items()
-                            if s + ctx.inst.by_id[i].p <= t
+                            if s + search.inst.by_id[i].p <= t
                         )
                         chains = {
                             tag
@@ -218,10 +228,10 @@ def reference_candidates(search, t: int):
             if not mask:
                 counts["equations"] += 1
                 continue
-        for subset in ctx.subsets(avail, job.q):
+        for subset in search.subsets(avail, job.q):
             if search.acc is not None:
-                headroom = ctx.coeff.guarded - ctx.coeff.rows[jid]
-                guards = ctx.coeff.guards
+                headroom = search.coeff.guarded - search.coeff.rows[jid]
+                guards = search.coeff.guards
                 if any((headroom - search.acc[m]) & guards != guards for m in subset):
                     counts["coeff-budget"] += 1
                     continue

@@ -286,6 +286,27 @@ def test_decide_work_mismatch_exits(workspace):
     assert json.loads(under.stdout)["outcome"] == "refused"
 
 
+def test_decide_refuses_too_many_machines(tmp_path, monkeypatch):
+    # one job as wide as a billion machines is balanced at W = 1; it is
+    # refused before the solver builds any per-machine state
+    from gadgetforge import solver
+
+    def no_search(*args):
+        raise AssertionError("a search was built")
+
+    monkeypatch.setattr(solver, "_Search", no_search)
+    m = 10**9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "m": m, "z": 0, "D": "0", "W": "1",
+        "jobs": [{"id": "J0", "p": "1", "q": m, "tag": "J"}],
+    }))
+    result = run("decide", "--inst", str(path), "--target-w")
+    assert result.exit_code == 2
+    assert json.loads(result.stdout)["outcome"] == "refused"
+    assert f"too-many-machines: {m} machines exceed" in result.stderr
+
+
 def test_decide_budget_exit_three(workspace):
     result = run("decide", "--inst", str(workspace / "inst.json"),
                  "--target-w", "--budget", "3")

@@ -22,7 +22,7 @@ from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
 from gadgetforge.threepartition import SearchBudgetExceeded, gen_no, gen_yes
 
-from conftest import reference_candidates
+from conftest import path_free_times, reference_candidates
 
 
 def generic(dims, m=4):
@@ -115,6 +115,27 @@ def test_work_is_compared_with_m_times_the_target():
         "work-underflow: total work 20 is below 1000000000*5;"
     )
     assert huge.nodes == 0
+
+
+def test_a_balanced_instance_with_too_many_machines_is_refused(monkeypatch):
+    # One job as wide as m machines is balanced at target 1.  Above the
+    # limit the refusal comes before the search builds any per-machine
+    # state; at the limit the search is reached.
+    def no_search(*args):
+        raise AssertionError("a search was built")
+
+    monkeypatch.setattr(solver, "_Search", no_search)
+    top = solver.MAX_MACHINES
+    for m in (top + 1, 10**9):
+        huge = decide_target(generic([(1, m)], m=m), 1)
+        assert huge.outcome == "refused"
+        assert huge.reason == (
+            f"too-many-machines: {m} machines exceed the {top} "
+            "this search keeps per-machine state for"
+        )
+        assert huge.nodes == 0
+    with pytest.raises(AssertionError, match="a search was built"):
+        decide_target(generic([(1, top)], m=top), 1)
 
 
 def test_empty_instance_is_trivially_witnessed():
@@ -463,13 +484,13 @@ def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
     inst, target = _at_w(gen_no(2, 3))
     full = {c: decide_target(inst, target, c).nodes for c in (False, True)}
     tables = []
-    init = solver._Context.__init__
+    init = solver._Search.__init__
 
-    def keep_table(ctx, *args):
-        init(ctx, *args)
-        tables.append(ctx.dead)
+    def keep_table(search, *args):
+        init(search, *args)
+        tables.append(search.dead)
 
-    monkeypatch.setattr(solver._Context, "__init__", keep_table)
+    monkeypatch.setattr(solver._Search, "__init__", keep_table)
     monkeypatch.setattr(solver, "DEAD_STATE_CAP", 5)
     for contiguous in (False, True):
         capped = decide_target(inst, target, contiguous)
@@ -525,9 +546,9 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
         ]
         assert +added == counts
         seen["nodes"] += 1
-        seen["interleave"] += search.ctx.interleave
-        seen["equations"] += search.ctx.eq is not None
-        seen["coeff"] += search.ctx.coeff is not None
+        seen["interleave"] += search.interleave
+        seen["equations"] += search.eq is not None
+        seen["coeff"] += search.coeff is not None
         return out
 
     monkeypatch.setattr(solver._Search, "_candidates", both)
@@ -546,12 +567,12 @@ def test_count_chains_count_each_running_job_once():
     # when a chain is read.
     rng = random.Random("chain-cells")
     inst, target = _at_w(gen_yes(2, 1)[0])
-    ctx = solver._Context(inst, target, False, PruneRules(), 1)
     wide_running = 0
     for _ in range(40):
-        search = solver._Search(ctx)
+        search = solver._Search(inst, target, False, PruneRules(), 1)
         while True:
-            t = min(search.free)
+            free = path_free_times(search)
+            t = min(free)
             fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
             assert search._chains_holding(t) == {
                 tag
@@ -562,10 +583,10 @@ def test_count_chains_count_each_running_job_once():
                 j.tag in CHECKPOINT_TAGS and j.q > 1 and s + j.p > t
                 for j, _, s, *_ in search.path
             )
-            idle = [m for m in range(ctx.m) if search.free[m] == t]
+            idle = [m for m, end in enumerate(free) if end == t]
             jobs = [
                 js[k]
-                for js, k in zip(ctx.members, search.taken)
+                for js, k in zip(search.members, search.taken)
                 if k < len(js) and js[k].q <= len(idle) and js[k].p <= target - t
             ]
             if not jobs:
@@ -574,6 +595,49 @@ def test_count_chains_count_each_running_job_once():
             subset = tuple(sorted(rng.sample(idle, job.q)))
             search._place(job, subset, t, search.orient)
     assert wide_running
+
+
+UNDO_CASES = {
+    "no(2,3)": lambda: _at_w(gen_no(2, 3)),
+    "trap33": lambda: digit_trap_instance(33),
+}
+
+
+@pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
+@pytest.mark.parametrize(
+    "case, rules, budget, starved",
+    [
+        ("no(2,3)", PruneRules(), 10**6, False),
+        ("no(2,3)", PruneRules(), 30, True),
+        ("no(2,3)", PruneRules(equations=False), 30, True),
+        ("no(2,3)", PruneRules(symmetry=False), 30, True),
+        ("trap33", PruneRules(), 10**6, False),
+        ("trap33", PruneRules(), 30, True),
+        ("trap33", PruneRules(symmetry=False), 10**6, False),
+    ],
+    ids=[
+        "proved-none", "budget-exceeded", "equations-off", "symmetry-off",
+        "trap-proved-none", "trap-budget-exceeded", "trap-symmetry-off",
+    ],
+)
+def test_a_search_without_a_witness_undoes_every_placement(
+    case, rules, budget, starved, contiguous
+):
+    # Every placement is taken back exactly: a search that returns without
+    # a witness leaves the state of a freshly built one.
+    inst, target = UNDO_CASES[case]()
+    search = solver._Search(inst, target, contiguous, rules, budget)
+    assert search.search() is None
+    assert search.starved == starved
+    assert search.nodes > 0
+    # the digit sums are kept exactly where the equation tables are not
+    assert (search.acc is None) == (search.eq is not None)
+    fresh = solver._Search(inst, target, contiguous, rules, budget)
+    for name in (
+        "cells", "rem_mask", "taken", "placed", "live", "left", "orient", "acc",
+    ):
+        assert getattr(search, name) == getattr(fresh, name), name
+    assert search.path == []
 
 
 def test_a_budget_below_one_is_refused():
