@@ -34,6 +34,7 @@ from .schedule import (  # NotTargetMakespan is re-exported
     Schedule,
     finished_by_index,
     mirror,
+    require,
     swap_after,
     verify,
 )
@@ -463,7 +464,10 @@ def extract_partition(
         partition = _read_partition(inst, sched, m1, m4)
     except LemmaViolation as violation:
         raise RefutationCertificate(violation, events) from violation
-    assert validate_partition(inst3p, partition) == []
+    require(
+        "the extracted partition",
+        (not validate_partition(inst3p, partition), "a 3-Partition witness"),
+    )
     events.append({"stage": "gap-readout", "event": "ok"})
     return partition, ExtractionTrace(
         mirrored=mirrored, events=tuple(events), partition=partition

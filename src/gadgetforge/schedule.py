@@ -236,6 +236,16 @@ def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
     )
 
 
+def require(what: str, *checks: tuple[bool, str]) -> None:
+    """Raise RuntimeError naming the first property that a result about to
+    be returned fails on re-verification.  A raise, not an assert:
+    ``python -O`` strips asserts, and an unverified result would then be
+    returned."""
+    for ok, name in checks:
+        if not ok:
+            raise RuntimeError(f"{what} fails re-verification: not {name}")
+
+
 def finished_by_index(
     inst: SchedulingInstance, sched: Schedule
 ) -> Callable[..., int]:

@@ -22,8 +22,8 @@ effect can be measured:
   is not active for the decision (see below).
 * ``equations``   - on reduction instances searched at their own target,
   enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
-  positions (forward or mirrored, tracked as a shrinking orientation set)
-  that every feasible target schedule satisfies.
+  positions of the forward direction, the one in which a B job opens the
+  schedule (see "Forward only" below).
 * ``dead_states`` - remember every search state whose subtree was
   exhausted without a witness, under a key that is canonical up to machine
   symmetry, and cut any later branch that reaches an equal key (see "Dead
@@ -39,7 +39,7 @@ start there together with each machine set it could take.  A job that
 cannot is counted as a prune of the first rule that rejects it: no-fit when
 it is wider than the idle machines or longer than the room T - t left,
 symmetry when an identical job with a smaller id is still unplaced,
-equations when no orientation's forced positions allow t, and coeff-budget
+equations when the forward forced positions do not allow t, and coeff-budget
 once per machine set whose digit sums it would overflow.
 
 The scan visits classes, not jobs.  A class is a set of identical jobs under
@@ -65,16 +65,13 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   id prefix holds for every unplaced member but the first;
 * the equation rule settles a family in one step where it is family-wide.
   A pinned family (every tag but gamma and P) forces its k-th placement to
-  one start per orientation, so it tests that start and its count chain
-  once for all its classes.  A value job (P) placed at t keeps orientation
-  o exactly when t + p <= end_o, the latest end of a gap that starts by t
-  in o (t itself when none does, see `_gap_reach`), so its mask is nonzero
-  exactly when p is at most the gap reach minus t, the reach being the
-  largest end_o over the orientations still in the mask.  The value
-  family is walked from its shortest class up until one overshoots that
-  bound, and the classes left count as equations in bulk; as every end_o
-  is below T, a class within the bound also fits the room.  Each gamma
-  job is checked against its own window;
+  one start, so it tests that start and its count chain once for all its
+  classes.  A value job (P) placed at t must end by the gap reach at t, the
+  latest end of a gap that starts by t (t itself when none does, see
+  `_gap_reach`).  The value family is walked from its shortest class up
+  until one overshoots that bound, and the classes left count as equations
+  in bulk; as every gap ends below T, a class within the bound also fits
+  the room.  Each gamma job is checked against its own window;
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -91,6 +88,20 @@ them in LIFO order, so a placed job is never visited again.  At a node:
 * prunes are tallied in local counters and added to the decision once per
   node, so a rule that never fires leaves no key behind.
 
+Forward only.  Under the equation tables the search keeps only schedules
+in the forward direction, where a B job opens the schedule: every job but
+gamma and P starts at its forced start, each gamma job inside its window
+and each value job inside a gap.  This loses no answer.  Every target
+schedule meets these conditions either as stated or mirrored, with each
+start s read as W - s - p for a job of length p.  `schedule.mirror` maps a
+zero-idle makespan-W schedule S to another such schedule mirror(S), whose
+job of start s starts at W - s - p on the same machines, so contiguity is
+kept, and S meets the mirrored conditions exactly when mirror(S) meets the
+forward ones.  The count chains hold in every forward target schedule.  So
+a target schedule exists exactly when a forward one does, and a search
+that covers every forward zero-idle schedule proves none only when none
+exists.
+
 The ``coeff_budget`` rule is evaluated only when the equation tables are
 inactive.  Dropping a sound rule can never change the outcome of a finished
 search: a witness is re-verified from scratch and a proved-none still
@@ -106,8 +117,8 @@ frame of candidates ran out: its subtree held no witness.  Nothing is
 recorded for the frames a budget hit abandons or on the path to a witness,
 since those frames never run out, nor for the root, after which the search
 ends.  A placement that reaches a recorded key is counted as a node, undone
-and tallied as a ``dead-state`` prune.  The key is one int packing the remaining-job
-bitmask, the orientation mask and one cell per machine: its free time and,
+and tallied as a ``dead-state`` prune.  The key is one int packing the
+remaining-job bitmask and one cell per machine: its free time and,
 for a machine still busy at t (the earliest free instant), a small code of
 the (tag, q) of the job running on it.  Plain searches sort the cells;
 contiguous searches take the smaller of the cell list and its reflection
@@ -115,8 +126,8 @@ k <-> m+1-k.  The table stops growing at `DEAD_STATE_CAP` entries, which
 only loses prunes.  Why an equal key means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
-   read the free times, the remaining set, the orientation mask, the
-   placed counts of each class and family, the unplaced counts per width
+   read the free times, the remaining set, the placed counts of each class
+   and family, the unplaced counts per width
    and the live lists (all functions of the remaining set), the machines'
    digit sums and, through the count chains, the finished counts by tag.
    A finished count is the placed count (fixed by the remaining set)
@@ -142,12 +153,12 @@ only loses prunes.  Why an equal key means an equal verdict:
    table was filled) and the symmetry rule is complete (a zero-idle
    completion can be relabelled over the machines idle at t and over the
    remaining identical jobs, which always form an id suffix), so the
-   subtree of a state runs out exactly when no zero-idle completion that
-   keeps the forced starts of an orientation in the mask exists.  Permuting
-   the machines of a prefix and of its completions (plain) or reflecting
-   them (contiguous, where intervals stay intervals) maps completions onto
-   completions, so deadness is invariant under the permutations the
-   canonical key forgets.  A state whose canonical key was recorded thus
+   subtree of a state runs out exactly when no zero-idle completion exists
+   that meets the forward conditions of the equation rule, when it is on.
+   Permuting the machines of a prefix and of its completions (plain) or
+   reflecting them (contiguous, where intervals stay intervals) keeps every
+   start and maps completions onto completions, so deadness is invariant
+   under the permutations the canonical key forgets.  A state whose canonical key was recorded thus
    has the raw key of some image of a dead state, and by 1 that image's
    subtree, like the dead one's, holds no witness.
 3. A cut removes only subtrees without a witness, and the search is
@@ -189,7 +200,7 @@ from .reduction import (
     partition_gaps,
     recognize,
 )
-from .schedule import Schedule, verify
+from .schedule import Schedule, require, verify
 from .threepartition import DEFAULT_BUDGET, SearchBudgetExceeded
 
 # entries of the dead-state table; past it the table stops inserting
@@ -199,9 +210,6 @@ DEAD_STATE_CAP = 1 << 22
 # list per machine, so a larger m (one job can balance any m) is refused
 # before any of them is built.  The paper's question has 4.
 MAX_MACHINES = 1 << 10
-
-_FWD = 1
-_MIR = 2
 
 # how a family of classes is tested at a node: no equation rule, a forced
 # start per placement, a gap of value jobs, a window per gamma job
@@ -310,7 +318,7 @@ def _gap_reach(gaps) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _EquationTables:
-    """Forced start positions of a reduction instance, both orientations.
+    """Forced start positions of a reduction instance, forward direction.
 
     Jobs with pinned starts are grouped by family: the k-th family member
     placed (placements happen in nondecreasing time) must start at the k-th
@@ -318,38 +326,21 @@ class _EquationTables:
     membership checks, which is weaker but still sound.
     """
 
-    fam_fwd: Mapping[str, tuple[int, ...]]
-    fam_mir: Mapping[str, tuple[int, ...]]
-    gamma_fwd: Mapping[str, tuple[int, int]]
-    gamma_mir: Mapping[str, tuple[int, int]]
-    gaps_fwd: tuple[tuple[int, ...], tuple[int, ...]]
-    gaps_mir: tuple[tuple[int, ...], tuple[int, ...]]
+    pinned: Mapping[str, tuple[int, ...]]
+    windows: Mapping[str, tuple[int, int]]
+    gaps: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _equation_tables(inst: SchedulingInstance) -> _EquationTables | None:
     if recognize(inst) is None:
         return None
-    W = inst.W
-    pinned = forced_starts(inst)
-    fwd: dict[str, list[int]] = {}
-    mir: dict[str, list[int]] = {}
-    for job_id, s in pinned.items():
-        job = inst.by_id[job_id]
-        fwd.setdefault(job.tag, []).append(s)
-        mir.setdefault(job.tag, []).append(W - s - job.p)
-    gamma_fwd, gamma_mir = {}, {}
-    for j in inst.tagged("gamma"):
-        lo, hi = gamma_window(inst, j.index)
-        gamma_fwd[j.id] = (lo, hi)
-        gamma_mir[j.id] = (W - hi - j.p, W - lo - j.p)
-    gaps = partition_gaps(inst)
+    pinned: dict[str, list[int]] = {}
+    for job_id, s in forced_starts(inst).items():
+        pinned.setdefault(inst.by_id[job_id].tag, []).append(s)
     return _EquationTables(
-        fam_fwd={k: tuple(sorted(v)) for k, v in fwd.items()},
-        fam_mir={k: tuple(sorted(v)) for k, v in mir.items()},
-        gamma_fwd=gamma_fwd,
-        gamma_mir=gamma_mir,
-        gaps_fwd=_gap_reach(gaps),
-        gaps_mir=_gap_reach((W - hi, W - lo) for lo, hi in gaps),
+        pinned={k: tuple(sorted(v)) for k, v in pinned.items()},
+        windows={j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
+        gaps=_gap_reach(partition_gaps(inst)),
     )
 
 
@@ -403,7 +394,6 @@ class _Search:
         self.nodes = 0
         self.starved = False
         self.prunes: Counter[str] = Counter()
-        self.orient = _FWD | _MIR
         # packed per-machine digit sums, see _CoeffTables
         self.acc = [0] * self.m if self.coeff else None
         # per machine, its free time and the (tag, q) code of its last job
@@ -521,18 +511,17 @@ class _Search:
                 holding.add(tag)
         return holding
 
-    def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...], int]]:
-        """(job, machine set, orientation mask) for every placement at t, in
-        (-q, -p, id) order.  A rejected job counts as a prune of the first
-        rule that rejects it: no-fit, symmetry, equations, and coeff-budget
-        once per machine set."""
+    def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
+        """(job, machine set) for every placement at t, in (-q, -p, id)
+        order.  A rejected job counts as a prune of the first rule that
+        rejects it: no-fit, symmetry, equations, and coeff-budget once per
+        machine set."""
         cells = self.cells
         # t is the earliest free instant, so free at t means free by t
         busy = t + 1 << self.code_bits
         avail = tuple([m for m in range(self.m) if cells[m] < busy])
         width = len(avail)
         room = self.target - t
-        orient = self.orient
         taken = self.taken
         lives = self.live
         members = self.members
@@ -558,68 +547,46 @@ class _Search:
             if i == n:
                 continue
             if kind == _PINNED:
-                # the orientations whose forced positions allow t
-                k = self.placed[f]
-                mask = orient & (
-                    (_FWD if eq.fam_fwd[tag][k] == t else 0)
-                    | (_MIR if eq.fam_mir[tag][k] == t else 0)
-                )
-                if mask and tag in CHAIN_TERMS:
+                ok = eq.pinned[tag][self.placed[f]] == t
+                if ok and tag in CHAIN_TERMS:
                     if chains is None:
                         chains = self._chains_holding(t)
-                    if tag not in chains:
-                        mask = 0
-                if not mask:
+                    ok = tag in chains
+                if not ok:
                     equations += n - i
                     continue
             elif kind == _VALUE:
-                # latest end a value job starting at t may reach, per
-                # orientation; from the shortest job up, until one overshoots
-                end_fwd = _reach_at(eq.gaps_fwd, t) if orient & _FWD else t
-                end_mir = _reach_at(eq.gaps_mir, t) if orient & _MIR else t
-                reach = max(end_fwd, end_mir) - t
+                # the latest end a value job starting at t may reach; from
+                # the shortest job up, until one overshoots
+                reach = _reach_at(eq.gaps, t) - t
                 j = n
                 while j > i and cls_p[live[j - 1]] <= reach:
                     j -= 1
                 equations += j - i
-                if j < n:
-                    emitters += 1
-                    subsets = self.subsets(avail, q)
-                    for c in live[j:]:
-                        end = t + cls_p[c]
-                        mask = (_FWD if end <= end_fwd else 0) | (
-                            _MIR if end <= end_mir else 0
-                        )
-                        job = members[c][taken[c]]
-                        for subset in subsets:
-                            add((job, subset, mask))
-                continue
+                i = j
+                if i == n:
+                    continue
             elif kind == _WINDOW:
                 subsets = None
                 for c in live[i:]:
                     job = members[c][taken[c]]
-                    lo, hi = eq.gamma_fwd[job.id]
-                    bits = _FWD if lo <= t <= hi else 0
-                    lo, hi = eq.gamma_mir[job.id]
-                    mask = orient & (bits | (_MIR if lo <= t <= hi else 0))
-                    if not mask:
+                    lo, hi = eq.windows[job.id]
+                    if not lo <= t <= hi:
                         equations += 1
                         continue
                     if subsets is None:
                         emitters += 1
                         subsets = self.subsets(avail, q)
                     for subset in subsets:
-                        add((job, subset, mask))
+                        add((job, subset))
                 continue
-            else:
-                mask = orient
             emitters += 1
             subsets = self.subsets(avail, q)
             if acc is None:
                 for c in live[i:]:
                     job = members[c][taken[c]]
                     for subset in subsets:
-                        add((job, subset, mask))
+                        add((job, subset))
                 continue
             # digit sums that stay within the target's, see _CoeffTables
             guarded, guards = self.coeff.guarded, self.coeff.guards
@@ -633,7 +600,7 @@ class _Search:
                             coeff += 1
                             break
                     else:
-                        add((job, subset, mask))
+                        add((job, subset))
         if self.interleave or (emitters > 1 and eq is not None):
             rank = self.rank
             out.sort(key=lambda cand: rank[cand[0].id])
@@ -651,7 +618,7 @@ class _Search:
 
     # ----- state transitions -----
 
-    def _place(self, job, subset, t, mask):
+    def _place(self, job, subset, t):
         rec = self.rec[job.id]
         c, f, full, bit, code, row = rec
         # job is the first unplaced member of class c
@@ -669,17 +636,14 @@ class _Search:
         cell = t + job.p << self.code_bits | code
         for m in subset:
             cells[m] = cell
-        # without the equation tables every mask is the full orientation set
-        old_mask = self.orient
-        self.orient = mask
         if self.acc is not None:
             for m in subset:
                 self.acc[m] += row
         self.rem_mask ^= bit
-        self.path.append((job, subset, t, rec, pos, old_mask, old_cells))
+        self.path.append((job, subset, t, rec, pos, old_cells))
 
     def _unplace(self):
-        job, subset, _, rec, pos, self.orient, self.cells = self.path.pop()
+        job, subset, _, rec, pos, self.cells = self.path.pop()
         c, f, _, bit, _, row = rec
         self.taken[c] -= 1
         if pos is not None:
@@ -710,7 +674,7 @@ class _Search:
             cells.sort()
         elif cells[::-1] < cells:
             cells.reverse()
-        packed = self.rem_mask << 2 | self.orient
+        packed = self.rem_mask
         for c in cells:
             packed = packed << self.cell_bits | c
         return packed
@@ -764,8 +728,8 @@ class _Search:
                 while path:
                     self._unplace()
                 continue
-            job, subset, mask = step
-            self._place(job, subset, t, mask)
+            job, subset = step
+            self._place(job, subset, t)
             if len(path) == self.n:
                 return self._snapshot()
             t = min(self.cells) >> code_bits
@@ -774,16 +738,6 @@ class _Search:
                 self._unplace()
             else:
                 frames.append(frame)
-
-
-def _require(*checks: tuple[bool, str]) -> None:
-    """Raise RuntimeError naming the first property that a schedule about
-    to be returned fails on re-verification.  A raise, not an assert:
-    ``python -O`` strips asserts, and an unverified schedule would then be
-    returned."""
-    for ok, name in checks:
-        if not ok:
-            raise RuntimeError(f"the schedule found fails re-verification: not {name}")
 
 
 def decide_target(
@@ -856,7 +810,8 @@ def decide_target(
 
     if witness is not None:
         report = verify(inst, witness)
-        _require(
+        require(
+            "the schedule found",
             (report.feasible, "feasible"),
             (report.makespan == target, f"makespan {target}"),
             (report.idle == 0, "zero idle"),
@@ -889,8 +844,12 @@ def optimize_small(
     machines; some order always greedily replays an optimal schedule, so
     the minimum over orders is exact.  States are memoized on (remaining
     jobs, load profile relative to its minimum).  Raises
-    SearchBudgetExceeded when the order tree outgrows `budget` expansions.
+    SearchBudgetExceeded when the order tree outgrows `budget` expansions,
+    and ValueError for more than 8 jobs or `MAX_MACHINES` machines, before
+    any per-machine state is built.
     """
+    if m > MAX_MACHINES:
+        raise ValueError(f"optimize_small handles at most {MAX_MACHINES} machines")
     jobs = tuple(jobs)
     check_jobs(jobs, m)
     if len(jobs) > 8:
@@ -963,5 +922,9 @@ def optimize_small(
 
     sched = Schedule(starts=starts, machines=machines)
     report = verify(SchedulingInstance(m=m, z=0, D=0, W=opt, jobs=jobs), sched)
-    _require((report.feasible, "feasible"), (report.makespan == opt, f"makespan {opt}"))
+    require(
+        "the schedule found",
+        (report.feasible, "feasible"),
+        (report.makespan == opt, f"makespan {opt}"),
+    )
     return opt, sched

@@ -21,7 +21,7 @@ from .reduction import (
     recognize,
     recover_values,
 )
-from .schedule import Schedule, verify
+from .schedule import Schedule, require, verify
 from .strip import Packing, schedule_to_packing
 from .threepartition import Partition, validate_partition
 
@@ -95,10 +95,14 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
         assert placed, "no placeable job; sequences are inconsistent"
         remaining -= placed
 
-    assert len(set(clock.values())) == 1 and clock[1] == inst.W
     sched = Schedule(starts=starts, machines=homes)
     report = verify(inst, sched)
-    assert report.feasible and report.makespan == inst.W and report.idle == 0
+    require(
+        "the synthesized schedule",
+        (report.feasible, "feasible"),
+        (report.makespan == inst.W, f"makespan {inst.W}"),
+        (report.idle == 0, "zero idle"),
+    )
     return sched
 
 

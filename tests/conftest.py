@@ -168,10 +168,10 @@ def reference_candidates(search, t: int):
     Each job is rejected by the first rule that rejects it: no-fit when it
     is wider than the idle machines or longer than the room left, symmetry
     when the next smaller id with the same (p, q, tag) is still unplaced,
-    equations when no orientation's forced positions allow t, and
+    equations when the forward forced positions do not allow t, and
     coeff-budget once per machine set whose digit sums it would overflow.
     """
-    from gadgetforge.solver import _FWD, _MIR, _reach_at
+    from gadgetforge.solver import _reach_at
 
     order, pred = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
@@ -193,24 +193,15 @@ def reference_candidates(search, t: int):
         if pred.get(jid) in remaining:
             counts["symmetry"] += 1
             continue
-        mask = search.orient
         if eq is not None:
             if job.tag == "P":
-                end = t + job.p
-                mask &= (_FWD if end <= _reach_at(eq.gaps_fwd, t) else 0) | (
-                    _MIR if end <= _reach_at(eq.gaps_mir, t) else 0
-                )
+                ok = t + job.p <= _reach_at(eq.gaps, t)
             elif job.tag == "gamma":
-                lo, hi = eq.gamma_fwd[jid]
-                bits = _FWD if lo <= t <= hi else 0
-                lo, hi = eq.gamma_mir[jid]
-                mask &= bits | (_MIR if lo <= t <= hi else 0)
+                lo, hi = eq.windows[jid]
+                ok = lo <= t <= hi
             else:
-                k = placed[job.tag]
-                mask &= (_FWD if eq.fam_fwd[job.tag][k] == t else 0) | (
-                    _MIR if eq.fam_mir[job.tag][k] == t else 0
-                )
-                if mask and job.tag in CHECKPOINT_TAGS:
+                ok = eq.pinned[job.tag][placed[job.tag]] == t
+                if ok and job.tag in CHECKPOINT_TAGS:
                     if chains is None:
                         fin = Counter(
                             search.inst.by_id[i].tag
@@ -223,9 +214,8 @@ def reference_candidates(search, t: int):
                             if len(set(chain_values(tag, fin.__getitem__).values()))
                             == 1
                         }
-                    if job.tag not in chains:
-                        mask = 0
-            if not mask:
+                    ok = job.tag in chains
+            if not ok:
                 counts["equations"] += 1
                 continue
         for subset in search.subsets(avail, job.q):
@@ -235,5 +225,5 @@ def reference_candidates(search, t: int):
                 if any((headroom - search.acc[m]) & guards != guards for m in subset):
                     counts["coeff-budget"] += 1
                     continue
-            out.append((job, subset, mask))
+            out.append((job, subset))
     return out, counts

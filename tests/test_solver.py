@@ -17,6 +17,8 @@ from gadgetforge.reduction import (
     SchedulingInstance,
     build_jobs,
     chain_values,
+    forced_starts,
+    gamma_window,
 )
 from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
@@ -298,18 +300,18 @@ PINNED_RUNS = {
     "run, dead_states, outcome, nodes, prunes",
     [
         pytest.param(
-            "no(2,3)-contiguous", False, "proved-none", 73_260,
-            {"equations": 427_705, "no-fit": 646_836, "symmetry": 65_202},
+            "no(2,3)-contiguous", False, "proved-none", 36_638,
+            {"equations": 194_733, "no-fit": 292_910, "symmetry": 27_518},
             id="no(2,3)-contiguous",
         ),
         pytest.param(
             "yes(16,0)", False, "witness", 751,
-            {"equations": 39_677, "no-fit": 36_062, "symmetry": 16_037},
+            {"equations": 39_679, "no-fit": 36_062, "symmetry": 16_037},
             id="yes(16,0)",
         ),
         pytest.param(
-            "yes(16,3)-budget-1000", False, "budget-exceeded", 4_004,
-            {"equations": 201_589, "no-fit": 180_710, "symmetry": 82_170},
+            "yes(16,3)-budget-1000", False, "budget-exceeded", 2_002,
+            {"equations": 103_821, "no-fit": 98_164, "symmetry": 40_048},
             id="yes(16,3)-budget-1000",
         ),
         pytest.param(
@@ -330,35 +332,35 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,3)-symmetry-off-budget-100", False, "budget-exceeded",
-            10_504,
-            {"equations": 1_173_361, "no-fit": 750_664},
+            5_252,
+            {"equations": 580_617, "no-fit": 416_958},
             id="yes(16,3)-symmetry-off-budget-100",
         ),
         pytest.param(
             "yes(2,0)-contiguous-symmetry-off", False, "witness", 4_771,
-            {"equations": 30_135, "no-fit": 36_820},
+            {"equations": 30_139, "no-fit": 36_820},
             id="yes(2,0)-contiguous-symmetry-off",
         ),
         pytest.param(
-            "yes(1,0)-contiguous-budget-30", False, "witness", 79,
-            {"equations": 377, "no-fit": 201, "symmetry": 12},
+            "yes(1,0)-contiguous-budget-30", False, "witness", 50,
+            {"equations": 245, "no-fit": 115, "symmetry": 9},
             id="yes(1,0)-contiguous-budget-30",
         ),
         pytest.param(
-            "no(2,3)-contiguous", True, "proved-none", 9_392,
-            {"dead-state": 4_910, "equations": 26_505, "no-fit": 41_898,
-             "symmetry": 4_441},
+            "no(2,3)-contiguous", True, "proved-none", 2_987,
+            {"dead-state": 1_771, "equations": 6_480, "no-fit": 9_685,
+             "symmetry": 1_072},
             id="no(2,3)-contiguous-table",
         ),
         pytest.param(
             "yes(16,0)", True, "witness", 751,
-            {"equations": 39_677, "no-fit": 36_062, "symmetry": 16_037},
+            {"equations": 39_679, "no-fit": 36_062, "symmetry": 16_037},
             id="yes(16,0)-table",
         ),
         pytest.param(
-            "yes(16,3)-budget-1000", True, "budget-exceeded", 4_004,
-            {"dead-state": 1_352, "equations": 116_690, "no-fit": 100_973,
-             "symmetry": 51_145},
+            "yes(16,3)-budget-1000", True, "budget-exceeded", 2_002,
+            {"dead-state": 624, "equations": 61_593, "no-fit": 56_065,
+             "symmetry": 25_509},
             id="yes(16,3)-budget-1000-table",
         ),
         pytest.param(
@@ -381,18 +383,18 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,3)-symmetry-off-budget-100", True, "budget-exceeded",
-            10_504,
-            {"dead-state": 3_930, "equations": 725_339, "no-fit": 466_497},
+            5_252,
+            {"dead-state": 1_107, "equations": 457_081, "no-fit": 326_993},
             id="yes(16,3)-symmetry-off-budget-100-table",
         ),
         pytest.param(
             "yes(2,0)-contiguous-symmetry-off", True, "witness", 681,
-            {"dead-state": 413, "equations": 1_784, "no-fit": 1_846},
+            {"dead-state": 413, "equations": 1_788, "no-fit": 1_846},
             id="yes(2,0)-contiguous-symmetry-off-table",
         ),
         pytest.param(
-            "yes(1,0)-contiguous-budget-30", True, "witness", 79,
-            {"dead-state": 13, "equations": 334, "no-fit": 178, "symmetry": 12},
+            "yes(1,0)-contiguous-budget-30", True, "witness", 50,
+            {"dead-state": 6, "equations": 225, "no-fit": 106, "symmetry": 9},
             id="yes(1,0)-contiguous-budget-30-table",
         ),
     ],
@@ -422,6 +424,41 @@ def test_a_later_root_branch_answers_after_an_earlier_one_starves():
         )
         assert capped.outcome == "witness"
         assert capped.schedule.to_json() != free.schedule.to_json()
+
+
+@pytest.mark.parametrize(
+    "z, seed, contiguous, budget",
+    [
+        pytest.param(1, 0, True, 30, id="yes(1,0)-contiguous-budget-30"),
+        *(
+            pytest.param(z, s, c, None, id=f"yes({z},{s}){'-contiguous' * c}")
+            for z, s, c in [
+                (1, 0, False), (2, 1, False), (6, 0, False),
+                (1, 0, True), (2, 0, True), (2, 3, True),
+            ]
+        ),
+    ],
+)
+def test_every_witness_runs_forward(z, seed, contiguous, budget):
+    # Under the equation tables only the forward direction is searched: the
+    # pinned jobs of each tag take the forced starts of that tag (identical
+    # jobs may swap ids) and every gamma job starts inside its window.
+    inst, target = _at_w(gen_yes(z, seed)[0])
+    kwargs = {"budget": budget} if budget else {}
+    decision = decide_target(inst, target, contiguous, **kwargs)
+    assert decision.outcome == "witness"
+    starts = decision.schedule.starts
+    forced, found = {}, {}
+    for jid, s in forced_starts(inst).items():
+        tag = inst.by_id[jid].tag
+        forced.setdefault(tag, []).append(s)
+        found.setdefault(tag, []).append(starts[jid])
+    assert {t: sorted(v) for t, v in found.items()} == {
+        t: sorted(v) for t, v in forced.items()
+    }
+    for j in inst.tagged("gamma"):
+        lo, hi = gamma_window(inst, j.index)
+        assert lo <= starts[j.id] <= hi
 
 
 def _carves(rng, count):
@@ -541,9 +578,7 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
         added = Counter(search.prunes)
         added.subtract(before)
         want, counts = reference_candidates(search, t)
-        assert [(j.id, s, m) for j, s, m in out] == [
-            (j.id, s, m) for j, s, m in want
-        ]
+        assert [(j.id, s) for j, s in out] == [(j.id, s) for j, s in want]
         assert +added == counts
         seen["nodes"] += 1
         seen["interleave"] += search.interleave
@@ -593,7 +628,7 @@ def test_count_chains_count_each_running_job_once():
                 break
             job = rng.choice(jobs)
             subset = tuple(sorted(rng.sample(idle, job.q)))
-            search._place(job, subset, t, search.orient)
+            search._place(job, subset, t)
     assert wide_running
 
 
@@ -634,7 +669,7 @@ def test_a_search_without_a_witness_undoes_every_placement(
     assert (search.acc is None) == (search.eq is not None)
     fresh = solver._Search(inst, target, contiguous, rules, budget)
     for name in (
-        "cells", "rem_mask", "taken", "placed", "live", "left", "orient", "acc",
+        "cells", "rem_mask", "taken", "placed", "live", "left", "acc",
     ):
         assert getattr(search, name) == getattr(fresh, name), name
     assert search.path == []
@@ -650,18 +685,26 @@ def test_a_budget_below_one_is_refused():
 
 REVERIFY_UNDER_O = """
 import sys
-from gadgetforge import solver
-from gadgetforge.reduction import Job, SchedulingInstance
+from gadgetforge import extraction, solver, synthesis
+from gadgetforge.reduction import Job, SchedulingInstance, build_jobs
 from gadgetforge.schedule import VerifyReport
+from gadgetforge.threepartition import gen_yes
 
 assert False, "this check runs under python -O only"
-solver.verify = lambda inst, sched: VerifyReport(
+forged = lambda inst, sched: VerifyReport(
     feasible=False, makespan=5, idle=0, contiguous=True, problems=("forged",)
 )
 inst = SchedulingInstance(m=4, z=0, D=0, W=0, jobs=(Job("J0", 5, 4, "J"),))
+inst3, witness = gen_yes(1, 5)
+red = build_jobs(inst3)
+sched = synthesis.build_schedule(red, witness)
+solver.verify = synthesis.verify = forged
+extraction.validate_partition = lambda values, partition: ["forged"]
 calls = {
     "decide": lambda: solver.decide_target(inst, 5),
     "optimize": lambda: solver.optimize_small(inst.jobs),
+    "synth": lambda: synthesis.build_schedule(red, witness),
+    "extract": lambda: extraction.extract_partition(inst3, red, sched),
 }
 try:
     calls[sys.argv[1]]()
@@ -670,7 +713,19 @@ except RuntimeError as exc:
 """
 
 
-@pytest.mark.parametrize("call", ["decide", "optimize"])
+# what each call reports when its result fails re-verification
+REVERIFY_ERRORS = {
+    "decide": "the schedule found fails re-verification: not feasible",
+    "optimize": "the schedule found fails re-verification: not feasible",
+    "synth": "the synthesized schedule fails re-verification: not feasible",
+    "extract": (
+        "the extracted partition fails re-verification: "
+        "not a 3-Partition witness"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(REVERIFY_ERRORS))
 def test_a_witness_that_fails_verification_is_never_returned(call):
     # `python -O` strips asserts, so the re-verification must be a raise.
     env = dict(os.environ)
@@ -680,22 +735,26 @@ def test_a_witness_that_fails_verification_is_never_returned(call):
         [sys.executable, "-O", "-c", REVERIFY_UNDER_O, call],
         capture_output=True, text=True, check=True, env=env,
     )
-    assert result.stdout.strip() == (
-        "the schedule found fails re-verification: not feasible"
-    )
+    assert result.stdout.strip() == REVERIFY_ERRORS[call]
 
 
 def test_no_instance_at_z3_is_proved_none_plain():
     decision = decide_target(*_at_w(gen_no(3, 3)))
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 118_950
+    assert decision.nodes == 43_179
 
 
-@pytest.mark.slow
 def test_no_instance_at_z3_is_proved_none_contiguous():
     decision = decide_target(*_at_w(gen_no(3, 3)), contiguous=True)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 528_205
+    assert decision.nodes == 86_195
+
+
+@pytest.mark.slow
+def test_no_instance_at_z4_is_proved_none_contiguous():
+    decision = decide_target(*_at_w(gen_no(4, 3)), contiguous=True)
+    assert decision.outcome == "proved-none"
+    assert decision.nodes == 2_060_813
 
 
 def test_yes_instance_at_z4_contiguous_is_witnessed_within_1e5_nodes():
@@ -863,6 +922,19 @@ def test_optimize_rejects_oversized_input():
         optimize_small(generic([(1, 1)] * 9).jobs)
     with pytest.raises(ValueError, match="needs"):
         optimize_small(generic([(1, 5)]).jobs)
+
+
+def test_optimize_refuses_too_many_machines_before_reading_the_jobs():
+    def unread():
+        raise AssertionError("the jobs were read")
+        yield
+
+    top = solver.MAX_MACHINES
+    for m in (top + 1, 10**9):
+        with pytest.raises(ValueError, match=f"at most {top} machines"):
+            optimize_small(unread(), m=m)
+    opt, sched = optimize_small(generic([(3, top), (2, 1)], m=top).jobs, m=top)
+    assert opt == 5 and sched.machines["J1"] == frozenset({1})
 
 
 def test_optimize_budget_is_enforced():
