@@ -71,18 +71,29 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   `_gap_reach`).  The value family is walked from its shortest class up
   until one overshoots that bound, and the classes left count as equations
   in bulk; as every gap ends below T, a class within the bound also fits
-  the room.  Each gamma job is checked against its own window;
+  the room.  The gamma job of block j may start only inside its window,
+  the first D + 1 starts of block j's gap, and the gaps of different
+  blocks are disjoint, so the windows are pairwise disjoint; the gamma
+  lengths differ in j, so each gamma job is a class of its own.  So at
+  most one gamma job may start at t: the one whose window starts last at
+  or before t, found by bisecting the sorted window starts, if t is also
+  within that window's end.  It offers when it is unplaced and fits the
+  room; every other gamma class that fits counts as equations in bulk.
+  Both facts are checked when the tables are built;
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
   two classes of equal length and different tags can interleave their ids;
 * the machine sets depend only on the idle set and q, so they are computed
   once per pair and reused;
-* the count chains read each family's finished count as its placed count
-  minus its jobs running at t, read from the cells of the machines busy
-  past t, the same cells the dead-state key packs (see "Dead states"); the
-  chains themselves are parsed once, into `reduction.CHAIN_TERMS`, and
-  their verdicts are built at most once per node, on first need;
+* a count chain is evaluated only for the pinned family that asks, at its
+  forced start; the other chains cannot change what the node offers.  It
+  reads each family's finished count as its placed count minus its jobs
+  running at t, counted in one pass over the cells of the machines busy
+  past t, the same cells the dead-state key packs (see "Dead states").
+  The chains are parsed once, into `reduction.CHAIN_TERMS`, and compiled
+  per search into (sign, family) pairs: under the equation tables each tag
+  is one family, and a tag the instance lacks counts 0;
 * the coefficient rule keeps each machine's digit sums packed in one
   integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
@@ -136,7 +147,7 @@ only loses prunes.  Why an equal key means an equal verdict:
    of tag g on q machines shows as q cells with the code of (g, q) and its
    end as free time, so the cells give the running jobs of each tag at t
    and their ends, and with them the finished counts at every later
-   instant; `_chains_holding` reads the running jobs from the cells in just
+   instant; `_chain_holds` reads the running jobs from the cells in just
    this way.  The code of an idle machine's last job is dropped: that job
    is finished either way.  The digit sums need no place in the key: the
    prefix is zero-idle, so a machine's free time is the sum S of its jobs'
@@ -323,11 +334,13 @@ class _EquationTables:
     Jobs with pinned starts are grouped by family: the k-th family member
     placed (placements happen in nondecreasing time) must start at the k-th
     smallest pinned value.  Window jobs and value jobs only get interval
-    membership checks, which is weaker but still sound.
+    membership checks, which is weaker but still sound.  The gamma windows,
+    (first start, last start, job id) in ascending order, are pairwise
+    disjoint, so at most one gamma job may start at any t.
     """
 
     pinned: Mapping[str, tuple[int, ...]]
-    windows: Mapping[str, tuple[int, int]]
+    windows: tuple[tuple[int, int, str], ...]
     gaps: tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -337,9 +350,19 @@ def _equation_tables(inst: SchedulingInstance) -> _EquationTables | None:
     pinned: dict[str, list[int]] = {}
     for job_id, s in forced_starts(inst).items():
         pinned.setdefault(inst.by_id[job_id].tag, []).append(s)
+    windows = sorted(
+        (*gamma_window(inst, j.index), j.id) for j in inst.tagged("gamma")
+    )
+    require(
+        "the gamma window table",
+        (
+            all(hi < lo for (_, hi, _), (lo, _, _) in zip(windows, windows[1:])),
+            "pairwise disjoint",
+        ),
+    )
     return _EquationTables(
         pinned={k: tuple(sorted(v)) for k, v in pinned.items()},
-        windows={j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
+        windows=tuple(windows),
         gaps=_gap_reach(partition_gaps(inst)),
     )
 
@@ -374,11 +397,10 @@ class _Search:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
-        # one code per (tag, q), 0 = idle, and the (tag, q) of each code
+        # one code per (tag, q), 0 = idle
         codes: dict[tuple[str, int], int] = {}
         for j in order:
             codes.setdefault((j.tag, j.q), len(codes) + 1)
-        self.kinds = (None, *codes)
         self.code_bits = len(codes).bit_length()
         self.cell_bits = target.bit_length() + self.code_bits
         self._families(order, codes)
@@ -403,7 +425,9 @@ class _Search:
 
     def _families(self, order: list[Job], codes: dict[tuple[str, int], int]) -> None:
         """Classes of identical jobs grouped into families, see "Candidates
-        at a node".  `order` is every job in (-q, -p, id) order."""
+        at a node", and under the equation tables the count chains and gamma
+        windows in terms of them.  `order` is every job in (-q, -p, id)
+        order."""
         if self.rules.symmetry:
             key = lambda j: (j.p, j.q, j.tag)
         else:
@@ -464,6 +488,38 @@ class _Search:
             for c, js in enumerate(self.members)
             for j in js
         }
+        self.chains = None
+        if eq is None:
+            return
+        # Under the equation tables each tag is one family, so each (tag, q)
+        # code is one family too, and each gamma job is a class of its own,
+        # as gamma lengths differ in the block index.
+        fam = {tag: f for f, _, _, tag in specs}
+        gammas = [self.rec[jid] for _, _, jid in eq.windows]
+        require(
+            "the family table",
+            (len(fam) == len(specs), "one family per tag"),
+            (all(size == 1 for _, _, size, *_ in gammas), "one gamma job per class"),
+        )
+        self.fam_q = tuple(q for _, _, q, _ in specs)
+        self.code_fam = [0] * (len(codes) + 1)
+        for (tag, _), code in codes.items():
+            self.code_fam[code] = fam[tag]
+        # each chain's terms as (sign, family) pairs; a tag the instance
+        # lacks counts 0, so it adds no pair
+        self.chains = {
+            tag: [
+                [(sign, fam[name]) for sign, name in signed if name in fam]
+                for _, signed in terms
+            ]
+            for tag, terms in CHAIN_TERMS.items()
+        }
+        # the gamma windows' first starts, and per window its last start
+        # and the class of its job
+        self.win_lo = tuple(lo for lo, _, _ in eq.windows)
+        self.win = tuple(
+            (hi, rec[0]) for (_, hi, _), rec in zip(eq.windows, gammas)
+        )
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
@@ -490,26 +546,30 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _chains_holding(self, t: int) -> set[str]:
-        """Checkpoint families whose count chain holds over the jobs
+    def _chain_holds(self, tag: str, t: int) -> bool:
+        """Whether checkpoint family `tag`'s count chain holds over the jobs
         finished by t: each family's placed count minus its jobs running at
-        t.  A job running on q machines shows as q cells with its (tag, q)
-        code, those of the machines busy past t."""
+        t.  One pass over the cells counts the running jobs of every
+        family: a job running on q machines shows as q cells with its
+        (tag, q) code, those of the machines busy past t."""
         busy = t + 1 << self.code_bits
         low = (1 << self.code_bits) - 1
-        # placed counts by tag: the families at most m wide are all of
-        # them, one per tag under the equation rule
-        fin = {tag: self.placed[f] for f, _, _, tag in self.upto[-1]}
-        running = Counter(c & low for c in self.cells if c >= busy)
-        for code, cells in running.items():
-            tag, q = self.kinds[code]
-            fin[tag] -= cells // q
-        holding = set()
-        for tag, terms in CHAIN_TERMS.items():
-            if len({sum(sign * fin.get(fam, 0) for sign, fam in signed)
-                    for _, signed in terms}) == 1:
-                holding.add(tag)
-        return holding
+        fam_of = self.code_fam
+        running = [0] * len(self.placed)
+        for c in self.cells:
+            if c >= busy:
+                running[fam_of[c & low]] += 1
+        placed, width = self.placed, self.fam_q
+        first = None
+        for signed in self.chains[tag]:
+            value = 0
+            for sign, f in signed:
+                value += sign * (placed[f] - running[f] // width[f])
+            if first is None:
+                first = value
+            elif value != first:
+                return False
+        return True
 
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
         """(job, machine set) for every placement at t, in (-q, -p, id)
@@ -528,10 +588,10 @@ class _Search:
         cls_p = self.cls_p
         acc = self.acc
         eq = self.eq
+        chains = self.chains
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
         firsts = equations = coeff = emitters = 0
-        chains = None  # built on first need, once per node
         out = []
         add = out.append
         for f, kind, q, tag in self.upto[width]:
@@ -548,10 +608,8 @@ class _Search:
                 continue
             if kind == _PINNED:
                 ok = eq.pinned[tag][self.placed[f]] == t
-                if ok and tag in CHAIN_TERMS:
-                    if chains is None:
-                        chains = self._chains_holding(t)
-                    ok = tag in chains
+                if ok and tag in chains:
+                    ok = self._chain_holds(tag, t)
                 if not ok:
                     equations += n - i
                     continue
@@ -567,18 +625,21 @@ class _Search:
                 if i == n:
                     continue
             elif kind == _WINDOW:
-                subsets = None
-                for c in live[i:]:
-                    job = members[c][taken[c]]
-                    lo, hi = eq.windows[job.id]
-                    if not lo <= t <= hi:
-                        equations += 1
-                        continue
-                    if subsets is None:
+                # the windows are disjoint: only the one whose first start
+                # is the last at or before t may hold t, and its job offers
+                # when it is unplaced and fits the room, that is, when its
+                # class is in live[i:]; the other classes there are
+                # equations
+                equations += n - i
+                k = bisect_right(self.win_lo, t) - 1
+                if k >= 0:
+                    hi, c = self.win[k]
+                    if t <= hi and not taken[c] and cls_p[c] <= room:
+                        equations -= 1
                         emitters += 1
-                        subsets = self.subsets(avail, q)
-                    for subset in subsets:
-                        add((job, subset))
+                        job = members[c][0]
+                        for subset in self.subsets(avail, q):
+                            add((job, subset))
                 continue
             emitters += 1
             subsets = self.subsets(avail, q)
@@ -761,9 +822,14 @@ def decide_target(
     dead-state table is shared by all root branches.  With `contiguous`
     the machine set of every job must be an interval, matching the
     strip-packing reading.
-    A budget below 1 is refused with ValueError; a balanced instance of
-    more than `MAX_MACHINES` machines is refused before any search state.
+    A `target` or `budget` that is not an int (a bool included) is
+    refused with TypeError and a budget below 1 with ValueError, before any
+    work; a balanced instance of more than `MAX_MACHINES` machines is
+    refused before any search state.
     """
+    for name, value in (("target", target), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1 node, not {budget}")
     check_jobs(inst.jobs, inst.m)

@@ -11,7 +11,9 @@ way the finished-before count is defined; they are the reference that
 
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
-of `solver._Search._candidates` is checked against.
+of `solver._Search._candidates` is checked against.  It reads the forced
+starts, gamma windows and gaps from `reduction`'s closed forms, never from
+the solver's tables, so a wrong table entry shows as a difference.
 """
 
 from collections import Counter
@@ -25,6 +27,10 @@ from gadgetforge.reduction import (
     SchedulingInstance,
     build_jobs,
     chain_values,
+    forced_starts,
+    gamma_window,
+    partition_gaps,
+    recognize,
 )
 from gadgetforge.schedule import Schedule, UnknownJob
 from gadgetforge.threepartition import ThreePartitionInstance
@@ -132,9 +138,9 @@ _SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _scan_order(search):
-    """The jobs in (-q, -p, id) order, and each job's closest smaller id
-    with the same (p, q, tag) when the symmetry rule is on; once per
-    decision."""
+    """The jobs in (-q, -p, id) order, each job's closest smaller id with
+    the same (p, q, tag) when the symmetry rule is on, and the equation
+    facts (see `_equation_facts`); once per decision."""
     if search in _SCAN_ORDERS:
         return _SCAN_ORDERS[search]
     inst = search.inst
@@ -146,8 +152,28 @@ def _scan_order(search):
                 pred[j.id] = latest[key]
             latest[key] = j.id
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
-    _SCAN_ORDERS[search] = order, pred
-    return order, pred
+    facts = None
+    if search.rules.equations and search.target == inst.W:
+        facts = _equation_facts(inst)
+    _SCAN_ORDERS[search] = order, pred, facts
+    return order, pred, facts
+
+
+def _equation_facts(inst: SchedulingInstance):
+    """The forward forced starts of each tag in ascending order, each gamma
+    job's window and the value-job gaps, read from the instance through the
+    closed forms of `reduction`, not from the solver's tables; None when
+    the instance is not a reduction."""
+    if recognize(inst) is None:
+        return None
+    pinned = {}
+    for job_id, start in forced_starts(inst).items():
+        pinned.setdefault(inst.by_id[job_id].tag, []).append(start)
+    return (
+        {tag: sorted(starts) for tag, starts in pinned.items()},
+        {j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
+        partition_gaps(inst),
+    )
 
 
 def path_free_times(search) -> list[int]:
@@ -171,12 +197,9 @@ def reference_candidates(search, t: int):
     equations when the forward forced positions do not allow t, and
     coeff-budget once per machine set whose digit sums it would overflow.
     """
-    from gadgetforge.solver import _reach_at
-
-    order, pred = _scan_order(search)
+    order, pred, eq = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
     remaining = {j.id for j in order} - set(starts)
-    eq = search.eq
     avail = tuple(m for m, end in enumerate(path_free_times(search)) if end == t)
     placed = Counter(job.tag for job, *_ in search.path)
     room = search.target - t
@@ -194,13 +217,14 @@ def reference_candidates(search, t: int):
             counts["symmetry"] += 1
             continue
         if eq is not None:
+            pinned, windows, gaps = eq
             if job.tag == "P":
-                ok = t + job.p <= _reach_at(eq.gaps, t)
+                ok = any(lo <= t and t + job.p <= hi for lo, hi in gaps)
             elif job.tag == "gamma":
-                lo, hi = eq.windows[jid]
+                lo, hi = windows[jid]
                 ok = lo <= t <= hi
             else:
-                ok = eq.pinned[job.tag][placed[job.tag]] == t
+                ok = pinned[job.tag][placed[job.tag]] == t
                 if ok and job.tag in CHECKPOINT_TAGS:
                     if chains is None:
                         fin = Counter(

@@ -609,11 +609,9 @@ def test_count_chains_count_each_running_job_once():
             free = path_free_times(search)
             t = min(free)
             fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
-            assert search._chains_holding(t) == {
-                tag
-                for tag in CHECKPOINT_TAGS
-                if len(set(chain_values(tag, fin.__getitem__).values())) == 1
-            }
+            for tag in CHECKPOINT_TAGS:
+                values = chain_values(tag, fin.__getitem__).values()
+                assert search._chain_holds(tag, t) == (len(set(values)) == 1)
             wide_running += any(
                 j.tag in CHECKPOINT_TAGS and j.q > 1 and s + j.p > t
                 for j, _, s, *_ in search.path
@@ -630,6 +628,34 @@ def test_count_chains_count_each_running_job_once():
             subset = tuple(sorted(rng.sample(idle, job.q)))
             search._place(job, subset, t)
     assert wide_running
+
+
+@pytest.mark.parametrize("z", range(1, 17))
+def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
+    # The node scan finds the one gamma job that may start at t by
+    # bisecting the window starts, which is sound only on these two facts.
+    insts = [build_jobs(gen_yes(z, z)[0])]
+    if z >= 2:
+        insts.append(build_jobs(gen_no(z, z)))
+    for inst in insts:
+        gammas = inst.tagged("gamma")
+        windows = sorted(gamma_window(inst, j.index) for j in gammas)
+        assert len(windows) == z
+        assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+        assert len({(j.p, j.q) for j in gammas}) == z
+        search = solver._Search(inst, inst.W, False, PruneRules(), 1)
+        assert len(search.win) == z
+        assert all(len(search.members[c]) == 1 for _, c in search.win)
+
+
+def test_overlapping_gamma_windows_are_refused(monkeypatch):
+    inst, target = _at_w(gen_yes(3, 0)[0])
+    real = solver.gamma_window
+    monkeypatch.setattr(
+        solver, "gamma_window", lambda inst, j: (real(inst, 1)[0], real(inst, j)[1])
+    )
+    with pytest.raises(RuntimeError, match="gamma window table .* pairwise disjoint"):
+        solver._Search(inst, target, False, PruneRules(), 1)
 
 
 UNDO_CASES = {
@@ -681,6 +707,26 @@ def test_a_budget_below_one_is_refused():
         with pytest.raises(ValueError, match="budget must be at least 1"):
             decide_target(inst, 5, budget=budget)
     assert decide_target(inst, 5, budget=1).outcome == "witness"
+
+
+@pytest.mark.parametrize(
+    "target, budget, name",
+    [
+        (5.0, 10, "target"),
+        (True, 10, "target"),
+        ("5", 10, "target"),
+        (5, 10.0, "budget"),
+        (5, True, "budget"),
+    ],
+)
+def test_a_target_or_budget_that_is_not_an_int_is_refused(
+    monkeypatch, target, budget, name
+):
+    # refused before any work: neither the job check nor a search runs
+    monkeypatch.setattr(solver, "check_jobs", None)
+    monkeypatch.setattr(solver, "_Search", None)
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        decide_target(generic([(5, 4)]), target, budget=budget)
 
 
 REVERIFY_UNDER_O = """
