@@ -14,6 +14,7 @@ precision so there is no overflow to worry about.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 POWERS = (2, 3, 4, 5, 6, 7, 8)
@@ -76,6 +77,17 @@ def check_shape(token, kind: type, what: str):
         shape = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ValueError(f"{what} must be {shape}, not {token!r:.60}")
     return token
+
+
+def load_json(text: str, kind: type, what: str):
+    """The JSON document `text` when its top level is what `check_shape`
+    asks for.  Malformed JSON raises ValueError as `json.loads` does, and
+    so does a document nested deeper than the parser can recurse."""
+    try:
+        token = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+    return check_shape(token, kind, what)
 
 
 def digit_bound(z: int) -> int:

@@ -41,7 +41,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import check_shape, digit_bound, parse_int
+from .exactnum import check_shape, digit_bound, load_json, parse_int
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
@@ -61,8 +61,11 @@ class Job:
 
 
 def check_jobs(jobs: Iterable[Job], m: int) -> None:
-    """Reject jobs no m-machine instance can hold: a duplicate id, q outside
-    1..m, or a length below 1.  Raises ValueError naming the first such job."""
+    """Reject an instance of fewer than 1 machine, and jobs no m-machine
+    instance can hold: a duplicate id, q outside 1..m, or a length below 1.
+    Raises ValueError naming the machine count or the first such job."""
+    if m < 1:
+        raise ValueError(f"an instance needs at least 1 machine, not {m}")
     seen: set[str] = set()
     for j in jobs:
         if not 1 <= j.q <= m:
@@ -134,7 +137,7 @@ class SchedulingInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingInstance":
-        payload = check_shape(json.loads(text), dict, "an instance")
+        payload = load_json(text, dict, "an instance")
         k, label = cls._keys, cls._labels
         jobs = tuple(
             Job(

@@ -15,6 +15,7 @@ deterministic for a given instance and schedule.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .reduction import SchedulingInstance
@@ -97,7 +98,14 @@ class _Axis:
 
 
 def _fmt(value: int) -> str:
-    return str(value) if value < 100_000 else f"{float(value):.3e}"
+    """`value` in full below 100,000, else in e-notation with three
+    decimals; past the float range, read from the exact integer."""
+    if value < 100_000:
+        return str(value)
+    try:
+        return f"{float(value):.3e}"
+    except OverflowError:
+        return f"{Decimal(value):.3e}"
 
 
 def _svg(parts: list[str], width: float, height: float) -> str:
@@ -257,6 +265,9 @@ def render_packing_svg(
     height_units = int(max([*tops, 1]))
     if height_units > _MAX_ROWS:
         raise ValueError(f"height {height_units} is more rows than a figure holds")
+    for job in inst.jobs:
+        if packing.positions[job.id][1] < 0:
+            raise ValueError(f"item {job.id!r} lies below every row a figure holds")
     boxes = []
     for job in sorted(inst.jobs, key=lambda j: (packing.positions[j.id][0], j.id)):
         x, y = packing.positions[job.id]

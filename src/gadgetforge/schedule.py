@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import check_shape, decompose, parse_int
+from .exactnum import check_shape, decompose, load_json, parse_int
 from .reduction import (
     CHECKPOINT_TAGS,
     SchedulingInstance,
@@ -88,7 +88,7 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        payload = check_shape(json.loads(text), dict, "a schedule")
+        payload = load_json(text, dict, "a schedule")
         starts = check_shape(payload["starts"], dict, "starts")
         machines = check_shape(payload["machines"], dict, "machines")
         return cls(

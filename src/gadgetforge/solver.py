@@ -63,23 +63,24 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   takes back the last member placed.  The per-job rule rejects a member
   exactly when the member before it in id order is unplaced, which for an
   id prefix holds for every unplaced member but the first;
-* the equation rule settles a family in one step where it is family-wide.
-  A pinned family (every tag but gamma and P) forces its k-th placement to
-  one start, so it tests that start and its count chain once for all its
+* the equation rule settles a family in one step where it is family-wide,
+  from the facts its spec holds (see `_Search._equation_specs`).  A pinned
+  family (every tag but gamma and P) forces its k-th placement to one
+  start, so it tests that start and its count chain once for all its
   classes.  A value job (P) placed at t must end by the gap reach at t, the
-  latest end of a gap that starts by t (t itself when none does, see
-  `_gap_reach`).  The value family is walked from its shortest class up
-  until one overshoots that bound, and the classes left count as equations
-  in bulk; as every gap ends below T, a class within the bound also fits
-  the room.  The gamma job of block j may start only inside its window,
-  the first D + 1 starts of block j's gap, and the gaps of different
-  blocks are disjoint, so the windows are pairwise disjoint; the gamma
-  lengths differ in j, so each gamma job is a class of its own.  So at
-  most one gamma job may start at t: the one whose window starts last at
-  or before t, found by bisecting the sorted window starts, if t is also
-  within that window's end.  It offers when it is unplaced and fits the
-  room; every other gamma class that fits counts as equations in bulk.
-  Both facts are checked when the tables are built;
+  latest end of a gap that starts by t (t itself when none does), found by
+  bisecting the gap starts.  The value family is walked from its shortest
+  class up until one overshoots that bound, and the classes left count as
+  equations in bulk; as every gap ends below T, a class within the bound
+  also fits the room.  The gamma job of block j may start only inside its
+  window, the first D + 1 starts of block j's gap, and the gaps of
+  different blocks are disjoint, so the windows are pairwise disjoint; the
+  gamma lengths differ in j, so each gamma job is a class of its own.  So
+  at most one gamma job may start at t: the one whose window starts last
+  at or before t, found by bisecting the sorted window starts, if t is
+  also within that window's end.  It offers when it is unplaced and fits
+  the room; every other gamma class that fits counts as equations in
+  bulk.  Both facts are checked when the gamma family's spec is built;
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -92,8 +93,11 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   running at t, counted in one pass over the cells of the machines busy
   past t, the same cells the dead-state key packs (see "Dead states").
   The chains are parsed once, into `reduction.CHAIN_TERMS`, and compiled
-  per search into (sign, family) pairs: under the equation tables each tag
-  is one family, and a tag the instance lacks counts 0;
+  per search into (sign, family, width) terms, each held by the spec of
+  the family that asks: under the equation tables each tag is one family,
+  and a tag the instance lacks counts 0.  A cell's (tag, q) code is then
+  its family's index + 1, as both are numbered by first appearance in
+  (-q, -p, id) order, so the cells are counted by family directly;
 * the coefficient rule keeps each machine's digit sums packed in one
   integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
@@ -315,65 +319,6 @@ def _coeff_tables(inst: SchedulingInstance, target: int) -> _CoeffTables | None:
     )
 
 
-def _gap_reach(gaps) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gap starts in ascending order, each paired with the latest end of any
-    gap starting no later.  A value job of length p placed at t lies inside
-    some gap [lo, hi) exactly when t + p <= reach[i] for the last i with
-    starts[i] <= t, so one bisection per node serves every value job."""
-    gaps = sorted(gaps)
-    return (
-        tuple(lo for lo, _ in gaps),
-        tuple(accumulate((hi for _, hi in gaps), max)),
-    )
-
-
-@dataclass(frozen=True)
-class _EquationTables:
-    """Forced start positions of a reduction instance, forward direction.
-
-    Jobs with pinned starts are grouped by family: the k-th family member
-    placed (placements happen in nondecreasing time) must start at the k-th
-    smallest pinned value.  Window jobs and value jobs only get interval
-    membership checks, which is weaker but still sound.  The gamma windows,
-    (first start, last start, job id) in ascending order, are pairwise
-    disjoint, so at most one gamma job may start at any t.
-    """
-
-    pinned: Mapping[str, tuple[int, ...]]
-    windows: tuple[tuple[int, int, str], ...]
-    gaps: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _equation_tables(inst: SchedulingInstance) -> _EquationTables | None:
-    if recognize(inst) is None:
-        return None
-    pinned: dict[str, list[int]] = {}
-    for job_id, s in forced_starts(inst).items():
-        pinned.setdefault(inst.by_id[job_id].tag, []).append(s)
-    windows = sorted(
-        (*gamma_window(inst, j.index), j.id) for j in inst.tagged("gamma")
-    )
-    require(
-        "the gamma window table",
-        (
-            all(hi < lo for (_, hi, _), (lo, _, _) in zip(windows, windows[1:])),
-            "pairwise disjoint",
-        ),
-    )
-    return _EquationTables(
-        pinned={k: tuple(sorted(v)) for k, v in pinned.items()},
-        windows=tuple(windows),
-        gaps=_gap_reach(partition_gaps(inst)),
-    )
-
-
-def _reach_at(gaps: tuple[tuple[int, ...], tuple[int, ...]], t: int) -> int:
-    """Latest end of a gap containing t; t itself (no room) when none does."""
-    starts, reach = gaps
-    i = bisect_right(starts, t) - 1
-    return reach[i] if i >= 0 else t
-
-
 class _Search:
     """The depth-first search of one decision over zero-idle schedule
     prefixes: its fixed tables, the classes and families of its jobs, a
@@ -389,11 +334,12 @@ class _Search:
         self.budget = budget
         order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
         self.n = len(order)
-        self.eq = None
-        if rules.equations and target == inst.W:
-            self.eq = _equation_tables(inst)
+        # the forward facts of a reduction searched at its own target
+        self.equations = (
+            rules.equations and target == inst.W and recognize(inst) is not None
+        )
         self.coeff = None
-        if rules.coeff_budget and self.eq is None:
+        if rules.coeff_budget and not self.equations:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
@@ -425,8 +371,8 @@ class _Search:
 
     def _families(self, order: list[Job], codes: dict[tuple[str, int], int]) -> None:
         """Classes of identical jobs grouped into families, see "Candidates
-        at a node", and under the equation tables the count chains and gamma
-        windows in terms of them.  `order` is every job in (-q, -p, id)
+        at a node", with each family's spec `(f, kind, q, facts)` and what a
+        placement updates per job.  `order` is every job in (-q, -p, id)
         order."""
         if self.rules.symmetry:
             key = lambda j: (j.p, j.q, j.tag)
@@ -439,39 +385,14 @@ class _Search:
         self.members = tuple(map(tuple, classes.values()))
         self.rank = {j.id: i for i, j in enumerate(order)}
         self.cls_p = tuple(js[0].p for js in self.members)
-        eq = self.eq
+        eq = self.equations
         families: dict = {}
         for c, js in enumerate(self.members):
             j = js[0]
             families.setdefault((j.q, j.tag) if eq else j.q, []).append(c)
         # per family, its classes with unplaced members, in (-p, id) order
         self.live = [list(cs) for cs in families.values()]
-        specs = []
-        fam_of = {}
-        for f, cs in enumerate(self.live):
-            fam_of.update(dict.fromkeys(cs, f))
-            j = self.members[cs[0]][0]
-            if eq is None:
-                kind = _PLAIN
-            else:
-                kind = {"P": _VALUE, "gamma": _WINDOW}.get(j.tag, _PINNED)
-            specs.append((f, kind, j.q, j.tag))
-        # the families at most w wide, for every idle width w
-        top = max(spec[2] for spec in specs)
-        upto = [
-            tuple(spec for spec in specs if spec[2] <= w) for w in range(top + 1)
-        ]
-        self.upto = upto + upto[-1:] * (self.m - top)
-        # The families in `upto` come widest first, and under the equation
-        # rule each lists its candidates in (-p, id) order, so only the
-        # candidates of families sharing a width need a merge.  With one
-        # family per width, two classes of equal length and different tags
-        # can interleave their ids, and the family's list then needs a sort.
-        self.interleave = (
-            eq is None
-            and self.rules.symmetry
-            and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
-        )
+        fam_of = {c: f for f, cs in enumerate(self.live) for c in cs}
         # what a placement updates, per job: (class, family, class size,
         # remaining-set bit (its place in `order`), (tag, q) code, packed
         # digit row)
@@ -488,38 +409,105 @@ class _Search:
             for c, js in enumerate(self.members)
             for j in js
         }
-        self.chains = None
-        if eq is None:
-            return
-        # Under the equation tables each tag is one family, so each (tag, q)
-        # code is one family too, and each gamma job is a class of its own,
-        # as gamma lengths differ in the block index.
-        fam = {tag: f for f, _, _, tag in specs}
-        gammas = [self.rec[jid] for _, _, jid in eq.windows]
+        # each family's first job
+        heads = [self.members[cs[0]][0] for cs in self.live]
+        if eq:
+            specs = self._equation_specs(heads, codes)
+        else:
+            specs = [(f, _PLAIN, j.q, None) for f, j in enumerate(heads)]
+        # the families at most w wide, for every idle width w
+        top = max(spec[2] for spec in specs)
+        upto = [
+            tuple(spec for spec in specs if spec[2] <= w) for w in range(top + 1)
+        ]
+        self.upto = upto + upto[-1:] * (self.m - top)
+        # The families in `upto` come widest first, and under the equation
+        # rule each lists its candidates in (-p, id) order, so only the
+        # candidates of families sharing a width need a merge.  With one
+        # family per width, two classes of equal length and different tags
+        # can interleave their ids, and the family's list then needs a sort.
+        self.interleave = (
+            not eq
+            and self.rules.symmetry
+            and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
+        )
+
+    def _equation_specs(
+        self, heads: list[Job], codes: dict[tuple[str, int], int]
+    ) -> list[tuple]:
+        """Each family's spec under the equation tables, with the facts of
+        the forward direction that its kind tests at a node:
+
+        * a pinned family: its forced starts in ascending order, so its k-th
+          placement starts at the k-th, and its count chain compiled into
+          (sign, family, width) terms, or None when it has no chain; a tag
+          the instance lacks counts 0, so it adds no term;
+        * the value family: the gap starts in ascending order, each paired
+          with the latest end of a gap starting no later, its reach.  A
+          value job of length p at t lies inside a gap exactly when
+          t + p <= reach[i] for the last i with starts[i] <= t;
+        * the gamma family: its windows' first starts in ascending order,
+          and per window its last start and the class of its job.
+
+        `heads` holds each family's first job."""
+        inst = self.inst
+        pinned: dict[str, list[int]] = {}
+        for job_id, s in forced_starts(inst).items():
+            pinned.setdefault(inst.by_id[job_id].tag, []).append(s)
+        gaps = sorted(partition_gaps(inst))
+        reach = (
+            tuple(lo for lo, _ in gaps),
+            tuple(accumulate((hi for _, hi in gaps), max)),
+        )
+        windows = sorted(
+            (*gamma_window(inst, j.index), self.rec[j.id][0])
+            for j in inst.tagged("gamma")
+        )
+        require(
+            "the gamma window table",
+            (
+                all(hi < lo for (_, hi, _), (lo, _, _) in zip(windows, windows[1:])),
+                "pairwise disjoint",
+            ),
+        )
+        fam = {j.tag: f for f, j in enumerate(heads)}
+        # Each tag is one family, so its (tag, q) code is one family too:
+        # both are numbered by first appearance in (-q, -p, id) order.  Each
+        # gamma job is a class of its own, as gamma lengths differ in the
+        # block index, and the windows lie in disjoint gaps.
         require(
             "the family table",
-            (len(fam) == len(specs), "one family per tag"),
-            (all(size == 1 for _, _, size, *_ in gammas), "one gamma job per class"),
+            (len(fam) == len(heads), "one family per tag"),
+            (
+                all(codes[j.tag, j.q] == f + 1 for f, j in enumerate(heads)),
+                "each (tag, q) code is its family's index + 1",
+            ),
+            (
+                all(len(self.members[c]) == 1 for *_, c in windows),
+                "one gamma job per class",
+            ),
         )
-        self.fam_q = tuple(q for _, _, q, _ in specs)
-        self.code_fam = [0] * (len(codes) + 1)
-        for (tag, _), code in codes.items():
-            self.code_fam[code] = fam[tag]
-        # each chain's terms as (sign, family) pairs; a tag the instance
-        # lacks counts 0, so it adds no pair
-        self.chains = {
-            tag: [
-                [(sign, fam[name]) for sign, name in signed if name in fam]
-                for _, signed in terms
-            ]
-            for tag, terms in CHAIN_TERMS.items()
-        }
-        # the gamma windows' first starts, and per window its last start
-        # and the class of its job
-        self.win_lo = tuple(lo for lo, _, _ in eq.windows)
-        self.win = tuple(
-            (hi, rec[0]) for (_, hi, _), rec in zip(eq.windows, gammas)
-        )
+        specs = []
+        for f, j in enumerate(heads):
+            if j.tag == "P":
+                specs.append((f, _VALUE, j.q, reach))
+            elif j.tag == "gamma":
+                starts = tuple(lo for lo, _, _ in windows)
+                last = tuple((hi, c) for _, hi, c in windows)
+                specs.append((f, _WINDOW, j.q, (starts, last)))
+            else:
+                chain = None
+                if j.tag in CHAIN_TERMS:
+                    chain = tuple(
+                        tuple(
+                            (sign, fam[name], heads[fam[name]].q)
+                            for sign, name in signed
+                            if name in fam
+                        )
+                        for _, signed in CHAIN_TERMS[j.tag]
+                    )
+                specs.append((f, _PINNED, j.q, (tuple(sorted(pinned[j.tag])), chain)))
+        return specs
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
@@ -546,25 +534,25 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _chain_holds(self, tag: str, t: int) -> bool:
-        """Whether checkpoint family `tag`'s count chain holds over the jobs
-        finished by t: each family's placed count minus its jobs running at
-        t.  One pass over the cells counts the running jobs of every
-        family: a job running on q machines shows as q cells with its
-        (tag, q) code, those of the machines busy past t."""
+    def _chain_holds(self, chain, t: int) -> bool:
+        """Whether a pinned family's compiled count `chain` holds over the
+        jobs finished by t: each family's placed count minus its jobs
+        running at t.  One pass over the cells counts the running jobs of
+        every family: a job running on q machines shows as q cells with its
+        (tag, q) code, which is its family's index + 1, those of the
+        machines busy past t."""
         busy = t + 1 << self.code_bits
         low = (1 << self.code_bits) - 1
-        fam_of = self.code_fam
         running = [0] * len(self.placed)
         for c in self.cells:
             if c >= busy:
-                running[fam_of[c & low]] += 1
-        placed, width = self.placed, self.fam_q
+                running[(c & low) - 1] += 1
+        placed = self.placed
         first = None
-        for signed in self.chains[tag]:
+        for signed in chain:
             value = 0
-            for sign, f in signed:
-                value += sign * (placed[f] - running[f] // width[f])
+            for sign, f, q in signed:
+                value += sign * (placed[f] - running[f] // q)
             if first is None:
                 first = value
             elif value != first:
@@ -587,14 +575,12 @@ class _Search:
         members = self.members
         cls_p = self.cls_p
         acc = self.acc
-        eq = self.eq
-        chains = self.chains
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
         firsts = equations = coeff = emitters = 0
         out = []
         add = out.append
-        for f, kind, q, tag in self.upto[width]:
+        for f, kind, q, facts in self.upto[width]:
             live = lives[f]
             n = len(live)
             i = 0
@@ -607,16 +593,20 @@ class _Search:
             if i == n:
                 continue
             if kind == _PINNED:
-                ok = eq.pinned[tag][self.placed[f]] == t
-                if ok and tag in chains:
-                    ok = self._chain_holds(tag, t)
+                starts, chain = facts
+                ok = starts[self.placed[f]] == t
+                if ok and chain is not None:
+                    ok = self._chain_holds(chain, t)
                 if not ok:
                     equations += n - i
                     continue
             elif kind == _VALUE:
-                # the latest end a value job starting at t may reach; from
-                # the shortest job up, until one overshoots
-                reach = _reach_at(eq.gaps, t) - t
+                # the latest end a value job starting at t may reach, t
+                # itself (no room) when no gap starts by t; from the
+                # shortest job up, until one overshoots
+                starts, ends = facts
+                k = bisect_right(starts, t) - 1
+                reach = (ends[k] if k >= 0 else t) - t
                 j = n
                 while j > i and cls_p[live[j - 1]] <= reach:
                     j -= 1
@@ -631,9 +621,10 @@ class _Search:
                 # class is in live[i:]; the other classes there are
                 # equations
                 equations += n - i
-                k = bisect_right(self.win_lo, t) - 1
+                starts, last = facts
+                k = bisect_right(starts, t) - 1
                 if k >= 0:
-                    hi, c = self.win[k]
+                    hi, c = last[k]
                     if t <= hi and not taken[c] and cls_p[c] <= room:
                         equations -= 1
                         emitters += 1
@@ -662,7 +653,7 @@ class _Search:
                             break
                     else:
                         add((job, subset))
-        if self.interleave or (emitters > 1 and eq is not None):
+        if self.interleave or (emitters > 1 and self.equations):
             rank = self.rank
             out.sort(key=lambda cand: rank[cand[0].id])
         # every other unplaced job trails a first member of its class

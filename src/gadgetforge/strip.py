@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactnum import check_shape, parse_int
+from .exactnum import check_shape, load_json, parse_int
 from .reduction import SchedulingInstance
 from .schedule import Schedule
 
@@ -66,7 +66,7 @@ class Packing:
 
     @classmethod
     def from_json(cls, text: str) -> "Packing":
-        payload = check_shape(json.loads(text), dict, "a packing")
+        payload = load_json(text, dict, "a packing")
         positions = {}
         for item_id, xy in check_shape(payload["positions"], dict, "positions").items():
             x, y = check_shape(xy, list, "a position")

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .exactnum import check_shape, digit_bound, parse_int
+from .exactnum import check_shape, digit_bound, load_json, parse_int
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -62,7 +62,7 @@ class ThreePartitionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ThreePartitionInstance":
-        payload = check_shape(json.loads(text), dict, "a 3-partition instance")
+        payload = load_json(text, dict, "a 3-partition instance")
         raw = check_shape(payload["values"], list, "values")
         values = tuple(parse_int(v, "a value") for v in raw)
         inst = cls(values)
@@ -291,7 +291,7 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def partition_from_json(text: str) -> Partition:
-    payload = check_shape(json.loads(text), dict, "a witness")
+    payload = load_json(text, dict, "a witness")
     return _canonical(
         [
             tuple(parse_int(i, "a set member") for i in check_shape(s, list, "a set"))

@@ -307,6 +307,22 @@ def test_decide_refuses_too_many_machines(tmp_path, monkeypatch):
     assert f"too-many-machines: {m} machines exceed" in result.stderr
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_fewer_than_one_machine_is_refused(tmp_path, command, m):
+    # an empty schedule of makespan 0 is no witness for W = 5, and no work
+    # can overflow -1 machines
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"m": m, "z": 0, "D": "0", "W": "5", "jobs": []}))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"starts": {}, "machines": {}}))
+    rest = ["--target-w"] if command == "decide" else ["--sched", str(sched)]
+    result = run(command, "--inst", str(inst), *rest)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"an instance needs at least 1 machine, not {m}" in result.stderr
+
+
 def test_decide_budget_exit_three(workspace):
     result = run("decide", "--inst", str(workspace / "inst.json"),
                  "--target-w", "--budget", "3")
@@ -438,6 +454,36 @@ def test_a_huge_machine_count_or_height_costs_nothing(workspace, tmp_path):
                           lambda v: big)
     assert packing.exit_code == 2
     assert "more rows than a figure holds" in packing.stderr
+
+
+def test_render_draws_or_refuses_numbers_past_the_float_range(tmp_path):
+    # exact integers past float range are drawn from their digits, and an
+    # item far below the strip is refused rather than converted
+    big = 10**400
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "m": 1, "z": 0, "D": "0", "W": str(big),
+        "jobs": [{"id": "J", "p": str(big), "q": 1, "tag": "J"}],
+    }))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"starts": {"J": "0"}, "machines": {"J": [1]}}))
+    assert run("verify", "--inst", str(inst), "--sched", str(sched)).exit_code == 0
+    fig = tmp_path / "fig.svg"
+    gantt = run("render", "--inst", str(inst), "--sched", str(sched), "--out", str(fig))
+    assert gantt.exit_code == 0
+    assert "span 1.000e+400" in fig.read_text()
+    strip = tmp_path / "strip.json"
+    strip.write_text(json.dumps({
+        "width": "5", "z": 0, "D": "0",
+        "items": [{"id": "J", "w": "5", "h": 1, "tag": "J"}],
+    }))
+    packing = tmp_path / "pack.json"
+    for y in (-(2**1024), -1):
+        packing.write_text(json.dumps({"positions": {"J": ["0", y]}}))
+        result = run("render", "--strip", str(strip), "--packing", str(packing),
+                     "--out", str(fig))
+        assert result.exit_code == 2
+        assert "item 'J' lies below every row a figure holds" in result.stderr
 
 
 def test_render_mode_conflict(workspace, tmp_path):

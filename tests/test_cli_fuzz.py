@@ -138,3 +138,28 @@ def test_fuzzed_inputs_end_in_a_documented_exit_code(valid, data):
     assert len(lines) <= 1, result.stdout[:300]
     if lines:
         json.loads(lines[0])
+
+
+# a document nested past the depth `json.loads` can recurse to, once per
+# file slot, and a 3-partition instance whose values are nested that deep
+DEEP = "[" * 200_000 + "]" * 200_000
+DEEP_CASES = {name: (DEEP, commands[0]) for name, commands in COMMANDS.items()}
+DEEP_CASES["inst3.json"] = ('{"values":' + DEEP + "}", ["reduce", "--in", "{}"])
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CASES))
+def test_json_nested_too_deeply_exits_two(valid, tmp_path, name):
+    root, _ = valid
+    text, command = DEEP_CASES[name]
+    deep = tmp_path / name
+    deep.write_text(text)
+    args = [
+        str(deep) if arg == "{}"
+        else str(root / arg) if arg.endswith((".json", ".svg"))
+        else arg
+        for arg in command
+    ]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    assert result.stdout == ""
+    assert "is nested too deeply to read" in result.stderr

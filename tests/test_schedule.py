@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from gadgetforge.reduction import SchedulingInstance, Job, build_jobs
+from gadgetforge.exactnum import decompose, digit_bound
+from gadgetforge.reduction import SchedulingInstance, Job, build_jobs, family_length
 from gadgetforge.schedule import (
+    DIGIT_FAMILIES,
     AuditCheck,
     CrossingJob,
     MachineOutOfRange,
@@ -18,7 +20,7 @@ from gadgetforge.schedule import (
     swap_after,
     verify,
 )
-from gadgetforge.threepartition import ThreePartitionInstance
+from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
 from conftest import count_before, count_finished_by, make_canonical_z1
 
@@ -213,6 +215,25 @@ def test_mirror_defaults_to_makespan():
 
 
 # ===== audit =====
+
+
+@pytest.mark.parametrize("z", range(1, 7))
+def test_digit_families_are_the_families_with_a_unit_digit(z):
+    # The audit's digit table restates the construction.  At each audited
+    # power, every non-P family's length has a digit of 0 or 1, the same
+    # at every index, and the table lists exactly the families whose digit
+    # is 1.
+    jobs = [j for j in build_jobs(gen_yes(z, 0)[0]).jobs if j.tag != "P"]
+    for D in (digit_bound(z) + 1, 10**9 + 7):
+        rows = {}
+        for j in jobs:
+            digits = decompose(family_length(j.tag, z, D, j.index or 0), z, D)
+            row = tuple(digits.digit(k) for k in DIGIT_FAMILIES)
+            assert rows.setdefault(j.tag, row) == row, (D, j.id)
+        for k, (power, families) in enumerate(DIGIT_FAMILIES.items()):
+            assert {row[k] for row in rows.values()} <= {0, 1}, (D, power)
+            ones = {tag for tag, row in rows.items() if row[k] == 1}
+            assert set(families) == ones, (D, power)
 
 
 def test_audit_canonical_passes(canonical_z1):

@@ -582,7 +582,7 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
         assert +added == counts
         seen["nodes"] += 1
         seen["interleave"] += search.interleave
-        seen["equations"] += search.eq is not None
+        seen["equations"] += search.equations
         seen["coeff"] += search.coeff is not None
         return out
 
@@ -611,7 +611,9 @@ def test_count_chains_count_each_running_job_once():
             fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
             for tag in CHECKPOINT_TAGS:
                 values = chain_values(tag, fin.__getitem__).values()
-                assert search._chain_holds(tag, t) == (len(set(values)) == 1)
+                f = search.rec[inst.tagged(tag)[0].id][1]
+                _, _, _, (_, chain) = search.upto[-1][f]
+                assert search._chain_holds(chain, t) == (len(set(values)) == 1)
             wide_running += any(
                 j.tag in CHECKPOINT_TAGS and j.q > 1 and s + j.p > t
                 for j, _, s, *_ in search.path
@@ -644,8 +646,9 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert len({(j.p, j.q) for j in gammas}) == z
         search = solver._Search(inst, inst.W, False, PruneRules(), 1)
-        assert len(search.win) == z
-        assert all(len(search.members[c]) == 1 for _, c in search.win)
+        ((_, win),) = [f[3] for f in search.upto[-1] if f[1] == solver._WINDOW]
+        assert len(win) == z
+        assert all(len(search.members[c]) == 1 for _, c in win)
 
 
 def test_overlapping_gamma_windows_are_refused(monkeypatch):
@@ -692,7 +695,7 @@ def test_a_search_without_a_witness_undoes_every_placement(
     assert search.starved == starved
     assert search.nodes > 0
     # the digit sums are kept exactly where the equation tables are not
-    assert (search.acc is None) == (search.eq is not None)
+    assert (search.acc is None) == search.equations
     fresh = solver._Search(inst, target, contiguous, rules, budget)
     for name in (
         "cells", "rem_mask", "taken", "placed", "live", "left", "acc",

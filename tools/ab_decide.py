@@ -10,6 +10,17 @@ the `decide-witness` and `decide-exhaust` corpora of the benchmark, built by
 imported and not modified; every op checks its own answer there, as in a
 benchmark run.
 
+Before the timing, once per run, both checkouts take the same 4,480
+decisions: 25 random carves of 12 to 20 jobs at a quarter of their work,
+`gen_yes` (1,0) (1,5) (2,1) (3,2) (6,0) (10,3) and `gen_no` (2,0) (2,3)
+reduced and decided at W, and the digit traps at D = 17 and 33; each under
+all 16 `PruneRules` sets, plain and contiguous, at budgets 1, 4, 30 and 300.
+The carves and traps come from the helpers of `tests/test_solver.py` of the
+checkout this script lives in, imported and not modified, and each side
+gets its own copy of every instance.  Every decision must give a
+byte-identical `Decision.to_dict()` on both sides; the script lists every
+case that differs and stops.
+
 Only the `decide_target` call of an op is timed.  Each round runs every op
 once on each side, OLD first on even rounds and NEW first on odd ones.  Every
 op must give a byte-identical `Decision.to_dict()` on both sides, in every
@@ -23,12 +34,20 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import random
 import sys
 import time
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 CORPORA = ("decide-witness", "decide-exhaust")
+CARVES = 25
+YES_CASES = ((1, 0), (1, 5), (2, 1), (3, 2), (6, 0), (10, 3))
+NO_CASES = ((2, 0), (2, 3))
+TRAP_DS = (17, 33)
+BUDGETS = (1, 4, 30, 300)
 
 
 def _load(name: str, path: Path, package: bool = False):
@@ -77,6 +96,64 @@ def _run(op, recorder) -> tuple[float, str]:
     return seconds, json.dumps(decision.to_dict(), sort_keys=True)
 
 
+def _instances(lib, helpers) -> dict:
+    """Each instance of the differential against `lib`, by label, with the
+    target it is decided at."""
+
+    def own(inst):
+        jobs = tuple(lib.Job(j.id, j.p, j.q, j.tag, j.index) for j in inst.jobs)
+        return lib.SchedulingInstance(inst.m, inst.z, inst.D, inst.W, jobs)
+
+    out = {}
+    for k, inst in enumerate(helpers._carves(random.Random("ab-decide"), CARVES)):
+        out[f"carve{k:02d}"] = own(inst), inst.total_work // inst.m
+    for z, seed in YES_CASES:
+        inst = lib.build_jobs(lib.gen_yes(z, seed)[0])
+        out[f"yes({z},{seed})"] = inst, inst.W
+    for z, seed in NO_CASES:
+        inst = lib.build_jobs(lib.gen_no(z, seed))
+        out[f"no({z},{seed})"] = inst, inst.W
+    for D in TRAP_DS:
+        inst, target = helpers.digit_trap_instance(D)
+        out[f"trap{D}"] = own(inst), target
+    return out
+
+
+def _differential(libs) -> None:
+    """Decide every case of the differential on both sides and stop with
+    the list of cases whose decisions differ."""
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
+    helpers = _load("ab_solver_tests", HERE / "tests" / "test_solver.py")
+    cases = {side: _instances(lib, helpers) for side, lib in libs.items()}
+    outcomes = Counter()
+    differ = []
+    for label in cases["old"]:
+        for flags, contiguous, budget in product(
+            product((True, False), repeat=4), (False, True), BUDGETS
+        ):
+            seen = {}
+            for side, lib in libs.items():
+                inst, target = cases[side][label]
+                rules = lib.PruneRules(*flags)
+                decision = lib.decide_target(
+                    inst, target, contiguous, budget=budget, rules=rules
+                )
+                seen[side] = json.dumps(decision.to_dict(), sort_keys=True)
+            outcomes[decision.outcome] += 1
+            if seen["old"] != seen["new"]:
+                bits = "".join("01"[f] for f in flags)
+                mode = "contiguous" if contiguous else "plain"
+                differ.append(f"{label} rules={bits} {mode} budget={budget}")
+    total = sum(outcomes.values())
+    if differ:
+        raise SystemExit(
+            f"differential: {len(differ)} of {total} decisions differ:\n  "
+            + "\n  ".join(differ)
+        )
+    counts = ", ".join(f"{n} {outcome}" for outcome, n in sorted(outcomes.items()))
+    print(f"differential: {total} decisions, identical ({counts})")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -88,6 +165,7 @@ def main(argv=None) -> None:
         side: _load(f"gf_{side}", root.resolve() / "src" / "gadgetforge", True)
         for side, root in (("old", args.old), ("new", args.new))
     }
+    _differential(libs)
     workloads = _load("workloads", HERE / "perfbench" / "workloads.py")
     for corpus in CORPORA:
         ops = {side: _ops(workloads, lib, corpus, args.seed) for side, lib in libs.items()}
