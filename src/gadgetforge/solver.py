@@ -23,7 +23,8 @@ effect can be measured:
 * ``equations``   - on reduction instances searched at their own target,
   enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
   positions of the forward direction, the one in which a B job opens the
-  schedule (see "Forward only" below).
+  schedule (see "Forward only" below), and cut a value or gamma job that
+  leaves a rest of its gap no unplaced values can fill.
 * ``dead_states`` - remember every search state whose subtree was
   exhausted without a witness, under a key that is canonical up to machine
   symmetry, and cut any later branch that reaches an equal key (see "Dead
@@ -67,20 +68,37 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   from the facts its spec holds (see `_Search._equation_specs`).  A pinned
   family (every tag but gamma and P) forces its k-th placement to one
   start, so it tests that start and its count chain once for all its
-  classes.  A value job (P) placed at t must end by the gap reach at t, the
-  latest end of a gap that starts by t (t itself when none does), found by
+  classes.  A value job (P) placed at t must end by hi_k, the end of the
+  last gap k that starts by t (by t itself when none does), found by
   bisecting the gap starts.  The value family is walked from its shortest
   class up until one overshoots that bound, and the classes left count as
-  equations in bulk; as every gap ends below T, a class within the bound
-  also fits the room.  The gamma job of block j may start only inside its
-  window, the first D + 1 starts of block j's gap, and the gaps of
-  different blocks are disjoint, so the windows are pairwise disjoint; the
-  gamma lengths differ in j, so each gamma job is a class of its own.  So
-  at most one gamma job may start at t: the one whose window starts last
-  at or before t, found by bisecting the sorted window starts, if t is
-  also within that window's end.  It offers when it is unplaced and fits
-  the room; every other gamma class that fits counts as equations in
-  bulk.  Both facts are checked when the gamma family's spec is built;
+  equations; as every gap ends below T, a class within the bound also fits
+  the room.  A class of length p within the bound offers only if the rest
+  r = hi_k - t - p - |gamma_k| it leaves (|gamma_k| counts 0 once gamma_k
+  is placed) is 0, above D/2, or the length of another unplaced value;
+  each other class is an equations prune.  This is sound.  In every gap
+  the pinned jobs at their forced starts hold m - 1 machines at every
+  instant, so at every instant one job covers the last machine, gamma_k
+  or a value: the gamma windows and the values lie inside the gaps, which
+  are disjoint.  Every job placed before the one at t starts by t and
+  every later one at t or after, and as one such job covers each instant,
+  the gamma and value jobs placed before it have ended by t and those
+  after it start at t + p or later.  So [t, hi_k) on the last machine
+  holds exactly the job at t, gamma_k if it is unplaced and some other
+  unplaced values, which sum to r.  Every value lies strictly between D/4
+  and D/2, so any j >= 1 of them sum to strictly between jD/4 and jD/2:
+  r is 0, above D/2, or one value, and any other r, below 0, up to D/4 or
+  D/2 itself, leaves the gap unfillable.  Whether a pair or more can fill
+  an r above D/2 is not tested.  The gamma job of block j may start only
+  inside its window, the first D + 1 starts of block j's gap, and the gaps
+  of different blocks are disjoint, so the windows are pairwise disjoint;
+  the gamma lengths differ in j, so each gamma job is a class of its own.
+  So at most one gamma job may start at t: the one whose window starts last
+  at or before t, found by bisecting the sorted window starts, if t is also
+  within that window's end.  It offers when it is unplaced, fits the room
+  and leaves a rest r = hi_k - t - |gamma_k| of its gap k that passes the
+  same test; every other gamma class that fits counts as equations in bulk.
+  The premises of both tests are checked when the family specs are built;
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -145,6 +163,9 @@ only loses prunes.  Why an equal key means an equal verdict:
    and family, the unplaced counts per width
    and the live lists (all functions of the remaining set), the machines'
    digit sums and, through the count chains, the finished counts by tag.
+   The gap-rest test of a value or gamma job reads only t, the unplaced
+   values and whether gamma_k is placed, all fixed by t and the remaining
+   set.
    A finished count is the placed count (fixed by the remaining set)
    minus the jobs running at t.
    The running jobs are the last jobs of the machines free after t: a job
@@ -442,33 +463,75 @@ class _Search:
           placement starts at the k-th, and its count chain compiled into
           (sign, family, width) terms, or None when it has no chain; a tag
           the instance lacks counts 0, so it adds no term;
-        * the value family: the gap starts in ascending order, each paired
-          with the latest end of a gap starting no later, its reach.  A
-          value job of length p at t lies inside a gap exactly when
-          t + p <= reach[i] for the last i with starts[i] <= t;
+        * the value family: the gap starts and ends in ascending order, the
+          class of each gap's gamma job, the value classes by length and D.
+          A value job of length p at t lies inside a gap exactly when
+          t + p <= ends[k] for the last k with starts[k] <= t;
         * the gamma family: its windows' first starts in ascending order,
-          and per window its last start and the class of its job.
+          and per window its last start, the class of its job and the end
+          of its gap, with the value classes by length and D.
 
-        `heads` holds each family's first job."""
+        The gap-rest test of both reads three premises, checked here: every
+        value lies strictly between D/4 and D/2; the k-th gap holds the
+        k-th window and every start in it keeps its gamma job inside the
+        gap; and in every gap the pinned jobs at their forced starts hold
+        exactly m - 1 machines at every instant.  `heads` holds each
+        family's first job."""
         inst = self.inst
+        D = inst.D
         pinned: dict[str, list[int]] = {}
+        # the machines the pinned jobs take (or free) at each of their
+        # starts (and ends), and the pinned load from each such instant on
+        delta: dict[int, int] = {}
         for job_id, s in forced_starts(inst).items():
-            pinned.setdefault(inst.by_id[job_id].tag, []).append(s)
+            job = inst.by_id[job_id]
+            pinned.setdefault(job.tag, []).append(s)
+            delta[s] = delta.get(s, 0) + job.q
+            delta[s + job.p] = delta.get(s + job.p, 0) - job.q
+        instants = sorted(delta)
+        loads = list(accumulate(delta[x] for x in instants))
         gaps = sorted(partition_gaps(inst))
-        reach = (
-            tuple(lo for lo, _ in gaps),
-            tuple(accumulate((hi for _, hi in gaps), max)),
-        )
+        lows = tuple(lo for lo, _ in gaps)
+        ends = tuple(hi for _, hi in gaps)
         windows = sorted(
             (*gamma_window(inst, j.index), self.rec[j.id][0])
             for j in inst.tagged("gamma")
         )
+        # a gap's pinned load is the load from its start on, when no pinned
+        # job starts or ends inside it
+        held = True
+        for lo, hi in gaps:
+            e = bisect_right(instants, lo)
+            held = held and e > 0 and loads[e - 1] == self.m - 1
+            held = held and (e == len(instants) or instants[e] >= hi)
+        # the value classes by length
+        by_len: dict[int, list[int]] = {}
+        for c, js in enumerate(self.members):
+            if js[0].tag == "P":
+                by_len.setdefault(js[0].p, []).append(c)
         require(
             "the gamma window table",
             (
                 all(hi < lo for (_, hi, _), (lo, _, _) in zip(windows, windows[1:])),
                 "pairwise disjoint",
             ),
+            (
+                len(windows) == len(gaps)
+                and all(
+                    lo <= first and last + self.cls_p[c] <= hi
+                    for (first, last, c), (lo, hi) in zip(windows, gaps)
+                ),
+                "one window inside each gap, in gap order",
+            ),
+        )
+        require(
+            "the value gaps",
+            (all(4 * p > D and 2 * p < D for p in by_len), "every value in (D/4, D/2)"),
+            (
+                all(hi <= lo for hi, lo in zip(ends, lows[1:])),
+                "pairwise disjoint",
+            ),
+            (held, "m - 1 machines pinned at every instant of a gap"),
         )
         fam = {j.tag: f for f, j in enumerate(heads)}
         # Each tag is one family, so its (tag, q) code is one family too:
@@ -490,11 +553,12 @@ class _Search:
         specs = []
         for f, j in enumerate(heads):
             if j.tag == "P":
-                specs.append((f, _VALUE, j.q, reach))
+                gammas = tuple(c for *_, c in windows)
+                specs.append((f, _VALUE, j.q, (lows, ends, gammas, by_len, D)))
             elif j.tag == "gamma":
                 starts = tuple(lo for lo, _, _ in windows)
-                last = tuple((hi, c) for _, hi, c in windows)
-                specs.append((f, _WINDOW, j.q, (starts, last)))
+                last = tuple((hi, c, end) for (_, hi, c), end in zip(windows, ends))
+                specs.append((f, _WINDOW, j.q, (starts, last, by_len, D)))
             else:
                 chain = None
                 if j.tag in CHAIN_TERMS:
@@ -559,6 +623,11 @@ class _Search:
                 return False
         return True
 
+    def _spare(self, by_len, r: int) -> int:
+        """How many value jobs of length r are unplaced."""
+        taken, members = self.taken, self.members
+        return sum(len(members[c]) - taken[c] for c in by_len.get(r, ()))
+
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
         """(job, machine set) for every placement at t, in (-q, -p, id)
         order.  A rejected job counts as a prune of the first rule that
@@ -600,42 +669,62 @@ class _Search:
                 if not ok:
                     equations += n - i
                     continue
+                offer = live[i:]
             elif kind == _VALUE:
-                # the latest end a value job starting at t may reach, t
-                # itself (no room) when no gap starts by t; from the
-                # shortest job up, until one overshoots
-                starts, ends = facts
+                # the end of the gap that may hold t, t itself (no room)
+                # when no gap starts by t; from the shortest job up, until
+                # one overshoots
+                starts, ends, gammas, by_len, D = facts
                 k = bisect_right(starts, t) - 1
                 reach = (ends[k] if k >= 0 else t) - t
                 j = n
                 while j > i and cls_p[live[j - 1]] <= reach:
                     j -= 1
-                equations += j - i
-                i = j
-                if i == n:
+                # the rest of the gap, which the gap's gamma job when
+                # unplaced and the values after this one must fill
+                rest = reach
+                if k >= 0 and not taken[gammas[k]]:
+                    rest -= cls_p[gammas[k]]
+                offer = []
+                for c in live[j:]:
+                    p = cls_p[c]
+                    r = rest - p
+                    if r == 0 or 2 * r > D or self._spare(by_len, r) > (r == p):
+                        offer.append(c)
+                equations += n - i - len(offer)
+                if not offer:
                     continue
             elif kind == _WINDOW:
                 # the windows are disjoint: only the one whose first start
                 # is the last at or before t may hold t, and its job offers
-                # when it is unplaced and fits the room, that is, when its
-                # class is in live[i:]; the other classes there are
+                # when it is unplaced, fits the room, that is, when its
+                # class is in live[i:], and leaves a rest of its gap that
+                # the values can fill; the other classes there are
                 # equations
                 equations += n - i
-                starts, last = facts
+                starts, last, by_len, D = facts
                 k = bisect_right(starts, t) - 1
                 if k >= 0:
-                    hi, c = last[k]
-                    if t <= hi and not taken[c] and cls_p[c] <= room:
+                    hi, c, end = last[k]
+                    r = end - t - cls_p[c]
+                    if (
+                        t <= hi
+                        and not taken[c]
+                        and cls_p[c] <= room
+                        and (r == 0 or 2 * r > D or self._spare(by_len, r))
+                    ):
                         equations -= 1
                         emitters += 1
                         job = members[c][0]
                         for subset in self.subsets(avail, q):
                             add((job, subset))
                 continue
+            else:
+                offer = live[i:]
             emitters += 1
             subsets = self.subsets(avail, q)
             if acc is None:
-                for c in live[i:]:
+                for c in offer:
                     job = members[c][taken[c]]
                     for subset in subsets:
                         add((job, subset))
@@ -643,7 +732,7 @@ class _Search:
             # digit sums that stay within the target's, see _CoeffTables
             guarded, guards = self.coeff.guarded, self.coeff.guards
             rows = self.coeff.rows
-            for c in live[i:]:
+            for c in offer:
                 job = members[c][taken[c]]
                 headroom = guarded - rows[job.id]
                 for subset in subsets:

@@ -12,8 +12,9 @@ way the finished-before count is defined; they are the reference that
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
 of `solver._Search._candidates` is checked against.  It reads the forced
-starts, gamma windows and gaps from `reduction`'s closed forms, never from
-the solver's tables, so a wrong table entry shows as a difference.
+starts, gamma windows and gaps from `reduction`'s closed forms, and the
+placed jobs from the search's path, never from the solver's tables, so a
+wrong table entry shows as a difference.
 """
 
 from collections import Counter
@@ -161,19 +162,33 @@ def _scan_order(search):
 
 def _equation_facts(inst: SchedulingInstance):
     """The forward forced starts of each tag in ascending order, each gamma
-    job's window and the value-job gaps, read from the instance through the
-    closed forms of `reduction`, not from the solver's tables; None when
-    the instance is not a reduction."""
+    job's window and the value-job gaps, block j's gap paired with block
+    j's gamma job, read from the instance through the closed forms of
+    `reduction`, not from the solver's tables; None when the instance is
+    not a reduction."""
     if recognize(inst) is None:
         return None
     pinned = {}
     for job_id, start in forced_starts(inst).items():
         pinned.setdefault(inst.by_id[job_id].tag, []).append(start)
+    gamma = {j.index: j for j in inst.tagged("gamma")}
     return (
         {tag: sorted(starts) for tag, starts in pinned.items()},
         {j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
-        partition_gaps(inst),
+        [(lo, hi, gamma[j]) for j, (lo, hi) in enumerate(partition_gaps(inst), 1)],
     )
+
+
+def gap_can_close(r: int, D: int, others: Iterable[int]) -> bool:
+    """Whether the rest r of a gap, left for the values still to come once
+    a value or gamma job is placed, is not ruled out by the value window:
+    any j >= 1 values, each strictly between D/4 and D/2, sum to strictly
+    between jD/4 and jD/2.  So r must be 0, above D/2 (a pair or more,
+    not tested further), or strictly between D/4 and D/2 and the length of
+    one of `others`, the lengths of the other unplaced values."""
+    if r == 0 or 2 * r > D:
+        return True
+    return 4 * r > D and 2 * r < D and r in others
 
 
 def path_free_times(search) -> list[int]:
@@ -194,8 +209,10 @@ def reference_candidates(search, t: int):
     Each job is rejected by the first rule that rejects it: no-fit when it
     is wider than the idle machines or longer than the room left, symmetry
     when the next smaller id with the same (p, q, tag) is still unplaced,
-    equations when the forward forced positions do not allow t, and
-    coeff-budget once per machine set whose digit sums it would overflow.
+    equations when the forward forced positions do not allow t or leave a
+    rest of the gap that the unplaced values cannot fill (`gap_can_close`),
+    and coeff-budget once per machine set whose digit sums it would
+    overflow.
     """
     order, pred, eq = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
@@ -205,6 +222,7 @@ def reference_candidates(search, t: int):
     room = search.target - t
     counts = Counter()
     chains = None
+    unplaced_values = {j.id: j.p for j in order if j.tag == "P" and j.id in remaining}
     out = []
     for job in order:
         jid = job.id
@@ -218,11 +236,21 @@ def reference_candidates(search, t: int):
             continue
         if eq is not None:
             pinned, windows, gaps = eq
+            values = [p for i, p in unplaced_values.items() if i != jid]
             if job.tag == "P":
-                ok = any(lo <= t and t + job.p <= hi for lo, hi in gaps)
+                ok = False
+                for lo, hi, gamma in gaps:
+                    if lo <= t and t + job.p <= hi:
+                        rest = hi - t - job.p
+                        if gamma.id in remaining:
+                            rest -= gamma.p
+                        ok = gap_can_close(rest, search.inst.D, values)
             elif job.tag == "gamma":
                 lo, hi = windows[jid]
                 ok = lo <= t <= hi
+                if ok:
+                    ((_, end, _),) = [g for g in gaps if g[2].id == jid]
+                    ok = gap_can_close(end - t - job.p, search.inst.D, values)
             else:
                 ok = pinned[job.tag][placed[job.tag]] == t
                 if ok and job.tag in CHECKPOINT_TAGS:

@@ -19,10 +19,16 @@ from gadgetforge.reduction import (
     chain_values,
     forced_starts,
     gamma_window,
+    partition_gaps,
 )
 from gadgetforge.schedule import Schedule, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
-from gadgetforge.threepartition import SearchBudgetExceeded, gen_no, gen_yes
+from gadgetforge.threepartition import (
+    SearchBudgetExceeded,
+    ThreePartitionInstance,
+    gen_no,
+    gen_yes,
+)
 
 from conftest import path_free_times, reference_candidates
 
@@ -300,18 +306,18 @@ PINNED_RUNS = {
     "run, dead_states, outcome, nodes, prunes",
     [
         pytest.param(
-            "no(2,3)-contiguous", False, "proved-none", 36_638,
-            {"equations": 194_733, "no-fit": 292_910, "symmetry": 27_518},
+            "no(2,3)-contiguous", False, "proved-none", 11_918,
+            {"equations": 60_565, "no-fit": 95_278, "symmetry": 11_918},
             id="no(2,3)-contiguous",
         ),
         pytest.param(
-            "yes(16,0)", False, "witness", 751,
-            {"equations": 39_679, "no-fit": 36_062, "symmetry": 16_037},
+            "yes(16,0)", False, "witness", 469,
+            {"equations": 23_582, "no-fit": 19_811, "symmetry": 10_439},
             id="yes(16,0)",
         ),
         pytest.param(
             "yes(16,3)-budget-1000", False, "budget-exceeded", 2_002,
-            {"equations": 103_821, "no-fit": 98_164, "symmetry": 40_048},
+            {"equations": 53_095, "no-fit": 48_622, "symmetry": 22_016},
             id="yes(16,3)-budget-1000",
         ),
         pytest.param(
@@ -337,8 +343,8 @@ PINNED_RUNS = {
             id="yes(16,3)-symmetry-off-budget-100",
         ),
         pytest.param(
-            "yes(2,0)-contiguous-symmetry-off", False, "witness", 4_771,
-            {"equations": 30_139, "no-fit": 36_820},
+            "yes(2,0)-contiguous-symmetry-off", False, "witness", 376,
+            {"equations": 3_295, "no-fit": 1_660},
             id="yes(2,0)-contiguous-symmetry-off",
         ),
         pytest.param(
@@ -347,20 +353,20 @@ PINNED_RUNS = {
             id="yes(1,0)-contiguous-budget-30",
         ),
         pytest.param(
-            "no(2,3)-contiguous", True, "proved-none", 2_987,
-            {"dead-state": 1_771, "equations": 6_480, "no-fit": 9_685,
-             "symmetry": 1_072},
+            "no(2,3)-contiguous", True, "proved-none", 1_101,
+            {"dead-state": 631, "equations": 2_798, "no-fit": 3_725,
+             "symmetry": 490},
             id="no(2,3)-contiguous-table",
         ),
         pytest.param(
-            "yes(16,0)", True, "witness", 751,
-            {"equations": 39_679, "no-fit": 36_062, "symmetry": 16_037},
+            "yes(16,0)", True, "witness", 469,
+            {"equations": 23_582, "no-fit": 19_811, "symmetry": 10_439},
             id="yes(16,0)-table",
         ),
         pytest.param(
             "yes(16,3)-budget-1000", True, "budget-exceeded", 2_002,
-            {"dead-state": 624, "equations": 61_593, "no-fit": 56_065,
-             "symmetry": 25_509},
+            {"dead-state": 942, "equations": 34_315, "no-fit": 28_786,
+             "symmetry": 16_383},
             id="yes(16,3)-budget-1000-table",
         ),
         pytest.param(
@@ -384,12 +390,12 @@ PINNED_RUNS = {
         pytest.param(
             "yes(16,3)-symmetry-off-budget-100", True, "budget-exceeded",
             5_252,
-            {"dead-state": 1_107, "equations": 457_081, "no-fit": 326_993},
+            {"dead-state": 1_107, "equations": 457_205, "no-fit": 326_825},
             id="yes(16,3)-symmetry-off-budget-100-table",
         ),
         pytest.param(
-            "yes(2,0)-contiguous-symmetry-off", True, "witness", 681,
-            {"dead-state": 413, "equations": 1_788, "no-fit": 1_846},
+            "yes(2,0)-contiguous-symmetry-off", True, "witness", 216,
+            {"dead-state": 85, "equations": 1_080, "no-fit": 750},
             id="yes(2,0)-contiguous-symmetry-off-table",
         ),
         pytest.param(
@@ -554,6 +560,10 @@ def _scan_cases():
     # a witness: its value jobs fill their gaps exactly
     cases.append((*_at_w(gen_yes(1, 5)[0]), 200))
     cases.append((*_at_w(gen_no(2, 3)), 150))
+    # 160 + 2 * 120 = D = 400 with a single 120: once 160 opens a gap, a
+    # 120 leaves a rest of 120 that only another 120 could fill
+    values = (160, 120, 130, 110, 140, 140)
+    cases.append((*_at_w(ThreePartitionInstance(values)), 200))
     return cases
 
 
@@ -632,6 +642,80 @@ def test_count_chains_count_each_running_job_once():
     assert wide_running
 
 
+def _subset_sums(values) -> int:
+    """Every sum of a sub-multiset of `values`, as the bits of one int."""
+    sums = 1
+    for v in values:
+        sums |= sums << v
+    return sums
+
+
+@pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
+def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
+    # A value or gamma job that may start at t inside a gap is cut when the
+    # rest of the gap it leaves is not 0, not above D/2 and not the length
+    # of another unplaced value.  Each cut must be exact: the rest is not a
+    # sum of other unplaced values, found here by brute force.  A depth-first
+    # walk in random order, now and then placing any job that fits, reaches
+    # gap states the search's own order does not, and states off the
+    # forward direction.
+    rng = random.Random("gap-rest")
+    cases = [gen_yes(z, s)[0] for z in range(2, 7) for s in range(2)]
+    cases.append(gen_no(2, 3))
+    cuts = 0
+    for inst3p in cases:
+        inst, target = _at_w(inst3p)
+        gaps = partition_gaps(inst)
+        gamma = {j.index: j for j in inst.tagged("gamma")}
+        search = solver._Search(inst, target, contiguous, PruneRules(), 1)
+        frames = []
+        for _ in range(300):
+            free = path_free_times(search)
+            t = min(free)
+            cands = search._candidates(t)
+            offered = {j.id for j, _ in cands}
+            placed = {j.id for j, *_ in search.path}
+            values = {j.id: j.p for j in inst.tagged("P") if j.id not in placed}
+            for k, (lo, hi) in enumerate(gaps, 1):
+                g = gamma[k]
+                rests = []
+                first, last = gamma_window(inst, k)
+                if g.id not in placed | offered and first <= t <= last:
+                    rests.append((None, hi - t - g.p))
+                for js, n in zip(search.members, search.taken):
+                    job = js[n] if n < len(js) else None
+                    if job is None or job.tag != "P" or job.id in offered:
+                        continue
+                    if lo <= t and t + job.p <= hi:
+                        rest = hi - t - job.p - (g.p if g.id not in placed else 0)
+                        rests.append((job.id, rest))
+                for jid, r in rests:
+                    others = [p for i, p in values.items() if i != jid]
+                    assert r < 0 or not _subset_sums(others) >> r & 1
+                    cuts += 1
+            if rng.random() < 0.05:
+                idle = [m for m, end in enumerate(free) if end == t]
+                cands += [
+                    (js[n], tuple(sorted(rng.sample(idle, js[n].q))))
+                    for js, n in zip(search.members, search.taken)
+                    if n < len(js) and js[n].q <= len(idle) and js[n].p <= target - t
+                ][:1]
+            rng.shuffle(cands)
+            frames.append((t, iter(cands)))
+            while frames:
+                t, pending = frames[-1]
+                step = next(pending, None)
+                if step is not None:
+                    search._place(*step, t)
+                    break
+                frames.pop()
+                if search.path:
+                    search._unplace()
+            if not frames or len(search.path) == search.n:
+                break
+    assert cuts > 100
+
+
 @pytest.mark.parametrize("z", range(1, 17))
 def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
     # The node scan finds the one gamma job that may start at t by
@@ -646,9 +730,9 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert len({(j.p, j.q) for j in gammas}) == z
         search = solver._Search(inst, inst.W, False, PruneRules(), 1)
-        ((_, win),) = [f[3] for f in search.upto[-1] if f[1] == solver._WINDOW]
+        ((_, win, *_),) = [f[3] for f in search.upto[-1] if f[1] == solver._WINDOW]
         assert len(win) == z
-        assert all(len(search.members[c]) == 1 for _, c in win)
+        assert all(len(search.members[c]) == 1 for _, c, _ in win)
 
 
 def test_overlapping_gamma_windows_are_refused(monkeypatch):
@@ -658,6 +742,38 @@ def test_overlapping_gamma_windows_are_refused(monkeypatch):
         solver, "gamma_window", lambda inst, j: (real(inst, 1)[0], real(inst, j)[1])
     )
     with pytest.raises(RuntimeError, match="gamma window table .* pairwise disjoint"):
+        solver._Search(inst, target, False, PruneRules(), 1)
+
+
+def _shifted_alpha(real):
+    """`forced_starts` with alpha_1 one unit late, inside the first gap."""
+
+    def starts(inst):
+        out = real(inst)
+        out["alpha_1"] += 1
+        return out
+
+    return starts
+
+
+def _short_gaps(real):
+    """`partition_gaps` with every gap one unit short of its gamma job."""
+    return lambda inst: tuple((lo, hi - 1) for lo, hi in real(inst))
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("forced_starts", _shifted_alpha, "m - 1 machines pinned"),
+        ("partition_gaps", _short_gaps, "one window inside each gap"),
+    ],
+)
+def test_the_gap_rest_premises_are_checked(monkeypatch, name, patch, message):
+    # The gap-rest test is sound only while one machine is left in every
+    # gap and each gamma window lies inside its own gap.
+    inst, target = _at_w(gen_yes(3, 0)[0])
+    monkeypatch.setattr(solver, name, patch(getattr(solver, name)))
+    with pytest.raises(RuntimeError, match=message):
         solver._Search(inst, target, False, PruneRules(), 1)
 
 
@@ -790,20 +906,20 @@ def test_a_witness_that_fails_verification_is_never_returned(call):
 def test_no_instance_at_z3_is_proved_none_plain():
     decision = decide_target(*_at_w(gen_no(3, 3)))
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 43_179
+    assert decision.nodes == 9_420
 
 
 def test_no_instance_at_z3_is_proved_none_contiguous():
     decision = decide_target(*_at_w(gen_no(3, 3)), contiguous=True)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 86_195
+    assert decision.nodes == 18_690
 
 
 @pytest.mark.slow
 def test_no_instance_at_z4_is_proved_none_contiguous():
     decision = decide_target(*_at_w(gen_no(4, 3)), contiguous=True)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 2_060_813
+    assert decision.nodes == 270_747
 
 
 def test_yes_instance_at_z4_contiguous_is_witnessed_within_1e5_nodes():
@@ -833,7 +949,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(old)
     assert decision.outcome == "witness"
-    assert decision.nodes == 751
+    assert decision.nodes == 469
 
 
 def test_symmetry_changes_node_counts_not_outcomes():

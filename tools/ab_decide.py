@@ -1,6 +1,6 @@
 """A/B timing of the solver on the benchmark's two decision corpora.
 
-    python3 tools/ab_decide.py OLD NEW [--rounds 8] [--seed 0]
+    python3 tools/ab_decide.py OLD NEW [--rounds 8] [--seed 0] [--outcomes]
 
 OLD and NEW are checkouts of this repository.  Each checkout's
 `src/gadgetforge` is imported under its own package name (`gf_old` and
@@ -21,12 +21,23 @@ gets its own copy of every instance.  Every decision must give a
 byte-identical `Decision.to_dict()` on both sides; the script lists every
 case that differs and stops.
 
+With `--outcomes`, for a change that is meant to move node and prune
+counts, a decision may differ in its counts as long as its answer stands:
+every answered outcome (witness, proved-none, refused) must be the same on
+both sides, a witness at the default budget must keep its bytes, and a
+budget-exceeded that NEW answers is listed but allowed.  A witness under a
+smaller budget may change, since fewer nodes can let an earlier root branch
+finish.  The same rule holds for the corpus ops, and the script prints how
+many decisions stayed identical, moved only their counts or were newly
+answered.
+
 Only the `decide_target` call of an op is timed.  Each round runs every op
 once on each side, OLD first on even rounds and NEW first on odd ones.  Every
 op must give a byte-identical `Decision.to_dict()` on both sides, in every
-round.  The script prints, per op and per corpus, the minimum decide time of
-each side over the rounds and the ratio NEW/OLD of those minima; a corpus
-total is the sum of its per-op minima.
+round, or agree by the rule above under `--outcomes`.  The script prints,
+per op and per corpus, the minimum decide time of each side over the rounds
+and the ratio NEW/OLD of those minima; a corpus total is the sum of its
+per-op minima.
 """
 
 from __future__ import annotations
@@ -66,7 +77,8 @@ def _load(name: str, path: Path, package: bool = False):
 
 class _Recorder:
     """Stands in for the benchmark's tracer: runs every call, and times and
-    keeps the result of the latest `solver.decide` call."""
+    keeps the result of the latest `solver.decide` call, and its budget
+    (None for the default)."""
 
     def __init__(self):
         self.last = None
@@ -76,7 +88,7 @@ class _Recorder:
             return fn(*args, **kwargs)
         start = time.perf_counter()
         out = fn(*args, **kwargs)
-        self.last = (time.perf_counter() - start, out)
+        self.last = (time.perf_counter() - start, out, kwargs.get("budget"))
         return out
 
 
@@ -88,12 +100,34 @@ def _ops(workloads, lib, corpus: str, seed: int):
     return {label: op for label, op, _ in workloads.WORKLOADS[corpus](ctx)}, recorder
 
 
-def _run(op, recorder) -> tuple[float, str]:
+def _run(op, recorder) -> tuple[float, str, int | None]:
     ok, _ = op()
     if not ok:
         raise SystemExit("an op failed its own check")
-    seconds, decision = recorder.last
-    return seconds, json.dumps(decision.to_dict(), sort_keys=True)
+    seconds, decision, budget = recorder.last
+    return seconds, json.dumps(decision.to_dict(), sort_keys=True), budget
+
+
+ANSWERED = ("witness", "proved-none", "refused")
+
+
+def _verdict(old: str, new: str, witness_kept: bool, outcomes: bool) -> str:
+    """How NEW's decision stands to OLD's, both as `to_dict()` JSON:
+    "identical"; under `outcomes` also "counts" (the same answer, other
+    counts) or "answered" (OLD's budget-exceeded answered by NEW); else
+    "differ".  `witness_kept` asks a witness to keep its bytes."""
+    if old == new:
+        return "identical"
+    if not outcomes:
+        return "differ"
+    a, b = json.loads(old), json.loads(new)
+    if a["outcome"] == b["outcome"]:
+        if a["outcome"] == "witness" and witness_kept and a["witness"] != b["witness"]:
+            return "differ"
+        return "counts"
+    if a["outcome"] == "budget-exceeded" and b["outcome"] in ANSWERED:
+        return "answered"
+    return "differ"
 
 
 def _instances(lib, helpers) -> dict:
@@ -119,14 +153,16 @@ def _instances(lib, helpers) -> dict:
     return out
 
 
-def _differential(libs) -> None:
+def _differential(libs, outcomes: bool) -> None:
     """Decide every case of the differential on both sides and stop with
-    the list of cases whose decisions differ."""
+    the list of cases whose decisions differ; under `outcomes`, list the
+    cases NEW newly answers."""
     sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
     helpers = _load("ab_solver_tests", HERE / "tests" / "test_solver.py")
     cases = {side: _instances(lib, helpers) for side, lib in libs.items()}
-    outcomes = Counter()
-    differ = []
+    tally = Counter()
+    verdicts = Counter()
+    listed = {"differ": [], "answered": []}
     for label in cases["old"]:
         for flags, contiguous, budget in product(
             product((True, False), repeat=4), (False, True), BUDGETS
@@ -139,19 +175,28 @@ def _differential(libs) -> None:
                     inst, target, contiguous, budget=budget, rules=rules
                 )
                 seen[side] = json.dumps(decision.to_dict(), sort_keys=True)
-            outcomes[decision.outcome] += 1
-            if seen["old"] != seen["new"]:
+            tally[decision.outcome] += 1
+            # no budget of the differential is the default one
+            verdict = _verdict(seen["old"], seen["new"], False, outcomes)
+            verdicts[verdict] += 1
+            if verdict in listed:
                 bits = "".join("01"[f] for f in flags)
                 mode = "contiguous" if contiguous else "plain"
-                differ.append(f"{label} rules={bits} {mode} budget={budget}")
-    total = sum(outcomes.values())
-    if differ:
+                listed[verdict].append(f"{label} rules={bits} {mode} budget={budget}")
+    total = sum(tally.values())
+    if listed["differ"]:
         raise SystemExit(
-            f"differential: {len(differ)} of {total} decisions differ:\n  "
-            + "\n  ".join(differ)
+            f"differential: {len(listed['differ'])} of {total} decisions differ:\n  "
+            + "\n  ".join(listed["differ"])
         )
-    counts = ", ".join(f"{n} {outcome}" for outcome, n in sorted(outcomes.items()))
-    print(f"differential: {total} decisions, identical ({counts})")
+    counts = ", ".join(f"{n} {outcome}" for outcome, n in sorted(tally.items()))
+    if not outcomes:
+        print(f"differential: {total} decisions, identical (new: {counts})")
+        return
+    moved = ", ".join(f"{n} {verdict}" for verdict, n in sorted(verdicts.items()))
+    print(f"differential: {total} decisions agree by outcome ({moved}; new: {counts})")
+    for case in listed["answered"]:
+        print(f"  answered by new only: {case}")
 
 
 def main(argv=None) -> None:
@@ -160,29 +205,40 @@ def main(argv=None) -> None:
     parser.add_argument("new", type=Path)
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--outcomes",
+        action="store_true",
+        help="allow moved counts: answers and default-budget witnesses must stand",
+    )
     args = parser.parse_args(argv)
     libs = {
         side: _load(f"gf_{side}", root.resolve() / "src" / "gadgetforge", True)
         for side, root in (("old", args.old), ("new", args.new))
     }
-    _differential(libs)
+    _differential(libs, args.outcomes)
     workloads = _load("workloads", HERE / "perfbench" / "workloads.py")
     for corpus in CORPORA:
         ops = {side: _ops(workloads, lib, corpus, args.seed) for side, lib in libs.items()}
         labels = sorted(ops["old"][0])
         assert labels == sorted(ops["new"][0])
         best = {side: dict.fromkeys(labels, float("inf")) for side in libs}
+        verdicts = {}
         for r in range(args.rounds):
             sides = ("old", "new") if r % 2 == 0 else ("new", "old")
             for label in labels:
                 seen = {}
                 for side in sides:
                     table, recorder = ops[side]
-                    seconds, seen[side] = _run(table[label], recorder)
+                    seconds, seen[side], budget = _run(table[label], recorder)
                     best[side][label] = min(best[side][label], seconds)
-                if seen["old"] != seen["new"]:
+                verdicts[label] = _verdict(
+                    seen["old"], seen["new"], budget is None, args.outcomes
+                )
+                if verdicts[label] == "differ":
                     raise SystemExit(f"{corpus} {label}: the decisions differ")
-        print(f"{corpus}: {len(labels)} ops, {args.rounds} rounds, identical decisions")
+        moved = Counter(verdicts.values())
+        agree = ", ".join(f"{n} {verdict}" for verdict, n in sorted(moved.items()))
+        print(f"{corpus}: {len(labels)} ops, {args.rounds} rounds, decisions {agree}")
         print(f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
         for label in labels:
             old, new = best["old"][label] * 1e3, best["new"][label] * 1e3
