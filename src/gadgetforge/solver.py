@@ -21,10 +21,10 @@ effect can be measured:
   per-power totals are too small to carry, and only when the equations rule
   is not active for the decision (see below).
 * ``equations``   - on reduction instances searched at their own target,
-  enforce the count chains of `reduction.COUNT_CHAINS` and the forced start
-  positions of the forward direction, the one in which a B job opens the
-  schedule (see "Forward only" below), and cut a value or gamma job that
-  leaves a rest of its gap no unplaced values can fill.
+  enforce the forced start positions of the forward direction, the one in
+  which a B job opens the schedule (see "Forward only" below), and cut a
+  value or gamma job that leaves a rest of its gap no unplaced values can
+  fill.
 * ``dead_states`` - remember every search state whose subtree was
   exhausted without a witness, under a key that is canonical up to machine
   symmetry, and cut any later branch that reaches an equal key (see "Dead
@@ -67,10 +67,10 @@ them in LIFO order, so a placed job is never visited again.  At a node:
 * the equation rule settles a family in one step where it is family-wide,
   from the facts its spec holds (see `_Search._equation_specs`).  A pinned
   family (every tag but gamma and P) forces its k-th placement to one
-  start, so it tests that start and its count chain once for all its
-  classes.  A value job (P) placed at t must end by hi_k, the end of the
-  last gap k that starts by t (by t itself when none does), found by
-  bisecting the gap starts.  The value family is walked from its shortest
+  start, so it tests that start once for all its classes.  A value job
+  (P) placed at t must end by hi_k, the end of the last gap k that starts
+  by t (by t itself when none does), found by bisecting the gap starts.
+  The value family is walked from its shortest
   class up until one overshoots that bound, and the classes left count as
   equations; as every gap ends below T, a class within the bound also fits
   the room.  A class of length p within the bound offers only if the rest
@@ -105,17 +105,6 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   two classes of equal length and different tags can interleave their ids;
 * the machine sets depend only on the idle set and q, so they are computed
   once per pair and reused;
-* a count chain is evaluated only for the pinned family that asks, at its
-  forced start; the other chains cannot change what the node offers.  It
-  reads each family's finished count as its placed count minus its jobs
-  running at t, counted in one pass over the cells of the machines busy
-  past t, the same cells the dead-state key packs (see "Dead states").
-  The chains are parsed once, into `reduction.CHAIN_TERMS`, and compiled
-  per search into (sign, family, width) terms, each held by the spec of
-  the family that asks: under the equation tables each tag is one family,
-  and a tag the instance lacks counts 0.  A cell's (tag, q) code is then
-  its family's index + 1, as both are numbered by first appearance in
-  (-q, -p, id) order, so the cells are counted by family directly;
 * the coefficient rule keeps each machine's digit sums packed in one
   integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
@@ -130,20 +119,55 @@ start s read as W - s - p for a job of length p.  `schedule.mirror` maps a
 zero-idle makespan-W schedule S to another such schedule mirror(S), whose
 job of start s starts at W - s - p on the same machines, so contiguity is
 kept, and S meets the mirrored conditions exactly when mirror(S) meets the
-forward ones.  The count chains hold in every forward target schedule.  So
-a target schedule exists exactly when a forward one does, and a search
-that covers every forward zero-idle schedule proves none only when none
-exists.
+forward ones.  So a target schedule exists exactly when a forward one
+does, and a search that covers every forward zero-idle schedule proves
+none only when none exists.
+
+No count chains.  The count chains of `reduction.COUNT_CHAINS` hold in
+every target schedule, and the audit and extraction check them on any
+schedule, but the search does not test them: where they could cut, the
+forced starts already fix the finished counts.  Lemma: let a pinned
+family ask at t, the earliest free instant (its next forced start is t),
+with an unplaced job that fits the idle machines and the room.  Then
+every tag's finished count at t is its count in the canonical schedule,
+the forward one `synthesis.build_schedule` builds, so every chain holds
+at t.  Proof, first for a prefix whose pinned jobs each have the length
+of the canonical job at their start.  The prefix is zero idle, so all m
+machines are covered over [0, t), and every placed job starts by t.
+Outside the gaps only pinned jobs can run, as the gamma windows and the
+value reaches lie inside them, and the pinned jobs hold all m machines
+there; inside a gap they hold m - 1, and none starts or ends inside one
+(both are checked when the family specs are built).  Say a forced start
+s < t were not taken, by a job X of width q.  Outside the gaps, the
+pinned jobs placed would cover fewer than m machines at s.  Inside gap
+k, s is the gap's start and t, a forced start too, is at or past its
+end, so q + 1 machines over the whole gap would be left to gamma_k and
+to values: gamma_k covers |gamma_k| of that area, and the rest, at least
+|gamma_k| + 2D, is far more than the values' total zD.  So every forced
+start below t is taken, each job ends where the canonical one does, and
+the finished counts at t are the canonical ones.  Within a tag only the
+c and delta lengths vary, by multiples of D^7 in the index, so a prefix
+may hold a c or delta job at another index's forced start.  Ending early,
+it frees its machines inside the canonical job's span, where no forced
+start and no gap lies, so no family asks before then and the job still
+runs at t.  Ending late, it holds a machine that the one job starting at
+the canonical end (A after c, b after delta) needs, so at that instant
+no job of the asking family fits, and later that job's forced start
+stays untaken.  This second part is argued per family, not proved in
+general; a test walks reachable states in random order, these included,
+and checks the chains wherever a pinned family asks with a job that
+fits.  Soundness never rested on the chains: dropping a sound cut can
+only add nodes.
 
 The ``coeff_budget`` rule is evaluated only when the equation tables are
 inactive.  Dropping a sound rule can never change the outcome of a finished
 search: a witness is re-verified from scratch and a proved-none still
 covers every zero-idle schedule, only the node count can grow.  Under the
-equation tables the forced starts and count chains already fix nearly
-every placement, and on every reduction decision measured (the test suite
-and both decision workloads of the benchmark) the digit check fired zero
-times, so evaluating it there only cost time.  On instances the tables do
-not recognise, such as the digit trap in the tests, it is what cuts early.
+equation tables the forced starts already fix nearly every placement,
+and on every reduction decision measured (the test suite and both
+decision workloads of the benchmark) the digit check fired zero times,
+so evaluating it there only cost time.  On instances the tables do not
+recognise, such as the digit trap in the tests, it is what cuts early.
 
 Dead states.  One set per decision holds the key of each state whose
 frame of candidates ran out: its subtree held no witness.  Nothing is
@@ -151,32 +175,23 @@ recorded for the frames a budget hit abandons or on the path to a witness,
 since those frames never run out, nor for the root, after which the search
 ends.  A placement that reaches a recorded key is counted as a node, undone
 and tallied as a ``dead-state`` prune.  The key is one int packing the
-remaining-job bitmask and one cell per machine: its free time and,
-for a machine still busy at t (the earliest free instant), a small code of
-the (tag, q) of the job running on it.  Plain searches sort the cells;
-contiguous searches take the smaller of the cell list and its reflection
-k <-> m+1-k.  The table stops growing at `DEAD_STATE_CAP` entries, which
-only loses prunes.  Why an equal key means an equal verdict:
+remaining-job bitmask and one cell per machine, its free time.  Plain
+searches sort the cells; contiguous searches take the smaller of the cell
+list and its reflection k <-> m+1-k.  The table stops growing at
+`DEAD_STATE_CAP` entries, which only loses prunes.  Why an equal key
+means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
    read the free times, the remaining set, the placed counts of each class
-   and family, the unplaced counts per width
-   and the live lists (all functions of the remaining set), the machines'
-   digit sums and, through the count chains, the finished counts by tag.
-   The gap-rest test of a value or gamma job reads only t, the unplaced
-   values and whether gamma_k is placed, all fixed by t and the remaining
-   set.
-   A finished count is the placed count (fixed by the remaining set)
-   minus the jobs running at t.
-   The running jobs are the last jobs of the machines free after t: a job
-   of tag g on q machines shows as q cells with the code of (g, q) and its
-   end as free time, so the cells give the running jobs of each tag at t
-   and their ends, and with them the finished counts at every later
-   instant; `_chain_holds` reads the running jobs from the cells in just
-   this way.  The code of an idle machine's last job is dropped: that job
-   is finished either way.  The digit sums need no place in the key: the
-   prefix is zero-idle, so a machine's free time is the sum S of its jobs'
-   lengths, and under the conditions `_coeff_tables` checks (every digit
+   and family, the unplaced counts per width and the live lists (all
+   functions of the remaining set) and the machines' digit sums.  The
+   forced-start test reads t and a family's placed count, and the gap-rest
+   test of a value or gamma job reads only t, the unplaced values and
+   whether gamma_k is placed, all fixed by t and the remaining set.
+   Nothing reads which job runs on a machine.  The digit sums need no
+   place in the key: the prefix is zero-idle, so a machine's free time is
+   the sum S of its jobs' lengths, and under the conditions
+   `_coeff_tables` checks (every digit
    nonnegative, each power's total over all jobs below D, the unit terms'
    absolute total below D^2) S fixes its digit sums.  Write S = X + D^2 N,
    X the sum of the jobs' unit terms and N = sum_k A_k D^(k-2) with digit
@@ -194,16 +209,17 @@ only loses prunes.  Why an equal key means an equal verdict:
    Permuting the machines of a prefix and of its completions (plain) or
    reflecting them (contiguous, where intervals stay intervals) keeps every
    start and maps completions onto completions, so deadness is invariant
-   under the permutations the canonical key forgets.  A state whose canonical key was recorded thus
-   has the raw key of some image of a dead state, and by 1 that image's
-   subtree, like the dead one's, holds no witness.
+   under the permutations the canonical key forgets.  A state whose
+   canonical key was recorded thus has the raw key of some image of a
+   dead state, and by 1 that image's subtree, like the dead one's, holds
+   no witness.
 3. A cut removes only subtrees without a witness, and the search is
    depth first in a fixed order, so the first witness found, and with it
    the outcome, is the one the search finds without the table.
 
 A decision is one `_Search`, holding its tables, the dead-state table and
 one state that each placement updates and its undo takes back exactly.  The
-state keeps each fact once: a machine's free time is read from its cell.
+state keeps each fact once: a machine's cell is its free time.
 The search walks the tree with an explicit stack, the root's frame of
 pending candidates and one per placed job, so its depth is not limited by
 the interpreter's recursion limit; the placed jobs with their undo records
@@ -227,7 +243,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
 from .reduction import (
-    CHAIN_TERMS,
     Job,
     SchedulingInstance,
     check_jobs,
@@ -364,13 +379,8 @@ class _Search:
             self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
-        # one code per (tag, q), 0 = idle
-        codes: dict[tuple[str, int], int] = {}
-        for j in order:
-            codes.setdefault((j.tag, j.q), len(codes) + 1)
-        self.code_bits = len(codes).bit_length()
-        self.cell_bits = target.bit_length() + self.code_bits
-        self._families(order, codes)
+        self.cell_bits = target.bit_length()
+        self._families(order)
         # unplaced jobs per width
         self.left = [0] * (self.m + 1)
         for js in self.members:
@@ -385,12 +395,11 @@ class _Search:
         self.prunes: Counter[str] = Counter()
         # packed per-machine digit sums, see _CoeffTables
         self.acc = [0] * self.m if self.coeff else None
-        # per machine, its free time and the (tag, q) code of its last job
-        # in one cell; the remaining-set bitmask
+        # per machine, its free time; the remaining-set bitmask
         self.cells = [0] * self.m
         self.rem_mask = (1 << self.n) - 1
 
-    def _families(self, order: list[Job], codes: dict[tuple[str, int], int]) -> None:
+    def _families(self, order: list[Job]) -> None:
         """Classes of identical jobs grouped into families, see "Candidates
         at a node", with each family's spec `(f, kind, q, facts)` and what a
         placement updates per job.  `order` is every job in (-q, -p, id)
@@ -415,8 +424,7 @@ class _Search:
         self.live = [list(cs) for cs in families.values()]
         fam_of = {c: f for f, cs in enumerate(self.live) for c in cs}
         # what a placement updates, per job: (class, family, class size,
-        # remaining-set bit (its place in `order`), (tag, q) code, packed
-        # digit row)
+        # remaining-set bit (its place in `order`), packed digit row)
         coeff = self.coeff is not None
         self.rec = {
             j.id: (
@@ -424,7 +432,6 @@ class _Search:
                 fam_of[c],
                 len(js),
                 1 << self.rank[j.id],
-                codes[j.tag, j.q],
                 self.coeff.rows[j.id] if coeff else 0,
             )
             for c, js in enumerate(self.members)
@@ -433,7 +440,7 @@ class _Search:
         # each family's first job
         heads = [self.members[cs[0]][0] for cs in self.live]
         if eq:
-            specs = self._equation_specs(heads, codes)
+            specs = self._equation_specs(heads)
         else:
             specs = [(f, _PLAIN, j.q, None) for f, j in enumerate(heads)]
         # the families at most w wide, for every idle width w
@@ -453,16 +460,12 @@ class _Search:
             and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
         )
 
-    def _equation_specs(
-        self, heads: list[Job], codes: dict[tuple[str, int], int]
-    ) -> list[tuple]:
+    def _equation_specs(self, heads: list[Job]) -> list[tuple]:
         """Each family's spec under the equation tables, with the facts of
         the forward direction that its kind tests at a node:
 
         * a pinned family: its forced starts in ascending order, so its k-th
-          placement starts at the k-th, and its count chain compiled into
-          (sign, family, width) terms, or None when it has no chain; a tag
-          the instance lacks counts 0, so it adds no term;
+          placement starts at the k-th;
         * the value family: the gap starts and ends in ascending order, the
           class of each gap's gamma job, the value classes by length and D.
           A value job of length p at t lies inside a gap exactly when
@@ -475,13 +478,15 @@ class _Search:
         value lies strictly between D/4 and D/2; the k-th gap holds the
         k-th window and every start in it keeps its gamma job inside the
         gap; and in every gap the pinned jobs at their forced starts hold
-        exactly m - 1 machines at every instant.  `heads` holds each
-        family's first job."""
+        exactly m - 1 machines at every instant.  The lemma that no count
+        moves (see "No count chains") reads a fourth, also checked here: the
+        pinned jobs hold all m machines at every instant of [0, T) outside
+        the gaps.  `heads` holds each family's first job."""
         inst = self.inst
         D = inst.D
         pinned: dict[str, list[int]] = {}
         # the machines the pinned jobs take (or free) at each of their
-        # starts (and ends), and the pinned load from each such instant on
+        # starts (and ends)
         delta: dict[int, int] = {}
         for job_id, s in forced_starts(inst).items():
             job = inst.by_id[job_id]
@@ -489,7 +494,9 @@ class _Search:
             delta[s] = delta.get(s, 0) + job.q
             delta[s + job.p] = delta.get(s + job.p, 0) - job.q
         instants = sorted(delta)
-        loads = list(accumulate(delta[x] for x in instants))
+        # the pinned load on each stretch between two consecutive instants
+        loads = accumulate(delta[x] for x in instants)
+        stretches = dict(zip(zip(instants, instants[1:]), loads))
         gaps = sorted(partition_gaps(inst))
         lows = tuple(lo for lo, _ in gaps)
         ends = tuple(hi for _, hi in gaps)
@@ -497,13 +504,6 @@ class _Search:
             (*gamma_window(inst, j.index), self.rec[j.id][0])
             for j in inst.tagged("gamma")
         )
-        # a gap's pinned load is the load from its start on, when no pinned
-        # job starts or ends inside it
-        held = True
-        for lo, hi in gaps:
-            e = bisect_right(instants, lo)
-            held = held and e > 0 and loads[e - 1] == self.m - 1
-            held = held and (e == len(instants) or instants[e] >= hi)
         # the value classes by length
         by_len: dict[int, list[int]] = {}
         for c, js in enumerate(self.members):
@@ -524,6 +524,7 @@ class _Search:
                 "one window inside each gap, in gap order",
             ),
         )
+        # A gap that is a stretch has no pinned start or end inside it.
         require(
             "the value gaps",
             (all(4 * p > D and 2 * p < D for p in by_len), "every value in (D/4, D/2)"),
@@ -531,20 +532,22 @@ class _Search:
                 all(hi <= lo for hi, lo in zip(ends, lows[1:])),
                 "pairwise disjoint",
             ),
-            (held, "m - 1 machines pinned at every instant of a gap"),
+            (
+                all(stretches.get(gap) == self.m - 1 for gap in gaps),
+                "m - 1 machines pinned at every instant of a gap",
+            ),
+            (
+                instants[0] == 0
+                and instants[-1] == self.target
+                and all(stretches[x] == self.m for x in stretches.keys() - set(gaps)),
+                "m machines pinned at every instant outside the gaps",
+            ),
         )
-        fam = {j.tag: f for f, j in enumerate(heads)}
-        # Each tag is one family, so its (tag, q) code is one family too:
-        # both are numbered by first appearance in (-q, -p, id) order.  Each
-        # gamma job is a class of its own, as gamma lengths differ in the
-        # block index, and the windows lie in disjoint gaps.
+        # Each gamma job is a class of its own, as gamma lengths differ in
+        # the block index, and the windows lie in disjoint gaps.
         require(
             "the family table",
-            (len(fam) == len(heads), "one family per tag"),
-            (
-                all(codes[j.tag, j.q] == f + 1 for f, j in enumerate(heads)),
-                "each (tag, q) code is its family's index + 1",
-            ),
+            (len({j.tag for j in heads}) == len(heads), "one family per tag"),
             (
                 all(len(self.members[c]) == 1 for *_, c in windows),
                 "one gamma job per class",
@@ -560,17 +563,7 @@ class _Search:
                 last = tuple((hi, c, end) for (_, hi, c), end in zip(windows, ends))
                 specs.append((f, _WINDOW, j.q, (starts, last, by_len, D)))
             else:
-                chain = None
-                if j.tag in CHAIN_TERMS:
-                    chain = tuple(
-                        tuple(
-                            (sign, fam[name], heads[fam[name]].q)
-                            for sign, name in signed
-                            if name in fam
-                        )
-                        for _, signed in CHAIN_TERMS[j.tag]
-                    )
-                specs.append((f, _PINNED, j.q, (tuple(sorted(pinned[j.tag])), chain)))
+                specs.append((f, _PINNED, j.q, tuple(sorted(pinned[j.tag]))))
         return specs
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
@@ -598,31 +591,6 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _chain_holds(self, chain, t: int) -> bool:
-        """Whether a pinned family's compiled count `chain` holds over the
-        jobs finished by t: each family's placed count minus its jobs
-        running at t.  One pass over the cells counts the running jobs of
-        every family: a job running on q machines shows as q cells with its
-        (tag, q) code, which is its family's index + 1, those of the
-        machines busy past t."""
-        busy = t + 1 << self.code_bits
-        low = (1 << self.code_bits) - 1
-        running = [0] * len(self.placed)
-        for c in self.cells:
-            if c >= busy:
-                running[(c & low) - 1] += 1
-        placed = self.placed
-        first = None
-        for signed in chain:
-            value = 0
-            for sign, f, q in signed:
-                value += sign * (placed[f] - running[f] // q)
-            if first is None:
-                first = value
-            elif value != first:
-                return False
-        return True
-
     def _spare(self, by_len, r: int) -> int:
         """How many value jobs of length r are unplaced."""
         taken, members = self.taken, self.members
@@ -635,8 +603,7 @@ class _Search:
         machine set."""
         cells = self.cells
         # t is the earliest free instant, so free at t means free by t
-        busy = t + 1 << self.code_bits
-        avail = tuple([m for m in range(self.m) if cells[m] < busy])
+        avail = tuple([m for m in range(self.m) if cells[m] <= t])
         width = len(avail)
         room = self.target - t
         taken = self.taken
@@ -662,11 +629,7 @@ class _Search:
             if i == n:
                 continue
             if kind == _PINNED:
-                starts, chain = facts
-                ok = starts[self.placed[f]] == t
-                if ok and chain is not None:
-                    ok = self._chain_holds(chain, t)
-                if not ok:
+                if facts[self.placed[f]] != t:
                     equations += n - i
                     continue
                 offer = live[i:]
@@ -761,7 +724,7 @@ class _Search:
 
     def _place(self, job, subset, t):
         rec = self.rec[job.id]
-        c, f, full, bit, code, row = rec
+        c, f, full, bit, row = rec
         # job is the first unplaced member of class c
         taken = self.taken
         taken[c] += 1
@@ -774,9 +737,9 @@ class _Search:
         self.placed[f] += 1
         old_cells = self.cells
         self.cells = cells = old_cells.copy()
-        cell = t + job.p << self.code_bits | code
+        end = t + job.p
         for m in subset:
-            cells[m] = cell
+            cells[m] = end
         if self.acc is not None:
             for m in subset:
                 self.acc[m] += row
@@ -785,7 +748,7 @@ class _Search:
 
     def _unplace(self):
         job, subset, _, rec, pos, self.cells = self.path.pop()
-        c, f, _, bit, _, row = rec
+        c, f, _, bit, row = rec
         self.taken[c] -= 1
         if pos is not None:
             self.live[f].insert(pos, c)
@@ -805,16 +768,14 @@ class _Search:
             },
         )
 
-    def _key(self, t: int) -> int:
-        """The dead-state key of the current state, whose earliest free
-        instant is t: see "Dead states" in the module docstring."""
-        idle = t << self.code_bits
-        busy = idle + (1 << self.code_bits)
-        cells = [c if c >= busy else idle for c in self.cells]
+    def _key(self) -> int:
+        """The dead-state key of the current state: see "Dead states" in
+        the module docstring."""
+        cells = self.cells
         if not self.contiguous:
-            cells.sort()
+            cells = sorted(cells)
         elif cells[::-1] < cells:
-            cells.reverse()
+            cells = cells[::-1]
         packed = self.rem_mask
         for c in cells:
             packed = packed << self.cell_bits | c
@@ -826,7 +787,7 @@ class _Search:
         key = None
         dead = self.dead
         if dead is not None:
-            key = self._key(t)
+            key = self._key()
             if key in dead:
                 self.prunes["dead-state"] += 1
                 return None
@@ -846,7 +807,6 @@ class _Search:
         branch is abandoned, its frames unwound to the root without being
         recorded, since they did not run out."""
         target, dead, budget = self.target, self.dead, self.budget
-        code_bits = self.code_bits
         path = self.path
         frames = [self._open(0)]
         while True:
@@ -873,7 +833,7 @@ class _Search:
             self._place(job, subset, t)
             if len(path) == self.n:
                 return self._snapshot()
-            t = min(self.cells) >> code_bits
+            t = min(self.cells)
             frame = self._open(t) if t < target else None
             if frame is None:
                 self._unplace()

@@ -24,10 +24,8 @@ from weakref import WeakKeyDictionary
 import pytest
 
 from gadgetforge.reduction import (
-    CHECKPOINT_TAGS,
     SchedulingInstance,
     build_jobs,
-    chain_values,
     forced_starts,
     gamma_window,
     partition_gaps,
@@ -221,7 +219,6 @@ def reference_candidates(search, t: int):
     placed = Counter(job.tag for job, *_ in search.path)
     room = search.target - t
     counts = Counter()
-    chains = None
     unplaced_values = {j.id: j.p for j in order if j.tag == "P" and j.id in remaining}
     out = []
     for job in order:
@@ -253,20 +250,6 @@ def reference_candidates(search, t: int):
                     ok = gap_can_close(end - t - job.p, search.inst.D, values)
             else:
                 ok = pinned[job.tag][placed[job.tag]] == t
-                if ok and job.tag in CHECKPOINT_TAGS:
-                    if chains is None:
-                        fin = Counter(
-                            search.inst.by_id[i].tag
-                            for i, s in starts.items()
-                            if s + search.inst.by_id[i].p <= t
-                        )
-                        chains = {
-                            tag
-                            for tag in CHECKPOINT_TAGS
-                            if len(set(chain_values(tag, fin.__getitem__).values()))
-                            == 1
-                        }
-                    ok = job.tag in chains
             if not ok:
                 counts["equations"] += 1
                 continue

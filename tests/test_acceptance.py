@@ -347,7 +347,7 @@ def test_criterion_7e_pruning_rules_change_counts_not_outcomes():
     completed runs must agree on the outcome, and a budget-capped run may
     abstain (budget-exceeded) but never answer differently; toggling the
     dead-state table must keep even the witness.  The z=1 equations-off run
-    is completed on purpose: 1,243,578 nodes and about 20 s with the
+    is completed on purpose: 751,032 nodes and about 6 s with the
     dead-state table (about 66 million nodes and six minutes without it)
     for the outcome the default rules reach in 19 nodes."""
     D = 33
@@ -418,7 +418,7 @@ def test_criterion_7e_pruning_rules_change_counts_not_outcomes():
     on, off = compare("z1W", "equations", PruneRules(equations=False), 10**7)
     if off.outcome != "witness":
         problems.append(f"z1W/equations-off: {off.outcome}, expected witness")
-    if not (on.nodes < 100 < 10**6 < off.nodes):
+    if not (on.nodes < 100 < 5 * 10**5 < off.nodes):
         problems.append(
             f"z1W/equations: node counts {on.nodes} vs {off.nodes} "
             "not in the measured regime"

@@ -21,13 +21,14 @@ from gadgetforge.reduction import (
     gamma_window,
     partition_gaps,
 )
-from gadgetforge.schedule import Schedule, verify
+from gadgetforge.schedule import Schedule, audit, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
 from gadgetforge.threepartition import (
     SearchBudgetExceeded,
     ThreePartitionInstance,
     gen_no,
     gen_yes,
+    validate_partition,
 )
 
 from conftest import path_free_times, reference_candidates
@@ -383,7 +384,7 @@ PINNED_RUNS = {
         pytest.param(
             "yes(1,5)-equations-off-budget-2000", True, "budget-exceeded",
             30_015,
-            {"coeff-budget": 21_212, "dead-state": 11_805, "no-fit": 66_332,
+            {"coeff-budget": 19_933, "dead-state": 12_687, "no-fit": 64_868,
              "symmetry": 41},
             id="yes(1,5)-equations-off-budget-2000-table",
         ),
@@ -467,6 +468,22 @@ def test_every_witness_runs_forward(z, seed, contiguous, budget):
         assert lo <= starts[j.id] <= hi
 
 
+@pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
+def test_witnesses_meet_the_count_chains(contiguous):
+    # The search does not test the count chains, which its forced starts
+    # imply; the audit checks them on every witness, and extraction reads
+    # a partition from it.
+    for z in range(1, 7):
+        for seed in range(4):
+            inst3p = gen_yes(z, seed)[0]
+            inst = build_jobs(inst3p)
+            decision = decide_target(inst, inst.W, contiguous)
+            assert decision.outcome == "witness"
+            assert audit(inst, decision.schedule).passed
+            partition, _ = extract_partition(inst3p, inst, decision.schedule)
+            assert validate_partition(inst3p, partition) == []
+
+
 def _carves(rng, count):
     """`count` random zero-idle carves of 12 to 20 jobs."""
     out = []
@@ -513,7 +530,8 @@ def test_dead_states_keep_every_answer_on_random_carves():
     ],
 )
 def test_dead_states_keep_every_answer_on_reductions(inst3p, contiguous):
-    # the count chains read the running jobs' tags, which the key carries
+    # the equation rule's forced-start and gap-rest tests read t, the
+    # placed counts and the unplaced values, which the key fixes
     inst = build_jobs(inst3p)
     on = decide_target(inst, inst.W, contiguous)
     off = decide_target(
@@ -605,41 +623,28 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
     assert seen["interleave"] and seen["equations"] and seen["coeff"]
 
 
-def test_count_chains_count_each_running_job_once():
-    # A job running on q machines shows as q cells, and the chains must
-    # count it once.  Random placements reach states the pruned searches
-    # above never do, such as a two-machine checkpoint job still running
-    # when a chain is read.
-    rng = random.Random("chain-cells")
-    inst, target = _at_w(gen_yes(2, 1)[0])
-    wide_running = 0
-    for _ in range(40):
-        search = solver._Search(inst, target, False, PruneRules(), 1)
-        while True:
-            free = path_free_times(search)
-            t = min(free)
-            fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
-            for tag in CHECKPOINT_TAGS:
-                values = chain_values(tag, fin.__getitem__).values()
-                f = search.rec[inst.tagged(tag)[0].id][1]
-                _, _, _, (_, chain) = search.upto[-1][f]
-                assert search._chain_holds(chain, t) == (len(set(values)) == 1)
-            wide_running += any(
-                j.tag in CHECKPOINT_TAGS and j.q > 1 and s + j.p > t
-                for j, _, s, *_ in search.path
-            )
-            idle = [m for m, end in enumerate(free) if end == t]
-            jobs = [
-                js[k]
-                for js, k in zip(search.members, search.taken)
-                if k < len(js) and js[k].q <= len(idle) and js[k].p <= target - t
-            ]
-            if not jobs:
-                break
-            job = rng.choice(jobs)
-            subset = tuple(sorted(rng.sample(idle, job.q)))
-            search._place(job, subset, t)
-    assert wide_running
+@pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
+def test_the_key_forgets_which_job_runs(contiguous):
+    # Nothing in a subtree reads which job runs on a machine, so two
+    # prefixes with the same remaining jobs and free times share one key.
+    # Machine 1 runs J (p = 2) then K (p = 3) in one and K then J in the
+    # other, while L holds the other machines over [0, 4), so t = 4.
+    jobs = (
+        Job("J", 2, 1, "J"), Job("K", 3, 1, "K"),
+        Job("L", 4, 3, "J"), Job("M", 1, 3, "K"),
+    )
+    inst = SchedulingInstance(m=4, z=0, D=0, W=0, jobs=jobs)
+    keys, running = [], []
+    for first, second in (("J", "K"), ("K", "J")):
+        search = solver._Search(inst, 5, contiguous, PruneRules(), 1)
+        search._place(inst.by_id["L"], (1, 2, 3), 0)
+        search._place(inst.by_id[first], (0,), 0)
+        search._place(inst.by_id[second], (0,), inst.by_id[first].p)
+        assert search.cells == [5, 4, 4, 4]
+        keys.append(search._key())
+        running.append(search.path[-1][0].tag)
+    assert running == ["K", "J"]
+    assert keys[0] == keys[1]
 
 
 def _subset_sums(values) -> int:
@@ -648,6 +653,32 @@ def _subset_sums(values) -> int:
     for v in values:
         sums |= sums << v
     return sums
+
+
+def _random_walk(search, rng, steps):
+    """Depth first over the candidates of `search` in random order, for at
+    most `steps` nodes: yields each node's earliest free instant t and its
+    candidate list, which the caller may extend, then places the next
+    candidate, backing up where none is left.  Ends at a witness or when
+    the root runs out."""
+    frames = []
+    for _ in range(steps):
+        t = min(path_free_times(search))
+        cands = search._candidates(t)
+        yield t, cands
+        rng.shuffle(cands)
+        frames.append((t, iter(cands)))
+        while frames:
+            t, pending = frames[-1]
+            step = next(pending, None)
+            if step is not None:
+                search._place(*step, t)
+                break
+            frames.pop()
+            if search.path:
+                search._unplace()
+        if not frames or len(search.path) == search.n:
+            return
 
 
 @pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
@@ -668,11 +699,8 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
         gaps = partition_gaps(inst)
         gamma = {j.index: j for j in inst.tagged("gamma")}
         search = solver._Search(inst, target, contiguous, PruneRules(), 1)
-        frames = []
-        for _ in range(300):
+        for t, cands in _random_walk(search, rng, 300):
             free = path_free_times(search)
-            t = min(free)
-            cands = search._candidates(t)
             offered = {j.id for j, _ in cands}
             placed = {j.id for j, *_ in search.path}
             values = {j.id: j.p for j in inst.tagged("P") if j.id not in placed}
@@ -700,20 +728,52 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
                     for js, n in zip(search.members, search.taken)
                     if n < len(js) and js[n].q <= len(idle) and js[n].p <= target - t
                 ][:1]
-            rng.shuffle(cands)
-            frames.append((t, iter(cands)))
-            while frames:
-                t, pending = frames[-1]
-                step = next(pending, None)
-                if step is not None:
-                    search._place(*step, t)
-                    break
-                frames.pop()
-                if search.path:
-                    search._unplace()
-            if not frames or len(search.path) == search.n:
-                break
     assert cuts > 100
+
+
+def test_the_count_chains_hold_where_a_pinned_family_asks():
+    # The lemma of "No count chains" in the solver: wherever a pinned
+    # family asks at t, its next forced start, with an unplaced job that
+    # fits the idle machines and the room, every chain holds over the jobs
+    # finished by t.  A walk over the search's own candidates in random
+    # order reaches states the search's order does not, among them states
+    # with a c or delta job at another index's forced start; there a chain
+    # may fail, but only where no job of the asking family fits.
+    rng = random.Random("count-chains")
+    asked = swapped = 0
+    cases = [gen_yes(z, s)[0] for z in range(1, 5) for s in range(2)]
+    for inst3p in cases + [gen_no(2, 3)]:
+        inst = build_jobs(inst3p)
+        starts, canonical = {}, {}
+        for jid, s in forced_starts(inst).items():
+            job = inst.by_id[jid]
+            starts.setdefault(job.tag, []).append(s)
+            canonical[job.tag, s] = job.p
+        for tag_starts in starts.values():
+            tag_starts.sort()
+        for contiguous in (False, True):
+            search = solver._Search(inst, inst.W, contiguous, PruneRules(), 1)
+            for t, _ in _random_walk(search, rng, 300):
+                free = path_free_times(search)
+                placed = {j.id for j, *_ in search.path}
+                fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
+                for tag in CHECKPOINT_TAGS:
+                    k = sum(inst.by_id[jid].tag == tag for jid in placed)
+                    if k == len(starts[tag]) or starts[tag][k] != t:
+                        continue
+                    fits = any(
+                        j.q <= free.count(t) and j.p <= inst.W - t
+                        for j in inst.tagged(tag)
+                        if j.id not in placed
+                    )
+                    values = chain_values(tag, fin.__getitem__).values()
+                    assert len(set(values)) == 1 or not fits
+                    asked += fits
+                swapped += any(
+                    canonical.get((j.tag, s), j.p) != j.p
+                    for j, _, s, *_ in search.path
+                )
+    assert asked > 100 and swapped
 
 
 @pytest.mark.parametrize("z", range(1, 17))
@@ -756,6 +816,17 @@ def _shifted_alpha(real):
     return starts
 
 
+def _late_lambda2(real):
+    """`forced_starts` with lambda2 one unit late, past the target."""
+
+    def starts(inst):
+        out = real(inst)
+        out["lambda2"] += 1
+        return out
+
+    return starts
+
+
 def _short_gaps(real):
     """`partition_gaps` with every gap one unit short of its gamma job."""
     return lambda inst: tuple((lo, hi - 1) for lo, hi in real(inst))
@@ -766,11 +837,14 @@ def _short_gaps(real):
     [
         ("forced_starts", _shifted_alpha, "m - 1 machines pinned"),
         ("partition_gaps", _short_gaps, "one window inside each gap"),
+        ("forced_starts", _late_lambda2, "m machines pinned at every instant outside"),
     ],
 )
 def test_the_gap_rest_premises_are_checked(monkeypatch, name, patch, message):
     # The gap-rest test is sound only while one machine is left in every
-    # gap and each gamma window lies inside its own gap.
+    # gap and each gamma window lies inside its own gap; the lemma that no
+    # count chain can cut reads that the pinned jobs hold every machine
+    # outside the gaps.
     inst, target = _at_w(gen_yes(3, 0)[0])
     monkeypatch.setattr(solver, name, patch(getattr(solver, name)))
     with pytest.raises(RuntimeError, match=message):
