@@ -28,9 +28,11 @@ The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
 
 The shape of every target schedule is stated once, at the end of this
-module, and read by synthesis, the audit, extraction and the solver:
-`CANONICAL_LAYOUT` holds each machine's job sequence and `COUNT_CHAINS` the
-count identities at every separator and filler start.
+module: `CANONICAL_LAYOUT` holds each machine's job sequence, read by
+synthesis and extraction, and `COUNT_CHAINS` the count identities at every
+separator and filler start, read by the audit and extraction.  The solver
+reads neither; its equation rule reads the closed-form starts of the
+canonical geometry.
 """
 
 from __future__ import annotations
@@ -285,10 +287,10 @@ def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
 #
 # In the orientation where a B job opens the schedule, every job outside the
 # gamma and P families has exactly one possible start time in a zero-idle
-# makespan-W schedule.  These closed forms are read only by the solver's
-# structural pruning; the synthesizer builds the same schedule
-# independently, by accumulation, so the two derivations cross-check each
-# other in the tests.
+# makespan-W schedule, up to swapping identical jobs.  In the package these
+# closed forms feed the solver's equation rule, and `forced_starts` is
+# exported; the synthesizer builds the same schedule independently, by
+# accumulation, so the two derivations cross-check each other in the tests.
 
 
 def block_separator_start(tag: str, i: int, z: int, D: int) -> int:
@@ -418,8 +420,8 @@ def _compile_term(term: str) -> tuple[str, tuple[tuple[int, str], ...]]:
 
 
 # COUNT_CHAINS parsed once: each family's terms as (name, signed pairs)
-CHAIN_TERMS: Mapping[str, tuple[tuple[str, tuple[tuple[int, str], ...]], ...]]
-CHAIN_TERMS = MappingProxyType(
+_CHAIN_TERMS: Mapping[str, tuple[tuple[str, tuple[tuple[int, str], ...]], ...]]
+_CHAIN_TERMS = MappingProxyType(
     {tag: tuple(map(_compile_term, terms)) for tag, terms in COUNT_CHAINS.items()}
 )
 
@@ -430,5 +432,5 @@ def chain_values(tag: str, count: Callable[[str], int]) -> dict[str, int]:
     finished-job count per family."""
     return {
         name: sum(sign * count(fam) for sign, fam in signed)
-        for name, signed in CHAIN_TERMS[tag]
+        for name, signed in _CHAIN_TERMS[tag]
     }

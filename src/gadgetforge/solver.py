@@ -48,8 +48,8 @@ the symmetry rule's (p, q, tag) key, members in id order; with the rule off
 every job is a class of its own.  Classes are grouped into families: by
 (q, tag) when the equation tables are active (a reduction's tags each
 have one width), else by q alone.  A search keeps the placed count of each
-class and family and, per family, a live list of the classes that still
-have unplaced members, in (-p, id) order; `_place` and `_unplace` update
+class and, per family, a live list of the classes that still have
+unplaced members, in (-p, id) order; `_place` and `_unplace` update
 them in LIFO order, so a placed job is never visited again.  At a node:
 
 * the unplaced jobs wider than the idle machines are no-fit, read from a
@@ -64,41 +64,42 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   takes back the last member placed.  The per-job rule rejects a member
   exactly when the member before it in id order is unplaced, which for an
   id prefix holds for every unplaced member but the first;
-* the equation rule settles a family in one step where it is family-wide,
-  from the facts its spec holds (see `_Search._equation_specs`).  A pinned
-  family (every tag but gamma and P) forces its k-th placement to one
-  start, so it tests that start once for all its classes.  A value job
-  (P) placed at t must end by hi_k, the end of the last gap k that starts
-  by t (by t itself when none does), found by bisecting the gap starts.
-  The value family is walked from its shortest
-  class up until one overshoots that bound, and the classes left count as
-  equations; as every gap ends below T, a class within the bound also fits
-  the room.  A class of length p within the bound offers only if the rest
-  r = hi_k - t - p - |gamma_k| it leaves (|gamma_k| counts 0 once gamma_k
-  is placed) is 0, above D/2, or the length of another unplaced value;
-  each other class is an equations prune.  This is sound.  In every gap
-  the pinned jobs at their forced starts hold m - 1 machines at every
-  instant, so at every instant one job covers the last machine, gamma_k
-  or a value: the gamma windows and the values lie inside the gaps, which
-  are disjoint.  Every job placed before the one at t starts by t and
-  every later one at t or after, and as one such job covers each instant,
-  the gamma and value jobs placed before it have ended by t and those
-  after it start at t + p or later.  So [t, hi_k) on the last machine
-  holds exactly the job at t, gamma_k if it is unplaced and some other
-  unplaced values, which sum to r.  Every value lies strictly between D/4
-  and D/2, so any j >= 1 of them sum to strictly between jD/4 and jD/2:
-  r is 0, above D/2, or one value, and any other r, below 0, up to D/4 or
-  D/2 itself, leaves the gap unfillable.  Whether a pair or more can fill
-  an r above D/2 is not tested.  The gamma job of block j may start only
-  inside its window, the first D + 1 starts of block j's gap, and the gaps
-  of different blocks are disjoint, so the windows are pairwise disjoint;
-  the gamma lengths differ in j, so each gamma job is a class of its own.
-  So at most one gamma job may start at t: the one whose window starts last
-  at or before t, found by bisecting the sorted window starts, if t is also
-  within that window's end.  It offers when it is unplaced, fits the room
-  and leaves a rest r = hi_k - t - |gamma_k| of its gap k that passes the
-  same test; every other gamma class that fits counts as equations in bulk.
-  The premises of both tests are checked when the family specs are built;
+* the equation rule settles a family in one step, from the facts its spec
+  holds (see `_Search._equation_specs`).  A value job (P) placed at t
+  must end by hi_k, the end of the last gap k that starts by t (by t
+  itself when none does), found by bisecting the gap starts.  The value
+  family is walked from its shortest class up until one overshoots that
+  bound, and the classes left count as equations; as every gap ends below
+  T, a class within the bound also fits the room.  A class of length p
+  within the bound offers only if the rest r = hi_k - t - p - |gamma_k| it
+  leaves (|gamma_k| counts 0 once gamma_k is placed) is 0, above D/2, or
+  the length of another unplaced value; each other class is an equations
+  prune.  This is sound.  In every gap the pinned jobs at their forced
+  starts hold m - 1 machines at every instant, so at every instant one job
+  covers the last machine, gamma_k or a value: the gamma windows and the
+  values lie inside the gaps, which are disjoint.  Every job placed before
+  the one at t starts by t and every later one at t or after, and as one
+  such job covers each instant, the gamma and value jobs placed before it
+  have ended by t and those after it start at t + p or later.  So
+  [t, hi_k) on the last machine holds exactly the job at t, gamma_k if it
+  is unplaced and some other unplaced values, which sum to r.  Every value
+  lies strictly between D/4 and D/2, so any j >= 1 of them sum to strictly
+  between jD/4 and jD/2: r is 0, above D/2, or one value, and any other r,
+  below 0, up to D/4 or D/2 itself, leaves the gap unfillable.  Whether a
+  pair or more can fill an r above D/2 is not tested.  Every other family
+  holds pairwise disjoint windows of starts, each of one class: the window
+  [s, s] of each forced start s of a pinned job (every tag but gamma and
+  P), and the window of block j's gamma job, the first D + 1 starts of its
+  gap (the gaps are disjoint, and the gamma lengths differ in j, so each
+  gamma job is a class of its own).  A class's k-th window holds its k-th
+  placement (see "Forward only"), so at most one job of a family may start
+  at t: the next member of the class whose window starts last at or before
+  t, found by bisecting the window starts, if t is within that window's
+  end and the window is the class's next.  It offers when it fits the room
+  and, a gamma job, leaves a rest r = hi_k - t - |gamma_k| of its gap k
+  that passes the same test; every other class of the family that fits
+  counts as equations in bulk.  The premises of these tests are checked
+  when the family specs are built;
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -112,28 +113,32 @@ them in LIFO order, so a placed job is never visited again.  At a node:
 
 Forward only.  Under the equation tables the search keeps only schedules
 in the forward direction, where a B job opens the schedule: every job but
-gamma and P starts at its forced start, each gamma job inside its window
-and each value job inside a gap.  This loses no answer.  Every target
-schedule meets these conditions either as stated or mirrored, with each
-start s read as W - s - p for a job of length p.  `schedule.mirror` maps a
-zero-idle makespan-W schedule S to another such schedule mirror(S), whose
-job of start s starts at W - s - p on the same machines, so contiguity is
-kept, and S meets the mirrored conditions exactly when mirror(S) meets the
-forward ones.  So a target schedule exists exactly when a forward one
-does, and a search that covers every forward zero-idle schedule proves
-none only when none exists.
+gamma and P starts at the forced start of a job identical to it, one job
+per forced start, each gamma job inside its window and each value job
+inside a gap.  This loses no answer.  Every target schedule meets these
+conditions either as stated or mirrored, with each start s read as
+W - s - p for a job of length p.  `schedule.mirror` maps a zero-idle
+makespan-W schedule S to another such schedule mirror(S), whose job of
+start s starts at W - s - p on the same machines, so contiguity is kept,
+and S meets the mirrored conditions exactly when mirror(S) meets the
+forward ones.  Relabelling identical jobs keeps a schedule forward, so
+one exists exactly when one exists in which each class's members, in id
+order, take its forced starts in ascending order (with the symmetry rule
+off, each job its own); as jobs are placed in start order, the k-th
+placed member of a class then takes its k-th forced start.  A search that
+covers every such schedule thus proves none only when none exists.
 
 No count chains.  The count chains of `reduction.COUNT_CHAINS` hold in
 every target schedule, and the audit and extraction check them on any
 schedule, but the search does not test them: where they could cut, the
-forced starts already fix the finished counts.  Lemma: let a pinned
-family ask at t, the earliest free instant (its next forced start is t),
-with an unplaced job that fits the idle machines and the room.  Then
-every tag's finished count at t is its count in the canonical schedule,
-the forward one `synthesis.build_schedule` builds, so every chain holds
-at t.  Proof, first for a prefix whose pinned jobs each have the length
-of the canonical job at their start.  The prefix is zero idle, so all m
-machines are covered over [0, t), and every placed job starts by t.
+forced starts already fix the finished counts.  Lemma: let the search
+offer a pinned job at t, the earliest free instant, which is then a
+forced start.  Then every tag's finished count at t is its count in the
+canonical schedule, the forward one `synthesis.build_schedule` builds, so
+every chain holds at t.  Proof.  Every placed pinned job started at the
+forced start of a job identical to it, one job per forced start, so it
+ends where the canonical job there does.  The prefix is zero idle, so all
+m machines are covered over [0, t), and every placed job starts by t.
 Outside the gaps only pinned jobs can run, as the gamma windows and the
 value reaches lie inside them, and the pinned jobs hold all m machines
 there; inside a gap they hold m - 1, and none starts or ends inside one
@@ -144,20 +149,9 @@ k, s is the gap's start and t, a forced start too, is at or past its
 end, so q + 1 machines over the whole gap would be left to gamma_k and
 to values: gamma_k covers |gamma_k| of that area, and the rest, at least
 |gamma_k| + 2D, is far more than the values' total zD.  So every forced
-start below t is taken, each job ends where the canonical one does, and
-the finished counts at t are the canonical ones.  Within a tag only the
-c and delta lengths vary, by multiples of D^7 in the index, so a prefix
-may hold a c or delta job at another index's forced start.  Ending early,
-it frees its machines inside the canonical job's span, where no forced
-start and no gap lies, so no family asks before then and the job still
-runs at t.  Ending late, it holds a machine that the one job starting at
-the canonical end (A after c, b after delta) needs, so at that instant
-no job of the asking family fits, and later that job's forced start
-stays untaken.  This second part is argued per family, not proved in
-general; a test walks reachable states in random order, these included,
-and checks the chains wherever a pinned family asks with a job that
-fits.  Soundness never rested on the chains: dropping a sound cut can
-only add nodes.
+start below t is taken, by a job that ends where the canonical one does,
+and the finished counts at t are the canonical ones.  Soundness never
+rested on the chains: dropping a sound cut can only add nodes.
 
 The ``coeff_budget`` rule is evaluated only when the equation tables are
 inactive.  Dropping a sound rule can never change the outcome of a finished
@@ -182,23 +176,23 @@ list and its reflection k <-> m+1-k.  The table stops growing at
 means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
-   read the free times, the remaining set, the placed counts of each class
-   and family, the unplaced counts per width and the live lists (all
-   functions of the remaining set) and the machines' digit sums.  The
-   forced-start test reads t and a family's placed count, and the gap-rest
-   test of a value or gamma job reads only t, the unplaced values and
-   whether gamma_k is placed, all fixed by t and the remaining set.
-   Nothing reads which job runs on a machine.  The digit sums need no
-   place in the key: the prefix is zero-idle, so a machine's free time is
-   the sum S of its jobs' lengths, and under the conditions
-   `_coeff_tables` checks (every digit
-   nonnegative, each power's total over all jobs below D, the unit terms'
-   absolute total below D^2) S fixes its digit sums.  Write S = X + D^2 N,
-   X the sum of the jobs' unit terms and N = sum_k A_k D^(k-2) with digit
-   sums 0 <= A_k < D.  Another set of jobs with the same S and X', N' has
-   |X - X'| at most the absolute total of all unit terms, so below D^2; as
-   X - X' = D^2 (N' - N), N = N', and the base-D digits of N are the A_k.
-   So two states with equal raw (unsorted) keys have identical subtrees.
+   read the free times, the remaining set, the placed counts of each class,
+   the unplaced counts per width and the live lists (all functions of the
+   remaining set) and the machines' digit sums.  The window test reads t
+   and the placed count of the window's class, and the gap-rest test of a
+   value or gamma job reads only t, the unplaced values and whether
+   gamma_k is placed, all fixed by t and the remaining set.  Nothing reads
+   which job runs on a machine.  The digit sums need no place in the key:
+   the prefix is zero-idle, so a machine's free time is the sum S of its
+   jobs' lengths, and under the conditions `_coeff_tables` checks (every
+   digit nonnegative, each power's total over all jobs below D, the unit
+   terms' absolute total below D^2) S fixes its digit sums.  Write
+   S = X + D^2 N, X the sum of the jobs' unit terms and
+   N = sum_k A_k D^(k-2) with digit sums 0 <= A_k < D.  Another set of
+   jobs with the same S and X', N' has |X - X'| at most the absolute total
+   of all unit terms, so below D^2; as X - X' = D^2 (N' - N), N = N', and
+   the base-D digits of N are the A_k.  So two states with equal raw
+   (unsorted) keys have identical subtrees.
 2. Dead is a property of the schedule prefix, not of the search.  Every
    rule is sound (a dead-state cut by induction on the order in which the
    table was filled) and the symmetry rule is complete (a zero-idle
@@ -239,6 +233,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
@@ -264,7 +259,7 @@ MAX_MACHINES = 1 << 10
 
 # how a family of classes is tested at a node: no equation rule, a forced
 # start per placement, a gap of value jobs, a window per gamma job
-_PLAIN, _PINNED, _VALUE, _WINDOW = range(4)
+_PLAIN, _VALUE, _WINDOW = range(3)
 
 
 @dataclass(frozen=True)
@@ -385,9 +380,8 @@ class _Search:
         self.left = [0] * (self.m + 1)
         for js in self.members:
             self.left[js[0].q] += len(js)
-        # placed members per class (an id prefix) and per family
+        # placed members per class (an id prefix)
         self.taken = [0] * len(self.members)
-        self.placed = [0] * len(self.live)
         # the placed jobs in order, each with what undoes its placement
         self.path: list[tuple] = []
         self.nodes = 0
@@ -464,17 +458,18 @@ class _Search:
         """Each family's spec under the equation tables, with the facts of
         the forward direction that its kind tests at a node:
 
-        * a pinned family: its forced starts in ascending order, so its k-th
-          placement starts at the k-th;
         * the value family: the gap starts and ends in ascending order, the
           class of each gap's gamma job, the value classes by length and D.
           A value job of length p at t lies inside a gap exactly when
           t + p <= ends[k] for the last k with starts[k] <= t;
-        * the gamma family: its windows' first starts in ascending order,
-          and per window its last start, the class of its job and the end
-          of its gap, with the value classes by length and D.
+        * every other family: its windows' first starts in ascending order,
+          and per window its last start, its class, how many windows of
+          its class come before it and the end of its gap (None for the
+          window [s, s] of a forced start s), with the value classes by
+          length and D.  The bisection of the first starts is exact only
+          if the windows of a family are pairwise disjoint, checked here.
 
-        The gap-rest test of both reads three premises, checked here: every
+        The gap-rest test reads three premises, checked here: every
         value lies strictly between D/4 and D/2; the k-th gap holds the
         k-th window and every start in it keeps its gamma job inside the
         gap; and in every gap the pinned jobs at their forced starts hold
@@ -484,13 +479,19 @@ class _Search:
         the gaps.  `heads` holds each family's first job."""
         inst = self.inst
         D = inst.D
-        pinned: dict[str, list[int]] = {}
+        # per tag, its windows as (first start, last start, class, earlier
+        # windows of the class, gap end); a forced start s is the window
+        # [s, s] of its job's class, with no gap to fill
+        windows: dict[str, list[tuple]] = {}
+        kth: Counter[int] = Counter()
         # the machines the pinned jobs take (or free) at each of their
         # starts (and ends)
         delta: dict[int, int] = {}
-        for job_id, s in forced_starts(inst).items():
+        for job_id, s in sorted(forced_starts(inst).items(), key=itemgetter(1)):
             job = inst.by_id[job_id]
-            pinned.setdefault(job.tag, []).append(s)
+            c = self.rec[job_id][0]
+            windows.setdefault(job.tag, []).append((s, s, c, kth[c], None))
+            kth[c] += 1
             delta[s] = delta.get(s, 0) + job.q
             delta[s + job.p] = delta.get(s + job.p, 0) - job.q
         instants = sorted(delta)
@@ -500,30 +501,26 @@ class _Search:
         gaps = sorted(partition_gaps(inst))
         lows = tuple(lo for lo, _ in gaps)
         ends = tuple(hi for _, hi in gaps)
-        windows = sorted(
+        gammas = sorted(
             (*gamma_window(inst, j.index), self.rec[j.id][0])
             for j in inst.tagged("gamma")
         )
+        # each gamma job is a class of its own (checked below)
+        windows["gamma"] = [(*w, 0, end) for w, end in zip(gammas, ends)]
+        # every table is in start order
+        for tag, table in windows.items():
+            require(
+                f"the {tag} window table",
+                (
+                    all(hi < lo for (_, hi, *_), (lo, *_) in zip(table, table[1:])),
+                    "pairwise disjoint",
+                ),
+            )
         # the value classes by length
         by_len: dict[int, list[int]] = {}
         for c, js in enumerate(self.members):
             if js[0].tag == "P":
                 by_len.setdefault(js[0].p, []).append(c)
-        require(
-            "the gamma window table",
-            (
-                all(hi < lo for (_, hi, _), (lo, _, _) in zip(windows, windows[1:])),
-                "pairwise disjoint",
-            ),
-            (
-                len(windows) == len(gaps)
-                and all(
-                    lo <= first and last + self.cls_p[c] <= hi
-                    for (first, last, c), (lo, hi) in zip(windows, gaps)
-                ),
-                "one window inside each gap, in gap order",
-            ),
-        )
         # A gap that is a stretch has no pinned start or end inside it.
         require(
             "the value gaps",
@@ -531,6 +528,14 @@ class _Search:
             (
                 all(hi <= lo for hi, lo in zip(ends, lows[1:])),
                 "pairwise disjoint",
+            ),
+            (
+                len(gammas) == len(gaps)
+                and all(
+                    lo <= first and last + self.cls_p[c] <= hi
+                    for (first, last, c), (lo, hi) in zip(gammas, gaps)
+                ),
+                "one window inside each gap, in gap order",
             ),
             (
                 all(stretches.get(gap) == self.m - 1 for gap in gaps),
@@ -549,21 +554,20 @@ class _Search:
             "the family table",
             (len({j.tag for j in heads}) == len(heads), "one family per tag"),
             (
-                all(len(self.members[c]) == 1 for *_, c in windows),
+                all(len(self.members[c]) == 1 for *_, c in gammas),
                 "one gamma job per class",
             ),
         )
         specs = []
         for f, j in enumerate(heads):
             if j.tag == "P":
-                gammas = tuple(c for *_, c in windows)
-                specs.append((f, _VALUE, j.q, (lows, ends, gammas, by_len, D)))
-            elif j.tag == "gamma":
-                starts = tuple(lo for lo, _, _ in windows)
-                last = tuple((hi, c, end) for (_, hi, c), end in zip(windows, ends))
-                specs.append((f, _WINDOW, j.q, (starts, last, by_len, D)))
+                gap_gammas = tuple(c for *_, c in gammas)
+                specs.append((f, _VALUE, j.q, (lows, ends, gap_gammas, by_len, D)))
             else:
-                specs.append((f, _PINNED, j.q, tuple(sorted(pinned[j.tag]))))
+                table = windows[j.tag]
+                starts = tuple(first for first, *_ in table)
+                last = tuple(rest for _, *rest in table)
+                specs.append((f, _WINDOW, j.q, (starts, last, by_len, D)))
         return specs
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
@@ -628,12 +632,7 @@ class _Search:
             firsts += n - i
             if i == n:
                 continue
-            if kind == _PINNED:
-                if facts[self.placed[f]] != t:
-                    equations += n - i
-                    continue
-                offer = live[i:]
-            elif kind == _VALUE:
+            if kind == _VALUE:
                 # the end of the gap that may hold t, t itself (no room)
                 # when no gap starts by t; from the shortest job up, until
                 # one overshoots
@@ -659,26 +658,26 @@ class _Search:
                     continue
             elif kind == _WINDOW:
                 # the windows are disjoint: only the one whose first start
-                # is the last at or before t may hold t, and its job offers
-                # when it is unplaced, fits the room, that is, when its
-                # class is in live[i:], and leaves a rest of its gap that
-                # the values can fill; the other classes there are
-                # equations
+                # is the last at or before t may hold t, and it offers its
+                # class's next member when it is the class's next window
+                # and the member fits the room and leaves a rest of its gap
+                # (none for a forced start) that the values can fill; the
+                # other classes there are equations
                 equations += n - i
                 starts, last, by_len, D = facts
                 k = bisect_right(starts, t) - 1
                 if k >= 0:
-                    hi, c, end = last[k]
-                    r = end - t - cls_p[c]
+                    hi, c, kth, end = last[k]
+                    r = 0 if end is None else end - t - cls_p[c]
                     if (
                         t <= hi
-                        and not taken[c]
+                        and taken[c] == kth
                         and cls_p[c] <= room
                         and (r == 0 or 2 * r > D or self._spare(by_len, r))
                     ):
                         equations -= 1
                         emitters += 1
-                        job = members[c][0]
+                        job = members[c][kth]
                         for subset in self.subsets(avail, q):
                             add((job, subset))
                 continue
@@ -734,7 +733,6 @@ class _Search:
             pos = live.index(c)
             del live[pos]
         self.left[job.q] -= 1
-        self.placed[f] += 1
         old_cells = self.cells
         self.cells = cells = old_cells.copy()
         end = t + job.p
@@ -753,7 +751,6 @@ class _Search:
         if pos is not None:
             self.live[f].insert(pos, c)
         self.left[job.q] += 1
-        self.placed[f] -= 1
         if self.acc is not None:
             for m in subset:
                 self.acc[m] -= row

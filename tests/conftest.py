@@ -138,40 +138,44 @@ _SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()
 
 def _scan_order(search):
     """The jobs in (-q, -p, id) order, each job's closest smaller id with
-    the same (p, q, tag) when the symmetry rule is on, and the equation
-    facts (see `_equation_facts`); once per decision."""
+    the same (p, q, tag) when the symmetry rule is on, each job's class
+    (its (p, q, tag) with the rule on, the job alone with it off) and the
+    equation facts (see `_equation_facts`); once per decision."""
     if search in _SCAN_ORDERS:
         return _SCAN_ORDERS[search]
     inst = search.inst
     pred, latest = {}, {}
     if search.rules.symmetry:
+        cls = lambda j: (j.p, j.q, j.tag)
         for j in sorted(inst.jobs, key=lambda j: j.id):
-            key = (j.p, j.q, j.tag)
+            key = cls(j)
             if key in latest:
                 pred[j.id] = latest[key]
             latest[key] = j.id
+    else:
+        cls = lambda j: j.id
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
     facts = None
     if search.rules.equations and search.target == inst.W:
-        facts = _equation_facts(inst)
-    _SCAN_ORDERS[search] = order, pred, facts
-    return order, pred, facts
+        facts = _equation_facts(inst, cls)
+    _SCAN_ORDERS[search] = order, pred, cls, facts
+    return order, pred, cls, facts
 
 
-def _equation_facts(inst: SchedulingInstance):
-    """The forward forced starts of each tag in ascending order, each gamma
-    job's window and the value-job gaps, block j's gap paired with block
-    j's gamma job, read from the instance through the closed forms of
-    `reduction`, not from the solver's tables; None when the instance is
-    not a reduction."""
+def _equation_facts(inst: SchedulingInstance, cls):
+    """The forward forced starts of each class `cls` names, in ascending
+    order, each gamma job's window and the value-job gaps, block j's gap
+    paired with block j's gamma job, read from the instance through the
+    closed forms of `reduction`, not from the solver's tables; None when
+    the instance is not a reduction."""
     if recognize(inst) is None:
         return None
     pinned = {}
     for job_id, start in forced_starts(inst).items():
-        pinned.setdefault(inst.by_id[job_id].tag, []).append(start)
+        pinned.setdefault(cls(inst.by_id[job_id]), []).append(start)
     gamma = {j.index: j for j in inst.tagged("gamma")}
     return (
-        {tag: sorted(starts) for tag, starts in pinned.items()},
+        {key: sorted(starts) for key, starts in pinned.items()},
         {j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
         [(lo, hi, gamma[j]) for j, (lo, hi) in enumerate(partition_gaps(inst), 1)],
     )
@@ -210,13 +214,14 @@ def reference_candidates(search, t: int):
     equations when the forward forced positions do not allow t or leave a
     rest of the gap that the unplaced values cannot fill (`gap_can_close`),
     and coeff-budget once per machine set whose digit sums it would
-    overflow.
+    overflow.  A pinned job may start only at the k-th forced start of its
+    class, k being the number of its class's placed jobs.
     """
-    order, pred, eq = _scan_order(search)
+    order, pred, cls, eq = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
     remaining = {j.id for j in order} - set(starts)
     avail = tuple(m for m, end in enumerate(path_free_times(search)) if end == t)
-    placed = Counter(job.tag for job, *_ in search.path)
+    placed = Counter(cls(job) for job, *_ in search.path)
     room = search.target - t
     counts = Counter()
     unplaced_values = {j.id: j.p for j in order if j.tag == "P" and j.id in remaining}
@@ -249,7 +254,7 @@ def reference_candidates(search, t: int):
                     ((_, end, _),) = [g for g in gaps if g[2].id == jid]
                     ok = gap_can_close(end - t - job.p, search.inst.D, values)
             else:
-                ok = pinned[job.tag][placed[job.tag]] == t
+                ok = pinned[cls(job)][placed[cls(job)]] == t
             if not ok:
                 counts["equations"] += 1
                 continue

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -307,18 +307,18 @@ PINNED_RUNS = {
     "run, dead_states, outcome, nodes, prunes",
     [
         pytest.param(
-            "no(2,3)-contiguous", False, "proved-none", 11_918,
-            {"equations": 60_565, "no-fit": 95_278, "symmetry": 11_918},
+            "no(2,3)-contiguous", False, "proved-none", 11_900,
+            {"equations": 60_347, "no-fit": 95_102, "symmetry": 11_892},
             id="no(2,3)-contiguous",
         ),
         pytest.param(
-            "yes(16,0)", False, "witness", 469,
-            {"equations": 23_582, "no-fit": 19_811, "symmetry": 10_439},
+            "yes(16,0)", False, "witness", 197,
+            {"equations": 8_319, "no-fit": 4_579, "symmetry": 5_134},
             id="yes(16,0)",
         ),
         pytest.param(
             "yes(16,3)-budget-1000", False, "budget-exceeded", 2_002,
-            {"equations": 53_095, "no-fit": 48_622, "symmetry": 22_016},
+            {"equations": 25_295, "no-fit": 22_502, "symmetry": 11_946},
             id="yes(16,3)-budget-1000",
         ),
         pytest.param(
@@ -339,35 +339,35 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,3)-symmetry-off-budget-100", False, "budget-exceeded",
-            5_252,
-            {"equations": 580_617, "no-fit": 416_958},
+            404,
+            {"equations": 40_933, "no-fit": 13_754},
             id="yes(16,3)-symmetry-off-budget-100",
         ),
         pytest.param(
-            "yes(2,0)-contiguous-symmetry-off", False, "witness", 376,
-            {"equations": 3_295, "no-fit": 1_660},
+            "yes(2,0)-contiguous-symmetry-off", False, "witness", 232,
+            {"equations": 1_855, "no-fit": 883},
             id="yes(2,0)-contiguous-symmetry-off",
         ),
         pytest.param(
-            "yes(1,0)-contiguous-budget-30", False, "witness", 50,
-            {"equations": 245, "no-fit": 115, "symmetry": 9},
+            "yes(1,0)-contiguous-budget-30", False, "witness", 48,
+            {"equations": 218, "no-fit": 91, "symmetry": 9},
             id="yes(1,0)-contiguous-budget-30",
         ),
         pytest.param(
-            "no(2,3)-contiguous", True, "proved-none", 1_101,
-            {"dead-state": 631, "equations": 2_798, "no-fit": 3_725,
-             "symmetry": 490},
+            "no(2,3)-contiguous", True, "proved-none", 1_092,
+            {"dead-state": 631, "equations": 2_689, "no-fit": 3_637,
+             "symmetry": 477},
             id="no(2,3)-contiguous-table",
         ),
         pytest.param(
-            "yes(16,0)", True, "witness", 469,
-            {"equations": 23_582, "no-fit": 19_811, "symmetry": 10_439},
+            "yes(16,0)", True, "witness", 197,
+            {"equations": 8_319, "no-fit": 4_579, "symmetry": 5_134},
             id="yes(16,0)-table",
         ),
         pytest.param(
             "yes(16,3)-budget-1000", True, "budget-exceeded", 2_002,
-            {"dead-state": 942, "equations": 34_315, "no-fit": 28_786,
-             "symmetry": 16_383},
+            {"dead-state": 1_138, "equations": 19_874, "no-fit": 14_632,
+             "symmetry": 11_304},
             id="yes(16,3)-budget-1000-table",
         ),
         pytest.param(
@@ -390,18 +390,18 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,3)-symmetry-off-budget-100", True, "budget-exceeded",
-            5_252,
-            {"dead-state": 1_107, "equations": 457_205, "no-fit": 326_825},
+            404,
+            {"equations": 40_933, "no-fit": 13_754},
             id="yes(16,3)-symmetry-off-budget-100-table",
         ),
         pytest.param(
-            "yes(2,0)-contiguous-symmetry-off", True, "witness", 216,
-            {"dead-state": 85, "equations": 1_080, "no-fit": 750},
+            "yes(2,0)-contiguous-symmetry-off", True, "witness", 136,
+            {"dead-state": 51, "equations": 654, "no-fit": 389},
             id="yes(2,0)-contiguous-symmetry-off-table",
         ),
         pytest.param(
-            "yes(1,0)-contiguous-budget-30", True, "witness", 50,
-            {"dead-state": 6, "equations": 225, "no-fit": 106, "symmetry": 9},
+            "yes(1,0)-contiguous-budget-30", True, "witness", 48,
+            {"dead-state": 7, "equations": 201, "no-fit": 85, "symmetry": 9},
             id="yes(1,0)-contiguous-budget-30-table",
         ),
     ],
@@ -424,7 +424,7 @@ def test_a_later_root_branch_answers_after_an_earlier_one_starves():
     # them as dead would cut the later witness and leave budget-exceeded.
     inst, target = _at_w(gen_yes(1, 0)[0])
     free = decide_target(inst, target, contiguous=True)
-    assert free.outcome == "witness" and free.nodes == 59
+    assert free.outcome == "witness" and free.nodes == 56
     for dead_states in (True, False):
         capped = PINNED_RUNS["yes(1,0)-contiguous-budget-30"](
             PruneRules(dead_states=dead_states)
@@ -732,48 +732,43 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
 
 
 def test_the_count_chains_hold_where_a_pinned_family_asks():
-    # The lemma of "No count chains" in the solver: wherever a pinned
-    # family asks at t, its next forced start, with an unplaced job that
-    # fits the idle machines and the room, every chain holds over the jobs
-    # finished by t.  A walk over the search's own candidates in random
-    # order reaches states the search's order does not, among them states
-    # with a c or delta job at another index's forced start; there a chain
-    # may fail, but only where no job of the asking family fits.
+    # The lemma of "No count chains" in the solver: wherever the search
+    # offers a pinned job at t, every finished count at t is the canonical
+    # one, so the chain of the offered job's family holds.  A walk over the
+    # search's own candidates in random order, with the symmetry rule on
+    # and off, reaches states the search's order does not.  None of them
+    # holds a pinned job of another length than the canonical job at its
+    # start, or two pinned jobs at one start.
     rng = random.Random("count-chains")
-    asked = swapped = 0
+    offers = 0
     cases = [gen_yes(z, s)[0] for z in range(1, 5) for s in range(2)]
     for inst3p in cases + [gen_no(2, 3)]:
         inst = build_jobs(inst3p)
-        starts, canonical = {}, {}
-        for jid, s in forced_starts(inst).items():
-            job = inst.by_id[jid]
-            starts.setdefault(job.tag, []).append(s)
-            canonical[job.tag, s] = job.p
-        for tag_starts in starts.values():
-            tag_starts.sort()
-        for contiguous in (False, True):
-            search = solver._Search(inst, inst.W, contiguous, PruneRules(), 1)
-            for t, _ in _random_walk(search, rng, 300):
-                free = path_free_times(search)
-                placed = {j.id for j, *_ in search.path}
-                fin = Counter(j.tag for j, _, s, *_ in search.path if s + j.p <= t)
-                for tag in CHECKPOINT_TAGS:
-                    k = sum(inst.by_id[jid].tag == tag for jid in placed)
-                    if k == len(starts[tag]) or starts[tag][k] != t:
-                        continue
-                    fits = any(
-                        j.q <= free.count(t) and j.p <= inst.W - t
-                        for j in inst.tagged(tag)
-                        if j.id not in placed
-                    )
-                    values = chain_values(tag, fin.__getitem__).values()
-                    assert len(set(values)) == 1 or not fits
-                    asked += fits
-                swapped += any(
-                    canonical.get((j.tag, s), j.p) != j.p
+        canonical = {
+            (inst.by_id[jid].tag, s): inst.by_id[jid].p
+            for jid, s in forced_starts(inst).items()
+        }
+        for symmetry, contiguous in product((True, False), repeat=2):
+            rules = PruneRules(symmetry=symmetry)
+            search = solver._Search(inst, inst.W, contiguous, rules, 1)
+            for t, cands in _random_walk(search, rng, 300):
+                pinned = [
+                    ((j.tag, s), j.p)
                     for j, _, s, *_ in search.path
-                )
-    assert asked > 100 and swapped
+                    if j.tag not in ("gamma", "P")
+                ]
+                assert len(dict(pinned)) == len(pinned)
+                assert all(canonical.get(slot) == p for slot, p in pinned)
+                asking = {j.tag for j, _ in cands} & set(CHECKPOINT_TAGS)
+                if not asking:
+                    continue
+                fin = Counter(tag for (tag, s), p in pinned if s + p <= t)
+                want = Counter(tag for (tag, s), p in canonical.items() if s + p <= t)
+                assert fin == want
+                for tag in asking:
+                    assert len(set(chain_values(tag, fin.__getitem__).values())) == 1
+                    offers += 1
+    assert offers > 100
 
 
 @pytest.mark.parametrize("z", range(1, 17))
@@ -790,9 +785,13 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert len({(j.p, j.q) for j in gammas}) == z
         search = solver._Search(inst, inst.W, False, PruneRules(), 1)
-        ((_, win, *_),) = [f[3] for f in search.upto[-1] if f[1] == solver._WINDOW]
+        ((_, win, *_),) = [
+            facts
+            for f, _, _, facts in search.upto[-1]
+            if search.members[search.live[f][0]][0].tag == "gamma"
+        ]
         assert len(win) == z
-        assert all(len(search.members[c]) == 1 for _, c, _ in win)
+        assert all(len(search.members[c]) == 1 for _, c, *_ in win)
 
 
 def test_overlapping_gamma_windows_are_refused(monkeypatch):
@@ -803,6 +802,24 @@ def test_overlapping_gamma_windows_are_refused(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="gamma window table .* pairwise disjoint"):
         solver._Search(inst, target, False, PruneRules(), 1)
+
+
+def test_coinciding_forced_starts_are_refused(monkeypatch):
+    # A forced start is a one-start window, found by the same bisection as
+    # a gamma window, so the forced starts of one tag must differ.
+    inst, target = _at_w(gen_yes(3, 0)[0])
+    real = solver.forced_starts
+
+    def starts(inst):
+        out = real(inst)
+        out["alpha_2"] = out["alpha_1"]
+        return out
+
+    monkeypatch.setattr(solver, "forced_starts", starts)
+    for symmetry in (True, False):
+        rules = PruneRules(symmetry=symmetry)
+        with pytest.raises(RuntimeError, match="alpha window table .* disjoint"):
+            solver._Search(inst, target, False, rules, 1)
 
 
 def _shifted_alpha(real):
@@ -888,7 +905,7 @@ def test_a_search_without_a_witness_undoes_every_placement(
     assert (search.acc is None) == search.equations
     fresh = solver._Search(inst, target, contiguous, rules, budget)
     for name in (
-        "cells", "rem_mask", "taken", "placed", "live", "left", "acc",
+        "cells", "rem_mask", "taken", "live", "left", "acc",
     ):
         assert getattr(search, name) == getattr(fresh, name), name
     assert search.path == []
@@ -980,20 +997,20 @@ def test_a_witness_that_fails_verification_is_never_returned(call):
 def test_no_instance_at_z3_is_proved_none_plain():
     decision = decide_target(*_at_w(gen_no(3, 3)))
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 9_420
+    assert decision.nodes == 9_405
 
 
 def test_no_instance_at_z3_is_proved_none_contiguous():
     decision = decide_target(*_at_w(gen_no(3, 3)), contiguous=True)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 18_690
+    assert decision.nodes == 18_675
 
 
 @pytest.mark.slow
 def test_no_instance_at_z4_is_proved_none_contiguous():
     decision = decide_target(*_at_w(gen_no(4, 3)), contiguous=True)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 270_747
+    assert decision.nodes == 270_726
 
 
 def test_yes_instance_at_z4_contiguous_is_witnessed_within_1e5_nodes():
@@ -1023,7 +1040,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(old)
     assert decision.outcome == "witness"
-    assert decision.nodes == 469
+    assert decision.nodes == 197
 
 
 def test_symmetry_changes_node_counts_not_outcomes():
