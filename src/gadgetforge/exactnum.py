@@ -162,11 +162,13 @@ def decompose(value: int, z: int, D: int) -> CoeffVector:
         raise ResidueOutOfRange(value, residue, z, D)
     quotient = (value - x0) // square
 
-    digits = {}
-    for k in reversed(POWERS):
-        scale = D ** (k - 2)
-        digits[k], quotient = divmod(quotient, scale)
-        if digits[k] > cap:
-            raise DigitOverflow(k, digits[k], cap)
-    assert quotient == 0
-    return CoeffVector(x0=x0, **{f"x{k}": v for k, v in digits.items()})
+    # base-D digits from D^2 up; D^8 keeps whatever is left above it
+    digits = []
+    for _ in POWERS[:-1]:
+        quotient, digit = divmod(quotient, D)
+        digits.append(digit)
+    digits.append(quotient)
+    for k, digit in zip(reversed(POWERS), reversed(digits)):
+        if digit > cap:
+            raise DigitOverflow(k, digit, cap)
+    return CoeffVector(x0, *digits)

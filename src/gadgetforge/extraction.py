@@ -17,6 +17,7 @@ input was not a feasible zero-idle schedule at the target.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -94,6 +95,12 @@ def _health(inst: SchedulingInstance, sched: Schedule):
     return r.feasible, r.makespan, r.idle
 
 
+# what a swapped schedule must keep of its input's health, and how wide the
+# window of each narrow pair must be
+_SAME_HEALTH = "of the same feasibility, makespan and idle"
+_WINDOW_WIDTH = "a window of its gamma job's length plus D"
+
+
 def _gate(inst: SchedulingInstance, sched: Schedule) -> tuple[bool, int, int]:
     """Admit a reduction instance and a schedule at its target makespan, and
     return the schedule's health (feasible, makespan, idle)."""
@@ -109,16 +116,23 @@ def _ids(inst: SchedulingInstance, *tags: str) -> frozenset[str]:
     return frozenset(j.id for j in inst.tagged(*tags))
 
 
-def _on_machine(inst: SchedulingInstance, sched: Schedule, m: int) -> list[str]:
-    return sorted(
-        (j.id for j in inst.jobs if m in sched.machines[j.id]),
-        key=lambda i: (sched.starts[i], i),
-    )
+def _lanes(inst: SchedulingInstance, sched: Schedule) -> dict[int, list[str]]:
+    """Each machine's jobs in (start, id) order, from one sort of the jobs
+    and one pass over them.  Built once for each schedule the pipeline
+    holds: only a swap or the mirror makes a new one."""
+    lanes: dict[int, list[str]] = defaultdict(list)
+    for job in sorted(inst.jobs, key=lambda j: (sched.starts[j.id], j.id)):
+        for m in sched.machines[job.id]:
+            lanes[m].append(job.id)
+    return lanes
 
 
-def _tiling_break(inst: SchedulingInstance, sched: Schedule, m: int) -> str | None:
+def _tiling_break(
+    inst: SchedulingInstance, sched: Schedule, lane: list[str], m: int
+) -> str | None:
+    """Why machine m, running `lane`, is not tiled from 0 to W, or None."""
     cursor = 0
-    for job_id in _on_machine(inst, sched, m):
+    for job_id in lane:
         if sched.starts[job_id] != cursor:
             return f"machine {m}: {job_id} starts at {sched.starts[job_id]}, hole ends {cursor}"
         cursor += inst.by_id[job_id].p
@@ -133,7 +147,7 @@ def normalize_machines(
     """Swap machine contents until machine 1 carries the early side family,
     machine 4 the late side family, and both middle machines carry every
     three-machine separator.  Start times are untouched."""
-    return _normalize_machines(inst, sched, _gate(inst, sched), log)
+    return _normalize_machines(inst, sched, _gate(inst, sched), log)[0]
 
 
 def _normalize_machines(
@@ -141,8 +155,9 @@ def _normalize_machines(
     sched: Schedule,
     health: tuple[bool, int, int],
     log: list | None,
-) -> Schedule:
-    """`normalize_machines` past the gate, which returned `health`."""
+) -> tuple[Schedule, dict[int, list[str]]]:
+    """`normalize_machines` past the gate, which returned `health`; also
+    returns the normalized schedule's `_lanes`."""
     stage = "normalize"
     events = log if log is not None else []
 
@@ -158,7 +173,7 @@ def _normalize_machines(
             out = swap_after(inst, sched, t, m1, m2)
         except CrossingJob as exc:
             raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
-        assert _health(inst, out) == health
+        require("the swapped schedule", (_health(inst, out) == health, _SAME_HEALTH))
         events.append(
             {"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]}
         )
@@ -197,7 +212,8 @@ def _normalize_machines(
     if lam_home == 4:
         sched = do_swap(0, 1, 4)
 
-    on = {m: set(_on_machine(inst, sched, m)) for m in (1, 2, 3, 4)}
+    lanes = _lanes(inst, sched)
+    on = {m: set(lanes[m]) for m in (1, 2, 3, 4)}
     want_1, want_4 = canonical_ids(inst, 1), canonical_ids(inst, 4)
     backbone = canonical_ids(inst, 2) & canonical_ids(inst, 3)
     problems = []
@@ -209,8 +225,8 @@ def _normalize_machines(
         if not backbone <= on[m]:
             problems.append(f"machine {m} misses {sorted(backbone - on[m])}")
     for m in MIDDLE:
-        la, lg = len(on[m] & _ids(inst, "a")), len(on[m] & _ids(inst, "gamma"))
-        lb, ld = len(on[m] & _ids(inst, "b")), len(on[m] & _ids(inst, "delta"))
+        tags = Counter(inst.by_id[i].tag for i in lanes[m])
+        la, lg, lb, ld = (tags[tag] for tag in ("a", "gamma", "b", "delta"))
         if la != lg or lb != ld:
             problems.append(
                 f"machine {m} pairs a/gamma {la}/{lg} and b/delta {lb}/{ld}"
@@ -220,7 +236,7 @@ def _normalize_machines(
     if problems:
         raise LemmaViolation(stage, "machine-contents", "; ".join(problems))
     events.append({"stage": stage, "event": "ok"})
-    return sched
+    return sched, lanes
 
 
 def orient(
@@ -229,7 +245,13 @@ def orient(
     """Mirror the schedule when it runs backwards, so that a late-family
     separator opens machine 2.  Assumes normalized machine contents."""
     events = log if log is not None else []
-    front = _on_machine(inst, sched, 2)
+    return _orient(inst, sched, _lanes(inst, sched)[2], events)
+
+
+def _orient(
+    inst: SchedulingInstance, sched: Schedule, front: list[str], events: list
+) -> Schedule:
+    """`orient`, given machine 2's jobs in start order."""
     if not front:
         raise LemmaViolation("orient", "first-job", "machine 2 is empty")
     first = inst.by_id[front[0]]
@@ -250,6 +272,11 @@ def check_alternation(
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The separator families must interleave strictly, late family first,
     and the finished-job counts at each separator must match its rank."""
+    return _check_alternation(inst, sched, finished_by_index(inst, sched))
+
+
+def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
+    """`check_alternation`, counting through the schedule's `finished`."""
     stage = "alternation"
     a_seq = sorted(_ids(inst, "A"), key=lambda i: (sched.starts[i], i))
     b_seq = sorted(_ids(inst, "B"), key=lambda i: (sched.starts[i], i))
@@ -262,7 +289,6 @@ def check_alternation(
             raise LemmaViolation(
                 stage, "interleaving", f"rank {i}: {b_seq[i + 1]} precedes {a_seq[i]}"
             )
-    finished = finished_by_index(inst, sched)
     for i, anchor in enumerate(a_seq):
         t = sched.starts[anchor]
         lam = finished(t, ("lambda1",))
@@ -283,7 +309,7 @@ def check_alternation(
     return tuple(a_seq), tuple(b_seq)
 
 
-def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
+def _check_count_equations(inst, sched, finished, a_seq, b_seq) -> None:
     """The separators' count chains (`COUNT_CHAINS["A"]` and `["B"]`),
     plus the trailing-cap rule: the closing cap finishes after every late
     separator.
@@ -294,7 +320,6 @@ def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
     trailing-cap rule pins the closing cap at 0 there.  With those counts
     fixed, a chain holds exactly when every term of it equals i."""
     stage = "count-equations"
-    finished = finished_by_index(inst, sched)
 
     def broken(anchor: str) -> str | None:
         t = sched.starts[anchor]
@@ -315,19 +340,19 @@ def _check_count_equations(inst, sched, a_seq, b_seq) -> None:
             raise LemmaViolation(stage, "late-separator-chain", detail)
 
 
-def _check_side_orders(inst, sched) -> tuple[dict, dict]:
+def _check_side_orders(inst, sched, lanes) -> tuple[dict, dict]:
     """Machines 1 and 4 must run their fixed tag patterns back to back.
     Returns each side machine's jobs keyed by canonical (tag, index) slot."""
     stage = "side-order"
     keyed = []
     for m in SIDES:
-        on, slots = _on_machine(inst, sched, m), canonical_slots(m, inst.z)
+        on, slots = lanes[m], canonical_slots(inst, m)
         got = [inst.by_id[i].tag for i in on]
         if got != [tag for tag, _ in slots]:
             raise LemmaViolation(stage, "side-order", f"machine {m} runs {got}")
         keyed.append(dict(zip(slots, on)))
     for m in SIDES:
-        broken = _tiling_break(inst, sched, m)
+        broken = _tiling_break(inst, sched, lanes[m], m)
         if broken:
             raise LemmaViolation(stage, "zero-idle", broken)
     return keyed[0], keyed[1]
@@ -355,12 +380,14 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
             )
 
 
-def _make_pairs_contiguous(inst, sched, m1, m4, health, events) -> Schedule:
+def _make_pairs_contiguous(inst, sched, lanes, m1, m4, health, events):
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
     machines' contents inside the block window.  `health` is the
-    schedule's, which every swap must keep."""
+    schedule's, which every swap must keep.  Returns the new schedule and
+    its `_lanes` (`lanes` are the input's)."""
     stage = "pair-columns"
+    swapped = False
     for i in range(1, inst.z + 1):
         a_i, b_i = m1["a", i], m4["b", i]
         sa = sched.machines[a_i] - {1}
@@ -376,14 +403,17 @@ def _make_pairs_contiguous(inst, sched, m1, m4, health, events) -> Schedule:
                 sched = swap_after(inst, sched, t2, 2, 3)
             except CrossingJob as exc:
                 raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
-            assert _health(inst, sched) == health
+            same = _health(inst, sched) == health
+            require("the swapped schedule", (same, _SAME_HEALTH))
+            swapped = True
             for t in (t1, t2):
                 events.append(
                     {"stage": stage, "event": "swap", "t": str(t), "machines": [2, 3]}
                 )
+    if swapped:
+        lanes = _lanes(inst, sched)
     want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
-    on_2 = set(_on_machine(inst, sched, 2))
-    on_3 = set(_on_machine(inst, sched, 3))
+    on_2, on_3 = set(lanes[2]), set(lanes[3])
     if on_2 != want_2 or on_3 != want_3:
         raise LemmaViolation(
             stage,
@@ -391,7 +421,7 @@ def _make_pairs_contiguous(inst, sched, m1, m4, health, events) -> Schedule:
             f"middle contents off by {sorted(on_2 ^ want_2)} / {sorted(on_3 ^ want_3)}",
         )
     events.append({"stage": stage, "event": "ok"})
-    return sched
+    return sched, lanes
 
 
 def _read_partition(inst, sched, m1, m4) -> Partition:
@@ -410,7 +440,7 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
             raise LemmaViolation(
                 stage, "narrow-window", f"{g.id} is outside the window after {a_i}"
             )
-        assert hi - edge == g.p + inst.D
+        require("the gap readout", (hi - edge == g.p + inst.D, _WINDOW_WIDTH))
         # The filler may sit anywhere inside the window; the value jobs tile
         # whatever it leaves on either side.
         inside = values[bisect_left(value_starts, edge) : bisect_left(value_starts, hi)]
@@ -445,20 +475,23 @@ def extract_partition(
     health = _gate(inst, sched)
     events: list[dict[str, Any]] = []
     try:
-        sched = _normalize_machines(inst, sched, health, events)
-        sched = orient(inst, sched, log=events)
+        sched, lanes = _normalize_machines(inst, sched, health, events)
+        sched = _orient(inst, sched, lanes[2], events)
         mirrored = events[-1]["event"] == "mirror"
         if mirrored:  # the mirror of a schedule with a start below 0 ends past W
-            health = _health(inst, sched)
-        a_seq, b_seq = check_alternation(inst, sched)
+            health, lanes = _health(inst, sched), _lanes(inst, sched)
+        finished = finished_by_index(inst, sched)
+        a_seq, b_seq = _check_alternation(inst, sched, finished)
         events.append({"stage": "alternation", "event": "ok"})
-        _check_count_equations(inst, sched, a_seq, b_seq)
-        m1, m4 = _check_side_orders(inst, sched)
+        _check_count_equations(inst, sched, finished, a_seq, b_seq)
+        m1, m4 = _check_side_orders(inst, sched, lanes)
         _check_fillers(inst, sched, a_seq, b_seq)
-        sched = _make_pairs_contiguous(inst, sched, m1, m4, health, events)
+        sched, lanes = _make_pairs_contiguous(
+            inst, sched, lanes, m1, m4, health, events
+        )
         # machine 2 needs no tiling check: every job on it is position-pinned
         # by the side orders, the filler fits, and the gap readout below
-        broken = _tiling_break(inst, sched, 3)
+        broken = _tiling_break(inst, sched, lanes[3], 3)
         if broken:
             raise LemmaViolation("zero-idle", "zero-idle", broken)
         partition = _read_partition(inst, sched, m1, m4)

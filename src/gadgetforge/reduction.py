@@ -114,6 +114,27 @@ class SchedulingInstance:
         key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
         return (self.z, self.D) if key(self) == key(rebuilt) else None
 
+    @cached_property
+    def _canonical_slots(self) -> Mapping[int, tuple[Slot, ...]]:
+        """`canonical_slots` of every machine, worked out once from
+        `CANONICAL_LAYOUT` for this instance's z."""
+        return MappingProxyType({m: _layout_slots(m, self.z) for m in CANONICAL_LAYOUT})
+
+    @cached_property
+    def _canonical_ids(self) -> Mapping[int, frozenset[str]]:
+        """`canonical_ids` of every machine, worked out once from its
+        `_canonical_slots`; synthesis reads only the slots."""
+        shape = {}
+        for m, slots in self._canonical_slots.items():
+            wanted = set(slots)
+            values = any(tag == "P" for tag, _ in slots)
+            shape[m] = frozenset(
+                j.id
+                for j in self.jobs
+                if (j.tag, j.index) in wanted or (values and j.tag == "P")
+            )
+        return MappingProxyType(shape)
+
     def tagged(self, *tags: str) -> tuple[Job, ...]:
         chosen = set(tags)
         return tuple(j for j in self.jobs if j.tag in chosen)
@@ -367,33 +388,36 @@ CANONICAL_LAYOUT: dict[int, str] = {
 }
 
 
-def _slot(token: str, i: int | None) -> tuple[str, int | None]:
+Slot = tuple[str, int | None]
+
+
+def _slot(token: str, i: int | None) -> Slot:
     tag, _, index = token.partition("_")
     if not index:
         return tag, None
     return tag, i if index == "i" else int(index)
 
 
-def canonical_slots(m: int, z: int) -> list[tuple[str, int | None]]:
-    """Machine m's jobs in start order as (tag, index) pairs; a ("P", i)
-    slot stands for the value jobs of block i."""
+def _layout_slots(m: int, z: int) -> tuple[Slot, ...]:
+    """Machine m's line of `CANONICAL_LAYOUT` with the block written out
+    for i = 1..z."""
     head, block, tail = (part.split() for part in CANONICAL_LAYOUT[m].split("|"))
     slots = [_slot(token, None) for token in head]
     for i in range(1, z + 1):
         slots += [_slot(token, i) for token in block]
-    return slots + [_slot(token, None) for token in tail]
+    return tuple(slots + [_slot(token, None) for token in tail])
+
+
+def canonical_slots(inst: SchedulingInstance, m: int) -> tuple[Slot, ...]:
+    """Machine m's jobs in start order as (tag, index) pairs; a ("P", i)
+    slot stands for the value jobs of block i."""
+    return inst._canonical_slots[m]
 
 
 def canonical_ids(inst: SchedulingInstance, m: int) -> frozenset[str]:
     """Every job that machine m runs in the canonical layout, with the P
     slots standing for all value jobs together."""
-    slots = set(canonical_slots(m, inst.z))
-    values = any(tag == "P" for tag, _ in slots)
-    return frozenset(
-        j.id
-        for j in inst.jobs
-        if (j.tag, j.index) in slots or (values and j.tag == "P")
-    )
+    return inst._canonical_ids[m]
 
 
 # Count chains: at the start of every job of the keyed family, the terms of

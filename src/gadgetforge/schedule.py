@@ -23,7 +23,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .exactnum import check_shape, decompose, load_json, parse_int
 from .reduction import (
@@ -44,6 +45,14 @@ DIGIT_FAMILIES: dict[int, tuple[str, ...]] = {
     5: ("b", "alpha", "gamma"),
     6: ("a", "b"),
     8: ("c", "alpha", "beta", "lambda1", "lambda2"),
+}
+
+# The kind of each digit's audit row, and the digits each family pays into.
+_LOAD_KINDS = {power: f"load:x{power}" for power in DIGIT_FAMILIES}
+_TAG_POWERS = {
+    tag: tuple(power for power, tags in DIGIT_FAMILIES.items() if tag in tags)
+    for families in DIGIT_FAMILIES.values()
+    for tag in families
 }
 
 
@@ -120,8 +129,11 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
+    """One audited identity: a digit of a checkpoint's start on one of its
+    machines, a term of its count chain, or its decomposition.  A tuple, so
+    a check is immutable, hashable and compared field by field."""
+
     checkpoint: str
     start: int
     machine: int | None
@@ -326,18 +338,21 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
     what lets a perturbed schedule be audited and the first broken identity
     reported.
 
-    Every count is read from one `finished_by_index` built up front: the end
-    times of each family, overall and per machine, are sorted once, and a
-    bisection at the checkpoint's start counts exactly the jobs ending at or
-    before it, which is the finished-before count defined above.  The rows
-    are the same, in the same order, as scanning every job for every row;
-    the cost is one sort plus one bisection per family per row.
+    Every count is a bisection in a column of end times sorted up front:
+    one column per (digit power, machine), which merges the families of
+    `DIGIT_FAMILIES[power]` that run on the machine, and one per family.
+    `bisect_right` at the checkpoint's start counts exactly the jobs ending
+    at or before it, which is the finished-before count defined above, so
+    a `load:x<power>` row is one bisection and a chain term one bisection
+    per family it names.  The rows are the same, in the same order, as
+    scanning every job for every row.
     """
     if recognize(inst) is None:
         raise ValueError("audit requires an unmodified reduction instance")
     _check_job_universe(inst, sched)
 
-    makespan = max(sched.starts[j.id] + j.p for j in inst.jobs)
+    starts, machines = sched.starts, sched.machines
+    makespan = max(starts[j.id] + j.p for j in inst.jobs)
     idle = inst.m * makespan - inst.total_work
     if makespan != inst.W or idle != 0:
         raise NotZeroIdle(
@@ -345,63 +360,57 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
             f"makespan {inst.W} and zero idle"
         )
 
-    finished = finished_by_index(inst, sched)
+    by_tag: dict[str, list[int]] = {}
+    by_digit: dict[tuple[int, int], list[int]] = {}
+    for job in inst.jobs:
+        end = starts[job.id] + job.p
+        by_tag.setdefault(job.tag, []).append(end)
+        for power in _TAG_POWERS.get(job.tag, ()):
+            for m in machines[job.id]:
+                by_digit.setdefault((power, m), []).append(end)
+    for column in (*by_tag.values(), *by_digit.values()):
+        column.sort()
+
     checks: list[AuditCheck] = []
     checkpoints = sorted(
         (j for j in inst.jobs if j.tag in CHECKPOINT_TAGS),
-        key=lambda j: (sched.starts[j.id], j.id),
+        key=lambda j: (starts[j.id], j.id),
     )
     for job in checkpoints:
-        start = sched.starts[job.id]
+        start = starts[job.id]
         try:
             cv = decompose(start, inst.z, inst.D)
         except ValueError as exc:
             checks.append(
                 AuditCheck(
-                    checkpoint=job.id,
-                    start=start,
-                    machine=None,
-                    kind="decompose",
-                    expected="clean decomposition",
-                    observed=str(exc),
-                    ok=False,
+                    job.id, start, None, "decompose", "clean decomposition",
+                    str(exc), False,
                 )
             )
             continue
-        for m in sorted(sched.machines[job.id]):
-            for power, families in DIGIT_FAMILIES.items():
-                expected = cv.digit(power)
-                observed = finished(start, families, machine=m)
+        digits = [
+            (power, _LOAD_KINDS[power], cv.digit(power)) for power in DIGIT_FAMILIES
+        ]
+        for m in sorted(machines[job.id]):
+            for power, kind, expected in digits:
+                observed = bisect_right(by_digit.get((power, m), ()), start)
                 checks.append(
                     AuditCheck(
-                        checkpoint=job.id,
-                        start=start,
-                        machine=m,
-                        kind=f"load:x{power}",
-                        expected=expected,
-                        observed=observed,
-                        ok=expected == observed,
+                        job.id, start, m, kind, expected, observed,
+                        expected == observed,
                     )
                 )
-        checks.extend(_checkpoint_equations(job, start, finished))
-
-    passed = all(c.ok for c in checks)
-    return AuditReport(passed=passed, checks=tuple(checks))
-
-
-def _checkpoint_equations(job, start, finished) -> list[AuditCheck]:
-    """The checkpoint family's count chain, each term against the first."""
-    values = chain_values(job.tag, lambda tag: finished(start, (tag,)))
-    (base, expected), *rest = values.items()
-    return [
-        AuditCheck(
-            checkpoint=job.id,
-            start=start,
-            machine=None,
-            kind=f"eq:{job.tag}[{base} = {name}]",
-            expected=expected,
-            observed=value,
-            ok=expected == value,
+        values = chain_values(
+            job.tag, lambda tag: bisect_right(by_tag.get(tag, ()), start)
         )
-        for name, value in rest
-    ]
+        (base, expected), *rest = values.items()
+        for name, value in rest:
+            checks.append(
+                AuditCheck(
+                    job.id, start, None, f"eq:{job.tag}[{base} = {name}]",
+                    expected, value, expected == value,
+                )
+            )
+
+    passed = all(map(attrgetter("ok"), checks))
+    return AuditReport(passed=passed, checks=tuple(checks))

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .exactnum import check_shape, load_json, parse_int
 from .reduction import SchedulingInstance
-from .schedule import Schedule
+from .schedule import Schedule, require
 
 Coord = int | Fraction
 
@@ -248,7 +248,11 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
     }
     result = Packing(positions=pos)
     after = verify_packing(strip, result)
-    assert after.feasible and after.height <= report.height
+    require(
+        "the normalized packing",
+        (after.feasible, "feasible"),
+        (after.height <= report.height, f"at most {report.height} high"),
+    )
     return result
 
 

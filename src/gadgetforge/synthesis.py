@@ -4,7 +4,7 @@ The layout is accumulated machine by machine rather than taken from closed
 forms: each machine gets its job sequence from `reduction.CANONICAL_LAYOUT`
 (the slot P_i filled with the i-th witness triple, sorted by value), and a
 small event loop places the next job whose turn has come on all of its
-machines at once, asserting that those machines agree on the time.
+machines at once, requiring that those machines agree on the time.
 Agreement is guaranteed exactly because every witness triple sums to D; the
 closed-form starts are derived elsewhere and the test suite checks the two
 constructions coincide.
@@ -61,7 +61,7 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
         return [inst.by_slot["P", idx].id for idx in triple]
 
     seq: dict[int, deque[str]] = {
-        m: deque(jid for tag, i in canonical_slots(m, inst.z) for jid in ids(tag, i))
+        m: deque(jid for tag, i in canonical_slots(inst, m) for jid in ids(tag, i))
         for m in CANONICAL_LAYOUT
     }
 
@@ -69,11 +69,15 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
     for m, queue in seq.items():
         for job_id in queue:
             homes[job_id] = homes.get(job_id, frozenset()) | {m}
-    for job in inst.jobs:
-        assert len(homes[job.id]) == job.q, job.id
+    wrong = [job.id for job in inst.jobs if len(homes[job.id]) != job.q]
+    require(
+        "the synthesized schedule",
+        (not wrong, f"every job on q machines: {', '.join(wrong)}"),
+    )
 
     clock = {m: 0 for m in seq}
     starts: dict[str, int] = {}
+    agree = True
     remaining = sum(len(q) for q in seq.values())
     while remaining:
         placed = 0
@@ -85,20 +89,24 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
             if any(not seq[o] or seq[o][0] != job_id for o in mine):
                 continue
             ticks = {clock[o] for o in mine}
-            assert len(ticks) == 1, f"machines disagree at {job_id}: {ticks}"
+            agree = agree and len(ticks) == 1
             t = ticks.pop()
             starts[job_id] = t
             for o in mine:
                 seq[o].popleft()
                 clock[o] += inst.by_id[job_id].p
             placed += len(mine)
-        assert placed, "no placeable job; sequences are inconsistent"
+        require(
+            "the synthesized schedule",
+            (placed, "placeable to the end (the sequences are inconsistent)"),
+        )
         remaining -= placed
 
     sched = Schedule(starts=starts, machines=homes)
     report = verify(inst, sched)
     require(
         "the synthesized schedule",
+        (agree, "one start per job on all its machines"),
         (report.feasible, "feasible"),
         (report.makespan == inst.W, f"makespan {inst.W}"),
         (report.idle == 0, "zero idle"),

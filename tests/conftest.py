@@ -7,7 +7,9 @@ the package's own builders can be checked against it.
 
 `count_finished_by` and `count_before` count finished jobs one by one, the
 way the finished-before count is defined; they are the reference that
-`schedule.finished_by_index` is checked against.
+`schedule.finished_by_index` is checked against.  `reference_audit` builds
+every audit row from them, the way the audit is defined; it is the
+reference that the bisections of `schedule.audit` are checked against.
 
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
@@ -23,7 +25,9 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
+from gadgetforge.exactnum import decompose
 from gadgetforge.reduction import (
+    COUNT_CHAINS,
     SchedulingInstance,
     build_jobs,
     forced_starts,
@@ -31,7 +35,13 @@ from gadgetforge.reduction import (
     partition_gaps,
     recognize,
 )
-from gadgetforge.schedule import Schedule, UnknownJob
+from gadgetforge.schedule import (
+    DIGIT_FAMILIES,
+    AuditCheck,
+    NotZeroIdle,
+    Schedule,
+    UnknownJob,
+)
 from gadgetforge.threepartition import ThreePartitionInstance
 
 D = 33
@@ -131,6 +141,64 @@ def count_before(
     if anchor_id not in inst.by_id:
         raise UnknownJob(anchor_id)
     return count_finished_by(inst, sched, sched.starts[anchor_id], job_ids)
+
+
+def reference_audit(inst: SchedulingInstance, sched: Schedule) -> list[AuditCheck]:
+    """The rows of `schedule.audit`, each counted by scanning every job.
+
+    Checkpoints (the families keyed in `COUNT_CHAINS`) in (start, id)
+    order; for each, a failed `decompose` row, or else one row per machine
+    it runs on, in ascending order, and per digit power of
+    `DIGIT_FAMILIES`, and then one row per later term of its chain against
+    the first, each term read from its text in `COUNT_CHAINS`.  Raises
+    ValueError for an instance that is not a reduction and NotZeroIdle as
+    the audit does; the schedule must hold every job of the instance."""
+    if recognize(inst) is None:
+        raise ValueError("audit requires an unmodified reduction instance")
+    makespan = max(sched.starts[j.id] + j.p for j in inst.jobs)
+    idle = inst.m * makespan - sum(j.p * j.q for j in inst.jobs)
+    if makespan != inst.W or idle != 0:
+        raise NotZeroIdle(
+            f"makespan {makespan} with arithmetic idle {idle}; audit needs "
+            f"makespan {inst.W} and zero idle"
+        )
+
+    def count(t: int, tags, machine=None) -> int:
+        ids = [
+            j.id
+            for j in inst.jobs
+            if j.tag in tags and (machine is None or machine in sched.machines[j.id])
+        ]
+        return count_finished_by(inst, sched, t, ids)
+
+    rows = []
+    checkpoints = [j for j in inst.jobs if j.tag in COUNT_CHAINS]
+    for job in sorted(checkpoints, key=lambda j: (sched.starts[j.id], j.id)):
+        t = sched.starts[job.id]
+        try:
+            cv = decompose(t, inst.z, inst.D)
+        except ValueError as exc:
+            rows.append(
+                AuditCheck(job.id, t, None, "decompose", "clean decomposition", str(exc), False)
+            )
+            continue
+        for m in sorted(sched.machines[job.id]):
+            for power, families in DIGIT_FAMILIES.items():
+                want, got = cv.digit(power), count(t, families, m)
+                rows.append(AuditCheck(job.id, t, m, f"load:x{power}", want, got, want == got))
+        terms = []
+        for term in COUNT_CHAINS[job.tag]:
+            first, *rest = term.split()
+            name, value = f"count({first})", count(t, (first,))
+            for sign, tag in zip(rest[::2], rest[1::2]):
+                name += f" {sign} count({tag})"
+                value += (1 if sign == "+" else -1) * count(t, (tag,))
+            terms.append((name, value))
+        (base, want), *others = terms
+        for name, got in others:
+            kind = f"eq:{job.tag}[{base} = {name}]"
+            rows.append(AuditCheck(job.id, t, None, kind, want, got, want == got))
+    return rows
 
 
 _SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()

@@ -194,3 +194,41 @@ def test_out_of_band_values_are_rejected(zD, data):
     high = data.draw(st.integers(min_value=0, max_value=digit_bound(z)))
     with pytest.raises(ResidueOutOfRange):
         decompose(high * D**3 + dead, z, D)
+
+
+def _decompose_top_down(value: int, z: int, D: int) -> CoeffVector:
+    """`decompose` the long way: each digit by dividing by its own power of
+    D, from D^8 down, stopping at the first digit above the cap."""
+    cap = digit_bound(z)
+    x0 = value % D**2
+    if x0 > z * D:
+        x0 -= D**2
+    quotient, digits = (value - x0) // D**2, {}
+    for k in reversed(POWERS):
+        digits[k], quotient = divmod(quotient, D ** (k - 2))
+        if digits[k] > cap:
+            raise DigitOverflow(k, digits[k], cap)
+    return CoeffVector(x0=x0, **{f"x{k}": v for k, v in digits.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(params(), st.data())
+def test_decompose_matches_the_top_down_division(zD, data):
+    # the digits, or the first overflowing power and its digit, are those
+    # of dividing by each power of D in turn
+    z, D = zD
+    cap = digit_bound(z)
+    digits = [data.draw(st.integers(0, 2 * cap + 1)) for _ in POWERS]
+    unit = data.draw(st.integers(-z * D if any(digits) else 0, z * D))
+    above = data.draw(st.sampled_from((0, 0, 0, 1, D + 1)))
+    value = unit + sum(d * D**k for d, k in zip(digits, POWERS)) + above * D**9
+    try:
+        want = _decompose_top_down(value, z, D)
+    except DigitOverflow as exc:
+        with pytest.raises(DigitOverflow) as got:
+            decompose(value, z, D)
+        assert (got.value.power, got.value.digit, str(got.value)) == (
+            exc.power, exc.digit, str(exc),
+        )
+    else:
+        assert decompose(value, z, D) == want

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gadgetforge import extraction
 from gadgetforge.extraction import (
     ExtractionTrace,
     LemmaViolation,
@@ -163,6 +168,105 @@ def test_refutation_after_mirroring_a_start_below_zero():
         extract_partition(inst3, inst, forged)
     assert exc.value.lemma == "pair-columns"
     assert {"stage": "orient", "event": "mirror"} in exc.value.events
+
+
+def test_a_swap_that_changes_the_schedule_health_raises(canonical_z1, monkeypatch):
+    # the swaps only relabel machines; one that returned a schedule of other
+    # health would make the extracted partition unfounded
+    inst3p, inst, sched = canonical_z1
+    tampered = swapped_starts(sched, "lambda1", "beta_1")
+    monkeypatch.setattr(extraction, "swap_after", lambda *args: tampered)
+    with pytest.raises(RuntimeError, match="the swapped schedule fails re-verification"):
+        extract_partition(inst3p, inst, permuted(sched, {1: 4, 2: 3, 3: 2, 4: 1}))
+
+
+RESULT_CHECKS_UNDER_O = """
+import sys
+from gadgetforge import extraction, strip, synthesis
+from gadgetforge.reduction import build_jobs, build_strip
+from gadgetforge.schedule import Schedule
+from gadgetforge.threepartition import gen_yes
+
+assert False, "this check runs under python -O only"
+inst3, witness = gen_yes(2, 1)
+red = build_jobs(inst3)
+sched = synthesis.build_schedule(red, witness)
+packing = synthesis.build_packing(build_strip(inst3), witness)
+flipped = Schedule(
+    dict(sched.starts), {i: frozenset(5 - m for m in ms) for i, ms in sched.machines.items()}
+)
+tampered = Schedule({**sched.starts, "lambda1": sched.starts["beta_1"]}, sched.machines)
+layout = synthesis.canonical_slots
+
+
+def reordered(*pairs):
+    # machine 1's sequence with each pair of slots exchanged
+    def slots(inst, m):
+        out = list(layout(inst, m))
+        for x, y in pairs if m == 1 else ():
+            i, j = out.index(x), out.index(y)
+            out[i], out[j] = out[j], out[i]
+        return out
+    return slots
+
+
+checks = iter([True, False])
+feasible_once = lambda strip_, packing_: strip.PackingReport(
+    feasible=next(checks), height=4, free_area=0, problems=()
+)
+patches = {
+    "swap": (extraction, "swap_after", lambda *args: tampered),
+    "homes": (synthesis, "canonical_slots", lambda inst, m: layout(inst, m)[:-1] if m == 1 else layout(inst, m)),
+    "starts": (synthesis, "canonical_slots", reordered((("a", 1), ("alpha", 1)))),
+    "stall": (synthesis, "canonical_slots", reordered((("a", 1), ("A", 0)))),
+    "normalize": (strip, "verify_packing", feasible_once),
+}
+calls = {
+    "swap": lambda: extraction.extract_partition(inst3, red, flipped),
+    "normalize": lambda: strip.normalize(build_strip(inst3), packing),
+}
+module, name, fake = patches[sys.argv[1]]
+setattr(module, name, fake)
+try:
+    calls.get(sys.argv[1], lambda: synthesis.build_schedule(red, witness))()
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+# what each tampered step reports
+RESULT_CHECK_ERRORS = {
+    "swap": (
+        "the swapped schedule fails re-verification: "
+        "not of the same feasibility, makespan and idle"
+    ),
+    "homes": (
+        "the synthesized schedule fails re-verification: "
+        "not every job on q machines: A_2"
+    ),
+    "starts": (
+        "the synthesized schedule fails re-verification: "
+        "not one start per job on all its machines"
+    ),
+    "stall": (
+        "the synthesized schedule fails re-verification: "
+        "not placeable to the end (the sequences are inconsistent)"
+    ),
+    "normalize": "the normalized packing fails re-verification: not feasible",
+}
+
+
+@pytest.mark.parametrize("step", list(RESULT_CHECK_ERRORS))
+def test_result_checks_hold_under_python_O(step):
+    # `python -O` strips asserts, so each check on a result is a raise
+    env = dict(os.environ)
+    src = str(Path(extraction.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", RESULT_CHECKS_UNDER_O, step],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert result.stdout.strip() == RESULT_CHECK_ERRORS[step]
 
 
 # ===== normalize_machines =====

@@ -380,7 +380,7 @@ def test_layout_reproduces_every_machine_of_the_fixture(canonical_z1):
             tag = inst.by_id[jid].tag
             if tag != "P" or tags[-1] != "P":
                 tags.append(tag)
-        assert tags == [tag for tag, _ in canonical_slots(m, inst.z)]
+        assert tags == [tag for tag, _ in canonical_slots(inst, m)]
 
 
 def test_count_chains_hold_at_every_checkpoint_of_the_fixture(canonical_z1):

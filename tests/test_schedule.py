@@ -20,9 +20,15 @@ from gadgetforge.schedule import (
     swap_after,
     verify,
 )
+from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
-from conftest import count_before, count_finished_by, make_canonical_z1
+from conftest import (
+    count_before,
+    count_finished_by,
+    make_canonical_z1,
+    reference_audit,
+)
 
 
 def tiny_instance(jobs):
@@ -342,6 +348,98 @@ def test_audit_randomized_swap_stability(canonical_z1):
         current = swap_after(inst, current, t, 2, 3)
         assert verify(inst, current).feasible
         assert audit(inst, current).passed
+
+
+def _perturbed(rng, inst, sched):
+    """One to three random edits: two jobs' starts or machine sets
+    exchanged, or a filler shifted by 1, D/2 or D either way."""
+    starts, machines = dict(sched.starts), dict(sched.machines)
+    ids = sorted(starts)
+    fillers = [j.id for j in inst.jobs if j.tag in ("a", "b", "c", "gamma")]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(3)
+        if edit == 0:
+            x, y = rng.sample(ids, 2)
+            starts[x], starts[y] = starts[y], starts[x]
+        elif edit == 1:
+            x, y = rng.sample(ids, 2)
+            machines[x], machines[y] = machines[y], machines[x]
+        else:
+            step = rng.choice((1, inst.D // 2, inst.D)) * rng.choice((1, -1))
+            starts[rng.choice(fillers)] += step
+    return Schedule(starts=starts, machines=machines)
+
+
+def _audit_variants(z, seed):
+    inst3, witness = gen_yes(z, seed)
+    inst = build_jobs(inst3)
+    sched = build_schedule(inst, witness)
+    rng = random.Random(f"audit {z} {seed}")
+    perm = dict(zip((1, 2, 3, 4), rng.sample((1, 2, 3, 4), 4)))
+    yield "canonical", inst, sched
+    yield "permuted", inst, Schedule(
+        starts=dict(sched.starts),
+        machines={i: frozenset(perm[m] for m in ms) for i, ms in sched.machines.items()},
+    )
+    yield "mirrored", inst, mirror(inst, sched)
+    for k in range(8):
+        yield f"perturbed {k}", inst, _perturbed(rng, inst, sched)
+    starts = dict(sched.starts)
+    starts[f"c_{rng.randrange(z + 1)}"] += z * inst.D + 1  # a residue above zD
+    yield "off the grid", inst, Schedule(starts=starts, machines=dict(sched.machines))
+    stretched = SchedulingInstance(inst.m, inst.z, inst.D, inst.W + 1, inst.jobs)
+    yield "not a reduction", stretched, sched
+
+
+def test_audit_matches_the_job_by_job_reference():
+    seen = set()
+    for z in range(1, 6):
+        for seed in range(4):
+            for label, inst, sched in _audit_variants(z, seed):
+                try:
+                    want = reference_audit(inst, sched)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        audit(inst, sched)
+                    assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                    seen.add(type(exc).__name__)
+                    continue
+                report = audit(inst, sched)
+                assert list(report.checks) == want, (z, seed, label)
+                assert report.passed == all(c.ok for c in want)
+                seen |= {c.kind.split("[")[0].split(":x")[0] for c in report.violations}
+                seen.add("passed" if report.passed else "failed")
+    # every kind of verdict and of broken row is compared somewhere
+    assert seen == {
+        "passed", "failed", "NotZeroIdle", "ValueError", "decompose", "load",
+        *(f"eq:{tag}" for tag in ("A", "B", "a", "b", "c")),
+    }
+
+
+def test_audit_check_is_an_immutable_value():
+    fields = dict(
+        checkpoint="a_1", start=12, machine=1, kind="load:x4",
+        expected=1, observed=0, ok=False,
+    )
+    check = AuditCheck(**fields)
+    with pytest.raises(AttributeError):
+        check.ok = True
+    twin = AuditCheck(*fields.values())
+    assert check == twin and hash(check) == hash(twin)
+    assert check != AuditCheck(**{**fields, "observed": 1})
+    assert check.to_dict() == {
+        "checkpoint": "a_1",
+        "start": "12",
+        "machine": 1,
+        "kind": "load:x4",
+        "expected": "1",
+        "observed": "0",
+        "ok": False,
+    }
+    row = AuditCheck("B_1", 7, None, "decompose", "clean decomposition", "x", False)
+    assert row.to_dict()["machine"] is None
+    assert row.to_dict()["expected"] == "clean decomposition"
+    assert AuditCheck._fields == tuple(fields)
 
 
 # ===== serialization =====

@@ -1,0 +1,173 @@
+"""A/B check and timing of the library's non-solver layers on the `pipeline`
+workload.
+
+    python3 tools/ab_pipeline.py OLD NEW [--rounds 10] [--seed 1]
+
+OLD and NEW are checkouts of this repository, imported in one process
+under the package names `gf_old` and `gf_new`, as in `tools/ab_decide.py`.
+The inputs are the nine ops of the benchmark's `pipeline` workload for the
+given seed, built by `perfbench/workloads.py` of the checkout this script
+lives in, which is imported and not modified; each side builds its own copy
+from its own `gen_yes`.
+
+Before the timing, every input is run once through both checkouts, and each
+of these documents must be byte-identical on both sides:
+
+* the audit of the synthesized, the mirrored and the perturbed schedule:
+  `AuditReport.to_dict()` and `to_dict()` of every row (or the error the
+  audit raises);
+* `ExtractionTrace.to_dict()` of the synthesized and the mirrored schedule;
+* `RefutationCertificate.to_dict()` of the perturbed schedule (or the error
+  the extraction raises);
+* the schedule and packing SVGs;
+* the JSON of the schedule and the instance, and their round trips.
+
+The script lists every document that differs and stops.
+
+Then each round runs every op once on each side, OLD first on even rounds
+and NEW first on odd ones, timing every layer the op calls.  The script
+prints, per layer, the sum over the ops of each op's minimum time in that
+layer over the rounds, for each side, and the ratio NEW/OLD.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+from collections import Counter
+from pathlib import Path
+
+from ab_decide import HERE, _load
+
+
+class _Timer:
+    """Stands in for the benchmark's tracer: runs every call and adds its
+    wall time to its layer."""
+
+    def __init__(self):
+        self.spent: Counter = Counter()
+
+    def call(self, layer: str, fn, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.spent[layer] += time.perf_counter() - start
+
+
+def _ops(workloads, lib, seed: int):
+    """The pipeline ops against `lib` in workload order, as (label, op,
+    inputs), and the timer they report to."""
+    timer = _Timer()
+    ctx = workloads.Ctx(lib, timer, seed, HERE, HERE)
+    ops = []
+    for k, (label, op, _) in enumerate(workloads.pipeline(ctx)):
+        _, inst3, witness, perturbation = op.args
+        ops.append((f"{k}:{label}", op, (inst3, witness, perturbation)))
+    return ops, timer
+
+
+def _attempt(fn) -> str:
+    """`fn()`'s document as JSON, or the error it raises."""
+    try:
+        return json.dumps(fn(), sort_keys=True)
+    except Exception as exc:  # noqa: BLE001 - an error is a document too
+        if hasattr(exc, "to_dict"):
+            return json.dumps(exc.to_dict(), sort_keys=True)
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
+    """Every output the gate compares, by name, for one input."""
+    inst, strip = lib.build_jobs(inst3), lib.build_strip(inst3)
+    sched = lib.build_schedule(inst, witness)
+    packing = lib.build_packing(strip, witness)
+    mirrored = lib.mirror(inst, sched)
+    bad = lib.Schedule(
+        starts=workloads._perturb(sched.starts, perturbation, inst.D),
+        machines=sched.machines,
+    )
+    schedules = {"synthesized": sched, "mirrored": mirrored, "perturbed": bad}
+
+    def audited(s):
+        report = lib.audit(inst, s)
+        return {**report.to_dict(), "rows": [c.to_dict() for c in report.checks]}
+
+    docs = {f"audit {name}": _attempt(lambda s=s: audited(s)) for name, s in schedules.items()}
+    for name, s in schedules.items():
+        trace = lambda s=s: lib.extract_partition(inst3, inst, s)[1].to_dict()
+        docs[f"extract {name}"] = _attempt(trace)
+    docs["schedule svg"] = lib.render_schedule_svg(inst, sched)
+    docs["packing svg"] = lib.render_packing_svg(strip, packing)
+    sched_text, inst_text = sched.to_json(), inst.to_json()
+    docs["schedule json"] = sched_text
+    docs["schedule json again"] = lib.Schedule.from_json(sched_text).to_json()
+    docs["instance json"] = inst_text
+    docs["instance json again"] = lib.SchedulingInstance.from_json(inst_text).to_json()
+    return docs
+
+
+def _gate(workloads, libs, ops) -> None:
+    """Stop with the list of documents that differ between the sides."""
+    differ, total = [], 0
+    for (label, _, inputs), (_, _, twin) in zip(ops["old"], ops["new"]):
+        old = _documents(workloads, libs["old"], *inputs)
+        new = _documents(workloads, libs["new"], *twin)
+        total += len(old)
+        differ += [f"{label} {name}" for name in old if old[name] != new.get(name)]
+    if differ:
+        raise SystemExit(
+            f"outputs: {len(differ)} of {total} documents differ:\n  " + "\n  ".join(differ)
+        )
+    print(f"outputs: {len(ops['old'])} inputs, {total} documents, identical")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    libs = {
+        side: _load(f"gf_{side}", root.resolve() / "src" / "gadgetforge", True)
+        for side, root in (("old", args.old), ("new", args.new))
+    }
+    workloads = _load("workloads", HERE / "perfbench" / "workloads.py")
+    built = {side: _ops(workloads, lib, args.seed) for side, lib in libs.items()}
+    ops = {side: table for side, (table, _) in built.items()}
+    _gate(workloads, libs, ops)
+
+    labels = [label for label, *_ in ops["old"]]
+    best = {side: {label: {} for label in labels} for side in built}
+    for r in range(args.rounds):
+        sides = ("old", "new") if r % 2 == 0 else ("new", "old")
+        for k, label in enumerate(labels):
+            for side in sides:
+                table, timer = built[side]
+                timer.spent.clear()
+                start = time.perf_counter()
+                ok, _ = table[k][1]()
+                timer.spent["op"] = time.perf_counter() - start
+                if not ok:
+                    raise SystemExit(f"{side} {label}: the op failed its own check")
+                mins = best[side][label]
+                for layer, seconds in timer.spent.items():
+                    mins[layer] = min(mins.get(layer, seconds), seconds)
+
+    layers = sorted({layer for side in best.values() for m in side.values() for layer in m})
+    layers.remove("op")
+    print(f"pipeline: {len(labels)} ops, {args.rounds} rounds, seed {args.seed}")
+    print(f"  {'layer':<30}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
+    for layer in [*layers, "op"]:
+        old, new = (
+            sum(best[side][label].get(layer, 0.0) for label in labels) * 1e3
+            for side in ("old", "new")
+        )
+        ratio = f"{new / old:>9.3f}" if old else f"{'-':>9}"
+        print(f"  {layer:<30}{old:>10.2f}{new:>10.2f}{ratio}")
+
+
+if __name__ == "__main__":
+    main()
