@@ -15,6 +15,7 @@ precision so there is no overflow to worry about.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 POWERS = (2, 3, 4, 5, 6, 7, 8)
@@ -82,9 +83,20 @@ def check_shape(token, kind: type, what: str):
 def load_json(text: str, kind: type, what: str):
     """The JSON document `text` when its top level is what `check_shape`
     asks for.  Malformed JSON raises ValueError as `json.loads` does, and
-    so does a document nested deeper than the parser can recurse."""
+    so does a document nested deeper than the parser can recurse or an
+    object that names a key twice, which `json.loads` would read as its
+    last value."""
+
+    def unique_keys(pairs: list) -> dict:
+        token = dict(pairs)
+        if len(token) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            key = next(key for key, n in counts.items() if n > 1)
+            raise ValueError(f"{what} repeats the key {key!r} in one object")
+        return token
+
     try:
-        token = json.loads(text)
+        token = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to read") from None
     return check_shape(token, kind, what)

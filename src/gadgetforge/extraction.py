@@ -141,25 +141,22 @@ def _tiling_break(
     return None
 
 
-def normalize_machines(
-    inst: SchedulingInstance, sched: Schedule, log: list | None = None
-) -> Schedule:
+def normalize_machines(inst: SchedulingInstance, sched: Schedule) -> Schedule:
     """Swap machine contents until machine 1 carries the early side family,
     machine 4 the late side family, and both middle machines carry every
     three-machine separator.  Start times are untouched."""
-    return _normalize_machines(inst, sched, _gate(inst, sched), log)[0]
+    return _normalize_machines(inst, sched, _gate(inst, sched), [])[0]
 
 
 def _normalize_machines(
     inst: SchedulingInstance,
     sched: Schedule,
     health: tuple[bool, int, int],
-    log: list | None,
+    events: list,
 ) -> tuple[Schedule, dict[int, list[str]]]:
-    """`normalize_machines` past the gate, which returned `health`; also
-    returns the normalized schedule's `_lanes`."""
+    """`normalize_machines` past the gate, which returned `health`, logging
+    to `events`; also returns the normalized schedule's `_lanes`."""
     stage = "normalize"
-    events = log if log is not None else []
 
     for job in inst.jobs:
         if len(sched.machines[job.id]) != job.q:
@@ -239,13 +236,10 @@ def _normalize_machines(
     return sched, lanes
 
 
-def orient(
-    inst: SchedulingInstance, sched: Schedule, log: list | None = None
-) -> Schedule:
+def orient(inst: SchedulingInstance, sched: Schedule) -> Schedule:
     """Mirror the schedule when it runs backwards, so that a late-family
     separator opens machine 2.  Assumes normalized machine contents."""
-    events = log if log is not None else []
-    return _orient(inst, sched, _lanes(inst, sched)[2], events)
+    return _orient(inst, sched, _lanes(inst, sched)[2], [])
 
 
 def _orient(
@@ -291,20 +285,20 @@ def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
             )
     for i, anchor in enumerate(a_seq):
         t = sched.starts[anchor]
-        lam = finished(t, ("lambda1",))
+        lam = finished(t, "lambda1")
         if lam != 1:
             raise LemmaViolation(
                 stage, "separator-counts", f"{anchor}: opening cap count {lam} != 1"
             )
-        if finished(t, ("A",)) != i:
+        if finished(t, "A") != i:
             raise LemmaViolation(stage, "separator-counts", f"{anchor}: own rank != {i}")
-        if finished(t, ("B",)) != i + 1:
+        if finished(t, "B") != i + 1:
             raise LemmaViolation(
                 stage, "separator-counts", f"{anchor}: opposite rank != {i + 1}"
             )
     for i, anchor in enumerate(b_seq):
         t = sched.starts[anchor]
-        if finished(t, ("B",)) != i or finished(t, ("A",)) != i:
+        if finished(t, "B") != i or finished(t, "A") != i:
             raise LemmaViolation(stage, "separator-counts", f"{anchor}: rank != {i}")
     return tuple(a_seq), tuple(b_seq)
 
@@ -323,7 +317,7 @@ def _check_count_equations(inst, sched, finished, a_seq, b_seq) -> None:
 
     def broken(anchor: str) -> str | None:
         t = sched.starts[anchor]
-        values = chain_values(inst.by_id[anchor].tag, lambda tag: finished(t, (tag,)))
+        values = chain_values(inst.by_id[anchor].tag, lambda tag: finished(t, tag))
         if len(set(values.values())) == 1:
             return None
         return f"{anchor}: " + ", ".join(f"{k} = {v}" for k, v in values.items())
@@ -332,7 +326,7 @@ def _check_count_equations(inst, sched, finished, a_seq, b_seq) -> None:
         if detail := broken(anchor):
             raise LemmaViolation(stage, "early-separator-chain", detail)
     for anchor in b_seq:
-        if finished(sched.starts[anchor], ("lambda2",)) != 0:
+        if finished(sched.starts[anchor], "lambda2") != 0:
             raise LemmaViolation(
                 stage, "trailing-cap", f"closing cap finishes before {anchor}"
             )

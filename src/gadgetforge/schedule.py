@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .exactnum import check_shape, decompose, load_json, parse_int
 from .reduction import (
@@ -102,13 +102,18 @@ class Schedule:
         machines = check_shape(payload["machines"], dict, "machines")
         return cls(
             starts={k: parse_int(v, "a start") for k, v in starts.items()},
-            machines={
-                k: frozenset(
-                    [parse_int(m, "a machine") for m in check_shape(v, list, "machines")]
-                )
-                for k, v in machines.items()
-            },
+            machines={k: _machine_set(k, v) for k, v in machines.items()},
         )
+
+
+def _machine_set(job_id: str, token) -> frozenset[int]:
+    """A job's machine list as a set; a list naming a machine twice raises
+    ValueError, since a set would silently drop the repeat."""
+    listed = [parse_int(m, "a machine") for m in check_shape(token, list, "machines")]
+    used = frozenset(listed)
+    if len(used) < len(listed):
+        raise ValueError(f"job {job_id} names a machine twice: {listed}")
+    return used
 
 
 @dataclass(frozen=True)
@@ -260,24 +265,23 @@ def require(what: str, *checks: tuple[bool, str]) -> None:
 
 def finished_by_index(
     inst: SchedulingInstance, sched: Schedule
-) -> Callable[..., int]:
-    """`finished(t, tags, machine=None)`: how many jobs of the given families
-    (only those running on `machine`, when one is given) finish by t.
+) -> Callable[[int, str], int]:
+    """`finished(t, tag)`: how many jobs of family `tag` finish by t.
 
-    The end times are sorted once per (tag, machine) and per tag, so each
-    count is one `bisect_right` per family: jobs ending exactly at t count,
-    as in the finished-before count defined above.
+    The end times are sorted once per family, so each count is one
+    `bisect_right`: jobs ending exactly at t count, as in the
+    finished-before count defined above.  This is the one place the
+    per-family end columns are built; the audit's chain terms and the
+    extraction's separator counts both read them.
     """
-    ends: dict[tuple[str, int | None], list[int]] = {}
+    ends: dict[str, list[int]] = {}
     for job in inst.jobs:
-        end = sched.starts[job.id] + job.p
-        for machine in (None, *sched.machines[job.id]):
-            ends.setdefault((job.tag, machine), []).append(end)
+        ends.setdefault(job.tag, []).append(sched.starts[job.id] + job.p)
     for column in ends.values():
         column.sort()
 
-    def finished(t: int, tags: Iterable[str], machine: int | None = None) -> int:
-        return sum(bisect_right(ends.get((tag, machine), ()), t) for tag in tags)
+    def finished(t: int, tag: str) -> int:
+        return bisect_right(ends.get(tag, ()), t)
 
     return finished
 
@@ -338,12 +342,13 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
     what lets a perturbed schedule be audited and the first broken identity
     reported.
 
-    Every count is a bisection in a column of end times sorted up front:
-    one column per (digit power, machine), which merges the families of
-    `DIGIT_FAMILIES[power]` that run on the machine, and one per family.
-    `bisect_right` at the checkpoint's start counts exactly the jobs ending
-    at or before it, which is the finished-before count defined above, so
-    a `load:x<power>` row is one bisection and a chain term one bisection
+    Every count is a bisection in a column of end times sorted up front.
+    The audit sorts one column per (digit power, machine), which merges
+    the families of `DIGIT_FAMILIES[power]` that run on the machine; the
+    per-family columns are those of `finished_by_index`.  `bisect_right`
+    at the checkpoint's start counts exactly the jobs ending at or before
+    it, which is the finished-before count defined above, so a
+    `load:x<power>` row is one bisection and a chain term one bisection
     per family it names.  The rows are the same, in the same order, as
     scanning every job for every row.
     """
@@ -360,15 +365,14 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
             f"makespan {inst.W} and zero idle"
         )
 
-    by_tag: dict[str, list[int]] = {}
+    finished = finished_by_index(inst, sched)
     by_digit: dict[tuple[int, int], list[int]] = {}
     for job in inst.jobs:
         end = starts[job.id] + job.p
-        by_tag.setdefault(job.tag, []).append(end)
         for power in _TAG_POWERS.get(job.tag, ()):
             for m in machines[job.id]:
                 by_digit.setdefault((power, m), []).append(end)
-    for column in (*by_tag.values(), *by_digit.values()):
+    for column in by_digit.values():
         column.sort()
 
     checks: list[AuditCheck] = []
@@ -400,9 +404,7 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
                         expected == observed,
                     )
                 )
-        values = chain_values(
-            job.tag, lambda tag: bisect_right(by_tag.get(tag, ()), start)
-        )
+        values = chain_values(job.tag, lambda tag: finished(start, tag))
         (base, expected), *rest = values.items()
         for name, value in rest:
             checks.append(

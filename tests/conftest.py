@@ -11,6 +11,9 @@ way the finished-before count is defined; they are the reference that
 every audit row from them, the way the audit is defined; it is the
 reference that the bisections of `schedule.audit` are checked against.
 
+`with_repeated_key` writes a document whose object names one key twice,
+which every loader must refuse rather than read as the last value.
+
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
 of `solver._Search._candidates` is checked against.  It reads the forced
@@ -19,6 +22,7 @@ placed jobs from the search's path, never from the solver's tables, so a
 wrong table entry shows as a difference.
 """
 
+import json
 from collections import Counter
 from typing import Iterable
 from weakref import WeakKeyDictionary
@@ -115,6 +119,23 @@ def make_canonical_z1():
 @pytest.fixture
 def canonical_z1():
     return make_canonical_z1()
+
+
+def with_repeated_key(document, path, key, value) -> str:
+    """`document` as JSON text in which the object at `path` (keys and list
+    indices, empty for the top level) names `key` once more, with `value`,
+    in front of its own pairs."""
+    copy = json.loads(json.dumps(document))
+    holder, target = None, copy
+    for step in path:
+        holder, target = target, target[step]
+    pairs = [(key, value), *target.items()]
+    text = "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in pairs) + "}"
+    if holder is None:
+        return text
+    marker = "\0repeated key"
+    holder[path[-1]] = marker
+    return json.dumps(copy).replace(json.dumps(marker), text)
 
 
 def count_finished_by(

@@ -9,6 +9,8 @@ from gadgetforge.reduction import SchedulingInstance, StripInstance
 from gadgetforge.schedule import Schedule
 from gadgetforge.strip import schedule_to_packing
 
+from conftest import with_repeated_key
+
 runner = CliRunner()
 
 
@@ -209,18 +211,45 @@ def test_loaders_reject_the_wrong_shape(workspace, tmp_path, name, keys, bad, wh
     assert what in result.stderr
 
 
+@pytest.mark.parametrize(
+    "name, keys, key, value",
+    [
+        ("inst3.json", (), "z", 2),
+        ("inst.json", ("jobs", 0), "p", "1"),
+        ("strip.json", ("items", 0), "w", "1"),
+        ("sched.json", ("starts",), "A_1", "0"),
+        ("pack.json", ("positions",), "P_1", ["0", 0]),
+        ("w.json", (), "sets", [[3, 2, 1]]),
+    ],
+    ids=["instance", "jobs", "strip", "schedule", "packing", "witness"],
+)
+def test_loaders_reject_a_repeated_key(workspace, tmp_path, name, keys, key, value):
+    """An object that names a key twice is refused with exit 2.  Read as
+    its last value, a schedule could state a second start for a job that
+    no check ever sees."""
+    payload = json.loads((workspace / name).read_text())
+    edited = tmp_path / name
+    edited.write_text(with_repeated_key(payload, keys, key, value))
+    result = run(*_loader_command(workspace, name, str(edited)))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"repeats the key {key!r}" in result.stderr
+
+
 @pytest.mark.parametrize("command", ["verify", "audit", "extract"])
 @pytest.mark.parametrize(
     "edit, what",
     [
         (lambda s: s["machines"].update(P_1=[9]), "uses machine 9"),
         (lambda s: s["starts"].pop("A_0"), "job 'A_0' is missing from the schedule"),
+        (lambda s: s["machines"]["A_0"].append(3), "job A_0 names a machine twice"),
     ],
-    ids=["machine-9", "missing-job"],
+    ids=["machine-9", "missing-job", "repeated-machine"],
 )
 def test_schedule_that_does_not_fit_exits_two(workspace, tmp_path, command, edit, what):
-    """A schedule that names a machine the instance lacks, or leaves a job
-    out, is invalid input to every command that reads one."""
+    """A schedule that names a machine the instance lacks or names one
+    twice for a job, or leaves a job out, is invalid input to every command
+    that reads one."""
     payload = json.loads((workspace / "sched.json").read_text())
     edit(payload)
     edited = tmp_path / "sched.json"

@@ -1,6 +1,8 @@
 """Fuzz the CLI loaders: arbitrary JSON in place of a valid z=1 file, or of
 one field of it, must end in a documented exit code, with no exception
-escaping and at most one JSON document on stdout.
+escaping and at most one JSON document on stdout.  A valid file with one
+key of an object repeated, or a valid schedule with one job's machine
+repeated, must exit 2 with nothing on stdout.
 
 `decide` is left out on purpose: a fuzzed instance can make a real search
 run for a long time.
@@ -17,6 +19,8 @@ from gadgetforge.reduction import build_jobs, build_strip
 from gadgetforge.strip import schedule_to_packing
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import gen_yes, partition_to_json
+
+from conftest import with_repeated_key
 
 # the commands that read each file, with "{}" where the file goes
 COMMANDS = {
@@ -70,14 +74,17 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 def _replaced(node, path, value):
     if not path:
         return value
     node = json.loads(json.dumps(node))
-    parent = node
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _at(node, path[:-1])[path[-1]] = value
     return node
 
 
@@ -108,7 +115,45 @@ def fuzzed_calls(draw, documents):
     path = draw(st.just(()) | st.sampled_from(paths))
     document = _replaced(documents[name], path, draw(json_values))
     command = draw(st.sampled_from(COMMANDS[name]))
-    return name, document, command
+    return name, json.dumps(document), command
+
+
+@st.composite
+def repeated_keys(draw, documents):
+    """A valid file in which one object names one of its keys once more,
+    in front, with an arbitrary value."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    document = documents[name]
+    objects = [p for p in _paths(document) if isinstance(_at(document, p), dict)]
+    path = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(sorted(_at(document, path))))
+    text = with_repeated_key(document, path, key, draw(json_values))
+    return name, text, draw(st.sampled_from(COMMANDS[name]))
+
+
+@st.composite
+def repeated_machines(draw, documents):
+    """The valid schedule with one of a job's machines listed twice."""
+    document = documents["sched.json"]
+    job = draw(st.sampled_from(sorted(document["machines"])))
+    listed = document["machines"][job]
+    twice = draw(st.permutations([*listed, draw(st.sampled_from(listed))]))
+    text = json.dumps(_replaced(document, ("machines", job), twice))
+    return "sched.json", text, draw(st.sampled_from(COMMANDS["sched.json"]))
+
+
+def _invoke(root, name, text, command):
+    """Run `command` with `text` as the file `name` and the valid files for
+    the rest."""
+    fuzzed = root / f"fuzzed-{name}"
+    fuzzed.write_text(text)
+
+    def place(arg):
+        if arg == "{}":
+            return str(fuzzed)
+        return str(root / arg) if arg.endswith((".json", ".svg")) else arg
+
+    return CliRunner().invoke(main, [place(arg) for arg in command])
 
 
 @settings(
@@ -119,25 +164,32 @@ def fuzzed_calls(draw, documents):
 @given(data=st.data())
 def test_fuzzed_inputs_end_in_a_documented_exit_code(valid, data):
     root, documents = valid
-    name, document, command = data.draw(fuzzed_calls(documents))
-    fuzzed = root / f"fuzzed-{name}"
-    fuzzed.write_text(json.dumps(document))
-    def place(arg):
-        if arg == "{}":
-            return str(fuzzed)
-        return str(root / arg) if arg.endswith((".json", ".svg")) else arg
-
-    args = [place(arg) for arg in command]
-    result = CliRunner().invoke(main, args)
+    name, text, command = data.draw(fuzzed_calls(documents))
+    result = _invoke(root, name, text, command)
     escaped = result.exception
     assert escaped is None or isinstance(escaped, SystemExit), (
-        f"{command[0]} on {name} = {json.dumps(document)[:300]}: {escaped!r}"
+        f"{command[0]} on {name} = {text[:300]}: {escaped!r}"
     )
     assert result.exit_code in (0, 1, 2), (result.exit_code, result.stderr)
     lines = result.stdout.splitlines()
     assert len(lines) <= 1, result.stdout[:300]
     if lines:
         json.loads(lines[0])
+
+
+@pytest.mark.parametrize("repeated", [repeated_keys, repeated_machines])
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_a_repeated_key_or_machine_exits_two(valid, repeated, data):
+    root, documents = valid
+    name, text, command = data.draw(repeated(documents))
+    result = _invoke(root, name, text, command)
+    assert result.exit_code == 2, (command[0], name, text[:300], result.stdout)
+    assert result.stdout == ""
 
 
 # a document nested past the depth `json.loads` can recurse to, once per
