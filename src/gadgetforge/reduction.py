@@ -32,7 +32,7 @@ module: `CANONICAL_LAYOUT` holds each machine's job sequence, read by
 synthesis and extraction, and `COUNT_CHAINS` the count identities at every
 separator and filler start, read by the audit and extraction.  The solver
 reads neither; its equation rule reads the closed-form starts of the
-canonical geometry.
+canonical geometry through `forward_geometry`, once per instance.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .exactnum import check_shape, digit_bound, load_json, parse_int
 from .threepartition import ThreePartitionInstance, validate
@@ -113,6 +115,11 @@ class SchedulingInstance:
             return None
         key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
         return (self.z, self.D) if key(self) == key(rebuilt) else None
+
+    @cached_property
+    def _forward(self) -> ForwardGeometry:
+        """`forward_geometry`'s answer, worked out and checked once."""
+        return _forward_geometry(self)
 
     @cached_property
     def _canonical_slots(self) -> Mapping[int, tuple[Slot, ...]]:
@@ -372,6 +379,95 @@ def partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int], ...]:
         lo, _ = gamma_window(inst, j)
         gaps.append((lo, block_separator_start("B", j, z, D)))
     return tuple(gaps)
+
+
+class ForwardGeometry(NamedTuple):
+    """The forward starts of a reduction as the solver's equation rule
+    reads them: per tag but P, its jobs' starts in ascending order, each
+    with its job (gamma_k at the start of gap k, its window's first start),
+    and the gaps in ascending order."""
+
+    starts: Mapping[str, tuple[tuple[int, Job], ...]]
+    gaps: tuple[tuple[int, int], ...]
+
+
+def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
+    """The `ForwardGeometry` of a recognised reduction, worked out from the
+    closed forms and checked once per instance."""
+    return inst._forward
+
+
+def _forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
+    """The forward geometry, with the premises of the solver's equation
+    rule checked here (see "Each gap is a bin" and "No count chains" in
+    `solver`): every tag has one width and the gamma jobs pairwise differ
+    in length; the starts of each tag pairwise differ; every value lies
+    strictly between D/4 and D/2; the gaps are pairwise disjoint, and
+    block k's gamma window [lo, lo + D] fills gap k = [lo, hi) with its
+    gamma job, hi - lo = D + |gamma_k|; the pinned jobs hold exactly
+    m - 1 machines at every instant of a gap, and all m at every instant
+    of [0, W) outside the gaps."""
+    from .schedule import require  # schedule imports this module
+
+    m, D = inst.m, inst.D
+    starts: dict[str, list[tuple[int, Job]]] = {}
+    # the machines the pinned jobs take (or free) at each of their starts
+    # (and ends)
+    delta: dict[int, int] = {}
+    for job_id, s in forced_starts(inst).items():
+        job = inst.by_id[job_id]
+        starts.setdefault(job.tag, []).append((s, job))
+        delta[s] = delta.get(s, 0) + job.q
+        delta[s + job.p] = delta.get(s + job.p, 0) - job.q
+    instants = sorted(delta)
+    # the pinned load on each stretch between two consecutive instants
+    loads = accumulate(delta[x] for x in instants)
+    stretches = dict(zip(zip(instants, instants[1:]), loads))
+    gammas = inst.tagged("gamma")
+    starts["gamma"] = [(gamma_window(inst, j.index)[0], j) for j in gammas]
+    tables = {tag: tuple(sorted(t, key=itemgetter(0))) for tag, t in starts.items()}
+    gaps = tuple(sorted(partition_gaps(inst)))
+    for tag, table in tables.items():
+        distinct = all(s < u for (s, _), (u, _) in zip(table, table[1:]))
+        require(f"the {tag} starts", (distinct, "pairwise distinct"))
+    # A gap that is a stretch has no pinned start or end inside it.
+    require(
+        "the value gaps",
+        (
+            all(4 * j.p > D and 2 * j.p < D for j in inst.tagged("P")),
+            "every value in (D/4, D/2)",
+        ),
+        (
+            all(hi <= lo for (_, hi), (lo, _) in zip(gaps, gaps[1:])),
+            "pairwise disjoint",
+        ),
+        (
+            len(gammas) == len(gaps)
+            and all(
+                s == lo and hi - s - j.p == D
+                for (s, j), (lo, hi) in zip(tables["gamma"], gaps)
+            ),
+            "one window inside each gap, from its start, leaving D beside "
+            "its gamma job, in gap order",
+        ),
+        (
+            all(stretches.get(gap) == m - 1 for gap in gaps),
+            "m - 1 machines pinned at every instant of a gap",
+        ),
+        (
+            instants[0] == 0
+            and instants[-1] == inst.W
+            and all(stretches[x] == m for x in stretches.keys() - set(gaps)),
+            "m machines pinned at every instant outside the gaps",
+        ),
+    )
+    widths = {(j.tag, j.q) for j in inst.jobs}
+    require(
+        "the family table",
+        (len({tag for tag, _ in widths}) == len(widths), "one width per tag"),
+        (len({j.p for j in gammas}) == len(gammas), "one gamma job per length"),
+    )
+    return ForwardGeometry(MappingProxyType(tables), gaps)
 
 
 # ===== the canonical shape =====

@@ -22,9 +22,10 @@ effect can be measured:
   is not active for the decision (see below).
 * ``equations``   - on reduction instances searched at their own target,
   enforce the forced start positions of the forward direction, the one in
-  which a B job opens the schedule (see "Forward only" below), and cut a
-  value or gamma job that leaves a rest of its gap no unplaced values can
-  fill.
+  which a B job opens the schedule (see "Forward only" below), and fill
+  each gap like a bin: its gamma job at the gap's start, then three values
+  in descending order, the first the longest unplaced value (see "Each gap
+  is a bin" below).
 * ``dead_states`` - remember every search state whose subtree was
   exhausted without a witness, under a key that is canonical up to machine
   symmetry, and cut any later branch that reaches an equal key (see "Dead
@@ -40,8 +41,9 @@ start there together with each machine set it could take.  A job that
 cannot is counted as a prune of the first rule that rejects it: no-fit when
 it is wider than the idle machines or longer than the room T - t left,
 symmetry when an identical job with a smaller id is still unplaced,
-equations when the forward forced positions do not allow t, and coeff-budget
-once per machine set whose digit sums it would overflow.
+equations when the forward forced positions or the gap order do not allow
+t, and coeff-budget once per machine set whose digit sums it would
+overflow.
 
 The scan visits classes, not jobs.  A class is a set of identical jobs under
 the symmetry rule's (p, q, tag) key, members in id order; with the rule off
@@ -65,41 +67,26 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   exactly when the member before it in id order is unplaced, which for an
   id prefix holds for every unplaced member but the first;
 * the equation rule settles a family in one step, from the facts its spec
-  holds (see `_Search._equation_specs`).  A value job (P) placed at t
-  must end by hi_k, the end of the last gap k that starts by t (by t
-  itself when none does), found by bisecting the gap starts.  The value
-  family is walked from its shortest class up until one overshoots that
-  bound, and the classes left count as equations; as every gap ends below
-  T, a class within the bound also fits the room.  A class of length p
-  within the bound offers only if the rest r = hi_k - t - p - |gamma_k| it
-  leaves (|gamma_k| counts 0 once gamma_k is placed) is 0, above D/2, or
-  the length of another unplaced value; each other class is an equations
-  prune.  This is sound.  In every gap the pinned jobs at their forced
-  starts hold m - 1 machines at every instant, so at every instant one job
-  covers the last machine, gamma_k or a value: the gamma windows and the
-  values lie inside the gaps, which are disjoint.  Every job placed before
-  the one at t starts by t and every later one at t or after, and as one
-  such job covers each instant, the gamma and value jobs placed before it
-  have ended by t and those after it start at t + p or later.  So
-  [t, hi_k) on the last machine holds exactly the job at t, gamma_k if it
-  is unplaced and some other unplaced values, which sum to r.  Every value
-  lies strictly between D/4 and D/2, so any j >= 1 of them sum to strictly
-  between jD/4 and jD/2: r is 0, above D/2, or one value, and any other r,
-  below 0, up to D/4 or D/2 itself, leaves the gap unfillable.  Whether a
-  pair or more can fill an r above D/2 is not tested.  Every other family
-  holds pairwise disjoint windows of starts, each of one class: the window
-  [s, s] of each forced start s of a pinned job (every tag but gamma and
-  P), and the window of block j's gamma job, the first D + 1 starts of its
-  gap (the gaps are disjoint, and the gamma lengths differ in j, so each
-  gamma job is a class of its own).  A class's k-th window holds its k-th
-  placement (see "Forward only"), so at most one job of a family may start
-  at t: the next member of the class whose window starts last at or before
-  t, found by bisecting the window starts, if t is within that window's
-  end and the window is the class's next.  It offers when it fits the room
-  and, a gamma job, leaves a rest r = hi_k - t - |gamma_k| of its gap k
-  that passes the same test; every other class of the family that fits
-  counts as equations in bulk.  The premises of these tests are checked
-  when the family specs are built;
+  holds (see `_Search._equation_specs`).  Every family but the values
+  holds one forced start per job, pairwise distinct within the family:
+  the start s of each pinned job (every tag but gamma and P), and the
+  start lo_k of gap k for block k's gamma job (see "Each gap is a bin").
+  A class's k-th start holds its k-th placement (see "Forward only"), so
+  at most one job of a family may start at t: the next member of the
+  class whose start is t, looked up by t, if t is the class's next start
+  and the job fits the room; every other class of the family that fits
+  counts as equations in bulk.  A value job (P) may start at t only in
+  the last gap k that starts by t, found by bisecting the gap starts, and
+  only once gamma_k is placed; rest = hi_k - t is then what the gap's
+  values still have to fill.  At rest = D the class at the head of the
+  live list offers, the longest unplaced value; at 2 rest > D a class of
+  length p offers when 2p >= rest and rest - p is the length of another
+  unplaced value, and as the live list is in (-p, id) order these classes
+  are a prefix of it; at any other rest only the classes of length rest
+  offer, found by one look-up by length.  Every other value class that
+  fits counts as equations in bulk.  The premises of these tests are
+  checked once per instance, with the forward geometry
+  (`reduction.forward_geometry`);
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -115,7 +102,8 @@ Forward only.  Under the equation tables the search keeps only schedules
 in the forward direction, where a B job opens the schedule: every job but
 gamma and P starts at the forced start of a job identical to it, one job
 per forced start, each gamma job inside its window and each value job
-inside a gap.  This loses no answer.  Every target schedule meets these
+inside a gap.  This loses no answer, and neither does the gap order of
+the next section, which the search keeps on top.  Every target schedule meets these
 conditions either as stated or mirrored, with each start s read as
 W - s - p for a job of length p.  `schedule.mirror` maps a zero-idle
 makespan-W schedule S to another such schedule mirror(S), whose job of
@@ -128,6 +116,45 @@ off, each job its own); as jobs are placed in start order, the k-th
 placed member of a class then takes its k-th forced start.  A search that
 covers every such schedule thus proves none only when none exists.
 
+Each gap is a bin.  Of the forward schedules the search keeps those in
+which every gap k = [lo_k, hi_k) is filled in one order: gamma_k at lo_k,
+then three values in descending order, the first the longest value no
+earlier gap holds, equal lengths in id order.  This is bin completion's
+symmetry breaking between bins (Korf 2003), applied to the gaps.  Its
+premises are checked with the forward geometry: in every gap the pinned
+jobs at their forced starts hold exactly m - 1 machines at every instant,
+so none starts or ends inside it; gamma_k's window [lo_k, lo_k + D]
+starts at lo_k and hi_k - lo_k - |gamma_k| = D; every value lies strictly
+between D/4 and D/2.  Take a forward schedule S.  Over gap k the pinned
+jobs hold the same m - 1 machines, which leaves one machine mu_k, and
+every other job that runs inside the gap, gamma_k and the values (the
+gamma windows and the values lie inside the gaps, which are disjoint),
+runs on mu_k alone, back to back, as S has no idle.  So the values of
+gap k sum to hi_k - lo_k - |gamma_k| = D, and as any j of them sum to
+strictly between jD/4 and jD/2, there are exactly three.
+* Within a gap: laying the jobs of mu_k over the gap out again in any
+  order, back to back, keeps zero idle, every machine set, contiguity
+  (one machine is an interval), each value inside its gap and gamma_k
+  inside its window.  So gamma_k can start at lo_k and the values follow
+  in descending order; identical values can swap.
+* Between gaps: the triples of two gaps each sum to D and each follow
+  their gamma job, so swapping them, each value onto the other gap's
+  machine, keeps all of the above; nothing else reads which gap a value
+  is in.  For k = 1..z in turn, swapping the triple of gap k with that of
+  the gap that holds the longest value outside gaps 1..k-1 makes that
+  value the first of gap k.
+So a target schedule exists exactly when one exists in this order.  The
+search covers every schedule in it.  It fills the earliest free instant,
+and inside a gap only mu_k is free, so when gap k's values come up, gaps
+1..k-1 are full and the unplaced values are those of gaps k..z.  With
+gamma_k at lo_k, rest = hi_k - t is D before the gap's first value,
+between D/2 and 3D/4 before its second and between 0 and D/2 before its
+third, and at each the rule offers the value of the order: the longest
+unplaced, a second p at least the third (2p >= rest) that another
+unplaced value completes, and the exact fill.  Each offered value ends
+inside its gap: the first is shorter than D/2, the second shorter than
+rest, as rest - p is a value, and the third fills it.
+
 No count chains.  The count chains of `reduction.COUNT_CHAINS` hold in
 every target schedule, and the audit and extraction check them on any
 schedule, but the search does not test them: where they could cut, the
@@ -139,10 +166,10 @@ every chain holds at t.  Proof.  Every placed pinned job started at the
 forced start of a job identical to it, one job per forced start, so it
 ends where the canonical job there does.  The prefix is zero idle, so all
 m machines are covered over [0, t), and every placed job starts by t.
-Outside the gaps only pinned jobs can run, as the gamma windows and the
-value reaches lie inside them, and the pinned jobs hold all m machines
+Outside the gaps only pinned jobs can run, as the gamma and value jobs
+start and end inside them, and the pinned jobs hold all m machines
 there; inside a gap they hold m - 1, and none starts or ends inside one
-(both are checked when the family specs are built).  Say a forced start
+(both are checked with the forward geometry).  Say a forced start
 s < t were not taken, by a job X of width q.  Outside the gaps, the
 pinned jobs placed would cover fewer than m machines at s.  Inside gap
 k, s is the gap's start and t, a forced start too, is at or past its
@@ -178,10 +205,10 @@ means an equal verdict:
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
    read the free times, the remaining set, the placed counts of each class,
    the unplaced counts per width and the live lists (all functions of the
-   remaining set) and the machines' digit sums.  The window test reads t
-   and the placed count of the window's class, and the gap-rest test of a
-   value or gamma job reads only t, the unplaced values and whether
-   gamma_k is placed, all fixed by t and the remaining set.  Nothing reads
+   remaining set) and the machines' digit sums.  The forced-start test
+   reads t and the placed count of the start's class, and the gap order
+   of a value job reads only t, whether gamma_k is placed and the
+   unplaced values, all fixed by t and the remaining set.  Nothing reads
    which job runs on a machine.  The digit sums need no place in the key:
    the prefix is zero-idle, so a machine's free time is the sum S of its
    jobs' lengths, and under the conditions `_coeff_tables` checks (every
@@ -199,11 +226,15 @@ means an equal verdict:
    completion can be relabelled over the machines idle at t and over the
    remaining identical jobs, which always form an id suffix), so the
    subtree of a state runs out exactly when no zero-idle completion exists
-   that meets the forward conditions of the equation rule, when it is on.
-   Permuting the machines of a prefix and of its completions (plain) or
-   reflecting them (contiguous, where intervals stay intervals) keeps every
-   start and maps completions onto completions, so deadness is invariant
-   under the permutations the canonical key forgets.  A state whose
+   that meets the forward conditions and the gap order of the equation
+   rule, when it is on.  Permuting the machines of a prefix and of its
+   completions (plain) or reflecting them (contiguous, where intervals
+   stay intervals) keeps every start and every job, and so maps
+   completions onto completions, forward ones onto forward ones and, as
+   the gap order reads only starts and which jobs are placed, never a
+   machine, completions in that order onto completions in that order; so
+   deadness is invariant under the permutations the canonical key
+   forgets.  A state whose
    canonical key was recorded thus has the raw key of some image of a
    dead state, and by 1 that image's subtree, like the dead one's, holds
    no witness.
@@ -232,8 +263,7 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
-from operator import itemgetter
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import POWERS, decompose
@@ -241,9 +271,7 @@ from .reduction import (
     Job,
     SchedulingInstance,
     check_jobs,
-    forced_starts,
-    gamma_window,
-    partition_gaps,
+    forward_geometry,
     recognize,
 )
 from .schedule import Schedule, require, verify
@@ -257,9 +285,9 @@ DEAD_STATE_CAP = 1 << 22
 # before any of them is built.  The paper's question has 4.
 MAX_MACHINES = 1 << 10
 
-# how a family of classes is tested at a node: no equation rule, a forced
-# start per placement, a gap of value jobs, a window per gamma job
-_PLAIN, _VALUE, _WINDOW = range(3)
+# how a family of classes is tested at a node: no equation rule, the gaps
+# of the value jobs, a forced start per job
+_PLAIN, _VALUE, _FORCED = range(3)
 
 
 @dataclass(frozen=True)
@@ -455,119 +483,37 @@ class _Search:
         )
 
     def _equation_specs(self, heads: list[Job]) -> list[tuple]:
-        """Each family's spec under the equation tables, with the facts of
-        the forward direction that its kind tests at a node:
+        """Each family's spec under the equation tables: the instance's
+        forward geometry (`reduction.forward_geometry`, worked out and
+        checked once per instance) mapped to this search's classes.
 
         * the value family: the gap starts and ends in ascending order, the
-          class of each gap's gamma job, the value classes by length and D.
-          A value job of length p at t lies inside a gap exactly when
-          t + p <= ends[k] for the last k with starts[k] <= t;
-        * every other family: its windows' first starts in ascending order,
-          and per window its last start, its class, how many windows of
-          its class come before it and the end of its gap (None for the
-          window [s, s] of a forced start s), with the value classes by
-          length and D.  The bisection of the first starts is exact only
-          if the windows of a family are pairwise disjoint, checked here.
+          class of each gap's gamma job, the value classes by length and D;
+        * every other family: per forced start s of its tag, the class of
+          the job there and how many starts of that class come before s.
 
-        The gap-rest test reads three premises, checked here: every
-        value lies strictly between D/4 and D/2; the k-th gap holds the
-        k-th window and every start in it keeps its gamma job inside the
-        gap; and in every gap the pinned jobs at their forced starts hold
-        exactly m - 1 machines at every instant.  The lemma that no count
-        moves (see "No count chains") reads a fourth, also checked here: the
-        pinned jobs hold all m machines at every instant of [0, T) outside
-        the gaps.  `heads` holds each family's first job."""
-        inst = self.inst
-        D = inst.D
-        # per tag, its windows as (first start, last start, class, earlier
-        # windows of the class, gap end); a forced start s is the window
-        # [s, s] of its job's class, with no gap to fill
-        windows: dict[str, list[tuple]] = {}
-        kth: Counter[int] = Counter()
-        # the machines the pinned jobs take (or free) at each of their
-        # starts (and ends)
-        delta: dict[int, int] = {}
-        for job_id, s in sorted(forced_starts(inst).items(), key=itemgetter(1)):
-            job = inst.by_id[job_id]
-            c = self.rec[job_id][0]
-            windows.setdefault(job.tag, []).append((s, s, c, kth[c], None))
-            kth[c] += 1
-            delta[s] = delta.get(s, 0) + job.q
-            delta[s + job.p] = delta.get(s + job.p, 0) - job.q
-        instants = sorted(delta)
-        # the pinned load on each stretch between two consecutive instants
-        loads = accumulate(delta[x] for x in instants)
-        stretches = dict(zip(zip(instants, instants[1:]), loads))
-        gaps = sorted(partition_gaps(inst))
-        lows = tuple(lo for lo, _ in gaps)
-        ends = tuple(hi for _, hi in gaps)
-        gammas = sorted(
-            (*gamma_window(inst, j.index), self.rec[j.id][0])
-            for j in inst.tagged("gamma")
-        )
-        # each gamma job is a class of its own (checked below)
-        windows["gamma"] = [(*w, 0, end) for w, end in zip(gammas, ends)]
-        # every table is in start order
-        for tag, table in windows.items():
-            require(
-                f"the {tag} window table",
-                (
-                    all(hi < lo for (_, hi, *_), (lo, *_) in zip(table, table[1:])),
-                    "pairwise disjoint",
-                ),
-            )
-        # the value classes by length
-        by_len: dict[int, list[int]] = {}
-        for c, js in enumerate(self.members):
-            if js[0].tag == "P":
-                by_len.setdefault(js[0].p, []).append(c)
-        # A gap that is a stretch has no pinned start or end inside it.
-        require(
-            "the value gaps",
-            (all(4 * p > D and 2 * p < D for p in by_len), "every value in (D/4, D/2)"),
-            (
-                all(hi <= lo for hi, lo in zip(ends, lows[1:])),
-                "pairwise disjoint",
-            ),
-            (
-                len(gammas) == len(gaps)
-                and all(
-                    lo <= first and last + self.cls_p[c] <= hi
-                    for (first, last, c), (lo, hi) in zip(gammas, gaps)
-                ),
-                "one window inside each gap, in gap order",
-            ),
-            (
-                all(stretches.get(gap) == self.m - 1 for gap in gaps),
-                "m - 1 machines pinned at every instant of a gap",
-            ),
-            (
-                instants[0] == 0
-                and instants[-1] == self.target
-                and all(stretches[x] == self.m for x in stretches.keys() - set(gaps)),
-                "m machines pinned at every instant outside the gaps",
-            ),
-        )
-        # Each gamma job is a class of its own, as gamma lengths differ in
-        # the block index, and the windows lie in disjoint gaps.
-        require(
-            "the family table",
-            (len({j.tag for j in heads}) == len(heads), "one family per tag"),
-            (
-                all(len(self.members[c]) == 1 for *_, c in gammas),
-                "one gamma job per class",
-            ),
-        )
+        `heads` holds each family's first job."""
+        geometry = forward_geometry(self.inst)
+        cls = lambda job: self.rec[job.id][0]
         specs = []
         for f, j in enumerate(heads):
             if j.tag == "P":
-                gap_gammas = tuple(c for *_, c in gammas)
-                specs.append((f, _VALUE, j.q, (lows, ends, gap_gammas, by_len, D)))
-            else:
-                table = windows[j.tag]
-                starts = tuple(first for first, *_ in table)
-                last = tuple(rest for _, *rest in table)
-                specs.append((f, _WINDOW, j.q, (starts, last, by_len, D)))
+                by_len: dict[int, list[int]] = {}
+                for c in self.live[f]:
+                    by_len.setdefault(self.cls_p[c], []).append(c)
+                lows = tuple(lo for lo, _ in geometry.gaps)
+                ends = tuple(hi for _, hi in geometry.gaps)
+                gammas = tuple(cls(g) for _, g in geometry.starts["gamma"])
+                facts = (lows, ends, gammas, by_len, self.inst.D)
+                specs.append((f, _VALUE, j.q, facts))
+                continue
+            kth: Counter[int] = Counter()
+            at = {}
+            for s, job in geometry.starts[j.tag]:
+                c = cls(job)
+                at[s] = (c, kth[c])
+                kth[c] += 1
+            specs.append((f, _FORCED, j.q, at))
         return specs
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
@@ -633,48 +579,43 @@ class _Search:
             if i == n:
                 continue
             if kind == _VALUE:
-                # the end of the gap that may hold t, t itself (no room)
-                # when no gap starts by t; from the shortest job up, until
-                # one overshoots
+                # the rest of the gap that starts last by t, once its gamma
+                # job is placed (else 0: no value may start), which its
+                # values fill in descending order, see "Each gap is a bin"
                 starts, ends, gammas, by_len, D = facts
                 k = bisect_right(starts, t) - 1
-                reach = (ends[k] if k >= 0 else t) - t
-                j = n
-                while j > i and cls_p[live[j - 1]] <= reach:
-                    j -= 1
-                # the rest of the gap, which the gap's gamma job when
-                # unplaced and the values after this one must fill
-                rest = reach
-                if k >= 0 and not taken[gammas[k]]:
-                    rest -= cls_p[gammas[k]]
-                offer = []
-                for c in live[j:]:
-                    p = cls_p[c]
-                    r = rest - p
-                    if r == 0 or 2 * r > D or self._spare(by_len, r) > (r == p):
-                        offer.append(c)
+                rest = ends[k] - t if k >= 0 and taken[gammas[k]] else 0
+                if rest == D:
+                    # the gap opens with the longest unplaced value
+                    offer = live[i : i + 1]
+                elif 2 * rest > D:
+                    # a second value p, at least the third, rest - p, which
+                    # must be another unplaced value
+                    offer = []
+                    for c in live[i:]:
+                        p = cls_p[c]
+                        if 2 * p < rest:
+                            break
+                        if self._spare(by_len, rest - p) > (2 * p == rest):
+                            offer.append(c)
+                else:
+                    # the third value fills the gap
+                    offer = [
+                        c for c in by_len.get(rest, ()) if taken[c] < len(members[c])
+                    ]
                 equations += n - i - len(offer)
                 if not offer:
                     continue
-            elif kind == _WINDOW:
-                # the windows are disjoint: only the one whose first start
-                # is the last at or before t may hold t, and it offers its
-                # class's next member when it is the class's next window
-                # and the member fits the room and leaves a rest of its gap
-                # (none for a forced start) that the values can fill; the
-                # other classes there are equations
+            elif kind == _FORCED:
+                # only the job whose forced start is t may start at t: the
+                # next member of its class, when t is the class's next start
+                # and the member fits the room; the other classes there are
+                # equations
                 equations += n - i
-                starts, last, by_len, D = facts
-                k = bisect_right(starts, t) - 1
-                if k >= 0:
-                    hi, c, kth, end = last[k]
-                    r = 0 if end is None else end - t - cls_p[c]
-                    if (
-                        t <= hi
-                        and taken[c] == kth
-                        and cls_p[c] <= room
-                        and (r == 0 or 2 * r > D or self._spare(by_len, r))
-                    ):
+                slot = facts.get(t)
+                if slot is not None:
+                    c, kth = slot
+                    if taken[c] == kth and cls_p[c] <= room:
                         equations -= 1
                         emitters += 1
                         job = members[c][kth]

@@ -253,10 +253,10 @@ def _scan_order(search):
 
 def _equation_facts(inst: SchedulingInstance, cls):
     """The forward forced starts of each class `cls` names, in ascending
-    order, each gamma job's window and the value-job gaps, block j's gap
-    paired with block j's gamma job, read from the instance through the
-    closed forms of `reduction`, not from the solver's tables; None when
-    the instance is not a reduction."""
+    order, each gamma job's start (the first start of its window) and the
+    value-job gaps, block j's gap paired with block j's gamma job, read
+    from the instance through the closed forms of `reduction`, not from
+    the solver's tables; None when the instance is not a reduction."""
     if recognize(inst) is None:
         return None
     pinned = {}
@@ -265,21 +265,30 @@ def _equation_facts(inst: SchedulingInstance, cls):
     gamma = {j.index: j for j in inst.tagged("gamma")}
     return (
         {key: sorted(starts) for key, starts in pinned.items()},
-        {j.id: gamma_window(inst, j.index) for j in inst.tagged("gamma")},
+        {j.id: gamma_window(inst, j.index)[0] for j in inst.tagged("gamma")},
         [(lo, hi, gamma[j]) for j, (lo, hi) in enumerate(partition_gaps(inst), 1)],
     )
 
 
-def gap_can_close(r: int, D: int, others: Iterable[int]) -> bool:
-    """Whether the rest r of a gap, left for the values still to come once
-    a value or gamma job is placed, is not ruled out by the value window:
-    any j >= 1 values, each strictly between D/4 and D/2, sum to strictly
-    between jD/4 and jD/2.  So r must be 0, above D/2 (a pair or more,
-    not tested further), or strictly between D/4 and D/2 and the length of
-    one of `others`, the lengths of the other unplaced values."""
-    if r == 0 or 2 * r > D:
-        return True
-    return 4 * r > D and 2 * r < D and r in others
+def gap_order_allows(job, t: int, gaps, remaining, values, D: int) -> bool:
+    """Whether the value job `job` may start at t by the gap order: inside
+    the gap [lo, hi) that holds t once the gap's gamma job is placed, with
+    rest = hi - t still to fill, as the first value of the gap (rest = D)
+    the first unplaced value in (-p, id) order, as the second (2 rest > D)
+    at least the third, rest - p, which must be another unplaced value, and
+    as the third (any other rest) filling the gap.  `values` maps the
+    unplaced values' ids to their lengths."""
+    for lo, hi, gamma in gaps:
+        if not lo <= t < hi or gamma.id in remaining:
+            continue
+        p, rest = job.p, hi - t
+        if rest == D:
+            return job.id == min(values, key=lambda i: (-values[i], i))
+        if 2 * rest > D:
+            others = [v for i, v in values.items() if i != job.id]
+            return 2 * p >= rest and rest - p in others
+        return p == rest
+    return False
 
 
 def path_free_times(search) -> list[int]:
@@ -300,11 +309,11 @@ def reference_candidates(search, t: int):
     Each job is rejected by the first rule that rejects it: no-fit when it
     is wider than the idle machines or longer than the room left, symmetry
     when the next smaller id with the same (p, q, tag) is still unplaced,
-    equations when the forward forced positions do not allow t or leave a
-    rest of the gap that the unplaced values cannot fill (`gap_can_close`),
-    and coeff-budget once per machine set whose digit sums it would
-    overflow.  A pinned job may start only at the k-th forced start of its
-    class, k being the number of its class's placed jobs.
+    equations when the forward forced positions or the gap order
+    (`gap_order_allows`) do not allow t, and coeff-budget once per machine
+    set whose digit sums it would overflow.  A pinned job may start only at
+    the k-th forced start of its class, k being the number of its class's
+    placed jobs, and a gamma job only at the start of its gap.
     """
     order, pred, cls, eq = _scan_order(search)
     starts = {job.id: start for job, _, start, *_ in search.path}
@@ -326,22 +335,13 @@ def reference_candidates(search, t: int):
             counts["symmetry"] += 1
             continue
         if eq is not None:
-            pinned, windows, gaps = eq
-            values = [p for i, p in unplaced_values.items() if i != jid]
+            pinned, gamma_starts, gaps = eq
             if job.tag == "P":
-                ok = False
-                for lo, hi, gamma in gaps:
-                    if lo <= t and t + job.p <= hi:
-                        rest = hi - t - job.p
-                        if gamma.id in remaining:
-                            rest -= gamma.p
-                        ok = gap_can_close(rest, search.inst.D, values)
+                ok = gap_order_allows(
+                    job, t, gaps, remaining, unplaced_values, search.inst.D
+                )
             elif job.tag == "gamma":
-                lo, hi = windows[jid]
-                ok = lo <= t <= hi
-                if ok:
-                    ((_, end, _),) = [g for g in gaps if g[2].id == jid]
-                    ok = gap_can_close(end - t - job.p, search.inst.D, values)
+                ok = gamma_starts[jid] == t
             else:
                 ok = pinned[cls(job)][placed[cls(job)]] == t
             if not ok:
