@@ -80,6 +80,10 @@ def _guard(fn):
 
             if isinstance(exc, NotTargetMakespan):
                 _fail(EXIT_NEGATIVE, f"rejected: {exc}")
+            # str() of a KeyError quotes its argument: right for a missing
+            # key, not for the sentence a subclass (UnknownJob) carries
+            if isinstance(exc, KeyError) and type(exc) is not KeyError:
+                exc = exc.args[0]
             _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
 
     return wrapped

@@ -1,17 +1,24 @@
 """Recovering a 3-Partition witness from a target-makespan schedule.
 
 The pipeline runs the uniqueness argument forwards as executable steps.  Each
-step is either a start-preserving transformation (machine-content swaps, or a
-time mirror) or a check on counts, contents, and exact job positions.  A
-schedule that really is feasible at the target load passes every check, ends
-up in the canonical shape, and yields its partition from the width-D gaps in
-front of the late block separators.  A schedule that merely claims the target
-trips a concrete check instead, and the failed check is returned as a
-RefutationCertificate naming the violated identity.
+step is either a transformation that only relabels (machine, instant) cells
+(machine-content swaps, or a time mirror) or a check on counts, contents,
+and exact job positions.  A schedule that really is feasible at the target
+load passes every check, ends up in the canonical shape, and yields its
+partition from the width-D gaps in front of the late block separators.  A
+schedule that merely claims the target trips a concrete check instead, and
+the failed check is returned as a RefutationCertificate naming the violated
+identity.
 
-Transformations never change start times, so a failing input cannot be
-"repaired" into a passing one; the certificate is honest evidence that the
-input was not a feasible zero-idle schedule at the target.
+The input is checked once, at the gate that `schedule.audit` also uses: a
+reduction instance, a schedule of exactly its jobs on its machines, and
+makespan W.  Nothing is re-verified after that.  As `schedule.swap_after`
+and `schedule.mirror` prove, the transformed schedule keeps the input's
+machine counts and overlaps, and its makespan and idle too, except that
+the mirror of an input whose earliest start is not 0 ends away from W.  So
+a failing input cannot be "repaired" into a passing one, and the lemmas
+alone decide refutation: the certificate is honest evidence that the input
+was not a feasible zero-idle schedule at the target.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from .schedule import (  # NotTargetMakespan is re-exported
     CrossingJob,
     NotTargetMakespan,
     Schedule,
+    _check_job_universe,
     finished_by_index,
     mirror,
     require,
     swap_after,
-    verify,
 )
 from .threepartition import Partition, ThreePartitionInstance, validate_partition
 
@@ -90,26 +97,19 @@ class ExtractionTrace:
         }
 
 
-def _health(inst: SchedulingInstance, sched: Schedule):
-    r = verify(inst, sched)
-    return r.feasible, r.makespan, r.idle
-
-
-# what a swapped schedule must keep of its input's health, and how wide the
-# window of each narrow pair must be
-_SAME_HEALTH = "of the same feasibility, makespan and idle"
+# how wide the window of each narrow pair must be
 _WINDOW_WIDTH = "a window of its gamma job's length plus D"
 
 
-def _gate(inst: SchedulingInstance, sched: Schedule) -> tuple[bool, int, int]:
-    """Admit a reduction instance and a schedule at its target makespan, and
-    return the schedule's health (feasible, makespan, idle)."""
+def _gate(inst: SchedulingInstance, sched: Schedule) -> None:
+    """Admit a reduction instance and a schedule of exactly its jobs, on
+    its machines, at its target makespan."""
     if recognize(inst) is None:
         raise ValueError("extraction needs an unmodified reduction instance")
-    feasible, makespan, idle = _health(inst, sched)
+    _check_job_universe(inst, sched)
+    makespan = max(sched.starts[j.id] + j.p for j in inst.jobs)
     if makespan != inst.W:
         raise NotTargetMakespan(f"makespan {makespan} differs from target {inst.W}")
-    return feasible, makespan, idle
 
 
 def _ids(inst: SchedulingInstance, *tags: str) -> frozenset[str]:
@@ -145,17 +145,15 @@ def normalize_machines(inst: SchedulingInstance, sched: Schedule) -> Schedule:
     """Swap machine contents until machine 1 carries the early side family,
     machine 4 the late side family, and both middle machines carry every
     three-machine separator.  Start times are untouched."""
-    return _normalize_machines(inst, sched, _gate(inst, sched), [])[0]
+    _gate(inst, sched)
+    return _normalize_machines(inst, sched, [])[0]
 
 
 def _normalize_machines(
-    inst: SchedulingInstance,
-    sched: Schedule,
-    health: tuple[bool, int, int],
-    events: list,
+    inst: SchedulingInstance, sched: Schedule, events: list
 ) -> tuple[Schedule, dict[int, list[str]]]:
-    """`normalize_machines` past the gate, which returned `health`, logging
-    to `events`; also returns the normalized schedule's `_lanes`."""
+    """`normalize_machines` past the gate, logging to `events`; also
+    returns the normalized schedule's `_lanes`."""
     stage = "normalize"
 
     for job in inst.jobs:
@@ -165,12 +163,10 @@ def _normalize_machines(
             )
 
     def do_swap(t: int, m1: int, m2: int) -> Schedule:
-        nonlocal health
         try:
             out = swap_after(inst, sched, t, m1, m2)
         except CrossingJob as exc:
             raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
-        require("the swapped schedule", (_health(inst, out) == health, _SAME_HEALTH))
         events.append(
             {"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]}
         )
@@ -374,12 +370,11 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
             )
 
 
-def _make_pairs_contiguous(inst, sched, lanes, m1, m4, health, events):
+def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
-    machines' contents inside the block window.  `health` is the
-    schedule's, which every swap must keep.  Returns the new schedule and
-    its `_lanes` (`lanes` are the input's)."""
+    machines' contents inside the block window.  Returns the new schedule
+    and its `_lanes` (`lanes` are the input's)."""
     stage = "pair-columns"
     swapped = False
     for i in range(1, inst.z + 1):
@@ -397,8 +392,6 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, health, events):
                 sched = swap_after(inst, sched, t2, 2, 3)
             except CrossingJob as exc:
                 raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
-            same = _health(inst, sched) == health
-            require("the swapped schedule", (same, _SAME_HEALTH))
             swapped = True
             for t in (t1, t2):
                 events.append(
@@ -466,23 +459,21 @@ def extract_partition(
     structural identities (i.e. it was never feasible)."""
     if recover_values(inst).values != inst3p.values:
         raise ValueError("scheduling instance does not encode the given values")
-    health = _gate(inst, sched)
+    _gate(inst, sched)
     events: list[dict[str, Any]] = []
     try:
-        sched, lanes = _normalize_machines(inst, sched, health, events)
+        sched, lanes = _normalize_machines(inst, sched, events)
         sched = _orient(inst, sched, lanes[2], events)
         mirrored = events[-1]["event"] == "mirror"
-        if mirrored:  # the mirror of a schedule with a start below 0 ends past W
-            health, lanes = _health(inst, sched), _lanes(inst, sched)
+        if mirrored:
+            lanes = _lanes(inst, sched)
         finished = finished_by_index(inst, sched)
         a_seq, b_seq = _check_alternation(inst, sched, finished)
         events.append({"stage": "alternation", "event": "ok"})
         _check_count_equations(inst, sched, finished, a_seq, b_seq)
         m1, m4 = _check_side_orders(inst, sched, lanes)
         _check_fillers(inst, sched, a_seq, b_seq)
-        sched, lanes = _make_pairs_contiguous(
-            inst, sched, lanes, m1, m4, health, events
-        )
+        sched, lanes = _make_pairs_contiguous(inst, sched, lanes, m1, m4, events)
         # machine 2 needs no tiling check: every job on it is position-pinned
         # by the side orders, the filler fits, and the gap readout below
         broken = _tiling_break(inst, sched, lanes[3], 3)

@@ -89,10 +89,10 @@ class SchedulingInstance:
     W: int
     jobs: tuple[Job, ...]
 
-    # The JSON key of each field, and the label a bad p or q is reported
-    # under.  `StripInstance` names the same fields the strip way.
+    # The JSON key of each field, and the label a bad entry, p or q is
+    # reported under.  `StripInstance` names the same fields the strip way.
     _keys = {"m": "m", "W": "W", "jobs": "jobs", "p": "p", "q": "q"}
-    _labels = {"p": "a length p", "q": "a machine count q"}
+    _labels = {"job": "a job", "p": "a length p", "q": "a machine count q"}
 
     @cached_property
     def by_id(self) -> dict[str, Job]:
@@ -169,6 +169,7 @@ class SchedulingInstance:
     def from_json(cls, text: str) -> "SchedulingInstance":
         payload = load_json(text, dict, "an instance")
         k, label = cls._keys, cls._labels
+        entries = check_shape(payload[k["jobs"]], list, k["jobs"])
         jobs = tuple(
             Job(
                 check_shape(j["id"], str, "a job id"),
@@ -177,7 +178,7 @@ class SchedulingInstance:
                 check_shape(j["tag"], str, "a tag"),
                 _index_from_id(j["id"]),
             )
-            for j in check_shape(payload[k["jobs"]], list, k["jobs"])
+            for j in (check_shape(entry, dict, label["job"]) for entry in entries)
         )
         m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
         check_jobs(jobs, m)
@@ -196,7 +197,7 @@ class StripInstance(SchedulingInstance):
     W.  Only the JSON keys differ; there is no "m" key."""
 
     _keys = {"m": None, "W": "width", "jobs": "items", "p": "w", "q": "h"}
-    _labels = {"p": "a width w", "q": "a height h"}
+    _labels = {"job": "an item", "p": "a width w", "q": "a height h"}
 
 
 def _index_from_id(job_id: str) -> int | None:

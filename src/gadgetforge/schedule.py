@@ -7,7 +7,10 @@ where jobs finishing exactly at start(i) are counted.  Swapping the contents
 of two machines after a time point changes machine sets but never start
 times, so every identity phrased in counts and starts is preserved by such
 swaps; that is what makes the audit below meaningful for arbitrary
-relabelings of a zero-idle schedule.
+relabelings of a zero-idle schedule.  A swap, and the time mirror too, map
+the (machine, instant) cells one to one, so they keep what `verify` reports
+(feasibility, makespan, idle; the mirror under the conditions it states)
+and need no second verify; `swap_after` and `mirror` give the proofs.
 
 The audit checks, at the start of every 2- and 3-machine job, that each
 digit of the decomposed start time equals the number of finished jobs on
@@ -295,6 +298,15 @@ def swap_after(
     at or after t trade m1 for m2 (those on both or neither keep their set);
     a job straddling t on exactly one of the two machines raises
     CrossingJob, because half a job cannot move.
+
+    Past the crossing check, the swap keeps every fact `verify` reports on,
+    for infeasible schedules too.  Let sigma map the cell (m, x) to itself
+    for x < t, and exchange m1 and m2 for x >= t: a bijection on cells.
+    Each job's new cells are the image under sigma of its old ones (before
+    t nothing moves; from t on, a job on both or neither machine is mapped
+    onto itself).  So every start stays, every job keeps its machine
+    count, two jobs share a cell afterwards exactly when they did before,
+    and the makespan and the busy area, hence the idle, stay.
     """
     for m in (m1, m2):
         if not 1 <= m <= inst.m:
@@ -319,8 +331,17 @@ def swap_after(
 def mirror(
     inst: SchedulingInstance, sched: Schedule, width: int | None = None
 ) -> Schedule:
-    """Reverse time: start' = width - start - p.  An involution that keeps
-    feasibility, makespan, idle, and machine sets."""
+    """Reverse time: start' = width - start - p, an involution for a fixed
+    `width`.
+
+    It maps the cell (m, x) to (m, width - 1 - x): every machine set stays,
+    and two jobs share a cell afterwards exactly when they did before, so
+    machine counts and overlaps stay.  When `width` is the makespan (the
+    default), no start becomes negative.  When the earliest start is 0 as
+    well, the window [0, width) is mapped onto itself, so the makespan, the
+    idle and feasibility stay.  A start below 0 becomes an end past
+    `width`, so the makespan grows.
+    """
     _check_job_universe(inst, sched)
     if width is None:
         width = max(

@@ -69,7 +69,11 @@ class Packing:
         payload = load_json(text, dict, "a packing")
         positions = {}
         for item_id, xy in check_shape(payload["positions"], dict, "positions").items():
-            x, y = check_shape(xy, list, "a position")
+            if len(check_shape(xy, list, "a position")) != 2:
+                raise ValueError(
+                    f"the position of item {item_id!r} must be [x, y], not {xy!r:.60}"
+                )
+            x, y = xy
             positions[item_id] = (_parse_coord(x), parse_int(y, "y"))
         return cls(positions=positions)
 

@@ -247,27 +247,54 @@ def test_criterion_6_small_optimum_matches_brute_force():
 
 
 def test_criterion_7a_transforms_preserve_schedules():
+    """swap_after keeps verify's (feasible, makespan, idle) on every
+    schedule, and mirror at the makespan keeps it when the earliest start
+    is 0: extraction re-verifies neither.  Each carve is also run with one
+    start moved back by 1, so that jobs overlap, and with one below 0."""
     rng = random.Random(71)
     problems = []
+
+    def health(inst, sched):
+        rep = verify(inst, sched)
+        return rep.feasible, rep.makespan, rep.idle
+
     for case in range(200):
-        inst, sched = carve_zero_idle(rng, horizon=rng.randint(4, 12))
-        span = verify(inst, sched).makespan
-        mirrored = mirror(inst, sched)
-        rep = verify(inst, mirrored)
-        if not rep.feasible or rep.makespan != span:
-            problems.append(f"case {case}: mirror broke the schedule")
-        if mirror(inst, mirrored) != sched:
-            problems.append(f"case {case}: mirror not an involution")
-        t = rng.choice(sorted(set(sched.starts.values())))
-        m1, m2 = rng.sample(range(1, 5), 2)
-        try:
-            swapped = swap_after(inst, sched, t, m1, m2)
-        except CrossingJob:
-            swapped = swap_after(inst, sched, 0, m1, m2)
-        rep = verify(inst, swapped)
-        if not rep.feasible or rep.makespan != span:
-            problems.append(f"case {case}: swap_after broke the schedule")
-    report(7, problems, "(a) mirror involution and swap_after hold on 200 schedules")
+        inst, carved = carve_zero_idle(rng, horizon=rng.randint(4, 12))
+        variants = {"carved": carved}
+        later = sorted(j for j, start in carved.starts.items() if start > 0)
+        if later:
+            moved = rng.choice(later)
+            starts = {**carved.starts, moved: carved.starts[moved] - 1}
+            variants["overlapping"] = Schedule(starts, carved.machines)
+        below = rng.choice(sorted(carved.starts))
+        starts = {**carved.starts, below: -rng.randint(1, 3)}
+        variants["below zero"] = Schedule(starts, carved.machines)
+        for name, sched in variants.items():
+            where, before = f"case {case} {name}", health(inst, sched)
+            if min(sched.starts.values()) == 0:
+                mirrored = mirror(inst, sched)
+                if health(inst, mirrored) != before:
+                    problems.append(f"{where}: mirror changed the schedule's health")
+                if mirror(inst, mirrored) != sched:
+                    problems.append(f"{where}: mirror not an involution")
+            t = rng.choice(sorted(set(sched.starts.values())))
+            m1, m2 = rng.sample(range(1, 5), 2)
+            crossing = any(
+                sched.starts[j.id] < t < sched.starts[j.id] + j.p
+                and len(sched.machines[j.id] & {m1, m2}) == 1
+                for j in inst.jobs
+            )
+            try:
+                swapped = swap_after(inst, sched, t, m1, m2)
+            except CrossingJob:
+                if not crossing:
+                    problems.append(f"{where}: swap_after refused a clean cut at {t}")
+                continue
+            if health(inst, swapped) != before:
+                problems.append(f"{where}: swap_after changed the schedule's health")
+    report(
+        7, problems, "(a) mirror involution and health-keeping swap_after on 200 carves"
+    )
 
 
 def test_criterion_7b_digit_codec_is_a_bijection():

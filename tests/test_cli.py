@@ -195,10 +195,16 @@ def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, wh
         ("sched.json", ("machines", "P_1"), lambda v: "12", "machines must be a list"),
         ("w.json", ("sets", 0), lambda v: "123", "a set must be a list"),
         ("inst3.json", ("values",), lambda v: "555", "values must be a list"),
+        ("inst.json", ("jobs", 0), lambda v: 5, "a job must be an object, not 5"),
+        ("strip.json", ("items", 0), lambda v: [], "an item must be an object"),
+        ("pack.json", ("positions", "P_1"), lambda v: [1], "item 'P_1' must be [x, y]"),
+        ("pack.json", ("positions", "P_1"), lambda v: [1, 2, 3], "item 'P_1' must be [x, y]"),
     ],
     ids=[
         "schedule-starts-list", "packing-positions-list", "jobs-int-id",
         "schedule-machines-string", "witness-set-string", "instance-values-string",
+        "jobs-int-entry", "strip-list-entry", "packing-short-position",
+        "packing-long-position",
     ],
 )
 def test_loaders_reject_the_wrong_shape(workspace, tmp_path, name, keys, bad, what):
@@ -243,8 +249,10 @@ def test_loaders_reject_a_repeated_key(workspace, tmp_path, name, keys, key, val
         (lambda s: s["machines"].update(P_1=[9]), "uses machine 9"),
         (lambda s: s["starts"].pop("A_0"), "job 'A_0' is missing from the schedule"),
         (lambda s: s["machines"]["A_0"].append(3), "job A_0 names a machine twice"),
+        (lambda s: s["starts"].update(ZZ="0"),
+         "invalid input: schedule mentions unknown job 'ZZ'\n"),
     ],
-    ids=["machine-9", "missing-job", "repeated-machine"],
+    ids=["machine-9", "missing-job", "repeated-machine", "unknown-job"],
 )
 def test_schedule_that_does_not_fit_exits_two(workspace, tmp_path, command, edit, what):
     """A schedule that names a machine the instance lacks or names one

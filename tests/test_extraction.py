@@ -152,9 +152,8 @@ def test_refutation_names_broken_gap_tiling(canonical_z1):
 
 def test_refutation_after_mirroring_a_start_below_zero():
     """A backward schedule whose value job on machine 3 starts before 0 is
-    at the target makespan, but its mirror ends past W.  The pair-columns
-    swaps check their health against the mirrored schedule's, so the input
-    is refuted instead of tripping that check."""
+    at the target makespan, but its mirror ends past W.  The pipeline goes
+    on with the mirrored schedule, and a lemma refutes it."""
     inst3, witness = gen_yes(2, 1)
     inst = build_jobs(inst3)
     sched = build_schedule(inst, witness)
@@ -170,21 +169,10 @@ def test_refutation_after_mirroring_a_start_below_zero():
     assert {"stage": "orient", "event": "mirror"} in exc.value.events
 
 
-def test_a_swap_that_changes_the_schedule_health_raises(canonical_z1, monkeypatch):
-    # the swaps only relabel machines; one that returned a schedule of other
-    # health would make the extracted partition unfounded
-    inst3p, inst, sched = canonical_z1
-    tampered = swapped_starts(sched, "lambda1", "beta_1")
-    monkeypatch.setattr(extraction, "swap_after", lambda *args: tampered)
-    with pytest.raises(RuntimeError, match="the swapped schedule fails re-verification"):
-        extract_partition(inst3p, inst, permuted(sched, {1: 4, 2: 3, 3: 2, 4: 1}))
-
-
 RESULT_CHECKS_UNDER_O = """
 import sys
-from gadgetforge import extraction, strip, synthesis
+from gadgetforge import strip, synthesis
 from gadgetforge.reduction import build_jobs, build_strip
-from gadgetforge.schedule import Schedule
 from gadgetforge.threepartition import gen_yes
 
 assert False, "this check runs under python -O only"
@@ -192,10 +180,6 @@ inst3, witness = gen_yes(2, 1)
 red = build_jobs(inst3)
 sched = synthesis.build_schedule(red, witness)
 packing = synthesis.build_packing(build_strip(inst3), witness)
-flipped = Schedule(
-    dict(sched.starts), {i: frozenset(5 - m for m in ms) for i, ms in sched.machines.items()}
-)
-tampered = Schedule({**sched.starts, "lambda1": sched.starts["beta_1"]}, sched.machines)
 layout = synthesis.canonical_slots
 
 
@@ -215,14 +199,12 @@ feasible_once = lambda strip_, packing_: strip.PackingReport(
     feasible=next(checks), height=4, free_area=0, problems=()
 )
 patches = {
-    "swap": (extraction, "swap_after", lambda *args: tampered),
     "homes": (synthesis, "canonical_slots", lambda inst, m: layout(inst, m)[:-1] if m == 1 else layout(inst, m)),
     "starts": (synthesis, "canonical_slots", reordered((("a", 1), ("alpha", 1)))),
     "stall": (synthesis, "canonical_slots", reordered((("a", 1), ("A", 0)))),
     "normalize": (strip, "verify_packing", feasible_once),
 }
 calls = {
-    "swap": lambda: extraction.extract_partition(inst3, red, flipped),
     "normalize": lambda: strip.normalize(build_strip(inst3), packing),
 }
 module, name, fake = patches[sys.argv[1]]
@@ -236,10 +218,6 @@ except RuntimeError as exc:
 
 # what each tampered step reports
 RESULT_CHECK_ERRORS = {
-    "swap": (
-        "the swapped schedule fails re-verification: "
-        "not of the same feasibility, makespan and idle"
-    ),
     "homes": (
         "the synthesized schedule fails re-verification: "
         "not every job on q machines: A_2"

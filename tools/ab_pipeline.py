@@ -17,6 +17,10 @@ of these documents must be byte-identical on both sides:
   `AuditReport.to_dict()` and `to_dict()` of every row (or the error the
   audit raises);
 * `ExtractionTrace.to_dict()` of the synthesized and the mirrored schedule;
+* the same, or the certificate, of two schedules that extraction swaps back
+  (the workload's own inputs take no swap): the synthesized schedule with
+  its machines relabelled by `RELABEL`, and one whose machines 2 and 3 are
+  swapped inside block 1, from the start of A_0 to that of B_1;
 * `RefutationCertificate.to_dict()` of the perturbed schedule (or the error
   the extraction raises);
 * the schedule and packing SVGs;
@@ -39,6 +43,9 @@ from collections import Counter
 from pathlib import Path
 
 from ab_decide import HERE, _load
+
+# machine k of the synthesized schedule becomes RELABEL[k]
+RELABEL = {1: 4, 2: 3, 3: 2, 4: 1}
 
 
 class _Timer:
@@ -95,6 +102,14 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
         return {**report.to_dict(), "rows": [c.to_dict() for c in report.checks]}
 
     docs = {f"audit {name}": _attempt(lambda s=s: audited(s)) for name, s in schedules.items()}
+    schedules["permuted"] = lib.Schedule(
+        starts=sched.starts,
+        machines={j: frozenset(RELABEL[m] for m in ms) for j, ms in sched.machines.items()},
+    )
+    swapped = sched
+    for slot in (("A", 0), ("B", 1)):
+        swapped = lib.swap_after(inst, swapped, sched.starts[inst.by_slot[slot].id], 2, 3)
+    schedules["swapped"] = swapped
     for name, s in schedules.items():
         trace = lambda s=s: lib.extract_partition(inst3, inst, s)[1].to_dict()
         docs[f"extract {name}"] = _attempt(trace)
