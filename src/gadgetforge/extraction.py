@@ -18,7 +18,10 @@ machine counts and overlaps, and its makespan and idle too, except that
 the mirror of an input whose earliest start is not 0 ends away from W.  So
 a failing input cannot be "repaired" into a passing one, and the lemmas
 alone decide refutation: the certificate is honest evidence that the input
-was not a feasible zero-idle schedule at the target.
+was not a feasible zero-idle schedule at the target.  The job universe is
+checked at the gate only: the swaps run `schedule._swap_after`, which
+skips that check and proves that its output passes it again, as every
+machine a swap names lies in 1..4, the m of a reduction instance.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from .schedule import (  # NotTargetMakespan is re-exported
     NotTargetMakespan,
     Schedule,
     _check_job_universe,
+    _swap_after,
     finished_by_index,
     mirror,
     require,
-    swap_after,
 )
 from .threepartition import Partition, ThreePartitionInstance, validate_partition
 
@@ -164,7 +167,7 @@ def _normalize_machines(
 
     def do_swap(t: int, m1: int, m2: int) -> Schedule:
         try:
-            out = swap_after(inst, sched, t, m1, m2)
+            out = _swap_after(inst, sched, t, m1, m2)
         except CrossingJob as exc:
             raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
         events.append(
@@ -388,8 +391,8 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
         if sa == {3}:
             t1, t2 = sched.starts[m1["A", i - 1]], sched.starts[m4["B", i]]
             try:
-                sched = swap_after(inst, sched, t1, 2, 3)
-                sched = swap_after(inst, sched, t2, 2, 3)
+                sched = _swap_after(inst, sched, t1, 2, 3)
+                sched = _swap_after(inst, sched, t2, 2, 3)
             except CrossingJob as exc:
                 raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
             swapped = True

@@ -307,12 +307,31 @@ def swap_after(
     onto itself).  So every start stays, every job keeps its machine
     count, two jobs share a cell afterwards exactly when they did before,
     and the makespan and the busy area, hence the idle, stay.
+
+    This checks m1, m2 and the job universe (`_check_job_universe`), then
+    runs `_swap_after`, which a caller that has already checked them, as
+    extraction does at its gate, may call directly.
     """
     for m in (m1, m2):
         if not 1 <= m <= inst.m:
             raise MachineOutOfRange(f"machine {m} out of 1..{inst.m}")
     _check_job_universe(inst, sched)
+    return _swap_after(inst, sched, t, m1, m2)
 
+
+def _swap_after(
+    inst: SchedulingInstance, sched: Schedule, t: int, m1: int, m2: int
+) -> Schedule:
+    """`swap_after` without its input checks, for a schedule that passes
+    `_check_job_universe` and machines m1, m2 in 1..m.
+
+    The result passes them too, so swaps chain without a second check.
+    Its starts are a copy of the input's, and its machine sets are keyed by
+    the instance's job ids, which the check makes exactly the input's keys.
+    Each new machine set is the old one, or the old one with m1 traded for
+    m2 or m2 for m1, so its machines lie in 1..m when the old ones and m1,
+    m2 do.
+    """
     new_machines: dict[str, frozenset[int]] = {}
     for job in inst.jobs:
         used = sched.machines[job.id]

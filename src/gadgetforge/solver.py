@@ -9,17 +9,12 @@ the search: more work than m*T already proves no target schedule exists,
 and less work makes the zero-idle method inapplicable, so the call is
 refused rather than answered wrongly.
 
-Four pruning rules cut the tree, each individually toggleable so its
+Three pruning rules cut the tree, each individually toggleable so its
 effect can be measured:
 
 * ``symmetry``    - collapse machine relabelings (machines free at the same
   instant are interchangeable unless contiguity pins them down) and force
   identical jobs to be placed in ascending id order.
-* ``coeff_budget`` - track per-machine digit sums in the mixed-radix
-  representation and cut any branch where a digit would exceed the target's.
-  Activates only when the target and every length decompose cleanly and the
-  per-power totals are too small to carry, and only when the equations rule
-  is not active for the decision (see below).
 * ``equations``   - on reduction instances searched at their own target,
   enforce the forced start positions of the forward direction, the one in
   which a B job opens the schedule (see "Forward only" below), and fill
@@ -31,7 +26,7 @@ effect can be measured:
   symmetry, and cut any later branch that reaches an equal key (see "Dead
   states" below).
 
-All four rules are sound, so a ProvedNone outcome still means the entire
+All three rules are sound, so a ProvedNone outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
 jobs (`reduction.check_jobs`) with ValueError.
 
@@ -40,10 +35,9 @@ and a node lists, in (-q, -p, id) order, every unplaced job that could
 start there together with each machine set it could take.  A job that
 cannot is counted as a prune of the first rule that rejects it: no-fit when
 it is wider than the idle machines or longer than the room T - t left,
-symmetry when an identical job with a smaller id is still unplaced,
+symmetry when an identical job with a smaller id is still unplaced, and
 equations when the forward forced positions or the gap order do not allow
-t, and coeff-budget once per machine set whose digit sums it would
-overflow.
+t.
 
 The scan visits classes, not jobs.  A class is a set of identical jobs under
 the symmetry rule's (p, q, tag) key, members in id order; with the rule off
@@ -93,8 +87,6 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   two classes of equal length and different tags can interleave their ids;
 * the machine sets depend only on the idle set and q, so they are computed
   once per pair and reused;
-* the coefficient rule keeps each machine's digit sums packed in one
-  integer, so its test is one subtraction and mask per machine;
 * prunes are tallied in local counters and added to the decision once per
   node, so a rule that never fires leaves no key behind.
 
@@ -180,16 +172,6 @@ start below t is taken, by a job that ends where the canonical one does,
 and the finished counts at t are the canonical ones.  Soundness never
 rested on the chains: dropping a sound cut can only add nodes.
 
-The ``coeff_budget`` rule is evaluated only when the equation tables are
-inactive.  Dropping a sound rule can never change the outcome of a finished
-search: a witness is re-verified from scratch and a proved-none still
-covers every zero-idle schedule, only the node count can grow.  Under the
-equation tables the forced starts already fix nearly every placement,
-and on every reduction decision measured (the test suite and both
-decision workloads of the benchmark) the digit check fired zero times,
-so evaluating it there only cost time.  On instances the tables do not
-recognise, such as the digit trap in the tests, it is what cuts early.
-
 Dead states.  One set per decision holds the key of each state whose
 frame of candidates ran out: its subtree held no witness.  Nothing is
 recorded for the frames a budget hit abandons or on the path to a witness,
@@ -204,22 +186,13 @@ means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
    read the free times, the remaining set, the placed counts of each class,
-   the unplaced counts per width and the live lists (all functions of the
-   remaining set) and the machines' digit sums.  The forced-start test
-   reads t and the placed count of the start's class, and the gap order
-   of a value job reads only t, whether gamma_k is placed and the
-   unplaced values, all fixed by t and the remaining set.  Nothing reads
-   which job runs on a machine.  The digit sums need no place in the key:
-   the prefix is zero-idle, so a machine's free time is the sum S of its
-   jobs' lengths, and under the conditions `_coeff_tables` checks (every
-   digit nonnegative, each power's total over all jobs below D, the unit
-   terms' absolute total below D^2) S fixes its digit sums.  Write
-   S = X + D^2 N, X the sum of the jobs' unit terms and
-   N = sum_k A_k D^(k-2) with digit sums 0 <= A_k < D.  Another set of
-   jobs with the same S and X', N' has |X - X'| at most the absolute total
-   of all unit terms, so below D^2; as X - X' = D^2 (N' - N), N = N', and
-   the base-D digits of N are the A_k.  So two states with equal raw
-   (unsorted) keys have identical subtrees.
+   the unplaced counts per width and the live lists, all functions of the
+   remaining set.  The forced-start test reads t and the placed count of
+   the start's class, and the gap order of a value job reads only t,
+   whether gamma_k is placed and the unplaced values, all fixed by t and
+   the remaining set.  Nothing reads which job runs on a machine, and the
+   state holds nothing else.  So two states with equal raw (unsorted) keys
+   have identical subtrees.
 2. Dead is a property of the schedule prefix, not of the search.  Every
    rule is sound (a dead-state cut by induction on the order in which the
    table was filled) and the symmetry rule is complete (a zero-idle
@@ -266,7 +239,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import POWERS, decompose
 from .reduction import (
     Job,
     SchedulingInstance,
@@ -280,9 +252,9 @@ from .threepartition import DEFAULT_BUDGET, SearchBudgetExceeded
 # entries of the dead-state table; past it the table stops inserting
 DEAD_STATE_CAP = 1 << 22
 
-# machines a search is built for: it holds a cell, a digit sum and a family
-# list per machine, so a larger m (one job can balance any m) is refused
-# before any of them is built.  The paper's question has 4.
+# machines a search is built for: it holds a cell and a family list per
+# machine, so a larger m (one job can balance any m) is refused before any
+# of them is built.  The paper's question has 4.
 MAX_MACHINES = 1 << 10
 
 # how a family of classes is tested at a node: no equation rule, the gaps
@@ -293,7 +265,6 @@ _PLAIN, _VALUE, _FORCED = range(3)
 @dataclass(frozen=True)
 class PruneRules:
     symmetry: bool = True
-    coeff_budget: bool = True
     equations: bool = True
     dead_states: bool = True
 
@@ -326,58 +297,6 @@ class Decision:
         }
 
 
-@dataclass(frozen=True)
-class _CoeffTables:
-    """Digit rows packed one field per power, so that a machine's running
-    digit sums are one integer and the cap test is one subtraction.
-
-    Every field is `width` bits plus a guard bit above them.  `guarded`
-    holds each target digit plus its guard bit; for a machine sum `acc`
-    and a job row, ``(guarded - acc - row) & guards`` keeps a field's guard
-    bit exactly when that digit stays within the target's.  This holds
-    because every digit sum and cap is below D < 2**width, so no field
-    borrows from its neighbour.
-    """
-
-    guarded: int
-    guards: int
-    rows: Mapping[str, int]
-
-
-def _coeff_tables(inst: SchedulingInstance, target: int) -> _CoeffTables | None:
-    """Digit caps and per-job digit rows, or None when the rule is unsound.
-
-    Soundness needs every digit nonnegative and the per-power totals over
-    all jobs below D, so that digit sums can never carry between powers; a
-    machine whose running digit exceeds the target's can then never reach
-    the target load exactly.
-    """
-    z, D = inst.z, inst.D
-    try:
-        tvec = decompose(target, z, D)
-        jvecs = {j.id: decompose(j.p, z, D) for j in inst.jobs}
-    except ValueError:
-        return None
-    caps = [tvec.digit(k) for k in POWERS]
-    rows = {jid: [v.digit(k) for k in POWERS] for jid, v in jvecs.items()}
-    for i in range(len(POWERS)):
-        if sum(row[i] for row in rows.values()) >= D:
-            return None
-    if sum(abs(v.x0) for v in jvecs.values()) + abs(tvec.x0) >= D * D:
-        return None
-    width = D.bit_length()
-
-    def pack(digits) -> int:
-        return sum(d << (i * (width + 1)) for i, d in enumerate(digits))
-
-    guards = pack([1 << width] * len(POWERS))
-    return _CoeffTables(
-        guarded=pack(caps) + guards,
-        guards=guards,
-        rows={jid: pack(row) for jid, row in rows.items()},
-    )
-
-
 class _Search:
     """The depth-first search of one decision over zero-idle schedule
     prefixes: its fixed tables, the classes and families of its jobs, a
@@ -397,9 +316,6 @@ class _Search:
         self.equations = (
             rules.equations and target == inst.W and recognize(inst) is not None
         )
-        self.coeff = None
-        if rules.coeff_budget and not self.equations:
-            self.coeff = _coeff_tables(inst, target)
         self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
         self.cell_bits = target.bit_length()
@@ -415,8 +331,6 @@ class _Search:
         self.nodes = 0
         self.starved = False
         self.prunes: Counter[str] = Counter()
-        # packed per-machine digit sums, see _CoeffTables
-        self.acc = [0] * self.m if self.coeff else None
         # per machine, its free time; the remaining-set bitmask
         self.cells = [0] * self.m
         self.rem_mask = (1 << self.n) - 1
@@ -446,16 +360,9 @@ class _Search:
         self.live = [list(cs) for cs in families.values()]
         fam_of = {c: f for f, cs in enumerate(self.live) for c in cs}
         # what a placement updates, per job: (class, family, class size,
-        # remaining-set bit (its place in `order`), packed digit row)
-        coeff = self.coeff is not None
+        # remaining-set bit (its place in `order`))
         self.rec = {
-            j.id: (
-                c,
-                fam_of[c],
-                len(js),
-                1 << self.rank[j.id],
-                self.coeff.rows[j.id] if coeff else 0,
-            )
+            j.id: (c, fam_of[c], len(js), 1 << self.rank[j.id])
             for c, js in enumerate(self.members)
             for j in js
         }
@@ -549,8 +456,7 @@ class _Search:
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
         """(job, machine set) for every placement at t, in (-q, -p, id)
         order.  A rejected job counts as a prune of the first rule that
-        rejects it: no-fit, symmetry, equations, and coeff-budget once per
-        machine set."""
+        rejects it: no-fit, symmetry or equations."""
         cells = self.cells
         # t is the earliest free instant, so free at t means free by t
         avail = tuple([m for m in range(self.m) if cells[m] <= t])
@@ -560,10 +466,9 @@ class _Search:
         lives = self.live
         members = self.members
         cls_p = self.cls_p
-        acc = self.acc
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
-        firsts = equations = coeff = emitters = 0
+        firsts = equations = emitters = 0
         out = []
         add = out.append
         for f, kind, q, facts in self.upto[width]:
@@ -626,25 +531,10 @@ class _Search:
                 offer = live[i:]
             emitters += 1
             subsets = self.subsets(avail, q)
-            if acc is None:
-                for c in offer:
-                    job = members[c][taken[c]]
-                    for subset in subsets:
-                        add((job, subset))
-                continue
-            # digit sums that stay within the target's, see _CoeffTables
-            guarded, guards = self.coeff.guarded, self.coeff.guards
-            rows = self.coeff.rows
             for c in offer:
                 job = members[c][taken[c]]
-                headroom = guarded - rows[job.id]
                 for subset in subsets:
-                    for m in subset:
-                        if (headroom - acc[m]) & guards != guards:
-                            coeff += 1
-                            break
-                    else:
-                        add((job, subset))
+                    add((job, subset))
         if self.interleave or (emitters > 1 and self.equations):
             rank = self.rank
             out.sort(key=lambda cand: rank[cand[0].id])
@@ -654,7 +544,6 @@ class _Search:
             ("no-fit", no_fit),
             ("symmetry", symmetric),
             ("equations", equations),
-            ("coeff-budget", coeff),
         ):
             if count:
                 self.prunes[rule] += count
@@ -664,7 +553,7 @@ class _Search:
 
     def _place(self, job, subset, t):
         rec = self.rec[job.id]
-        c, f, full, bit, row = rec
+        c, f, full, bit = rec
         # job is the first unplaced member of class c
         taken = self.taken
         taken[c] += 1
@@ -679,22 +568,16 @@ class _Search:
         end = t + job.p
         for m in subset:
             cells[m] = end
-        if self.acc is not None:
-            for m in subset:
-                self.acc[m] += row
         self.rem_mask ^= bit
         self.path.append((job, subset, t, rec, pos, old_cells))
 
     def _unplace(self):
-        job, subset, _, rec, pos, self.cells = self.path.pop()
-        c, f, _, bit, row = rec
+        job, _, _, rec, pos, self.cells = self.path.pop()
+        c, f, _, bit = rec
         self.taken[c] -= 1
         if pos is not None:
             self.live[f].insert(pos, c)
         self.left[job.q] += 1
-        if self.acc is not None:
-            for m in subset:
-                self.acc[m] -= row
         self.rem_mask ^= bit
 
     def _snapshot(self) -> Schedule:

@@ -309,9 +309,8 @@ def reference_candidates(search, t: int):
     Each job is rejected by the first rule that rejects it: no-fit when it
     is wider than the idle machines or longer than the room left, symmetry
     when the next smaller id with the same (p, q, tag) is still unplaced,
-    equations when the forward forced positions or the gap order
-    (`gap_order_allows`) do not allow t, and coeff-budget once per machine
-    set whose digit sums it would overflow.  A pinned job may start only at
+    and equations when the forward forced positions or the gap order
+    (`gap_order_allows`) do not allow t.  A pinned job may start only at
     the k-th forced start of its class, k being the number of its class's
     placed jobs, and a gamma job only at the start of its gap.
     """
@@ -348,11 +347,5 @@ def reference_candidates(search, t: int):
                 counts["equations"] += 1
                 continue
         for subset in search.subsets(avail, job.q):
-            if search.acc is not None:
-                headroom = search.coeff.guarded - search.coeff.rows[jid]
-                guards = search.coeff.guards
-                if any((headroom - search.acc[m]) & guards != guards for m in subset):
-                    counts["coeff-budget"] += 1
-                    continue
             out.append((job, subset))
     return out, counts

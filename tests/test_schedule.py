@@ -14,6 +14,8 @@ from gadgetforge.schedule import (
     NotZeroIdle,
     Schedule,
     UnknownJob,
+    _check_job_universe,
+    _swap_after,
     audit,
     finished_by_index,
     mirror,
@@ -183,6 +185,28 @@ def test_swap_after_crossing_job_rejected(canonical_z1):
     t = sched.starts["alpha_1"] + 1  # inside alpha_1, which runs only on M1
     with pytest.raises(CrossingJob):
         swap_after(inst, sched, t, 1, 4)
+
+
+def test_a_swap_keeps_the_job_universe(canonical_z1):
+    # `_swap_after` skips the universe check, as its output passes it
+    # whenever its input does: the same job keys, every machine in 1..m.
+    # Chained swaps, as extraction makes them, stay within it too.
+    _, inst, sched = canonical_z1
+    current = sched
+    swaps = 0
+    for t in sorted({0, *sched.starts.values()}):
+        for m1 in range(1, inst.m + 1):
+            for m2 in range(m1 + 1, inst.m + 1):
+                try:
+                    out = _swap_after(inst, current, t, m1, m2)
+                except CrossingJob:
+                    continue
+                _check_job_universe(inst, out)
+                assert out.starts.keys() == out.machines.keys() == sched.machines.keys()
+                assert out == swap_after(inst, current, t, m1, m2)
+                current = out
+                swaps += 1
+    assert swaps > inst.m
 
 
 def test_swap_preserves_audit(canonical_z1):

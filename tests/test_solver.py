@@ -223,11 +223,10 @@ def test_budget_exhaustion_is_reported():
     assert "budget" in decision.reason
 
 
-@pytest.mark.parametrize("off", ["symmetry", "coeff_budget"])
-def test_symmetry_and_coeff_are_optional_on_reductions(off):
+def test_symmetry_is_optional_on_reductions():
     inst3p, _ = gen_yes(1, 2)
     inst = build_jobs(inst3p)
-    rules = replace(PruneRules(), **{off: False})
+    rules = PruneRules(symmetry=False)
     decision = decide_target(inst, inst.W, rules=rules)
     assert decision.outcome == "witness"
     extract_partition(inst3p, inst, decision.schedule)
@@ -266,7 +265,6 @@ def near_third(rng, z: int) -> ThreePartitionInstance:
 EQUATION_RULES = (
     PruneRules(),
     PruneRules(symmetry=False),
-    PruneRules(coeff_budget=False),
     PruneRules(dead_states=False),
 )
 
@@ -290,7 +288,7 @@ def test_the_reduction_is_an_iff_on_random_value_sets():
         yes = not isinstance(solve(inst3p), ProvedNo)
         inst = build_jobs(inst3p)
         for contiguous in (False, True):
-            for rules in EQUATION_RULES[: 4 if z <= 3 else 3]:
+            for rules in EQUATION_RULES[: 3 if z <= 3 else 2]:
                 decision = decide_target(inst, inst.W, contiguous, rules=rules)
                 assert decision.outcome == ("witness" if yes else "proved-none"), (
                     inst3p, contiguous, rules,
@@ -305,9 +303,9 @@ def digit_trap_instance(D=33):
     """Four cube jobs D^3 and smalls {3,3,3,3,2,2} (in units of D^2) with
     target D^3 + 4D^2: the smalls cannot split into four groups of exactly
     4, so no witness exists.  Branches that stack smalls on a machine still
-    owing its cube fit time-wise but overflow the D^2 digit, which only the
-    coefficient rule sees early (for D = 17, not above the digit cap
-    4z(7z+1) = 32, the lengths do not decompose and the rule stays off)."""
+    owing its cube fit time-wise but overflow the D^2 digit, which no rule
+    of the search reads: it sees only lengths, not digits, so the decision
+    is the same at every D (see `test_the_digit_trap_does_not_depend_on_D`)."""
     dims = [(D**3, 1)] * 4 + [(3 * D**2, 1)] * 4 + [(2 * D**2, 1)] * 2
     jobs = tuple(
         Job(id=f"J{i:02d}", p=p, q=q, tag="J", index=i)
@@ -317,14 +315,20 @@ def digit_trap_instance(D=33):
     return inst, D**3 + 4 * D**2
 
 
-def test_coeff_budget_cuts_digit_overflow_branches():
-    inst, target = digit_trap_instance()
-    assert inst.total_work == 4 * target
-    on = decide_target(inst, target)
-    off = decide_target(inst, target, rules=replace(PruneRules(), coeff_budget=False))
-    assert on.outcome == off.outcome == "proved-none"
-    assert on.prunes.get("coeff-budget", 0) > 0
-    assert on.nodes < off.nodes
+@pytest.mark.parametrize("dead_states", [False, True], ids=["plain", "table"])
+def test_the_digit_trap_does_not_depend_on_D(dead_states):
+    # The trap scales every length by D^2, and no rule of the search reads
+    # a digit, so the tree, its prunes and the answer are the same at every
+    # D, whether or not D lies above the reduction's digit bound (32 at z = 1).
+    rules = PruneRules(dead_states=dead_states)
+    seen = set()
+    for D in (17, 29, 33, 41):
+        inst, target = digit_trap_instance(D)
+        assert inst.total_work == 4 * target
+        decision = decide_target(inst, target, rules=rules)
+        seen.add((decision.outcome, decision.nodes, frozenset(decision.prunes.items())))
+    assert len(seen) == 1
+    assert next(iter(seen))[0] == "proved-none"
 
 
 def _at_w(inst3p):
@@ -389,14 +393,14 @@ PINNED_RUNS = {
             id="trap-D17",
         ),
         pytest.param(
-            "trap-D33", False, "proved-none", 782,
-            {"coeff-budget": 340, "no-fit": 384, "symmetry": 1_158},
+            "trap-D33", False, "proved-none", 3_346,
+            {"no-fit": 3_308, "symmetry": 2_275},
             id="trap-D33",
         ),
         pytest.param(
             "yes(1,5)-equations-off-budget-2000", False, "budget-exceeded",
             30_015,
-            {"coeff-budget": 62_032, "no-fit": 95_538, "symmetry": 41},
+            {"no-fit": 69_574, "symmetry": 41},
             id="yes(1,5)-equations-off-budget-2000",
         ),
         pytest.param(
@@ -437,16 +441,14 @@ PINNED_RUNS = {
             id="trap-D17-table",
         ),
         pytest.param(
-            "trap-D33", True, "proved-none", 117,
-            {"coeff-budget": 51, "dead-state": 44, "no-fit": 6,
-             "symmetry": 211},
+            "trap-D33", True, "proved-none", 291,
+            {"dead-state": 115, "no-fit": 99, "symmetry": 296},
             id="trap-D33-table",
         ),
         pytest.param(
             "yes(1,5)-equations-off-budget-2000", True, "budget-exceeded",
             30_015,
-            {"coeff-budget": 19_933, "dead-state": 12_687, "no-fit": 64_868,
-             "symmetry": 41},
+            {"dead-state": 12_360, "no-fit": 41_385, "symmetry": 41},
             id="yes(1,5)-equations-off-budget-2000-table",
         ),
         pytest.param(
@@ -657,7 +659,7 @@ SCAN_RULES = (
 def test_family_scan_matches_the_per_job_scan(monkeypatch):
     # At every node the family scan must list the same placements in the
     # same order and add the same prune counts as the reference scan, which
-    # visits every job; with the equations off the coefficient rule is on.
+    # visits every job.
     scan = solver._Search._candidates
     seen = Counter()
 
@@ -672,7 +674,6 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
         seen["nodes"] += 1
         seen["interleave"] += search.interleave
         seen["equations"] += search.equations
-        seen["coeff"] += search.coeff is not None
         return out
 
     monkeypatch.setattr(solver._Search, "_candidates", both)
@@ -681,7 +682,7 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
             for contiguous in (False, True):
                 decide_target(inst, target, contiguous, budget=budget, rules=rules)
     assert seen["nodes"] > 10_000
-    assert seen["interleave"] and seen["equations"] and seen["coeff"]
+    assert seen["interleave"] and seen["equations"]
 
 
 @pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
@@ -993,12 +994,8 @@ def test_a_search_without_a_witness_undoes_every_placement(
     assert search.search() is None
     assert search.starved == starved
     assert search.nodes > 0
-    # the digit sums are kept exactly where the equation tables are not
-    assert (search.acc is None) == search.equations
     fresh = solver._Search(inst, target, contiguous, rules, budget)
-    for name in (
-        "cells", "rem_mask", "taken", "live", "left", "acc",
-    ):
+    for name in ("cells", "rem_mask", "taken", "live", "left"):
         assert getattr(search, name) == getattr(fresh, name), name
     assert search.path == []
 
@@ -1181,9 +1178,9 @@ D_DIFF = 33
 
 def random_balanced(rng, digits):
     """At most eight jobs of total work 4T.  With `digits` every length is
-    a D^2 + b D^3 for D = 33 and small a, b, so the coefficient rule is
-    active; otherwise lengths are small and the rule stays off.  A last
-    one-machine job tops each digit total up to a multiple of 4."""
+    a D^2 + b D^3 for D = 33 and small a, b, the shape of the digit trap's
+    lengths; otherwise lengths are small.  A last one-machine job tops each
+    digit total up to a multiple of 4."""
     unit = D_DIFF**2 if digits else 1
     rows = []
     for _ in range(rng.randint(1, 7)):
@@ -1210,7 +1207,7 @@ def test_decide_target_agrees_with_optimize_small():
     # Every zero-idle answer must match an independent exact optimizer: a
     # witness at T exactly when the optimum is T (it is never below, since
     # the work is 4T).  Each instance runs with the default rules and with
-    # symmetry, coeff_budget and dead_states switched off in turn.
+    # symmetry and dead_states switched off in turn.
     rng = random.Random("solver-differential")
     seen = Counter()
     for trial in range(200):
@@ -1219,7 +1216,6 @@ def test_decide_target_agrees_with_optimize_small():
         for rules in (
             PruneRules(),
             PruneRules(symmetry=False),
-            PruneRules(coeff_budget=False),
             PruneRules(dead_states=False),
         ):
             decision = decide_target(inst, target, rules=rules)
@@ -1228,8 +1224,8 @@ def test_decide_target_agrees_with_optimize_small():
             seen.update(decision.prunes.keys())
         seen[decision.outcome] += 1
     assert seen["witness"] and seen["proved-none"]
-    # both optional rules actually fired somewhere in the set
-    assert seen["coeff-budget"] and seen["symmetry"]
+    # the symmetry rule actually fired somewhere in the set
+    assert seen["symmetry"]
 
 
 # ===== optimize_small =====

@@ -10,11 +10,14 @@ the `decide-witness` and `decide-exhaust` corpora of the benchmark, built by
 imported and not modified; every op checks its own answer there, as in a
 benchmark run.
 
-Before the timing, once per run, both checkouts take the same 4,480
-decisions: 25 random carves of 12 to 20 jobs at a quarter of their work,
-`gen_yes` (1,0) (1,5) (2,1) (3,2) (6,0) (10,3) and `gen_no` (2,0) (2,3)
-reduced and decided at W, and the digit traps at D = 17 and 33; each under
-all 16 `PruneRules` sets, plain and contiguous, at budgets 1, 4, 30 and 300.
+Before the timing, once per run, both checkouts take the same decisions:
+25 random carves of 12 to 20 jobs at a quarter of their work, `gen_yes`
+(1,0) (1,5) (2,1) (3,2) (6,0) (10,3) and `gen_no` (2,0) (2,3) reduced and
+decided at W, and the digit traps at D = 17 and 33; each under every
+`PruneRules` set of the rules both checkouts have, plain and contiguous,
+at budgets 1, 4, 30 and 300.  A rule only one checkout has is switched
+off on that side.  With three shared rules that is 8 sets and 2,240
+decisions.
 The carves and traps come from the helpers of `tests/test_solver.py` of the
 checkout this script lives in, imported and not modified, and each side
 gets its own copy of every instance.  Every decision must give a
@@ -49,6 +52,7 @@ import random
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -153,6 +157,23 @@ def _instances(lib, helpers) -> dict:
     return out
 
 
+def _rule_sets(libs) -> list[tuple[str, dict]]:
+    """Each set of the rules both sides have: the names of the rules it
+    switches on, and each side's `PruneRules` built by keyword.  A rule
+    only one side has is off on that side."""
+    names = {side: [f.name for f in fields(lib.PruneRules)] for side, lib in libs.items()}
+    shared = [name for name in names["old"] if name in names["new"]]
+    sets = []
+    for flags in product((True, False), repeat=len(shared)):
+        on = [name for name, flag in zip(shared, flags) if flag]
+        rules = {
+            side: lib.PruneRules(**{name: name in on for name in names[side]})
+            for side, lib in libs.items()
+        }
+        sets.append((",".join(on) or "none", rules))
+    return sets
+
+
 def _differential(libs, outcomes: bool) -> None:
     """Decide every case of the differential on both sides and stop with
     the list of cases whose decisions differ; under `outcomes`, list the
@@ -163,16 +184,16 @@ def _differential(libs, outcomes: bool) -> None:
     tally = Counter()
     verdicts = Counter()
     listed = {"differ": [], "answered": []}
+    rule_sets = _rule_sets(libs)
     for label in cases["old"]:
-        for flags, contiguous, budget in product(
-            product((True, False), repeat=4), (False, True), BUDGETS
+        for (on, rules), contiguous, budget in product(
+            rule_sets, (False, True), BUDGETS
         ):
             seen = {}
             for side, lib in libs.items():
                 inst, target = cases[side][label]
-                rules = lib.PruneRules(*flags)
                 decision = lib.decide_target(
-                    inst, target, contiguous, budget=budget, rules=rules
+                    inst, target, contiguous, budget=budget, rules=rules[side]
                 )
                 seen[side] = json.dumps(decision.to_dict(), sort_keys=True)
             tally[decision.outcome] += 1
@@ -180,9 +201,8 @@ def _differential(libs, outcomes: bool) -> None:
             verdict = _verdict(seen["old"], seen["new"], False, outcomes)
             verdicts[verdict] += 1
             if verdict in listed:
-                bits = "".join("01"[f] for f in flags)
                 mode = "contiguous" if contiguous else "plain"
-                listed[verdict].append(f"{label} rules={bits} {mode} budget={budget}")
+                listed[verdict].append(f"{label} rules={on} {mode} budget={budget}")
     total = sum(tally.values())
     if listed["differ"]:
         raise SystemExit(
