@@ -25,7 +25,7 @@ import click
 
 # Every subcommand runs these modules, directly or through reduction, so
 # their names are imported here; the rest are imported by the subcommands.
-from .exactnum import parse_int
+from .exactnum import dump_json, parse_int
 from .threepartition import (
     DEFAULT_BUDGET,
     GenerationFailed,
@@ -52,7 +52,7 @@ _DECISION_EXITS = {
 
 def _emit(payload) -> None:
     if not isinstance(payload, str):
-        payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload = dump_json(payload)
     click.echo(payload)
 
 

@@ -10,6 +10,12 @@ representation is unique and sums of values decompose digit-by-digit.
 `decompose` recovers that representation from a plain integer and
 `compose` reassembles it.  Both are exact; Python ints are arbitrary
 precision so there is no overflow to worry about.
+
+Every module loads this one, directly or through `threepartition`, so it
+also holds what they share:
+the reading (`load_json`, `parse_int`, `check_shape`) and the writing
+(`dump_json`) of the canonical JSON form, and `require`, the check of a
+result about to be returned.
 """
 
 from __future__ import annotations
@@ -100,6 +106,22 @@ def load_json(text: str, kind: type, what: str):
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to read") from None
     return check_shape(token, kind, what)
+
+
+def dump_json(payload) -> str:
+    """`payload` in the canonical form every document is written in, sorted
+    keys and no spaces; `load_json` reads it back."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def require(what: str, *checks: tuple[bool, str]) -> None:
+    """Raise RuntimeError naming the first property that a result about to
+    be returned fails on re-verification.  A raise, not an assert:
+    ``python -O`` strips asserts, and an unverified result would then be
+    returned."""
+    for ok, name in checks:
+        if not ok:
+            raise RuntimeError(f"{what} fails re-verification: not {name}")
 
 
 def digit_bound(z: int) -> int:

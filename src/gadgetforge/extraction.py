@@ -31,6 +31,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .exactnum import require
 from .reduction import (
     SchedulingInstance,
     canonical_ids,
@@ -47,7 +48,6 @@ from .schedule import (  # NotTargetMakespan is re-exported
     _swap_after,
     finished_by_index,
     mirror,
-    require,
 )
 from .threepartition import Partition, ThreePartitionInstance, validate_partition
 
@@ -55,26 +55,18 @@ MIDDLE = (2, 3)
 SIDES = (1, 4)
 
 
-class LemmaViolation(Exception):
-    """A structural identity that every target schedule satisfies failed."""
+class RefutationCertificate(Exception):
+    """A structural identity that every target schedule satisfies failed:
+    proof the input was not a feasible zero-idle schedule at the target
+    makespan.  A stage raises it with no `events`; `extract_partition`
+    sets them to the events logged before the failing check."""
 
     def __init__(self, stage: str, lemma: str, detail: str):
         super().__init__(f"[{stage}] {lemma}: {detail}")
         self.stage = stage
         self.lemma = lemma
         self.detail = detail
-
-
-class RefutationCertificate(Exception):
-    """Packaged LemmaViolation: proof the input was not a feasible
-    zero-idle schedule at the target makespan."""
-
-    def __init__(self, violation: LemmaViolation, events):
-        super().__init__(str(violation))
-        self.stage = violation.stage
-        self.lemma = violation.lemma
-        self.detail = violation.detail
-        self.events = tuple(events)
+        self.events: tuple[Mapping[str, Any], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -144,10 +136,26 @@ def _tiling_break(
     return None
 
 
+def _swaps(inst, sched, stage: str, events: list, *cuts) -> Schedule:
+    """Swap machine contents at every cut (t, m1, m2) in turn, then log one
+    swap event per cut.  A cut that tears a job is the stage's
+    swap-crossing refutation, raised before any cut of the call is
+    logged."""
+    try:
+        for t, m1, m2 in cuts:
+            sched = _swap_after(inst, sched, t, m1, m2)
+    except CrossingJob as exc:
+        raise RefutationCertificate(stage, "swap-crossing", str(exc)) from exc
+    for t, m1, m2 in cuts:
+        events.append({"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]})
+    return sched
+
+
 def normalize_machines(inst: SchedulingInstance, sched: Schedule) -> Schedule:
     """Swap machine contents until machine 1 carries the early side family,
     machine 4 the late side family, and both middle machines carry every
-    three-machine separator.  Start times are untouched."""
+    three-machine separator.  Start times are untouched.  A failed check
+    raises a RefutationCertificate with no events."""
     _gate(inst, sched)
     return _normalize_machines(inst, sched, [])[0]
 
@@ -161,19 +169,9 @@ def _normalize_machines(
 
     for job in inst.jobs:
         if len(sched.machines[job.id]) != job.q:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "rigid-width", f"{job.id} occupies {sorted(sched.machines[job.id])}"
             )
-
-    def do_swap(t: int, m1: int, m2: int) -> Schedule:
-        try:
-            out = _swap_after(inst, sched, t, m1, m2)
-        except CrossingJob as exc:
-            raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
-        events.append(
-            {"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]}
-        )
-        return out
 
     # walk the three-machine separators in start order; whichever middle
     # machine the next one misses gets the previous one's side content
@@ -188,25 +186,25 @@ def _normalize_machines(
             else:
                 side = sched.machines[prev] - set(MIDDLE)
                 if len(side) != 1:
-                    raise LemmaViolation(
+                    raise RefutationCertificate(
                         stage, "separator-spread", f"{prev} lost its side machine"
                     )
                 partner, t = next(iter(side)), sched.starts[prev]
                 prev_end = sched.starts[prev] + inst.by_id[prev].p
                 if sched.starts[x] < prev_end:
-                    raise LemmaViolation(
+                    raise RefutationCertificate(
                         stage, "separator-overlap", f"{prev} and {x} run concurrently"
                     )
-            sched = do_swap(t, partner, missing)
+            sched = _swaps(inst, sched, stage, events, (t, partner, missing))
         prev = x
 
     lam_home = next(iter(sched.machines["lambda1"]))
     if lam_home in MIDDLE:
-        raise LemmaViolation(
+        raise RefutationCertificate(
             stage, "machine-contents", "the opening cap sits on a middle machine"
         )
     if lam_home == 4:
-        sched = do_swap(0, 1, 4)
+        sched = _swaps(inst, sched, stage, events, (0, 1, 4))
 
     lanes = _lanes(inst, sched)
     on = {m: set(lanes[m]) for m in (1, 2, 3, 4)}
@@ -230,14 +228,15 @@ def _normalize_machines(
         if la + lb != inst.z:
             problems.append(f"machine {m} holds {la + lb} narrow-pair jobs, not z")
     if problems:
-        raise LemmaViolation(stage, "machine-contents", "; ".join(problems))
+        raise RefutationCertificate(stage, "machine-contents", "; ".join(problems))
     events.append({"stage": stage, "event": "ok"})
     return sched, lanes
 
 
 def orient(inst: SchedulingInstance, sched: Schedule) -> Schedule:
     """Mirror the schedule when it runs backwards, so that a late-family
-    separator opens machine 2.  Assumes normalized machine contents."""
+    separator opens machine 2.  Assumes normalized machine contents.  A
+    failed check raises a RefutationCertificate with no events."""
     return _orient(inst, sched, _lanes(inst, sched)[2], [])
 
 
@@ -246,14 +245,14 @@ def _orient(
 ) -> Schedule:
     """`orient`, given machine 2's jobs in start order."""
     if not front:
-        raise LemmaViolation("orient", "first-job", "machine 2 is empty")
+        raise RefutationCertificate("orient", "first-job", "machine 2 is empty")
     first = inst.by_id[front[0]]
     if first.tag == "A":
         sched = mirror(inst, sched, inst.W)
         events.append({"stage": "orient", "event": "mirror"})
         return sched
     if first.tag != "B":
-        raise LemmaViolation(
+        raise RefutationCertificate(
             "orient", "first-job", f"machine 2 opens with {first.id} (q={first.q})"
         )
     events.append({"stage": "orient", "event": "ok"})
@@ -264,7 +263,8 @@ def check_alternation(
     inst: SchedulingInstance, sched: Schedule
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The separator families must interleave strictly, late family first,
-    and the finished-job counts at each separator must match its rank."""
+    and the finished-job counts at each separator must match its rank.  A
+    failed check raises a RefutationCertificate with no events."""
     return _check_alternation(inst, sched, finished_by_index(inst, sched))
 
 
@@ -275,30 +275,30 @@ def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
     b_seq = sorted(_ids(inst, "B"), key=lambda i: (sched.starts[i], i))
     for i in range(len(a_seq)):
         if not sched.starts[b_seq[i]] < sched.starts[a_seq[i]]:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "interleaving", f"rank {i}: {a_seq[i]} precedes {b_seq[i]}"
             )
         if i + 1 < len(b_seq) and not sched.starts[a_seq[i]] < sched.starts[b_seq[i + 1]]:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "interleaving", f"rank {i}: {b_seq[i + 1]} precedes {a_seq[i]}"
             )
     for i, anchor in enumerate(a_seq):
         t = sched.starts[anchor]
         lam = finished(t, "lambda1")
         if lam != 1:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "separator-counts", f"{anchor}: opening cap count {lam} != 1"
             )
         if finished(t, "A") != i:
-            raise LemmaViolation(stage, "separator-counts", f"{anchor}: own rank != {i}")
+            raise RefutationCertificate(stage, "separator-counts", f"{anchor}: own rank != {i}")
         if finished(t, "B") != i + 1:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "separator-counts", f"{anchor}: opposite rank != {i + 1}"
             )
     for i, anchor in enumerate(b_seq):
         t = sched.starts[anchor]
         if finished(t, "B") != i or finished(t, "A") != i:
-            raise LemmaViolation(stage, "separator-counts", f"{anchor}: rank != {i}")
+            raise RefutationCertificate(stage, "separator-counts", f"{anchor}: rank != {i}")
     return tuple(a_seq), tuple(b_seq)
 
 
@@ -323,14 +323,14 @@ def _check_count_equations(inst, sched, finished, a_seq, b_seq) -> None:
 
     for anchor in a_seq:
         if detail := broken(anchor):
-            raise LemmaViolation(stage, "early-separator-chain", detail)
+            raise RefutationCertificate(stage, "early-separator-chain", detail)
     for anchor in b_seq:
         if finished(sched.starts[anchor], "lambda2") != 0:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "trailing-cap", f"closing cap finishes before {anchor}"
             )
         if detail := broken(anchor):
-            raise LemmaViolation(stage, "late-separator-chain", detail)
+            raise RefutationCertificate(stage, "late-separator-chain", detail)
 
 
 def _check_side_orders(inst, sched, lanes) -> tuple[dict, dict]:
@@ -342,12 +342,12 @@ def _check_side_orders(inst, sched, lanes) -> tuple[dict, dict]:
         on, slots = lanes[m], canonical_slots(inst, m)
         got = [inst.by_id[i].tag for i in on]
         if got != [tag for tag, _ in slots]:
-            raise LemmaViolation(stage, "side-order", f"machine {m} runs {got}")
+            raise RefutationCertificate(stage, "side-order", f"machine {m} runs {got}")
         keyed.append(dict(zip(slots, on)))
     for m in SIDES:
         broken = _tiling_break(inst, sched, lanes[m], m)
         if broken:
-            raise LemmaViolation(stage, "zero-idle", broken)
+            raise RefutationCertificate(stage, "zero-idle", broken)
     return keyed[0], keyed[1]
 
 
@@ -363,12 +363,12 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
         t = sched.starts[b_seq[i]] + p_b
         hits = fillers.get(t, [])
         if len(hits) != 1:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "filler-fit", f"{len(hits)} fillers start at {t} after {b_seq[i]}"
             )
         gap = sched.starts[a_seq[i]] - t
         if hits[0].p != gap:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "filler-fit", f"{hits[0].id} is {hits[0].p} long, gap is {gap}"
             )
 
@@ -385,27 +385,19 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
         sa = sched.machines[a_i] - {1}
         sb = sched.machines[b_i] - {4}
         if sa == sb:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "pair-columns", f"{a_i} and {b_i} share machine {sorted(sa)}"
             )
         if sa == {3}:
             t1, t2 = sched.starts[m1["A", i - 1]], sched.starts[m4["B", i]]
-            try:
-                sched = _swap_after(inst, sched, t1, 2, 3)
-                sched = _swap_after(inst, sched, t2, 2, 3)
-            except CrossingJob as exc:
-                raise LemmaViolation(stage, "swap-crossing", str(exc)) from exc
+            sched = _swaps(inst, sched, stage, events, (t1, 2, 3), (t2, 2, 3))
             swapped = True
-            for t in (t1, t2):
-                events.append(
-                    {"stage": stage, "event": "swap", "t": str(t), "machines": [2, 3]}
-                )
     if swapped:
         lanes = _lanes(inst, sched)
     want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
     on_2, on_3 = set(lanes[2]), set(lanes[3])
     if on_2 != want_2 or on_3 != want_3:
-        raise LemmaViolation(
+        raise RefutationCertificate(
             stage,
             "pair-columns",
             f"middle contents off by {sorted(on_2 ^ want_2)} / {sorted(on_3 ^ want_3)}",
@@ -427,7 +419,7 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
         hi = sched.starts[m4["B", i]]
         g = inst.by_slot["gamma", i]
         if 2 not in sched.machines[g.id] or not edge <= sched.starts[g.id] <= hi - g.p:
-            raise LemmaViolation(
+            raise RefutationCertificate(
                 stage, "narrow-window", f"{g.id} is outside the window after {a_i}"
             )
         require("the gap readout", (hi - edge == g.p + inst.D, _WINDOW_WIDTH))
@@ -438,14 +430,14 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
         cursor, members = edge, []
         for j in occupants:
             if sched.starts[j.id] != cursor or 2 not in sched.machines[j.id]:
-                raise LemmaViolation(
+                raise RefutationCertificate(
                     stage, "gap-tiling", f"{j.id} misplaced inside gap {i}"
                 )
             cursor += j.p
             if j.tag == "P":
                 members.append(j.index)
         if cursor != hi:
-            raise LemmaViolation(stage, "gap-tiling", f"gap {i} ends short at {cursor}")
+            raise RefutationCertificate(stage, "gap-tiling", f"gap {i} ends short at {cursor}")
         sets.append(tuple(sorted(members)))
     return tuple(sorted(sets))
 
@@ -481,10 +473,11 @@ def extract_partition(
         # by the side orders, the filler fits, and the gap readout below
         broken = _tiling_break(inst, sched, lanes[3], 3)
         if broken:
-            raise LemmaViolation("zero-idle", "zero-idle", broken)
+            raise RefutationCertificate("zero-idle", "zero-idle", broken)
         partition = _read_partition(inst, sched, m1, m4)
-    except LemmaViolation as violation:
-        raise RefutationCertificate(violation, events) from violation
+    except RefutationCertificate as cert:
+        cert.events = tuple(events)
+        raise
     require(
         "the extracted partition",
         (not validate_partition(inst3p, partition), "a 3-Partition witness"),

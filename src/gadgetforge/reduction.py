@@ -37,7 +37,6 @@ canonical geometry through `forward_geometry`, once per instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -45,7 +44,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exactnum import check_shape, digit_bound, load_json, parse_int
+from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int, require
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
@@ -163,7 +162,7 @@ class SchedulingInstance:
         }
         if k["m"]:
             payload[k["m"]] = self.m
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return dump_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingInstance":
@@ -408,8 +407,6 @@ def _forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     gamma job, hi - lo = D + |gamma_k|; the pinned jobs hold exactly
     m - 1 machines at every instant of a gap, and all m at every instant
     of [0, W) outside the gaps."""
-    from .schedule import require  # schedule imports this module
-
     m, D = inst.m, inst.D
     starts: dict[str, list[tuple[int, Job]]] = {}
     # the machines the pinned jobs take (or free) at each of their starts

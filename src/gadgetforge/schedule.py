@@ -22,14 +22,13 @@ perturbed schedules the first violated check pinpoints what broke.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .exactnum import check_shape, decompose, load_json, parse_int
+from .exactnum import check_shape, decompose, dump_json, load_json, parse_int
 from .reduction import (
     CHECKPOINT_TAGS,
     SchedulingInstance,
@@ -96,7 +95,7 @@ class Schedule:
             "starts": {k: str(v) for k, v in self.starts.items()},
             "machines": {k: sorted(v) for k, v in self.machines.items()},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return dump_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
@@ -254,16 +253,6 @@ def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
         contiguous=contiguous,
         problems=tuple(problems),
     )
-
-
-def require(what: str, *checks: tuple[bool, str]) -> None:
-    """Raise RuntimeError naming the first property that a result about to
-    be returned fails on re-verification.  A raise, not an assert:
-    ``python -O`` strips asserts, and an unverified result would then be
-    returned."""
-    for ok, name in checks:
-        if not ok:
-            raise RuntimeError(f"{what} fails re-verification: not {name}")
 
 
 def finished_by_index(

@@ -26,7 +26,7 @@ effect can be measured:
   symmetry, and cut any later branch that reaches an equal key (see "Dead
   states" below).
 
-All three rules are sound, so a ProvedNone outcome still means the entire
+All three rules are sound, so a proved-none outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
 jobs (`reduction.check_jobs`) with ValueError.
 
@@ -68,8 +68,7 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   A class's k-th start holds its k-th placement (see "Forward only"), so
   at most one job of a family may start at t: the next member of the
   class whose start is t, looked up by t, if t is the class's next start
-  and the job fits the room; every other class of the family that fits
-  counts as equations in bulk.  A value job (P) may start at t only in
+  and the job fits the room.  A value job (P) may start at t only in
   the last gap k that starts by t, found by bisecting the gap starts, and
   only once gamma_k is placed; rest = hi_k - t is then what the gap's
   values still have to fill.  At rest = D the class at the head of the
@@ -77,10 +76,13 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   length p offers when 2p >= rest and rest - p is the length of another
   unplaced value, and as the live list is in (-p, id) order these classes
   are a prefix of it; at any other rest only the classes of length rest
-  offer, found by one look-up by length.  Every other value class that
-  fits counts as equations in bulk.  The premises of these tests are
+  offer, found by one look-up by length.  The premises of these tests are
   checked once per instance, with the forward geometry
-  (`reduction.forward_geometry`);
+  (`reduction.forward_geometry`).  A rule only chooses the classes that
+  offer, and one loop emits every family's offers; the classes that fit
+  and do not offer are the equations prunes, counted once per node as the
+  first members that fit less the offered ones (a family without the rule
+  offers every class that fits);
 * a family lists its candidates in (-p, id) order and families come widest
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
@@ -217,7 +219,10 @@ means an equal verdict:
 
 A decision is one `_Search`, holding its tables, the dead-state table and
 one state that each placement updates and its undo takes back exactly.  The
-state keeps each fact once: a machine's cell is its free time.
+state keeps each fact once: a machine's cell is its free time.  One cell
+list serves the whole search, written in place: a placement at t takes
+machines free by t, and t is the earliest free instant, so each of them is
+free exactly at t, and its undo sets their cells back to t.
 The search walks the tree with an explicit stack, the root's frame of
 pending candidates and one per placed job, so its depth is not limited by
 the interpreter's recursion limit; the placed jobs with their undo records
@@ -239,6 +244,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from .exactnum import require
 from .reduction import (
     Job,
     SchedulingInstance,
@@ -246,7 +252,7 @@ from .reduction import (
     forward_geometry,
     recognize,
 )
-from .schedule import Schedule, require, verify
+from .schedule import Schedule, verify
 from .threepartition import DEFAULT_BUDGET, SearchBudgetExceeded
 
 # entries of the dead-state table; past it the table stops inserting
@@ -468,7 +474,7 @@ class _Search:
         cls_p = self.cls_p
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
-        firsts = equations = emitters = 0
+        firsts = offered = emitters = 0
         out = []
         add = out.append
         for f, kind, q, facts in self.upto[width]:
@@ -508,27 +514,18 @@ class _Search:
                     offer = [
                         c for c in by_len.get(rest, ()) if taken[c] < len(members[c])
                     ]
-                equations += n - i - len(offer)
-                if not offer:
-                    continue
             elif kind == _FORCED:
                 # only the job whose forced start is t may start at t: the
                 # next member of its class, when t is the class's next start
-                # and the member fits the room; the other classes there are
-                # equations
-                equations += n - i
-                slot = facts.get(t)
-                if slot is not None:
-                    c, kth = slot
-                    if taken[c] == kth and cls_p[c] <= room:
-                        equations -= 1
-                        emitters += 1
-                        job = members[c][kth]
-                        for subset in self.subsets(avail, q):
-                            add((job, subset))
-                continue
+                # and the member fits the room; at an instant that is no
+                # forced start, kth = -1 matches no placed count
+                c, kth = facts.get(t, (0, -1))
+                offer = [c] if taken[c] == kth and cls_p[c] <= room else []
             else:
                 offer = live[i:]
+            if not offer:
+                continue
+            offered += len(offer)
             emitters += 1
             subsets = self.subsets(avail, q)
             for c in offer:
@@ -538,12 +535,14 @@ class _Search:
         if self.interleave or (emitters > 1 and self.equations):
             rank = self.rank
             out.sort(key=lambda cand: rank[cand[0].id])
-        # every other unplaced job trails a first member of its class
+        # every other unplaced job trails a first member of its class, and
+        # every first member that fits and no rule offered is an equations
+        # prune
         symmetric = self.n - len(self.path) - no_fit - firsts
         for rule, count in (
             ("no-fit", no_fit),
             ("symmetry", symmetric),
-            ("equations", equations),
+            ("equations", firsts - offered),
         ):
             if count:
                 self.prunes[rule] += count
@@ -552,6 +551,11 @@ class _Search:
     # ----- state transitions -----
 
     def _place(self, job, subset, t):
+        """Place `job` on the machines `subset` at t, the earliest free
+        instant.  The subset is taken from the machines free by t, and none
+        is free before t, so each of them is free exactly at t: the undo
+        sets their cells back to t, and the record keeps no copy of the
+        cells."""
         rec = self.rec[job.id]
         c, f, full, bit = rec
         # job is the first unplaced member of class c
@@ -563,21 +567,23 @@ class _Search:
             pos = live.index(c)
             del live[pos]
         self.left[job.q] -= 1
-        old_cells = self.cells
-        self.cells = cells = old_cells.copy()
+        cells = self.cells
         end = t + job.p
         for m in subset:
             cells[m] = end
         self.rem_mask ^= bit
-        self.path.append((job, subset, t, rec, pos, old_cells))
+        self.path.append((job, subset, t, rec, pos))
 
     def _unplace(self):
-        job, _, _, rec, pos, self.cells = self.path.pop()
+        job, subset, t, rec, pos = self.path.pop()
         c, f, _, bit = rec
         self.taken[c] -= 1
         if pos is not None:
             self.live[f].insert(pos, c)
         self.left[job.q] += 1
+        cells = self.cells
+        for m in subset:
+            cells[m] = t
         self.rem_mask ^= bit
 
     def _snapshot(self) -> Schedule:

@@ -14,15 +14,14 @@ fixpoint; coordinates become integral in the first sweep, so deciding
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactnum import check_shape, load_json, parse_int
+from .exactnum import check_shape, dump_json, load_json, parse_int, require
 from .reduction import SchedulingInstance
-from .schedule import Schedule, require
+from .schedule import Schedule
 
 Coord = int | Fraction
 
@@ -60,9 +59,7 @@ class Packing:
                     "integral y"
                 )
             payload[item_id] = [str(x), int(y)]
-        return json.dumps(
-            {"positions": payload}, sort_keys=True, separators=(",", ":")
-        )
+        return dump_json({"positions": payload})
 
     @classmethod
     def from_json(cls, text: str) -> "Packing":

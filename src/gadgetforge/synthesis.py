@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .exactnum import require
 from .reduction import (
     CANONICAL_LAYOUT,
     SchedulingInstance,
@@ -21,7 +22,7 @@ from .reduction import (
     recognize,
     recover_values,
 )
-from .schedule import Schedule, require, verify
+from .schedule import Schedule, verify
 from .strip import Packing, schedule_to_packing
 from .threepartition import Partition, validate_partition
 

@@ -10,11 +10,10 @@ meet that, which changes nothing about which partitions exist.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
-from .exactnum import check_shape, digit_bound, load_json, parse_int
+from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -58,7 +57,7 @@ class ThreePartitionInstance:
 
     def to_json(self) -> str:
         payload = {"z": self.z, "values": list(self.values)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return dump_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "ThreePartitionInstance":
@@ -283,11 +282,7 @@ def gen_no(z: int, seed: int) -> ThreePartitionInstance:
 
 
 def partition_to_json(partition: Partition) -> str:
-    return json.dumps(
-        {"sets": [list(p) for p in partition]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return dump_json({"sets": [list(p) for p in partition]})
 
 
 def partition_from_json(text: str) -> Partition:

@@ -14,6 +14,10 @@ reference that the bisections of `schedule.audit` are checked against.
 `with_repeated_key` writes a document whose object names one key twice,
 which every loader must refuse rather than read as the last value.
 
+`contiguous_optimum` is an exact optimizer for at most eight jobs with
+every job on an interval of machines, written independently of the
+solver; it is the reference that contiguous decisions are checked against.
+
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
 of `solver._Search._candidates` is checked against.  It reads the forced
@@ -24,6 +28,7 @@ wrong table entry shows as a difference.
 
 import json
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
@@ -349,3 +354,44 @@ def reference_candidates(search, t: int):
         for subset in search.subsets(avail, job.q):
             out.append((job, subset))
     return out, counts
+
+
+def contiguous_optimum(jobs, m: int = 4, cap: int | None = None) -> int | None:
+    """The least makespan of the rigid `jobs` (at most eight) on m machines
+    with every job on an interval of machines; with `cap`, the least one
+    that is at most `cap`, or None when there is none.
+
+    It branches over job orders and intervals, and starts each job at the
+    largest free time on its interval.  That is exact: replaying an optimal
+    schedule's jobs in start order, on their own intervals, starts each
+    job no later than it starts there, since every job placed before it on
+    one of its machines ends by then.  States are memoized on the remaining
+    jobs and the unsorted free times; of identical remaining jobs only the
+    first is branched on.  Under `cap`, a job that would end past it is not
+    placed, and a state whose remaining work exceeds the room left below
+    it on the machines is a dead end."""
+    jobs = tuple(jobs)
+    assert len(jobs) <= 8
+    limit = float("inf") if cap is None else cap
+
+    @lru_cache(maxsize=None)
+    def best(rem: frozenset, free: tuple) -> float:
+        if not rem:
+            return max(free)
+        top, seen = float("inf"), set()
+        if sum(jobs[i].p * jobs[i].q for i in rem) > sum(limit - f for f in free):
+            return top
+        for i in sorted(rem):
+            p, q = jobs[i].p, jobs[i].q
+            if (p, q) in seen:
+                continue
+            seen.add((p, q))
+            for lo in range(m - q + 1):
+                end = max(free[lo : lo + q]) + p
+                if end <= limit:
+                    after = free[:lo] + (end,) * q + free[lo + q :]
+                    top = min(top, best(rem - {i}, after))
+        return top
+
+    top = best(frozenset(range(len(jobs))), (0,) * m)
+    return None if top == float("inf") else top

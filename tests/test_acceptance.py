@@ -375,7 +375,7 @@ def test_criterion_7e_pruning_rules_change_counts_not_outcomes():
     abstain (budget-exceeded) but never answer differently; toggling the
     dead-state table must keep even the witness.  The z=1 equations-off run
     is completed on purpose: 4,019,206 nodes and about 20 s with the
-    dead-state table, for the outcome the default rules reach in 19
+    dead-state table, for the outcome the default rules reach in 17
     nodes."""
     D = 33
     trap_dims = ([(D**3, 1)] * 4 + [(3 * D**2, 1)] * 4 + [(2 * D**2, 1)] * 2)

@@ -9,7 +9,6 @@ import pytest
 from gadgetforge import extraction
 from gadgetforge.extraction import (
     ExtractionTrace,
-    LemmaViolation,
     NotTargetMakespan,
     RefutationCertificate,
     check_alternation,
@@ -289,6 +288,45 @@ def test_normalize_rejects_other_instance_schedule(canonical_z1):
         normalize_machines(build_jobs(other), sched)
 
 
+def test_a_stage_refutes_with_no_events_and_the_pipeline_adds_its_log(canonical_z1):
+    # lambda1 moved onto middle machine 2, then machines 1 and 2 relabelled:
+    # the separator walk swaps them back from t = 0, which returns lambda1
+    # to machine 2, and the cap check fails after that logged swap.
+    inst3p, inst, sched = canonical_z1
+    machines = dict(sched.machines)
+    machines["lambda1"] = frozenset({2})
+    forged = permuted(Schedule(starts=sched.starts, machines=machines),
+                      {1: 2, 2: 1, 3: 3, 4: 4})
+    with pytest.raises(RefutationCertificate) as alone:
+        normalize_machines(inst, forged)
+    assert (alone.value.stage, alone.value.lemma) == ("normalize", "machine-contents")
+    assert alone.value.events == ()
+    with pytest.raises(RefutationCertificate) as piped:
+        extract_partition(inst3p, inst, forged)
+    assert str(piped.value) == str(alone.value)
+    assert piped.value.to_dict()["events"] == [
+        {"stage": "normalize", "event": "swap", "t": "0", "machines": [1, 2]}
+    ]
+
+
+def test_a_torn_second_pair_cut_logs_neither_swap_of_its_block(canonical_z1):
+    # Machines 2 and 3 exchanged inside block 1, so the pair columns swap
+    # them back at A_0 and at B_1; P_3, the last job before B_1 on machine
+    # 3, is moved one unit later, so it straddles the second cut only.
+    inst3p, inst, sched = canonical_z1
+    t1, t2 = sched.starts["A_0"], sched.starts["B_1"]
+    swapped = swap_after(inst, swap_after(inst, sched, t1, 2, 3), t2, 2, 3)
+    starts = dict(swapped.starts)
+    assert starts["P_3"] + inst.by_id["P_3"].p == t2
+    starts["P_3"] += 1
+    torn = Schedule(starts=starts, machines=swapped.machines)
+    with pytest.raises(RefutationCertificate) as exc:
+        extract_partition(inst3p, inst, torn)
+    assert (exc.value.stage, exc.value.lemma) == ("pair-columns", "swap-crossing")
+    assert f"P_3 crosses t={t2}" in exc.value.detail
+    assert [e["stage"] for e in exc.value.events] == ["normalize", "orient", "alternation"]
+
+
 # ===== orient =====
 
 
@@ -308,7 +346,7 @@ def test_orient_mirrors_backward_schedule(canonical_z1):
 def test_orient_rejects_narrow_first_job(canonical_z1):
     _, inst, sched = canonical_z1
     forged = swapped_starts(sched, "B_0", "P_1")
-    with pytest.raises(LemmaViolation) as exc:
+    with pytest.raises(RefutationCertificate) as exc:
         orient(inst, forged)
     assert exc.value.lemma == "first-job"
 
@@ -326,7 +364,7 @@ def test_alternation_sequences_on_canonical(canonical_z1):
 def test_alternation_rejects_exchanged_separators(canonical_z1):
     _, inst, sched = canonical_z1
     forged = swapped_starts(sched, "A_1", "B_1")
-    with pytest.raises(LemmaViolation) as exc:
+    with pytest.raises(RefutationCertificate) as exc:
         check_alternation(inst, forged)
     assert exc.value.lemma == "interleaving"
     assert "rank 1" in exc.value.detail

@@ -35,7 +35,7 @@ from gadgetforge.threepartition import (
     validate_partition,
 )
 
-from conftest import path_free_times, reference_candidates
+from conftest import contiguous_optimum, path_free_times, reference_candidates
 
 
 def generic(dims, m=4):
@@ -1226,6 +1226,35 @@ def test_decide_target_agrees_with_optimize_small():
     assert seen["witness"] and seen["proved-none"]
     # the symmetry rule actually fired somewhere in the set
     assert seen["symmetry"]
+
+
+def test_contiguous_decisions_agree_with_the_contiguous_optimum():
+    # Every contiguous answer must match an independent exact optimizer
+    # that keeps each job on an interval of machines: a witness at T
+    # exactly when its optimum is T.  Under every rule set, and across the
+    # modes: a contiguous witness is a plain one, so a contiguous witness
+    # implies a plain witness and a plain proved-none a contiguous one.
+    rng = random.Random("contiguous-oracle")
+    instances = [random_balanced(rng, digits=k % 2 == 0) for k in range(60)]
+    while len(instances) < 90:
+        inst = random_zero_idle(rng, horizon=rng.randint(3, 8))
+        if len(inst.jobs) <= 8:
+            instances.append((inst, inst.total_work // 4))
+    rule_sets = [PruneRules(*flags) for flags in product((True, False), repeat=3)]
+    seen = Counter()
+    for k, (inst, target) in enumerate(instances):
+        witness = contiguous_optimum(inst.jobs, cap=target) == target
+        for rules in rule_sets:
+            both = {
+                c: decide_target(inst, target, c, rules=rules).outcome
+                for c in (True, False)
+            }
+            assert both[True] in ("witness", "proved-none"), (k, rules)
+            assert (both[True] == "witness") == witness, (k, rules)
+            assert both[True] != "witness" or both[False] == "witness", (k, rules)
+            assert both[False] != "proved-none" or both[True] == "proved-none", (k, rules)
+            seen[tuple(both.values())] += 1
+    assert seen["witness", "witness"] and seen["proved-none", "proved-none"]
 
 
 # ===== optimize_small =====

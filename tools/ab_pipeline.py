@@ -29,9 +29,14 @@ of these documents must be byte-identical on both sides:
 The script lists every document that differs and stops.
 
 Then each round runs every op once on each side, OLD first on even rounds
-and NEW first on odd ones, timing every layer the op calls.  The script
-prints, per layer, the sum over the ops of each op's minimum time in that
-layer over the rounds, for each side, and the ratio NEW/OLD.
+and NEW first on odd ones, timing every layer the op calls.  After its op,
+each side also extracts the partition from the relabelled and the
+block-swapped schedule of that input, built before the rounds, timed as
+the layers `extraction.relabelled` and `extraction.block-swapped`: no op
+of the workload runs extraction's swap step, and these two do.  The
+script prints, per layer, the sum over the ops of each op's minimum time
+in that layer over the rounds, for each side, and the ratio NEW/OLD; the
+`op` row sums the workload's ops alone.
 """
 
 from __future__ import annotations
@@ -65,14 +70,33 @@ class _Timer:
 
 def _ops(workloads, lib, seed: int):
     """The pipeline ops against `lib` in workload order, as (label, op,
-    inputs), and the timer they report to."""
+    inputs, swap inputs), and the timer they report to.  The swap inputs
+    are the extraction arguments of each of `_swapped`'s schedules, by
+    name."""
     timer = _Timer()
     ctx = workloads.Ctx(lib, timer, seed, HERE, HERE)
     ops = []
     for k, (label, op, _) in enumerate(workloads.pipeline(ctx)):
         _, inst3, witness, perturbation = op.args
-        ops.append((f"{k}:{label}", op, (inst3, witness, perturbation)))
+        inst = lib.build_jobs(inst3)
+        swaps = _swapped(lib, inst, lib.build_schedule(inst, witness))
+        extracts = {name: (inst3, inst, s) for name, s in swaps.items()}
+        ops.append((f"{k}:{label}", op, (inst3, witness, perturbation), extracts))
     return ops, timer
+
+
+def _swapped(lib, inst, sched) -> dict:
+    """The schedules that extraction swaps back, built from the
+    synthesized `sched`: its machines relabelled by `RELABEL`, and its
+    machines 2 and 3 swapped from the start of A_0 to that of B_1."""
+    relabelled = lib.Schedule(
+        starts=sched.starts,
+        machines={j: frozenset(RELABEL[m] for m in ms) for j, ms in sched.machines.items()},
+    )
+    swapped = sched
+    for slot in (("A", 0), ("B", 1)):
+        swapped = lib.swap_after(inst, swapped, sched.starts[inst.by_slot[slot].id], 2, 3)
+    return {"relabelled": relabelled, "block-swapped": swapped}
 
 
 def _attempt(fn) -> str:
@@ -102,14 +126,7 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
         return {**report.to_dict(), "rows": [c.to_dict() for c in report.checks]}
 
     docs = {f"audit {name}": _attempt(lambda s=s: audited(s)) for name, s in schedules.items()}
-    schedules["permuted"] = lib.Schedule(
-        starts=sched.starts,
-        machines={j: frozenset(RELABEL[m] for m in ms) for j, ms in sched.machines.items()},
-    )
-    swapped = sched
-    for slot in (("A", 0), ("B", 1)):
-        swapped = lib.swap_after(inst, swapped, sched.starts[inst.by_slot[slot].id], 2, 3)
-    schedules["swapped"] = swapped
+    schedules.update(_swapped(lib, inst, sched))
     for name, s in schedules.items():
         trace = lambda s=s: lib.extract_partition(inst3, inst, s)[1].to_dict()
         docs[f"extract {name}"] = _attempt(trace)
@@ -126,7 +143,7 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
 def _gate(workloads, libs, ops) -> None:
     """Stop with the list of documents that differ between the sides."""
     differ, total = [], 0
-    for (label, _, inputs), (_, _, twin) in zip(ops["old"], ops["new"]):
+    for (label, _, inputs, _), (_, _, twin, _) in zip(ops["old"], ops["new"]):
         old = _documents(workloads, libs["old"], *inputs)
         new = _documents(workloads, libs["new"], *twin)
         total += len(old)
@@ -161,12 +178,15 @@ def main(argv=None) -> None:
         for k, label in enumerate(labels):
             for side in sides:
                 table, timer = built[side]
+                _, op, _, extracts = table[k]
                 timer.spent.clear()
                 start = time.perf_counter()
-                ok, _ = table[k][1]()
+                ok, _ = op()
                 timer.spent["op"] = time.perf_counter() - start
                 if not ok:
                     raise SystemExit(f"{side} {label}: the op failed its own check")
+                for name, inputs in extracts.items():
+                    timer.call(f"extraction.{name}", libs[side].extract_partition, *inputs)
                 mins = best[side][label]
                 for layer, seconds in timer.spent.items():
                     mins[layer] = min(mins.get(layer, seconds), seconds)
