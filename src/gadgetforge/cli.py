@@ -96,6 +96,12 @@ def _read(path: str) -> str:
 _in_file = click.Path(exists=True, dir_okay=False)
 
 
+def _at_least(value: int, low: int, option: str) -> None:
+    """Refuse an integer option below its bound as a usage error (exit 2)."""
+    if value < low:
+        raise click.UsageError(f"{option} must be at least {low}, not {value}")
+
+
 class _StrictInt(click.ParamType):
     """An integer option read the way the canonical form writes numbers
     (`exactnum.parse_int`): click's `int` would also take "1_0", " 7" and
@@ -134,6 +140,7 @@ def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
     if want_yes is None:
         raise click.UsageError("give --yes or --no")
     if want_yes:
+        _at_least(z, 1, "--z")
         inst, witness = gen_yes(z, seed)
         payload = {
             "instance": json.loads(inst.to_json()),
@@ -145,6 +152,8 @@ def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
     else:
         if witness_out:
             raise click.UsageError("--witness-out needs --yes")
+        # the congruence scheme of gen_no needs two sets
+        _at_least(z, 2, "--z with --no")
         inst = gen_no(z, seed)
         payload = {"instance": json.loads(inst.to_json()), "witness": None}
         _log(f"unsolvable instance certified by exhaustive search (z={z})")
@@ -317,6 +326,8 @@ def render(inst_path, sched_path, strip_path, packing_path, out_path):
 @_guard
 def roundtrip(z: int, trials: int, seed: int):
     """Generate, reduce, synthesize, verify, audit, extract, compare."""
+    _at_least(z, 1, "--z")
+    _at_least(trials, 1, "--trials")
     from .extraction import extract_partition
     from .reduction import build_jobs
     from .schedule import audit, verify

@@ -87,8 +87,10 @@ them in LIFO order, so a placed job is never visited again.  At a node:
   first, so the candidates are sorted only to merge the families of one
   width under the equation tables, or, with one family per width, when
   two classes of equal length and different tags can interleave their ids;
-* the machine sets depend only on the idle set and q, so they are computed
-  once per pair and reused;
+* a job's machine sets hold the lowest idle machine, and no machine below
+  it is idle, so a contiguous set is the q lowest idle machines when they
+  form an interval and there is none otherwise; with the symmetry rule the
+  q lowest idle machines stand for every set (see `_Search.subsets`);
 * prunes are tallied in local counters and added to the decision once per
   node, so a rule that never fires leaves no key behind.
 
@@ -305,9 +307,9 @@ class Decision:
 
 class _Search:
     """The depth-first search of one decision over zero-idle schedule
-    prefixes: its fixed tables, the classes and families of its jobs, a
-    memo of the machine sets each idle set offers, the dead-state table and
-    one mutable state, taken back placement by placement."""
+    prefixes: its fixed tables, the classes and families of its jobs, the
+    dead-state table and one mutable state, taken back placement by
+    placement."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -322,7 +324,6 @@ class _Search:
         self.equations = (
             rules.equations and target == inst.W and recognize(inst) is not None
         )
-        self._subsets: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
         self.dead: set[int] | None = set() if rules.dead_states else None
         self.cell_bits = target.bit_length()
         self._families(order)
@@ -431,26 +432,17 @@ class _Search:
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
-        each holding the lowest idle machine; memoized, since only the idle
-        set and q decide them."""
-        runs = self._subsets.get((avail, q))
-        if runs is not None:
-            return runs
-        mstar = avail[0]
+        in ascending order and at least q of them, each set holding the
+        lowest idle machine avail[0].  No machine below avail[0] is idle, so
+        an interval holding it starts there: in contiguous mode the one set
+        is avail[:q] when it is an interval, else there is none.  In plain
+        mode the symmetry rule takes avail[:q] for every set, as machines
+        idle at the same instant are interchangeable."""
         if self.contiguous:
-            pool = set(avail)
-            runs = []
-            for lo in range(self.m - q + 1):
-                run = tuple(range(lo, lo + q))
-                if mstar in run and all(m in pool for m in run):
-                    runs.append(run)
-        elif self.rules.symmetry:
-            # machines idle at the same instant are interchangeable
-            runs = [avail[:q]]
-        else:
-            runs = [(mstar, *rest) for rest in combinations(avail[1:], q - 1)]
-        self._subsets[avail, q] = runs
-        return runs
+            return [avail[:q]] if avail[q - 1] - avail[0] == q - 1 else []
+        if self.rules.symmetry:
+            return [avail[:q]]
+        return [(avail[0], *rest) for rest in combinations(avail[1:], q - 1)]
 
     # ----- candidate generation -----
 

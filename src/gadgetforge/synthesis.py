@@ -2,17 +2,22 @@
 
 The layout is accumulated machine by machine rather than taken from closed
 forms: each machine gets its job sequence from `reduction.CANONICAL_LAYOUT`
-(the slot P_i filled with the i-th witness triple, sorted by value), and a
-small event loop places the next job whose turn has come on all of its
-machines at once, requiring that those machines agree on the time.
-Agreement is guaranteed exactly because every witness triple sums to D; the
-closed-form starts are derived elsewhere and the test suite checks the two
-constructions coincide.
+(the slot P_i filled with the i-th witness triple, sorted by value) and runs
+it back to back from 0, so a clock that adds each job's length gives every
+start.  A job on several machines takes its start from the first of them,
+and every other machine must agree: its clock must read the same time when
+it reaches the job.  Agreement is guaranteed exactly because every witness
+triple sums to D; the closed-form starts are derived elsewhere and the test
+suite checks the two constructions coincide.
+
+Agreement also rules out inconsistent sequences, so no separate check
+looks for them.  If X ran before Y on one machine and Y before X on
+another, agreement would need s_X + p_X <= s_Y and s_Y + p_Y <= s_X, which
+no lengths of at least 1 allow; the same sum around a longer cycle of such
+orders fails the same way.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .exactnum import require
 from .reduction import (
@@ -61,47 +66,22 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
         triple = sorted(witness[i - 1], key=lambda idx: (values[idx - 1], idx))
         return [inst.by_slot["P", idx].id for idx in triple]
 
-    seq: dict[int, deque[str]] = {
-        m: deque(jid for tag, i in canonical_slots(inst, m) for jid in ids(tag, i))
-        for m in CANONICAL_LAYOUT
-    }
-
     homes: dict[str, frozenset[int]] = {}
-    for m, queue in seq.items():
-        for job_id in queue:
-            homes[job_id] = homes.get(job_id, frozenset()) | {m}
+    starts: dict[str, int] = {}
+    agree = True
+    for m in CANONICAL_LAYOUT:
+        clock = 0
+        for tag, i in canonical_slots(inst, m):
+            for job_id in ids(tag, i):
+                homes[job_id] = homes.get(job_id, frozenset()) | {m}
+                # not short-circuited: every later job still gets its start
+                agree &= starts.setdefault(job_id, clock) == clock
+                clock += inst.by_id[job_id].p
     wrong = [job.id for job in inst.jobs if len(homes[job.id]) != job.q]
     require(
         "the synthesized schedule",
         (not wrong, f"every job on q machines: {', '.join(wrong)}"),
     )
-
-    clock = {m: 0 for m in seq}
-    starts: dict[str, int] = {}
-    agree = True
-    remaining = sum(len(q) for q in seq.values())
-    while remaining:
-        placed = 0
-        for m in seq:
-            if not seq[m]:
-                continue
-            job_id = seq[m][0]
-            mine = homes[job_id]
-            if any(not seq[o] or seq[o][0] != job_id for o in mine):
-                continue
-            ticks = {clock[o] for o in mine}
-            agree = agree and len(ticks) == 1
-            t = ticks.pop()
-            starts[job_id] = t
-            for o in mine:
-                seq[o].popleft()
-                clock[o] += inst.by_id[job_id].p
-            placed += len(mine)
-        require(
-            "the synthesized schedule",
-            (placed, "placeable to the end (the sequences are inconsistent)"),
-        )
-        remaining -= placed
 
     sched = Schedule(starts=starts, machines=homes)
     report = verify(inst, sched)

@@ -23,12 +23,15 @@ way each prune rule is stated; it is the reference that the family scan
 of `solver._Search._candidates` is checked against.  It reads the forced
 starts, gamma windows and gaps from `reduction`'s closed forms, and the
 placed jobs from the search's path, never from the solver's tables, so a
-wrong table entry shows as a difference.
+wrong table entry shows as a difference.  `reference_subsets` builds each
+candidate's machine sets from the idle machines the same way, without the
+search's `subsets`.
 """
 
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
@@ -306,6 +309,18 @@ def path_free_times(search) -> list[int]:
     return free
 
 
+def reference_subsets(search, avail: tuple[int, ...], q: int):
+    """Every set of q of the idle machines `avail` that holds the lowest of
+    them, in lexicographic order: only the intervals in contiguous mode, and
+    only the first set in plain mode under the symmetry rule."""
+    sets = [s for s in combinations(avail, q) if s[0] == avail[0]]
+    if search.contiguous:
+        return [s for s in sets if s[-1] - s[0] == q - 1]
+    if search.rules.symmetry:
+        return sets[:1]
+    return sets
+
+
 def reference_candidates(search, t: int):
     """The candidates of `search` at its earliest free instant t and the
     prunes they add, found by visiting every job in (-q, -p, id) order; the
@@ -351,7 +366,7 @@ def reference_candidates(search, t: int):
             if not ok:
                 counts["equations"] += 1
                 continue
-        for subset in search.subsets(avail, job.q):
+        for subset in reference_subsets(search, avail, job.q):
             out.append((job, subset))
     return out, counts
 

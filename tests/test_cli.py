@@ -409,6 +409,27 @@ def test_every_integer_option_is_a_strict_decimal(args, option):
     assert f"{option} must be an integer or a decimal string" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("gen3p", "--yes", "--z", "0", "--seed", "1"), "--z must be at least 1, not 0"),
+        (("gen3p", "--no", "--z", "1", "--seed", "1"),
+         "--z with --no must be at least 2, not 1"),
+        (("roundtrip", "--z", "0", "--trials", "1"), "--z must be at least 1, not 0"),
+        (("roundtrip", "--z", "1", "--trials", "0"), "--trials must be at least 1, not 0"),
+        (("roundtrip", "--z", "1", "--trials", "-1"),
+         "--trials must be at least 1, not -1"),
+    ],
+    ids=["gen3p-yes-z0", "gen3p-no-z1", "roundtrip-z0", "roundtrip-trials0",
+         "roundtrip-trials-1"],
+)
+def test_generator_bounds_are_invalid_input(args, message):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_decide_refuses_a_budget_below_one(workspace, budget):
     result = run("decide", "--inst", str(workspace / "inst.json"), "--target-w",

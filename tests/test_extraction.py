@@ -227,7 +227,7 @@ RESULT_CHECK_ERRORS = {
     ),
     "stall": (
         "the synthesized schedule fails re-verification: "
-        "not placeable to the end (the sequences are inconsistent)"
+        "not one start per job on all its machines"
     ),
     "normalize": "the normalized packing fails re-verification: not feasible",
 }
