@@ -21,7 +21,10 @@ alone decide refutation: the certificate is honest evidence that the input
 was not a feasible zero-idle schedule at the target.  The job universe is
 checked at the gate only: the swaps run `schedule._swap_after`, which
 skips that check and proves that its output passes it again, as every
-machine a swap names lies in 1..4, the m of a reduction instance.
+machine a swap names lies in 1..4, the m of a reduction instance.  The
+pair columns exchange machines 2 and 3 inside a block's window with
+`_MiddleExchange`, which does what two such swaps do while touching only
+the jobs that start in the window.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Mapping
 
 from .exactnum import require
@@ -373,26 +377,87 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
             )
 
 
+class _MiddleExchange:
+    """Exchanges of machines 2 and 3 inside time windows, each touching only
+    the jobs that start in its window.
+
+    Exchanging them over [lo, hi) is `_swap_after` at lo and then at hi,
+    both on (2, 3).  A swap on (2, 3) keeps every job on exactly one of
+    them on exactly one, so the jobs the two swaps can move or find torn,
+    the movers, are the same for every exchange.  A mover that tears at
+    neither cut ends by min(lo, hi), starts at or past max(lo, hi) (moved
+    twice, back where it was) or starts in between (moved once), so only
+    the movers starting in the window change machines.  The crossing
+    checks are the swaps' own, in their order: the first mover in
+    instance order that straddles lo, else the first that straddles hi."""
+
+    def __init__(self, inst, sched, lanes):
+        self.inst = inst
+        self.starts = starts = sched.starts
+        # the machine sets, rewritten in place by the exchanges
+        self.machines = dict(sched.machines)
+        self.movers = set(lanes[2]) ^ set(lanes[3])
+        self.order = sorted(self.movers, key=lambda i: (starts[i], i))
+        self.begins = [starts[i] for i in self.order]
+        # the latest end of the first k movers in start order, at k - 1
+        self.reach = list(
+            accumulate((starts[i] + inst.by_id[i].p for i in self.order), max)
+        )
+
+    def _cut(self, t: int) -> None:
+        """Raise CrossingJob when a mover straddles t, naming the first in
+        instance order, as `_swap_after` does."""
+        k = bisect_left(self.begins, t)
+        if k and self.reach[k - 1] > t:
+            starts, movers = self.starts, self.movers
+            job = next(
+                j for j in self.inst.jobs
+                if j.id in movers and starts[j.id] < t < starts[j.id] + j.p
+            )
+            raise CrossingJob(job.id, t, 2, 3)
+
+    def exchange(self, lo: int, hi: int) -> None:
+        """`_swap_after` on (2, 3) at lo, then at hi: a torn mover raises
+        CrossingJob before any machine set changes."""
+        self._cut(lo)
+        self._cut(hi)
+        a, b = sorted((lo, hi))
+        machines, begins = self.machines, self.begins
+        for i in self.order[bisect_left(begins, a) : bisect_left(begins, b)]:
+            machines[i] = machines[i] ^ set(MIDDLE)
+
+
 def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
     machines' contents inside the block window.  Returns the new schedule
     and its `_lanes` (`lanes` are the input's)."""
     stage = "pair-columns"
-    swapped = False
+    machines = sched.machines
+    middle = None
     for i in range(1, inst.z + 1):
         a_i, b_i = m1["a", i], m4["b", i]
-        sa = sched.machines[a_i] - {1}
-        sb = sched.machines[b_i] - {4}
+        sa = machines[a_i] - {1}
+        sb = machines[b_i] - {4}
         if sa == sb:
             raise RefutationCertificate(
                 stage, "pair-columns", f"{a_i} and {b_i} share machine {sorted(sa)}"
             )
         if sa == {3}:
+            if middle is None:
+                middle = _MiddleExchange(inst, sched, lanes)
+                machines = middle.machines
             t1, t2 = sched.starts[m1["A", i - 1]], sched.starts[m4["B", i]]
-            sched = _swaps(inst, sched, stage, events, (t1, 2, 3), (t2, 2, 3))
-            swapped = True
-    if swapped:
+            try:
+                middle.exchange(t1, t2)
+            except CrossingJob as exc:
+                raise RefutationCertificate(stage, "swap-crossing", str(exc)) from exc
+            for t in (t1, t2):
+                events.append(
+                    {"stage": stage, "event": "swap", "t": str(t), "machines": [2, 3]}
+                )
+    if middle is not None:
+        sched = Schedule(starts=dict(sched.starts), machines=machines)
         lanes = _lanes(inst, sched)
     want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
     on_2, on_3 = set(lanes[2]), set(lanes[3])

@@ -121,6 +121,13 @@ class SchedulingInstance:
         return _forward_geometry(self)
 
     @cached_property
+    def _search_plans(self) -> dict:
+        """The solver's plans for this instance, by (symmetry rule, equation
+        tables active), each built by the first decision that needs it (see
+        "The plan" in `solver`)."""
+        return {}
+
+    @cached_property
     def _canonical_slots(self) -> Mapping[int, tuple[Slot, ...]]:
         """`canonical_slots` of every machine, worked out once from
         `CANONICAL_LAYOUT` for this instance's z."""

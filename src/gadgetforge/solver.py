@@ -43,56 +43,67 @@ The scan visits classes, not jobs.  A class is a set of identical jobs under
 the symmetry rule's (p, q, tag) key, members in id order; with the rule off
 every job is a class of its own.  Classes are grouped into families: by
 (q, tag) when the equation tables are active (a reduction's tags each
-have one width), else by q alone.  A search keeps the placed count of each
-class and, per family, a live list of the classes that still have
-unplaced members, in (-p, id) order; `_place` and `_unplace` update
-them in LIFO order, so a placed job is never visited again.  At a node:
+have one width), else by q alone.  Under the equation tables every family
+but the values is forced, and the others are scanned.  A search keeps the
+placed count of each class, per scanned family a live list of the classes
+that still have unplaced members, in (-p, id) order, and per width the
+number of forced classes that still have some; `_place` and `_unplace`
+update them in LIFO order, so a placed job is never visited again.  At a
+node:
 
 * the unplaced jobs wider than the idle machines are no-fit, read from a
-  per-width tally; only the families at most that wide are scanned;
+  per-width tally; only the classes at most that wide are visited;
 * the classes at the head of a live list that are longer than the room are
   no-fit, every member of them;
 * each other class offers its first unplaced member, and its other members
   are symmetry prunes, counted in bulk as the unplaced total less the
-  no-fit prunes and the offered members.  This equals the per-job count
+  no-fit prunes and the first members.  This equals the per-job count
   because the placed members of a class always form an id prefix: only a
   class's first unplaced member is ever placed, and undoing a placement
   takes back the last member placed.  The per-job rule rejects a member
   exactly when the member before it in id order is unplaced, which for an
   id prefix holds for every unplaced member but the first;
-* the equation rule settles a family in one step, from the facts its spec
-  holds (see `_Search._equation_specs`).  Every family but the values
-  holds one forced start per job, pairwise distinct within the family:
-  the start s of each pinned job (every tag but gamma and P), and the
-  start lo_k of gap k for block k's gamma job (see "Each gap is a bin").
-  A class's k-th start holds its k-th placement (see "Forward only"), so
-  at most one job of a family may start at t: the next member of the
-  class whose start is t, looked up by t, if t is the class's next start
-  and the job fits the room.  A value job (P) may start at t only in
-  the last gap k that starts by t, found by bisecting the gap starts, and
-  only once gamma_k is placed; rest = hi_k - t is then what the gap's
-  values still have to fill.  At rest = D the class at the head of the
-  live list offers, the longest unplaced value; at 2 rest > D a class of
-  length p offers when 2p >= rest and rest - p is the length of another
-  unplaced value, and as the live list is in (-p, id) order these classes
-  are a prefix of it; at any other rest only the classes of length rest
-  offer, found by one look-up by length.  The premises of these tests are
-  checked once per instance, with the forward geometry
-  (`reduction.forward_geometry`).  A rule only chooses the classes that
-  offer, and one loop emits every family's offers; the classes that fit
-  and do not offer are the equations prunes, counted once per node as the
-  first members that fit less the offered ones (a family without the rule
-  offers every class that fits);
-* a family lists its candidates in (-p, id) order and families come widest
-  first, so the candidates are sorted only to merge the families of one
-  width under the equation tables, or, with one family per width, when
-  two classes of equal length and different tags can interleave their ids;
+* the equation rule decides which of those first members may start at t
+  (see "Forward only").  A forced family holds one forced start per job,
+  pairwise distinct within the family: the start s of each pinned job
+  (every tag but gamma and P), and the start lo_k of gap k for block k's
+  gamma job (see "Each gap is a bin").  A class's k-th start holds its
+  k-th placement, so at most one job of a family may start at t: the next
+  member of the class whose start is t, if t is the class's next start
+  and the job fits the room.  The forced families are not scanned: one
+  index maps each forced start to the (width, class, k) of its job, and a
+  node looks t up in it and offers each job there that is at most as wide
+  as the idle machines, whose class has k placed members, and that fits.
+  Their first members are counted from the per-width counts of open
+  forced classes, less the open ones longer than the room, whose members
+  are no-fit: a scan of the forced classes, longest first, that stops at
+  the first one that fits the room;
+* a value job (P) may start at t only in the last gap k that starts by t,
+  found by bisecting the gap starts, and only once gamma_k is placed;
+  rest = hi_k - t is then what the gap's values still have to fill.  At
+  rest = D the class at the head of the live list offers, the longest
+  unplaced value; at 2 rest > D a class of length p offers when
+  2p >= rest and rest - p is the length of another unplaced value, and as
+  the live list is in (-p, id) order these classes are a prefix of it; at
+  any other rest only the classes of length rest offer, found by one
+  look-up by length.  The premises of these tests are checked once per
+  instance, with the forward geometry (`reduction.forward_geometry`);
+* the first members that fit and that the equation rule does not offer
+  are the equations prunes, counted once per node as the first members
+  that fit less the offered ones (without the rule every class that fits
+  offers);
+* a family lists its candidates in (-p, id) order and scanned families
+  come widest first, so the candidates are sorted only to merge the
+  offers of several families under the equation tables, or, with one
+  family per width, when two classes of equal length and different tags
+  can interleave their ids;
 * a job's machine sets hold the lowest idle machine, and no machine below
   it is idle, so a contiguous set is the q lowest idle machines when they
   form an interval and there is none otherwise; with the symmetry rule the
   q lowest idle machines stand for every set (see `_Search.subsets`);
-* prunes are tallied in local counters and added to the decision once per
-  node, so a rule that never fires leaves no key behind.
+* prunes are tallied in one int per rule, which `decide_target` writes
+  into `Decision.prunes` once, at the end, leaving out a rule that never
+  fired.
 
 Forward only.  Under the equation tables the search keeps only schedules
 in the forward direction, where a B job opens the schedule: every job but
@@ -189,8 +200,9 @@ list and its reflection k <-> m+1-k.  The table stops growing at
 means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
-   read the free times, the remaining set, the placed counts of each class,
-   the unplaced counts per width and the live lists, all functions of the
+   read the plan, which no search changes, and the free times, the
+   remaining set, the placed counts of each class, the unplaced jobs and
+   open forced classes per width and the live lists, all functions of the
    remaining set.  The forced-start test reads t and the placed count of
    the start's class, and the gap order of a value job reads only t,
    whether gamma_k is placed and the unplaced values, all fixed by t and
@@ -219,12 +231,30 @@ means an equal verdict:
    depth first in a fixed order, so the first witness found, and with it
    the outcome, is the one the search finds without the table.
 
-A decision is one `_Search`, holding its tables, the dead-state table and
-one state that each placement updates and its undo takes back exactly.  The
-state keeps each fact once: a machine's cell is its free time.  One cell
-list serves the whole search, written in place: a placement at t takes
-machines free by t, and t is the earliest free instant, so each of them is
-free exactly at t, and its undo sets their cells back to t.
+The plan.  What a search reads and never writes depends only on the
+instance, the symmetry rule and whether the equation tables are active:
+the classes and their lengths, each job's rank and placement record, the
+scanned families by width with their initial live lists, the per-width
+job and forced-class counts of the empty schedule, the forced-start
+index, the forced classes by length and the value family's gap facts.
+That is one `_Plan`, an immutable value built by the first decision that
+needs it and kept on the instance (`SchedulingInstance._search_plans`),
+the way `forward_geometry` is, so the instance holds at most four; they
+live as long as it does, about 60 KB each at z = 14 (173 jobs).  After
+it is built nothing writes into a plan: a search copies the live lists
+and the counts it updates.  The dead-state table is not part of it.  It
+stays per decision: a table kept across decisions would cut branches a
+fresh decision searches, so node counts, and with them every
+`Decision`, would depend on what was decided before, and a repeated
+decision would be little more than a look-up.
+
+A decision is one `_Search`, holding its instance's plan, the dead-state
+table and one state that each placement updates and its undo takes back
+exactly.  The state keeps each fact once: a machine's cell is its free
+time.  One cell list serves the whole search, written in place: a
+placement at t takes machines free by t, and t is the earliest free
+instant, so each of them is free exactly at t, and its undo sets their
+cells back to t.
 The search walks the tree with an explicit stack, the root's frame of
 pending candidates and one per placed job, so its depth is not limited by
 the interpreter's recursion limit; the placed jobs with their undo records
@@ -265,11 +295,6 @@ DEAD_STATE_CAP = 1 << 22
 # of them is built.  The paper's question has 4.
 MAX_MACHINES = 1 << 10
 
-# how a family of classes is tested at a node: no equation rule, the gaps
-# of the value jobs, a forced start per job
-_PLAIN, _VALUE, _FORCED = range(3)
-
-
 @dataclass(frozen=True)
 class PruneRules:
     symmetry: bool = True
@@ -305,11 +330,149 @@ class Decision:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """What a search reads of its instance and never writes, for one
+    symmetry rule and one state of the equation tables: see "The plan" in
+    the module docstring.  Built by `_plan`, once per instance."""
+
+    # the number of jobs
+    n: int
+    # the classes, in the order of their first members, members in id order
+    members: tuple[tuple[Job, ...], ...]
+    # each job's place in (-q, -p, id) order, by id
+    rank: dict[str, int]
+    # each class's length
+    cls_p: tuple[int, ...]
+    # what a placement updates, per job id: (class, scanned family or None
+    # for a forced class, class size, remaining-set bit)
+    rec: dict[str, tuple]
+    # per scanned family, its classes in (-p, id) order: the live lists of
+    # a fresh search
+    live: tuple[tuple[int, ...], ...]
+    # the jobs per width
+    left: tuple[int, ...]
+    # the scanned families at most w wide, as (family, q, value facts or
+    # None), for every idle width w
+    upto: tuple[tuple[tuple, ...], ...]
+    # whether a plain family's candidates need a sort, see `_candidates`
+    interleave: bool
+    # under the equation tables (else empty): per forced start, the
+    # (width, class, k) of the job there, its class's k-th start
+    forced: dict[int, tuple[tuple[int, int, int], ...]]
+    # the forced classes, longest first, as (p, q, class, size)
+    longest: tuple[tuple[int, int, int, int], ...]
+    # the forced classes per width
+    open_forced: tuple[int, ...]
+
+
+def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
+    """The instance's `_Plan` for these rules, built on the first decision
+    that asks for it and kept on the instance (`_search_plans`)."""
+    plans = inst._search_plans
+    plan = plans.get((symmetry, equations))
+    if plan is None:
+        plan = plans[symmetry, equations] = _build_plan(inst, symmetry, equations)
+    return plan
+
+
+def _build_plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
+    """Classes of identical jobs grouped into families, see "Candidates at
+    a node", and the forced-start index under the equation tables."""
+    order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
+    if symmetry:
+        key = lambda j: (j.p, j.q, j.tag)
+    else:
+        key = lambda j: j.id
+    classes: dict = {}
+    for j in order:
+        classes.setdefault(key(j), []).append(j)
+    members = tuple(map(tuple, classes.values()))
+    rank = {j.id: i for i, j in enumerate(order)}
+    cls_p = tuple(js[0].p for js in members)
+    families: dict = {}
+    for c, js in enumerate(members):
+        j = js[0]
+        families.setdefault((j.q, j.tag) if equations else j.q, []).append(c)
+    # every family is scanned, except the forced ones under the equation
+    # tables: all but the values
+    scanned = [
+        cs for cs in families.values() if not equations or members[cs[0]][0].tag == "P"
+    ]
+    fam_of = {c: f for f, cs in enumerate(scanned) for c in cs}
+    rec = {
+        j.id: (c, fam_of.get(c), len(js), 1 << rank[j.id])
+        for c, js in enumerate(members)
+        for j in js
+    }
+    left = [0] * (inst.m + 1)
+    for j in order:
+        left[j.q] += 1
+    forced: dict[int, list[tuple[int, int, int]]] = {}
+    if equations:
+        geometry = forward_geometry(inst)
+        cls = lambda job: rec[job.id][0]
+        # the gap starts and ends in ascending order, the class of each
+        # gap's gamma job, the value classes by length and D
+        (values,) = scanned
+        by_len: dict[int, list[int]] = {}
+        for c in values:
+            by_len.setdefault(cls_p[c], []).append(c)
+        lows = tuple(lo for lo, _ in geometry.gaps)
+        ends = tuple(hi for _, hi in geometry.gaps)
+        gammas = tuple(cls(g) for _, g in geometry.starts["gamma"])
+        facts = (lows, ends, gammas, by_len, inst.D)
+        specs = [(0, members[values[0]][0].q, facts)]
+        kth: Counter[int] = Counter()
+        for starts in geometry.starts.values():
+            for s, job in starts:
+                c = cls(job)
+                forced.setdefault(s, []).append((job.q, c, kth[c]))
+                kth[c] += 1
+    else:
+        specs = [(f, members[cs[0]][0].q, None) for f, cs in enumerate(scanned)]
+    forced_classes = [c for c in range(len(members)) if c not in fam_of]
+    open_forced = [0] * (inst.m + 1)
+    for c in forced_classes:
+        open_forced[members[c][0].q] += 1
+    # the families at most w wide, for every idle width w
+    upto = tuple(
+        tuple(spec for spec in specs if spec[1] <= w) for w in range(inst.m + 1)
+    )
+    return _Plan(
+        n=len(order),
+        members=members,
+        rank=rank,
+        cls_p=cls_p,
+        rec=rec,
+        live=tuple(map(tuple, scanned)),
+        left=tuple(left),
+        upto=upto,
+        # The scanned families come widest first, and under the equation
+        # rule each lists its candidates in (-p, id) order, so only the
+        # candidates of several offers need a merge.  With one family per
+        # width, two classes of equal length and different tags can
+        # interleave their ids, and the family's list then needs a sort.
+        interleave=(
+            not equations
+            and symmetry
+            and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
+        ),
+        forced={s: tuple(at) for s, at in forced.items()},
+        longest=tuple(
+            sorted(
+                ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),
+                key=lambda e: -e[0],
+            )
+        ),
+        open_forced=tuple(open_forced),
+    )
+
+
 class _Search:
     """The depth-first search of one decision over zero-idle schedule
-    prefixes: its fixed tables, the classes and families of its jobs, the
-    dead-state table and one mutable state, taken back placement by
-    placement."""
+    prefixes: the instance's plan for its rules, the dead-state table and
+    one mutable state, taken back placement by placement."""
 
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
@@ -318,117 +481,47 @@ class _Search:
         self.contiguous = contiguous
         self.rules = rules
         self.budget = budget
-        order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
-        self.n = len(order)
         # the forward facts of a reduction searched at its own target
         self.equations = (
             rules.equations and target == inst.W and recognize(inst) is not None
         )
+        plan = _plan(inst, rules.symmetry, self.equations)
+        # the plan's tables, shared with every search of the instance under
+        # the same rules: nothing writes into them
+        self.n, self.members, self.rank = plan.n, plan.members, plan.rank
+        self.cls_p, self.rec, self.upto = plan.cls_p, plan.rec, plan.upto
+        self.interleave, self.forced = plan.interleave, plan.forced
+        self.longest = plan.longest
         self.dead: set[int] | None = set() if rules.dead_states else None
         self.cell_bits = target.bit_length()
-        self._families(order)
+        # per scanned family, its classes with unplaced members
+        self.live = [list(cs) for cs in plan.live]
         # unplaced jobs per width
-        self.left = [0] * (self.m + 1)
-        for js in self.members:
-            self.left[js[0].q] += len(js)
+        self.left = list(plan.left)
+        # forced classes with unplaced members per width
+        self.open_forced = list(plan.open_forced)
         # placed members per class (an id prefix)
         self.taken = [0] * len(self.members)
         # the placed jobs in order, each with what undoes its placement
         self.path: list[tuple] = []
         self.nodes = 0
         self.starved = False
-        self.prunes: Counter[str] = Counter()
+        # prunes per rule
+        self.pruned_no_fit = self.pruned_symmetry = 0
+        self.pruned_equations = self.pruned_dead = 0
         # per machine, its free time; the remaining-set bitmask
         self.cells = [0] * self.m
         self.rem_mask = (1 << self.n) - 1
 
-    def _families(self, order: list[Job]) -> None:
-        """Classes of identical jobs grouped into families, see "Candidates
-        at a node", with each family's spec `(f, kind, q, facts)` and what a
-        placement updates per job.  `order` is every job in (-q, -p, id)
-        order."""
-        if self.rules.symmetry:
-            key = lambda j: (j.p, j.q, j.tag)
-        else:
-            key = lambda j: j.id
-        classes: dict = {}
-        for j in order:
-            classes.setdefault(key(j), []).append(j)
-        # classes in the order of their first members, members in id order
-        self.members = tuple(map(tuple, classes.values()))
-        self.rank = {j.id: i for i, j in enumerate(order)}
-        self.cls_p = tuple(js[0].p for js in self.members)
-        eq = self.equations
-        families: dict = {}
-        for c, js in enumerate(self.members):
-            j = js[0]
-            families.setdefault((j.q, j.tag) if eq else j.q, []).append(c)
-        # per family, its classes with unplaced members, in (-p, id) order
-        self.live = [list(cs) for cs in families.values()]
-        fam_of = {c: f for f, cs in enumerate(self.live) for c in cs}
-        # what a placement updates, per job: (class, family, class size,
-        # remaining-set bit (its place in `order`))
-        self.rec = {
-            j.id: (c, fam_of[c], len(js), 1 << self.rank[j.id])
-            for c, js in enumerate(self.members)
-            for j in js
-        }
-        # each family's first job
-        heads = [self.members[cs[0]][0] for cs in self.live]
-        if eq:
-            specs = self._equation_specs(heads)
-        else:
-            specs = [(f, _PLAIN, j.q, None) for f, j in enumerate(heads)]
-        # the families at most w wide, for every idle width w
-        top = max(spec[2] for spec in specs)
-        upto = [
-            tuple(spec for spec in specs if spec[2] <= w) for w in range(top + 1)
-        ]
-        self.upto = upto + upto[-1:] * (self.m - top)
-        # The families in `upto` come widest first, and under the equation
-        # rule each lists its candidates in (-p, id) order, so only the
-        # candidates of families sharing a width need a merge.  With one
-        # family per width, two classes of equal length and different tags
-        # can interleave their ids, and the family's list then needs a sort.
-        self.interleave = (
-            not eq
-            and self.rules.symmetry
-            and any(len({self.cls_p[c] for c in cs}) < len(cs) for cs in self.live)
+    def prunes(self) -> dict[str, int]:
+        """The prune count of each rule that fired."""
+        counts = (
+            ("no-fit", self.pruned_no_fit),
+            ("symmetry", self.pruned_symmetry),
+            ("equations", self.pruned_equations),
+            ("dead-state", self.pruned_dead),
         )
-
-    def _equation_specs(self, heads: list[Job]) -> list[tuple]:
-        """Each family's spec under the equation tables: the instance's
-        forward geometry (`reduction.forward_geometry`, worked out and
-        checked once per instance) mapped to this search's classes.
-
-        * the value family: the gap starts and ends in ascending order, the
-          class of each gap's gamma job, the value classes by length and D;
-        * every other family: per forced start s of its tag, the class of
-          the job there and how many starts of that class come before s.
-
-        `heads` holds each family's first job."""
-        geometry = forward_geometry(self.inst)
-        cls = lambda job: self.rec[job.id][0]
-        specs = []
-        for f, j in enumerate(heads):
-            if j.tag == "P":
-                by_len: dict[int, list[int]] = {}
-                for c in self.live[f]:
-                    by_len.setdefault(self.cls_p[c], []).append(c)
-                lows = tuple(lo for lo, _ in geometry.gaps)
-                ends = tuple(hi for _, hi in geometry.gaps)
-                gammas = tuple(cls(g) for _, g in geometry.starts["gamma"])
-                facts = (lows, ends, gammas, by_len, self.inst.D)
-                specs.append((f, _VALUE, j.q, facts))
-                continue
-            kth: Counter[int] = Counter()
-            at = {}
-            for s, job in geometry.starts[j.tag]:
-                c = cls(job)
-                at[s] = (c, kth[c])
-                kth[c] += 1
-            specs.append((f, _FORCED, j.q, at))
-        return specs
+        return {rule: count for rule, count in counts if count}
 
     def subsets(self, avail: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
         """Machine sets for a q-machine job over the idle machines `avail`,
@@ -461,7 +554,6 @@ class _Search:
         width = len(avail)
         room = self.target - t
         taken = self.taken
-        lives = self.live
         members = self.members
         cls_p = self.cls_p
         # every unplaced job wider than the idle machines is a no-fit
@@ -469,7 +561,28 @@ class _Search:
         firsts = offered = emitters = 0
         out = []
         add = out.append
-        for f, kind, q, facts in self.upto[width]:
+        if self.equations:
+            # the forced classes at most `width` wide with unplaced members,
+            # less those longer than the room, whose members are no-fit
+            firsts = sum(self.open_forced[: width + 1])
+            for p, q, c, size in self.longest:
+                if p <= room:
+                    break
+                if q <= width and taken[c] < size:
+                    no_fit += size - taken[c]
+                    firsts -= 1
+            # only the job whose forced start is t may start at t: the
+            # next member of its class, when t is the class's next start
+            # and the member fits
+            for q, c, kth in self.forced.get(t, ()):
+                if q <= width and taken[c] == kth and cls_p[c] <= room:
+                    offered += 1
+                    emitters += 1
+                    job = members[c][kth]
+                    for subset in self.subsets(avail, q):
+                        add((job, subset))
+        lives = self.live
+        for f, q, facts in self.upto[width]:
             live = lives[f]
             n = len(live)
             i = 0
@@ -481,7 +594,9 @@ class _Search:
             firsts += n - i
             if i == n:
                 continue
-            if kind == _VALUE:
+            if facts is None:
+                offer = live[i:]
+            else:
                 # the rest of the gap that starts last by t, once its gamma
                 # job is placed (else 0: no value may start), which its
                 # values fill in descending order, see "Each gap is a bin"
@@ -506,17 +621,8 @@ class _Search:
                     offer = [
                         c for c in by_len.get(rest, ()) if taken[c] < len(members[c])
                     ]
-            elif kind == _FORCED:
-                # only the job whose forced start is t may start at t: the
-                # next member of its class, when t is the class's next start
-                # and the member fits the room; at an instant that is no
-                # forced start, kth = -1 matches no placed count
-                c, kth = facts.get(t, (0, -1))
-                offer = [c] if taken[c] == kth and cls_p[c] <= room else []
-            else:
-                offer = live[i:]
-            if not offer:
-                continue
+                if not offer:
+                    continue
             offered += len(offer)
             emitters += 1
             subsets = self.subsets(avail, q)
@@ -530,14 +636,9 @@ class _Search:
         # every other unplaced job trails a first member of its class, and
         # every first member that fits and no rule offered is an equations
         # prune
-        symmetric = self.n - len(self.path) - no_fit - firsts
-        for rule, count in (
-            ("no-fit", no_fit),
-            ("symmetry", symmetric),
-            ("equations", firsts - offered),
-        ):
-            if count:
-                self.prunes[rule] += count
+        self.pruned_no_fit += no_fit
+        self.pruned_symmetry += self.n - len(self.path) - no_fit - firsts
+        self.pruned_equations += firsts - offered
         return out
 
     # ----- state transitions -----
@@ -555,9 +656,15 @@ class _Search:
         taken[c] += 1
         pos = None
         if taken[c] == full:
-            live = self.live[f]
-            pos = live.index(c)
-            del live[pos]
+            # the class's last member: the class leaves its family's live
+            # list, or the open forced classes of its width
+            if f is None:
+                self.open_forced[job.q] -= 1
+                pos = -1  # not a list position: the undo reopens the class
+            else:
+                live = self.live[f]
+                pos = live.index(c)
+                del live[pos]
         self.left[job.q] -= 1
         cells = self.cells
         end = t + job.p
@@ -571,7 +678,10 @@ class _Search:
         c, f, _, bit = rec
         self.taken[c] -= 1
         if pos is not None:
-            self.live[f].insert(pos, c)
+            if f is None:
+                self.open_forced[job.q] += 1
+            else:
+                self.live[f].insert(pos, c)
         self.left[job.q] += 1
         cells = self.cells
         for m in subset:
@@ -608,7 +718,7 @@ class _Search:
         if dead is not None:
             key = self._key()
             if key in dead:
-                self.prunes["dead-state"] += 1
+                self.pruned_dead += 1
                 return None
         return (t, iter(self._candidates(t)), key)
 
@@ -731,7 +841,7 @@ def decide_target(
 
     search = _Search(inst, target, contiguous, rules, budget)
     witness = search.search()
-    nodes, prunes = search.nodes, dict(search.prunes)
+    nodes, prunes = search.nodes, search.prunes()
 
     if witness is not None:
         report = verify(inst, witness)

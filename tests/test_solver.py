@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
@@ -663,10 +664,17 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
     scan = solver._Search._candidates
     seen = Counter()
 
+    def tallies(search):
+        return Counter({
+            "no-fit": search.pruned_no_fit,
+            "symmetry": search.pruned_symmetry,
+            "equations": search.pruned_equations,
+        })
+
     def both(search, t):
-        before = Counter(search.prunes)
+        before = tallies(search)
         out = scan(search, t)
-        added = Counter(search.prunes)
+        added = tallies(search)
         added.subtract(before)
         want, counts = reference_candidates(search, t)
         assert [(j.id, s) for j, s in out] == [(j.id, s) for j, s in want]
@@ -862,10 +870,69 @@ def test_the_forward_geometry_is_worked_out_once_per_instance(monkeypatch):
     assert not calls
 
 
+def _plan_carve():
+    (inst,) = _carves(random.Random("plan-5"), 1)
+    return inst, inst.total_work // 4
+
+
+PLAN_CASES = {"carve": _plan_carve, "yes(1,0)": lambda: _at_w(gen_yes(1, 0)[0])}
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_a_plan_kept_on_the_instance_changes_no_decision(case):
+    # The plan depends only on the instance and the rules, so one instance
+    # object decided again and again, under every rule set and budget, in
+    # either order, decides as a fresh copy of it does.  With the equation
+    # rule off, a reduction at the default budget runs for millions of
+    # nodes, so 300 stands in for it there.
+    inst, target = PLAN_CASES[case]()
+    settings = [
+        (rules, contiguous, budget)
+        for rules in (PruneRules(*flags) for flags in product((True, False), repeat=3))
+        for contiguous in (False, True)
+        for budget in (1, 4, 30, solver.DEFAULT_BUDGET)
+    ]
+    outcomes = Counter()
+    for order in (settings, settings[::-1]):
+        kept = replace(inst)
+        for rules, contiguous, budget in order:
+            if case != "carve" and not rules.equations:
+                budget = min(budget, 300)
+            got, want = (
+                decide_target(each, target, contiguous, budget=budget, rules=rules)
+                .to_dict()
+                for each in (kept, replace(inst))
+            )
+            assert got == want
+            outcomes[got["outcome"]] += 1
+        assert len(kept._search_plans) == (2 if case == "carve" else 4)
+    assert outcomes["witness"] and outcomes["budget-exceeded"]
+
+
+@pytest.mark.parametrize(
+    "case, budget, outcome",
+    [
+        ("yes(1,0)", 1, "starved"),
+        ("yes(1,0)", 10**6, "witness"),
+        ("no(2,3)", 10**6, "proved-none"),
+    ],
+)
+@pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
+def test_no_search_writes_into_its_plan(case, budget, outcome, contiguous):
+    inst, target = {**PLAN_CASES, **UNDO_CASES}[case]()
+    search = solver._Search(inst, target, contiguous, PruneRules(), budget)
+    plan = solver._plan(inst, True, True)
+    before = deepcopy(plan)
+    witness = search.search()
+    seen = "starved" if search.starved else "witness" if witness else "proved-none"
+    assert seen == outcome
+    assert plan == before
+
+
 @pytest.mark.parametrize("z", range(1, 17))
 def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
-    # The node scan finds the one gamma job that may start at t by
-    # bisecting the window starts, which is sound only on these two facts.
+    # The node scan finds the one gamma job that may start at t by looking
+    # t up in the forced-start index, which is sound only on these two facts.
     insts = [build_jobs(gen_yes(z, z)[0])]
     if z >= 2:
         insts.append(build_jobs(gen_no(z, z)))
@@ -876,11 +943,12 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert len({(j.p, j.q) for j in gammas}) == z
         search = solver._Search(inst, inst.W, False, PruneRules(), 1)
-        (at,) = [
-            facts
-            for f, _, _, facts in search.upto[-1]
-            if search.members[search.live[f][0]][0].tag == "gamma"
-        ]
+        at = {
+            s: (c, kth)
+            for s, forced in search.forced.items()
+            for _, c, kth in forced
+            if search.members[c][0].tag == "gamma"
+        }
         assert sorted(at) == [lo for lo, _ in windows]
         assert all(len(search.members[c]) == 1 for c, _ in at.values())
 

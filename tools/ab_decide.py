@@ -40,7 +40,11 @@ op must give a byte-identical `Decision.to_dict()` on both sides, in every
 round, or agree by the rule above under `--outcomes`.  The script prints,
 per op and per corpus, the minimum decide time of each side over the rounds
 and the ratio NEW/OLD of those minima; a corpus total is the sum of its
-per-op minima.
+per-op minima.  Beside it, the cold total is the sum of each side's decide
+times in the first round, the first decision on each of the corpus's
+instance objects: what an instance works out once and keeps, such as the
+solver's plans, is built there, so a slower first decision shows in it
+and not in the minima.
 """
 
 from __future__ import annotations
@@ -242,6 +246,7 @@ def main(argv=None) -> None:
         labels = sorted(ops["old"][0])
         assert labels == sorted(ops["new"][0])
         best = {side: dict.fromkeys(labels, float("inf")) for side in libs}
+        cold = dict.fromkeys(libs, 0.0)
         verdicts = {}
         for r in range(args.rounds):
             sides = ("old", "new") if r % 2 == 0 else ("new", "old")
@@ -251,6 +256,8 @@ def main(argv=None) -> None:
                     table, recorder = ops[side]
                     seconds, seen[side], budget = _run(table[label], recorder)
                     best[side][label] = min(best[side][label], seconds)
+                    if r == 0:
+                        cold[side] += seconds
                 verdicts[label] = _verdict(
                     seen["old"], seen["new"], budget is None, args.outcomes
                 )
@@ -265,6 +272,8 @@ def main(argv=None) -> None:
             print(f"  {label:<28}{old:>10.2f}{new:>10.2f}{new / old:>9.3f}")
         old, new = (sum(best[side].values()) * 1e3 for side in ("old", "new"))
         print(f"  {'total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
+        old, new = (cold[side] * 1e3 for side in ("old", "new"))
+        print(f"  {'cold total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
 
 
 if __name__ == "__main__":
