@@ -191,13 +191,15 @@ Dead states.  One set per decision holds the key of each state whose
 frame of candidates ran out: its subtree held no witness.  Nothing is
 recorded for the frames a budget hit abandons or on the path to a witness,
 since those frames never run out, nor for the root, after which the search
-ends.  A placement that reaches a recorded key is counted as a node, undone
-and tallied as a ``dead-state`` prune.  The key is one int packing the
-remaining-job bitmask and one cell per machine, its free time.  Plain
-searches sort the cells; contiguous searches take the smaller of the cell
-list and its reflection k <-> m+1-k.  The table stops growing at
-`DEAD_STATE_CAP` entries, which only loses prunes.  Why an equal key
-means an equal verdict:
+ends.  A child's key is read before the child is placed, off the parent's
+cells with the job's machines set to its end and the remaining set without
+the job: a child that reaches a recorded key is counted as a node and
+tallied as a ``dead-state`` prune, and never placed.  The key is one int
+packing the remaining-job bitmask and one cell per machine, its free time
+(`_Search._key`).  Plain searches sort the cells; contiguous searches take
+the smaller of the cell list and its reflection k <-> m+1-k.  The table
+stops growing at `DEAD_STATE_CAP` entries, which only loses prunes.  Why an
+equal key means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates` and `_place`
    read the plan, which no search changes, and the free times, the
@@ -474,9 +476,20 @@ class _Search:
     prefixes: the instance's plan for its rules, the dead-state table and
     one mutable state, taken back placement by placement."""
 
+    __slots__ = (
+        "inst", "m", "machines", "target", "contiguous", "rules", "budget",
+        "equations", "n", "members", "rank", "cls_p", "rec", "upto",
+        "interleave", "forced", "longest", "dead", "cell_bits", "live", "left",
+        "open_forced", "taken", "path", "nodes", "starved", "pruned_no_fit",
+        "pruned_symmetry", "pruned_equations", "pruned_dead", "cells",
+        "rem_mask", "__weakref__",
+    )
+
     def __init__(self, inst, target, contiguous, rules, budget):
         self.inst = inst
         self.m = inst.m
+        # the machine numbers, which each node scans for the idle ones
+        self.machines = range(inst.m)
         self.target = target
         self.contiguous = contiguous
         self.rules = rules
@@ -550,7 +563,11 @@ class _Search:
         rejects it: no-fit, symmetry or equations."""
         cells = self.cells
         # t is the earliest free instant, so free at t means free by t
-        avail = tuple([m for m in range(self.m) if cells[m] <= t])
+        avail = []
+        for m in self.machines:
+            if cells[m] <= t:
+                avail.append(m)
+        avail = tuple(avail)
         width = len(avail)
         room = self.target - t
         taken = self.taken
@@ -697,30 +714,18 @@ class _Search:
             },
         )
 
-    def _key(self) -> int:
-        """The dead-state key of the current state: see "Dead states" in
-        the module docstring."""
-        cells = self.cells
+    def _key(self, cells: list[int], rem: int) -> int:
+        """The dead-state key of the state whose machines are free at
+        `cells` and whose remaining-set bitmask is `rem`: see "Dead states"
+        in the module docstring."""
         if not self.contiguous:
             cells = sorted(cells)
         elif cells[::-1] < cells:
             cells = cells[::-1]
-        packed = self.rem_mask
+        bits = self.cell_bits
         for c in cells:
-            packed = packed << self.cell_bits | c
-        return packed
-
-    def _open(self, t: int):
-        """The frame of candidates at t, or None when the state's key is a
-        recorded dead state."""
-        key = None
-        dead = self.dead
-        if dead is not None:
-            key = self._key()
-            if key in dead:
-                self.pruned_dead += 1
-                return None
-        return (t, iter(self._candidates(t)), key)
+            rem = rem << bits | c
+        return rem
 
     def search(self) -> Schedule | None:
         """Depth-first over the candidates at the earliest free instant,
@@ -728,46 +733,69 @@ class _Search:
 
         The frames of pending candidates are an explicit stack, the root's
         and one per placed job, so depth is bounded by memory rather than
-        by the interpreter's recursion limit.  A frame that runs out
-        records its state as dead, except the root's, after which the
-        search ends.  Each candidate of the root frame opens a root branch
-        that may place at most `budget` jobs, itself included: the
-        placement past that is counted as a node, sets `starved`, and the
-        branch is abandoned, its frames unwound to the root without being
-        recorded, since they did not run out."""
-        target, dead, budget = self.target, self.dead, self.budget
-        path = self.path
-        frames = [self._open(0)]
+        by the interpreter's recursion limit.  Each candidate is a child:
+        it is counted as a node, and unless it completes the schedule its
+        key is read off the parent's cells with the job's machines set to
+        its end and the job's bit taken out of the remaining set, before
+        anything is placed.  A child whose key is a recorded dead state is
+        tallied and never placed; any other is placed and opens a frame
+        that keeps its key.  A frame that runs out records its key as
+        dead, except the root's, which has none, as the search ends there.
+        Each candidate of the root frame opens a root branch that may
+        place at most `budget` jobs, itself included: the node past that
+        sets `starved`, and the branch is abandoned, its frames unwound to
+        the root without being recorded, since they did not run out.
+
+        The loop keeps what it reads at every node in locals and writes
+        the node and dead-state counts back when it returns."""
+        target, dead, budget, n = self.target, self.dead, self.budget, self.n
+        path, cells, rec = self.path, self.cells, self.rec
+        place, unplace = self._place, self._unplace
+        candidates, key_of = self._candidates, self._key
+        nodes = hits = 0
+        frames = [(0, iter(candidates(0)), None)]
         while True:
             t, pending, key = frames[-1]
             step = next(pending, None)
             if step is None:
                 if not path:
-                    return None
+                    break
                 frames.pop()
-                self._unplace()
-                if key is not None and len(dead) < DEAD_STATE_CAP:
+                unplace()
+                if dead is not None and len(dead) < DEAD_STATE_CAP:
                     dead.add(key)
                 continue
             if not path:
-                limit = self.nodes + budget
-            self.nodes += 1
-            if self.nodes > limit:
+                limit = nodes + budget
+            nodes += 1
+            if nodes > limit:
                 self.starved = True
                 del frames[1:]
                 while path:
-                    self._unplace()
+                    unplace()
                 continue
             job, subset = step
-            self._place(job, subset, t)
-            if len(path) == self.n:
+            if len(path) + 1 == n:
+                place(job, subset, t)
+                self.nodes, self.pruned_dead = nodes, hits
                 return self._snapshot()
-            t = min(self.cells)
-            frame = self._open(t) if t < target else None
-            if frame is None:
-                self._unplace()
+            if dead is not None:
+                child = cells[:]
+                end = t + job.p
+                for m in subset:
+                    child[m] = end
+                key = key_of(child, self.rem_mask ^ rec[job.id][3])
+                if key in dead:
+                    hits += 1
+                    continue
+            place(job, subset, t)
+            t = min(cells)
+            if t < target:
+                frames.append((t, iter(candidates(t)), key))
             else:
-                frames.append(frame)
+                unplace()
+        self.nodes, self.pruned_dead = nodes, hits
+        return None
 
 
 def decide_target(

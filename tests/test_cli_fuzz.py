@@ -4,23 +4,26 @@ escaping and at most one JSON document on stdout.  A valid file with one
 key of an object repeated, or a valid schedule with one job's machine
 repeated, must exit 2 with nothing on stdout.
 
-`decide` is left out on purpose: a fuzzed instance can make a real search
-run for a long time.
+`decide` is fuzzed apart from the loaders, on instances of at most eight
+jobs, whose searches are small: a fuzzed reduction instance could make a
+real search run for a long time.
 """
 
 import json
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gadgetforge.cli import main
-from gadgetforge.reduction import build_jobs, build_strip
+from gadgetforge.reduction import Job, SchedulingInstance, build_jobs, build_strip
+from gadgetforge.solver import DEFAULT_BUDGET, PruneRules, decide_target, optimize_small
 from gadgetforge.strip import schedule_to_packing
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import gen_yes, partition_to_json
 
-from conftest import with_repeated_key
+from conftest import contiguous_optimum, with_repeated_key
 
 # the commands that read each file, with "{}" where the file goes
 COMMANDS = {
@@ -215,3 +218,78 @@ def test_json_nested_too_deeply_exits_two(valid, tmp_path, name):
     assert result.exit_code == 2, repr(result.exception)
     assert result.stdout == ""
     assert "is nested too deeply to read" in result.stderr
+
+
+@st.composite
+def small_decisions(draw):
+    """At most eight jobs on four machines and a target T: a carve of a
+    full 4 x T rectangle, so a plain witness exists, or arbitrary jobs,
+    topped up by a one-machine job to work divisible by 4 when there are
+    fewer than eight, at a quarter of their work or one unit more or less."""
+    dims = []
+    if draw(st.booleans()):
+        target = draw(st.integers(1, 5))
+        free = [0] * 4
+        while min(free) < target and len(dims) < 8:
+            t = min(free)
+            idle = [k for k in range(4) if free[k] == t]
+            q = draw(st.integers(1, len(idle)))
+            p = draw(st.integers(1, target - t))
+            for k in draw(st.permutations(idle))[:q]:
+                free[k] = t + p
+            dims.append((p, q))
+    else:
+        pq = st.tuples(st.integers(1, 6), st.integers(1, 4))
+        dims = draw(st.lists(pq, min_size=1, max_size=8))
+        total = sum(p * q for p, q in dims)
+        if total % 4 and len(dims) < 8:
+            dims.append((4 - total % 4, 1))
+        total = sum(p * q for p, q in dims)
+        target = max(1, total // 4 + draw(st.integers(-1, 1)))
+    jobs = tuple(
+        Job(id=f"J{i}", p=p, q=q, tag="J", index=i) for i, (p, q) in enumerate(dims)
+    )
+    return SchedulingInstance(m=4, z=0, D=0, W=0, jobs=jobs), target
+
+
+# the exit code of each outcome, as the cli module's docstring lists them
+DECIDE_EXITS = {"witness": 0, "proved-none": 1, "refused": 2, "budget-exceeded": 3}
+
+
+@pytest.fixture(scope="module")
+def decide_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("decide") / "inst.json"
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=small_decisions())
+def test_decide_answers_as_the_exact_optima(decide_file, case):
+    # Under every rule set, plain and contiguous, at budgets 1, 7 and the
+    # default, an answered decision must agree with an exact optimizer: a
+    # witness at T exactly when the optimum is T, and a refusal only when
+    # the work is below 4T, where a target schedule would idle.  At the
+    # default budget every decision is answered.  `decide` on the same
+    # file exits with the documented code of the library's decision.
+    inst, target = case
+    optimum = {
+        False: optimize_small(inst.jobs)[0],
+        True: contiguous_optimum(inst.jobs, cap=target),
+    }
+    decide_file.write_text(inst.to_json())
+    rule_sets = [PruneRules(*flags) for flags in product((True, False), repeat=3)]
+    for contiguous, budget in product((False, True), (1, 7, DEFAULT_BUDGET)):
+        for rules in rule_sets:
+            decision = decide_target(inst, target, contiguous, budget=budget, rules=rules)
+            if decision.outcome == "refused":
+                assert inst.total_work < 4 * target
+            elif decision.outcome == "budget-exceeded":
+                assert budget != DEFAULT_BUDGET
+            else:
+                witness = decision.outcome == "witness"
+                assert witness == (optimum[contiguous] == target), (contiguous, rules)
+        args = ["decide", "--inst", str(decide_file), "--target", str(target)]
+        args += ["--budget", str(budget)] + ["--contiguous"] * contiguous
+        result = CliRunner().invoke(main, args)
+        want = decide_target(inst, target, contiguous, budget=budget)
+        assert result.exit_code == DECIDE_EXITS[want.outcome], result.stderr
+        assert json.loads(result.stdout)["outcome"] == want.outcome

@@ -711,10 +711,70 @@ def test_the_key_forgets_which_job_runs(contiguous):
         search._place(inst.by_id[first], (0,), 0)
         search._place(inst.by_id[second], (0,), inst.by_id[first].p)
         assert search.cells == [5, 4, 4, 4]
-        keys.append(search._key())
+        keys.append(search._key(search.cells, search.rem_mask))
         running.append(search.path[-1][0].tag)
     assert running == ["K", "J"]
     assert keys[0] == keys[1]
+
+
+class _CountedCutOffs(solver._Search):
+    """A search that counts its starved cut-offs: each sets `starved`."""
+
+    @property
+    def starved(self):
+        return self.cut_offs > 0
+
+    @starved.setter
+    def starved(self, value):
+        self.cut_offs = getattr(self, "cut_offs", 0) + value
+
+
+LOOK_CASES = {
+    "carve": lambda: _one_carve("look-1"),
+    "carve2": lambda: _one_carve("look-2"),
+    "yes(1,5)": lambda: _at_w(gen_yes(1, 5)[0]),
+    "no(2,3)": lambda: _at_w(gen_no(2, 3)),
+    "trap17": lambda: digit_trap_instance(17),
+}
+
+
+def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
+    # The search reads a child's dead-state key off the parent's cells and
+    # remaining set before it places the child, so that key must be the
+    # one `_key` gives the state `_place` then makes.  A child whose key is
+    # dead is counted but never placed, so the placements are the nodes
+    # less the dead-state prunes and the starved cut-offs.
+    key, place = solver._Search._key, solver._Search._place
+    read, seen = [], Counter()
+
+    def keyed(search, cells, rem):
+        read.append(key(search, cells, rem))
+        return read[-1]
+
+    def placing(search, job, subset, t):
+        place(search, job, subset, t)
+        seen["placed"] += 1
+        if search.dead is not None and len(search.path) < search.n:
+            assert read[-1] == key(search, search.cells, search.rem_mask)
+            seen["keyed"] += 1
+        read.clear()
+
+    monkeypatch.setattr(solver._Search, "_key", keyed)
+    monkeypatch.setattr(solver._Search, "_place", placing)
+    settings = product(
+        LOOK_CASES.values(),
+        (PruneRules(*flags) for flags in product((True, False), repeat=3)),
+        (False, True),
+        (1, 7, 60),
+    )
+    for case, rules, contiguous, budget in settings:
+        seen["placed"] = 0
+        search = _CountedCutOffs(*case(), contiguous, rules, budget)
+        search.search()
+        assert seen["placed"] == search.nodes - search.pruned_dead - search.cut_offs
+        seen["dead"] += search.pruned_dead
+        seen["cut-offs"] += search.cut_offs
+    assert seen["keyed"] and seen["dead"] and seen["cut-offs"]
 
 
 def _subset_sums(values) -> int:
@@ -870,9 +930,14 @@ def test_the_forward_geometry_is_worked_out_once_per_instance(monkeypatch):
     assert not calls
 
 
-def _plan_carve():
-    (inst,) = _carves(random.Random("plan-5"), 1)
+def _one_carve(seed):
+    """One random carve and its target, a quarter of its work."""
+    (inst,) = _carves(random.Random(seed), 1)
     return inst, inst.total_work // 4
+
+
+def _plan_carve():
+    return _one_carve("plan-5")
 
 
 PLAN_CASES = {"carve": _plan_carve, "yes(1,0)": lambda: _at_w(gen_yes(1, 0)[0])}

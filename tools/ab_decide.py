@@ -34,22 +34,27 @@ finish.  The same rule holds for the corpus ops, and the script prints how
 many decisions stayed identical, moved only their counts or were newly
 answered.
 
-Only the `decide_target` call of an op is timed.  Each round runs every op
-once on each side, OLD first on even rounds and NEW first on odd ones.  Every
-op must give a byte-identical `Decision.to_dict()` on both sides, in every
-round, or agree by the rule above under `--outcomes`.  The script prints,
-per op and per corpus, the minimum decide time of each side over the rounds
-and the ratio NEW/OLD of those minima; a corpus total is the sum of its
-per-op minima.  Beside it, the cold total is the sum of each side's decide
-times in the first round, the first decision on each of the corpus's
-instance objects: what an instance works out once and keeps, such as the
-solver's plans, is built there, so a slower first decision shows in it
-and not in the minima.
+Only the `decide_target` call of an op is timed, and a full garbage
+collection runs before every op, outside the timer, so that neither side
+is timed collecting garbage the other left.  Each round runs every op once
+on each side, and the side that goes first alternates from op to op and
+from round to round.  Every op must give a byte-identical
+`Decision.to_dict()` on both sides, in every round, or agree by the rule
+above under `--outcomes`.  The script prints, per op and per corpus, the
+minimum decide time of each side over the rounds and the ratio NEW/OLD of
+those minima; a corpus total is the sum of its per-op minima.  Beside it,
+the cold total times first decisions: the first three rounds (at least
+three are run) each build the corpus anew, so each of their decisions is
+the first on its instance object, where what an instance works out once
+and keeps, such as the solver's plans, is built; the cold total sums, per
+op, each side's minimum over those three rounds.  A slower first decision
+thus shows in it and not in the warm minima.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import random
@@ -67,6 +72,9 @@ YES_CASES = ((1, 0), (1, 5), (2, 1), (3, 2), (6, 0), (10, 3))
 NO_CASES = ((2, 0), (2, 3))
 TRAP_DS = (17, 33)
 BUDGETS = (1, 4, 30, 300)
+# the first rounds, each on instance objects of its own, that time cold
+# decisions
+COLD_ROUNDS = 3
 
 
 def _load(name: str, path: Path, package: bool = False):
@@ -109,6 +117,9 @@ def _ops(workloads, lib, corpus: str, seed: int):
 
 
 def _run(op, recorder) -> tuple[float, str, int | None]:
+    # the garbage of earlier ops is collected here, outside the timer, so a
+    # collection that garbage would trigger is not timed in this op
+    gc.collect()
     ok, _ = op()
     if not ok:
         raise SystemExit("an op failed its own check")
@@ -246,18 +257,25 @@ def main(argv=None) -> None:
         labels = sorted(ops["old"][0])
         assert labels == sorted(ops["new"][0])
         best = {side: dict.fromkeys(labels, float("inf")) for side in libs}
-        cold = dict.fromkeys(libs, 0.0)
+        cold = {side: dict.fromkeys(labels, float("inf")) for side in libs}
         verdicts = {}
-        for r in range(args.rounds):
-            sides = ("old", "new") if r % 2 == 0 else ("new", "old")
-            for label in labels:
+        rounds = max(args.rounds, COLD_ROUNDS)
+        for r in range(rounds):
+            if 0 < r < COLD_ROUNDS:
+                # fresh instance objects, so this round's decisions are cold
+                ops = {
+                    side: _ops(workloads, lib, corpus, args.seed)
+                    for side, lib in libs.items()
+                }
+            for k, label in enumerate(labels):
+                sides = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
                 seen = {}
                 for side in sides:
                     table, recorder = ops[side]
                     seconds, seen[side], budget = _run(table[label], recorder)
                     best[side][label] = min(best[side][label], seconds)
-                    if r == 0:
-                        cold[side] += seconds
+                    if r < COLD_ROUNDS:
+                        cold[side][label] = min(cold[side][label], seconds)
                 verdicts[label] = _verdict(
                     seen["old"], seen["new"], budget is None, args.outcomes
                 )
@@ -265,14 +283,14 @@ def main(argv=None) -> None:
                     raise SystemExit(f"{corpus} {label}: the decisions differ")
         moved = Counter(verdicts.values())
         agree = ", ".join(f"{n} {verdict}" for verdict, n in sorted(moved.items()))
-        print(f"{corpus}: {len(labels)} ops, {args.rounds} rounds, decisions {agree}")
+        print(f"{corpus}: {len(labels)} ops, {rounds} rounds, decisions {agree}")
         print(f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
         for label in labels:
             old, new = best["old"][label] * 1e3, best["new"][label] * 1e3
             print(f"  {label:<28}{old:>10.2f}{new:>10.2f}{new / old:>9.3f}")
         old, new = (sum(best[side].values()) * 1e3 for side in ("old", "new"))
         print(f"  {'total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
-        old, new = (cold[side] * 1e3 for side in ("old", "new"))
+        old, new = (sum(cold[side].values()) * 1e3 for side in ("old", "new"))
         print(f"  {'cold total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
 
 
