@@ -19,12 +19,12 @@ the mirror of an input whose earliest start is not 0 ends away from W.  So
 a failing input cannot be "repaired" into a passing one, and the lemmas
 alone decide refutation: the certificate is honest evidence that the input
 was not a feasible zero-idle schedule at the target.  The job universe is
-checked at the gate only: the swaps run `schedule._swap_after`, which
-skips that check and proves that its output passes it again, as every
-machine a swap names lies in 1..4, the m of a reduction instance.  The
-pair columns exchange machines 2 and 3 inside a block's window with
-`_MiddleExchange`, which does what two such swaps do while touching only
-the jobs that start in the window.
+checked at the gate only: normalization swaps one cut (t, m1, m2) at a
+time with `schedule._swap_after`, which skips that check and proves that
+its output passes it again, as every machine a swap names lies in 1..4,
+the m of a reduction instance.  The pair columns exchange machines 2 and
+3 inside a block's window with `_MiddleExchange`, which does what two
+such swaps do while touching only the jobs that start in the window.
 """
 
 from __future__ import annotations
@@ -140,18 +140,14 @@ def _tiling_break(
     return None
 
 
-def _swaps(inst, sched, stage: str, events: list, *cuts) -> Schedule:
-    """Swap machine contents at every cut (t, m1, m2) in turn, then log one
-    swap event per cut.  A cut that tears a job is the stage's
-    swap-crossing refutation, raised before any cut of the call is
-    logged."""
+def _swap(inst, sched, stage: str, events: list, t: int, m1: int, m2: int) -> Schedule:
+    """Swap the contents of machines m1 and m2 from t on, and log the swap.
+    A job the cut tears is the stage's swap-crossing refutation."""
     try:
-        for t, m1, m2 in cuts:
-            sched = _swap_after(inst, sched, t, m1, m2)
+        sched = _swap_after(inst, sched, t, m1, m2)
     except CrossingJob as exc:
         raise RefutationCertificate(stage, "swap-crossing", str(exc)) from exc
-    for t, m1, m2 in cuts:
-        events.append({"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]})
+    events.append({"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]})
     return sched
 
 
@@ -199,7 +195,7 @@ def _normalize_machines(
                     raise RefutationCertificate(
                         stage, "separator-overlap", f"{prev} and {x} run concurrently"
                     )
-            sched = _swaps(inst, sched, stage, events, (t, partner, missing))
+            sched = _swap(inst, sched, stage, events, t, partner, missing)
         prev = x
 
     lam_home = next(iter(sched.machines["lambda1"]))
@@ -208,7 +204,7 @@ def _normalize_machines(
             stage, "machine-contents", "the opening cap sits on a middle machine"
         )
     if lam_home == 4:
-        sched = _swaps(inst, sched, stage, events, (0, 1, 4))
+        sched = _swap(inst, sched, stage, events, 0, 1, 4)
 
     lanes = _lanes(inst, sched)
     on = {m: set(lanes[m]) for m in (1, 2, 3, 4)}
@@ -252,7 +248,7 @@ def _orient(
         raise RefutationCertificate("orient", "first-job", "machine 2 is empty")
     first = inst.by_id[front[0]]
     if first.tag == "A":
-        sched = mirror(inst, sched, inst.W)
+        sched = mirror(inst, sched)
         events.append({"stage": "orient", "event": "mirror"})
         return sched
     if first.tag != "B":

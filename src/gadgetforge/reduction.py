@@ -32,13 +32,20 @@ module: `CANONICAL_LAYOUT` holds each machine's job sequence, read by
 synthesis and extraction, and `COUNT_CHAINS` the count identities at every
 separator and filler start, read by the audit and extraction.  The solver
 reads neither; its equation rule reads the closed-form starts of the
-canonical geometry through `forward_geometry`, once per instance.
+canonical geometry through `forward_geometry`.
+
+An instance never changes, so what is derived from it never does either.
+Each derived fact (`recognize`, `forward_geometry`, `canonical_slots`,
+`canonical_ids`) is one function decorated with `per_instance`, which
+works it out on the first call and keeps it on the instance; a module
+that derives its own facts, as the solver does its plans, uses the same
+decorator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate
 from operator import itemgetter
 from types import MappingProxyType
@@ -103,51 +110,6 @@ class SchedulingInstance:
         on a recognised instance every slot holds exactly one job."""
         return MappingProxyType({(job.tag, job.index): job for job in self.jobs})
 
-    @cached_property
-    def _recognized(self) -> tuple[int, int] | None:
-        """`recognize`'s answer, worked out once: the jobs, index included,
-        and (m, z, D, W) must be exactly what `build_jobs` makes of the
-        values the P jobs carry."""
-        try:
-            rebuilt = build_jobs(recover_values(self))
-        except ValueError:
-            return None
-        key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
-        return (self.z, self.D) if key(self) == key(rebuilt) else None
-
-    @cached_property
-    def _forward(self) -> ForwardGeometry:
-        """`forward_geometry`'s answer, worked out and checked once."""
-        return _forward_geometry(self)
-
-    @cached_property
-    def _search_plans(self) -> dict:
-        """The solver's plans for this instance, by (symmetry rule, equation
-        tables active), each built by the first decision that needs it (see
-        "The plan" in `solver`)."""
-        return {}
-
-    @cached_property
-    def _canonical_slots(self) -> Mapping[int, tuple[Slot, ...]]:
-        """`canonical_slots` of every machine, worked out once from
-        `CANONICAL_LAYOUT` for this instance's z."""
-        return MappingProxyType({m: _layout_slots(m, self.z) for m in CANONICAL_LAYOUT})
-
-    @cached_property
-    def _canonical_ids(self) -> Mapping[int, frozenset[str]]:
-        """`canonical_ids` of every machine, worked out once from its
-        `_canonical_slots`; synthesis reads only the slots."""
-        shape = {}
-        for m, slots in self._canonical_slots.items():
-            wanted = set(slots)
-            values = any(tag == "P" for tag, _ in slots)
-            shape[m] = frozenset(
-                j.id
-                for j in self.jobs
-                if (j.tag, j.index) in wanted or (values and j.tag == "P")
-            )
-        return MappingProxyType(shape)
-
     def tagged(self, *tags: str) -> tuple[Job, ...]:
         chosen = set(tags)
         return tuple(j for j in self.jobs if j.tag in chosen)
@@ -204,6 +166,26 @@ class StripInstance(SchedulingInstance):
 
     _keys = {"m": None, "W": "width", "jobs": "items", "p": "w", "q": "h"}
     _labels = {"job": "an item", "p": "a width w", "q": "a height h"}
+
+
+def per_instance(fn: Callable) -> Callable:
+    """`fn(inst, *args)`, worked out once per instance and arguments and
+    kept in the instance's `__dict__`, as `cached_property` keeps its value:
+    by arguments, in a dict under "module.name", a key no attribute name
+    can take.  An instance is frozen, so the value never goes stale; `==`
+    and `hash` read the fields only, and a `dataclasses.replace` copy
+    builds its own.  The value is built by the wrapper's `__wrapped__`,
+    where a test can count the builds."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def kept(inst: SchedulingInstance, *args):
+        memo = inst.__dict__.setdefault(name, {})
+        if args not in memo:
+            memo[args] = kept.__wrapped__(inst, *args)
+        return memo[args]
+
+    return kept
 
 
 def _index_from_id(job_id: str) -> int | None:
@@ -313,9 +295,17 @@ def recover_values(inst: SchedulingInstance) -> ThreePartitionInstance:
     return ThreePartitionInstance(tuple(j.p for j in p_jobs))
 
 
+@per_instance
 def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
-    """(z, D) when `inst` is exactly a reduction instance, else None."""
-    return inst._recognized
+    """(z, D) when `inst` is exactly a reduction instance, else None: the
+    jobs, index included, and (m, z, D, W) must be exactly what
+    `build_jobs` makes of the values the P jobs carry."""
+    try:
+        rebuilt = build_jobs(recover_values(inst))
+    except ValueError:
+        return None
+    key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
+    return (inst.z, inst.D) if key(inst) == key(rebuilt) else None
 
 
 # ===== canonical geometry =====
@@ -398,22 +388,18 @@ class ForwardGeometry(NamedTuple):
     gaps: tuple[tuple[int, int], ...]
 
 
+@per_instance
 def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     """The `ForwardGeometry` of a recognised reduction, worked out from the
-    closed forms and checked once per instance."""
-    return inst._forward
-
-
-def _forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
-    """The forward geometry, with the premises of the solver's equation
-    rule checked here (see "Each gap is a bin" and "No count chains" in
-    `solver`): every tag has one width and the gamma jobs pairwise differ
-    in length; the starts of each tag pairwise differ; every value lies
-    strictly between D/4 and D/2; the gaps are pairwise disjoint, and
-    block k's gamma window [lo, lo + D] fills gap k = [lo, hi) with its
-    gamma job, hi - lo = D + |gamma_k|; the pinned jobs hold exactly
-    m - 1 machines at every instant of a gap, and all m at every instant
-    of [0, W) outside the gaps."""
+    closed forms, with the premises of the solver's equation rule checked
+    (see "Each gap is a bin" and "No count chains" in `solver`): every tag
+    has one width and the gamma jobs pairwise differ in length; the starts
+    of each tag pairwise differ; every value lies strictly between D/4 and
+    D/2; the gaps are pairwise disjoint, and block k's gamma window
+    [lo, lo + D] fills gap k = [lo, hi) with its gamma job,
+    hi - lo = D + |gamma_k|; the pinned jobs hold exactly m - 1 machines
+    at every instant of a gap, and all m at every instant of [0, W)
+    outside the gaps."""
     m, D = inst.m, inst.D
     starts: dict[str, list[tuple[int, Job]]] = {}
     # the machines the pinned jobs take (or free) at each of their starts
@@ -499,26 +485,31 @@ def _slot(token: str, i: int | None) -> Slot:
     return tag, i if index == "i" else int(index)
 
 
-def _layout_slots(m: int, z: int) -> tuple[Slot, ...]:
-    """Machine m's line of `CANONICAL_LAYOUT` with the block written out
-    for i = 1..z."""
+@per_instance
+def canonical_slots(inst: SchedulingInstance, m: int) -> tuple[Slot, ...]:
+    """Machine m's jobs in start order as (tag, index) pairs: its line of
+    `CANONICAL_LAYOUT` with the block written out for i = 1..z, where a
+    ("P", i) slot stands for the value jobs of block i."""
     head, block, tail = (part.split() for part in CANONICAL_LAYOUT[m].split("|"))
     slots = [_slot(token, None) for token in head]
-    for i in range(1, z + 1):
+    for i in range(1, inst.z + 1):
         slots += [_slot(token, i) for token in block]
     return tuple(slots + [_slot(token, None) for token in tail])
 
 
-def canonical_slots(inst: SchedulingInstance, m: int) -> tuple[Slot, ...]:
-    """Machine m's jobs in start order as (tag, index) pairs; a ("P", i)
-    slot stands for the value jobs of block i."""
-    return inst._canonical_slots[m]
-
-
+@per_instance
 def canonical_ids(inst: SchedulingInstance, m: int) -> frozenset[str]:
     """Every job that machine m runs in the canonical layout, with the P
-    slots standing for all value jobs together."""
-    return inst._canonical_ids[m]
+    slots standing for all value jobs together; synthesis reads only the
+    slots."""
+    slots = canonical_slots(inst, m)
+    wanted = set(slots)
+    values = any(tag == "P" for tag, _ in slots)
+    return frozenset(
+        j.id
+        for j in inst.jobs
+        if (j.tag, j.index) in wanted or (values and j.tag == "P")
+    )
 
 
 # Count chains: at the start of every job of the keyed family, the terms of

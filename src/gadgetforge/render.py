@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import ceil, floor
 
 from .reduction import SchedulingInstance
 from .schedule import Schedule, _check_job_universe
@@ -256,9 +257,10 @@ def render_packing_svg(
     base = inst.D if inst.D >= 2 else 10
     times = [0, inst.W]
     for job in inst.jobs:
+        # integral ticks around the item, which may lie at a fractional x
         x = packing.positions[job.id][0]
-        times.append(int(x))
-        times.append(int(x) + job.p)
+        times.append(floor(x))
+        times.append(ceil(x + job.p))
     axis = _Axis(times, base)
 
     tops = [packing.positions[job.id][1] + job.q for job in inst.jobs]

@@ -336,28 +336,20 @@ def _swap_after(
     return Schedule(starts=dict(sched.starts), machines=new_machines)
 
 
-def mirror(
-    inst: SchedulingInstance, sched: Schedule, width: int | None = None
-) -> Schedule:
-    """Reverse time: start' = width - start - p, an involution for a fixed
-    `width`.
+def mirror(inst: SchedulingInstance, sched: Schedule) -> Schedule:
+    """Reverse time within the makespan w: start' = w - start - p.
 
-    It maps the cell (m, x) to (m, width - 1 - x): every machine set stays,
+    It maps the cell (m, x) to (m, w - 1 - x): every machine set stays,
     and two jobs share a cell afterwards exactly when they did before, so
-    machine counts and overlaps stay.  When `width` is the makespan (the
-    default), no start becomes negative.  When the earliest start is 0 as
-    well, the window [0, width) is mapped onto itself, so the makespan, the
-    idle and feasibility stay.  A start below 0 becomes an end past
-    `width`, so the makespan grows.
+    machine counts and overlaps stay.  No start becomes negative, as no
+    job ends after w, and the earliest start e becomes a makespan w - e.
+    So when e is 0, the window [0, w) is mapped onto itself: the
+    makespan, the idle and feasibility stay, and a second mirror gives
+    the input back.
     """
     _check_job_universe(inst, sched)
-    if width is None:
-        width = max(
-            (sched.starts[j.id] + j.p for j in inst.jobs), default=0
-        )
-    starts = {
-        job.id: width - sched.starts[job.id] - job.p for job in inst.jobs
-    }
+    width = max((sched.starts[j.id] + j.p for j in inst.jobs), default=0)
+    starts = {job.id: width - sched.starts[job.id] - job.p for job in inst.jobs}
     return Schedule(starts=starts, machines=dict(sched.machines))
 
 

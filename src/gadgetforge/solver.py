@@ -239,16 +239,16 @@ the classes and their lengths, each job's rank and placement record, the
 scanned families by width with their initial live lists, the per-width
 job and forced-class counts of the empty schedule, the forced-start
 index, the forced classes by length and the value family's gap facts.
-That is one `_Plan`, an immutable value built by the first decision that
-needs it and kept on the instance (`SchedulingInstance._search_plans`),
-the way `forward_geometry` is, so the instance holds at most four; they
-live as long as it does, about 60 KB each at z = 14 (173 jobs).  After
-it is built nothing writes into a plan: a search copies the live lists
-and the counts it updates.  The dead-state table is not part of it.  It
-stays per decision: a table kept across decisions would cut branches a
-fresh decision searches, so node counts, and with them every
-`Decision`, would depend on what was decided before, and a repeated
-decision would be little more than a look-up.
+That is one `_Plan`, an immutable value built by `_plan` for the first
+decision that needs it and kept on the instance by
+`reduction.per_instance`, as the forward geometry is, so the instance
+holds at most four; they live as long as it does, about 60 KB each at
+z = 14 (173 jobs).  After it is built nothing writes into a plan: a
+search copies the live lists and the counts it updates.  The dead-state
+table is not part of it.  It stays per decision: a table kept across
+decisions would cut branches a fresh decision searches, so node counts,
+and with them every `Decision`, would depend on what was decided
+before, and a repeated decision would be little more than a look-up.
 
 A decision is one `_Search`, holding its instance's plan, the dead-state
 table and one state that each placement updates and its undo takes back
@@ -284,6 +284,7 @@ from .reduction import (
     SchedulingInstance,
     check_jobs,
     forward_geometry,
+    per_instance,
     recognize,
 )
 from .schedule import Schedule, verify
@@ -336,7 +337,7 @@ class Decision:
 class _Plan:
     """What a search reads of its instance and never writes, for one
     symmetry rule and one state of the equation tables: see "The plan" in
-    the module docstring.  Built by `_plan`, once per instance."""
+    the module docstring.  Built by `_plan`, once per instance and rules."""
 
     # the number of jobs
     n: int
@@ -368,19 +369,11 @@ class _Plan:
     open_forced: tuple[int, ...]
 
 
+@per_instance
 def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
-    """The instance's `_Plan` for these rules, built on the first decision
-    that asks for it and kept on the instance (`_search_plans`)."""
-    plans = inst._search_plans
-    plan = plans.get((symmetry, equations))
-    if plan is None:
-        plan = plans[symmetry, equations] = _build_plan(inst, symmetry, equations)
-    return plan
-
-
-def _build_plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
-    """Classes of identical jobs grouped into families, see "Candidates at
-    a node", and the forced-start index under the equation tables."""
+    """The instance's `_Plan` for these rules: classes of identical jobs
+    grouped into families, see "Candidates at a node", and the forced-start
+    index under the equation tables."""
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
     if symmetry:
         key = lambda j: (j.p, j.q, j.tag)

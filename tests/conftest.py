@@ -14,6 +14,9 @@ reference that the bisections of `schedule.audit` are checked against.
 `with_repeated_key` writes a document whose object names one key twice,
 which every loader must refuse rather than read as the last value.
 
+`record_builds` logs every build of the given `per_instance` facts, so a
+test can count how often each fact is worked out.
+
 `contiguous_optimum` is an exact optimizer for at most eight jobs with
 every job on an interval of machines, written independently of the
 solver; it is the reference that contiguous decisions are checked against.
@@ -144,6 +147,21 @@ def with_repeated_key(document, path, key, value) -> str:
     marker = "\0repeated key"
     holder[path[-1]] = marker
     return json.dumps(copy).replace(json.dumps(marker), text)
+
+
+def record_builds(monkeypatch, *facts) -> list[tuple]:
+    """Patch each `reduction.per_instance` function in `facts` to log each
+    build as (name, instance, arguments) to the returned list; the calls
+    that read a kept value log nothing."""
+    builds = []
+    for fact in facts:
+
+        def logged(inst, *args, name=fact.__name__, build=fact.__wrapped__):
+            builds.append((name, inst, args))
+            return build(inst, *args)
+
+        monkeypatch.setattr(fact, "__wrapped__", logged)
+    return builds
 
 
 def count_finished_by(

@@ -159,7 +159,7 @@ def test_criterion_3_backward_direction(forward_corpus):
                 for j, ms in sched.machines.items()
             },
         )
-        for variant in (sched, mirror(inst, sched, width=inst.W), relabeled):
+        for variant in (sched, mirror(inst, sched), relabeled):
             try:
                 partition, _ = extract_partition(inst3, inst, variant)
             except Exception as exc:  # noqa: BLE001 - report, do not mask

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from gadgetforge.cli import main
-from gadgetforge.reduction import SchedulingInstance, StripInstance
+from gadgetforge.reduction import Job, SchedulingInstance, StripInstance
 from gadgetforge.schedule import Schedule
 from gadgetforge.strip import schedule_to_packing
 
@@ -469,6 +469,18 @@ def test_render_gantt_and_packing(workspace, tmp_path):
     result2 = run("render", "--strip", str(workspace / "strip.json"),
                   "--packing", str(pack_path), "--out", str(fig2))
     assert result2.exit_code == 0 and fig2.exists()
+
+
+@pytest.mark.parametrize("x", ["-1/2", "13/2"])
+def test_render_draws_an_item_at_a_fractional_x(tmp_path, x):
+    strip = StripInstance(m=4, z=0, D=0, W=10, jobs=(Job("r0", 4, 1, "J"),))
+    (tmp_path / "strip.json").write_text(strip.to_json())
+    (tmp_path / "pack.json").write_text(json.dumps({"positions": {"r0": [x, 0]}}))
+    fig = tmp_path / "fig.svg"
+    result = run("render", "--strip", str(tmp_path / "strip.json"),
+                 "--packing", str(tmp_path / "pack.json"), "--out", str(fig))
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["bytes"] == len(fig.read_bytes())
 
 
 @pytest.mark.parametrize(

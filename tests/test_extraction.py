@@ -158,7 +158,7 @@ def test_refutation_after_mirroring_a_start_below_zero():
     sched = build_schedule(inst, witness)
     for t in (sched.starts["A_0"], sched.starts["B_1"]):
         sched = swap_after(inst, sched, t, 2, 3)
-    sched = mirror(inst, sched, inst.W)
+    sched = mirror(inst, sched)
     value = next(j.id for j in inst.tagged("P") if sched.machines[j.id] == {3})
     forged = Schedule({**sched.starts, value: -5}, sched.machines)
     assert verify(inst, forged).makespan == inst.W

@@ -85,7 +85,7 @@ def pin_digests(z: int, seed: int) -> dict[str, str]:
 
     relabelled = swap_after(inst, sched, sched.starts[f"A_{z // 2}"], 2, 3)
     relabelled = swap_after(inst, relabelled, 0, 1, 4)
-    schedules = [sched, mirror(inst, sched, inst.W), relabelled]
+    schedules = [sched, mirror(inst, sched), relabelled]
     schedules += _perturbed(inst3, inst, sched)
     pins = {
         "audit": digest([_audit(inst, s) for s in schedules]),

@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadgetforge import reduction
+from gadgetforge import reduction, solver
 from gadgetforge.exactnum import CoeffVector, decompose
 from gadgetforge.extraction import extract_partition
 from gadgetforge.reduction import (
@@ -27,6 +27,7 @@ from gadgetforge.reduction import (
     canonical_slots,
     family_length,
     forced_starts,
+    forward_geometry,
     gamma_window,
     partition_gaps,
     recognize,
@@ -35,12 +36,12 @@ from gadgetforge.reduction import (
     chain_values,
 )
 from gadgetforge.schedule import audit, mirror
-from gadgetforge.solver import decide_target
+from gadgetforge.solver import PruneRules, decide_target
 from gadgetforge.strip import normalize, verify_packing
 from gadgetforge.synthesis import build_packing, build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
-from conftest import count_finished_by
+from conftest import count_finished_by, record_builds
 
 # (10, 11, 12) gives z=1, D=33, and 33 > 32 = 4z(7z+1): reduction-ready as is.
 INST_D33 = ThreePartitionInstance((10, 11, 12))
@@ -267,11 +268,44 @@ def test_recognition_is_worked_out_once_per_instance(monkeypatch):
     assert recognize(inst) == (inst.z, inst.D)
     sched = build_schedule(inst, witness)
     assert audit(inst, sched).passed
-    for given_sched in (sched, mirror(inst, sched, inst.W)):
+    for given_sched in (sched, mirror(inst, sched)):
         partition, _ = extract_partition(inst3, inst, given_sched)
         assert {frozenset(s) for s in partition} == {frozenset(s) for s in witness}
     assert decide_target(inst, inst.W).outcome == "witness"
     assert calls == [inst3]
+
+
+def test_each_derived_fact_is_built_once_per_instance_and_arguments(monkeypatch):
+    """Synthesis, extraction and decisions under two rule sets, run twice
+    on an instance and on an equal `dataclasses.replace` copy, build each
+    derived fact once per (instance, arguments): the copy builds its own.
+    A full memo changes neither `==` nor `hash`, and `dir` still lists the
+    instance's attributes."""
+    inst3, witness = gen_yes(2, 3)
+    inst = build_jobs(inst3)
+    copy = dataclasses.replace(inst)
+    before = hash(inst)
+    facts = (forward_geometry, canonical_slots, canonical_ids, solver._plan)
+    builds = record_builds(monkeypatch, *facts)
+    for each in (inst, copy, inst, copy):
+        sched = build_schedule(each, witness)
+        extract_partition(inst3, each, mirror(each, sched))
+        for symmetry in (True, False):
+            rules = PruneRules(symmetry=symmetry)
+            decide_target(each, each.W, budget=30, rules=rules)
+    machines = [(m,) for m in CANONICAL_LAYOUT]
+    want = [
+        ("forward_geometry", ()),
+        *(("canonical_slots", m) for m in machines),
+        *(("canonical_ids", m) for m in machines),
+        ("_plan", (True, True)),
+        ("_plan", (False, True)),
+    ]
+    for each in (inst, copy):
+        built = [(name, args) for name, i, args in builds if i is each]
+        assert sorted(built) == sorted(want)
+    assert inst == copy and hash(inst) == hash(copy) == before
+    assert "by_id" in dir(inst)
 
 
 def test_by_slot_is_read_only_and_names_every_job(generated):

@@ -1,11 +1,20 @@
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
+import pytest
+
 from gadgetforge import render
-from gadgetforge.reduction import Job, SchedulingInstance, build_jobs, build_strip
+from gadgetforge.reduction import (
+    Job,
+    SchedulingInstance,
+    StripInstance,
+    build_jobs,
+    build_strip,
+)
 from gadgetforge.render import render_packing_svg, render_schedule_svg
 from gadgetforge.schedule import Schedule
-from gadgetforge.strip import schedule_to_packing
+from gadgetforge.strip import Packing, schedule_to_packing
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import gen_yes
 
@@ -134,3 +143,23 @@ def test_ids_and_tags_are_escaped_as_saxutils_escapes_them(monkeypatch):
         assert ">T&amp;&lt;&gt;</text>" in svg
     for text in ("", "plain", "a&b<c>d", "&amp;", "<<>>&&", "]]>"):
         assert render._escape(text) == escape(text)
+
+
+# an item 4 wide at each x, in a strip 10 wide: a fractional x beside its
+# integral neighbours, one rounding down past 0 and one up past the width
+FRACTIONAL_X = {"-1/2": Fraction(-1, 2), "-1": -1, "13/2": Fraction(13, 2), "7": 7}
+
+
+@pytest.mark.parametrize("x", FRACTIONAL_X.values(), ids=FRACTIONAL_X)
+def test_an_item_at_a_fractional_x_is_drawn(x):
+    """The axis has a tick at or left of the item's start and one at or
+    right of its end, so an item whose x is fractional lies inside the
+    drawn range as its integral neighbours do."""
+    strip = StripInstance(m=4, z=0, D=0, W=10, jobs=(Job("r0", 4, 1, "J"),))
+    svg = render_packing_svg(strip, Packing(positions={"r0": (x, 0)}))
+    rects = [
+        el
+        for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect")
+        if el.get("class") == "job"
+    ]
+    assert len(rects) == 1

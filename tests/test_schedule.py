@@ -220,10 +220,10 @@ def test_swap_preserves_audit(canonical_z1):
 
 def test_mirror_involution_and_feasibility(canonical_z1):
     _, inst, sched = canonical_z1
-    flipped = mirror(inst, sched, inst.W)
+    flipped = mirror(inst, sched)
     report = verify(inst, flipped)
     assert report.feasible and report.makespan == inst.W and report.idle == 0
-    again = mirror(inst, flipped, inst.W)
+    again = mirror(inst, flipped)
     assert again.starts == dict(sched.starts)
     assert again.machines == dict(sched.machines)
 
@@ -284,7 +284,7 @@ def test_audit_passes_under_machine_permutation(canonical_z1):
 
 def test_audit_passes_on_mirror(canonical_z1):
     _, inst, sched = canonical_z1
-    assert audit(inst, mirror(inst, sched, inst.W)).passed
+    assert audit(inst, mirror(inst, sched)).passed
 
 
 def test_audit_requires_reduction_instance():

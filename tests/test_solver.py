@@ -36,7 +36,12 @@ from gadgetforge.threepartition import (
     validate_partition,
 )
 
-from conftest import contiguous_optimum, path_free_times, reference_candidates
+from conftest import (
+    contiguous_optimum,
+    path_free_times,
+    record_builds,
+    reference_candidates,
+)
 
 
 def generic(dims, m=4):
@@ -944,7 +949,7 @@ PLAN_CASES = {"carve": _plan_carve, "yes(1,0)": lambda: _at_w(gen_yes(1, 0)[0])}
 
 
 @pytest.mark.parametrize("case", PLAN_CASES)
-def test_a_plan_kept_on_the_instance_changes_no_decision(case):
+def test_a_plan_kept_on_the_instance_changes_no_decision(case, monkeypatch):
     # The plan depends only on the instance and the rules, so one instance
     # object decided again and again, under every rule set and budget, in
     # either order, decides as a fresh copy of it does.  With the equation
@@ -958,6 +963,7 @@ def test_a_plan_kept_on_the_instance_changes_no_decision(case):
         for budget in (1, 4, 30, solver.DEFAULT_BUDGET)
     ]
     outcomes = Counter()
+    builds = record_builds(monkeypatch, solver._plan)
     for order in (settings, settings[::-1]):
         kept = replace(inst)
         for rules, contiguous, budget in order:
@@ -970,7 +976,9 @@ def test_a_plan_kept_on_the_instance_changes_no_decision(case):
             )
             assert got == want
             outcomes[got["outcome"]] += 1
-        assert len(kept._search_plans) == (2 if case == "carve" else 4)
+        # one build per rule key on the kept instance
+        rule_keys = [args for _, each, args in builds if each is kept]
+        assert len(rule_keys) == len(set(rule_keys)) == (2 if case == "carve" else 4)
     assert outcomes["witness"] and outcomes["budget-exceeded"]
 
 

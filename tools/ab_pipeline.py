@@ -17,10 +17,13 @@ of these documents must be byte-identical on both sides:
   `AuditReport.to_dict()` and `to_dict()` of every row (or the error the
   audit raises);
 * `ExtractionTrace.to_dict()` of the synthesized and the mirrored schedule;
-* the same, or the certificate, of two schedules that extraction swaps back
-  (the workload's own inputs take no swap): the synthesized schedule with
-  its machines relabelled by `RELABEL`, and one whose machines 2 and 3 are
-  swapped inside block 1, from the start of A_0 to that of B_1;
+* the same, or the certificate, of three schedules that extraction swaps
+  back (the workload's own inputs take no swap): the synthesized schedule
+  with its machines relabelled by `RELABEL`; one whose machines 2 and 3
+  are swapped inside block 1, from the start of A_0 to that of B_1; and
+  one whose machines 1 and 2 are exchanged from the start of each A_i in
+  turn, i = 0..z, which normalization undoes with z swaps, against at most
+  two for a relabelling of the machines;
 * `RefutationCertificate.to_dict()` of the perturbed schedule (or the error
   the extraction raises);
 * the schedule and packing SVGs;
@@ -31,9 +34,10 @@ The script lists every document that differs and stops.
 Then each round runs every op once on each side, OLD first on even rounds
 and NEW first on odd ones, timing every layer the op calls.  After its op,
 each side also extracts the partition from the relabelled and the
-block-swapped schedule of that input, built before the rounds, timed as
-the layers `extraction.relabelled` and `extraction.block-swapped`: no op
-of the workload runs extraction's swap step, and these two do.  The
+block-swapped and block-relabelled schedule of that input, built before
+the rounds, timed as the layers `extraction.relabelled`,
+`extraction.block-swapped` and `extraction.block-relabelled`: no op of
+the workload runs extraction's swap steps, and these three do.  The
 script prints, per layer, the sum over the ops of each op's minimum time
 in that layer over the rounds, for each side, and the ratio NEW/OLD; the
 `op` row sums the workload's ops alone.
@@ -87,16 +91,21 @@ def _ops(workloads, lib, seed: int):
 
 def _swapped(lib, inst, sched) -> dict:
     """The schedules that extraction swaps back, built from the
-    synthesized `sched`: its machines relabelled by `RELABEL`, and its
-    machines 2 and 3 swapped from the start of A_0 to that of B_1."""
+    synthesized `sched`: its machines relabelled by `RELABEL`, its
+    machines 2 and 3 swapped from the start of A_0 to that of B_1, and its
+    machines 1 and 2 exchanged from the start of each A_i in turn."""
     relabelled = lib.Schedule(
         starts=sched.starts,
         machines={j: frozenset(RELABEL[m] for m in ms) for j, ms in sched.machines.items()},
     )
+    at = lambda tag, i: sched.starts[inst.by_slot[tag, i].id]
     swapped = sched
     for slot in (("A", 0), ("B", 1)):
-        swapped = lib.swap_after(inst, swapped, sched.starts[inst.by_slot[slot].id], 2, 3)
-    return {"relabelled": relabelled, "block-swapped": swapped}
+        swapped = lib.swap_after(inst, swapped, at(*slot), 2, 3)
+    blocks = sched
+    for i in range(inst.z + 1):
+        blocks = lib.swap_after(inst, blocks, at("A", i), 1, 2)
+    return {"relabelled": relabelled, "block-swapped": swapped, "block-relabelled": blocks}
 
 
 def _attempt(fn) -> str:
