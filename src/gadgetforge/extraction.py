@@ -19,12 +19,11 @@ the mirror of an input whose earliest start is not 0 ends away from W.  So
 a failing input cannot be "repaired" into a passing one, and the lemmas
 alone decide refutation: the certificate is honest evidence that the input
 was not a feasible zero-idle schedule at the target.  The job universe is
-checked at the gate only: normalization swaps one cut (t, m1, m2) at a
-time with `schedule._swap_after`, which skips that check and proves that
+checked at the gate only: normalization and the pair columns make their
+swaps with `schedule._Exchange`, which skips that check and proves that
 its output passes it again, as every machine a swap names lies in 1..4,
-the m of a reduction instance.  The pair columns exchange machines 2 and
-3 inside a block's window with `_MiddleExchange`, which does what two
-such swaps do while touching only the jobs that start in the window.
+the m of a reduction instance.  An exchange copies the machine sets at
+its first swap, so an input that needs no swap costs none.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any, Mapping
 
 from .exactnum import require
@@ -49,7 +47,7 @@ from .schedule import (  # NotTargetMakespan is re-exported
     NotTargetMakespan,
     Schedule,
     _check_job_universe,
-    _swap_after,
+    _Exchange,
     finished_by_index,
     mirror,
 )
@@ -140,15 +138,18 @@ def _tiling_break(
     return None
 
 
-def _swap(inst, sched, stage: str, events: list, t: int, m1: int, m2: int) -> Schedule:
-    """Swap the contents of machines m1 and m2 from t on, and log the swap.
-    A job the cut tears is the stage's swap-crossing refutation."""
+def _swap(
+    exchange: _Exchange, stage: str, events: list, m1: int, m2: int, *cuts: int
+) -> None:
+    """Swap the contents of machines m1 and m2 at each cut in turn, and log
+    each swap.  A job a cut tears is the stage's swap-crossing refutation,
+    and then no swap is logged."""
     try:
-        sched = _swap_after(inst, sched, t, m1, m2)
+        exchange.swap(m1, m2, *cuts)
     except CrossingJob as exc:
         raise RefutationCertificate(stage, "swap-crossing", str(exc)) from exc
-    events.append({"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]})
-    return sched
+    for t in cuts:
+        events.append({"stage": stage, "event": "swap", "t": str(t), "machines": [m1, m2]})
 
 
 def normalize_machines(inst: SchedulingInstance, sched: Schedule) -> Schedule:
@@ -176,15 +177,16 @@ def _normalize_machines(
     # walk the three-machine separators in start order; whichever middle
     # machine the next one misses gets the previous one's side content
     seps = sorted(_ids(inst, "A", "B"), key=lambda i: (sched.starts[i], i))
+    exchange = _Exchange(inst, sched)
     prev = None
     for k, x in enumerate(seps):
-        rho = sched.machines[x]
+        rho = exchange.machines[x]
         missing = next(iter({1, 2, 3, 4} - rho))
         if missing in MIDDLE:
             if k == 0:
                 partner, t = min(rho & set(SIDES)), 0
             else:
-                side = sched.machines[prev] - set(MIDDLE)
+                side = exchange.machines[prev] - set(MIDDLE)
                 if len(side) != 1:
                     raise RefutationCertificate(
                         stage, "separator-spread", f"{prev} lost its side machine"
@@ -195,17 +197,18 @@ def _normalize_machines(
                     raise RefutationCertificate(
                         stage, "separator-overlap", f"{prev} and {x} run concurrently"
                     )
-            sched = _swap(inst, sched, stage, events, t, partner, missing)
+            _swap(exchange, stage, events, partner, missing, t)
         prev = x
 
-    lam_home = next(iter(sched.machines["lambda1"]))
+    lam_home = next(iter(exchange.machines["lambda1"]))
     if lam_home in MIDDLE:
         raise RefutationCertificate(
             stage, "machine-contents", "the opening cap sits on a middle machine"
         )
     if lam_home == 4:
-        sched = _swap(inst, sched, stage, events, 0, 1, 4)
+        _swap(exchange, stage, events, 1, 4, 0)
 
+    sched = exchange.schedule()
     lanes = _lanes(inst, sched)
     on = {m: set(lanes[m]) for m in (1, 2, 3, 4)}
     want_1, want_4 = canonical_ids(inst, 1), canonical_ids(inst, 4)
@@ -373,88 +376,27 @@ def _check_fillers(inst, sched, a_seq, b_seq) -> None:
             )
 
 
-class _MiddleExchange:
-    """Exchanges of machines 2 and 3 inside time windows, each touching only
-    the jobs that start in its window.
-
-    Exchanging them over [lo, hi) is `_swap_after` at lo and then at hi,
-    both on (2, 3).  A swap on (2, 3) keeps every job on exactly one of
-    them on exactly one, so the jobs the two swaps can move or find torn,
-    the movers, are the same for every exchange.  A mover that tears at
-    neither cut ends by min(lo, hi), starts at or past max(lo, hi) (moved
-    twice, back where it was) or starts in between (moved once), so only
-    the movers starting in the window change machines.  The crossing
-    checks are the swaps' own, in their order: the first mover in
-    instance order that straddles lo, else the first that straddles hi."""
-
-    def __init__(self, inst, sched, lanes):
-        self.inst = inst
-        self.starts = starts = sched.starts
-        # the machine sets, rewritten in place by the exchanges
-        self.machines = dict(sched.machines)
-        self.movers = set(lanes[2]) ^ set(lanes[3])
-        self.order = sorted(self.movers, key=lambda i: (starts[i], i))
-        self.begins = [starts[i] for i in self.order]
-        # the latest end of the first k movers in start order, at k - 1
-        self.reach = list(
-            accumulate((starts[i] + inst.by_id[i].p for i in self.order), max)
-        )
-
-    def _cut(self, t: int) -> None:
-        """Raise CrossingJob when a mover straddles t, naming the first in
-        instance order, as `_swap_after` does."""
-        k = bisect_left(self.begins, t)
-        if k and self.reach[k - 1] > t:
-            starts, movers = self.starts, self.movers
-            job = next(
-                j for j in self.inst.jobs
-                if j.id in movers and starts[j.id] < t < starts[j.id] + j.p
-            )
-            raise CrossingJob(job.id, t, 2, 3)
-
-    def exchange(self, lo: int, hi: int) -> None:
-        """`_swap_after` on (2, 3) at lo, then at hi: a torn mover raises
-        CrossingJob before any machine set changes."""
-        self._cut(lo)
-        self._cut(hi)
-        a, b = sorted((lo, hi))
-        machines, begins = self.machines, self.begins
-        for i in self.order[bisect_left(begins, a) : bisect_left(begins, b)]:
-            machines[i] = machines[i] ^ set(MIDDLE)
-
-
 def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
     machines' contents inside the block window.  Returns the new schedule
     and its `_lanes` (`lanes` are the input's)."""
     stage = "pair-columns"
-    machines = sched.machines
-    middle = None
+    exchange = _Exchange(inst, sched)
     for i in range(1, inst.z + 1):
         a_i, b_i = m1["a", i], m4["b", i]
-        sa = machines[a_i] - {1}
-        sb = machines[b_i] - {4}
+        sa = exchange.machines[a_i] - {1}
+        sb = exchange.machines[b_i] - {4}
         if sa == sb:
             raise RefutationCertificate(
                 stage, "pair-columns", f"{a_i} and {b_i} share machine {sorted(sa)}"
             )
         if sa == {3}:
-            if middle is None:
-                middle = _MiddleExchange(inst, sched, lanes)
-                machines = middle.machines
             t1, t2 = sched.starts[m1["A", i - 1]], sched.starts[m4["B", i]]
-            try:
-                middle.exchange(t1, t2)
-            except CrossingJob as exc:
-                raise RefutationCertificate(stage, "swap-crossing", str(exc)) from exc
-            for t in (t1, t2):
-                events.append(
-                    {"stage": stage, "event": "swap", "t": str(t), "machines": [2, 3]}
-                )
-    if middle is not None:
-        sched = Schedule(starts=dict(sched.starts), machines=machines)
-        lanes = _lanes(inst, sched)
+            _swap(exchange, stage, events, *MIDDLE, t1, t2)
+    swapped = exchange.schedule()
+    if swapped is not sched:
+        sched, lanes = swapped, _lanes(inst, swapped)
     want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
     on_2, on_3 = set(lanes[2]), set(lanes[3])
     if on_2 != want_2 or on_3 != want_3:

@@ -264,7 +264,7 @@ def render_packing_svg(
     axis = _Axis(times, base)
 
     tops = [packing.positions[job.id][1] + job.q for job in inst.jobs]
-    height_units = int(max([*tops, 1]))
+    height_units = ceil(max([*tops, 1]))
     if height_units > _MAX_ROWS:
         raise ValueError(f"height {height_units} is more rows than a figure holds")
     for job in inst.jobs:

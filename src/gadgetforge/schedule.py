@@ -11,6 +11,9 @@ relabelings of a zero-idle schedule.  A swap, and the time mirror too, map
 the (machine, instant) cells one to one, so they keep what `verify` reports
 (feasibility, makespan, idle; the mirror under the conditions it states)
 and need no second verify; `swap_after` and `mirror` give the proofs.
+Every swap is made by one step, `_Exchange`: `swap_after` makes one, and
+extraction makes all of its swaps with it, each touching only the jobs on
+exactly one of the two machines that start inside the swapped window.
 
 The audit checks, at the start of every 2- and 3-machine job, that each
 digit of the decomposed start time equals the number of finished jobs on
@@ -22,9 +25,10 @@ perturbed schedules the first violated check pinpoints what broke.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -297,43 +301,100 @@ def swap_after(
     count, two jobs share a cell afterwards exactly when they did before,
     and the makespan and the busy area, hence the idle, stay.
 
-    This checks m1, m2 and the job universe (`_check_job_universe`), then
-    runs `_swap_after`, which a caller that has already checked them, as
-    extraction does at its gate, may call directly.
+    This checks the jobs (`reduction.check_jobs`: every length at least 1,
+    so a job that ends by t does not also start at or after t), m1, m2 and
+    the job universe (`_check_job_universe`), then makes the swap with an
+    `_Exchange`, which a caller that has already checked them, as
+    extraction does at its gate, uses directly.
     """
+    check_jobs(inst.jobs, inst.m)
     for m in (m1, m2):
         if not 1 <= m <= inst.m:
             raise MachineOutOfRange(f"machine {m} out of 1..{inst.m}")
     _check_job_universe(inst, sched)
-    return _swap_after(inst, sched, t, m1, m2)
+    exchange = _Exchange(inst, sched)
+    exchange.swap(m1, m2, t)
+    return exchange.schedule()
 
 
-def _swap_after(
-    inst: SchedulingInstance, sched: Schedule, t: int, m1: int, m2: int
-) -> Schedule:
-    """`swap_after` without its input checks, for a schedule that passes
-    `_check_job_universe` and machines m1, m2 in 1..m.
+class _Exchange:
+    """`swap_after` made in place on a copy of a schedule's machine sets,
+    touching only the jobs that start inside each swap's window.
 
-    The result passes them too, so swaps chain without a second check.
-    Its starts are a copy of the input's, and its machine sets are keyed by
-    the instance's job ids, which the check makes exactly the input's keys.
-    Each new machine set is the old one, or the old one with m1 traded for
-    m2 or m2 for m1, so its machines lie in 1..m when the old ones and m1,
-    m2 do.
+    `swap(m1, m2, *cuts)` does what `swap_after` on (m1, m2) does at each
+    cut in turn: one cut is one swap, and two cuts, in either order,
+    exchange the machines inside the window between them.  It skips
+    `swap_after`'s input checks, for a schedule that passes them, and the
+    schedule it makes passes them too, so swaps chain without a second
+    check: its machine sets are keyed by the input's job ids, and each is
+    the old one or the old one with m1 traded for m2 or m2 for m1.
+
+    Only the movers, the jobs on exactly one of m1 and m2, can change
+    machines or tear.  A swap on (m1, m2) keeps every mover on exactly one
+    of the two, so the movers, sorted by start once, stay the movers until
+    a swap on a different pair.  A mover that no cut tears moves once for
+    each cut at or before its start, so only the movers that start at or
+    past an odd number of cuts change machines: those inside the windows
+    [c1, c2), [c3, c4), ... between the sorted cuts, the last one open
+    when the cuts are odd in number.  A mover straddles t exactly when the
+    latest end of the movers starting before t lies past t.  The crossing
+    checks are the swaps' own, in their order, and name the first mover in
+    instance order that straddles the cut, as `swap_after` does; a torn
+    cut raises CrossingJob before any machine set changes.
     """
-    new_machines: dict[str, frozenset[int]] = {}
-    for job in inst.jobs:
-        used = sched.machines[job.id]
-        start = sched.starts[job.id]
-        on1, on2 = m1 in used, m2 in used
-        if on1 == on2 or start + job.p <= t:
-            new_machines[job.id] = used
-        elif start >= t:
-            swapped = (used - {m1, m2}) | ({m2} if on1 else {m1})
-            new_machines[job.id] = frozenset(swapped)
-        else:
+
+    def __init__(self, inst: SchedulingInstance, sched: Schedule):
+        self.inst = inst
+        self.sched = sched
+        # the input's machine sets until the first swap copies them; the
+        # swaps then rewrite the copy in place
+        self.machines = sched.machines
+        self.pair: frozenset[int] | None = None
+
+    def _track(self, m1: int, m2: int) -> None:
+        """Find the movers of (m1, m2), in instance order and by start, and
+        the latest end of the first k of them by start, at k - 1."""
+        starts, machines = self.sched.starts, self.machines
+        self.movers = [
+            j for j in self.inst.jobs
+            if (m1 in machines[j.id]) != (m2 in machines[j.id])
+        ]
+        by_start = sorted(self.movers, key=lambda j: starts[j.id])
+        self.order = [j.id for j in by_start]
+        self.begins = [starts[j.id] for j in by_start]
+        self.reach = list(accumulate((starts[j.id] + j.p for j in by_start), max))
+
+    def _cut(self, t: int, m1: int, m2: int) -> None:
+        """Raise CrossingJob when a mover straddles t."""
+        k = bisect_left(self.begins, t)
+        if k and self.reach[k - 1] > t:
+            starts = self.sched.starts
+            job = next(
+                j for j in self.movers if starts[j.id] < t < starts[j.id] + j.p
+            )
             raise CrossingJob(job.id, t, m1, m2)
-    return Schedule(starts=dict(sched.starts), machines=new_machines)
+
+    def swap(self, m1: int, m2: int, *cuts: int) -> None:
+        """`swap_after` on (m1, m2) at each cut in turn."""
+        if self.pair is None:
+            self.machines = dict(self.machines)
+        pair = frozenset((m1, m2))
+        if pair != self.pair:
+            self._track(m1, m2)
+            self.pair = pair
+        for t in cuts:
+            self._cut(t, m1, m2)
+        machines, order = self.machines, self.order
+        bounds = [bisect_left(self.begins, t) for t in sorted(cuts)] + [len(order)]
+        for lo, hi in zip(bounds[::2], bounds[1::2]):
+            for i in order[lo:hi]:
+                machines[i] = machines[i] ^ pair
+
+    def schedule(self) -> Schedule:
+        """The swapped schedule; the input itself when `swap` never ran."""
+        if self.pair is None:
+            return self.sched
+        return Schedule(starts=dict(self.sched.starts), machines=dict(self.machines))
 
 
 def mirror(inst: SchedulingInstance, sched: Schedule) -> Schedule:

@@ -11,6 +11,14 @@ way the finished-before count is defined; they are the reference that
 every audit row from them, the way the audit is defined; it is the
 reference that the bisections of `schedule.audit` are checked against.
 
+`carve_zero_idle` cuts the full m-machine rectangle of a random horizon
+into rigid jobs of a `generic` instance, and returns the zero-idle
+schedule the cutting performs.
+
+`reference_swap` is `schedule.swap_after` written job by job, the way the
+swap is defined; it is the reference that `schedule._Exchange`, which
+moves only the jobs inside a window, is checked against.
+
 `with_repeated_key` writes a document whose object names one key twice,
 which every loader must refuse rather than read as the last value.
 
@@ -43,6 +51,7 @@ import pytest
 from gadgetforge.exactnum import decompose
 from gadgetforge.reduction import (
     COUNT_CHAINS,
+    Job,
     SchedulingInstance,
     build_jobs,
     forced_starts,
@@ -53,6 +62,7 @@ from gadgetforge.reduction import (
 from gadgetforge.schedule import (
     DIGIT_FAMILIES,
     AuditCheck,
+    CrossingJob,
     NotZeroIdle,
     Schedule,
     UnknownJob,
@@ -130,6 +140,56 @@ def make_canonical_z1():
 @pytest.fixture
 def canonical_z1():
     return make_canonical_z1()
+
+
+def generic(dims, m=4):
+    jobs = tuple(
+        Job(id=f"J{i}", p=p, q=q, tag="J", index=i)
+        for i, (p, q) in enumerate(dims)
+    )
+    return SchedulingInstance(m=m, z=0, D=0, W=0, jobs=jobs)
+
+
+def carve_zero_idle(rng, horizon, m=4):
+    """Cut the full m x horizon rectangle into rigid jobs; returns the
+    instance together with the witness schedule the cutting performs."""
+    free = [0] * m
+    dims, starts, machines = [], {}, {}
+    while min(free) < horizon:
+        t = min(free)
+        avail = [k for k in range(m) if free[k] == t]
+        q = rng.randint(1, len(avail))
+        p = rng.randint(1, horizon - t)
+        job_id = f"J{len(dims)}"
+        lanes = rng.sample(avail, q)
+        for k in lanes:
+            free[k] = t + p
+        dims.append((p, q))
+        starts[job_id] = t
+        machines[job_id] = frozenset(k + 1 for k in lanes)
+    return generic(dims), Schedule(starts=starts, machines=machines)
+
+
+def reference_swap(
+    inst: SchedulingInstance, sched: Schedule, t: int, m1: int, m2: int
+) -> Schedule:
+    """`swap_after` without its input checks, visiting every job: one on
+    both or neither of m1 and m2, or ending by t, keeps its set, one
+    starting at or after t trades m1 for m2 or m2 for m1, and the first
+    other one, in instance order, raises CrossingJob."""
+    new_machines: dict[str, frozenset[int]] = {}
+    for job in inst.jobs:
+        used = sched.machines[job.id]
+        start = sched.starts[job.id]
+        on1, on2 = m1 in used, m2 in used
+        if on1 == on2 or start + job.p <= t:
+            new_machines[job.id] = used
+        elif start >= t:
+            swapped = (used - {m1, m2}) | ({m2} if on1 else {m1})
+            new_machines[job.id] = frozenset(swapped)
+        else:
+            raise CrossingJob(job.id, t, m1, m2)
+    return Schedule(starts=dict(sched.starts), machines=new_machines)
 
 
 def with_repeated_key(document, path, key, value) -> str:

@@ -42,6 +42,8 @@ from gadgetforge.threepartition import gen_no, gen_yes, validate_partition
 
 import pytest
 
+from conftest import carve_zero_idle, generic
+
 
 def report(criterion: int, problems: list[str], detail: str) -> None:
     status = "FAIL" if problems else "PASS"
@@ -64,34 +66,6 @@ def forward_corpus():
             inst = build_jobs(inst3)
             corpus.append((inst3, witness, inst, build_schedule(inst, witness)))
     return corpus, time.monotonic() - t0
-
-
-def generic(dims, m=4):
-    jobs = tuple(
-        Job(id=f"J{i}", p=p, q=q, tag="J", index=i)
-        for i, (p, q) in enumerate(dims)
-    )
-    return SchedulingInstance(m=m, z=0, D=0, W=0, jobs=jobs)
-
-
-def carve_zero_idle(rng, horizon, m=4):
-    """Cut the full m x horizon rectangle into rigid jobs; returns the
-    instance together with the witness schedule the cutting performs."""
-    free = [0] * m
-    dims, starts, machines = [], {}, {}
-    while min(free) < horizon:
-        t = min(free)
-        avail = [k for k in range(m) if free[k] == t]
-        q = rng.randint(1, len(avail))
-        p = rng.randint(1, horizon - t)
-        job_id = f"J{len(dims)}"
-        lanes = rng.sample(avail, q)
-        for k in lanes:
-            free[k] = t + p
-        dims.append((p, q))
-        starts[job_id] = t
-        machines[job_id] = frozenset(k + 1 for k in lanes)
-    return generic(dims), Schedule(starts=starts, machines=machines)
 
 
 # criteria -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from math import ceil
 from xml.sax.saxutils import escape
 
 import pytest
@@ -163,3 +164,28 @@ def test_an_item_at_a_fractional_x_is_drawn(x):
         if el.get("class") == "job"
     ]
     assert len(rects) == 1
+
+
+# an item of height 1 at each y: fractional ones beside their integral
+# neighbours, so its top is at or just below a row edge
+FRACTIONAL_Y = {"0": 0, "1/2": Fraction(1, 2), "1": 1, "5/2": Fraction(5, 2)}
+
+
+@pytest.mark.parametrize("y", FRACTIONAL_Y.values(), ids=FRACTIONAL_Y)
+def test_an_item_at_a_fractional_y_is_drawn_inside_the_rows(y):
+    """The figure has a row for every unit up to the item's top, rounded
+    up, so an item whose y is fractional is drawn between the top of the
+    first row and the bottom of the last, under a heading that counts
+    those rows."""
+    strip = StripInstance(m=4, z=0, D=0, W=10, jobs=(Job("r0", 4, 1, "J"),))
+    svg = render_packing_svg(strip, Packing(positions={"r0": (0, y)}))
+    rows = ceil(y + 1)
+    assert f"height {rows}</text>" in svg
+    (rect,) = [
+        el
+        for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect")
+        if el.get("class") == "job"
+    ]
+    top = float(rect.get("y"))
+    bottom = top + float(rect.get("height"))
+    assert render._TOP <= top < bottom <= render._TOP + rows * render._ROW

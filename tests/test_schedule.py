@@ -1,6 +1,7 @@
 """Verifier, finished-before counts, swaps, mirror, and the digit audit."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from gadgetforge.schedule import (
     Schedule,
     UnknownJob,
     _check_job_universe,
-    _swap_after,
+    _Exchange,
     audit,
     finished_by_index,
     mirror,
@@ -26,10 +27,12 @@ from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
 from conftest import (
+    carve_zero_idle,
     count_before,
     count_finished_by,
     make_canonical_z1,
     reference_audit,
+    reference_swap,
 )
 
 
@@ -187,26 +190,93 @@ def test_swap_after_crossing_job_rejected(canonical_z1):
         swap_after(inst, sched, t, 1, 4)
 
 
+def test_swap_after_refuses_a_job_no_instance_holds():
+    # A job of length 0 at t would both end by t and start at t; swap_after
+    # checks the jobs as verify does, so no swap has to decide which.
+    inst = tiny_instance([job("x", 0, 1), job("y", 2, 1)])
+    sched = Schedule(
+        starts={"x": 1, "y": 0},
+        machines={"x": frozenset({1}), "y": frozenset({2})},
+    )
+    with pytest.raises(ValueError, match="nonpositive length"):
+        swap_after(inst, sched, 1, 1, 3)
+
+
 def test_a_swap_keeps_the_job_universe(canonical_z1):
-    # `_swap_after` skips the universe check, as its output passes it
+    # `_Exchange` skips the universe check, as its output passes it
     # whenever its input does: the same job keys, every machine in 1..m.
-    # Chained swaps, as extraction makes them, stay within it too.
+    # Chained swaps on one exchange, as extraction makes them, stay within
+    # it too.
     _, inst, sched = canonical_z1
+    exchange = _Exchange(inst, sched)
     current = sched
     swaps = 0
     for t in sorted({0, *sched.starts.values()}):
         for m1 in range(1, inst.m + 1):
             for m2 in range(m1 + 1, inst.m + 1):
                 try:
-                    out = _swap_after(inst, current, t, m1, m2)
+                    exchange.swap(m1, m2, t)
                 except CrossingJob:
                     continue
+                out = exchange.schedule()
                 _check_job_universe(inst, out)
                 assert out.starts.keys() == out.machines.keys() == sched.machines.keys()
                 assert out == swap_after(inst, current, t, m1, m2)
                 current = out
                 swaps += 1
     assert swaps > inst.m
+
+
+def _swap_cases():
+    """Schedules to swap: the audit's variants of reduction schedules
+    (canonical, relabelled, mirrored, perturbed, off the grid) for z = 1..3,
+    and zero-idle carves."""
+    for z in (1, 2, 3):
+        for seed in range(2):
+            for label, inst, sched in _audit_variants(z, seed):
+                yield f"z={z} seed={seed} {label}", inst, sched
+    rng = random.Random("swap carves")
+    for k in range(40):
+        yield f"carve {k}", *carve_zero_idle(rng, horizon=rng.randint(4, 12))
+
+
+def test_the_exchange_matches_chained_reference_swaps():
+    # Each step swaps a pair, the last one again or any other (m1 = m2
+    # included), at one or two cuts in either order, on one exchange per
+    # schedule; it must make the schedule the job-by-job swaps make at
+    # those cuts in turn, or raise their CrossingJob and change nothing.
+    pairs = [(m1, m2) for m1 in range(1, 5) for m2 in range(1, 5)]
+    seen = Counter()
+    for label, inst, sched in _swap_cases():
+        rng = random.Random(label)
+        edges = {0, *sched.starts.values(), *(sched.starts[j.id] + j.p for j in inst.jobs)}
+        nudged = sorted({t + d for t in edges for d in (-1, 1)} - edges)
+        edges = sorted(edges)
+        exchange, current, pair = _Exchange(inst, sched), sched, rng.choice(pairs)
+        for step in range(30):
+            if rng.random() < 0.5:
+                last, pair = pair, rng.choice(pairs)
+                seen["pair change"] += pair != last
+            cuts = [rng.choice(nudged if rng.random() < 0.2 else edges)
+                    for _ in range(rng.randint(1, 2))]
+            where = (label, step, pair, cuts)
+            want = current
+            try:
+                for k, t in enumerate(cuts):
+                    want = reference_swap(inst, want, t, *pair)
+            except CrossingJob as exc:
+                with pytest.raises(CrossingJob) as got:
+                    exchange.swap(*pair, *cuts)
+                assert str(got.value) == str(exc), where
+                assert exchange.schedule() == current, where
+                seen[f"torn at cut {k + 1} of {len(cuts)}"] += 1
+                continue
+            exchange.swap(*pair, *cuts)
+            assert exchange.schedule() == want, where
+            seen[f"{len(cuts)} cut{'s' * (len(cuts) > 1)}"] += 1
+            seen["moved"] += want != current
+            current = want
+    assert min(seen.values()) >= 50 and len(seen) == 7, seen
 
 
 def test_swap_preserves_audit(canonical_z1):

@@ -24,6 +24,10 @@ of these documents must be byte-identical on both sides:
   one whose machines 1 and 2 are exchanged from the start of each A_i in
   turn, i = 0..z, which normalization undoes with z swaps, against at most
   two for a relabelling of the machines;
+* the certificate of a fourth, the block-swapped schedule with the value
+  job that ends at the start of B_1 moved one unit later: the pair
+  columns' second cut in block 1 tears it, so extraction refutes it with
+  a `[pair-columns] swap-crossing` certificate;
 * `RefutationCertificate.to_dict()` of the perturbed schedule (or the error
   the extraction raises);
 * the schedule and packing SVGs;
@@ -108,6 +112,18 @@ def _swapped(lib, inst, sched) -> dict:
     return {"relabelled": relabelled, "block-swapped": swapped, "block-relabelled": blocks}
 
 
+def _torn(lib, inst, swapped):
+    """The block-swapped schedule `swapped` with the value job that ends
+    at the start of B_1 moved one unit later, so that the pair columns'
+    second cut in block 1 tears it."""
+    cut = swapped.starts[inst.by_slot["B", 1].id]
+    last = next(
+        j.id for j in inst.tagged("P") if swapped.starts[j.id] + j.p == cut
+    )
+    starts = {**swapped.starts, last: swapped.starts[last] + 1}
+    return lib.Schedule(starts=starts, machines=swapped.machines)
+
+
 def _attempt(fn) -> str:
     """`fn()`'s document as JSON, or the error it raises."""
     try:
@@ -135,7 +151,9 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
         return {**report.to_dict(), "rows": [c.to_dict() for c in report.checks]}
 
     docs = {f"audit {name}": _attempt(lambda s=s: audited(s)) for name, s in schedules.items()}
-    schedules.update(_swapped(lib, inst, sched))
+    swapped = _swapped(lib, inst, sched)
+    schedules.update(swapped)
+    schedules["block-torn"] = _torn(lib, inst, swapped["block-swapped"])
     for name, s in schedules.items():
         trace = lambda s=s: lib.extract_partition(inst3, inst, s)[1].to_dict()
         docs[f"extract {name}"] = _attempt(trace)
