@@ -10,19 +10,9 @@ length, height = machine count) in a strip of width W, where the question
 becomes packing height 4 versus 5; `build_strip` returns the instance as a
 `StripInstance`, which differs only in its JSON keys.
 
-Twelve job families, by tag:
-
-    A      z+1 jobs, 3 machines, length D^2           block separators
-    B      z+1 jobs, 3 machines, length D^3           block separators
-    a      z jobs, 2 machines, D^4 + D^6 + 3z D^7     left filler pair
-    b      z jobs, 2 machines, D^5 + D^6 + 3z D^7     right filler pair
-    c      z+1 jobs, 2 machines, (z+j) D^7 + D^8      middle filler
-    alpha  z jobs, 1 machine, D^3 + D^5 + 4z D^7 + D^8
-    beta   z jobs, 1 machine, D^2 + D^4 + (4z-1) D^7 + D^8
-    gamma  z jobs, 1 machine, D^5 + (3z-j) D^7 - D    gap makers
-    delta  z jobs, 1 machine, D^4 + (3z-j) D^7
-    lambda1, lambda2  one each, 1 machine             end fillers
-    P      3z jobs, 1 machine, the instance values    partition items
+Twelve job families: the eleven of `FAMILIES`, whose lengths are
+polynomials in D, and the 3z P jobs, one per value, whose lengths are the
+instance's values and which hold the partition.
 
 The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
@@ -216,32 +206,29 @@ def target_makespan(inst: ThreePartitionInstance) -> int:
     )
 
 
+# The job families but P, in `build_jobs` order, by tag: (machines q, first
+# index, or None for the family's one job, length of job j).  An indexed
+# family runs from its first index to z.
+FAMILIES: dict[str, tuple[int, int | None, Callable[[int, int, int], int]]] = {
+    "A": (3, 0, lambda z, j, D: D**2),  # block separators
+    "B": (3, 0, lambda z, j, D: D**3),  # block separators
+    "a": (2, 1, lambda z, j, D: D**4 + D**6 + 3 * z * D**7),  # left filler pair
+    "b": (2, 1, lambda z, j, D: D**5 + D**6 + 3 * z * D**7),  # right filler pair
+    "c": (2, 0, lambda z, j, D: (z + j) * D**7 + D**8),  # middle filler
+    "alpha": (1, 1, lambda z, j, D: D**3 + D**5 + 4 * z * D**7 + D**8),
+    "beta": (1, 1, lambda z, j, D: D**2 + D**4 + (4 * z - 1) * D**7 + D**8),
+    "gamma": (1, 1, lambda z, j, D: D**5 + (3 * z - j) * D**7 - D),  # gap makers
+    "delta": (1, 1, lambda z, j, D: D**4 + (3 * z - j) * D**7),
+    "lambda1": (1, None, lambda z, j, D: D**3 + z * D**7 + D**8),  # end fillers
+    "lambda2": (1, None, lambda z, j, D: D**2 + 2 * z * D**7 + D**8),
+}
+
+
 def family_length(tag: str, z: int, D: int, index: int = 0, value: int = 0) -> int:
     """Length of one job of the given family (index matters for c/gamma/delta,
     value for P)."""
-    j = index
-    if tag == "A":
-        return D**2
-    if tag == "B":
-        return D**3
-    if tag == "a":
-        return D**4 + D**6 + 3 * z * D**7
-    if tag == "b":
-        return D**5 + D**6 + 3 * z * D**7
-    if tag == "c":
-        return (z + j) * D**7 + D**8
-    if tag == "alpha":
-        return D**3 + D**5 + 4 * z * D**7 + D**8
-    if tag == "beta":
-        return D**2 + D**4 + (4 * z - 1) * D**7 + D**8
-    if tag == "gamma":
-        return D**5 + (3 * z - j) * D**7 - D
-    if tag == "delta":
-        return D**4 + (3 * z - j) * D**7
-    if tag == "lambda1":
-        return D**3 + z * D**7 + D**8
-    if tag == "lambda2":
-        return D**2 + 2 * z * D**7 + D**8
+    if tag in FAMILIES:
+        return FAMILIES[tag][2](z, index, D)
     if tag == "P":
         return value
     raise ValueError(f"unknown tag {tag!r}")
@@ -249,37 +236,16 @@ def family_length(tag: str, z: int, D: int, index: int = 0, value: int = 0) -> i
 
 def build_jobs(inst: ThreePartitionInstance) -> SchedulingInstance:
     """All 12z+5 jobs of the reduction, in a fixed deterministic order."""
-    z, D = _checked_params(inst)
-
-    def mk(tag: str, q: int, index: int | None = None, value: int = 0) -> Job:
-        name = tag if index is None else f"{tag}_{index}"
-        return Job(
-            id=name,
-            p=family_length(tag, z, D, index or 0, value),
-            q=q,
-            tag=tag,
-            index=index,
-        )
-
-    jobs: list[Job] = []
-    jobs += [mk("A", 3, i) for i in range(z + 1)]
-    jobs += [mk("B", 3, i) for i in range(z + 1)]
-    jobs += [mk("a", 2, i) for i in range(1, z + 1)]
-    jobs += [mk("b", 2, i) for i in range(1, z + 1)]
-    jobs += [mk("c", 2, j) for j in range(z + 1)]
-    jobs += [mk("alpha", 1, i) for i in range(1, z + 1)]
-    jobs += [mk("beta", 1, i) for i in range(1, z + 1)]
-    jobs += [mk("gamma", 1, j) for j in range(1, z + 1)]
-    jobs += [mk("delta", 1, j) for j in range(1, z + 1)]
-    jobs += [mk("lambda1", 1), mk("lambda2", 1)]
-    jobs += [
-        mk("P", 1, i, value=inst.values[i - 1]) for i in range(1, 3 * z + 1)
+    W = target_makespan(inst)  # checks the instance
+    z, D = inst.z, inst.D
+    jobs = [
+        Job(tag if i is None else f"{tag}_{i}", length(z, i or 0, D), q, tag, i)
+        for tag, (q, first, length) in FAMILIES.items()
+        for i in ([None] if first is None else range(first, z + 1))
     ]
-
-    sched = SchedulingInstance(
-        m=MACHINES, z=z, D=D, W=target_makespan(inst), jobs=tuple(jobs)
-    )
-    assert sched.total_work == MACHINES * sched.W
+    jobs += [Job(f"P_{i}", v, 1, "P", i) for i, v in enumerate(inst.values, 1)]
+    sched = SchedulingInstance(MACHINES, z, D, W, tuple(jobs))
+    require("the reduction", (sched.total_work == MACHINES * sched.W, "total work m W"))
     return sched
 
 
@@ -340,20 +306,21 @@ def block_separator_start(tag: str, i: int, z: int, D: int) -> int:
 def forced_starts(inst: SchedulingInstance) -> dict[str, int]:
     """Forced start time of every non-gamma, non-P job, keyed by id."""
     z, D = inst.z, inst.D
-    length = lambda tag, idx=0: family_length(tag, z, D, idx)
+    # the lengths read here do not depend on the index
+    p = {tag: family_length(tag, z, D) for tag in ("A", "B", "a", "beta", "lambda2")}
     starts: dict[str, int] = {}
     for i in range(z + 1):
         starts[f"A_{i}"] = block_separator_start("A", i, z, D)
         starts[f"B_{i}"] = block_separator_start("B", i, z, D)
-        starts[f"c_{i}"] = starts[f"B_{i}"] + length("B")
+        starts[f"c_{i}"] = starts[f"B_{i}"] + p["B"]
     for i in range(1, z + 1):
-        starts[f"a_{i}"] = starts[f"A_{i-1}"] + length("A")
-        starts[f"delta_{i}"] = starts[f"A_{i-1}"] + length("A")
-        starts[f"alpha_{i}"] = starts[f"a_{i}"] + length("a")
-        starts[f"beta_{i}"] = starts[f"B_{i-1}"] + length("B")
-        starts[f"b_{i}"] = starts[f"beta_{i}"] + length("beta")
+        starts[f"a_{i}"] = starts[f"A_{i-1}"] + p["A"]
+        starts[f"delta_{i}"] = starts[f"A_{i-1}"] + p["A"]
+        starts[f"alpha_{i}"] = starts[f"a_{i}"] + p["a"]
+        starts[f"beta_{i}"] = starts[f"B_{i-1}"] + p["B"]
+        starts[f"b_{i}"] = starts[f"beta_{i}"] + p["beta"]
     starts["lambda1"] = 0
-    starts["lambda2"] = inst.W - length("lambda2")
+    starts["lambda2"] = inst.W - p["lambda2"]
     return starts
 
 

@@ -32,9 +32,10 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .exactnum import check_shape, decompose, dump_json, load_json, parse_int
+from .exactnum import check_shape, decompose, digit_bound, dump_json, load_json, parse_int
 from .reduction import (
     CHECKPOINT_TAGS,
+    FAMILIES,
     SchedulingInstance,
     chain_values,
     check_jobs,
@@ -42,15 +43,17 @@ from .reduction import (
 )
 
 # Which job families contribute one unit to each audited digit of a start
-# time.  (The D^7 and unit digits are index- and value-dependent, so they
-# are not audited digit-by-digit.)
+# time: those whose length has digit 1 there, read off each length once, at
+# the smallest valid parameters.  (The D^7 and unit digits are index- and
+# value-dependent, so they are not audited digit-by-digit.)
+_Z, _D = 1, digit_bound(1) + 1
+_DIGITS = {
+    tag: decompose(length(_Z, first or 0, _D), _Z, _D)
+    for tag, (_, first, length) in FAMILIES.items()
+}
 DIGIT_FAMILIES: dict[int, tuple[str, ...]] = {
-    2: ("A", "beta", "lambda2"),
-    3: ("B", "alpha", "lambda1"),
-    4: ("a", "beta", "delta"),
-    5: ("b", "alpha", "gamma"),
-    6: ("a", "b"),
-    8: ("c", "alpha", "beta", "lambda1", "lambda2"),
+    power: tuple(tag for tag, digits in _DIGITS.items() if digits.digit(power) == 1)
+    for power in (2, 3, 4, 5, 6, 8)
 }
 
 # The kind of each digit's audit row, and the digits each family pays into.

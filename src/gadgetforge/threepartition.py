@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int
+from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int, require
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -135,14 +135,16 @@ def scale_if_needed(
     """Multiply all values so that D > 4z(7z+1); returns (instance, factor).
 
     Scaling is a bijection on partitions, so yes/no status is preserved.
+    Raises ValueError when D is below 2, which no factor of at most the
+    bound lifts above it.
     """
     bound = digit_bound(inst.z)
     if inst.D > bound:
         return inst, 1
-    factor = bound
-    scaled = ThreePartitionInstance(tuple(v * factor for v in inst.values))
-    assert scaled.D > bound
-    return scaled, factor
+    if inst.D < 2:
+        raise ValueError(f"D={inst.D} must be at least 2 to scale")
+    # D >= 2, so D * bound > bound
+    return ThreePartitionInstance(tuple(v * bound for v in inst.values)), bound
 
 
 def _canonical(parts: list[tuple[int, ...]]) -> Partition:
@@ -221,8 +223,11 @@ def gen_yes(z: int, seed: int) -> tuple[ThreePartitionInstance, Partition]:
     )
 
     inst = ThreePartitionInstance(tuple(values))
-    assert not validate(inst), validate(inst)
-    assert not validate_partition(inst, witness)
+    require(
+        "the generated instance",
+        (not validate(inst), "valid"),
+        (not validate_partition(inst, witness), "solved by its witness"),
+    )
     return inst, witness
 
 
@@ -258,7 +263,7 @@ def gen_no(z: int, seed: int) -> ThreePartitionInstance:
     values = [snap(D // 3 + rng.randint(-bound // 2, bound // 2), r) for r in residues]
     target = z * D
     delta = target - sum(values)
-    assert delta % 4 == 0
+    require("the drawn values", (delta % 4 == 0, "a multiple of 4 short of z D"))
     step = 4 if delta > 0 else -4
     guard = 0
     while delta:

@@ -80,6 +80,11 @@ def test_lengths_z1_d33():
     assert {j.id: j.p for j in inst.jobs} == expected
 
 
+def test_family_length_refuses_an_unknown_tag():
+    with pytest.raises(ValueError, match="unknown tag 'X'"):
+        family_length("X", 1, 33)
+
+
 def test_machine_counts_z1():
     inst = build_jobs(INST_D33)
     by_q = {1: set(), 2: set(), 3: set()}

@@ -313,18 +313,28 @@ def test_mirror_defaults_to_makespan():
 
 @pytest.mark.parametrize("z", range(1, 7))
 def test_digit_families_are_the_families_with_a_unit_digit(z):
-    # The audit's digit table restates the construction.  At each audited
-    # power, every non-P family's length has a digit of 0 or 1, the same
-    # at every index, and the table lists exactly the families whose digit
-    # is 1.
+    # The audit's digit table is derived from `reduction.FAMILIES`; the
+    # literal below restates the construction independently.  It must equal
+    # the derived table, tag order included, and at each audited power
+    # every non-P family's length has a digit of 0 or 1, the same at every
+    # index, with exactly the listed families at 1.
+    table = {
+        2: ("A", "beta", "lambda2"),
+        3: ("B", "alpha", "lambda1"),
+        4: ("a", "beta", "delta"),
+        5: ("b", "alpha", "gamma"),
+        6: ("a", "b"),
+        8: ("c", "alpha", "beta", "lambda1", "lambda2"),
+    }
+    assert list(DIGIT_FAMILIES.items()) == list(table.items())
     jobs = [j for j in build_jobs(gen_yes(z, 0)[0]).jobs if j.tag != "P"]
     for D in (digit_bound(z) + 1, 10**9 + 7):
         rows = {}
         for j in jobs:
             digits = decompose(family_length(j.tag, z, D, j.index or 0), z, D)
-            row = tuple(digits.digit(k) for k in DIGIT_FAMILIES)
+            row = tuple(digits.digit(k) for k in table)
             assert rows.setdefault(j.tag, row) == row, (D, j.id)
-        for k, (power, families) in enumerate(DIGIT_FAMILIES.items()):
+        for k, (power, families) in enumerate(table.items()):
             assert {row[k] for row in rows.values()} <= {0, 1}, (D, power)
             ones = {tag for tag, row in rows.items() if row[k] == 1}
             assert set(families) == ones, (D, power)

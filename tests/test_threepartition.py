@@ -115,6 +115,13 @@ def test_scale_example():
     assert validate(scaled) == []
 
 
+@pytest.mark.parametrize("values", [(0, 0, 0), (-1, -1, -1), (1, 0, 0)])
+def test_scale_refuses_a_D_below_2(values):
+    # Multiplied by the bound, a D below 2 stays at or below it.
+    with pytest.raises(ValueError, match="must be at least 2"):
+        scale_if_needed(ThreePartitionInstance(values))
+
+
 def test_scaling_preserves_status():
     yes, _ = gen_yes(2, 7)
     small_yes = ThreePartitionInstance(tuple(v for v in yes.values))
@@ -198,6 +205,14 @@ def test_gen_no_guarantees(z, seed):
     assert ones == 3 * z - 4
     assert all(v % 4 in (0, 1) for v in inst.values)
     assert gen_no(z, seed) == inst
+
+
+def test_gen_yes_refuses_an_instance_its_witness_does_not_solve(monkeypatch):
+    import gadgetforge.threepartition as tp
+
+    monkeypatch.setattr(tp, "validate_partition", lambda inst, partition: ["bad"])
+    with pytest.raises(RuntimeError, match="not solved by its witness"):
+        gen_yes(2, 0)
 
 
 def test_gen_no_rejects_z1():

@@ -44,7 +44,12 @@ the rounds, timed as the layers `extraction.relabelled`,
 the workload runs extraction's swap steps, and these three do.  The
 script prints, per layer, the sum over the ops of each op's minimum time
 in that layer over the rounds, for each side, and the ratio NEW/OLD; the
-`op` row sums the workload's ops alone.
+`op` row sums the workload's ops alone.  Beside it stands the spread of
+that ratio over the rounds: each round's time in the layer, summed over
+the ops, NEW over OLD, and the interquartile range of those ratios.  A
+layer whose range covers 1.0 shows no difference this run can tell from
+noise; an A/A run (OLD and NEW the same checkout) shows how wide the
+ranges are on the host.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import json
 import time
 from collections import Counter
 from pathlib import Path
+from statistics import quantiles
 
 from ab_decide import HERE, _load
 
@@ -200,6 +206,8 @@ def main(argv=None) -> None:
 
     labels = [label for label, *_ in ops["old"]]
     best = {side: {label: {} for label in labels} for side in built}
+    # per side and layer, each round's time summed over the ops
+    per_round = {side: {} for side in built}
     for r in range(args.rounds):
         sides = ("old", "new") if r % 2 == 0 else ("new", "old")
         for k, label in enumerate(labels):
@@ -217,18 +225,30 @@ def main(argv=None) -> None:
                 mins = best[side][label]
                 for layer, seconds in timer.spent.items():
                     mins[layer] = min(mins.get(layer, seconds), seconds)
+                    per_round[side].setdefault(layer, [0.0] * args.rounds)[r] += seconds
 
     layers = sorted({layer for side in best.values() for m in side.values() for layer in m})
     layers.remove("op")
     print(f"pipeline: {len(labels)} ops, {args.rounds} rounds, seed {args.seed}")
-    print(f"  {'layer':<30}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
+    print(f"  {'layer':<30}{'old ms':>10}{'new ms':>10}{'new/old':>9}{'IQR':>15}")
     for layer in [*layers, "op"]:
         old, new = (
             sum(best[side][label].get(layer, 0.0) for label in labels) * 1e3
             for side in ("old", "new")
         )
         ratio = f"{new / old:>9.3f}" if old else f"{'-':>9}"
-        print(f"  {layer:<30}{old:>10.2f}{new:>10.2f}{ratio}")
+        print(f"  {layer:<30}{old:>10.2f}{new:>10.2f}{ratio}{_spread(per_round, layer):>15}")
+
+
+def _spread(per_round, layer: str) -> str:
+    """The interquartile range of the layer's per-round NEW/OLD ratios, as
+    "q1-q3", or "-" when a side never ran the layer."""
+    pairs = zip(per_round["new"].get(layer, ()), per_round["old"].get(layer, ()))
+    ratios = [new / old for new, old in pairs if old]
+    if not ratios:
+        return "-"
+    q1, _, q3 = quantiles(ratios, n=4, method="inclusive") if ratios[1:] else ratios * 3
+    return f"{q1:.3f}-{q3:.3f}"
 
 
 if __name__ == "__main__":
