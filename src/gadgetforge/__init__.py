@@ -19,12 +19,12 @@ _EXPORTS = {
     "compose": "exactnum",
     "decompose": "exactnum",
     "digit_bound": "exactnum",
+    "InvalidInput": "exactnum",
     "ExtractionTrace": "extraction",
     "RefutationCertificate": "extraction",
     "extract_partition": "extraction",
     "normalize_machines": "extraction",
     "Job": "reduction",
-    "ParamViolation": "reduction",
     "SchedulingInstance": "reduction",
     "StripInstance": "reduction",
     "build_jobs": "reduction",

@@ -9,6 +9,8 @@ Exit codes:
     1   negative decision (infeasible, violations, proved-none, refutation)
     2   invalid input (usage, malformed JSON, parameter violations, refusals)
     3   budget exhausted before a decision
+    70  internal error: a fault of the program, never of the input
+        (sysexits EX_SOFTWARE)
 
 Each subcommand imports the library modules it runs when it runs, so a
 process that verifies a schedule never loads the solver or the renderer.
@@ -25,7 +27,7 @@ import click
 
 # Every subcommand runs these modules, directly or through reduction, so
 # their names are imported here; the rest are imported by the subcommands.
-from .exactnum import dump_json, parse_int
+from .exactnum import InvalidInput, dump_json, parse_int
 from .threepartition import (
     DEFAULT_BUDGET,
     GenerationFailed,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_SOFTWARE = 70
 
 _DECISION_EXITS = {
     "witness": EXIT_OK,
@@ -66,31 +69,32 @@ def _fail(code: int, message: str) -> None:
 
 
 def _guard(fn):
-    """Map library exceptions onto the exit-code table."""
+    """Map library exceptions onto the exit-code table: a refused input
+    (`InvalidInput`) exits 2, a spent budget 3, and any other exception,
+    which no input should cause, 70, on one line and with no traceback.
+    click's own exceptions are its usage errors, which it reports."""
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except InvalidInput as exc:
+            _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
         except (SearchBudgetExceeded, GenerationFailed) as exc:
             _fail(EXIT_BUDGET, f"budget: {exc}")
-        except (KeyError, TypeError, ValueError) as exc:
-            # imported only on this path, so gen3p and reduce never load it
-            from .schedule import NotTargetMakespan
-
-            if isinstance(exc, NotTargetMakespan):
-                _fail(EXIT_NEGATIVE, f"rejected: {exc}")
-            # str() of a KeyError quotes its argument: right for a missing
-            # key, not for the sentence a subclass (UnknownJob) carries
-            if isinstance(exc, KeyError) and type(exc) is not KeyError:
-                exc = exc.args[0]
-            _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
+        except click.ClickException:
+            raise
+        except Exception as exc:
+            _fail(EXIT_SOFTWARE, f"internal error: {exc!r}")
 
     return wrapped
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from None
 
 
 _in_file = click.Path(exists=True, dir_okay=False)
@@ -112,7 +116,7 @@ class _StrictInt(click.ParamType):
     def convert(self, value, param, ctx):
         try:
             return parse_int(value, f"--{param.name}")
-        except ValueError as exc:
+        except InvalidInput as exc:
             self.fail(str(exc), param, ctx)
 
 
@@ -240,7 +244,7 @@ def extract(inst_path: str, sched_path: str, trace: bool):
     """Normalize a target-makespan schedule and read the partition out."""
     from .extraction import RefutationCertificate, extract_partition
     from .reduction import SchedulingInstance, recover_values
-    from .schedule import Schedule
+    from .schedule import NotTargetMakespan, Schedule
 
     inst = SchedulingInstance.from_json(_read(inst_path))
     sched = Schedule.from_json(_read(sched_path))
@@ -250,6 +254,8 @@ def extract(inst_path: str, sched_path: str, trace: bool):
     except RefutationCertificate as cert:
         _emit(cert.to_dict())
         _fail(EXIT_NEGATIVE, f"refuted at stage {cert.stage}: {cert.lemma}")
+    except NotTargetMakespan as exc:
+        _fail(EXIT_NEGATIVE, f"rejected: {exc}")
     if trace:
         for event in tr.events:
             _log("  ".join(f"{k}={v}" for k, v in sorted(event.items())))

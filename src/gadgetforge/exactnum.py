@@ -13,55 +13,34 @@ precision so there is no overflow to worry about.
 
 Every module loads this one, directly or through `threepartition`, so it
 also holds what they share:
-the reading (`load_json`, `parse_int`, `check_shape`) and the writing
-(`dump_json`) of the canonical JSON form, and `require`, the check of a
-result about to be returned.
+the reading (`reading`, `parse_int`, `check_shape`) and the writing
+(`dump_json`) of the canonical JSON form, `InvalidInput`, the type of
+every refused input, and `require`, the check of a result about to be
+returned.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 POWERS = (2, 3, 4, 5, 6, 7, 8)
 
 
-class ResidueOutOfRange(ValueError):
-    """The residue mod D^2 fits neither 0..zD nor D^2-zD..D^2-1.
-
-    Such a value cannot be written with a unit term in [-zD, zD] and is
-    therefore not a sum of reduction quantities.
-    """
-
-    def __init__(self, value: int, residue: int, z: int, D: int):
-        self.value = value
-        self.residue = residue
-        super().__init__(
-            f"residue {residue} of {value} mod D^2 is outside "
-            f"[0, {z * D}] and [{D * D - z * D}, {D * D - 1}]"
-        )
-
-
-class DigitOverflow(ValueError):
-    """A digit exceeds the structural cap 4z(7z+1) (or the value has a
-    nonzero digit above D^8)."""
-
-    def __init__(self, power: int, digit: int, cap: int):
-        self.power = power
-        self.digit = digit
-        self.cap = cap
-        super().__init__(f"digit {digit} at D^{power} exceeds cap {cap}")
-
-
-class NegativeResult(ValueError):
-    """Decomposition input or composition result below zero."""
+class InvalidInput(ValueError):
+    """An input the package refuses: a malformed document, parameters
+    outside the construction's range, a schedule or packing that does not
+    fit its instance.  The CLI exits 2 on it and on no other type (1 on
+    its subclass `schedule.NotTargetMakespan` from `extract`); any other
+    exception is a fault of the program."""
 
 
 def parse_int(token, what: str) -> int:
     """`token` as an int: an int (a bool is not one) passes, a string of
     ASCII digits with an optional leading minus, such as "-12", is
-    converted, and anything else raises ValueError naming `what`.  So a
+    converted, and anything else raises InvalidInput naming `what`.  So a
     float is refused instead of truncated, and so is a string that only
     `int` reads, such as "1_0", " 7" or non-ASCII digits, which the
     canonical form never writes."""
@@ -74,43 +53,51 @@ def parse_int(token, what: str) -> int:
                 return int(token)
             except ValueError:  # more digits than int() converts
                 pass
-    raise ValueError(f"{what} must be an integer or a decimal string, not {token!r}")
+    raise InvalidInput(f"{what} must be an integer or a decimal string, not {token!r}")
 
 
 def check_shape(token, kind: type, what: str):
     """`token` when it is the JSON object, list or string that `kind` (dict,
-    list or str) asks for; anything else raises ValueError naming `what`."""
+    list or str) asks for; anything else raises InvalidInput naming `what`."""
     if type(token) is not kind:
         shape = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise ValueError(f"{what} must be {shape}, not {token!r:.60}")
+        raise InvalidInput(f"{what} must be {shape}, not {token!r:.60}")
     return token
 
 
-def load_json(text: str, kind: type, what: str):
-    """The JSON document `text` when its top level is what `check_shape`
-    asks for.  Malformed JSON raises ValueError as `json.loads` does, and
-    so does a document nested deeper than the parser can recurse or an
-    object that names a key twice, which `json.loads` would read as its
-    last value."""
+@contextmanager
+def reading(text: str, what: str):
+    """`text` parsed as the JSON object a loader reads as `what`, for the
+    body of a `with` statement.  In the body, a key the document lacks
+    (`payload[key]` raising KeyError) raises InvalidInput naming the key;
+    a loader's body reads no other mapping by a key that can be missing.
+    Malformed JSON, a top level that is no object, nesting deeper than the
+    parser can recurse and an object that names a key twice, which
+    `json.loads` would read as its last value, raise InvalidInput too."""
 
     def unique_keys(pairs: list) -> dict:
         token = dict(pairs)
         if len(token) < len(pairs):
             counts = Counter(key for key, _ in pairs)
             key = next(key for key, n in counts.items() if n > 1)
-            raise ValueError(f"{what} repeats the key {key!r} in one object")
+            raise InvalidInput(f"{what} repeats the key {key!r} in one object")
         return token
 
     try:
         token = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{what} is not JSON: {exc}") from None
     except RecursionError:
-        raise ValueError(f"{what} is nested too deeply to read") from None
-    return check_shape(token, kind, what)
+        raise InvalidInput(f"{what} is nested too deeply to read") from None
+    try:
+        yield check_shape(token, dict, what)
+    except KeyError as exc:
+        raise InvalidInput(f"{what} is missing the key {exc}") from None
 
 
 def dump_json(payload) -> str:
     """`payload` in the canonical form every document is written in, sorted
-    keys and no spaces; `load_json` reads it back."""
+    keys and no spaces; `reading` reads it back."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -160,7 +147,7 @@ class CoeffVector:
 def compose(cv: CoeffVector, D: int) -> int:
     """Reassemble the integer  x0 + sum_k x_k * D^k.
 
-    Raises NegativeResult if the total comes out below zero (a legal
+    Raises InvalidInput if the total comes out below zero (a legal
     CoeffVector always has the unit term dominated by the higher digits
     whenever any are present, but callers can build pathological ones).
     """
@@ -168,7 +155,7 @@ def compose(cv: CoeffVector, D: int) -> int:
     for k in POWERS:
         total += cv.digit(k) * D**k
     if total < 0:
-        raise NegativeResult(f"composed value {total} is negative")
+        raise InvalidInput(f"composed value {total} is negative")
     return total
 
 
@@ -176,15 +163,17 @@ def decompose(value: int, z: int, D: int) -> CoeffVector:
     """Recover the unique digit vector of ``value`` for parameters (z, D).
 
     Requires D > 4z(7z+1) so that digits below the cap are unambiguous.
-    Raises NegativeResult for negative input, ResidueOutOfRange when the
-    unit term cannot lie in [-zD, zD], and DigitOverflow when any digit
-    would exceed 4z(7z+1) or the value needs a power above D^8.
+    Raises InvalidInput for negative input, for a value whose residue
+    mod D^2 fits neither 0..zD nor D^2-zD..D^2-1 (its unit term cannot lie
+    in [-zD, zD], so it is no sum of reduction quantities), and for a digit
+    above 4z(7z+1) or a nonzero digit above D^8; and ValueError when D
+    itself is not above 4z(7z+1).
     """
     cap = digit_bound(z)
     if D <= cap:
         raise ValueError(f"D={D} must exceed 4z(7z+1)={cap}")
     if value < 0:
-        raise NegativeResult(f"cannot decompose negative value {value}")
+        raise InvalidInput(f"cannot decompose negative value {value}")
 
     square = D * D
     residue = value % square
@@ -193,7 +182,10 @@ def decompose(value: int, z: int, D: int) -> CoeffVector:
     elif residue >= square - z * D:
         x0 = residue - square
     else:
-        raise ResidueOutOfRange(value, residue, z, D)
+        raise InvalidInput(
+            f"residue {residue} of {value} mod D^2 is outside "
+            f"[0, {z * D}] and [{square - z * D}, {square - 1}]"
+        )
     quotient = (value - x0) // square
 
     # base-D digits from D^2 up; D^8 keeps whatever is left above it
@@ -204,5 +196,5 @@ def decompose(value: int, z: int, D: int) -> CoeffVector:
     digits.append(quotient)
     for k, digit in zip(reversed(POWERS), reversed(digits)):
         if digit > cap:
-            raise DigitOverflow(k, digit, cap)
+            raise InvalidInput(f"digit {digit} at D^{k} exceeds cap {cap}")
     return CoeffVector(x0, *digits)

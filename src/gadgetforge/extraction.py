@@ -33,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .exactnum import require
+from .exactnum import InvalidInput, require
 from .reduction import (
     SchedulingInstance,
     canonical_ids,
@@ -102,7 +102,7 @@ def _gate(inst: SchedulingInstance, sched: Schedule) -> None:
     """Admit a reduction instance and a schedule of exactly its jobs, on
     its machines, at its target makespan."""
     if recognize(inst) is None:
-        raise ValueError("extraction needs an unmodified reduction instance")
+        raise InvalidInput("extraction needs an unmodified reduction instance")
     _check_job_universe(inst, sched)
     makespan = max(sched.starts[j.id] + j.p for j in inst.jobs)
     if makespan != inst.W:
@@ -451,12 +451,13 @@ def extract_partition(
     """Full pipeline: normalize, orient, check the order structure, make the
     narrow pairs contiguous, and read the partition out of the gaps.
 
-    Raises UnknownJob or MachineOutOfRange when the schedule does not fit
-    the instance, NotTargetMakespan when it misses the target load, and
-    RefutationCertificate when it holds the target but violates one of the
-    structural identities (i.e. it was never feasible)."""
+    Raises InvalidInput when the instance is not the reduction of `inst3p`
+    or the schedule does not fit it, NotTargetMakespan (an InvalidInput)
+    when it misses the target load, and RefutationCertificate when it
+    holds the target but violates one of the structural identities (i.e.
+    it was never feasible)."""
     if recover_values(inst).values != inst3p.values:
-        raise ValueError("scheduling instance does not encode the given values")
+        raise InvalidInput("scheduling instance does not encode the given values")
     _gate(inst, sched)
     events: list[dict[str, Any]] = []
     try:

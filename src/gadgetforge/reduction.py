@@ -41,14 +41,12 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int, require
+from .exactnum import (
+    InvalidInput, check_shape, digit_bound, dump_json, parse_int, reading, require,
+)
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
-
-
-class ParamViolation(ValueError):
-    """The 3-Partition instance is malformed or D is not above 4z(7z+1)."""
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,17 @@ class Job:
 def check_jobs(jobs: Iterable[Job], m: int) -> None:
     """Reject an instance of fewer than 1 machine, and jobs no m-machine
     instance can hold: a duplicate id, q outside 1..m, or a length below 1.
-    Raises ValueError naming the machine count or the first such job."""
+    Raises InvalidInput naming the machine count or the first such job."""
     if m < 1:
-        raise ValueError(f"an instance needs at least 1 machine, not {m}")
+        raise InvalidInput(f"an instance needs at least 1 machine, not {m}")
     seen: set[str] = set()
     for j in jobs:
         if not 1 <= j.q <= m:
-            raise ValueError(f"job {j.id!r} needs {j.q} of {m} machines")
+            raise InvalidInput(f"job {j.id!r} needs {j.q} of {m} machines")
         if j.p <= 0:
-            raise ValueError(f"job {j.id!r} has nonpositive length {j.p}")
+            raise InvalidInput(f"job {j.id!r} has nonpositive length {j.p}")
         if j.id in seen:
-            raise ValueError(f"job id {j.id!r} is used twice")
+            raise InvalidInput(f"job id {j.id!r} is used twice")
         seen.add(j.id)
 
 
@@ -125,28 +123,28 @@ class SchedulingInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingInstance":
-        payload = load_json(text, dict, "an instance")
-        k, label = cls._keys, cls._labels
-        entries = check_shape(payload[k["jobs"]], list, k["jobs"])
-        jobs = tuple(
-            Job(
-                check_shape(j["id"], str, "a job id"),
-                parse_int(j[k["p"]], label["p"]),
-                parse_int(j[k["q"]], label["q"]),
-                check_shape(j["tag"], str, "a tag"),
-                _index_from_id(j["id"]),
+        with reading(text, "an instance") as payload:
+            k, label = cls._keys, cls._labels
+            entries = check_shape(payload[k["jobs"]], list, k["jobs"])
+            jobs = tuple(
+                Job(
+                    check_shape(j["id"], str, "a job id"),
+                    parse_int(j[k["p"]], label["p"]),
+                    parse_int(j[k["q"]], label["q"]),
+                    check_shape(j["tag"], str, "a tag"),
+                    _index_from_id(j["id"]),
+                )
+                for j in (check_shape(entry, dict, label["job"]) for entry in entries)
             )
-            for j in (check_shape(entry, dict, label["job"]) for entry in entries)
-        )
-        m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
-        check_jobs(jobs, m)
-        return cls(
-            m=m,
-            z=parse_int(payload["z"], "z"),
-            D=parse_int(payload["D"], "D"),
-            W=parse_int(payload[k["W"]], k["W"]),
-            jobs=jobs,
-        )
+            m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
+            check_jobs(jobs, m)
+            return cls(
+                m=m,
+                z=parse_int(payload["z"], "z"),
+                D=parse_int(payload["D"], "D"),
+                W=parse_int(payload[k["W"]], k["W"]),
+                jobs=jobs,
+            )
 
 
 class StripInstance(SchedulingInstance):
@@ -179,17 +177,25 @@ def per_instance(fn: Callable) -> Callable:
 
 
 def _index_from_id(job_id: str) -> int | None:
+    """The number after an id's last underscore, such as 3 in "gamma_3";
+    None when there is none, or when it has more digits than `int` reads,
+    which no reduction's index has."""
     head, _, tail = job_id.rpartition("_")
-    return int(tail) if head and tail.isdecimal() else None
+    if head and tail.isdecimal():
+        try:
+            return int(tail)
+        except ValueError:
+            pass
+    return None
 
 
 def _checked_params(inst: ThreePartitionInstance) -> tuple[int, int]:
     problems = validate(inst)
     if problems:
-        raise ParamViolation("; ".join(problems))
+        raise InvalidInput("; ".join(problems))
     z, D = inst.z, inst.D
     if D <= digit_bound(z):
-        raise ParamViolation(
+        raise InvalidInput(
             f"D={D} must exceed 4z(7z+1)={digit_bound(z)}; scale the "
             "instance first"
         )
@@ -268,7 +274,7 @@ def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
     `build_jobs` makes of the values the P jobs carry."""
     try:
         rebuilt = build_jobs(recover_values(inst))
-    except ValueError:
+    except InvalidInput:
         return None
     key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
     return (inst.z, inst.D) if key(inst) == key(rebuilt) else None

@@ -19,6 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor
 
+from .exactnum import InvalidInput
 from .reduction import SchedulingInstance
 from .schedule import Schedule, _check_job_universe
 from .strip import Packing, _check_item_universe
@@ -224,7 +225,7 @@ def render_schedule_svg(
 ) -> str:
     """Gantt chart: one row per machine, one rectangle per machine-slice."""
     if inst.m > _MAX_ROWS:
-        raise ValueError(f"{inst.m} machines are more rows than a figure holds")
+        raise InvalidInput(f"{inst.m} machines are more rows than a figure holds")
     _check_job_universe(inst, sched)
     base = inst.D if inst.D >= 2 else 10
     times = [0]
@@ -266,10 +267,10 @@ def render_packing_svg(
     tops = [packing.positions[job.id][1] + job.q for job in inst.jobs]
     height_units = ceil(max([*tops, 1]))
     if height_units > _MAX_ROWS:
-        raise ValueError(f"height {height_units} is more rows than a figure holds")
+        raise InvalidInput(f"height {height_units} is more rows than a figure holds")
     for job in inst.jobs:
         if packing.positions[job.id][1] < 0:
-            raise ValueError(f"item {job.id!r} lies below every row a figure holds")
+            raise InvalidInput(f"item {job.id!r} lies below every row a figure holds")
     boxes = []
     for job in sorted(inst.jobs, key=lambda j: (packing.positions[j.id][0], j.id)):
         x, y = packing.positions[job.id]

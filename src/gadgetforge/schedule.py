@@ -32,7 +32,9 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .exactnum import check_shape, decompose, digit_bound, dump_json, load_json, parse_int
+from .exactnum import (
+    InvalidInput, check_shape, decompose, digit_bound, dump_json, parse_int, reading,
+)
 from .reduction import (
     CHECKPOINT_TAGS,
     FAMILIES,
@@ -65,30 +67,17 @@ _TAG_POWERS = {
 }
 
 
-class UnknownJob(KeyError):
-    pass
-
-
-class MachineOutOfRange(ValueError):
-    pass
-
-
-class CrossingJob(ValueError):
+class CrossingJob(InvalidInput):
     """A job straddles the swap point on exactly one of the two machines."""
 
     def __init__(self, job_id: str, t: int, m1: int, m2: int):
-        self.job_id = job_id
         super().__init__(
             f"job {job_id} crosses t={t} on exactly one of machines "
             f"{m1}/{m2}; swapping would tear it"
         )
 
 
-class NotZeroIdle(ValueError):
-    pass
-
-
-class NotTargetMakespan(ValueError):
+class NotTargetMakespan(InvalidInput):
     """The schedule does not even reach/hold the target load."""
 
 
@@ -106,9 +95,9 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        payload = load_json(text, dict, "a schedule")
-        starts = check_shape(payload["starts"], dict, "starts")
-        machines = check_shape(payload["machines"], dict, "machines")
+        with reading(text, "a schedule") as payload:
+            starts = check_shape(payload["starts"], dict, "starts")
+            machines = check_shape(payload["machines"], dict, "machines")
         return cls(
             starts={k: parse_int(v, "a start") for k, v in starts.items()},
             machines={k: _machine_set(k, v) for k, v in machines.items()},
@@ -117,11 +106,11 @@ class Schedule:
 
 def _machine_set(job_id: str, token) -> frozenset[int]:
     """A job's machine list as a set; a list naming a machine twice raises
-    ValueError, since a set would silently drop the repeat."""
+    InvalidInput, since a set would silently drop the repeat."""
     listed = [parse_int(m, "a machine") for m in check_shape(token, list, "machines")]
     used = frozenset(listed)
     if len(used) < len(listed):
-        raise ValueError(f"job {job_id} names a machine twice: {listed}")
+        raise InvalidInput(f"job {job_id} names a machine twice: {listed}")
     return used
 
 
@@ -192,16 +181,16 @@ class AuditReport:
 def _check_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
     for job_id in sched.starts:
         if job_id not in inst.by_id:
-            raise UnknownJob(f"schedule mentions unknown job {job_id!r}")
+            raise InvalidInput(f"schedule mentions unknown job {job_id!r}")
     for job in inst.jobs:
         if job.id not in sched.starts or job.id not in sched.machines:
-            raise UnknownJob(f"job {job.id!r} is missing from the schedule")
+            raise InvalidInput(f"job {job.id!r} is missing from the schedule")
     for job_id, machines in sched.machines.items():
         if job_id not in inst.by_id:
-            raise UnknownJob(f"schedule mentions unknown job {job_id!r}")
+            raise InvalidInput(f"schedule mentions unknown job {job_id!r}")
         for m in machines:
             if not 1 <= m <= inst.m:
-                raise MachineOutOfRange(
+                raise InvalidInput(
                     f"job {job_id!r} uses machine {m}, valid range is "
                     f"1..{inst.m}"
                 )
@@ -210,9 +199,10 @@ def _check_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
 def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
     """Exact feasibility check: machine counts, overlaps, makespan, idle.
 
-    Raises ValueError for jobs no instance can hold (`reduction.check_jobs`)
-    and UnknownJob / MachineOutOfRange for a schedule that does not match
-    the instance; everything else (overlaps, wrong machine multiplicity,
+    Raises InvalidInput for jobs no instance can hold
+    (`reduction.check_jobs`) and for a schedule that does not match the
+    instance (an unknown or missing job, a machine outside 1..m);
+    everything else (overlaps, wrong machine multiplicity,
     negative starts) is reported as problems with feasible=False.
     """
     check_jobs(inst.jobs, inst.m)
@@ -313,7 +303,7 @@ def swap_after(
     check_jobs(inst.jobs, inst.m)
     for m in (m1, m2):
         if not 1 <= m <= inst.m:
-            raise MachineOutOfRange(f"machine {m} out of 1..{inst.m}")
+            raise InvalidInput(f"machine {m} out of 1..{inst.m}")
     _check_job_universe(inst, sched)
     exchange = _Exchange(inst, sched)
     exchange.swap(m1, m2, t)
@@ -422,7 +412,7 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
 
     Preconditions: `inst` must be a reduction instance, every job must be
     scheduled, and the schedule must have makespan W with zero arithmetic
-    idle (NotZeroIdle otherwise).  Feasibility is deliberately not required:
+    idle (InvalidInput otherwise).  Feasibility is deliberately not required:
     the counts are well defined even for overlapping schedules, which is
     what lets a perturbed schedule be audited and the first broken identity
     reported.
@@ -438,14 +428,14 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
     scanning every job for every row.
     """
     if recognize(inst) is None:
-        raise ValueError("audit requires an unmodified reduction instance")
+        raise InvalidInput("audit requires an unmodified reduction instance")
     _check_job_universe(inst, sched)
 
     starts, machines = sched.starts, sched.machines
     makespan = max(starts[j.id] + j.p for j in inst.jobs)
     idle = inst.m * makespan - inst.total_work
     if makespan != inst.W or idle != 0:
-        raise NotZeroIdle(
+        raise InvalidInput(
             f"makespan {makespan} with arithmetic idle {idle}; audit needs "
             f"makespan {inst.W} and zero idle"
         )
@@ -469,7 +459,7 @@ def audit(inst: SchedulingInstance, sched: Schedule) -> AuditReport:
         start = starts[job.id]
         try:
             cv = decompose(start, inst.z, inst.D)
-        except ValueError as exc:
+        except InvalidInput as exc:
             checks.append(
                 AuditCheck(
                     job.id, start, None, "decompose", "clean decomposition",

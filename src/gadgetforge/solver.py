@@ -28,7 +28,7 @@ effect can be measured:
 
 All three rules are sound, so a proved-none outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
-jobs (`reduction.check_jobs`) with ValueError.
+jobs (`reduction.check_jobs`) with InvalidInput.
 
 Candidates at a node.  The search always fills the earliest free instant t,
 and a node lists, in (-q, -p, id) order, every unplaced job that could
@@ -278,7 +278,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import require
+from .exactnum import InvalidInput, require
 from .reduction import (
     Job,
     SchedulingInstance,
@@ -813,7 +813,7 @@ def decide_target(
     the machine set of every job must be an interval, matching the
     strip-packing reading.
     A `target` or `budget` that is not an int (a bool included) is
-    refused with TypeError and a budget below 1 with ValueError, before any
+    refused with TypeError and a budget below 1 with InvalidInput, before any
     work; a balanced instance of more than `MAX_MACHINES` machines is
     refused before any search state.
     """
@@ -821,7 +821,7 @@ def decide_target(
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if budget < 1:
-        raise ValueError(f"budget must be at least 1 node, not {budget}")
+        raise InvalidInput(f"budget must be at least 1 node, not {budget}")
     check_jobs(inst.jobs, inst.m)
     rules = rules or PruneRules()
     total = inst.total_work
@@ -901,15 +901,15 @@ def optimize_small(
     the minimum over orders is exact.  States are memoized on (remaining
     jobs, load profile relative to its minimum).  Raises
     SearchBudgetExceeded when the order tree outgrows `budget` expansions,
-    and ValueError for more than 8 jobs or `MAX_MACHINES` machines, before
+    and InvalidInput for more than 8 jobs or `MAX_MACHINES` machines, before
     any per-machine state is built.
     """
     if m > MAX_MACHINES:
-        raise ValueError(f"optimize_small handles at most {MAX_MACHINES} machines")
+        raise InvalidInput(f"optimize_small handles at most {MAX_MACHINES} machines")
     jobs = tuple(jobs)
     check_jobs(jobs, m)
     if len(jobs) > 8:
-        raise ValueError("optimize_small handles at most 8 jobs")
+        raise InvalidInput("optimize_small handles at most 8 jobs")
     if not jobs:
         return 0, Schedule(starts={}, machines={})
 

@@ -19,31 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactnum import check_shape, dump_json, load_json, parse_int, require
+from .exactnum import InvalidInput, check_shape, dump_json, parse_int, reading, require
 from .reduction import SchedulingInstance
 from .schedule import Schedule
 
 Coord = int | Fraction
-
-
-class MissingItem(KeyError):
-    pass
-
-
-class WidthExceeded(ValueError):
-    pass
-
-
-class NotContiguous(ValueError):
-    pass
-
-
-class NonIntegralY(ValueError):
-    pass
-
-
-class HeightExceeds4(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,7 +34,7 @@ class Packing:
         payload: dict[str, list] = {}
         for item_id, (x, y) in self.positions.items():
             if y != int(y):
-                raise NonIntegralY(
+                raise InvalidInput(
                     f"item {item_id} has y={y}; serialized packings need "
                     "integral y"
                 )
@@ -63,11 +43,12 @@ class Packing:
 
     @classmethod
     def from_json(cls, text: str) -> "Packing":
-        payload = load_json(text, dict, "a packing")
+        with reading(text, "a packing") as payload:
+            listed = check_shape(payload["positions"], dict, "positions")
         positions = {}
-        for item_id, xy in check_shape(payload["positions"], dict, "positions").items():
+        for item_id, xy in listed.items():
             if len(check_shape(xy, list, "a position")) != 2:
-                raise ValueError(
+                raise InvalidInput(
                     f"the position of item {item_id!r} must be [x, y], not {xy!r:.60}"
                 )
             x, y = xy
@@ -81,7 +62,7 @@ def _parse_coord(token) -> Coord:
         num, den = token.split("/", 1)
         den = parse_int(den, "the denominator of x")
         if den < 1:
-            raise ValueError(f"x {token!r} needs a positive denominator")
+            raise InvalidInput(f"x {token!r} needs a positive denominator")
         return Fraction(parse_int(num, "the numerator of x"), den)
     return parse_int(token, "x")
 
@@ -105,15 +86,16 @@ class PackingReport:
 def _check_item_universe(inst: SchedulingInstance, packing: Packing) -> None:
     for item_id in packing.positions:
         if item_id not in inst.by_id:
-            raise MissingItem(f"packing mentions unknown item {item_id!r}")
+            raise InvalidInput(f"packing mentions unknown item {item_id!r}")
     for job in inst.jobs:
         if job.id not in packing.positions:
-            raise MissingItem(f"item {job.id!r} is missing from the packing")
+            raise InvalidInput(f"item {job.id!r} is missing from the packing")
 
 
 def verify_packing(strip: SchedulingInstance, packing: Packing) -> PackingReport:
-    """Exact overlap/bounds check.  MissingItem and WidthExceeded are hard
-    errors; overlaps and negative coordinates are reported as problems.
+    """Exact overlap/bounds check.  An unknown or missing item and an item
+    past the strip's width raise InvalidInput; overlaps and negative
+    coordinates are reported as problems.
 
     Overlaps are found by a sweep in x: items are taken in (x, index) order,
     and a heap keyed by right edge holds the items still open.  Before an
@@ -133,7 +115,7 @@ def verify_packing(strip: SchedulingInstance, packing: Packing) -> PackingReport
     boxes = [packing.positions[item.id] for item in items]
     for item, (x, y) in zip(items, boxes):
         if x + item.p > strip.W:
-            raise WidthExceeded(
+            raise InvalidInput(
                 f"item {item.id} spans [{x}, {x + item.p}) in a strip of "
                 f"width {strip.W}"
             )
@@ -197,7 +179,7 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
     """
     report = verify_packing(strip, packing)
     if not report.feasible:
-        raise ValueError(f"cannot normalize infeasible packing: {report.problems}")
+        raise InvalidInput(f"cannot normalize infeasible packing: {report.problems}")
 
     pos = {k: (x, y) for k, (x, y) in packing.positions.items()}
 
@@ -259,12 +241,12 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
 
 def schedule_to_packing(inst: SchedulingInstance, sched: Schedule) -> Packing:
     """Lay a contiguous-machine schedule sideways: x = start, y = lowest
-    machine - 1.  NotContiguous if some job's machines are not an interval."""
+    machine - 1.  InvalidInput if some job's machines are not an interval."""
     positions = {}
     for job in inst.jobs:
         machines = sched.machines[job.id]
         if max(machines) - min(machines) + 1 != len(machines):
-            raise NotContiguous(
+            raise InvalidInput(
                 f"job {job.id} occupies non-adjacent machines "
                 f"{sorted(machines)}"
             )
@@ -280,12 +262,12 @@ def packing_to_schedule(inst: SchedulingInstance, packing: Packing) -> Schedule:
     for job in inst.jobs:
         x, y = packing.positions[job.id]
         if y != int(y):
-            raise NonIntegralY(f"item {job.id} has y={y}")
+            raise InvalidInput(f"item {job.id} has y={y}")
         y = int(y)
         if y < 0:
-            raise HeightExceeds4(f"item {job.id} sits below the strip at y={y}")
+            raise InvalidInput(f"item {job.id} sits below the strip at y={y}")
         if y + job.q > inst.m:
-            raise HeightExceeds4(
+            raise InvalidInput(
                 f"item {job.id} reaches height {y + job.q} > {inst.m}"
             )
         starts[job.id] = x

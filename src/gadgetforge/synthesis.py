@@ -19,7 +19,7 @@ orders fails the same way.
 
 from __future__ import annotations
 
-from .exactnum import require
+from .exactnum import InvalidInput, require
 from .reduction import (
     CANONICAL_LAYOUT,
     SchedulingInstance,
@@ -32,10 +32,6 @@ from .strip import Packing, schedule_to_packing
 from .threepartition import Partition, validate_partition
 
 
-class InvalidWitness(ValueError):
-    pass
-
-
 def _check_witness(inst: SchedulingInstance, witness: Partition) -> None:
     values = recover_values(inst)
     D = inst.D
@@ -43,19 +39,19 @@ def _check_witness(inst: SchedulingInstance, witness: Partition) -> None:
         if len(triple) == 3 and all(1 <= i <= 3 * inst.z for i in triple):
             total = sum(values.values[i - 1] for i in triple)
             if total != D:
-                raise InvalidWitness(
+                raise InvalidInput(
                     f"triple {tuple(triple)} sums to {total}, expected {D}"
                 )
     problems = validate_partition(values, witness)
     if problems:
-        raise InvalidWitness(problems[0])
+        raise InvalidInput(problems[0])
 
 
 def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
     """The canonical schedule realizing the witness.  Always feasible, with
     makespan exactly the target load and zero idle time."""
     if recognize(inst) is None:
-        raise ValueError("build_schedule needs an unmodified reduction instance")
+        raise InvalidInput("build_schedule needs an unmodified reduction instance")
     _check_witness(inst, witness)
 
     values = recover_values(inst).values

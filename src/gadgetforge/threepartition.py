@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactnum import check_shape, digit_bound, dump_json, load_json, parse_int, require
+from .exactnum import (
+    InvalidInput, check_shape, digit_bound, dump_json, parse_int, reading, require,
+)
 
 Triple = tuple[int, int, int]
 Partition = tuple[Triple, ...]
@@ -52,7 +54,7 @@ class ThreePartitionInstance:
     def D(self) -> int:
         total = sum(self.values)
         if self.z == 0 or total % self.z:
-            raise ValueError("values do not sum to a multiple of z")
+            raise InvalidInput("values do not sum to a multiple of z")
         return total // self.z
 
     def to_json(self) -> str:
@@ -61,13 +63,13 @@ class ThreePartitionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ThreePartitionInstance":
-        payload = load_json(text, dict, "a 3-partition instance")
-        raw = check_shape(payload["values"], list, "values")
+        with reading(text, "a 3-partition instance") as payload:
+            raw = check_shape(payload["values"], list, "values")
         values = tuple(parse_int(v, "a value") for v in raw)
         inst = cls(values)
         declared = payload.get("z")
         if type(declared) is not int or declared != inst.z:
-            raise ValueError(
+            raise InvalidInput(
                 f"declared z={payload.get('z')} but {len(values)} values"
             )
         return inst
@@ -135,14 +137,14 @@ def scale_if_needed(
     """Multiply all values so that D > 4z(7z+1); returns (instance, factor).
 
     Scaling is a bijection on partitions, so yes/no status is preserved.
-    Raises ValueError when D is below 2, which no factor of at most the
+    Raises InvalidInput when D is below 2, which no factor of at most the
     bound lifts above it.
     """
     bound = digit_bound(inst.z)
     if inst.D > bound:
         return inst, 1
     if inst.D < 2:
-        raise ValueError(f"D={inst.D} must be at least 2 to scale")
+        raise InvalidInput(f"D={inst.D} must be at least 2 to scale")
     # D >= 2, so D * bound > bound
     return ThreePartitionInstance(tuple(v * bound for v in inst.values)), bound
 
@@ -291,10 +293,11 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def partition_from_json(text: str) -> Partition:
-    payload = load_json(text, dict, "a witness")
+    with reading(text, "a witness") as payload:
+        sets = check_shape(payload["sets"], list, "sets")
     return _canonical(
         [
             tuple(parse_int(i, "a set member") for i in check_shape(s, list, "a set"))
-            for s in check_shape(payload["sets"], list, "sets")
+            for s in sets
         ]
     )

@@ -48,7 +48,7 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
-from gadgetforge.exactnum import decompose
+from gadgetforge.exactnum import InvalidInput, decompose
 from gadgetforge.reduction import (
     COUNT_CHAINS,
     Job,
@@ -63,9 +63,7 @@ from gadgetforge.schedule import (
     DIGIT_FAMILIES,
     AuditCheck,
     CrossingJob,
-    NotZeroIdle,
     Schedule,
-    UnknownJob,
 )
 from gadgetforge.threepartition import ThreePartitionInstance
 
@@ -232,7 +230,7 @@ def count_finished_by(
     for job_id in job_ids:
         job = inst.by_id.get(job_id)
         if job is None:
-            raise UnknownJob(job_id)
+            raise KeyError(job_id)
         if sched.starts[job_id] + job.p <= t:
             total += 1
     return total
@@ -246,7 +244,7 @@ def count_before(
 ) -> int:
     """#_anchor S: members of S finished by the anchor job's start."""
     if anchor_id not in inst.by_id:
-        raise UnknownJob(anchor_id)
+        raise KeyError(anchor_id)
     return count_finished_by(inst, sched, sched.starts[anchor_id], job_ids)
 
 
@@ -258,14 +256,15 @@ def reference_audit(inst: SchedulingInstance, sched: Schedule) -> list[AuditChec
     it runs on, in ascending order, and per digit power of
     `DIGIT_FAMILIES`, and then one row per later term of its chain against
     the first, each term read from its text in `COUNT_CHAINS`.  Raises
-    ValueError for an instance that is not a reduction and NotZeroIdle as
-    the audit does; the schedule must hold every job of the instance."""
+    InvalidInput for an instance that is not a reduction and for a
+    schedule off W or with idle, as the audit does; the schedule must hold
+    every job of the instance."""
     if recognize(inst) is None:
-        raise ValueError("audit requires an unmodified reduction instance")
+        raise InvalidInput("audit requires an unmodified reduction instance")
     makespan = max(sched.starts[j.id] + j.p for j in inst.jobs)
     idle = inst.m * makespan - sum(j.p * j.q for j in inst.jobs)
     if makespan != inst.W or idle != 0:
-        raise NotZeroIdle(
+        raise InvalidInput(
             f"makespan {makespan} with arithmetic idle {idle}; audit needs "
             f"makespan {inst.W} and zero idle"
         )
@@ -284,7 +283,7 @@ def reference_audit(inst: SchedulingInstance, sched: Schedule) -> list[AuditChec
         t = sched.starts[job.id]
         try:
             cv = decompose(t, inst.z, inst.D)
-        except ValueError as exc:
+        except InvalidInput as exc:
             rows.append(
                 AuditCheck(job.id, t, None, "decompose", "clean decomposition", str(exc), False)
             )

@@ -72,7 +72,10 @@ def test_gen3p_witness_out_requires_yes(tmp_path):
 
 
 def test_gen3p_needs_a_mode():
-    assert run("gen3p", "--z", "1", "--seed", "0").exit_code == 2
+    # click's usage error passes through the exit-code guard untouched
+    result = run("gen3p", "--z", "1", "--seed", "0")
+    assert result.exit_code == 2
+    assert "give --yes or --no" in result.stderr
 
 
 def test_reduce_emits_parseable_instances(workspace):
@@ -240,6 +243,88 @@ def test_loaders_reject_a_repeated_key(workspace, tmp_path, name, keys, key, val
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"repeats the key {key!r}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, keys, key",
+    [
+        ("inst.json", (), "jobs"),
+        ("inst.json", ("jobs", 0), "id"),
+        ("sched.json", (), "starts"),
+        ("pack.json", (), "positions"),
+        ("w.json", (), "sets"),
+        ("inst3.json", (), "values"),
+    ],
+    ids=["instance-jobs", "job-id", "schedule-starts", "packing-positions",
+         "witness-sets", "3-partition-values"],
+)
+def test_loaders_name_a_missing_key(workspace, tmp_path, name, keys, key):
+    """A document without a key its loader reads is refused with exit 2,
+    and the message says which key is missing."""
+    payload = json.loads((workspace / name).read_text())
+    node = payload
+    for step in keys:
+        node = node[step]
+    del node[key]
+    edited = tmp_path / name
+    edited.write_text(json.dumps(payload))
+    result = run(*_loader_command(workspace, name, str(edited)))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"is missing the key {key!r}" in result.stderr
+
+
+def test_a_file_that_is_not_utf8_is_invalid_input(workspace, tmp_path):
+    bad = tmp_path / "inst.json"
+    bad.write_bytes(b'{"jobs": "\xff"}')
+    result = run("verify", "--inst", str(bad), "--sched", str(workspace / "sched.json"))
+    assert result.exit_code == 2
+    assert "is not UTF-8 text" in result.stderr
+
+
+def test_an_index_past_the_int_limit_is_no_index(tmp_path):
+    # a job id whose digits after the last underscore exceed what `int`
+    # reads is an id without an index, not a fault
+    jid = "J_" + "1" * 5000
+    inst, sched = hand_written(tmp_path, [(jid, 4)], {jid: 0})
+    result = run("verify", "--inst", inst, "--sched", sched)
+    assert result.exit_code == 0, result.stderr
+
+
+def _internal_error(result):
+    """The single stderr line of an exit-70 run."""
+    assert result.exit_code == 70
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in result.stderr, result.stderr
+    assert lines[0].startswith("internal error: ")
+    return lines[0]
+
+
+def test_a_fault_inside_extraction_exits_70(workspace, monkeypatch):
+    """A built-in exception is a fault of the program, never invalid input:
+    a bare KeyError raised inside extraction exits 70, not 2."""
+    from gadgetforge import extraction
+
+    def faulty(*args):
+        raise KeyError("lanes")
+
+    monkeypatch.setattr(extraction, "_read_partition", faulty)
+    result = run("extract", "--inst", str(workspace / "inst.json"),
+                 "--sched", str(workspace / "sched.json"))
+    assert _internal_error(result) == "internal error: KeyError('lanes')"
+
+
+def test_a_failed_re_verification_exits_70(workspace, monkeypatch):
+    """A result that fails its own `require` exits 70: a fault, which the
+    exit-code table must not read as a refutation (1)."""
+    from gadgetforge import extraction
+
+    monkeypatch.setattr(extraction, "validate_partition", lambda *args: ["forged"])
+    result = run("extract", "--inst", str(workspace / "inst.json"),
+                 "--sched", str(workspace / "sched.json"))
+    line = _internal_error(result)
+    assert "the extracted partition fails re-verification" in line
 
 
 @pytest.mark.parametrize("command", ["verify", "audit", "extract"])

@@ -93,10 +93,10 @@ def test_importing_the_package_loads_none_of_its_modules():
 
 
 EXPORTS = (
-    "CoeffVector", "compose", "decompose", "digit_bound",
+    "CoeffVector", "compose", "decompose", "digit_bound", "InvalidInput",
     "ExtractionTrace", "RefutationCertificate", "extract_partition",
     "normalize_machines",
-    "Job", "ParamViolation", "SchedulingInstance", "StripInstance",
+    "Job", "SchedulingInstance", "StripInstance",
     "build_jobs", "build_strip", "forced_starts", "recognize", "recover_values",
     "render_packing_svg", "render_schedule_svg",
     "Schedule", "VerifyReport", "audit", "mirror", "swap_after", "verify",
@@ -140,3 +140,34 @@ def test_not_target_makespan_is_one_class():
 
     assert extraction.NotTargetMakespan is schedule.NotTargetMakespan
     assert issubclass(schedule.NotTargetMakespan, ValueError)
+
+
+# the exceptions that are no refused input: a refutation of a schedule, and
+# a search or generator that ran out of budget
+NOT_INPUT_ERRORS = {"RefutationCertificate", "SearchBudgetExceeded", "GenerationFailed"}
+
+
+def test_every_exception_of_the_package_is_an_input_error_or_named():
+    """One type stands for a refused input, which the CLI exits 2 on (or 1
+    for `NotTargetMakespan`); any other exception class the package
+    defines must be one of the three named above, so a new one cannot
+    slip past the exit-code table."""
+    from gadgetforge.exactnum import InvalidInput
+
+    found = {}
+    for path in sorted(SRC.joinpath("gadgetforge").glob("*.py")):
+        module = import_module(f"gadgetforge.{path.stem}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                found[value.__name__] = value
+    assert {"InvalidInput", "CrossingJob", "NotTargetMakespan"} <= found.keys()
+    outside = {
+        name for name, cls in found.items()
+        if not issubclass(cls, InvalidInput) and name not in NOT_INPUT_ERRORS
+    }
+    assert not outside
+    assert NOT_INPUT_ERRORS <= found.keys()

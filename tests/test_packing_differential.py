@@ -11,11 +11,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from gadgetforge.exactnum import InvalidInput
 from gadgetforge.reduction import Job, SchedulingInstance
 from gadgetforge.strip import (
     Packing,
     PackingReport,
-    WidthExceeded,
     normalize,
     verify_packing,
 )
@@ -26,7 +26,7 @@ def reference_verify(strip, packing):
     for item in strip.jobs:
         x, y = packing.positions[item.id]
         if x + item.p > strip.W:
-            raise WidthExceeded(
+            raise InvalidInput(
                 f"item {item.id} spans [{x}, {x + item.p}) in a strip of "
                 f"width {strip.W}"
             )
@@ -56,7 +56,7 @@ def reference_verify(strip, packing):
 def reference_normalize(strip, packing):
     report = reference_verify(strip, packing)
     if not report.feasible:
-        raise ValueError(f"cannot normalize infeasible packing: {report.problems}")
+        raise InvalidInput(f"cannot normalize infeasible packing: {report.problems}")
     pos = dict(packing.positions)
 
     def sweep(axis):
@@ -92,7 +92,7 @@ def reference_normalize(strip, packing):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (ValueError, KeyError) as exc:
+    except InvalidInput as exc:
         return type(exc), str(exc)
 
 

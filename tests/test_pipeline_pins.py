@@ -22,7 +22,8 @@ from gadgetforge.extraction import (
     extract_partition,
 )
 from gadgetforge.reduction import SchedulingInstance, build_jobs, build_strip
-from gadgetforge.schedule import NotZeroIdle, Schedule, audit, mirror, swap_after
+from gadgetforge.exactnum import InvalidInput
+from gadgetforge.schedule import Schedule, audit, mirror, swap_after
 from gadgetforge.strip import Packing, normalize
 from gadgetforge.synthesis import build_packing, build_schedule
 from gadgetforge.threepartition import gen_yes
@@ -48,7 +49,7 @@ def _extraction(inst3, inst, sched):
 def _audit(inst, sched):
     try:
         return [c.to_dict() for c in audit(inst, sched).checks]
-    except NotZeroIdle as exc:
+    except InvalidInput as exc:
         return {"not-zero-idle": str(exc)}
 
 

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gadgetforge import reduction, solver
-from gadgetforge.exactnum import CoeffVector, decompose
+from gadgetforge.exactnum import CoeffVector, InvalidInput, decompose
 from gadgetforge.extraction import extract_partition
 from gadgetforge.reduction import (
     CANONICAL_LAYOUT,
     CHECKPOINT_TAGS,
     Job,
-    ParamViolation,
     SchedulingInstance,
     StripInstance,
     build_jobs,
@@ -209,14 +208,28 @@ def test_gamma_window_and_gaps(generated):
 
 
 def test_unscaled_instance_rejected():
-    with pytest.raises(ParamViolation):
+    unscaled = r"^D=30 must exceed 4z\(7z\+1\)=32; scale the instance first$"
+    with pytest.raises(InvalidInput, match=unscaled):
         target_makespan(ThreePartitionInstance((9, 10, 11)))  # D = 30 <= 32
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidInput, match=unscaled):
         build_jobs(ThreePartitionInstance((9, 10, 11)))
 
 
+def test_recognize_lets_a_fault_of_build_jobs_escape(monkeypatch):
+    """Only a refused input makes an instance no reduction: a bare
+    ValueError inside `build_jobs` is a fault and escapes `recognize`."""
+    inst = build_jobs(gen_yes(1, 0)[0])
+
+    def faulty(inst3):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(reduction, "build_jobs", faulty)
+    with pytest.raises(ValueError, match="^a fault$"):
+        recognize(inst)
+
+
 def test_invalid_instance_rejected():
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidInput, match=r"^value #1 = 8 violates 4\*value > D = 33$"):
         build_jobs(ThreePartitionInstance((8, 12, 13)))
 
 

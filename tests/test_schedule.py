@@ -5,16 +5,13 @@ from collections import Counter
 
 import pytest
 
-from gadgetforge.exactnum import decompose, digit_bound
+from gadgetforge.exactnum import InvalidInput, decompose, digit_bound
 from gadgetforge.reduction import SchedulingInstance, Job, build_jobs, family_length
 from gadgetforge.schedule import (
     DIGIT_FAMILIES,
     AuditCheck,
     CrossingJob,
-    MachineOutOfRange,
-    NotZeroIdle,
     Schedule,
-    UnknownJob,
     _check_job_universe,
     _Exchange,
     audit,
@@ -96,7 +93,7 @@ def test_verify_contiguity_flag():
 
 def test_verify_unknown_job_both_directions():
     inst = tiny_instance([job("x", 5, 1)])
-    with pytest.raises(UnknownJob):
+    with pytest.raises(InvalidInput, match="^schedule mentions unknown job 'ghost'$"):
         verify(
             inst,
             Schedule(
@@ -104,13 +101,13 @@ def test_verify_unknown_job_both_directions():
                 machines={"x": frozenset({1}), "ghost": frozenset({2})},
             ),
         )
-    with pytest.raises(UnknownJob):
+    with pytest.raises(InvalidInput, match="^job 'x' is missing from the schedule$"):
         verify(inst, Schedule(starts={}, machines={}))
 
 
 def test_verify_machine_out_of_range():
     inst = tiny_instance([job("x", 5, 1)])
-    with pytest.raises(MachineOutOfRange):
+    with pytest.raises(InvalidInput, match="^job 'x' uses machine 5, valid range is 1..4$"):
         verify(inst, Schedule(starts={"x": 0}, machines={"x": frozenset({5})}))
 
 
@@ -198,7 +195,7 @@ def test_swap_after_refuses_a_job_no_instance_holds():
         starts={"x": 1, "y": 0},
         machines={"x": frozenset({1}), "y": frozenset({2})},
     )
-    with pytest.raises(ValueError, match="nonpositive length"):
+    with pytest.raises(InvalidInput, match="nonpositive length"):
         swap_after(inst, sched, 1, 1, 3)
 
 
@@ -370,7 +367,23 @@ def test_audit_passes_on_mirror(canonical_z1):
 def test_audit_requires_reduction_instance():
     inst = tiny_instance([job("x", 5, 4)])
     sched = Schedule(starts={"x": 0}, machines={"x": frozenset({1, 2, 3, 4})})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^audit requires an unmodified reduction instance$"):
+        audit(inst, sched)
+
+
+def test_audit_lets_a_fault_of_decompose_escape(canonical_z1, monkeypatch):
+    """A start that does not decompose is a failed row, but only when
+    `decompose` refuses it: a bare ValueError inside it is a fault and
+    escapes the audit."""
+    from gadgetforge import schedule
+
+    _, inst, sched = canonical_z1
+
+    def faulty(*args):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(schedule, "decompose", faulty)
+    with pytest.raises(ValueError, match="^a fault$"):
         audit(inst, sched)
 
 
@@ -378,7 +391,7 @@ def test_audit_not_zero_idle(canonical_z1):
     _, inst, sched = canonical_z1
     starts = dict(sched.starts)
     starts["lambda2"] += 1  # pushes makespan past W
-    with pytest.raises(NotZeroIdle):
+    with pytest.raises(InvalidInput, match="with arithmetic idle .*; audit needs makespan"):
         audit(inst, Schedule(starts=starts, machines=dict(sched.machines)))
 
 
@@ -496,11 +509,11 @@ def test_audit_matches_the_job_by_job_reference():
             for label, inst, sched in _audit_variants(z, seed):
                 try:
                     want = reference_audit(inst, sched)
-                except ValueError as exc:
-                    with pytest.raises(type(exc)) as got:
+                except InvalidInput as exc:
+                    with pytest.raises(InvalidInput) as got:
                         audit(inst, sched)
                     assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-                    seen.add(type(exc).__name__)
+                    seen.add("idle" if "zero idle" in str(exc) else "not a reduction")
                     continue
                 report = audit(inst, sched)
                 assert list(report.checks) == want, (z, seed, label)
@@ -509,7 +522,7 @@ def test_audit_matches_the_job_by_job_reference():
                 seen.add("passed" if report.passed else "failed")
     # every kind of verdict and of broken row is compared somewhere
     assert seen == {
-        "passed", "failed", "NotZeroIdle", "ValueError", "decompose", "load",
+        "passed", "failed", "idle", "not a reduction", "decompose", "load",
         *(f"eq:{tag}" for tag in ("A", "B", "a", "b", "c")),
     }
 

@@ -6,14 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gadgetforge.exactnum import InvalidInput
 from gadgetforge.reduction import Job, SchedulingInstance, build_strip
 from gadgetforge.strip import (
-    HeightExceeds4,
-    MissingItem,
-    NonIntegralY,
-    NotContiguous,
     Packing,
-    WidthExceeded,
     normalize,
     packing_to_schedule,
     schedule_to_packing,
@@ -64,15 +60,15 @@ def test_touching_edges_do_not_overlap():
 
 def test_width_exceeded():
     strip = tiny_strip((6, 1), width=5)
-    with pytest.raises(WidthExceeded):
+    with pytest.raises(InvalidInput, match=r"^item r0 spans \[0, 6\) in a strip of width 5$"):
         verify_packing(strip, Packing(positions={"r0": (0, 0)}))
 
 
 def test_missing_and_unknown_items():
     strip = tiny_strip((1, 1))
-    with pytest.raises(MissingItem):
+    with pytest.raises(InvalidInput, match="^item 'r0' is missing from the packing$"):
         verify_packing(strip, Packing(positions={}))
-    with pytest.raises(MissingItem):
+    with pytest.raises(InvalidInput, match="^packing mentions unknown item 'ghost'$"):
         verify_packing(
             strip, Packing(positions={"r0": (0, 0), "ghost": (1, 1)})
         )
@@ -137,7 +133,7 @@ def test_normalize_never_increases_height():
 
 def test_normalize_rejects_infeasible():
     strip = tiny_strip((1, 1), (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^cannot normalize infeasible packing: "):
         normalize(strip, Packing(positions={"r0": (0, 0), "r1": (0, 0)}))
 
 
@@ -208,7 +204,7 @@ def test_bridge_rejects_non_contiguous(canonical_z1):
     machines = dict(sched.machines)
     machines["a_1"] = frozenset({1, 3})
     bad = type(sched)(starts=dict(sched.starts), machines=machines)
-    with pytest.raises(NotContiguous):
+    with pytest.raises(InvalidInput, match=r"^job a_1 occupies non-adjacent machines \[1, 3\]$"):
         schedule_to_packing(inst, bad)
 
 
@@ -218,7 +214,7 @@ def test_bridge_rejects_non_integral_y(canonical_z1):
     positions = dict(packing.positions)
     x, _ = positions["gamma_1"]
     positions["gamma_1"] = (x, Fraction(1, 2))
-    with pytest.raises(NonIntegralY):
+    with pytest.raises(InvalidInput, match="^item gamma_1 has y=1/2$"):
         packing_to_schedule(inst, Packing(positions=positions))
 
 
@@ -228,13 +224,16 @@ def test_bridge_rejects_tall_placement(canonical_z1):
     positions = dict(packing.positions)
     x, _ = positions["B_1"]  # height 3: y=2 would reach 5
     positions["B_1"] = (x, 2)
-    with pytest.raises(HeightExceeds4):
+    with pytest.raises(InvalidInput, match="^item B_1 reaches height 5 > 4$"):
         packing_to_schedule(inst, Packing(positions=positions))
 
 
 @pytest.mark.parametrize(
     "positions, error",
-    [({"ghost": (0, 0)}, MissingItem), ({"J": (0, -1)}, HeightExceeds4)],
+    [
+        ({"ghost": (0, 0)}, "^packing mentions unknown item 'ghost'$"),
+        ({"J": (0, -1)}, "^item J sits below the strip at y=-1$"),
+    ],
     ids=["unknown-item", "below-the-floor"],
 )
 def test_bridge_rejects_what_verify_packing_rejects(positions, error):
@@ -244,7 +243,7 @@ def test_bridge_rejects_what_verify_packing_rejects(positions, error):
         m=4, z=0, D=0, W=4, jobs=(Job(id="J", p=4, q=2, tag="J"),)
     )
     packing = Packing(positions={"J": (0, 0), **positions})
-    with pytest.raises(error):
+    with pytest.raises(InvalidInput, match=error):
         packing_to_schedule(inst, packing)
 
 
@@ -262,7 +261,7 @@ def test_packing_json_roundtrip(canonical_z1):
 
 def test_packing_json_rejects_fractional_y():
     packing = Packing(positions={"r0": (0, Fraction(1, 2))})
-    with pytest.raises(NonIntegralY):
+    with pytest.raises(InvalidInput, match="^item r0 has y=1/2; serialized packings need integral y$"):
         packing.to_json()
 
 
@@ -272,7 +271,7 @@ def test_packing_json_rejects_fractional_y():
 )
 def test_packing_json_rejects_inexact_coordinates(x, y):
     text = json.dumps({"positions": {"r0": [x, y]}})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         Packing.from_json(text)
 
 

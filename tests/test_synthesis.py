@@ -9,7 +9,8 @@ from gadgetforge.reduction import (
 )
 from gadgetforge.schedule import audit, verify
 from gadgetforge.strip import verify_packing
-from gadgetforge.synthesis import InvalidWitness, build_packing, build_schedule
+from gadgetforge.exactnum import InvalidInput
+from gadgetforge.synthesis import build_packing, build_schedule
 from gadgetforge.threepartition import gen_yes
 
 from conftest import make_canonical_z1
@@ -69,16 +70,16 @@ def test_rejects_triple_with_wrong_sum():
     inst3p, witness = gen_yes(2, 1)
     inst = build_jobs(inst3p)
     bad = (witness[0], (witness[1][0], witness[1][1], witness[0][2]))
-    with pytest.raises(InvalidWitness, match="sums to"):
+    with pytest.raises(InvalidInput, match=r"^triple \(.*\) sums to \d+, expected \d+$"):
         build_schedule(inst, bad)
 
 
 def test_rejects_malformed_partition():
     inst3p, witness = gen_yes(1, 0)
     inst = build_jobs(inst3p)
-    with pytest.raises(InvalidWitness):
+    with pytest.raises(InvalidInput, match=r"^set \(1, 2\) does not have 3 members$"):
         build_schedule(inst, ((1, 2),))
-    with pytest.raises(InvalidWitness):
+    with pytest.raises(InvalidInput, match="^0 sets, expected 1$"):
         build_schedule(inst, ())
 
 
