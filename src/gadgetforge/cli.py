@@ -91,10 +91,23 @@ def _guard(fn):
 
 
 def _read(path: str) -> str:
+    """The text of a file the user names: one that cannot be read, or is
+    not UTF-8, is refused as input (exit 2)."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write a file the user names: a path that cannot be written is
+    refused as input (exit 2), not a fault of the program."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 _in_file = click.Path(exists=True, dir_okay=False)
@@ -151,7 +164,7 @@ def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
             "witness": [list(s) for s in witness],
         }
         if witness_out:
-            Path(witness_out).write_text(partition_to_json(witness), encoding="utf-8")
+            _write(witness_out, partition_to_json(witness))
             _log(f"witness written to {witness_out}")
     else:
         if witness_out:
@@ -312,15 +325,16 @@ def render(inst_path, sched_path, strip_path, packing_path, out_path):
     if inst_path and sched_path and not (strip_path or packing_path):
         inst = SchedulingInstance.from_json(_read(inst_path))
         sched = Schedule.from_json(_read(sched_path))
-        text = render_schedule_svg(inst, sched, path=out_path)
+        text = render_schedule_svg(inst, sched)
     elif strip_path and packing_path and not (inst_path or sched_path):
         strip = StripInstance.from_json(_read(strip_path))
         packing = Packing.from_json(_read(packing_path))
-        text = render_packing_svg(strip, packing, path=out_path)
+        text = render_packing_svg(strip, packing)
     else:
         raise click.UsageError(
             "give --inst with --sched (Gantt) or --strip with --packing (strip figure)"
         )
+    _write(out_path, text)
     _emit({"out": out_path, "bytes": len(text.encode())})
     _log(f"wrote {out_path}")
 

@@ -103,7 +103,8 @@ node:
   q lowest idle machines stand for every set (see `_Search.subsets`);
 * prunes are tallied in one int per rule, which `decide_target` writes
   into `Decision.prunes` once, at the end, leaving out a rule that never
-  fired.
+  fired.  They are tallied only where candidates are listed, so the
+  placements of a forced run add none.
 
 Forward only.  Under the equation tables the search keeps only schedules
 in the forward direction, where a B job opens the schedule: every job but
@@ -187,22 +188,72 @@ start below t is taken, by a job that ends where the canonical one does,
 and the finished counts at t are the canonical ones.  Soundness never
 rested on the chains: dropping a sound cut can only add nodes.
 
+Forced runs.  In plain mode under the symmetry rule and the equation
+tables, a search lists no candidates at a forced start: whenever the
+earliest free instant t is one, it places each forced job the rules offer
+at t on the lowest idle machines, in rank order (`_Plan.forced` keeps each
+start's jobs so), then does the same at the next earliest free instant
+while it is a forced start (`_Search._run`).  This run opens no frame,
+lists no candidates and reads or records no key, and the placements of a
+run are taken back together with the choice that led to it.  It loses
+nothing:
+
+* At a forced start the value family offers nothing.  No pinned start lies
+  strictly inside a gap (checked with the forward geometry), so either no
+  gap starts by t, or t is the start lo_k of the last gap k that does, or
+  t is at or past its end hi_k, where the rest hi_k - t is at most 0.  At
+  lo_k the rest is 0 while gamma_k is unplaced, and hi_k - lo_k =
+  D + |gamma_k| once it is placed, so a value would need 2p >= rest > D,
+  while every value is shorter than D/2.
+* So every child at t is a forced job at t.  Whether one is offered reads
+  its width against the idle machines, the room T - t and its class's
+  placed count; no two jobs at t share a class (a family's forced starts
+  are pairwise distinct), so placing one changes only the idle machines
+  the others may take.
+* A forced start holds exactly its job: the k-th member of a class is
+  offered only at the class's k-th start, so a job left out at t leaves
+  its class unfinished for good.  Machines idle at t are interchangeable
+  in plain mode, and widths are only counted.  So either every order in
+  which the children place the jobs at t fills t, and all of them reach
+  one state up to a relabelling of those machines, or none does and the
+  subtree holds no witness.  As deadness is invariant under relabelling
+  (see "Dead states"), the first order, which takes the jobs in rank
+  order, each on the lowest idle machines, stands for every order, and
+  the first witness the search finds is the one it finds with a frame at
+  every forced start.
+
+The run at 0 comes before the root frame, whose candidates are those of
+the first value choice.  Every frame thus opens at a value choice and
+keeps the key of the choice, read before the choice's job is placed.
+When the frame runs out, or the run that follows the choice reaches a
+forced start it cannot fill, that key is recorded as dead: the run is
+forced by the choice.  Each placement of a run is still a node and counts
+against its root branch's budget; the run at 0 belongs to no branch.  In
+contiguous mode the order of the jobs at t decides which of them holds
+the lowest idle machine, so the orders reach different states; with the
+symmetry rule off each machine set is a child of its own; without the
+equation tables no start is forced.  These searches keep a frame at every
+placement.
+
 Dead states.  One set per decision holds the key of each state whose
-frame of candidates ran out: its subtree held no witness.  Nothing is
-recorded for the frames a budget hit abandons or on the path to a witness,
-since those frames never run out, nor for the root, after which the search
-ends.  A child's key is read before the child is placed, off the parent's
-cells with the job's machines set to its end and the remaining set without
-the job: a child that reaches a recorded key is counted as a node and
-tallied as a ``dead-state`` prune, and never placed.  The key is one int
+frame of candidates ran out, or whose forced run could not fill a forced
+start: its subtree held no witness.  Nothing is recorded for the frames a
+budget hit abandons or on the path to a witness, since those frames never
+run out, nor for the root, after which the search ends.  A child's key is
+read before the child is placed, off the parent's cells with the job's
+machines set to its end and the remaining set without the job: a child
+that reaches a recorded key is counted as a node and tallied as a
+``dead-state`` prune, and never placed.  The states a forced run passes
+through carry no key (see "Forced runs"): they are neither looked up nor
+recorded, which only loses prunes.  The key is one int
 packing the remaining-job bitmask and one cell per machine, its free time
 (`_Search._key`).  Plain searches sort the cells; contiguous searches take
 the smaller of the cell list and its reflection k <-> m+1-k.  The table
 stops growing at `DEAD_STATE_CAP` entries, which only loses prunes.  Why an
 equal key means an equal verdict:
 
-1. The key fixes everything the subtree reads.  `_candidates` and `_place`
-   read the plan, which no search changes, and the free times, the
+1. The key fixes everything the subtree reads.  `_candidates`, `_run` and
+   `_place` read the plan, which no search changes, and the free times, the
    remaining set, the placed counts of each class, the unplaced jobs and
    open forced classes per width and the live lists, all functions of the
    remaining set.  The forced-start test reads t and the placed count of
@@ -258,10 +309,11 @@ placement at t takes machines free by t, and t is the earliest free
 instant, so each of them is free exactly at t, and its undo sets their
 cells back to t.
 The search walks the tree with an explicit stack, the root's frame of
-pending candidates and one per placed job, so its depth is not limited by
-the interpreter's recursion limit; the placed jobs with their undo records
-are the path, from which a witness is read.  Each candidate of the root
-frame opens a root branch with its own node budget (see `_Search.search`).
+pending candidates and one per placed job outside forced runs, so its depth
+is not limited by the interpreter's recursion limit; the placed jobs with
+their undo records are the path, from which a witness is read.  Each
+candidate of the root frame opens a root branch with its own node budget
+(see `_Search.search`).
 
 `optimize_small` is an independent exact optimizer for a handful of jobs:
 branch and bound over job orders with greedy least-loaded placement.  An
@@ -361,7 +413,8 @@ class _Plan:
     # whether a plain family's candidates need a sort, see `_candidates`
     interleave: bool
     # under the equation tables (else empty): per forced start, the
-    # (width, class, k) of the job there, its class's k-th start
+    # (width, class, k) of each job there, its class's k-th start, in the
+    # rank order of those jobs
     forced: dict[int, tuple[tuple[int, int, int], ...]]
     # the forced classes, longest first, as (p, q, class, size)
     longest: tuple[tuple[int, int, int, int], ...]
@@ -453,7 +506,11 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
             and symmetry
             and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
         ),
-        forced={s: tuple(at) for s, at in forced.items()},
+        # each forced start's jobs in rank order, the order a search tries them
+        forced={
+            s: tuple(sorted(at, key=lambda e: rank[members[e[1]][e[2]].id]))
+            for s, at in forced.items()
+        },
         longest=tuple(
             sorted(
                 ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),
@@ -720,58 +777,95 @@ class _Search:
             rem = rem << bits | c
         return rem
 
+    def _run(self, t: int, most: int) -> tuple[int | None, int]:
+        """The forced run from t, the earliest free instant and a forced
+        start: each forced job the rules offer at t is placed on the lowest
+        idle machines, in the rank order of `_Plan.forced`, and so again at
+        the next earliest free instant while it is a forced start; see
+        "Forced runs" in the module docstring.  At most `most` jobs are
+        placed.  Returns the earliest free instant reached, None at a forced
+        start the run cannot fill or where a job past `most` was due, and
+        the nodes taken: one per job placed, and one for the job past
+        `most`, which is not placed."""
+        cells, machines, room = self.cells, self.machines, self.target - t
+        forced, taken, cls_p = self.forced, self.taken, self.cls_p
+        members, place = self.members, self._place
+        nodes = 0
+        while t in forced:
+            idle = [m for m in machines if cells[m] == t]
+            for q, c, kth in forced[t]:
+                if q <= len(idle) and taken[c] == kth and cls_p[c] <= room:
+                    nodes += 1
+                    if nodes > most:
+                        return None, nodes
+                    place(members[c][kth], tuple(idle[:q]), t)
+                    del idle[:q]
+            if idle:
+                return None, nodes
+            t = min(cells)
+            room = self.target - t
+        return t, nodes
+
     def search(self) -> Schedule | None:
         """Depth-first over the candidates at the earliest free instant,
         from the empty schedule.
 
-        The frames of pending candidates are an explicit stack, the root's
-        and one per placed job, so depth is bounded by memory rather than
-        by the interpreter's recursion limit.  Each candidate is a child:
-        it is counted as a node, and unless it completes the schedule its
-        key is read off the parent's cells with the job's machines set to
-        its end and the job's bit taken out of the remaining set, before
-        anything is placed.  A child whose key is a recorded dead state is
-        tallied and never placed; any other is placed and opens a frame
-        that keeps its key.  A frame that runs out records its key as
-        dead, except the root's, which has none, as the search ends there.
-        Each candidate of the root frame opens a root branch that may
-        place at most `budget` jobs, itself included: the node past that
-        sets `starved`, and the branch is abandoned, its frames unwound to
-        the root without being recorded, since they did not run out.
+        The frames of pending candidates are an explicit stack, so depth is
+        bounded by memory rather than by the interpreter's recursion limit.
+        Each candidate is a child: it is counted as a node, and its key is
+        read off the parent's cells with the job's machines set to its end
+        and the job's bit taken out of the remaining set, before anything
+        is placed.  A child whose key is a recorded dead state is tallied
+        and never placed.  Any other is placed, and so is its forced run,
+        where one applies (plain mode under the symmetry rule and the
+        equation tables; see "Forced runs"), one node per job; then a frame
+        of the candidates at the state reached opens and keeps the child's
+        key.  A frame that runs out, or a run that reaches a forced start
+        it cannot fill, records that key as dead and takes the child back
+        with its run.  The run at 0 comes before the root frame, whose
+        candidates open the root branches: each may place at most `budget`
+        jobs, itself and its runs included.  The node past that sets
+        `starved`, and the branch is abandoned, its frames and placements
+        unwound to the root without being recorded, since they did not run
+        out.
 
         The loop keeps what it reads at every node in locals and writes
         the node and dead-state counts back when it returns."""
         target, dead, budget, n = self.target, self.dead, self.budget, self.n
-        path, cells, rec = self.path, self.cells, self.rec
+        path, cells, rec, forced = self.path, self.cells, self.rec, self.forced
         place, unplace = self._place, self._unplace
-        candidates, key_of = self._candidates, self._key
-        nodes = hits = 0
-        frames = [(0, iter(candidates(0)), None)]
+        candidates, key_of, run = self._candidates, self._key, self._run
+        # whether forced runs apply
+        runs = self.equations and self.rules.symmetry and not self.contiguous
+        hits = 0
+        # The run at 0 belongs to no root branch, so no budget binds it.  It
+        # never completes the schedule, as no value job is forced; where it
+        # cannot fill a forced start, no target schedule exists and the
+        # root frame is empty.
+        t, nodes = run(0, n) if runs and 0 in forced else (0, 0)
+        root = len(path)
+        # the root frame's candidates, each of which opens a root branch
+        branches = iter(candidates(t) if t is not None else ())
+        frames = [(t, branches, None, root)]
         while True:
-            t, pending, key = frames[-1]
+            t, pending, key, base = frames[-1]
             step = next(pending, None)
             if step is None:
-                if not path:
+                if pending is branches:
                     break
                 frames.pop()
-                unplace()
+                while len(path) > base:
+                    unplace()
                 if dead is not None and len(dead) < DEAD_STATE_CAP:
                     dead.add(key)
                 continue
-            if not path:
+            if pending is branches:
                 limit = nodes + budget
             nodes += 1
             if nodes > limit:
-                self.starved = True
-                del frames[1:]
-                while path:
-                    unplace()
+                self._abandon(frames, root)
                 continue
             job, subset = step
-            if len(path) + 1 == n:
-                place(job, subset, t)
-                self.nodes, self.pruned_dead = nodes, hits
-                return self._snapshot()
             if dead is not None:
                 child = cells[:]
                 end = t + job.p
@@ -781,14 +875,38 @@ class _Search:
                 if key in dead:
                     hits += 1
                     continue
+            base = len(path)
             place(job, subset, t)
             t = min(cells)
-            if t < target:
-                frames.append((t, iter(candidates(t)), key))
+            if runs and t in forced:
+                t, took = run(t, limit - nodes)
+                nodes += took
+                if nodes > limit:
+                    self._abandon(frames, root)
+                    continue
+            if t is not None and t < target:
+                frames.append((t, iter(candidates(t)), key, base))
+            elif len(path) == n:
+                self.nodes, self.pruned_dead = nodes, hits
+                return self._snapshot()
             else:
-                unplace()
+                while len(path) > base:
+                    unplace()
+                # a run that cannot fill a forced start
+                if t is None and dead is not None and len(dead) < DEAD_STATE_CAP:
+                    dead.add(key)
+        while path:
+            unplace()
         self.nodes, self.pruned_dead = nodes, hits
         return None
+
+    def _abandon(self, frames: list[tuple], root: int) -> None:
+        """Abandon a root branch past its budget: its frames and placements
+        are unwound to the root frame, of `root` placed jobs, unrecorded."""
+        self.starved = True
+        del frames[1:]
+        while len(self.path) > root:
+            self._unplace()
 
 
 def decide_target(
@@ -804,11 +922,14 @@ def decide_target(
     Requires total work equal to m*target for the instance's m machines;
     above that the answer is a proved negative by arithmetic, below it the
     zero-idle search would be incomplete, so the decision is refused.
-    `budget` caps the nodes of each root branch, one per candidate
-    placement at time 0: a branch that would place more jobs than that,
-    its root placement included, is abandoned and the next root branch
-    tried, so a witness in a later branch is still found; with no
-    witness, one abandoned branch makes the outcome budget-exceeded.  The
+    `budget` caps the nodes of each root branch, one per candidate of the
+    root frame: the placements at time 0, or, where forced runs apply
+    (see "Forced runs"), the candidates of the first value choice, after
+    a run at 0 that counts toward no branch.  A branch that would place
+    more jobs than that, its root placement and its runs included, is
+    abandoned and the next root branch tried, so a witness in a later
+    branch is still found; with no witness, one abandoned branch makes
+    the outcome budget-exceeded.  The
     dead-state table is shared by all root branches.  With `contiguous`
     the machine set of every job must be an interval, matching the
     strip-packing reading.

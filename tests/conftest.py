@@ -37,6 +37,11 @@ placed jobs from the search's path, never from the solver's tables, so a
 wrong table entry shows as a difference.  `reference_subsets` builds each
 candidate's machine sets from the idle machines the same way, without the
 search's `subsets`.
+
+`reference_decide` is `solver.decide_target` on `ReferenceSearch`, the
+search whose forced runs place nothing, so that every placement opens a
+frame, lists its candidates and is keyed: the frame-per-placement search
+that the forced runs must agree with.
 """
 
 import json
@@ -44,10 +49,12 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
+from unittest.mock import patch
 from weakref import WeakKeyDictionary
 
 import pytest
 
+from gadgetforge import solver
 from gadgetforge.exactnum import InvalidInput, decompose
 from gadgetforge.reduction import (
     COUNT_CHAINS,
@@ -487,3 +494,17 @@ def contiguous_optimum(jobs, m: int = 4, cap: int | None = None) -> int | None:
 
     top = best(frozenset(range(len(jobs))), (0,) * m)
     return None if top == float("inf") else top
+
+
+class ReferenceSearch(solver._Search):
+    """A search whose forced run places nothing: the loop then opens a frame
+    at each forced start too, one per placement."""
+
+    def _run(self, t, most):
+        return t, 0
+
+
+def reference_decide(*args, **kwargs):
+    """`solver.decide_target` on `ReferenceSearch`."""
+    with patch.object(solver, "_Search", ReferenceSearch):
+        return solver.decide_target(*args, **kwargs)

@@ -282,6 +282,37 @@ def test_a_file_that_is_not_utf8_is_invalid_input(workspace, tmp_path):
     assert "is not UTF-8 text" in result.stderr
 
 
+def _refused_path(result, path):
+    """The single stderr line of a run refused for a path it cannot write."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in result.stderr, result.stderr
+    assert lines[0].startswith(f"invalid input: cannot write {path}: ")
+    return lines[0]
+
+
+def test_a_witness_out_in_a_missing_directory_is_invalid_input(tmp_path):
+    # the path is the user's, so an error opening it is a usage error, not
+    # a fault of the program (70)
+    path = tmp_path / "missing" / "w.json"
+    result = run("gen3p", "--yes", "--z", "1", "--seed", "0",
+                 "--witness-out", str(path))
+    assert "No such file or directory" in _refused_path(result, path)
+    assert not path.parent.exists()
+
+
+def test_a_render_out_in_a_missing_directory_is_invalid_input(workspace, tmp_path):
+    path = tmp_path / "missing" / "fig.svg"
+    gantt = ("--inst", str(workspace / "inst.json"),
+             "--sched", str(workspace / "sched.json"))
+    strip = ("--strip", str(workspace / "strip.json"),
+             "--packing", str(workspace / "pack.json"))
+    for figure in (gantt, strip):
+        result = run("render", *figure, "--out", str(path))
+        assert "No such file or directory" in _refused_path(result, path)
+
+
 def test_an_index_past_the_int_limit_is_no_index(tmp_path):
     # a job id whose digits after the last underscore exceed what `int`
     # reads is an id without an index, not a fault

@@ -41,6 +41,7 @@ from conftest import (
     path_free_times,
     record_builds,
     reference_candidates,
+    reference_decide,
 )
 
 
@@ -282,9 +283,6 @@ def test_the_reduction_is_an_iff_on_random_value_sets():
     # nor built to fail, every decision at W, plain and contiguous, under
     # every rule set that keeps the equation rule on, must agree with it,
     # and a witness must extract to a partition.
-    # Without the dead-state table a plain search retries every order of
-    # the pinned jobs that share a forced start, about ten times the nodes
-    # per unit of z, so that rule set runs up to z = 3 only.
     rng = random.Random("iff")
     seen = Counter()
     for trial in range(96):
@@ -294,7 +292,7 @@ def test_the_reduction_is_an_iff_on_random_value_sets():
         yes = not isinstance(solve(inst3p), ProvedNo)
         inst = build_jobs(inst3p)
         for contiguous in (False, True):
-            for rules in EQUATION_RULES[: 3 if z <= 3 else 2]:
+            for rules in EQUATION_RULES:
                 decision = decide_target(inst, inst.W, contiguous, rules=rules)
                 assert decision.outcome == ("witness" if yes else "proved-none"), (
                     inst3p, contiguous, rules,
@@ -385,12 +383,12 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,0)", False, "witness", 197,
-            {"equations": 9_543, "no-fit": 4_579, "symmetry": 5_134},
+            {"equations": 1_986, "no-fit": 1_944, "symmetry": 630},
             id="yes(16,0)",
         ),
         pytest.param(
-            "yes(16,3)-budget-1000", False, "witness", 242,
-            {"equations": 11_557, "no-fit": 5_830, "symmetry": 6_018},
+            "yes(16,3)-budget-1000", False, "witness", 209,
+            {"equations": 2_108, "no-fit": 2_063, "symmetry": 668},
             id="yes(16,3)-budget-1000",
         ),
         pytest.param(
@@ -432,13 +430,12 @@ PINNED_RUNS = {
         ),
         pytest.param(
             "yes(16,0)", True, "witness", 197,
-            {"equations": 9_543, "no-fit": 4_579, "symmetry": 5_134},
+            {"equations": 1_986, "no-fit": 1_944, "symmetry": 630},
             id="yes(16,0)-table",
         ),
         pytest.param(
-            "yes(16,3)-budget-1000", True, "witness", 215,
-            {"dead-state": 3, "equations": 10_251, "no-fit": 4_919,
-             "symmetry": 5_499},
+            "yes(16,3)-budget-1000", True, "witness", 209,
+            {"equations": 2_108, "no-fit": 2_063, "symmetry": 668},
             id="yes(16,3)-budget-1000-table",
         ),
         pytest.param(
@@ -610,8 +607,148 @@ def test_dead_states_keep_every_answer_on_reductions(inst3p, contiguous):
     assert on.nodes <= off.nodes
 
 
+def residue_family(z: int, r: int, seed: int = 0) -> ThreePartitionInstance:
+    """A no-instance whose cost is the search: D = 3b with b the first
+    value = 1 (mod 4) above 4 digit_bound(z) / 3, the values b + 4e for
+    3z - 4 draws e from [-r, r], nudged by one until they sum to 0, and
+    b - 1 three times and b + 3.  D = 3 (mod 4), and a triple reaches it
+    only from three values = 1 (mod 4), of which there are 3z - 4, so no
+    partition exists; yet many triples of them sum to D."""
+    b = 4 * digit_bound(z) // 3 + 1
+    b += (1 - b) % 4
+    rng = random.Random(f"residue:{z}:{r}:{seed}")
+    e = [rng.randint(-r, r) for _ in range(3 * z - 4)]
+    i = 0
+    while sum(e):
+        step = -1 if sum(e) > 0 else 1
+        if abs(e[i] + step) <= r:
+            e[i] += step
+        i = (i + 1) % len(e)
+    return ThreePartitionInstance((*(b + 4 * x for x in e), b - 1, b - 1, b - 1, b + 3))
+
+
+def _run_cases(residue_z=8):
+    """Decisions at W of `gen_yes` for z <= 6, `gen_no` for z <= 3 and the
+    residue family for z <= `residue_z`, and the digit traps, which have
+    no forced starts."""
+    cases = [(f"yes({z},{s})", gen_yes(z, s)[0]) for z in range(1, 7) for s in range(4)]
+    cases += [(f"no({z},{s})", gen_no(z, s)) for z in (2, 3) for s in range(4)]
+    cases += [(f"residue({z},{r})", residue_family(z, r))
+              for z in range(2, residue_z + 1) for r in (3, 8)]
+    out = [(name, *_at_w(inst3p)) for name, inst3p in cases]
+    return out + [(f"trap{D}", *digit_trap_instance(D)) for D in (17, 33)]
+
+
+@pytest.mark.parametrize("dead_states", [True, False], ids=["table", "no-table"])
+def test_forced_runs_keep_every_answer_and_witness(dead_states):
+    # A forced run places the jobs of each forced start in the order the
+    # reference search, with a frame at every placement, tries first, so
+    # every outcome and every witness's bytes are the reference's.  Without
+    # the table the run only skips nodes the reference visits, and the
+    # reference's residue family runs past 10^5 nodes from z = 5 on.
+    rules = PruneRules(dead_states=dead_states)
+    seen = Counter()
+    for name, inst, target in _run_cases(8 if dead_states else 4):
+        new = decide_target(inst, target, rules=rules)
+        ref = reference_decide(inst, target, rules=rules)
+        assert _answer(new) == _answer(ref), name
+        if new.schedule is not None:
+            assert new.schedule.to_json() == ref.schedule.to_json(), name
+        if not dead_states:
+            assert new.nodes <= ref.nodes, name
+        seen[new.outcome] += 1
+        seen["fewer"] += new.nodes < ref.nodes
+    assert seen["witness"] and seen["proved-none"] and seen["fewer"]
+
+
+@pytest.mark.parametrize(
+    "contiguous, rules",
+    [
+        (True, PruneRules()),
+        (False, PruneRules(symmetry=False)),
+        (False, PruneRules(equations=False)),
+    ],
+    ids=["contiguous", "symmetry-off", "equations-off"],
+)
+def test_searches_without_forced_runs_are_the_reference(contiguous, rules):
+    # Forced runs are for plain searches under both rules: every other
+    # search keeps a frame at each placement, node for node.
+    for name, inst, target in _run_cases()[::3]:
+        for budget in (4, 300):
+            new = decide_target(inst, target, contiguous, budget=budget, rules=rules)
+            ref = reference_decide(inst, target, contiguous, budget=budget, rules=rules)
+            assert new.to_dict() == ref.to_dict(), (name, budget)
+
+
+@pytest.mark.parametrize(
+    "inst3p", [gen_yes(2, 0)[0], residue_family(5, 3)], ids=["yes(2,0)", "residue(5,3)"]
+)
+def test_a_budget_that_ends_inside_a_run_never_proves_none(inst3p, monkeypatch):
+    # A budget that ends inside a forced run abandons its root branch like
+    # any other: the outcome is budget-exceeded, never proved-none, and
+    # nothing stays placed.  A budget the branch stays within answers as
+    # the search does without one.
+    inst, target = _at_w(inst3p)
+    free = decide_target(inst, target)
+    run, cuts = solver._Search._run, Counter()
+
+    def counted(search, t, most):
+        # a run that places a job and then finds the budget spent
+        t, took = run(search, t, most)
+        cuts["mid-run"] += took > most > 0
+        return t, took
+
+    monkeypatch.setattr(solver._Search, "_run", counted)
+    for budget in range(1, free.nodes):
+        search = solver._Search(inst, target, False, PruneRules(), budget)
+        witness = search.search()
+        if search.starved:
+            assert witness is None and search.path == []
+            assert decide_target(inst, target, budget=budget).outcome == "budget-exceeded"
+        else:
+            assert decide_target(inst, target, budget=budget).to_dict() == free.to_dict()
+    assert cuts["mid-run"]
+
+
+class _CutInsideTheFirstRun(solver._Search):
+    """A search whose root frame lists each candidate twice, and whose first
+    run in a root branch places two jobs and then finds the budget spent."""
+
+    cut = None
+
+    def _candidates(self, t):
+        out = super()._candidates(t)
+        if self.cut is None:
+            self.cut = True
+            return out * 2
+        return out
+
+    def _run(self, t, most):
+        if self.cut:
+            self.cut = False
+            t, took = super()._run(t, 2)
+            assert took == 3 and t is None
+            return t, most + 1
+        return super()._run(t, most)
+
+
+def test_a_later_root_branch_answers_after_a_cut_inside_a_run():
+    # Under forced runs a reduction's root frame lists one value, the
+    # longest, so a budget never ends there with a root branch to spare;
+    # a search that repeats its root candidate shows that a branch cut
+    # inside a run is unwound, and that the next root branch answers.
+    inst, target = _at_w(gen_yes(2, 0)[0])
+    free = decide_target(inst, target)
+    search = _CutInsideTheFirstRun(inst, target, False, PruneRules(), 10**6)
+    witness = search.search()
+    assert search.starved and not search.cut
+    assert witness.to_json() == free.schedule.to_json()
+
+
 def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
-    inst, target = _at_w(gen_no(2, 3))
+    # a case where the table cuts in both modes: with forced runs a plain
+    # search of gen_no(2, 3) takes 11 nodes with or without it
+    inst, target = _at_w(residue_family(5, 3))
     full = {c: decide_target(inst, target, c).nodes for c in (False, True)}
     tables = []
     init = solver._Search.__init__
@@ -744,12 +881,13 @@ LOOK_CASES = {
 
 
 def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
-    # The search reads a child's dead-state key off the parent's cells and
-    # remaining set before it places the child, so that key must be the
-    # one `_key` gives the state `_place` then makes.  A child whose key is
-    # dead is counted but never placed, so the placements are the nodes
-    # less the dead-state prunes and the starved cut-offs.
-    key, place = solver._Search._key, solver._Search._place
+    # The search reads a choice's dead-state key off the parent's cells and
+    # remaining set before it places the choice's job, so that key must be
+    # the one `_key` gives the state `_place` then makes; the placements of
+    # a forced run read no key.  A child whose key is dead is counted but
+    # never placed, so the placements are the nodes less the dead-state
+    # prunes and the starved cut-offs.
+    key, place, run = solver._Search._key, solver._Search._place, solver._Search._run
     read, seen = [], Counter()
 
     def keyed(search, cells, rem):
@@ -759,13 +897,24 @@ def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
     def placing(search, job, subset, t):
         place(search, job, subset, t)
         seen["placed"] += 1
-        if search.dead is not None and len(search.path) < search.n:
+        if seen["running"]:
+            assert not read
+            seen["run"] += 1
+        elif search.dead is not None and len(search.path) < search.n:
             assert read[-1] == key(search, search.cells, search.rem_mask)
             seen["keyed"] += 1
         read.clear()
 
+    def running(search, t, most):
+        seen["running"] = 1
+        try:
+            return run(search, t, most)
+        finally:
+            seen["running"] = 0
+
     monkeypatch.setattr(solver._Search, "_key", keyed)
     monkeypatch.setattr(solver._Search, "_place", placing)
+    monkeypatch.setattr(solver._Search, "_run", running)
     settings = product(
         LOOK_CASES.values(),
         (PruneRules(*flags) for flags in product((True, False), repeat=3)),
@@ -774,12 +923,13 @@ def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
     )
     for case, rules, contiguous, budget in settings:
         seen["placed"] = 0
+        read.clear()
         search = _CountedCutOffs(*case(), contiguous, rules, budget)
         search.search()
         assert seen["placed"] == search.nodes - search.pruned_dead - search.cut_offs
         seen["dead"] += search.pruned_dead
         seen["cut-offs"] += search.cut_offs
-    assert seen["keyed"] and seen["dead"] and seen["cut-offs"]
+    assert seen["keyed"] and seen["run"] and seen["dead"] and seen["cut-offs"]
 
 
 def _subset_sums(values) -> int:
@@ -1104,6 +1254,7 @@ def test_the_gap_rest_premises_are_checked(monkeypatch, name, patch, message):
 
 UNDO_CASES = {
     "no(2,3)": lambda: _at_w(gen_no(2, 3)),
+    "residue(5,3)": lambda: _at_w(residue_family(5, 3)),
     "trap33": lambda: digit_trap_instance(33),
 }
 
@@ -1113,23 +1264,30 @@ UNDO_CASES = {
     "case, rules, budget, starved",
     [
         ("no(2,3)", PruneRules(), 10**6, False),
-        ("no(2,3)", PruneRules(), 10, True),
+        # plain: the budget ends inside a forced run
+        ("residue(5,3)", PruneRules(), 10, True),
         ("no(2,3)", PruneRules(equations=False), 30, True),
         ("no(2,3)", PruneRules(symmetry=False), 10, True),
         ("trap33", PruneRules(), 10**6, False),
         ("trap33", PruneRules(), 30, True),
         ("trap33", PruneRules(symmetry=False), 10**6, False),
+        ("residue(5,3)", PruneRules(), 10**6, False),
+        ("residue(5,3)", PruneRules(dead_states=False), 10**6, False),
+        # plain: the budget ends at a value choice
+        ("residue(5,3)", PruneRules(), 3, True),
     ],
     ids=[
         "proved-none", "budget-exceeded", "equations-off", "symmetry-off",
         "trap-proved-none", "trap-budget-exceeded", "trap-symmetry-off",
+        "residue-proved-none", "residue-no-table", "residue-budget-at-a-choice",
     ],
 )
 def test_a_search_without_a_witness_undoes_every_placement(
     case, rules, budget, starved, contiguous
 ):
-    # Every placement is taken back exactly: a search that returns without
-    # a witness leaves the state of a freshly built one.
+    # Every placement is taken back exactly, a forced run's with the choice
+    # that led to it: a search that returns without a witness leaves the
+    # state of a freshly built one.
     inst, target = UNDO_CASES[case]()
     search = solver._Search(inst, target, contiguous, rules, budget)
     assert search.search() is None
@@ -1225,9 +1383,13 @@ def test_a_witness_that_fails_verification_is_never_returned(call):
 
 
 def test_no_instance_at_z3_is_proved_none_plain():
-    decision = decide_target(*_at_w(gen_no(3, 3)))
+    # forced runs place the ten jobs of the run at 0 once, where a frame at
+    # each placement also tries lambda1 before B_0
+    inst, target = _at_w(gen_no(3, 3))
+    decision = decide_target(inst, target)
     assert decision.outcome == "proved-none"
-    assert decision.nodes == 19
+    assert decision.nodes == 11
+    assert reference_decide(inst, target).nodes == 19
 
 
 def test_no_instance_at_z3_is_proved_none_contiguous():
