@@ -285,7 +285,9 @@ def extract(inst_path: str, sched_path: str, trace: bool):
 @click.option("--contiguous", is_flag=True,
               help="Require machine sets to be intervals (strip-packing mode).")
 @click.option("--budget", type=_StrictInt(), default=DEFAULT_BUDGET,
-              show_default=True, help="Node budget per root branch.")
+              show_default=True, help="Node budget per root branch (a plain "
+              "decision of a reduction at W has only one, after its "
+              "forced run at 0).")
 @_guard
 def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
            budget: int):

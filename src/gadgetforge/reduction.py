@@ -102,7 +102,7 @@ class SchedulingInstance:
         chosen = set(tags)
         return tuple(j for j in self.jobs if j.tag in chosen)
 
-    @property
+    @cached_property
     def total_work(self) -> int:
         return sum(j.p * j.q for j in self.jobs)
 
@@ -174,6 +174,14 @@ def per_instance(fn: Callable) -> Callable:
         return memo[args]
 
     return kept
+
+
+@per_instance
+def check_instance(inst: SchedulingInstance) -> None:
+    """`check_jobs` on the instance's own jobs and machine count, once per
+    instance.  A check that raises keeps nothing, so it raises again on
+    every call."""
+    check_jobs(inst.jobs, inst.m)
 
 
 def _index_from_id(job_id: str) -> int | None:

@@ -26,10 +26,11 @@ perturbed schedules the first violated check pinpoints what broke.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import Callable, Mapping, NamedTuple
 
 from .exactnum import (
@@ -40,7 +41,7 @@ from .reduction import (
     FAMILIES,
     SchedulingInstance,
     chain_values,
-    check_jobs,
+    check_instance,
     recognize,
 )
 
@@ -179,6 +180,16 @@ class AuditReport:
 
 
 def _check_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
+    """Raise InvalidInput unless the schedule starts and places exactly the
+    instance's jobs, each on machines in 1..m.  Both key views equal to the
+    instance's ids and the union of the machine sets inside 1..m pass at
+    once; any other schedule is walked job by job to name its first
+    fault."""
+    ids = inst.by_id.keys()
+    if sched.starts.keys() == ids == sched.machines.keys():
+        used = set().union(*sched.machines.values())
+        if not used or (min(used) >= 1 and max(used) <= inst.m):
+            return
     for job_id in sched.starts:
         if job_id not in inst.by_id:
             raise InvalidInput(f"schedule mentions unknown job {job_id!r}")
@@ -196,57 +207,84 @@ def _check_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
                 )
 
 
+def _overlaps(inst: SchedulingInstance, sched: Schedule, m: int) -> list[str]:
+    """The overlap problems of machine m: each pair of neighbours in
+    (start, end, id) order that overlap."""
+    starts, machines = sched.starts, sched.machines
+    intervals = sorted(
+        (starts[j.id], starts[j.id] + j.p, j.id)
+        for j in inst.jobs if m in machines[j.id]
+    )
+    return [
+        f"jobs {id1} and {id2} overlap on machine {m} ([{s1},{e1}) vs [{s2},{e2}))"
+        for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:])
+        if s2 < e1
+    ]
+
+
 def verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
     """Exact feasibility check: machine counts, overlaps, makespan, idle.
 
     Raises InvalidInput for jobs no instance can hold
-    (`reduction.check_jobs`) and for a schedule that does not match the
+    (`reduction.check_instance`) and for a schedule that does not match the
     instance (an unknown or missing job, a machine outside 1..m);
     everything else (overlaps, wrong machine multiplicity,
     negative starts) is reported as problems with feasible=False.
+
+    One pass over the jobs collects each machine's starts and ends as two
+    int columns, sorted separately.  The jobs on a machine are pairwise
+    disjoint exactly when the k-th smallest end is at most the (k+1)-th
+    smallest start for every k, because every length is at least 1.  If
+    they are disjoint, their starts are distinct (two jobs starting
+    together share their first instant) and each ends by the next start,
+    so sorting by start sorts the ends too.  If two overlap, some instant
+    x is inside both, so with a the number of starts at or before x, at
+    most a - 2 ends lie at or before x, while the a-th smallest start is
+    at most x: the (a-1)-th smallest end lies past it.  Only a machine
+    that fails the test lists its jobs (`_overlaps`), to name each
+    overlapping pair of neighbours in start order.
     """
-    check_jobs(inst.jobs, inst.m)
+    check_instance(inst)
     _check_job_universe(inst, sched)
     problems: list[str] = []
+    starts, machines = sched.starts, sched.machines
 
-    makespan = 0
+    makespan = busy = 0
+    begins: dict[int, list[int]] = defaultdict(list)
+    ends: dict[int, list[int]] = defaultdict(list)
     for job in inst.jobs:
-        start = sched.starts[job.id]
+        start = starts[job.id]
         if start < 0:
             problems.append(f"job {job.id} starts at {start} < 0")
-        used = sched.machines[job.id]
+        used = machines[job.id]
         if len(used) != job.q:
             problems.append(
                 f"job {job.id} occupies {len(used)} machines, needs {job.q}"
             )
-        makespan = max(makespan, start + job.p)
+        end = start + job.p
+        if end > makespan:
+            makespan = end
+        busy += job.p * len(used)
+        for m in used:
+            begins[m].append(start)
+            ends[m].append(end)
 
-    per_machine: dict[int, list[tuple[int, int, str]]] = {}
-    for job in inst.jobs:
-        start = sched.starts[job.id]
-        for m in sched.machines[job.id]:
-            per_machine.setdefault(m, []).append((start, start + job.p, job.id))
+    for m in sorted(begins):
+        column, finish = begins[m], ends[m]
+        column.sort()
+        finish.sort()
+        if not all(map(le, finish, column[1:])):
+            problems += _overlaps(inst, sched, m)
 
-    busy = {}
-    for m, intervals in sorted(per_machine.items()):
-        intervals.sort()
-        busy[m] = sum(end - start for start, end, _ in intervals)
-        for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
-            if s2 < e1:
-                problems.append(
-                    f"jobs {id1} and {id2} overlap on machine {m} "
-                    f"([{s1},{e1}) vs [{s2},{e2}))"
-                )
-
-    idle = inst.m * makespan - sum(busy.values())
+    # each distinct machine set is tested once
     contiguous = all(
         not ms or max(ms) - min(ms) + 1 == len(ms)
-        for ms in sched.machines.values()
+        for ms in set(machines.values())
     )
     return VerifyReport(
         feasible=not problems,
         makespan=makespan,
-        idle=idle,
+        idle=inst.m * makespan - busy,
         contiguous=contiguous,
         problems=tuple(problems),
     )
@@ -294,13 +332,13 @@ def swap_after(
     count, two jobs share a cell afterwards exactly when they did before,
     and the makespan and the busy area, hence the idle, stay.
 
-    This checks the jobs (`reduction.check_jobs`: every length at least 1,
+    This checks the jobs (`reduction.check_instance`: every length at least 1,
     so a job that ends by t does not also start at or after t), m1, m2 and
     the job universe (`_check_job_universe`), then makes the swap with an
     `_Exchange`, which a caller that has already checked them, as
     extraction does at its gate, uses directly.
     """
-    check_jobs(inst.jobs, inst.m)
+    check_instance(inst)
     for m in (m1, m2):
         if not 1 <= m <= inst.m:
             raise InvalidInput(f"machine {m} out of 1..{inst.m}")

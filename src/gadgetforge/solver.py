@@ -28,7 +28,8 @@ effect can be measured:
 
 All three rules are sound, so a proved-none outcome still means the entire
 space of zero-idle schedules was covered.  Both deciders reject malformed
-jobs (`reduction.check_jobs`) with InvalidInput.
+jobs (`reduction.check_jobs`, once per instance for `decide_target`
+through `reduction.check_instance`) with InvalidInput.
 
 Candidates at a node.  The search always fills the earliest free instant t,
 and a node lists, in (-q, -p, id) order, every unplaced job that could
@@ -334,6 +335,7 @@ from .exactnum import InvalidInput, require
 from .reduction import (
     Job,
     SchedulingInstance,
+    check_instance,
     check_jobs,
     forward_geometry,
     per_instance,
@@ -602,11 +604,6 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _spare(self, by_len, r: int) -> int:
-        """How many value jobs of length r are unplaced."""
-        taken, members = self.taken, self.members
-        return sum(len(members[c]) - taken[c] for c in by_len.get(r, ()))
-
     def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
         """(job, machine set) for every placement at t, in (-q, -p, id)
         order.  A rejected job counts as a prune of the first rule that
@@ -675,13 +672,17 @@ class _Search:
                     offer = live[i : i + 1]
                 elif 2 * rest > D:
                     # a second value p, at least the third, rest - p, which
-                    # must be another unplaced value
+                    # must be another unplaced value: more than one unplaced
+                    # job of length rest - p when that is p itself
                     offer = []
                     for c in live[i:]:
                         p = cls_p[c]
                         if 2 * p < rest:
                             break
-                        if self._spare(by_len, rest - p) > (2 * p == rest):
+                        spare = 0
+                        for d in by_len.get(rest - p, ()):
+                            spare += len(members[d]) - taken[d]
+                        if spare > (2 * p == rest):
                             offer.append(c)
                 else:
                     # the third value fills the gap
@@ -756,13 +757,16 @@ class _Search:
         self.rem_mask ^= bit
 
     def _snapshot(self) -> Schedule:
-        return Schedule(
-            starts={job.id: t for job, _, t, *_ in self.path},
-            machines={
-                job.id: frozenset(m + 1 for m in subset)
-                for job, subset, *_ in self.path
-            },
-        )
+        """The placed jobs as a schedule, in path order; the jobs placed on
+        the same machines share one machine set."""
+        starts, machines, sets = {}, {}, {}
+        for job, subset, t, _, _ in self.path:
+            starts[job.id] = t
+            used = sets.get(subset)
+            if used is None:
+                used = sets[subset] = frozenset(m + 1 for m in subset)
+            machines[job.id] = used
+        return Schedule(starts=starts, machines=machines)
 
     def _key(self, cells: list[int], rem: int) -> int:
         """The dead-state key of the state whose machines are free at
@@ -927,9 +931,15 @@ def decide_target(
     (see "Forced runs"), the candidates of the first value choice, after
     a run at 0 that counts toward no branch.  A branch that would place
     more jobs than that, its root placement and its runs included, is
-    abandoned and the next root branch tried, so a witness in a later
-    branch is still found; with no witness, one abandoned branch makes
-    the outcome budget-exceeded.  The
+    abandoned and the next root branch tried; with no witness, one
+    abandoned branch makes the outcome budget-exceeded.  Under the
+    symmetry and equation rules, a plain decision of a reduction at its
+    own W has forced runs, and its root frame holds one candidate, the
+    longest value, as the gap order offers only a gap's first value:
+    there `budget` bounds the whole search past the run at 0.  A witness
+    in a later root branch can be found only where the root frame holds
+    more, as in contiguous, symmetry-off and equations-off searches and
+    in searches without forced runs.  The
     dead-state table is shared by all root branches.  With `contiguous`
     the machine set of every job must be an interval, matching the
     strip-packing reading.
@@ -943,7 +953,7 @@ def decide_target(
             raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if budget < 1:
         raise InvalidInput(f"budget must be at least 1 node, not {budget}")
-    check_jobs(inst.jobs, inst.m)
+    check_instance(inst)
     rules = rules or PruneRules()
     total = inst.total_work
     m = inst.m

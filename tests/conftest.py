@@ -19,6 +19,11 @@ schedule the cutting performs.
 swap is defined; it is the reference that `schedule._Exchange`, which
 moves only the jobs inside a window, is checked against.
 
+`reference_verify` is `schedule.verify` as it was before its sorted
+columns, with its job-universe check, kept verbatim: every call checks
+the jobs, and every machine lists and sorts its (start, end, id)
+triples.  It is the reference that `schedule.verify` is checked against.
+
 `with_repeated_key` writes a document whose object names one key twice,
 which every loader must refuse rather than read as the last value.
 
@@ -61,6 +66,7 @@ from gadgetforge.reduction import (
     Job,
     SchedulingInstance,
     build_jobs,
+    check_jobs,
     forced_starts,
     gamma_window,
     partition_gaps,
@@ -71,6 +77,7 @@ from gadgetforge.schedule import (
     AuditCheck,
     CrossingJob,
     Schedule,
+    VerifyReport,
 )
 from gadgetforge.threepartition import ThreePartitionInstance
 
@@ -195,6 +202,72 @@ def reference_swap(
         else:
             raise CrossingJob(job.id, t, m1, m2)
     return Schedule(starts=dict(sched.starts), machines=new_machines)
+
+
+def _reference_job_universe(inst: SchedulingInstance, sched: Schedule) -> None:
+    for job_id in sched.starts:
+        if job_id not in inst.by_id:
+            raise InvalidInput(f"schedule mentions unknown job {job_id!r}")
+    for job in inst.jobs:
+        if job.id not in sched.starts or job.id not in sched.machines:
+            raise InvalidInput(f"job {job.id!r} is missing from the schedule")
+    for job_id, machines in sched.machines.items():
+        if job_id not in inst.by_id:
+            raise InvalidInput(f"schedule mentions unknown job {job_id!r}")
+        for m in machines:
+            if not 1 <= m <= inst.m:
+                raise InvalidInput(
+                    f"job {job_id!r} uses machine {m}, valid range is "
+                    f"1..{inst.m}"
+                )
+
+
+def reference_verify(inst: SchedulingInstance, sched: Schedule) -> VerifyReport:
+    check_jobs(inst.jobs, inst.m)
+    _reference_job_universe(inst, sched)
+    problems: list[str] = []
+
+    makespan = 0
+    for job in inst.jobs:
+        start = sched.starts[job.id]
+        if start < 0:
+            problems.append(f"job {job.id} starts at {start} < 0")
+        used = sched.machines[job.id]
+        if len(used) != job.q:
+            problems.append(
+                f"job {job.id} occupies {len(used)} machines, needs {job.q}"
+            )
+        makespan = max(makespan, start + job.p)
+
+    per_machine: dict[int, list[tuple[int, int, str]]] = {}
+    for job in inst.jobs:
+        start = sched.starts[job.id]
+        for m in sched.machines[job.id]:
+            per_machine.setdefault(m, []).append((start, start + job.p, job.id))
+
+    busy = {}
+    for m, intervals in sorted(per_machine.items()):
+        intervals.sort()
+        busy[m] = sum(end - start for start, end, _ in intervals)
+        for (s1, e1, id1), (s2, e2, id2) in zip(intervals, intervals[1:]):
+            if s2 < e1:
+                problems.append(
+                    f"jobs {id1} and {id2} overlap on machine {m} "
+                    f"([{s1},{e1}) vs [{s2},{e2}))"
+                )
+
+    idle = inst.m * makespan - sum(busy.values())
+    contiguous = all(
+        not ms or max(ms) - min(ms) + 1 == len(ms)
+        for ms in sched.machines.values()
+    )
+    return VerifyReport(
+        feasible=not problems,
+        makespan=makespan,
+        idle=idle,
+        contiguous=contiguous,
+        problems=tuple(problems),
+    )
 
 
 def with_repeated_key(document, path, key, value) -> str:

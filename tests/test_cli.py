@@ -558,8 +558,11 @@ def test_decide_refuses_a_budget_below_one(workspace, budget):
 def test_decide_help_states_the_default_budget():
     result = run("decide", "--help")
     assert result.exit_code == 0
-    lines = [line.strip() for line in result.stdout.splitlines()]
-    assert "--budget INTEGER        Node budget per root branch.  [default: 10000000]" in lines
+    text = " ".join(line.strip() for line in result.stdout.splitlines())
+    assert (
+        "--budget INTEGER        Node budget per root branch (a plain decision of a "
+        "reduction at W has only one, after its forced run at 0).  [default: 10000000]"
+    ) in text
 
 
 def test_render_gantt_and_packing(workspace, tmp_path):

@@ -326,6 +326,18 @@ def test_each_derived_fact_is_built_once_per_instance_and_arguments(monkeypatch)
     assert "by_id" in dir(inst)
 
 
+def test_total_work_is_kept_per_instance():
+    """`total_work` is worked out once per instance and kept on it; a
+    `dataclasses.replace` copy with other jobs works out its own."""
+    inst = build_jobs(INST_D33)
+    assert inst.total_work == 4 * inst.W
+    assert inst.__dict__["total_work"] == 4 * inst.W
+    first, *rest = inst.jobs
+    copy = dataclasses.replace(inst, jobs=tuple(rest))
+    assert copy.total_work == 4 * inst.W - first.p * first.q
+    assert inst.total_work == 4 * inst.W
+
+
 def test_by_slot_is_read_only_and_names_every_job(generated):
     _, inst = generated
     assert len(inst.by_slot) == len(inst.jobs)

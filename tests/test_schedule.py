@@ -1,10 +1,12 @@
 """Verifier, finished-before counts, swaps, mirror, and the digit audit."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from gadgetforge import schedule
 from gadgetforge.exactnum import InvalidInput, decompose, digit_bound
 from gadgetforge.reduction import SchedulingInstance, Job, build_jobs, family_length
 from gadgetforge.schedule import (
@@ -30,6 +32,7 @@ from conftest import (
     make_canonical_z1,
     reference_audit,
     reference_swap,
+    reference_verify,
 )
 
 
@@ -109,6 +112,91 @@ def test_verify_machine_out_of_range():
     inst = tiny_instance([job("x", 5, 1)])
     with pytest.raises(InvalidInput, match="^job 'x' uses machine 5, valid range is 1..4$"):
         verify(inst, Schedule(starts={"x": 0}, machines={"x": frozenset({5})}))
+
+
+def _perturbations(rng, inst, sched):
+    """The schedule as given, then one perturbation of each kind, by name:
+    a start moved by one either way or made negative, a machine added or
+    dropped, two jobs' machine sets exchanged, machine 0 or m + 1 added,
+    an unknown id in the starts or in the machine sets only, and a job
+    missing from either or both."""
+    starts, machines = dict(sched.starts), dict(sched.machines)
+    ids = [j.id for j in inst.jobs]
+    a, b = rng.sample(ids, 2)
+    with_start = lambda start: Schedule({**starts, a: start}, machines)
+    with_set = lambda *pairs: Schedule(starts, {**machines, **dict(pairs)})
+    missing = lambda table: {k: v for k, v in table.items() if k != a}
+    spare = [k for k in range(1, inst.m + 1) if k not in machines[a]]
+    yield "as given", sched
+    yield "start +1", with_start(starts[a] + 1)
+    yield "start -1", with_start(starts[a] - 1)
+    yield "negative start", with_start(-1 - starts[a])
+    if spare:
+        yield "machine added", with_set((a, machines[a] | {rng.choice(spare)}))
+    yield "machine dropped", with_set((a, machines[a] - {rng.choice(sorted(machines[a]))}))
+    yield "sets exchanged", with_set((a, machines[b]), (b, machines[a]))
+    yield "machine 0", with_set((a, machines[a] | {0}))
+    yield "machine m+1", with_set((a, machines[a] | {inst.m + 1}))
+    yield "unknown in starts", Schedule({**starts, "ghost": 0}, machines)
+    yield "unknown in machines", with_set(("ghost", frozenset({1})))
+    yield "missing start", Schedule(missing(starts), machines)
+    yield "missing machines", Schedule(starts, missing(machines))
+    yield "missing", Schedule(missing(starts), missing(machines))
+
+
+def _verify_cases():
+    rng = random.Random(34)
+    for _ in range(16):
+        inst, sched = carve_zero_idle(rng, rng.randint(4, 40))
+        if len(inst.jobs) > 1:
+            yield inst, sched
+    for z in (1, 2, 6):
+        inst3, witness = gen_yes(z, z)
+        inst = build_jobs(inst3)
+        yield inst, build_schedule(inst, witness)
+
+
+def _outcome(check, inst, sched):
+    try:
+        return check(inst, sched)
+    except InvalidInput as exc:
+        return f"InvalidInput: {exc}"
+
+
+def test_verify_matches_the_reference_on_perturbed_schedules(monkeypatch):
+    """On seeded carves and on `gen_yes` schedules at z = 1, 2 and 6, each
+    as given and under every perturbation, `verify` gives the reference's
+    report, problems in the same order, or the same InvalidInput text; and
+    the machines whose sorted columns fail are exactly those the reference
+    names an overlap on, so no feasible machine lists its jobs."""
+    listed = []
+    overlaps = schedule._overlaps
+
+    def spied(inst, sched, m):
+        listed.append(m)
+        return overlaps(inst, sched, m)
+
+    monkeypatch.setattr(schedule, "_overlaps", spied)
+    rng = random.Random(3)
+    compared = Counter()
+    for inst, sched in _verify_cases():
+        for _ in range(3):
+            for name, perturbed in _perturbations(rng, inst, sched):
+                listed.clear()
+                want = _outcome(reference_verify, inst, perturbed)
+                got = _outcome(verify, inst, perturbed)
+                assert got == want, name
+                if isinstance(want, str):
+                    compared["refused"] += 1
+                    continue
+                named = {
+                    int(m)
+                    for text in want.problems
+                    for m in re.findall(r"overlap on machine (\d+) ", text)
+                }
+                assert sorted(listed) == sorted(named), name
+                compared[want.feasible] += 1
+    assert min(compared.values()) >= 50, compared
 
 
 # ===== count_before =====

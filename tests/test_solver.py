@@ -24,7 +24,7 @@ from gadgetforge.reduction import (
 )
 from gadgetforge.schedule import Schedule, audit, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
-from gadgetforge.exactnum import digit_bound
+from gadgetforge.exactnum import InvalidInput, digit_bound
 from gadgetforge.threepartition import (
     ProvedNo,
     SearchBudgetExceeded,
@@ -1322,6 +1322,7 @@ def test_a_target_or_budget_that_is_not_an_int_is_refused(
 ):
     # refused before any work: neither the job check nor a search runs
     monkeypatch.setattr(solver, "check_jobs", None)
+    monkeypatch.setattr(solver, "check_instance", None)
     monkeypatch.setattr(solver, "_Search", None)
     with pytest.raises(TypeError, match=f"{name} must be an int"):
         decide_target(generic([(5, 4)]), target, budget=budget)
@@ -1459,12 +1460,14 @@ def test_malformed_jobs_are_rejected(dims, ids, message):
     )
     inst = SchedulingInstance(m=4, z=0, D=0, W=0, jobs=jobs)
     target = sum(j.p * j.q for j in jobs) // 4
-    with pytest.raises(ValueError, match=message):
-        decide_target(inst, target)
-    with pytest.raises(ValueError, match=message):
-        optimize_small(jobs)
-    with pytest.raises(ValueError, match=message):
-        verify(inst, Schedule(starts={}, machines={}))
+    # a check that fails is not kept on the instance: every call raises
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match=message):
+            decide_target(inst, target)
+        with pytest.raises(InvalidInput, match=message):
+            optimize_small(jobs)
+        with pytest.raises(InvalidInput, match=message):
+            verify(inst, Schedule(starts={}, machines={}))
 
 
 def test_decision_serializes():

@@ -16,6 +16,8 @@ of these documents must be byte-identical on both sides:
 * the audit of the synthesized, the mirrored and the perturbed schedule:
   `AuditReport.to_dict()` and `to_dict()` of every row (or the error the
   audit raises);
+* `VerifyReport.to_dict()` of the synthesized, the mirrored, the perturbed
+  and the three swapped schedules below (or the error `verify` raises);
 * `ExtractionTrace.to_dict()` of the synthesized and the mirrored schedule;
 * the same, or the certificate, of three schedules that extraction swaps
   back (the workload's own inputs take no swap): the synthesized schedule
@@ -33,7 +35,8 @@ of these documents must be byte-identical on both sides:
 * the schedule and packing SVGs;
 * the JSON of the schedule and the instance, and their round trips.
 
-The script lists every document that differs and stops.
+That is 22 documents per input, 198 in all.  The script lists every
+document that differs and stops.
 
 Then each round runs every op once on each side, OLD first on even rounds
 and NEW first on odd ones, timing every layer the op calls.  After its op,
@@ -159,6 +162,8 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
     docs = {f"audit {name}": _attempt(lambda s=s: audited(s)) for name, s in schedules.items()}
     swapped = _swapped(lib, inst, sched)
     schedules.update(swapped)
+    for name, s in schedules.items():
+        docs[f"verify {name}"] = _attempt(lambda s=s: lib.verify(inst, s).to_dict())
     schedules["block-torn"] = _torn(lib, inst, swapped["block-swapped"])
     for name, s in schedules.items():
         trace = lambda s=s: lib.extract_partition(inst3, inst, s)[1].to_dict()
