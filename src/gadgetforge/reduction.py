@@ -14,6 +14,15 @@ Twelve job families: the eleven of `FAMILIES`, whose lengths are
 polynomials in D, and the 3z P jobs, one per value, whose lengths are the
 instance's values and which hold the partition.
 
+Every closed form is read off one power table, D**0 .. D**8, each power
+one multiplication from the last.  A family's length and a separator's
+start are linear in the job's index, base + i * step, with base and step
+polynomials in D, and `evaluate` works out every base and step and W at
+one (z, D) from one table: `build_jobs` once per build, `recognize` once
+for the values the P jobs carry, and `closed_forms` once per instance for
+the forced starts, gamma windows and gaps.  Synthesis builds the same
+starts by accumulation, without the table, so the two cross-check.
+
 The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
 
@@ -25,19 +34,20 @@ reads neither; its equation rule reads the closed-form starts of the
 canonical geometry through `forward_geometry`.
 
 An instance never changes, so what is derived from it never does either.
-Each derived fact (`recognize`, `forward_geometry`, `canonical_slots`,
-`canonical_ids`) is one function decorated with `per_instance`, which
-works it out on the first call and keeps it on the instance; a module
-that derives its own facts, as the solver does its plans, uses the same
-decorator.
+Each derived fact (`recognize`, `closed_forms`, `forward_geometry`,
+`canonical_slots`, `canonical_ids`) is one function decorated with
+`per_instance`, which works it out on the first call and keeps it on the
+instance; a module that derives its own facts, as the solver does its
+plans, uses the same decorator.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -47,6 +57,11 @@ from .exactnum import (
 from .threepartition import ThreePartitionInstance, validate
 
 MACHINES = 4
+
+# D's powers D**0 .. D**8, and a closed form that is linear in an index i,
+# base + i * step, as (base, step)
+Powers = tuple[int, ...]
+Affine = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -137,14 +152,18 @@ class SchedulingInstance:
                 for j in (check_shape(entry, dict, label["job"]) for entry in entries)
             )
             m = parse_int(payload[k["m"]], "m") if k["m"] else MACHINES
-            check_jobs(jobs, m)
-            return cls(
-                m=m,
-                z=parse_int(payload["z"], "z"),
-                D=parse_int(payload["D"], "D"),
-                W=parse_int(payload[k["W"]], k["W"]),
-                jobs=jobs,
-            )
+            try:
+                z, D, W = (
+                    parse_int(payload[key], key) for key in ("z", "D", k["W"])
+                )
+            except (KeyError, InvalidInput):
+                # a bad job is named before the fields read after the jobs
+                check_jobs(jobs, m)
+                raise
+            inst = cls(m=m, z=z, D=D, W=W, jobs=jobs)
+            # checked once, and kept for every later check of the instance
+            check_instance(inst)
+            return inst
 
 
 class StripInstance(SchedulingInstance):
@@ -212,53 +231,106 @@ def _checked_params(inst: ThreePartitionInstance) -> tuple[int, int]:
 
 def target_makespan(inst: ThreePartitionInstance) -> int:
     """The per-machine load W every machine must carry with zero idle."""
-    z, D = _checked_params(inst)
-    return (
-        (z + 1) * (D**2 + D**3 + D**8)
-        + z * (D**4 + D**5 + D**6)
-        + z * (7 * z + 1) * D**7
-    )
+    return evaluate(*_checked_params(inst)).W
 
 
 # The job families but P, in `build_jobs` order, by tag: (machines q, first
-# index, or None for the family's one job, length of job j).  An indexed
-# family runs from its first index to z.
-FAMILIES: dict[str, tuple[int, int | None, Callable[[int, int, int], int]]] = {
-    "A": (3, 0, lambda z, j, D: D**2),  # block separators
-    "B": (3, 0, lambda z, j, D: D**3),  # block separators
-    "a": (2, 1, lambda z, j, D: D**4 + D**6 + 3 * z * D**7),  # left filler pair
-    "b": (2, 1, lambda z, j, D: D**5 + D**6 + 3 * z * D**7),  # right filler pair
-    "c": (2, 0, lambda z, j, D: (z + j) * D**7 + D**8),  # middle filler
-    "alpha": (1, 1, lambda z, j, D: D**3 + D**5 + 4 * z * D**7 + D**8),
-    "beta": (1, 1, lambda z, j, D: D**2 + D**4 + (4 * z - 1) * D**7 + D**8),
-    "gamma": (1, 1, lambda z, j, D: D**5 + (3 * z - j) * D**7 - D),  # gap makers
-    "delta": (1, 1, lambda z, j, D: D**4 + (3 * z - j) * D**7),
-    "lambda1": (1, None, lambda z, j, D: D**3 + z * D**7 + D**8),  # end fillers
-    "lambda2": (1, None, lambda z, j, D: D**2 + 2 * z * D**7 + D**8),
+# index, or None for the family's one job, length).  An indexed family runs
+# from its first index to z.  `length(z, P)` reads D's powers P[k] = D**k
+# and gives (base, step): job j is base + j * step long, so only c, gamma
+# and delta, whose lengths depend on the index, have a step.
+FAMILIES: dict[str, tuple[int, int | None, Callable[[int, Powers], Affine]]] = {
+    "A": (3, 0, lambda z, P: (P[2], 0)),  # block separators
+    "B": (3, 0, lambda z, P: (P[3], 0)),  # block separators
+    "a": (2, 1, lambda z, P: (P[4] + P[6] + 3 * z * P[7], 0)),  # left filler pair
+    "b": (2, 1, lambda z, P: (P[5] + P[6] + 3 * z * P[7], 0)),  # right filler pair
+    "c": (2, 0, lambda z, P: (z * P[7] + P[8], P[7])),  # middle filler
+    "alpha": (1, 1, lambda z, P: (P[3] + P[5] + 4 * z * P[7] + P[8], 0)),
+    "beta": (1, 1, lambda z, P: (P[2] + P[4] + (4 * z - 1) * P[7] + P[8], 0)),
+    "gamma": (1, 1, lambda z, P: (P[5] + 3 * z * P[7] - P[1], -P[7])),  # gap makers
+    "delta": (1, 1, lambda z, P: (P[4] + 3 * z * P[7], -P[7])),
+    "lambda1": (1, None, lambda z, P: (P[3] + z * P[7] + P[8], 0)),  # end fillers
+    "lambda2": (1, None, lambda z, P: (P[2] + 2 * z * P[7] + P[8], 0)),
 }
+
+
+# The start of the i-th B and A separator, i in 0..z, as (base, step) read
+# off D's powers like a family's length: base + i * step.
+SEPARATORS: dict[str, Callable[[int, Powers], Affine]] = {
+    "B": lambda z, P: (
+        0,
+        P[2] + P[3] + P[4] + P[5] + P[6] + (7 * z - 1) * P[7] + P[8],
+    ),
+    "A": lambda z, P: (
+        P[3] + z * P[7] + P[8],
+        P[2] + P[3] + P[4] + P[5] + P[6] + 7 * z * P[7] + P[8],
+    ),
+}
+
+
+def _powers(D: int) -> Powers:
+    """D**0 .. D**8, each by one multiplication."""
+    return tuple(accumulate(repeat(D, 8), mul, initial=1))
+
+
+class ClosedForms(NamedTuple):
+    """The closed forms of one (z, D), each evaluated once: the makespan W,
+    and per family but P and per separator tag, its (base, step)."""
+
+    W: int
+    lengths: Mapping[str, Affine]
+    separators: Mapping[str, Affine]
+
+
+def evaluate(z: int, D: int) -> ClosedForms:
+    """Every closed form of the reduction at (z, D), on one power table."""
+    P = _powers(D)
+    return ClosedForms(
+        (z + 1) * (P[2] + P[3] + P[8])
+        + z * (P[4] + P[5] + P[6])
+        + z * (7 * z + 1) * P[7],
+        {tag: length(z, P) for tag, (_, _, length) in FAMILIES.items()},
+        {tag: start(z, P) for tag, start in SEPARATORS.items()},
+    )
 
 
 def family_length(tag: str, z: int, D: int, index: int = 0, value: int = 0) -> int:
     """Length of one job of the given family (index matters for c/gamma/delta,
     value for P)."""
     if tag in FAMILIES:
-        return FAMILIES[tag][2](z, index, D)
+        base, step = FAMILIES[tag][2](z, _powers(D))
+        return base + index * step
     if tag == "P":
         return value
     raise ValueError(f"unknown tag {tag!r}")
 
 
+def _job_rows(forms: ClosedForms, z: int, values: tuple[int, ...]) -> list[tuple]:
+    """Every job of the reduction of the 3z `values` as (id, p, q, tag,
+    index), in `build_jobs` order."""
+    # each index as text once: converting an int costs more than a join
+    digits = [str(i) for i in range(3 * z + 1)]
+    rows = []
+    for tag, (q, first, _) in FAMILIES.items():
+        base, step = forms.lengths[tag]
+        if first is None:
+            rows.append((tag, base, q, tag, None))
+        else:
+            head = tag + "_"
+            rows += [
+                (head + digits[i], base + i * step, q, tag, i)
+                for i in range(first, z + 1)
+            ]
+    rows += [("P_" + digits[i], v, 1, "P", i) for i, v in enumerate(values, 1)]
+    return rows
+
+
 def build_jobs(inst: ThreePartitionInstance) -> SchedulingInstance:
     """All 12z+5 jobs of the reduction, in a fixed deterministic order."""
-    W = target_makespan(inst)  # checks the instance
-    z, D = inst.z, inst.D
-    jobs = [
-        Job(tag if i is None else f"{tag}_{i}", length(z, i or 0, D), q, tag, i)
-        for tag, (q, first, length) in FAMILIES.items()
-        for i in ([None] if first is None else range(first, z + 1))
-    ]
-    jobs += [Job(f"P_{i}", v, 1, "P", i) for i, v in enumerate(inst.values, 1)]
-    sched = SchedulingInstance(MACHINES, z, D, W, tuple(jobs))
+    z, D = _checked_params(inst)
+    forms = evaluate(z, D)
+    jobs = tuple(Job(*row) for row in _job_rows(forms, z, inst.values))
+    sched = SchedulingInstance(MACHINES, z, D, forms.W, jobs)
     require("the reduction", (sched.total_work == MACHINES * sched.W, "total work m W"))
     return sched
 
@@ -279,13 +351,24 @@ def recover_values(inst: SchedulingInstance) -> ThreePartitionInstance:
 def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
     """(z, D) when `inst` is exactly a reduction instance, else None: the
     jobs, index included, and (m, z, D, W) must be exactly what
-    `build_jobs` makes of the values the P jobs carry."""
+    `build_jobs` makes of the values the P jobs carry.  The jobs are
+    compared as (id, p, q, tag, index) rows with the rows `build_jobs`
+    would build them from, in any order, so no second instance is built."""
     try:
-        rebuilt = build_jobs(recover_values(inst))
+        values = recover_values(inst)
+        z, D = _checked_params(values)
     except InvalidInput:
         return None
-    key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
-    return (inst.z, inst.D) if key(inst) == key(rebuilt) else None
+    forms = evaluate(z, D)
+    key = (inst.m, inst.z, inst.D, inst.W, len(inst.jobs))
+    if key != (MACHINES, z, D, forms.W, 12 * z + 5):
+        return None
+    # a job of another class never equals a `Job`, so it leaves a row out
+    got = [(j.id, j.p, j.q, j.tag, j.index) for j in inst.jobs if type(j) is Job]
+    want = _job_rows(forms, z, values.values)
+    # `want` holds 12z+5 rows of distinct ids and `got` at most as many, so
+    # equal sets are equal multisets
+    return (inst.z, inst.D) if got == want or set(got) == set(want) else None
 
 
 # ===== canonical geometry =====
@@ -298,65 +381,68 @@ def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
 # accumulation, so the two derivations cross-check each other in the tests.
 
 
-def block_separator_start(tag: str, i: int, z: int, D: int) -> int:
-    """Start of the i-th A or B separator (i in 0..z)."""
-    if tag == "B":
-        return (
-            i * (D**2 + D**3 + D**4 + D**5 + D**6)
-            + i * (7 * z - 1) * D**7
-            + i * D**8
-        )
-    if tag == "A":
-        return (
-            i * D**2
-            + (i + 1) * D**3
-            + i * (D**4 + D**5 + D**6)
-            + (7 * z * i + z) * D**7
-            + (i + 1) * D**8
-        )
-    raise ValueError(f"not a separator tag: {tag!r}")
+@per_instance
+def closed_forms(inst: SchedulingInstance) -> ClosedForms:
+    """`evaluate` at the instance's (z, D), once per instance."""
+    return evaluate(inst.z, inst.D)
+
+
+def _start_columns(inst: SchedulingInstance) -> dict[str, list[int]]:
+    """The forward starts per tag but P, of its jobs in index order from the
+    family's first index: each pinned job's forced start, and for gamma
+    each window's first start."""
+    forms = closed_forms(inst)
+    # the lengths read here do not depend on the index
+    p = {tag: base for tag, (base, _) in forms.lengths.items()}
+    (a0, a), (b0, b) = forms.separators["A"], forms.separators["B"]
+    blocks = range(inst.z + 1)
+    A = [a0 + i * a for i in blocks]
+    B = [b0 + i * b for i in blocks]
+    return {
+        "A": A,
+        "B": B,
+        "c": [s + p["B"] for s in B],
+        "a": [s + p["A"] for s in A[:-1]],
+        "delta": [s + p["A"] for s in A[:-1]],
+        "alpha": [s + p["A"] + p["a"] for s in A[:-1]],
+        "beta": [s + p["B"] for s in B[:-1]],
+        "b": [s + p["B"] + p["beta"] for s in B[:-1]],
+        "lambda1": [0],
+        "lambda2": [inst.W - p["lambda2"]],
+        "gamma": [_window_start(forms, j) for j in blocks[1:]],
+    }
 
 
 def forced_starts(inst: SchedulingInstance) -> dict[str, int]:
     """Forced start time of every non-gamma, non-P job, keyed by id."""
-    z, D = inst.z, inst.D
-    # the lengths read here do not depend on the index
-    p = {tag: family_length(tag, z, D) for tag in ("A", "B", "a", "beta", "lambda2")}
-    starts: dict[str, int] = {}
-    for i in range(z + 1):
-        starts[f"A_{i}"] = block_separator_start("A", i, z, D)
-        starts[f"B_{i}"] = block_separator_start("B", i, z, D)
-        starts[f"c_{i}"] = starts[f"B_{i}"] + p["B"]
-    for i in range(1, z + 1):
-        starts[f"a_{i}"] = starts[f"A_{i-1}"] + p["A"]
-        starts[f"delta_{i}"] = starts[f"A_{i-1}"] + p["A"]
-        starts[f"alpha_{i}"] = starts[f"a_{i}"] + p["a"]
-        starts[f"beta_{i}"] = starts[f"B_{i-1}"] + p["B"]
-        starts[f"b_{i}"] = starts[f"beta_{i}"] + p["beta"]
-    starts["lambda1"] = 0
-    starts["lambda2"] = inst.W - p["lambda2"]
-    return starts
+    return {
+        tag if first is None else f"{tag}_{i}": s
+        for tag, column in _start_columns(inst).items()
+        if tag != "gamma"
+        for first in (FAMILIES[tag][1],)
+        for i, s in enumerate(column, first or 0)
+    }
+
+
+def _window_start(forms: ClosedForms, j: int) -> int:
+    """Where block j's gamma window opens: where A_{j-1} and a_j end."""
+    a0, a = forms.separators["A"]
+    return a0 + (j - 1) * a + forms.lengths["A"][0] + forms.lengths["a"][0]
 
 
 def gamma_window(inst: SchedulingInstance, j: int) -> tuple[int, int]:
     """Inclusive range of legal starts for the block-j gamma job."""
-    z, D = inst.z, inst.D
-    lo = (
-        block_separator_start("A", j - 1, z, D)
-        + family_length("A", z, D)
-        + family_length("a", z, D)
-    )
-    return lo, lo + D
+    lo = _window_start(closed_forms(inst), j)
+    return lo, lo + inst.D
 
 
 def partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int], ...]:
     """Half-open [gap start, next separator start) interval per block."""
-    z, D = inst.z, inst.D
-    gaps = []
-    for j in range(1, z + 1):
-        lo, _ = gamma_window(inst, j)
-        gaps.append((lo, block_separator_start("B", j, z, D)))
-    return tuple(gaps)
+    forms = closed_forms(inst)
+    b0, b = forms.separators["B"]
+    return tuple(
+        (_window_start(forms, j), b0 + j * b) for j in range(1, inst.z + 1)
+    )
 
 
 class ForwardGeometry(NamedTuple):
@@ -382,22 +468,27 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     at every instant of a gap, and all m at every instant of [0, W)
     outside the gaps."""
     m, D = inst.m, inst.D
-    starts: dict[str, list[tuple[int, Job]]] = {}
-    # the machines the pinned jobs take (or free) at each of their starts
-    # (and ends)
-    delta: dict[int, int] = {}
-    for job_id, s in forced_starts(inst).items():
-        job = inst.by_id[job_id]
-        starts.setdefault(job.tag, []).append((s, job))
-        delta[s] = delta.get(s, 0) + job.q
-        delta[s + job.p] = delta.get(s + job.p, 0) - job.q
+    # each job by its (tag, index) slot, kept no longer than this call,
+    # unlike `inst.by_slot`, which a decision never reads
+    by_slot = {(j.tag, j.index): j for j in inst.jobs}
+    tables = {}
+    # one sweep: the machines the pinned jobs take (or free) at each of
+    # their starts (and ends), and the pinned load on each stretch between
+    # two consecutive instants
+    delta: defaultdict[int, int] = defaultdict(int)
+    for tag, column in _start_columns(inst).items():
+        first = FAMILIES[tag][1]
+        slots = [None] if first is None else range(first, first + len(column))
+        table = [(s, by_slot[tag, i]) for s, i in zip(column, slots)]
+        tables[tag] = tuple(sorted(table, key=itemgetter(0)))
+        if tag != "gamma":
+            for s, job in table:
+                delta[s] += job.q
+                delta[s + job.p] -= job.q
     instants = sorted(delta)
-    # the pinned load on each stretch between two consecutive instants
     loads = accumulate(delta[x] for x in instants)
     stretches = dict(zip(zip(instants, instants[1:]), loads))
-    gammas = inst.tagged("gamma")
-    starts["gamma"] = [(gamma_window(inst, j.index)[0], j) for j in gammas]
-    tables = {tag: tuple(sorted(t, key=itemgetter(0))) for tag, t in starts.items()}
+    gammas = [j for _, j in tables["gamma"]]
     gaps = tuple(sorted(partition_gaps(inst)))
     for tag, table in tables.items():
         distinct = all(s < u for (s, _), (u, _) in zip(table, table[1:]))

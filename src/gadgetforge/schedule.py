@@ -42,6 +42,7 @@ from .reduction import (
     SchedulingInstance,
     chain_values,
     check_instance,
+    family_length,
     recognize,
 )
 
@@ -51,8 +52,8 @@ from .reduction import (
 # value-dependent, so they are not audited digit-by-digit.)
 _Z, _D = 1, digit_bound(1) + 1
 _DIGITS = {
-    tag: decompose(length(_Z, first or 0, _D), _Z, _D)
-    for tag, (_, first, length) in FAMILIES.items()
+    tag: decompose(family_length(tag, _Z, _D, first or 0), _Z, _D)
+    for tag, (_, first, _) in FAMILIES.items()
 }
 DIGIT_FAMILIES: dict[int, tuple[str, ...]] = {
     power: tuple(tag for tag, digits in _DIGITS.items() if digits.digit(power) == 1)

@@ -294,13 +294,18 @@ index, the forced classes by length and the value family's gap facts.
 That is one `_Plan`, an immutable value built by `_plan` for the first
 decision that needs it and kept on the instance by
 `reduction.per_instance`, as the forward geometry is, so the instance
-holds at most four; they live as long as it does, about 60 KB each at
-z = 14 (173 jobs).  After it is built nothing writes into a plan: a
-search copies the live lists and the counts it updates.  The dead-state
-table is not part of it.  It stays per decision: a table kept across
-decisions would cut branches a fresh decision searches, so node counts,
-and with them every `Decision`, would depend on what was decided
-before, and a repeated decision would be little more than a look-up.
+holds at most four; they live as long as it does, 40-77 KB each at
+z = 14 (173 jobs), 66 KB under the default rules (tracemalloc).  The
+plan is built in one sort of the jobs into rank order and a few passes
+over them; the forced-start index is filled by one pass in rank order,
+each class's k-th member taking its k-th forced start, so each start
+lists its jobs in rank order without a sort of its own.  After it is
+built nothing writes into a plan: a search copies the live lists and the
+counts it updates.  The dead-state table is not part of it.  It stays
+per decision: a table kept across decisions would cut branches a fresh
+decision searches, so node counts, and with them every `Decision`, would
+depend on what was decided before, and a repeated decision would be
+little more than a look-up.
 
 A decision is one `_Search`, holding its instance's plan, the dead-state
 table and one state that each placement updates and its undo takes back
@@ -326,7 +331,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -429,6 +433,7 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
     """The instance's `_Plan` for these rules: classes of identical jobs
     grouped into families, see "Candidates at a node", and the forced-start
     index under the equation tables."""
+    # the one sort: every job in rank order
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
     if symmetry:
         key = lambda j: (j.p, j.q, j.tag)
@@ -461,7 +466,6 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
     forced: dict[int, list[tuple[int, int, int]]] = {}
     if equations:
         geometry = forward_geometry(inst)
-        cls = lambda job: rec[job.id][0]
         # the gap starts and ends in ascending order, the class of each
         # gap's gamma job, the value classes by length and D
         (values,) = scanned
@@ -470,15 +474,24 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
             by_len.setdefault(cls_p[c], []).append(c)
         lows = tuple(lo for lo, _ in geometry.gaps)
         ends = tuple(hi for _, hi in geometry.gaps)
-        gammas = tuple(cls(g) for _, g in geometry.starts["gamma"])
+        gammas = tuple(rec[g.id][0] for _, g in geometry.starts["gamma"])
         facts = (lows, ends, gammas, by_len, inst.D)
         specs = [(0, members[values[0]][0].q, facts)]
-        kth: Counter[int] = Counter()
-        for starts in geometry.starts.values():
-            for s, job in starts:
-                c = cls(job)
-                forced.setdefault(s, []).append((job.q, c, kth[c]))
-                kth[c] += 1
+        # each class's forced starts in ascending order, the k-th for its
+        # k-th member; the members of a class are in rank order, so a pass
+        # in rank order lists each forced start's jobs in rank order, the
+        # order a search tries them
+        starts_of: list[list[int]] = [[] for _ in members]
+        for table in geometry.starts.values():
+            for s, job in table:
+                starts_of[rec[job.id][0]].append(s)
+        placed = [0] * len(members)
+        for j in order:
+            c = rec[j.id][0]
+            k = placed[c]
+            placed[c] = k + 1
+            if k < len(starts_of[c]):
+                forced.setdefault(starts_of[c][k], []).append((j.q, c, k))
     else:
         specs = [(f, members[cs[0]][0].q, None) for f, cs in enumerate(scanned)]
     forced_classes = [c for c in range(len(members)) if c not in fam_of]
@@ -508,11 +521,7 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
             and symmetry
             and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
         ),
-        # each forced start's jobs in rank order, the order a search tries them
-        forced={
-            s: tuple(sorted(at, key=lambda e: rank[members[e[1]][e[2]].id]))
-            for s, at in forced.items()
-        },
+        forced={s: tuple(at) for s, at in forced.items()},
         longest=tuple(
             sorted(
                 ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),

@@ -43,6 +43,17 @@ wrong table entry shows as a difference.  `reference_subsets` builds each
 candidate's machine sets from the idle machines the same way, without the
 search's `subsets`.
 
+`reference_build_jobs`, `reference_recognize`, `reference_forced_starts`,
+`reference_gamma_window`, `reference_partition_gaps`, `reference_geometry`
+and `reference_plan` are the job table, recognition, closed-form geometry
+and solver plan as they were before the closed forms were evaluated once
+per instance, kept verbatim but for their names: every length and start
+is its own power expression in D, recognition rebuilds the whole
+instance and compares it, the geometry sweeps a start table keyed by id
+and the plan sorts the jobs of each forced start.  They are the
+references the one-pass versions in `reduction` and `solver` are checked
+against, and the node scan's reference reads its closed forms from them.
+
 `reference_decide` is `solver.decide_target` on `ReferenceSearch`, the
 search whose forced runs place nothing, so that every placement opens a
 frame, lists its candidates and is keyed: the frame-per-placement search
@@ -52,7 +63,9 @@ that the forced runs must agree with.
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable
 from unittest.mock import patch
 from weakref import WeakKeyDictionary
@@ -60,17 +73,17 @@ from weakref import WeakKeyDictionary
 import pytest
 
 from gadgetforge import solver
-from gadgetforge.exactnum import InvalidInput, decompose
+from gadgetforge.exactnum import InvalidInput, decompose, digit_bound, require
 from gadgetforge.reduction import (
     COUNT_CHAINS,
+    MACHINES,
+    ForwardGeometry,
     Job,
     SchedulingInstance,
     build_jobs,
     check_jobs,
-    forced_starts,
-    gamma_window,
-    partition_gaps,
     recognize,
+    recover_values,
 )
 from gadgetforge.schedule import (
     DIGIT_FAMILIES,
@@ -79,7 +92,7 @@ from gadgetforge.schedule import (
     Schedule,
     VerifyReport,
 )
-from gadgetforge.threepartition import ThreePartitionInstance
+from gadgetforge.threepartition import ThreePartitionInstance, validate
 
 D = 33
 
@@ -420,18 +433,21 @@ def _equation_facts(inst: SchedulingInstance, cls):
     """The forward forced starts of each class `cls` names, in ascending
     order, each gamma job's start (the first start of its window) and the
     value-job gaps, block j's gap paired with block j's gamma job, read
-    from the instance through the closed forms of `reduction`, not from
-    the solver's tables; None when the instance is not a reduction."""
-    if recognize(inst) is None:
+    from the instance through the reference closed forms, not from the
+    solver's tables; None when the instance is not a reduction."""
+    if reference_recognize(inst) is None:
         return None
     pinned = {}
-    for job_id, start in forced_starts(inst).items():
+    for job_id, start in reference_forced_starts(inst).items():
         pinned.setdefault(cls(inst.by_id[job_id]), []).append(start)
     gamma = {j.index: j for j in inst.tagged("gamma")}
     return (
         {key: sorted(starts) for key, starts in pinned.items()},
-        {j.id: gamma_window(inst, j.index)[0] for j in inst.tagged("gamma")},
-        [(lo, hi, gamma[j]) for j, (lo, hi) in enumerate(partition_gaps(inst), 1)],
+        {j.id: reference_gamma_window(inst, j.index)[0] for j in inst.tagged("gamma")},
+        [
+            (lo, hi, gamma[j])
+            for j, (lo, hi) in enumerate(reference_partition_gaps(inst), 1)
+        ],
     )
 
 
@@ -581,3 +597,252 @@ def reference_decide(*args, **kwargs):
     """`solver.decide_target` on `ReferenceSearch`."""
     with patch.object(solver, "_Search", ReferenceSearch):
         return solver.decide_target(*args, **kwargs)
+
+
+# ===== the closed forms, recognition, geometry and plan, one form each =====
+
+REFERENCE_FAMILIES = {
+    "A": (3, 0, lambda z, j, D: D**2),
+    "B": (3, 0, lambda z, j, D: D**3),
+    "a": (2, 1, lambda z, j, D: D**4 + D**6 + 3 * z * D**7),
+    "b": (2, 1, lambda z, j, D: D**5 + D**6 + 3 * z * D**7),
+    "c": (2, 0, lambda z, j, D: (z + j) * D**7 + D**8),
+    "alpha": (1, 1, lambda z, j, D: D**3 + D**5 + 4 * z * D**7 + D**8),
+    "beta": (1, 1, lambda z, j, D: D**2 + D**4 + (4 * z - 1) * D**7 + D**8),
+    "gamma": (1, 1, lambda z, j, D: D**5 + (3 * z - j) * D**7 - D),
+    "delta": (1, 1, lambda z, j, D: D**4 + (3 * z - j) * D**7),
+    "lambda1": (1, None, lambda z, j, D: D**3 + z * D**7 + D**8),
+    "lambda2": (1, None, lambda z, j, D: D**2 + 2 * z * D**7 + D**8),
+}
+
+
+def reference_length(tag: str, z: int, D: int, index: int = 0) -> int:
+    return REFERENCE_FAMILIES[tag][2](z, index, D)
+
+
+def reference_build_jobs(inst: ThreePartitionInstance) -> SchedulingInstance:
+    problems = validate(inst)
+    if problems:
+        raise InvalidInput("; ".join(problems))
+    z, D = inst.z, inst.D
+    if D <= digit_bound(z):
+        raise InvalidInput(f"D={D} must exceed 4z(7z+1)={digit_bound(z)}")
+    W = (
+        (z + 1) * (D**2 + D**3 + D**8)
+        + z * (D**4 + D**5 + D**6)
+        + z * (7 * z + 1) * D**7
+    )
+    jobs = [
+        Job(tag if i is None else f"{tag}_{i}", length(z, i or 0, D), q, tag, i)
+        for tag, (q, first, length) in REFERENCE_FAMILIES.items()
+        for i in ([None] if first is None else range(first, z + 1))
+    ]
+    jobs += [Job(f"P_{i}", v, 1, "P", i) for i, v in enumerate(inst.values, 1)]
+    return SchedulingInstance(MACHINES, z, D, W, tuple(jobs))
+
+
+def reference_recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
+    try:
+        rebuilt = reference_build_jobs(recover_values(inst))
+    except InvalidInput:
+        return None
+    key = lambda i: (i.m, i.z, i.D, i.W, len(i.jobs), i.by_id)
+    return (inst.z, inst.D) if key(inst) == key(rebuilt) else None
+
+
+def reference_separator_start(tag: str, i: int, z: int, D: int) -> int:
+    if tag == "B":
+        return (
+            i * (D**2 + D**3 + D**4 + D**5 + D**6)
+            + i * (7 * z - 1) * D**7
+            + i * D**8
+        )
+    if tag == "A":
+        return (
+            i * D**2
+            + (i + 1) * D**3
+            + i * (D**4 + D**5 + D**6)
+            + (7 * z * i + z) * D**7
+            + (i + 1) * D**8
+        )
+    raise ValueError(f"not a separator tag: {tag!r}")
+
+
+def reference_forced_starts(inst: SchedulingInstance) -> dict[str, int]:
+    z, D = inst.z, inst.D
+    p = {tag: reference_length(tag, z, D) for tag in ("A", "B", "a", "beta", "lambda2")}
+    starts: dict[str, int] = {}
+    for i in range(z + 1):
+        starts[f"A_{i}"] = reference_separator_start("A", i, z, D)
+        starts[f"B_{i}"] = reference_separator_start("B", i, z, D)
+        starts[f"c_{i}"] = starts[f"B_{i}"] + p["B"]
+    for i in range(1, z + 1):
+        starts[f"a_{i}"] = starts[f"A_{i-1}"] + p["A"]
+        starts[f"delta_{i}"] = starts[f"A_{i-1}"] + p["A"]
+        starts[f"alpha_{i}"] = starts[f"a_{i}"] + p["a"]
+        starts[f"beta_{i}"] = starts[f"B_{i-1}"] + p["B"]
+        starts[f"b_{i}"] = starts[f"beta_{i}"] + p["beta"]
+    starts["lambda1"] = 0
+    starts["lambda2"] = inst.W - p["lambda2"]
+    return starts
+
+
+def reference_gamma_window(inst: SchedulingInstance, j: int) -> tuple[int, int]:
+    z, D = inst.z, inst.D
+    lo = (
+        reference_separator_start("A", j - 1, z, D)
+        + reference_length("A", z, D)
+        + reference_length("a", z, D)
+    )
+    return lo, lo + D
+
+
+def reference_partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int], ...]:
+    z, D = inst.z, inst.D
+    gaps = []
+    for j in range(1, z + 1):
+        lo, _ = reference_gamma_window(inst, j)
+        gaps.append((lo, reference_separator_start("B", j, z, D)))
+    return tuple(gaps)
+
+
+def reference_geometry(inst: SchedulingInstance) -> ForwardGeometry:
+    m, D = inst.m, inst.D
+    starts: dict[str, list[tuple[int, Job]]] = {}
+    delta: dict[int, int] = {}
+    for job_id, s in reference_forced_starts(inst).items():
+        job = inst.by_id[job_id]
+        starts.setdefault(job.tag, []).append((s, job))
+        delta[s] = delta.get(s, 0) + job.q
+        delta[s + job.p] = delta.get(s + job.p, 0) - job.q
+    instants = sorted(delta)
+    loads = accumulate(delta[x] for x in instants)
+    stretches = dict(zip(zip(instants, instants[1:]), loads))
+    gammas = inst.tagged("gamma")
+    starts["gamma"] = [(reference_gamma_window(inst, j.index)[0], j) for j in gammas]
+    tables = {tag: tuple(sorted(t, key=itemgetter(0))) for tag, t in starts.items()}
+    gaps = tuple(sorted(reference_partition_gaps(inst)))
+    for tag, table in tables.items():
+        distinct = all(s < u for (s, _), (u, _) in zip(table, table[1:]))
+        require(f"the {tag} starts", (distinct, "pairwise distinct"))
+    require(
+        "the value gaps",
+        (
+            all(4 * j.p > D and 2 * j.p < D for j in inst.tagged("P")),
+            "every value in (D/4, D/2)",
+        ),
+        (
+            all(hi <= lo for (_, hi), (lo, _) in zip(gaps, gaps[1:])),
+            "pairwise disjoint",
+        ),
+        (
+            len(gammas) == len(gaps)
+            and all(
+                s == lo and hi - s - j.p == D
+                for (s, j), (lo, hi) in zip(tables["gamma"], gaps)
+            ),
+            "one window inside each gap, from its start, leaving D beside "
+            "its gamma job, in gap order",
+        ),
+        (
+            all(stretches.get(gap) == m - 1 for gap in gaps),
+            "m - 1 machines pinned at every instant of a gap",
+        ),
+        (
+            instants[0] == 0
+            and instants[-1] == inst.W
+            and all(stretches[x] == m for x in stretches.keys() - set(gaps)),
+            "m machines pinned at every instant outside the gaps",
+        ),
+    )
+    widths = {(j.tag, j.q) for j in inst.jobs}
+    require(
+        "the family table",
+        (len({tag for tag, _ in widths}) == len(widths), "one width per tag"),
+        (len({j.p for j in gammas}) == len(gammas), "one gamma job per length"),
+    )
+    return ForwardGeometry(MappingProxyType(tables), gaps)
+
+
+def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
+    order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
+    if symmetry:
+        key = lambda j: (j.p, j.q, j.tag)
+    else:
+        key = lambda j: j.id
+    classes: dict = {}
+    for j in order:
+        classes.setdefault(key(j), []).append(j)
+    members = tuple(map(tuple, classes.values()))
+    rank = {j.id: i for i, j in enumerate(order)}
+    cls_p = tuple(js[0].p for js in members)
+    families: dict = {}
+    for c, js in enumerate(members):
+        j = js[0]
+        families.setdefault((j.q, j.tag) if equations else j.q, []).append(c)
+    scanned = [
+        cs for cs in families.values() if not equations or members[cs[0]][0].tag == "P"
+    ]
+    fam_of = {c: f for f, cs in enumerate(scanned) for c in cs}
+    rec = {
+        j.id: (c, fam_of.get(c), len(js), 1 << rank[j.id])
+        for c, js in enumerate(members)
+        for j in js
+    }
+    left = [0] * (inst.m + 1)
+    for j in order:
+        left[j.q] += 1
+    forced: dict[int, list[tuple[int, int, int]]] = {}
+    if equations:
+        geometry = reference_geometry(inst)
+        cls = lambda job: rec[job.id][0]
+        (values,) = scanned
+        by_len: dict[int, list[int]] = {}
+        for c in values:
+            by_len.setdefault(cls_p[c], []).append(c)
+        lows = tuple(lo for lo, _ in geometry.gaps)
+        ends = tuple(hi for _, hi in geometry.gaps)
+        gammas = tuple(cls(g) for _, g in geometry.starts["gamma"])
+        facts = (lows, ends, gammas, by_len, inst.D)
+        specs = [(0, members[values[0]][0].q, facts)]
+        kth: Counter[int] = Counter()
+        for starts in geometry.starts.values():
+            for s, job in starts:
+                c = cls(job)
+                forced.setdefault(s, []).append((job.q, c, kth[c]))
+                kth[c] += 1
+    else:
+        specs = [(f, members[cs[0]][0].q, None) for f, cs in enumerate(scanned)]
+    forced_classes = [c for c in range(len(members)) if c not in fam_of]
+    open_forced = [0] * (inst.m + 1)
+    for c in forced_classes:
+        open_forced[members[c][0].q] += 1
+    upto = tuple(
+        tuple(spec for spec in specs if spec[1] <= w) for w in range(inst.m + 1)
+    )
+    return solver._Plan(
+        n=len(order),
+        members=members,
+        rank=rank,
+        cls_p=cls_p,
+        rec=rec,
+        live=tuple(map(tuple, scanned)),
+        left=tuple(left),
+        upto=upto,
+        interleave=(
+            not equations
+            and symmetry
+            and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
+        ),
+        forced={
+            s: tuple(sorted(at, key=lambda e: rank[members[e[1]][e[2]].id]))
+            for s, at in forced.items()
+        },
+        longest=tuple(
+            sorted(
+                ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),
+                key=lambda e: -e[0],
+            )
+        ),
+        open_forced=tuple(open_forced),
+    )

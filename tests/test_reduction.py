@@ -34,7 +34,7 @@ from gadgetforge.reduction import (
     target_makespan,
     chain_values,
 )
-from gadgetforge.schedule import audit, mirror
+from gadgetforge.schedule import audit, mirror, verify
 from gadgetforge.solver import PruneRules, decide_target
 from gadgetforge.strip import normalize, verify_packing
 from gadgetforge.synthesis import build_packing, build_schedule
@@ -217,13 +217,15 @@ def test_unscaled_instance_rejected():
 
 def test_recognize_lets_a_fault_of_build_jobs_escape(monkeypatch):
     """Only a refused input makes an instance no reduction: a bare
-    ValueError inside `build_jobs` is a fault and escapes `recognize`."""
+    ValueError inside the evaluation of the closed forms, which
+    `build_jobs` and `recognize` share, is a fault and escapes
+    `recognize`."""
     inst = build_jobs(gen_yes(1, 0)[0])
 
-    def faulty(inst3):
+    def faulty(z, D):
         raise ValueError("a fault")
 
-    monkeypatch.setattr(reduction, "build_jobs", faulty)
+    monkeypatch.setattr(reduction, "evaluate", faulty)
     with pytest.raises(ValueError, match="^a fault$"):
         recognize(inst)
 
@@ -275,14 +277,10 @@ def test_recognize_checks_every_index(index_of):
 
 def test_recognition_is_worked_out_once_per_instance(monkeypatch):
     """Every gate on one instance object reads one recognition: a single
-    rebuild of the job table serves them all."""
+    comparison with the job table serves them all."""
     inst3, witness = gen_yes(2, 3)
     inst = build_jobs(inst3)
-    calls = []
-    rebuild = reduction.build_jobs
-    monkeypatch.setattr(
-        reduction, "build_jobs", lambda values: calls.append(values) or rebuild(values)
-    )
+    builds = record_builds(monkeypatch, recognize)
     assert recognize(inst) == (inst.z, inst.D)
     sched = build_schedule(inst, witness)
     assert audit(inst, sched).passed
@@ -290,7 +288,7 @@ def test_recognition_is_worked_out_once_per_instance(monkeypatch):
         partition, _ = extract_partition(inst3, inst, given_sched)
         assert {frozenset(s) for s in partition} == {frozenset(s) for s in witness}
     assert decide_target(inst, inst.W).outcome == "witness"
-    assert calls == [inst3]
+    assert [(name, each is inst) for name, each, _ in builds] == [("recognize", True)]
 
 
 def test_each_derived_fact_is_built_once_per_instance_and_arguments(monkeypatch):
@@ -389,6 +387,44 @@ def test_json_loaders_reject_malformed_jobs(jobs, message):
     })
     with pytest.raises(ValueError, match=message):
         StripInstance.from_json(strip)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("z", "x"), ("D", 1.5), ("W", None), ("W", "-"),
+        ("z", "missing"), ("D", "missing"),
+    ],
+)
+def test_a_bad_job_is_named_before_a_bad_field_after_the_jobs(key, value):
+    """z, D and W are read after the jobs are checked, so a document with a
+    bad job and a bad or missing z, D or W is refused for the job, and with
+    good jobs for the field."""
+    payload = {"m": 4, "z": 1, "D": "33", "W": "4", key: value}
+    if value == "missing":
+        del payload[key]
+    bad_job = {"id": "J", "p": "4", "q": 5, "tag": "J"}
+    good_job = {**bad_job, "q": 4}
+    for job, message in ((bad_job, "needs 5 of 4"), (good_job, f"\\b{key}\\b")):
+        with pytest.raises(InvalidInput, match=message):
+            SchedulingInstance.from_json(json.dumps({**payload, "jobs": [job]}))
+
+
+def test_a_loaded_instance_checks_its_jobs_once(monkeypatch):
+    """`from_json` checks the jobs through `check_instance`, so the check is
+    kept: loading, verifying and deciding one instance run `check_jobs`
+    once."""
+    inst3, witness = gen_yes(2, 3)
+    text = build_jobs(inst3).to_json()
+    calls = []
+    real = reduction.check_jobs
+    monkeypatch.setattr(
+        reduction, "check_jobs", lambda jobs, m: calls.append(m) or real(jobs, m)
+    )
+    inst = SchedulingInstance.from_json(text)
+    assert verify(inst, build_schedule(inst, witness)).feasible
+    assert decide_target(inst, inst.W).outcome == "witness"
+    assert calls == [4]
 
 
 def _fields(inst):

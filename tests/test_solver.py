@@ -1067,7 +1067,7 @@ def test_the_forward_geometry_is_worked_out_once_per_instance(monkeypatch):
     # The closed forms and the premise checks depend only on the instance,
     # so a second search on it, under other rules, calls none of them.
     calls = Counter()
-    for name in ("forced_starts", "gamma_window", "partition_gaps"):
+    for name in ("_start_columns", "gamma_window", "partition_gaps"):
         real = getattr(reduction, name)
 
         def counted(*args, name=name, real=real):
@@ -1077,7 +1077,7 @@ def test_the_forward_geometry_is_worked_out_once_per_instance(monkeypatch):
         monkeypatch.setattr(reduction, name, counted)
     inst, target = _at_w(gen_yes(14, 0)[0])
     solver._Search(inst, target, False, PruneRules(), 1)
-    assert calls["forced_starts"] == 1 and calls["partition_gaps"] == 1
+    assert calls["_start_columns"] == 1 and calls["partition_gaps"] == 1
     calls.clear()
     for symmetry, contiguous in product((True, False), repeat=2):
         rules = PruneRules(symmetry=symmetry)
@@ -1176,12 +1176,29 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         assert all(len(search.members[c]) == 1 for c, _ in at.values())
 
 
+def _patched_columns(change):
+    """`reduction._start_columns` with `change` applied to each result, the
+    forward starts per tag in index order."""
+
+    def patch(real):
+        def columns(inst):
+            out = real(inst)
+            change(out)
+            return out
+
+        return columns
+
+    return patch
+
+
 def test_overlapping_gamma_windows_are_refused(monkeypatch):
+    # every gamma window starts where the first one does
+    def overlap(columns):
+        columns["gamma"] = [columns["gamma"][0]] * len(columns["gamma"])
+
     inst, target = _at_w(gen_yes(3, 0)[0])
-    real = reduction.gamma_window
-    monkeypatch.setattr(
-        reduction, "gamma_window", lambda inst, j: (real(inst, 1)[0], real(inst, j)[1])
-    )
+    patch = _patched_columns(overlap)
+    monkeypatch.setattr(reduction, "_start_columns", patch(reduction._start_columns))
     with pytest.raises(RuntimeError, match="gamma starts .* pairwise distinct"):
         solver._Search(inst, target, False, PruneRules(), 1)
 
@@ -1191,14 +1208,11 @@ def test_coinciding_forced_starts_are_refused(monkeypatch):
     # job's is, so the forced starts of one tag must differ.  The check
     # runs with the forward geometry, once per instance, so each search
     # gets an instance of its own.
-    real = reduction.forced_starts
+    def coincide(columns):
+        columns["alpha"][1] = columns["alpha"][0]
 
-    def starts(inst):
-        out = real(inst)
-        out["alpha_2"] = out["alpha_1"]
-        return out
-
-    monkeypatch.setattr(reduction, "forced_starts", starts)
+    patch = _patched_columns(coincide)
+    monkeypatch.setattr(reduction, "_start_columns", patch(reduction._start_columns))
     for symmetry in (True, False):
         inst, target = _at_w(gen_yes(3, 0)[0])
         rules = PruneRules(symmetry=symmetry)
@@ -1206,26 +1220,14 @@ def test_coinciding_forced_starts_are_refused(monkeypatch):
             solver._Search(inst, target, False, rules, 1)
 
 
-def _shifted_alpha(real):
-    """`forced_starts` with alpha_1 one unit late, inside the first gap."""
-
-    def starts(inst):
-        out = real(inst)
-        out["alpha_1"] += 1
-        return out
-
-    return starts
+def _shifted_alpha(columns):
+    """alpha_1 one unit late, inside the first gap."""
+    columns["alpha"][0] += 1
 
 
-def _late_lambda2(real):
-    """`forced_starts` with lambda2 one unit late, past the target."""
-
-    def starts(inst):
-        out = real(inst)
-        out["lambda2"] += 1
-        return out
-
-    return starts
+def _late_lambda2(columns):
+    """lambda2 one unit late, past the target."""
+    columns["lambda2"][0] += 1
 
 
 def _short_gaps(real):
@@ -1233,12 +1235,25 @@ def _short_gaps(real):
     return lambda inst: tuple((lo, hi - 1) for lo, hi in real(inst))
 
 
+# The forced starts are perturbed where the geometry reads them, in
+# `_start_columns`; the ids name them by `forced_starts`, which reads the
+# same columns.
 @pytest.mark.parametrize(
     "name, patch, message",
     [
-        ("forced_starts", _shifted_alpha, "m - 1 machines pinned"),
+        pytest.param(
+            "_start_columns",
+            _patched_columns(_shifted_alpha),
+            "m - 1 machines pinned",
+            id="forced_starts-_shifted_alpha-m - 1 machines pinned",
+        ),
         ("partition_gaps", _short_gaps, "one window inside each gap"),
-        ("forced_starts", _late_lambda2, "m machines pinned at every instant outside"),
+        pytest.param(
+            "_start_columns",
+            _patched_columns(_late_lambda2),
+            "m machines pinned at every instant outside",
+            id="forced_starts-_late_lambda2-m machines pinned at every instant outside",
+        ),
     ],
 )
 def test_the_gap_rest_premises_are_checked(monkeypatch, name, patch, message):

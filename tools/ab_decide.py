@@ -42,13 +42,15 @@ from round to round.  Every op must give a byte-identical
 `Decision.to_dict()` on both sides, in every round, or agree by the rule
 above under `--outcomes`.  The script prints, per op and per corpus, the
 minimum decide time of each side over the rounds and the ratio NEW/OLD of
-those minima; a corpus total is the sum of its per-op minima.  Beside it,
-the cold total times first decisions: the first three rounds (at least
-three are run) each build the corpus anew, so each of their decisions is
-the first on its instance object, where what an instance works out once
-and keeps, such as the solver's plans, is built; the cold total sums, per
-op, each side's minimum over those three rounds.  A slower first decision
-thus shows in it and not in the warm minima.
+those minima; a corpus total is the sum of its per-op minima.  Beside
+each, the cold columns time first decisions: the first three rounds (at
+least three are run) each build the corpus anew, so each of their
+decisions is the first on its instance object, where what an instance
+works out once and keeps, such as the solver's plans, is built.  An op's
+cold time is each side's minimum over those three rounds, printed with
+its ratio beside the warm one, and the total row's cold columns sum
+them.  A slower first decision thus shows in the cold columns and not in
+the warm minima.
 """
 
 from __future__ import annotations
@@ -234,6 +236,11 @@ def _differential(libs, outcomes: bool) -> None:
         print(f"  answered by new only: {case}")
 
 
+def _columns(old: float, new: float, digits: str) -> str:
+    """Two times in seconds as columns of ms, and their ratio NEW/OLD."""
+    return f"{old * 1e3:>10{digits}}{new * 1e3:>10{digits}}{new / old:>9.3f}"
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -284,14 +291,19 @@ def main(argv=None) -> None:
         moved = Counter(verdicts.values())
         agree = ", ".join(f"{n} {verdict}" for verdict, n in sorted(moved.items()))
         print(f"{corpus}: {len(labels)} ops, {rounds} rounds, decisions {agree}")
-        print(f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}")
+        print(
+            f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}"
+            f"{'cold old':>12}{'cold new':>10}{'new/old':>9}"
+        )
         for label in labels:
-            old, new = best["old"][label] * 1e3, best["new"][label] * 1e3
-            print(f"  {label:<28}{old:>10.2f}{new:>10.2f}{new / old:>9.3f}")
-        old, new = (sum(best[side].values()) * 1e3 for side in ("old", "new"))
-        print(f"  {'total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
-        old, new = (sum(cold[side].values()) * 1e3 for side in ("old", "new"))
-        print(f"  {'cold total':<28}{old:>10.1f}{new:>10.1f}{new / old:>9.3f}")
+            warm = _columns(best["old"][label], best["new"][label], ".2f")
+            first = _columns(cold["old"][label], cold["new"][label], ".2f")
+            print(f"  {label:<28}{warm}  {first}")
+        warm, first = (
+            _columns(sum(times["old"].values()), sum(times["new"].values()), ".1f")
+            for times in (best, cold)
+        )
+        print(f"  {'total':<28}{warm}  {first}")
 
 
 if __name__ == "__main__":
