@@ -19,9 +19,12 @@ one multiplication from the last.  A family's length and a separator's
 start are linear in the job's index, base + i * step, with base and step
 polynomials in D, and `evaluate` works out every base and step and W at
 one (z, D) from one table: `build_jobs` once per build, `recognize` once
-for the values the P jobs carry, and `closed_forms` once per instance for
-the forced starts, gamma windows and gaps.  Synthesis builds the same
-starts by accumulation, without the table, so the two cross-check.
+for the values the P jobs carry, and `_start_columns` once per call of
+`forced_starts` or `forward_geometry`.  Those start columns are the one
+statement of the forward starts; `forward_geometry` reads block j's gamma
+window as opening at alpha_j's start, and gap j as running from there to
+B_j's start.  Synthesis builds the same starts by accumulation, without
+the table, so the two cross-check.
 
 The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
@@ -34,8 +37,8 @@ reads neither; its equation rule reads the closed-form starts of the
 canonical geometry through `forward_geometry`.
 
 An instance never changes, so what is derived from it never does either.
-Each derived fact (`recognize`, `closed_forms`, `forward_geometry`,
-`canonical_slots`, `canonical_ids`) is one function decorated with
+Each derived fact (`recognize`, `forward_geometry`, `canonical_slots`,
+`canonical_ids`) is one function decorated with
 `per_instance`, which works it out on the first call and keeps it on the
 instance; a module that derives its own facts, as the solver does its
 plans, uses the same decorator.
@@ -229,11 +232,6 @@ def _checked_params(inst: ThreePartitionInstance) -> tuple[int, int]:
     return z, D
 
 
-def target_makespan(inst: ThreePartitionInstance) -> int:
-    """The per-machine load W every machine must carry with zero idle."""
-    return evaluate(*_checked_params(inst)).W
-
-
 # The job families but P, in `build_jobs` order, by tag: (machines q, first
 # index, or None for the family's one job, length).  An indexed family runs
 # from its first index to z.  `length(z, P)` reads D's powers P[k] = D**k
@@ -292,17 +290,6 @@ def evaluate(z: int, D: int) -> ClosedForms:
         {tag: length(z, P) for tag, (_, _, length) in FAMILIES.items()},
         {tag: start(z, P) for tag, start in SEPARATORS.items()},
     )
-
-
-def family_length(tag: str, z: int, D: int, index: int = 0, value: int = 0) -> int:
-    """Length of one job of the given family (index matters for c/gamma/delta,
-    value for P)."""
-    if tag in FAMILIES:
-        base, step = FAMILIES[tag][2](z, _powers(D))
-        return base + index * step
-    if tag == "P":
-        return value
-    raise ValueError(f"unknown tag {tag!r}")
 
 
 def _job_rows(forms: ClosedForms, z: int, values: tuple[int, ...]) -> list[tuple]:
@@ -381,40 +368,40 @@ def recognize(inst: SchedulingInstance) -> tuple[int, int] | None:
 # accumulation, so the two derivations cross-check each other in the tests.
 
 
-@per_instance
-def closed_forms(inst: SchedulingInstance) -> ClosedForms:
-    """`evaluate` at the instance's (z, D), once per instance."""
-    return evaluate(inst.z, inst.D)
-
-
 def _start_columns(inst: SchedulingInstance) -> dict[str, list[int]]:
     """The forward starts per tag but P, of its jobs in index order from the
     family's first index: each pinned job's forced start, and for gamma
-    each window's first start."""
-    forms = closed_forms(inst)
+    each window's first start, which is alpha's, where A_{j-1} and a_j
+    end."""
+    forms = evaluate(inst.z, inst.D)
     # the lengths read here do not depend on the index
     p = {tag: base for tag, (base, _) in forms.lengths.items()}
     (a0, a), (b0, b) = forms.separators["A"], forms.separators["B"]
     blocks = range(inst.z + 1)
     A = [a0 + i * a for i in blocks]
     B = [b0 + i * b for i in blocks]
+    alpha = [s + p["A"] + p["a"] for s in A[:-1]]
     return {
         "A": A,
         "B": B,
         "c": [s + p["B"] for s in B],
         "a": [s + p["A"] for s in A[:-1]],
         "delta": [s + p["A"] for s in A[:-1]],
-        "alpha": [s + p["A"] + p["a"] for s in A[:-1]],
+        "alpha": alpha,
         "beta": [s + p["B"] for s in B[:-1]],
         "b": [s + p["B"] + p["beta"] for s in B[:-1]],
         "lambda1": [0],
         "lambda2": [inst.W - p["lambda2"]],
-        "gamma": [_window_start(forms, j) for j in blocks[1:]],
+        # a list of its own, so that a change to one column leaves the other
+        "gamma": list(alpha),
     }
 
 
 def forced_starts(inst: SchedulingInstance) -> dict[str, int]:
-    """Forced start time of every non-gamma, non-P job, keyed by id."""
+    """Forced start time of every non-gamma, non-P job of a recognised
+    reduction, keyed by id; InvalidInput for any other instance."""
+    if recognize(inst) is None:
+        raise InvalidInput("forced_starts needs an unmodified reduction instance")
     return {
         tag if first is None else f"{tag}_{i}": s
         for tag, column in _start_columns(inst).items()
@@ -422,27 +409,6 @@ def forced_starts(inst: SchedulingInstance) -> dict[str, int]:
         for first in (FAMILIES[tag][1],)
         for i, s in enumerate(column, first or 0)
     }
-
-
-def _window_start(forms: ClosedForms, j: int) -> int:
-    """Where block j's gamma window opens: where A_{j-1} and a_j end."""
-    a0, a = forms.separators["A"]
-    return a0 + (j - 1) * a + forms.lengths["A"][0] + forms.lengths["a"][0]
-
-
-def gamma_window(inst: SchedulingInstance, j: int) -> tuple[int, int]:
-    """Inclusive range of legal starts for the block-j gamma job."""
-    lo = _window_start(closed_forms(inst), j)
-    return lo, lo + inst.D
-
-
-def partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int], ...]:
-    """Half-open [gap start, next separator start) interval per block."""
-    forms = closed_forms(inst)
-    b0, b = forms.separators["B"]
-    return tuple(
-        (_window_start(forms, j), b0 + j * b) for j in range(1, inst.z + 1)
-    )
 
 
 class ForwardGeometry(NamedTuple):
@@ -476,7 +442,8 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     # their starts (and ends), and the pinned load on each stretch between
     # two consecutive instants
     delta: defaultdict[int, int] = defaultdict(int)
-    for tag, column in _start_columns(inst).items():
+    columns = _start_columns(inst)
+    for tag, column in columns.items():
         first = FAMILIES[tag][1]
         slots = [None] if first is None else range(first, first + len(column))
         table = [(s, by_slot[tag, i]) for s, i in zip(column, slots)]
@@ -489,7 +456,8 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     loads = accumulate(delta[x] for x in instants)
     stretches = dict(zip(zip(instants, instants[1:]), loads))
     gammas = [j for _, j in tables["gamma"]]
-    gaps = tuple(sorted(partition_gaps(inst)))
+    # gap j runs from gamma_j's window start to B_j's start
+    gaps = tuple(sorted(zip(columns["gamma"], columns["B"][1:])))
     for tag, table in tables.items():
         distinct = all(s < u for (s, _), (u, _) in zip(table, table[1:]))
         require(f"the {tag} starts", (distinct, "pairwise distinct"))

@@ -42,7 +42,7 @@ from .reduction import (
     SchedulingInstance,
     chain_values,
     check_instance,
-    family_length,
+    evaluate,
     recognize,
 )
 
@@ -52,8 +52,8 @@ from .reduction import (
 # value-dependent, so they are not audited digit-by-digit.)
 _Z, _D = 1, digit_bound(1) + 1
 _DIGITS = {
-    tag: decompose(family_length(tag, _Z, _D, first or 0), _Z, _D)
-    for tag, (_, first, _) in FAMILIES.items()
+    tag: decompose(base + (FAMILIES[tag][1] or 0) * step, _Z, _D)
+    for tag, (base, step) in evaluate(_Z, _D).lengths.items()
 }
 DIGIT_FAMILIES: dict[int, tuple[str, ...]] = {
     power: tuple(tag for tag, digits in _DIGITS.items() if digits.digit(power) == 1)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .exactnum import InvalidInput, check_shape, dump_json, parse_int, reading, require
 from .reduction import SchedulingInstance
-from .schedule import Schedule
+from .schedule import Schedule, _check_job_universe
 
 Coord = int | Fraction
 
@@ -241,10 +241,17 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
 
 def schedule_to_packing(inst: SchedulingInstance, sched: Schedule) -> Packing:
     """Lay a contiguous-machine schedule sideways: x = start, y = lowest
-    machine - 1.  InvalidInput if some job's machines are not an interval."""
+    machine - 1.  InvalidInput if the schedule does not place exactly the
+    instance's jobs on its machines, or some job's machines are not q
+    machines in an interval."""
+    _check_job_universe(inst, sched)
     positions = {}
     for job in inst.jobs:
         machines = sched.machines[job.id]
+        if len(machines) != job.q:
+            raise InvalidInput(
+                f"job {job.id} occupies {len(machines)} machines, needs {job.q}"
+            )
         if max(machines) - min(machines) + 1 != len(machines):
             raise InvalidInput(
                 f"job {job.id} occupies non-adjacent machines "
@@ -255,15 +262,18 @@ def schedule_to_packing(inst: SchedulingInstance, sched: Schedule) -> Packing:
 
 
 def packing_to_schedule(inst: SchedulingInstance, packing: Packing) -> Schedule:
-    """Read a height-4 integral packing as a schedule: machines y+1 .. y+q."""
+    """Read a height-4 integral packing as a schedule: start x, machines
+    y+1 .. y+q.  InvalidInput if x or y is not integral."""
     _check_item_universe(inst, packing)
     starts = {}
     machines = {}
     for job in inst.jobs:
         x, y = packing.positions[job.id]
+        if x != int(x):
+            raise InvalidInput(f"item {job.id} has x={x}")
         if y != int(y):
             raise InvalidInput(f"item {job.id} has y={y}")
-        y = int(y)
+        x, y = int(x), int(y)
         if y < 0:
             raise InvalidInput(f"item {job.id} sits below the strip at y={y}")
         if y + job.q > inst.m:

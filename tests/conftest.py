@@ -37,8 +37,8 @@ solver; it is the reference that contiguous decisions are checked against.
 `reference_candidates` is the solver's node scan written job by job, the
 way each prune rule is stated; it is the reference that the family scan
 of `solver._Search._candidates` is checked against.  It reads the forced
-starts, gamma windows and gaps from `reduction`'s closed forms, and the
-placed jobs from the search's path, never from the solver's tables, so a
+starts, gamma windows and gaps from the reference closed forms below, and
+the placed jobs from the search's path, never from the solver's tables, so a
 wrong table entry shows as a difference.  `reference_subsets` builds each
 candidate's machine sets from the idle machines the same way, without the
 search's `subsets`.

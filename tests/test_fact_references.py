@@ -22,13 +22,10 @@ from gadgetforge.reduction import (
     build_jobs,
     build_strip,
     check_jobs,
-    family_length,
+    evaluate,
     forced_starts,
     forward_geometry,
-    gamma_window,
-    partition_gaps,
     recognize,
-    target_makespan,
 )
 from gadgetforge.threepartition import gen_no, gen_yes
 
@@ -133,23 +130,30 @@ def _checks(inst) -> bool:
 def test_the_derived_facts_agree_with_their_references(label):
     """Recognition agrees on every case.  Where the instance is recognised,
     its geometry, forced starts, gamma windows, gaps and all four plans
-    equal the references'; where it is not but its jobs pass the check,
-    its two plans without the equation tables do."""
+    equal the references'; where it is not, `forced_starts` refuses it,
+    and where its jobs pass the check, its two plans without the equation
+    tables equal the references'."""
     inst = CASES[label]
     # a fresh copy, so that nothing kept on the shared case is read
     fresh = dataclasses.replace(inst)
     want = reference_recognize(inst)
     assert recognize(fresh) == want
     if want is not None:
-        assert forward_geometry(fresh) == reference_geometry(inst)
+        geometry = forward_geometry(fresh)
+        assert geometry == reference_geometry(inst)
         assert forced_starts(fresh) == reference_forced_starts(inst)
-        assert partition_gaps(fresh) == reference_partition_gaps(inst)
-        for j in range(1, inst.z + 1):
-            assert gamma_window(fresh, j) == reference_gamma_window(inst, j)
+        assert geometry.gaps == reference_partition_gaps(inst)
+        gammas = geometry.starts["gamma"]
+        assert [j.index for _, j in gammas] == list(range(1, inst.z + 1))
+        for s, j in gammas:
+            assert reference_gamma_window(inst, j.index) == (s, s + inst.D)
         for symmetry, equations in RULES:
             got = solver._plan(fresh, symmetry, equations)
             assert got == reference_plan(inst, symmetry, equations)
-    elif _checks(inst):
+        return
+    with pytest.raises(InvalidInput, match="^forced_starts needs an unmodified"):
+        forced_starts(fresh)
+    if _checks(inst):
         for symmetry in (True, False):
             got = solver._plan(fresh, symmetry, False)
             assert got == reference_plan(inst, symmetry, False)
@@ -168,17 +172,16 @@ def test_the_perturbations_are_mostly_refused():
 
 @pytest.mark.parametrize("z", SIZES)
 def test_the_job_table_agrees_with_its_reference(z):
-    """`build_jobs` and `target_makespan` on one power table give the jobs
-    and W of the lengths written one power at a time, and so does
-    `family_length` at every index."""
+    """`build_jobs` on one power table gives the jobs and W of the lengths
+    written one power at a time, and so does `evaluate` at every index."""
     for inst3 in (gen_yes(z, z)[0], *((gen_no(z, z),) if z >= 2 else ())):
         built, want = build_jobs(inst3), reference_build_jobs(inst3)
         assert (built.m, built.z, built.D, built.W, built.jobs) == (
             want.m, want.z, want.D, want.W, want.jobs
         )
-        assert target_makespan(inst3) == want.W
+        forms = evaluate(z, inst3.D)
+        assert forms.W == want.W
         for tag, (_, first, _) in FAMILIES.items():
+            base, step = forms.lengths[tag]
             for index in range(first or 0, z + 1):
-                assert family_length(tag, z, inst3.D, index) == reference_length(
-                    tag, z, inst3.D, index
-                )
+                assert base + index * step == reference_length(tag, z, inst3.D, index)

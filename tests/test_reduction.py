@@ -24,14 +24,10 @@ from gadgetforge.reduction import (
     build_strip,
     canonical_ids,
     canonical_slots,
-    family_length,
     forced_starts,
     forward_geometry,
-    gamma_window,
-    partition_gaps,
     recognize,
     recover_values,
-    target_makespan,
     chain_values,
 )
 from gadgetforge.schedule import audit, mirror, verify
@@ -79,11 +75,6 @@ def test_lengths_z1_d33():
     assert {j.id: j.p for j in inst.jobs} == expected
 
 
-def test_family_length_refuses_an_unknown_tag():
-    with pytest.raises(ValueError, match="unknown tag 'X'"):
-        family_length("X", 1, 33)
-
-
 def test_machine_counts_z1():
     inst = build_jobs(INST_D33)
     by_q = {1: set(), 2: set(), 3: set()}
@@ -115,7 +106,7 @@ def test_target_makespan_z1_d33():
         + (D**4 + D**5 + D**6)
         + 8 * D**7
     )
-    assert target_makespan(INST_D33) == want
+    assert build_jobs(INST_D33).W == want
 
 
 # ===== structural identities =====
@@ -190,18 +181,42 @@ def test_gamma_window_and_gaps(generated):
     _, sched = generated
     z, D = sched.z, sched.D
     starts = forced_starts(sched)
-    p = {j.id: j.p for j in sched.jobs}
-    gaps = partition_gaps(sched)
-    assert len(gaps) == z
-    for j in range(1, z + 1):
-        lo, hi = gamma_window(sched, j)
-        assert hi - lo == D
+    geometry = forward_geometry(sched)
+    gammas = geometry.starts["gamma"]
+    assert [gamma.index for _, gamma in gammas] == list(range(1, z + 1))
+    assert len(geometry.gaps) == z
+    for (lo, gamma), (gap_lo, gap_hi) in zip(gammas, geometry.gaps):
+        j = gamma.index
         assert lo == starts[f"alpha_{j}"]  # gamma opens with alpha's start
-        gap_lo, gap_hi = gaps[j - 1]
         assert gap_lo == lo
         assert gap_hi == starts[f"B_{j}"]
         # the gap fits gamma plus exactly D worth of P jobs
-        assert gap_hi - gap_lo == p[f"gamma_{j}"] + D
+        assert gap_hi - gap_lo == gamma.p + D
+
+
+def _last_job_dropped():
+    built = build_jobs(gen_yes(2, 0)[0])
+    return dataclasses.replace(built, jobs=built.jobs[:-1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SchedulingInstance(m=4, z=0, D=0, W=5, jobs=(Job("J", 5, 4, "J"),)),
+        _last_job_dropped,
+    ],
+    ids=["one-job", "last-job-dropped"],
+)
+def test_forced_starts_refuses_what_recognize_rejects(make):
+    """The forced starts are those of a reduction instance: on any other
+    instance they are refused, as the audit, synthesis and extraction
+    refuse it, not returned as starts no schedule of it need meet."""
+    inst = make()
+    assert recognize(inst) is None
+    with pytest.raises(
+        InvalidInput, match="^forced_starts needs an unmodified reduction instance$"
+    ):
+        forced_starts(inst)
 
 
 # ===== parameter policing =====
@@ -210,9 +225,7 @@ def test_gamma_window_and_gaps(generated):
 def test_unscaled_instance_rejected():
     unscaled = r"^D=30 must exceed 4z\(7z\+1\)=32; scale the instance first$"
     with pytest.raises(InvalidInput, match=unscaled):
-        target_makespan(ThreePartitionInstance((9, 10, 11)))  # D = 30 <= 32
-    with pytest.raises(InvalidInput, match=unscaled):
-        build_jobs(ThreePartitionInstance((9, 10, 11)))
+        build_jobs(ThreePartitionInstance((9, 10, 11)))  # D = 30 <= 32
 
 
 def test_recognize_lets_a_fault_of_build_jobs_escape(monkeypatch):
@@ -282,6 +295,7 @@ def test_recognition_is_worked_out_once_per_instance(monkeypatch):
     inst = build_jobs(inst3)
     builds = record_builds(monkeypatch, recognize)
     assert recognize(inst) == (inst.z, inst.D)
+    assert forced_starts(inst)["lambda1"] == 0
     sched = build_schedule(inst, witness)
     assert audit(inst, sched).passed
     for given_sched in (sched, mirror(inst, sched)):

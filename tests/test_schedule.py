@@ -8,7 +8,7 @@ import pytest
 
 from gadgetforge import schedule
 from gadgetforge.exactnum import InvalidInput, decompose, digit_bound
-from gadgetforge.reduction import SchedulingInstance, Job, build_jobs, family_length
+from gadgetforge.reduction import SchedulingInstance, Job, build_jobs
 from gadgetforge.schedule import (
     DIGIT_FAMILIES,
     AuditCheck,
@@ -31,6 +31,7 @@ from conftest import (
     count_finished_by,
     make_canonical_z1,
     reference_audit,
+    reference_length,
     reference_swap,
     reference_verify,
 )
@@ -416,7 +417,7 @@ def test_digit_families_are_the_families_with_a_unit_digit(z):
     for D in (digit_bound(z) + 1, 10**9 + 7):
         rows = {}
         for j in jobs:
-            digits = decompose(family_length(j.tag, z, D, j.index or 0), z, D)
+            digits = decompose(reference_length(j.tag, z, D, j.index or 0), z, D)
             row = tuple(digits.digit(k) for k in table)
             assert rows.setdefault(j.tag, row) == row, (D, j.id)
         for k, (power, families) in enumerate(table.items()):

@@ -19,8 +19,6 @@ from gadgetforge.reduction import (
     build_jobs,
     chain_values,
     forced_starts,
-    gamma_window,
-    partition_gaps,
 )
 from gadgetforge.schedule import Schedule, audit, verify
 from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
@@ -42,6 +40,8 @@ from conftest import (
     record_builds,
     reference_candidates,
     reference_decide,
+    reference_gamma_window,
+    reference_partition_gaps,
 )
 
 
@@ -530,7 +530,7 @@ def test_every_witness_runs_forward(z, seed, contiguous, budget):
         t: sorted(v) for t, v in forced.items()
     }
     for j in inst.tagged("gamma"):
-        lo, hi = gamma_window(inst, j.index)
+        lo, hi = reference_gamma_window(inst, j.index)
         assert lo <= starts[j.id] <= hi
 
 
@@ -986,7 +986,7 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
     cuts = 0
     for inst3p in cases:
         inst, target = _at_w(inst3p)
-        gaps = partition_gaps(inst)
+        gaps = reference_partition_gaps(inst)
         gamma = {j.index: j for j in inst.tagged("gamma")}
         search = solver._Search(inst, target, contiguous, PruneRules(), 1)
         for t, cands in _random_walk(search, rng, 300):
@@ -1066,18 +1066,14 @@ def test_the_count_chains_hold_where_a_pinned_family_asks():
 def test_the_forward_geometry_is_worked_out_once_per_instance(monkeypatch):
     # The closed forms and the premise checks depend only on the instance,
     # so a second search on it, under other rules, calls none of them.
-    calls = Counter()
-    for name in ("_start_columns", "gamma_window", "partition_gaps"):
-        real = getattr(reduction, name)
-
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(reduction, name, counted)
+    calls = []
+    real = reduction._start_columns
+    monkeypatch.setattr(
+        reduction, "_start_columns", lambda inst: calls.append(inst) or real(inst)
+    )
     inst, target = _at_w(gen_yes(14, 0)[0])
     solver._Search(inst, target, False, PruneRules(), 1)
-    assert calls["_start_columns"] == 1 and calls["partition_gaps"] == 1
+    assert calls == [inst]
     calls.clear()
     for symmetry, contiguous in product((True, False), repeat=2):
         rules = PruneRules(symmetry=symmetry)
@@ -1161,7 +1157,7 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
         insts.append(build_jobs(gen_no(z, z)))
     for inst in insts:
         gammas = inst.tagged("gamma")
-        windows = sorted(gamma_window(inst, j.index) for j in gammas)
+        windows = sorted(reference_gamma_window(inst, j.index) for j in gammas)
         assert len(windows) == z
         assert all(hi < lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
         assert len({(j.p, j.q) for j in gammas}) == z
@@ -1230,14 +1226,15 @@ def _late_lambda2(columns):
     columns["lambda2"][0] += 1
 
 
-def _short_gaps(real):
-    """`partition_gaps` with every gap one unit short of its gamma job."""
-    return lambda inst: tuple((lo, hi - 1) for lo, hi in real(inst))
+def _short_gaps(columns):
+    """Every B separator after B_0 one unit early, so that every gap, which
+    ends at the next B's start, is one unit short of its gamma job and D."""
+    columns["B"][1:] = [s - 1 for s in columns["B"][1:]]
 
 
-# The forced starts are perturbed where the geometry reads them, in
-# `_start_columns`; the ids name them by `forced_starts`, which reads the
-# same columns.
+# The forced starts and the gaps are perturbed where the geometry reads
+# them, in `_start_columns`; the ids name the forced starts by
+# `forced_starts`, which reads the same columns.
 @pytest.mark.parametrize(
     "name, patch, message",
     [
@@ -1247,7 +1244,12 @@ def _short_gaps(real):
             "m - 1 machines pinned",
             id="forced_starts-_shifted_alpha-m - 1 machines pinned",
         ),
-        ("partition_gaps", _short_gaps, "one window inside each gap"),
+        pytest.param(
+            "_start_columns",
+            _patched_columns(_short_gaps),
+            "one window inside each gap",
+            id="_start_columns-_short_gaps-one window inside each gap",
+        ),
         pytest.param(
             "_start_columns",
             _patched_columns(_late_lambda2),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gadgetforge.exactnum import InvalidInput
-from gadgetforge.reduction import Job, SchedulingInstance, build_strip
+from gadgetforge.reduction import Job, SchedulingInstance, build_jobs, build_strip
 from gadgetforge.strip import (
     Packing,
     normalize,
@@ -15,7 +15,8 @@ from gadgetforge.strip import (
     schedule_to_packing,
     verify_packing,
 )
-from gadgetforge.threepartition import ThreePartitionInstance
+from gadgetforge.synthesis import build_packing
+from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
 from conftest import make_canonical_z1
 
@@ -216,6 +217,51 @@ def test_bridge_rejects_non_integral_y(canonical_z1):
     positions["gamma_1"] = (x, Fraction(1, 2))
     with pytest.raises(InvalidInput, match="^item gamma_1 has y=1/2$"):
         packing_to_schedule(inst, Packing(positions=positions))
+
+
+def test_bridge_rejects_non_integral_x():
+    """A packing shifted half a unit right is feasible in the strip, but no
+    schedule starts a job at a fraction: it is refused, naming the first
+    item, not read as a schedule with `Fraction` starts."""
+    inst3, witness = gen_yes(1, 0)
+    packing = build_packing(build_strip(inst3), witness)
+    half = Fraction(1, 2)
+    shifted = Packing(
+        positions={k: (x + half, y) for k, (x, y) in packing.positions.items()}
+    )
+    with pytest.raises(InvalidInput, match=r"^item A_0 has x=\d+/2$"):
+        packing_to_schedule(build_jobs(inst3), shifted)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (
+            lambda starts, machines: starts.pop("A_0"),
+            "^job 'A_0' is missing from the schedule$",
+        ),
+        (
+            lambda starts, machines: machines.update(a_1=frozenset()),
+            "^job a_1 occupies 0 machines, needs 2$",
+        ),
+        (
+            lambda starts, machines: machines.update(a_1=frozenset({1})),
+            "^job a_1 occupies 1 machines, needs 2$",
+        ),
+    ],
+    ids=["missing-job", "empty-machine-set", "too-few-machines"],
+)
+def test_bridge_refuses_a_schedule_it_cannot_lay_sideways(canonical_z1, change, error):
+    """A schedule without some job, or with a job on no machine or on fewer
+    machines than it needs, has no packing: it is refused with
+    InvalidInput, not a bare KeyError or ValueError, nor laid as an item
+    of full height that the schedule never placed."""
+    _, inst, sched = canonical_z1
+    starts, machines = dict(sched.starts), dict(sched.machines)
+    change(starts, machines)
+    bad = type(sched)(starts=starts, machines=machines)
+    with pytest.raises(InvalidInput, match=error):
+        schedule_to_packing(inst, bad)
 
 
 def test_bridge_rejects_tall_placement(canonical_z1):

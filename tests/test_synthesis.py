@@ -1,19 +1,17 @@
 import pytest
 
-from gadgetforge.reduction import (
-    build_jobs,
-    build_strip,
-    forced_starts,
-    gamma_window,
-    partition_gaps,
-)
+from gadgetforge.reduction import build_jobs, build_strip, forced_starts
 from gadgetforge.schedule import audit, verify
 from gadgetforge.strip import verify_packing
 from gadgetforge.exactnum import InvalidInput
 from gadgetforge.synthesis import build_packing, build_schedule
 from gadgetforge.threepartition import gen_yes
 
-from conftest import make_canonical_z1
+from conftest import (
+    make_canonical_z1,
+    reference_gamma_window,
+    reference_partition_gaps,
+)
 
 
 def test_matches_hand_built_canonical_schedule():
@@ -40,9 +38,9 @@ def test_generated_yes_instances_schedule_cleanly(z, seed):
     for job_id, start in forced_starts(inst).items():
         assert sched.starts[job_id] == start, job_id
 
-    gaps = partition_gaps(inst)
+    gaps = reference_partition_gaps(inst)
     for j in range(1, z + 1):
-        lo, hi = gamma_window(inst, j)
+        lo, hi = reference_gamma_window(inst, j)
         assert lo <= sched.starts[f"gamma_{j}"] <= hi
         glo, ghi = gaps[j - 1]
         for idx in witness[j - 1]:
@@ -54,7 +52,7 @@ def test_partition_jobs_fill_their_gap_exactly():
     inst3p, witness = gen_yes(2, 5)
     inst = build_jobs(inst3p)
     sched = build_schedule(inst, witness)
-    for j, (glo, ghi) in enumerate(partition_gaps(inst), start=1):
+    for j, (glo, ghi) in enumerate(reference_partition_gaps(inst), start=1):
         spans = sorted(
             (sched.starts[f"P_{idx}"], inst.by_id[f"P_{idx}"].p)
             for idx in witness[j - 1]

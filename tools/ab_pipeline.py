@@ -33,9 +33,11 @@ of these documents must be byte-identical on both sides:
 * `RefutationCertificate.to_dict()` of the perturbed schedule (or the error
   the extraction raises);
 * the schedule and packing SVGs;
-* the JSON of the schedule and the instance, and their round trips.
+* the JSON of the schedule and the instance, and their round trips;
+* the instance's `forced_starts`, which puts the forward geometry under
+  the check at every size the workload builds.
 
-That is 22 documents per input, 198 in all.  The script lists every
+That is 23 documents per input, 207 in all.  The script lists every
 document that differs and stops.
 
 Then each round runs every op once on each side, OLD first on even rounds
@@ -175,6 +177,7 @@ def _documents(workloads, lib, inst3, witness, perturbation) -> dict[str, str]:
     docs["schedule json again"] = lib.Schedule.from_json(sched_text).to_json()
     docs["instance json"] = inst_text
     docs["instance json again"] = lib.SchedulingInstance.from_json(inst_text).to_json()
+    docs["forced starts"] = _attempt(lambda: lib.forced_starts(inst))
     return docs
 
 
