@@ -426,13 +426,13 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     """The `ForwardGeometry` of a recognised reduction, worked out from the
     closed forms, with the premises of the solver's equation rule checked
     (see "Each gap is a bin" and "No count chains" in `solver`): every tag
-    has one width and the gamma jobs pairwise differ in length; the starts
-    of each tag pairwise differ; every value lies strictly between D/4 and
-    D/2; the gaps are pairwise disjoint, and block k's gamma window
-    [lo, lo + D] fills gap k = [lo, hi) with its gamma job,
-    hi - lo = D + |gamma_k|; the pinned jobs hold exactly m - 1 machines
-    at every instant of a gap, and all m at every instant of [0, W)
-    outside the gaps."""
+    has one width, every (p, q) one tag, and the gamma jobs pairwise differ
+    in length; the starts of each tag pairwise differ; every value lies
+    strictly between D/4 and D/2; the gaps are pairwise disjoint, and
+    block k's gamma window [lo, lo + D] fills gap k = [lo, hi) with its
+    gamma job, hi - lo = D + |gamma_k|; the pinned jobs hold exactly m - 1
+    machines at every instant of a gap, and all m at every instant of
+    [0, W) outside the gaps."""
     m, D = inst.m, inst.D
     # each job by its (tag, index) slot, kept no longer than this call,
     # unlike `inst.by_slot`, which a decision never reads
@@ -492,10 +492,12 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
             "m machines pinned at every instant outside the gaps",
         ),
     )
-    widths = {(j.tag, j.q) for j in inst.jobs}
+    shapes = {(j.p, j.q, j.tag) for j in inst.jobs}
+    widths = {(tag, q) for _, q, tag in shapes}
     require(
         "the family table",
         (len({tag for tag, _ in widths}) == len(widths), "one width per tag"),
+        (len({(p, q) for p, q, _ in shapes}) == len(shapes), "one tag per (p, q)"),
         (len({j.p for j in gammas}) == len(gammas), "one gamma job per length"),
     )
     return ForwardGeometry(MappingProxyType(tables), gaps)

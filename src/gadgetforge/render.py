@@ -186,20 +186,12 @@ def _job_rect(x0, x1, y0, y1, fill, label) -> list[str]:
     return parts
 
 
-def _write(text: str, path: str | None) -> str:
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
 def _figure(
     inst: SchedulingInstance,
     heading: str,
     rows: list[str],
     axis: _Axis,
     boxes: list[str],
-    path: str | None,
 ) -> str:
     """The frame both pictures share: heading, one labelled and ruled row
     per label in `rows` (top to bottom), the boxes, the axis, and a legend
@@ -217,12 +209,10 @@ def _figure(
     parts.extend(_axis_parts(axis, rows_bottom + 8))
     tags = sorted({j.tag for j in inst.jobs})
     parts.extend(_legend_parts(tags, rows_bottom + 62))
-    return _write(_svg(parts, axis.right + 24, rows_bottom + 92), path)
+    return _svg(parts, axis.right + 24, rows_bottom + 92)
 
 
-def render_schedule_svg(
-    inst: SchedulingInstance, sched: Schedule, path: str | None = None
-) -> str:
+def render_schedule_svg(inst: SchedulingInstance, sched: Schedule) -> str:
     """Gantt chart: one row per machine, one rectangle per machine-slice."""
     if inst.m > _MAX_ROWS:
         raise InvalidInput(f"{inst.m} machines are more rows than a figure holds")
@@ -247,12 +237,10 @@ def render_schedule_svg(
         f"span {_fmt(axis.ticks[-1] - axis.ticks[0])}"
     )
     rows = [f"M{m}" for m in range(1, inst.m + 1)]
-    return _figure(inst, heading, rows, axis, boxes, path)
+    return _figure(inst, heading, rows, axis, boxes)
 
 
-def render_packing_svg(
-    inst: SchedulingInstance, packing: Packing, path: str | None = None
-) -> str:
+def render_packing_svg(inst: SchedulingInstance, packing: Packing) -> str:
     """Strip picture: x is the banded width axis, y counts machine lanes."""
     _check_item_universe(inst, packing)
     base = inst.D if inst.D >= 2 else 10
@@ -287,4 +275,4 @@ def render_packing_svg(
         f"height {height_units}"
     )
     rows = [f"y={y}" for y in range(height_units - 1, -1, -1)]
-    return _figure(inst, heading, rows, axis, boxes, path)
+    return _figure(inst, heading, rows, axis, boxes)

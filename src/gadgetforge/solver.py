@@ -40,17 +40,21 @@ symmetry when an identical job with a smaller id is still unplaced, and
 equations when the forward forced positions or the gap order do not allow
 t.
 
-The scan visits classes, not jobs.  A class is a set of identical jobs under
-the symmetry rule's (p, q, tag) key, members in id order; with the rule off
+The scan visits classes, not jobs.  The search names every job by its rank,
+its place in (-q, -p, id) order.  A class is a set of identical jobs under
+the symmetry rule's (p, q) key, so a run of consecutive ranks, in id
+order: the k-th member of class c has rank first[c] + k.  With the rule off
 every job is a class of its own.  Classes are grouped into families: by
-(q, tag) when the equation tables are active (a reduction's tags each
-have one width), else by q alone.  Under the equation tables every family
-but the values is forced, and the others are scanned.  A search keeps the
-placed count of each class, per scanned family a live list of the classes
-that still have unplaced members, in (-p, id) order, and per width the
-number of forced classes that still have some; `_place` and `_unplace`
-update them in LIFO order, so a placed job is never visited again.  At a
-node:
+(q, tag) when the equation tables are active, else by q alone.  No rule
+but the equation tables reads a tag, and they run only on recognised
+reductions, whose tags each have one width and whose (p, q) each have one
+tag (both checked with the forward geometry), so a class lies inside one
+family.  Under the equation tables every family but the values is forced,
+and the others are scanned.  A search keeps the placed count of each
+class, per scanned family a live list of the classes that still have
+unplaced members, in rank order, and per width the number of forced
+classes that still have some; `_place` and `_unplace` update them in LIFO
+order, so a placed job is never visited again.  At a node:
 
 * the unplaced jobs wider than the idle machines are no-fit, read from a
   per-width tally; only the classes at most that wide are visited;
@@ -85,7 +89,7 @@ node:
   rest = D the class at the head of the live list offers, the longest
   unplaced value; at 2 rest > D a class of length p offers when
   2p >= rest and rest - p is the length of another unplaced value, and as
-  the live list is in (-p, id) order these classes are a prefix of it; at
+  the live list is in rank order these classes are a prefix of it; at
   any other rest only the classes of length rest offer, found by one
   look-up by length.  The premises of these tests are checked once per
   instance, with the forward geometry (`reduction.forward_geometry`);
@@ -93,11 +97,10 @@ node:
   are the equations prunes, counted once per node as the first members
   that fit less the offered ones (without the rule every class that fits
   offers);
-* a family lists its candidates in (-p, id) order and scanned families
-  come widest first, so the candidates are sorted only to merge the
-  offers of several families under the equation tables, or, with one
-  family per width, when two classes of equal length and different tags
-  can interleave their ids;
+* a family lists its candidates in rank order, as its classes are runs of
+  ranks in its live list's order, and scanned families come widest first,
+  so the candidates are sorted only to merge the offers of several
+  families under the equation tables;
 * a job's machine sets hold the lowest idle machine, and no machine below
   it is idle, so a contiguous set is the q lowest idle machines when they
   form an interval and there is none otherwise; with the symmetry rule the
@@ -287,10 +290,11 @@ equal key means an equal verdict:
 
 The plan.  What a search reads and never writes depends only on the
 instance, the symmetry rule and whether the equation tables are active:
-the classes and their lengths, each job's rank and placement record, the
-scanned families by width with their initial live lists, the per-width
-job and forced-class counts of the empty schedule, the forced-start
-index, the forced classes by length and the value family's gap facts.
+the jobs in rank order, each class's first rank, size and length, each
+rank's placement record, the scanned families by width with their initial
+live lists, the per-width job and forced-class counts of the empty
+schedule, the forced-start index, the forced classes by length and the
+value family's gap facts.
 That is one `_Plan`, an immutable value built by `_plan` for the first
 decision that needs it and kept on the instance by
 `reduction.per_instance`, as the forward geometry is, so the instance
@@ -299,7 +303,9 @@ z = 14 (173 jobs), 66 KB under the default rules (tracemalloc).  The
 plan is built in one sort of the jobs into rank order and a few passes
 over them; the forced-start index is filled by one pass in rank order,
 each class's k-th member taking its k-th forced start, so each start
-lists its jobs in rank order without a sort of its own.  After it is
+lists its jobs in rank order without a sort of its own.  A job's id is
+read only where the plan joins the forward geometry, which names jobs
+by id, and in a witness (`_Search._snapshot`).  After it is
 built nothing writes into a plan: a search copies the live lists and the
 counts it updates.  The dead-state table is not part of it.  It stays
 per decision: a table kept across decisions would cut branches a fresh
@@ -332,7 +338,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import InvalidInput, require
@@ -397,27 +403,26 @@ class _Plan:
     symmetry rule and one state of the equation tables: see "The plan" in
     the module docstring.  Built by `_plan`, once per instance and rules."""
 
-    # the number of jobs
-    n: int
-    # the classes, in the order of their first members, members in id order
-    members: tuple[tuple[Job, ...], ...]
-    # each job's place in (-q, -p, id) order, by id
-    rank: dict[str, int]
+    # the jobs in rank order, (-q, -p, id): a job's rank is its position
+    jobs: tuple[Job, ...]
+    # each class's first rank, its classes in rank order: the k-th member
+    # of class c has rank first[c] + k
+    first: tuple[int, ...]
+    # each class's size
+    cls_n: tuple[int, ...]
     # each class's length
     cls_p: tuple[int, ...]
-    # what a placement updates, per job id: (class, scanned family or None
-    # for a forced class, class size, remaining-set bit)
-    rec: dict[str, tuple]
-    # per scanned family, its classes in (-p, id) order: the live lists of
-    # a fresh search
+    # what a placement reads, by rank: (class, scanned family or None for a
+    # forced class, class size, remaining-set bit, p, q)
+    rec: tuple[tuple[int, int | None, int, int, int, int], ...]
+    # per scanned family, its classes in rank order: the live lists of a
+    # fresh search
     live: tuple[tuple[int, ...], ...]
     # the jobs per width
     left: tuple[int, ...]
     # the scanned families at most w wide, as (family, q, value facts or
     # None), for every idle width w
     upto: tuple[tuple[tuple, ...], ...]
-    # whether a plain family's candidates need a sort, see `_candidates`
-    interleave: bool
     # under the equation tables (else empty): per forced start, the
     # (width, class, k) of each job there, its class's k-th start, in the
     # rank order of those jobs
@@ -434,38 +439,39 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
     grouped into families, see "Candidates at a node", and the forced-start
     index under the equation tables."""
     # the one sort: every job in rank order
-    order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
+    jobs = tuple(sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id)))
+    # a class is a run of ranks: one (p, q) under the symmetry rule, else
+    # one job
     if symmetry:
-        key = lambda j: (j.p, j.q, j.tag)
+        cls_n = [len(list(run)) for _, run in groupby(jobs, lambda j: (j.p, j.q))]
     else:
-        key = lambda j: j.id
-    classes: dict = {}
-    for j in order:
-        classes.setdefault(key(j), []).append(j)
-    members = tuple(map(tuple, classes.values()))
-    rank = {j.id: i for i, j in enumerate(order)}
-    cls_p = tuple(js[0].p for js in members)
+        cls_n = [1] * len(jobs)
+    first = [0, *accumulate(cls_n)][:-1]
+    # each class's first member
+    heads = [jobs[r] for r in first]
+    cls_p = tuple(j.p for j in heads)
     families: dict = {}
-    for c, js in enumerate(members):
-        j = js[0]
+    for c, j in enumerate(heads):
         families.setdefault((j.q, j.tag) if equations else j.q, []).append(c)
     # every family is scanned, except the forced ones under the equation
     # tables: all but the values
     scanned = [
-        cs for cs in families.values() if not equations or members[cs[0]][0].tag == "P"
+        cs for cs in families.values() if not equations or heads[cs[0]].tag == "P"
     ]
     fam_of = {c: f for f, cs in enumerate(scanned) for c in cs}
-    rec = {
-        j.id: (c, fam_of.get(c), len(js), 1 << rank[j.id])
-        for c, js in enumerate(members)
-        for j in js
-    }
+    rec = tuple(
+        (c, fam_of.get(c), n, 1 << r, j.p, j.q)
+        for c, (a, n, j) in enumerate(zip(first, cls_n, heads))
+        for r in range(a, a + n)
+    )
     left = [0] * (inst.m + 1)
-    for j in order:
-        left[j.q] += 1
+    for j, n in zip(heads, cls_n):
+        left[j.q] += n
     forced: dict[int, list[tuple[int, int, int]]] = {}
     if equations:
         geometry = forward_geometry(inst)
+        # the forward geometry names its jobs by id: each id's class
+        cls_by_id = {j.id: e[0] for j, e in zip(jobs, rec)}
         # the gap starts and ends in ascending order, the class of each
         # gap's gamma job, the value classes by length and D
         (values,) = scanned
@@ -474,57 +480,44 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
             by_len.setdefault(cls_p[c], []).append(c)
         lows = tuple(lo for lo, _ in geometry.gaps)
         ends = tuple(hi for _, hi in geometry.gaps)
-        gammas = tuple(rec[g.id][0] for _, g in geometry.starts["gamma"])
+        gammas = tuple(cls_by_id[g.id] for _, g in geometry.starts["gamma"])
         facts = (lows, ends, gammas, by_len, inst.D)
-        specs = [(0, members[values[0]][0].q, facts)]
+        specs = [(0, heads[values[0]].q, facts)]
         # each class's forced starts in ascending order, the k-th for its
-        # k-th member; the members of a class are in rank order, so a pass
-        # in rank order lists each forced start's jobs in rank order, the
-        # order a search tries them
-        starts_of: list[list[int]] = [[] for _ in members]
+        # k-th member; a start holds at most one job of a class, as a
+        # tag's starts are pairwise distinct, so a pass over the classes in
+        # rank order lists each start's jobs in rank order, the order a
+        # search tries them
+        starts_of: list[list[int]] = [[] for _ in first]
         for table in geometry.starts.values():
             for s, job in table:
-                starts_of[rec[job.id][0]].append(s)
-        placed = [0] * len(members)
-        for j in order:
-            c = rec[j.id][0]
-            k = placed[c]
-            placed[c] = k + 1
-            if k < len(starts_of[c]):
-                forced.setdefault(starts_of[c][k], []).append((j.q, c, k))
+                starts_of[cls_by_id[job.id]].append(s)
+        for c, starts in enumerate(starts_of):
+            for k, s in enumerate(starts):
+                forced.setdefault(s, []).append((heads[c].q, c, k))
     else:
-        specs = [(f, members[cs[0]][0].q, None) for f, cs in enumerate(scanned)]
-    forced_classes = [c for c in range(len(members)) if c not in fam_of]
+        specs = [(f, heads[cs[0]].q, None) for f, cs in enumerate(scanned)]
+    forced_classes = [c for c in range(len(first)) if c not in fam_of]
     open_forced = [0] * (inst.m + 1)
     for c in forced_classes:
-        open_forced[members[c][0].q] += 1
+        open_forced[heads[c].q] += 1
     # the families at most w wide, for every idle width w
     upto = tuple(
         tuple(spec for spec in specs if spec[1] <= w) for w in range(inst.m + 1)
     )
     return _Plan(
-        n=len(order),
-        members=members,
-        rank=rank,
+        jobs=jobs,
+        first=tuple(first),
+        cls_n=tuple(cls_n),
         cls_p=cls_p,
         rec=rec,
         live=tuple(map(tuple, scanned)),
         left=tuple(left),
         upto=upto,
-        # The scanned families come widest first, and under the equation
-        # rule each lists its candidates in (-p, id) order, so only the
-        # candidates of several offers need a merge.  With one family per
-        # width, two classes of equal length and different tags can
-        # interleave their ids, and the family's list then needs a sort.
-        interleave=(
-            not equations
-            and symmetry
-            and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
-        ),
         forced={s: tuple(at) for s, at in forced.items()},
         longest=tuple(
             sorted(
-                ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),
+                ((cls_p[c], heads[c].q, c, cls_n[c]) for c in forced_classes),
                 key=lambda e: -e[0],
             )
         ),
@@ -539,8 +532,8 @@ class _Search:
 
     __slots__ = (
         "inst", "m", "machines", "target", "contiguous", "rules", "budget",
-        "equations", "n", "members", "rank", "cls_p", "rec", "upto",
-        "interleave", "forced", "longest", "dead", "cell_bits", "live", "left",
+        "equations", "n", "jobs", "first", "cls_n", "cls_p", "rec", "upto",
+        "forced", "longest", "dead", "cell_bits", "live", "left",
         "open_forced", "taken", "path", "nodes", "starved", "pruned_no_fit",
         "pruned_symmetry", "pruned_equations", "pruned_dead", "cells",
         "rem_mask", "__weakref__",
@@ -562,10 +555,10 @@ class _Search:
         plan = _plan(inst, rules.symmetry, self.equations)
         # the plan's tables, shared with every search of the instance under
         # the same rules: nothing writes into them
-        self.n, self.members, self.rank = plan.n, plan.members, plan.rank
+        self.jobs, self.first, self.cls_n = plan.jobs, plan.first, plan.cls_n
         self.cls_p, self.rec, self.upto = plan.cls_p, plan.rec, plan.upto
-        self.interleave, self.forced = plan.interleave, plan.forced
-        self.longest = plan.longest
+        self.forced, self.longest = plan.forced, plan.longest
+        self.n = len(self.jobs)
         self.dead: set[int] | None = set() if rules.dead_states else None
         self.cell_bits = target.bit_length()
         # per scanned family, its classes with unplaced members
@@ -574,8 +567,8 @@ class _Search:
         self.left = list(plan.left)
         # forced classes with unplaced members per width
         self.open_forced = list(plan.open_forced)
-        # placed members per class (an id prefix)
-        self.taken = [0] * len(self.members)
+        # placed members per class (a rank prefix)
+        self.taken = [0] * len(self.first)
         # the placed jobs in order, each with what undoes its placement
         self.path: list[tuple] = []
         self.nodes = 0
@@ -613,10 +606,10 @@ class _Search:
 
     # ----- candidate generation -----
 
-    def _candidates(self, t: int) -> list[tuple[Job, tuple[int, ...]]]:
-        """(job, machine set) for every placement at t, in (-q, -p, id)
-        order.  A rejected job counts as a prune of the first rule that
-        rejects it: no-fit, symmetry or equations."""
+    def _candidates(self, t: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(rank, machine set) for every placement at t, in rank order.  A
+        rejected job counts as a prune of the first rule that rejects it:
+        no-fit, symmetry or equations."""
         cells = self.cells
         # t is the earliest free instant, so free at t means free by t
         avail = []
@@ -626,9 +619,7 @@ class _Search:
         avail = tuple(avail)
         width = len(avail)
         room = self.target - t
-        taken = self.taken
-        members = self.members
-        cls_p = self.cls_p
+        taken, first, cls_n, cls_p = self.taken, self.first, self.cls_n, self.cls_p
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
         firsts = offered = emitters = 0
@@ -651,9 +642,9 @@ class _Search:
                 if q <= width and taken[c] == kth and cls_p[c] <= room:
                     offered += 1
                     emitters += 1
-                    job = members[c][kth]
+                    r = first[c] + kth
                     for subset in self.subsets(avail, q):
-                        add((job, subset))
+                        add((r, subset))
         lives = self.live
         for f, q, facts in self.upto[width]:
             live = lives[f]
@@ -661,7 +652,7 @@ class _Search:
             i = 0
             while i < n and cls_p[live[i]] > room:
                 c = live[i]
-                no_fit += len(members[c]) - taken[c]
+                no_fit += cls_n[c] - taken[c]
                 i += 1
             # the first unplaced member of each class that fits
             firsts += n - i
@@ -690,26 +681,23 @@ class _Search:
                             break
                         spare = 0
                         for d in by_len.get(rest - p, ()):
-                            spare += len(members[d]) - taken[d]
+                            spare += cls_n[d] - taken[d]
                         if spare > (2 * p == rest):
                             offer.append(c)
                 else:
                     # the third value fills the gap
-                    offer = [
-                        c for c in by_len.get(rest, ()) if taken[c] < len(members[c])
-                    ]
+                    offer = [c for c in by_len.get(rest, ()) if taken[c] < cls_n[c]]
                 if not offer:
                     continue
             offered += len(offer)
             emitters += 1
             subsets = self.subsets(avail, q)
             for c in offer:
-                job = members[c][taken[c]]
+                r = first[c] + taken[c]
                 for subset in subsets:
-                    add((job, subset))
-        if self.interleave or (emitters > 1 and self.equations):
-            rank = self.rank
-            out.sort(key=lambda cand: rank[cand[0].id])
+                    add((r, subset))
+        if emitters > 1 and self.equations:
+            out.sort()
         # every other unplaced job trails a first member of its class, and
         # every first member that fits and no rule offered is an equations
         # prune
@@ -720,15 +708,15 @@ class _Search:
 
     # ----- state transitions -----
 
-    def _place(self, job, subset, t):
-        """Place `job` on the machines `subset` at t, the earliest free
-        instant.  The subset is taken from the machines free by t, and none
-        is free before t, so each of them is free exactly at t: the undo
-        sets their cells back to t, and the record keeps no copy of the
-        cells."""
-        rec = self.rec[job.id]
-        c, f, full, bit = rec
-        # job is the first unplaced member of class c
+    def _place(self, r, subset, t):
+        """Place the job of rank r on the machines `subset` at t, the
+        earliest free instant.  The subset is taken from the machines free
+        by t, and none is free before t, so each of them is free exactly at
+        t: the undo sets their cells back to t, and the record keeps no copy
+        of the cells."""
+        rec = self.rec[r]
+        c, f, full, bit, p, q = rec
+        # r is the first unplaced member of class c
         taken = self.taken
         taken[c] += 1
         pos = None
@@ -736,30 +724,30 @@ class _Search:
             # the class's last member: the class leaves its family's live
             # list, or the open forced classes of its width
             if f is None:
-                self.open_forced[job.q] -= 1
+                self.open_forced[q] -= 1
                 pos = -1  # not a list position: the undo reopens the class
             else:
                 live = self.live[f]
                 pos = live.index(c)
                 del live[pos]
-        self.left[job.q] -= 1
+        self.left[q] -= 1
         cells = self.cells
-        end = t + job.p
+        end = t + p
         for m in subset:
             cells[m] = end
         self.rem_mask ^= bit
-        self.path.append((job, subset, t, rec, pos))
+        self.path.append((r, subset, t, rec, pos))
 
     def _unplace(self):
-        job, subset, t, rec, pos = self.path.pop()
-        c, f, _, bit = rec
+        _, subset, t, rec, pos = self.path.pop()
+        c, f, _, bit, _, q = rec
         self.taken[c] -= 1
         if pos is not None:
             if f is None:
-                self.open_forced[job.q] += 1
+                self.open_forced[q] += 1
             else:
                 self.live[f].insert(pos, c)
-        self.left[job.q] += 1
+        self.left[q] += 1
         cells = self.cells
         for m in subset:
             cells[m] = t
@@ -768,13 +756,14 @@ class _Search:
     def _snapshot(self) -> Schedule:
         """The placed jobs as a schedule, in path order; the jobs placed on
         the same machines share one machine set."""
-        starts, machines, sets = {}, {}, {}
-        for job, subset, t, _, _ in self.path:
-            starts[job.id] = t
+        starts, machines, sets, jobs = {}, {}, {}, self.jobs
+        for r, subset, t, _, _ in self.path:
+            jid = jobs[r].id
+            starts[jid] = t
             used = sets.get(subset)
             if used is None:
                 used = sets[subset] = frozenset(m + 1 for m in subset)
-            machines[job.id] = used
+            machines[jid] = used
         return Schedule(starts=starts, machines=machines)
 
     def _key(self, cells: list[int], rem: int) -> int:
@@ -802,7 +791,7 @@ class _Search:
         `most`, which is not placed."""
         cells, machines, room = self.cells, self.machines, self.target - t
         forced, taken, cls_p = self.forced, self.taken, self.cls_p
-        members, place = self.members, self._place
+        first, place = self.first, self._place
         nodes = 0
         while t in forced:
             idle = [m for m in machines if cells[m] == t]
@@ -811,7 +800,7 @@ class _Search:
                     nodes += 1
                     if nodes > most:
                         return None, nodes
-                    place(members[c][kth], tuple(idle[:q]), t)
+                    place(first[c] + kth, tuple(idle[:q]), t)
                     del idle[:q]
             if idle:
                 return None, nodes
@@ -878,18 +867,19 @@ class _Search:
             if nodes > limit:
                 self._abandon(frames, root)
                 continue
-            job, subset = step
+            r, subset = step
             if dead is not None:
+                _, _, _, bit, p, _ = rec[r]
                 child = cells[:]
-                end = t + job.p
+                end = t + p
                 for m in subset:
                     child[m] = end
-                key = key_of(child, self.rem_mask ^ rec[job.id][3])
+                key = key_of(child, self.rem_mask ^ bit)
                 if key in dead:
                     hits += 1
                     continue
             base = len(path)
-            place(job, subset, t)
+            place(r, subset, t)
             t = min(cells)
             if runs and t in forced:
                 t, took = run(t, limit - nodes)

@@ -53,6 +53,10 @@ instance and compares it, the geometry sweeps a start table keyed by id
 and the plan sorts the jobs of each forced start.  They are the
 references the one-pass versions in `reduction` and `solver` are checked
 against, and the node scan's reference reads its closed forms from them.
+The plan's reference alone has changed since: it keys its classes by
+(p, q), as the symmetry rule now does, and it returns its fields in a
+dict, naming jobs by id where the solver's plan names them by rank: each
+class's members, each job's rank and each job's placement record.
 
 `reference_decide` is `solver.decide_target` on `ReferenceSearch`, the
 search whose forced runs place nothing, so that every placement opens a
@@ -405,15 +409,15 @@ _SCAN_ORDERS: WeakKeyDictionary = WeakKeyDictionary()
 
 def _scan_order(search):
     """The jobs in (-q, -p, id) order, each job's closest smaller id with
-    the same (p, q, tag) when the symmetry rule is on, each job's class
-    (its (p, q, tag) with the rule on, the job alone with it off) and the
+    the same (p, q) when the symmetry rule is on, each job's class (its
+    (p, q) with the rule on, the job alone with it off) and the
     equation facts (see `_equation_facts`); once per decision."""
     if search in _SCAN_ORDERS:
         return _SCAN_ORDERS[search]
     inst = search.inst
     pred, latest = {}, {}
     if search.rules.symmetry:
-        cls = lambda j: (j.p, j.q, j.tag)
+        cls = lambda j: (j.p, j.q)
         for j in sorted(inst.jobs, key=lambda j: j.id):
             key = cls(j)
             if key in latest:
@@ -476,7 +480,8 @@ def path_free_times(search) -> list[int]:
     """Each machine's free time, the latest end of the jobs on the search's
     path that run on it, read from the path alone."""
     free = [0] * search.m
-    for job, subset, start, *_ in search.path:
+    for r, subset, start, *_ in search.path:
+        job = search.jobs[r]
         for m in subset:
             free[m] = max(free[m], start + job.p)
     return free
@@ -501,17 +506,17 @@ def reference_candidates(search, t: int):
 
     Each job is rejected by the first rule that rejects it: no-fit when it
     is wider than the idle machines or longer than the room left, symmetry
-    when the next smaller id with the same (p, q, tag) is still unplaced,
+    when the next smaller id with the same (p, q) is still unplaced,
     and equations when the forward forced positions or the gap order
     (`gap_order_allows`) do not allow t.  A pinned job may start only at
     the k-th forced start of its class, k being the number of its class's
     placed jobs, and a gamma job only at the start of its gap.
     """
     order, pred, cls, eq = _scan_order(search)
-    starts = {job.id: start for job, _, start, *_ in search.path}
-    remaining = {j.id for j in order} - set(starts)
+    placed_jobs = [search.jobs[r] for r, *_ in search.path]
+    remaining = {j.id for j in order} - {j.id for j in placed_jobs}
     avail = tuple(m for m, end in enumerate(path_free_times(search)) if end == t)
-    placed = Counter(cls(job) for job, *_ in search.path)
+    placed = Counter(map(cls, placed_jobs))
     room = search.target - t
     counts = Counter()
     unplaced_values = {j.id: j.p for j in order if j.tag == "P" and j.id in remaining}
@@ -767,7 +772,7 @@ def reference_geometry(inst: SchedulingInstance) -> ForwardGeometry:
 def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
     order = sorted(inst.jobs, key=lambda j: (-j.q, -j.p, j.id))
     if symmetry:
-        key = lambda j: (j.p, j.q, j.tag)
+        key = lambda j: (j.p, j.q)
     else:
         key = lambda j: j.id
     classes: dict = {}
@@ -785,7 +790,7 @@ def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
     ]
     fam_of = {c: f for f, cs in enumerate(scanned) for c in cs}
     rec = {
-        j.id: (c, fam_of.get(c), len(js), 1 << rank[j.id])
+        j.id: (c, fam_of.get(c), len(js), 1 << rank[j.id], j.p, j.q)
         for c, js in enumerate(members)
         for j in js
     }
@@ -820,8 +825,7 @@ def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
     upto = tuple(
         tuple(spec for spec in specs if spec[1] <= w) for w in range(inst.m + 1)
     )
-    return solver._Plan(
-        n=len(order),
+    return dict(
         members=members,
         rank=rank,
         cls_p=cls_p,
@@ -829,11 +833,6 @@ def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
         live=tuple(map(tuple, scanned)),
         left=tuple(left),
         upto=upto,
-        interleave=(
-            not equations
-            and symmetry
-            and any(len({cls_p[c] for c in cs}) < len(cs) for cs in scanned)
-        ),
         forced={
             s: tuple(sorted(at, key=lambda e: rank[members[e[1]][e[2]].id]))
             for s, at in forced.items()

@@ -21,8 +21,6 @@ from gadgetforge.schedule import Schedule, mirror, swap_after, verify
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
-from conftest import make_canonical_z1
-
 
 def canon(partition):
     return tuple(sorted(tuple(sorted(s)) for s in partition))

@@ -126,6 +126,20 @@ def _checks(inst) -> bool:
     return True
 
 
+def _by_id(plan: solver._Plan) -> dict:
+    """The fields of `plan` in the form of `reference_plan`, with its
+    rank-indexed fields mapped back to ids: each class's members (its run
+    of ranks), each job's rank and each job's placement record."""
+    jobs = plan.jobs
+    shared = ("cls_p", "live", "left", "upto", "forced", "longest", "open_forced")
+    return dict(
+        members=tuple(jobs[a : a + n] for a, n in zip(plan.first, plan.cls_n)),
+        rank={j.id: r for r, j in enumerate(jobs)},
+        rec={j.id: e for j, e in zip(jobs, plan.rec, strict=True)},
+        **{name: getattr(plan, name) for name in shared},
+    )
+
+
 @pytest.mark.parametrize("label", CASES)
 def test_the_derived_facts_agree_with_their_references(label):
     """Recognition agrees on every case.  Where the instance is recognised,
@@ -149,14 +163,14 @@ def test_the_derived_facts_agree_with_their_references(label):
             assert reference_gamma_window(inst, j.index) == (s, s + inst.D)
         for symmetry, equations in RULES:
             got = solver._plan(fresh, symmetry, equations)
-            assert got == reference_plan(inst, symmetry, equations)
+            assert _by_id(got) == reference_plan(inst, symmetry, equations)
         return
     with pytest.raises(InvalidInput, match="^forced_starts needs an unmodified"):
         forced_starts(fresh)
     if _checks(inst):
         for symmetry in (True, False):
             got = solver._plan(fresh, symmetry, False)
-            assert got == reference_plan(inst, symmetry, False)
+            assert _by_id(got) == reference_plan(inst, symmetry, False)
 
 
 def test_the_perturbations_are_mostly_refused():

@@ -9,7 +9,6 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gadgetforge import reduction, solver
 from gadgetforge.exactnum import CoeffVector, InvalidInput, decompose

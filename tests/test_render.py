@@ -62,13 +62,6 @@ def test_rendering_is_deterministic():
     assert render_schedule_svg(inst, sched) == render_schedule_svg(inst, sched)
 
 
-def test_writes_file_when_given_a_path(tmp_path):
-    _, inst, sched = canonical()
-    out = tmp_path / "fig.svg"
-    text = render_schedule_svg(inst, sched, path=str(out))
-    assert out.read_text() == text
-
-
 def test_packing_svg_round():
     inst3, inst, sched = canonical()
     strip = build_strip(inst3)

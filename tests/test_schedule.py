@@ -23,13 +23,12 @@ from gadgetforge.schedule import (
     verify,
 )
 from gadgetforge.synthesis import build_schedule
-from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
+from gadgetforge.threepartition import gen_yes
 
 from conftest import (
     carve_zero_idle,
     count_before,
     count_finished_by,
-    make_canonical_z1,
     reference_audit,
     reference_length,
     reference_swap,

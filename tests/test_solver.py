@@ -21,7 +21,7 @@ from gadgetforge.reduction import (
     forced_starts,
 )
 from gadgetforge.schedule import Schedule, audit, verify
-from gadgetforge.solver import Decision, PruneRules, decide_target, optimize_small
+from gadgetforge.solver import PruneRules, decide_target, optimize_small
 from gadgetforge.exactnum import InvalidInput, digit_bound
 from gadgetforge.threepartition import (
     ProvedNo,
@@ -767,8 +767,8 @@ def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
 
 
 def _tagged_carve(rng):
-    """A random carve whose jobs carry one of two tags, so that classes of
-    equal length and different tags interleave their ids."""
+    """A random carve whose jobs carry one of two tags, so that one class of
+    identical jobs can hold both."""
     inst = random_zero_idle(rng, rng.randint(6, 10))
     jobs = tuple(replace(j, tag=rng.choice("JK")) for j in inst.jobs)
     return replace(inst, jobs=jobs)
@@ -819,10 +819,13 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
         added = tallies(search)
         added.subtract(before)
         want, counts = reference_candidates(search, t)
-        assert [(j.id, s) for j, s in out] == [(j.id, s) for j, s in want]
+        assert [(search.jobs[r].id, s) for r, s in out] == [(j.id, s) for j, s in want]
         assert +added == counts
         seen["nodes"] += 1
-        seen["interleave"] += search.interleave
+        seen["two tags"] += any(
+            len({j.tag for j in search.jobs[a : a + n]}) > 1
+            for a, n in zip(search.first, search.cls_n)
+        )
         seen["equations"] += search.equations
         return out
 
@@ -832,7 +835,7 @@ def test_family_scan_matches_the_per_job_scan(monkeypatch):
             for contiguous in (False, True):
                 decide_target(inst, target, contiguous, budget=budget, rules=rules)
     assert seen["nodes"] > 10_000
-    assert seen["interleave"] and seen["equations"]
+    assert seen["two tags"] and seen["equations"]
 
 
 @pytest.mark.parametrize("contiguous", [False, True], ids=["plain", "contiguous"])
@@ -849,12 +852,13 @@ def test_the_key_forgets_which_job_runs(contiguous):
     keys, running = [], []
     for first, second in (("J", "K"), ("K", "J")):
         search = solver._Search(inst, 5, contiguous, PruneRules(), 1)
-        search._place(inst.by_id["L"], (1, 2, 3), 0)
-        search._place(inst.by_id[first], (0,), 0)
-        search._place(inst.by_id[second], (0,), inst.by_id[first].p)
+        rank = {j.id: r for r, j in enumerate(search.jobs)}
+        search._place(rank["L"], (1, 2, 3), 0)
+        search._place(rank[first], (0,), 0)
+        search._place(rank[second], (0,), inst.by_id[first].p)
         assert search.cells == [5, 4, 4, 4]
         keys.append(search._key(search.cells, search.rem_mask))
-        running.append(search.path[-1][0].tag)
+        running.append(search.jobs[search.path[-1][0]].tag)
     assert running == ["K", "J"]
     assert keys[0] == keys[1]
 
@@ -991,16 +995,19 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
         search = solver._Search(inst, target, contiguous, PruneRules(), 1)
         for t, cands in _random_walk(search, rng, 300):
             free = path_free_times(search)
-            offered = {j.id for j, _ in cands}
-            starts = {j.id: start for j, _, start, *_ in search.path}
+            jobs = search.jobs
+            offered = {jobs[r].id for r, _ in cands}
+            starts = {jobs[r].id: start for r, _, start, *_ in search.path}
+            # the first unplaced member of each class that has one
+            classes = zip(search.first, search.cls_n, search.taken)
+            heads = [a + k for a, n, k in classes if k < n]
             values = {j.id: j.p for j in inst.tagged("P") if j.id not in starts}
             for k, (lo, hi) in enumerate(gaps, 1):
                 g = gamma[k]
                 if t == lo and g.id not in starts:
                     assert g.id in offered
-                for js, n in zip(search.members, search.taken):
-                    job = js[n] if n < len(js) else None
-                    if job is None or job.tag != "P" or job.id in offered:
+                for job in map(jobs.__getitem__, heads):
+                    if job.tag != "P" or job.id in offered:
                         continue
                     if not lo <= t or t + job.p > hi:
                         continue
@@ -1016,9 +1023,9 @@ def test_the_gap_rest_cut_rejects_only_rests_no_values_fill(contiguous):
             if rng.random() < 0.05:
                 idle = [m for m, end in enumerate(free) if end == t]
                 cands += [
-                    (js[n], tuple(sorted(rng.sample(idle, js[n].q))))
-                    for js, n in zip(search.members, search.taken)
-                    if n < len(js) and js[n].q <= len(idle) and js[n].p <= target - t
+                    (r, tuple(sorted(rng.sample(idle, jobs[r].q))))
+                    for r in heads
+                    if jobs[r].q <= len(idle) and jobs[r].p <= target - t
                 ][:1]
     assert cuts > 100
 
@@ -1044,14 +1051,13 @@ def test_the_count_chains_hold_where_a_pinned_family_asks():
             rules = PruneRules(symmetry=symmetry)
             search = solver._Search(inst, inst.W, contiguous, rules, 1)
             for t, cands in _random_walk(search, rng, 300):
+                placed = [(search.jobs[r], s) for r, _, s, *_ in search.path]
                 pinned = [
-                    ((j.tag, s), j.p)
-                    for j, _, s, *_ in search.path
-                    if j.tag not in ("gamma", "P")
+                    ((j.tag, s), j.p) for j, s in placed if j.tag not in ("gamma", "P")
                 ]
                 assert len(dict(pinned)) == len(pinned)
                 assert all(canonical.get(slot) == p for slot, p in pinned)
-                asking = {j.tag for j, _ in cands} & set(CHECKPOINT_TAGS)
+                asking = {search.jobs[r].tag for r, _ in cands} & set(CHECKPOINT_TAGS)
                 if not asking:
                     continue
                 fin = Counter(tag for (tag, s), p in pinned if s + p <= t)
@@ -1166,10 +1172,10 @@ def test_gamma_windows_are_disjoint_and_each_gamma_is_its_own_class(z):
             s: (c, kth)
             for s, forced in search.forced.items()
             for _, c, kth in forced
-            if search.members[c][0].tag == "gamma"
+            if search.jobs[search.first[c]].tag == "gamma"
         }
         assert sorted(at) == [lo for lo, _ in windows]
-        assert all(len(search.members[c]) == 1 for c, _ in at.values())
+        assert all(search.cls_n[c] == 1 for c, _ in at.values())
 
 
 def _patched_columns(change):
@@ -1267,6 +1273,18 @@ def test_the_gap_rest_premises_are_checked(monkeypatch, name, patch, message):
     monkeypatch.setattr(reduction, name, patch(getattr(reduction, name)))
     with pytest.raises(RuntimeError, match=message):
         solver._Search(inst, target, False, PruneRules(), 1)
+
+
+def test_two_tags_on_one_shape_are_refused():
+    # The symmetry rule keys a class by (p, q), so under the equation
+    # tables a class lies inside one (q, tag) family only while each (p, q)
+    # has one tag.  An extra beta job of slot 0, which no start column
+    # reads, as long and as wide as alpha_1, breaks only that premise.
+    inst = build_jobs(gen_yes(3, 0)[0])
+    alpha = inst.tagged("alpha")[0]
+    extra = Job("beta_0", alpha.p, alpha.q, "beta", 0)
+    with pytest.raises(RuntimeError, match=r"not one tag per \(p, q\)$"):
+        reduction.forward_geometry(replace(inst, jobs=(*inst.jobs, extra)))
 
 
 UNDO_CASES = {
@@ -1548,6 +1566,35 @@ def test_decide_target_agrees_with_optimize_small():
         seen[decision.outcome] += 1
     assert seen["witness"] and seen["proved-none"]
     # the symmetry rule actually fired somewhere in the set
+    assert seen["symmetry"]
+
+
+def test_decide_target_agrees_with_the_optima_when_tags_share_a_shape():
+    # The symmetry rule keys a class by (p, q) alone, so identical jobs of
+    # two tags form one class.  No rule but the equation tables reads a
+    # tag, and they run only on recognised reductions, so every answer
+    # still matches the brute-force optimum, plain and contiguous, under
+    # the default rules and with the symmetry rule off.
+    rng = random.Random("solver-differential-two-tags")
+    seen = Counter()
+    for trial in range(100):
+        inst, target = random_balanced(rng, digits=trial % 2 == 0)
+        jobs = tuple(replace(j, tag=rng.choice("JK")) for j in inst.jobs)
+        inst = replace(inst, jobs=jobs)
+        shapes = {(j.p, j.q, j.tag) for j in jobs}
+        seen["shared"] += len({(p, q) for p, q, _ in shapes}) < len(shapes)
+        optima = {
+            False: optimize_small(jobs)[0],
+            True: contiguous_optimum(jobs, cap=target),
+        }
+        for rules in (PruneRules(), PruneRules(symmetry=False)):
+            for contiguous, opt in optima.items():
+                decision = decide_target(inst, target, contiguous, rules=rules)
+                assert decision.outcome in ("witness", "proved-none"), trial
+                assert (decision.outcome == "witness") == (opt == target), trial
+                seen[decision.outcome] += 1
+                seen.update(decision.prunes.keys())
+    assert seen["shared"] and seen["witness"] and seen["proved-none"]
     assert seen["symmetry"]
 
 

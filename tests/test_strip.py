@@ -18,8 +18,6 @@ from gadgetforge.strip import (
 from gadgetforge.synthesis import build_packing
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
-from conftest import make_canonical_z1
-
 INST_D33 = ThreePartitionInstance((10, 11, 12))
 
 

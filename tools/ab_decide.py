@@ -51,6 +51,14 @@ cold time is each side's minimum over those three rounds, printed with
 its ratio beside the warm one, and the total row's cold columns sum
 them.  A slower first decision thus shows in the cold columns and not in
 the warm minima.
+
+Each corpus prints a second total row, warm and cold, "total without
+probe", that leaves out the equations-off probe `yes(1,5)/equations-off`.
+The probe decides a reduction with the equation tables off, so it derives
+no reduction fact (no forward geometry, no forced-start index), and it is
+about 44 of the 64 to 72 ms of the decide-exhaust total: a change to the
+cold path of the other ops, or to the equation tables, moves the total
+little and this row much more.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 CORPORA = ("decide-witness", "decide-exhaust")
+# the op the second total row leaves out: it derives no reduction fact
+PROBE = "yes(1,5)/equations-off"
 CARVES = 25
 YES_CASES = ((1, 0), (1, 5), (2, 1), (3, 2), (6, 0), (10, 3))
 NO_CASES = ((2, 0), (2, 3))
@@ -299,11 +309,13 @@ def main(argv=None) -> None:
             warm = _columns(best["old"][label], best["new"][label], ".2f")
             first = _columns(cold["old"][label], cold["new"][label], ".2f")
             print(f"  {label:<28}{warm}  {first}")
-        warm, first = (
-            _columns(sum(times["old"].values()), sum(times["new"].values()), ".1f")
-            for times in (best, cold)
-        )
-        print(f"  {'total':<28}{warm}  {first}")
+        without = [label for label in labels if label != PROBE]
+        for name, kept in (("total", labels), ("total without probe", without)):
+            warm, first = (
+                _columns(*(sum(times[side][k] for k in kept) for side in libs), ".1f")
+                for times in (best, cold)
+            )
+            print(f"  {name:<28}{warm}  {first}")
 
 
 if __name__ == "__main__":
