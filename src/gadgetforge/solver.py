@@ -97,10 +97,13 @@ order, so a placed job is never visited again.  At a node:
   are the equations prunes, counted once per node as the first members
   that fit less the offered ones (without the rule every class that fits
   offers);
-* a family lists its candidates in rank order, as its classes are runs of
-  ranks in its live list's order, and scanned families come widest first,
-  so the candidates are sorted only to merge the offers of several
-  families under the equation tables;
+* the candidates come in rank order with no sort: a family lists its
+  candidates in rank order, as its classes are runs of ranks in its live
+  list's order, and scanned families come widest first.  Under the
+  equation tables the forced jobs are offered only at forced starts, in
+  the rank order of `_Plan.forced`, and the values never are (see "Forced
+  runs", whose first bullet holds in every mode), so no node merges the
+  offers of the two;
 * a job's machine sets hold the lowest idle machine, and no machine below
   it is idle, so a contiguous set is the q lowest idle machines when they
   form an interval and there is none otherwise; with the symmetry rule the
@@ -194,13 +197,13 @@ rested on the chains: dropping a sound cut can only add nodes.
 
 Forced runs.  In plain mode under the symmetry rule and the equation
 tables, a search lists no candidates at a forced start: whenever the
-earliest free instant t is one, it places each forced job the rules offer
-at t on the lowest idle machines, in rank order (`_Plan.forced` keeps each
+earliest free instant t is one, it places every job of `_Plan.forced[t]`
+on the lowest idle machines, in rank order (`_Plan.forced` keeps each
 start's jobs so), then does the same at the next earliest free instant
 while it is a forced start (`_Search._run`).  This run opens no frame,
-lists no candidates and reads or records no key, and the placements of a
-run are taken back together with the choice that led to it.  It loses
-nothing:
+lists no candidates, tests no job and reads or records no key, and the
+placements of a run are taken back together with the choice that led to
+it.  It loses nothing, and it always fills its start:
 
 * At a forced start the value family offers nothing.  No pinned start lies
   strictly inside a gap (checked with the forward geometry), so either no
@@ -209,29 +212,37 @@ nothing:
   lo_k the rest is 0 while gamma_k is unplaced, and hi_k - lo_k =
   D + |gamma_k| once it is placed, so a value would need 2p >= rest > D,
   while every value is shorter than D/2.
-* So every child at t is a forced job at t.  Whether one is offered reads
-  its width against the idle machines, the room T - t and its class's
-  placed count; no two jobs at t share a class (a family's forced starts
-  are pairwise distinct), so placing one changes only the idle machines
-  the others may take.
-* A forced start holds exactly its job: the k-th member of a class is
-  offered only at the class's k-th start, so a job left out at t leaves
-  its class unfinished for good.  Machines idle at t are interchangeable
-  in plain mode, and widths are only counted.  So either every order in
-  which the children place the jobs at t fills t, and all of them reach
-  one state up to a relabelling of those machines, or none does and the
-  subtree holds no witness.  As deadness is invariant under relabelling
-  (see "Dead states"), the first order, which takes the jobs in rank
-  order, each on the lowest idle machines, stands for every order, and
-  the first witness the search finds is the one it finds with a frame at
-  every forced start.
+* So every child at t is a forced job at t, and every job of
+  `_Plan.forced[t]` is one.  The proof of "No count chains" reads only
+  that t is a forced start and the earliest free instant, so every forced
+  start below t is taken by a job that ends where the canonical job there
+  does.  A gamma or value job placed before t lies in a gap that ends by
+  t, as gap k's jobs start at lo_k or later and t lies strictly inside no
+  gap.  So as many machines are busy over t as the canonical jobs running
+  over t hold, and the idle ones number the widths of the canonical jobs
+  that start at t, the canonical schedule having no idle.  Those are the
+  jobs of `_Plan.forced[t]`, as no value starts at a forced start.  Each
+  class there has one placed member per start of it below t, which is k,
+  and each job ends where its canonical one does, by W, the target.  So
+  every job at t is offered, and placing them all, in any order, fills t
+  exactly: no two share a class (a family's forced starts are pairwise
+  distinct), so placing one changes only the idle machines the others
+  may take, and their widths sum to the idle count.
+* Machines idle at t are interchangeable in plain mode, and widths are
+  only counted.  So every order in which the children place the jobs at
+  t reaches one state up to a relabelling of those machines.  As deadness
+  is invariant under relabelling (see "Dead states"), the first order,
+  which takes the jobs in rank order, each on the lowest idle machines,
+  stands for every order, and the first witness the search finds is the
+  one it finds with a frame at every forced start.
 
-The run at 0 comes before the root frame, whose candidates are those of
-the first value choice.  Every frame thus opens at a value choice and
-keeps the key of the choice, read before the choice's job is placed.
-When the frame runs out, or the run that follows the choice reaches a
-forced start it cannot fill, that key is recorded as dead: the run is
-forced by the choice.  Each placement of a run is still a node and counts
+A start that a run leaves unfilled would break these premises, so `_run`
+raises RuntimeError there rather than search on from it.  The run at 0
+comes before the root frame, whose candidates are those of the first
+value choice.  Every frame thus opens at a value choice and keeps the key
+of the choice, read before the choice's job is placed.  When the frame
+runs out, that key is recorded as dead: the run that follows the choice
+is forced by it.  Each placement of a run is still a node and counts
 against its root branch's budget; the run at 0 belongs to no branch.  In
 contiguous mode the order of the jobs at t decides which of them holds
 the lowest idle machine, so the orders reach different states; with the
@@ -240,18 +251,17 @@ equation tables no start is forced.  These searches keep a frame at every
 placement.
 
 Dead states.  One set per decision holds the key of each state whose
-frame of candidates ran out, or whose forced run could not fill a forced
-start: its subtree held no witness.  Nothing is recorded for the frames a
-budget hit abandons or on the path to a witness, since those frames never
-run out, nor for the root, after which the search ends.  A child's key is
-read before the child is placed, off the parent's cells with the job's
-machines set to its end and the remaining set without the job: a child
-that reaches a recorded key is counted as a node and tallied as a
-``dead-state`` prune, and never placed.  The states a forced run passes
-through carry no key (see "Forced runs"): they are neither looked up nor
-recorded, which only loses prunes.  The key is one int
-packing the remaining-job bitmask and one cell per machine, its free time
-(`_Search._key`).  Plain searches sort the cells; contiguous searches take
+frame of candidates ran out: its subtree held no witness.  Nothing is
+recorded for the frames a budget hit abandons or on the path to a
+witness, since those frames never run out, nor for the root, after which
+the search ends.  A child's key is read before the child is placed, off
+the parent's cells with the job's machines set to its end and the
+remaining set without the job: a child that reaches a recorded key is
+counted as a node and tallied as a ``dead-state`` prune, and never
+placed.  The states a forced run passes through carry no key (see
+"Forced runs"): they are neither looked up nor recorded, which only loses
+prunes.  The key is one int packing the remaining-job bitmask and one
+cell per machine, its free time (`_Search._key`).  Plain searches sort the cells; contiguous searches take
 the smaller of the cell list and its reflection k <-> m+1-k.  The table
 stops growing at `DEAD_STATE_CAP` entries, which only loses prunes.  Why an
 equal key means an equal verdict:
@@ -622,7 +632,7 @@ class _Search:
         taken, first, cls_n, cls_p = self.taken, self.first, self.cls_n, self.cls_p
         # every unplaced job wider than the idle machines is a no-fit
         no_fit = sum(self.left[width + 1 :])
-        firsts = offered = emitters = 0
+        firsts = offered = 0
         out = []
         add = out.append
         if self.equations:
@@ -641,7 +651,6 @@ class _Search:
             for q, c, kth in self.forced.get(t, ()):
                 if q <= width and taken[c] == kth and cls_p[c] <= room:
                     offered += 1
-                    emitters += 1
                     r = first[c] + kth
                     for subset in self.subsets(avail, q):
                         add((r, subset))
@@ -690,14 +699,11 @@ class _Search:
                 if not offer:
                     continue
             offered += len(offer)
-            emitters += 1
             subsets = self.subsets(avail, q)
             for c in offer:
                 r = first[c] + taken[c]
                 for subset in subsets:
                     add((r, subset))
-        if emitters > 1 and self.equations:
-            out.sort()
         # every other unplaced job trails a first member of its class, and
         # every first member that fits and no rule offered is an equations
         # prune
@@ -781,31 +787,30 @@ class _Search:
 
     def _run(self, t: int, most: int) -> tuple[int | None, int]:
         """The forced run from t, the earliest free instant and a forced
-        start: each forced job the rules offer at t is placed on the lowest
-        idle machines, in the rank order of `_Plan.forced`, and so again at
-        the next earliest free instant while it is a forced start; see
-        "Forced runs" in the module docstring.  At most `most` jobs are
-        placed.  Returns the earliest free instant reached, None at a forced
-        start the run cannot fill or where a job past `most` was due, and
-        the nodes taken: one per job placed, and one for the job past
-        `most`, which is not placed."""
-        cells, machines, room = self.cells, self.machines, self.target - t
-        forced, taken, cls_p = self.forced, self.taken, self.cls_p
+        start: every job of `_Plan.forced[t]` is placed on the lowest idle
+        machines, in rank order, and so again at the next earliest free
+        instant while it is a forced start.  Each of those jobs is offered
+        at t and together they fill it (see "Forced runs" in the module
+        docstring), so nothing is tested per job.  At most `most` jobs are
+        placed.  Returns the earliest free instant reached, or None where a
+        job past `most` was due, and the nodes taken: one per job placed,
+        and one for the job past `most`, which is not placed.  A start left
+        unfilled breaks the premises of that argument and raises
+        RuntimeError, so no search goes on from it."""
+        cells, machines, forced = self.cells, self.machines, self.forced
         first, place = self.first, self._place
         nodes = 0
         while t in forced:
             idle = [m for m in machines if cells[m] == t]
             for q, c, kth in forced[t]:
-                if q <= len(idle) and taken[c] == kth and cls_p[c] <= room:
-                    nodes += 1
-                    if nodes > most:
-                        return None, nodes
-                    place(first[c] + kth, tuple(idle[:q]), t)
-                    del idle[:q]
+                nodes += 1
+                if nodes > most:
+                    return None, nodes
+                place(first[c] + kth, tuple(idle[:q]), t)
+                del idle[:q]
             if idle:
-                return None, nodes
+                raise RuntimeError("a forced run left idle machines at a forced start")
             t = min(cells)
-            room = self.target - t
         return t, nodes
 
     def search(self) -> Schedule | None:
@@ -820,11 +825,13 @@ class _Search:
         is placed.  A child whose key is a recorded dead state is tallied
         and never placed.  Any other is placed, and so is its forced run,
         where one applies (plain mode under the symmetry rule and the
-        equation tables; see "Forced runs"), one node per job; then a frame
-        of the candidates at the state reached opens and keeps the child's
-        key.  A frame that runs out, or a run that reaches a forced start
-        it cannot fill, records that key as dead and takes the child back
-        with its run.  The run at 0 comes before the root frame, whose
+        equation tables; see "Forced runs"), one node per job.  Then
+        either a frame of the candidates at the state reached opens and
+        keeps the child's key, or the earliest free instant is the target
+        and the schedule is complete: m * target work is placed with no
+        idle, which is the total work, so every job is.  A frame that runs
+        out records its key as dead and takes its child back with the
+        child's run.  The run at 0 comes before the root frame, whose
         candidates open the root branches: each may place at most `budget`
         jobs, itself and its runs included.  The node past that sets
         `starved`, and the branch is abandoned, its frames and placements
@@ -833,7 +840,7 @@ class _Search:
 
         The loop keeps what it reads at every node in locals and writes
         the node and dead-state counts back when it returns."""
-        target, dead, budget, n = self.target, self.dead, self.budget, self.n
+        target, dead, budget = self.target, self.dead, self.budget
         path, cells, rec, forced = self.path, self.cells, self.rec, self.forced
         place, unplace = self._place, self._unplace
         candidates, key_of, run = self._candidates, self._key, self._run
@@ -841,13 +848,11 @@ class _Search:
         runs = self.equations and self.rules.symmetry and not self.contiguous
         hits = 0
         # The run at 0 belongs to no root branch, so no budget binds it.  It
-        # never completes the schedule, as no value job is forced; where it
-        # cannot fill a forced start, no target schedule exists and the
-        # root frame is empty.
-        t, nodes = run(0, n) if runs and 0 in forced else (0, 0)
+        # never completes the schedule, as no value job is forced.
+        t, nodes = run(0, self.n) if runs and 0 in forced else (0, 0)
         root = len(path)
         # the root frame's candidates, each of which opens a root branch
-        branches = iter(candidates(t) if t is not None else ())
+        branches = iter(candidates(t))
         frames = [(t, branches, None, root)]
         while True:
             t, pending, key, base = frames[-1]
@@ -887,17 +892,11 @@ class _Search:
                 if nodes > limit:
                     self._abandon(frames, root)
                     continue
-            if t is not None and t < target:
+            if t < target:
                 frames.append((t, iter(candidates(t)), key, base))
-            elif len(path) == n:
+            else:
                 self.nodes, self.pruned_dead = nodes, hits
                 return self._snapshot()
-            else:
-                while len(path) > base:
-                    unplace()
-                # a run that cannot fill a forced start
-                if t is None and dead is not None and len(dead) < DEAD_STATE_CAP:
-                    dead.add(key)
         while path:
             unplace()
         self.nodes, self.pruned_dead = nodes, hits
@@ -995,6 +994,9 @@ def decide_target(
     nodes, prunes = search.nodes, search.prunes()
 
     if witness is not None:
+        # a fault, not a verdict on the input, so checked before `verify`
+        placed = len(witness.starts) == len(inst.jobs)
+        require("the schedule found", (placed, "every job placed"))
         report = verify(inst, witness)
         require(
             "the schedule found",

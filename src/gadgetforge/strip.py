@@ -176,6 +176,11 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
 
     The sweep leaves the packing feasible, as every later item settles at or
     past every earlier one it overlaps, so the next sweep may rely on it.
+
+    Every coordinate a sweep assigns is a skyline level: 0, or a level plus
+    an item's integer width or height.  The loop makes at least one down
+    sweep and one left sweep, so every x and y it returns is an int, for
+    Fraction inputs too, and no conversion follows.
     """
     report = verify_packing(strip, packing)
     if not report.feasible:
@@ -222,13 +227,6 @@ def normalize(strip: SchedulingInstance, packing: Packing) -> Packing:
         if not dropped and not slid:
             break
 
-    pos = {
-        k: (
-            int(x) if x == int(x) else x,
-            int(y) if y == int(y) else y,
-        )
-        for k, (x, y) in pos.items()
-    }
     result = Packing(positions=pos)
     after = verify_packing(strip, result)
     require(

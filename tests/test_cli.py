@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,17 +173,20 @@ def _run_edited(workspace, tmp_path, name, keys, bad):
         ("pack.json", ("positions", "P_1", 0), lambda v: "1/0", "positive denominator"),
         ("inst.json", ("jobs", 0, "p"), lambda v: float(v) + 0.5, "a length p"),
         ("strip.json", ("items", 0, "h"), lambda v: v + 0.5, "a height h"),
+        ("inst.json", ("W",), lambda v: "9" * (sys.get_int_max_str_digits() + 1),
+         "W must be an integer"),
     ],
     ids=[
         "instance-float-value", "instance-bool-z", "schedule-float-start",
         "schedule-float-machine", "packing-float-y", "packing-zero-denominator",
-        "jobs-float-p", "strip-float-h",
+        "jobs-float-p", "strip-float-h", "jobs-W-past-the-int-limit",
     ],
 )
 def test_loaders_reject_inexact_numbers(workspace, tmp_path, name, keys, bad, what):
     """A number no loader can read exactly (a float, a boolean, a fraction
-    over zero) is refused with exit 2, never truncated into a different,
-    valid-looking input or left to raise."""
+    over zero, more digits than `int` converts) is refused with exit 2,
+    never truncated into a different, valid-looking input or left to
+    raise."""
     result = _run_edited(workspace, tmp_path, name, keys, bad)
     assert result.exit_code == 2
     assert result.stdout == ""

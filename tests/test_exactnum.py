@@ -5,6 +5,8 @@ The frozen vectors below were derived by hand from the job-value formulas
 implementation.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,14 +116,19 @@ def test_parse_int_reads_ints_and_ascii_decimal_strings(token, value):
 @pytest.mark.parametrize(
     "token",
     ["1_0", " 7\n", "7 ", "\u0661\u0662", "\uff11", "\u00b2", "+5", "--1", "-",
-     "", "1.0", "1e3", "0x1f", True, 1.0, None],
+     "", "1.0", "1e3", "0x1f", True, 1.0, None,
+     "9" * (sys.get_int_max_str_digits() + 1),
+     "-" + "9" * (sys.get_int_max_str_digits() + 1)],
     ids=["underscore", "whitespace", "trailing-space", "arabic-indic",
          "fullwidth", "superscript", "plus", "double-minus", "bare-minus",
-         "empty", "decimal-point", "exponent", "hex", "bool", "float", "null"],
+         "empty", "decimal-point", "exponent", "hex", "bool", "float", "null",
+         "past-the-int-limit", "negative-past-the-int-limit"],
 )
 def test_parse_int_rejects_every_other_form(token):
-    """Only what the canonical form writes, an int or ASCII `-?[0-9]+`, is
-    read: `int` would also take "1_0", " 7\n" or Arabic-Indic digits."""
+    """Only what the canonical form writes, an int or ASCII `-?[0-9]+` that
+    `int` converts, is read: `int` would also take "1_0", " 7\n" or
+    Arabic-Indic digits, and it refuses more digits than its conversion
+    limit with a ValueError, which is invalid input here."""
     with pytest.raises(InvalidInput, match="n must be an integer"):
         parse_int(token, "n")
 

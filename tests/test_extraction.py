@@ -166,6 +166,99 @@ def test_refutation_after_mirroring_a_start_below_zero():
     assert {"stage": "orient", "event": "mirror"} in exc.value.events
 
 
+# ===== one forged schedule per lemma =====
+
+# gen_yes(1, 0)'s synthesized schedule runs its separators B_0 on {2, 3, 4}
+# from 0, A_0 on {1, 2, 3}, B_1 on {2, 3, 4} and A_1 on {1, 2, 3}, which
+# ends at W; each forgery below changes the starts and machine sets it
+# lists, given the synthesized starts s, the lengths p and D
+ORIENTED = [{"stage": "normalize", "event": "ok"}, {"stage": "orient", "event": "ok"}]
+ALTERNATING = [*ORIENTED, {"stage": "alternation", "event": "ok"}]
+LEMMA_FORGERIES = {
+    # a separator on two machines
+    "rigid-width": (
+        lambda s, p, D: ({}, {"B_1": {2, 4}}),
+        ("normalize", "rigid-width", "B_1 occupies [2, 4]"),
+        [],
+    ),
+    # B_0 ends at 0 on both side machines, so the walk's swap from 0 leaves
+    # it there, and A_0 misses a middle machine after it
+    "separator-spread": (
+        lambda s, p, D: ({"B_0": -p["B_0"]}, {"B_0": {1, 2, 4}, "A_0": {1, 3, 4}}),
+        ("normalize", "separator-spread", "B_0 lost its side machine"),
+        [{"stage": "normalize", "event": "swap", "t": "0", "machines": [1, 3]}],
+    ),
+    # A_0 misses a middle machine and starts while B_0 runs
+    "separator-overlap": (
+        lambda s, p, D: ({"A_0": 1}, {"A_0": {1, 2, 4}}),
+        ("normalize", "separator-overlap", "B_0 and A_0 run concurrently"),
+        [],
+    ),
+    # A_0 starts where c_0 does, long before the opening cap ends
+    "separator-counts/opening": (
+        lambda s, p, D: ({"A_0": s["c_0"], "c_0": s["A_0"]}, {}),
+        ("alternation", "separator-counts", "A_0: opening cap count 0 != 1"),
+        ORIENTED,
+    ),
+    # A_0 and A_1 overlap, with B_1 starting between them
+    "separator-counts/own": (
+        lambda s, p, D: ({"A_0": s["B_1"] - 1, "A_1": s["B_1"] + 1}, {}),
+        ("alternation", "separator-counts", "A_1: own rank != 1"),
+        ORIENTED,
+    ),
+    # A_1 starts while B_1 runs
+    "separator-counts/opposite": (
+        lambda s, p, D: ({"A_1": s["B_1"] + 1}, {}),
+        ("alternation", "separator-counts", "A_1: opposite rank != 2"),
+        ORIENTED,
+    ),
+    # B_1 starts while A_0 runs
+    "separator-counts/late": (
+        lambda s, p, D: ({"A_0": s["B_1"] - 1}, {}),
+        ("alternation", "separator-counts", "B_1: rank != 1"),
+        ORIENTED,
+    ),
+    # the closing cap runs from 0 and ends before B_1
+    "trailing-cap": (
+        lambda s, p, D: ({"lambda2": 0}, {}),
+        ("count-equations", "trailing-cap", "closing cap finishes before B_1"),
+        ALTERNATING,
+    ),
+    # c_1 starts inside the gap, where P_1 did, and P_1 after B_1
+    "filler-fit": (
+        lambda s, p, D: ({"c_1": s["P_1"], "P_1": s["c_1"]}, {}),
+        ("filler-fit", "filler-fit", "0 fillers start at {B_1 end} after B_1"),
+        ALTERNATING,
+    ),
+    # gamma_1 starts D before the end of a_1, which opens its window
+    "narrow-window": (
+        lambda s, p, D: ({"gamma_1": s["gamma_1"] - D}, {}),
+        ("gap-readout", "narrow-window", "gamma_1 is outside the window after a_1"),
+        [*ALTERNATING, {"stage": "pair-columns", "event": "ok"}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LEMMA_FORGERIES))
+def test_each_lemma_refutes_its_forgery(case):
+    forge, (stage, lemma, detail), events = LEMMA_FORGERIES[case]
+    inst3p, witness = gen_yes(1, 0)
+    inst = build_jobs(inst3p)
+    sched = build_schedule(inst, witness)
+    s, p = sched.starts, {j.id: j.p for j in inst.jobs}
+    starts, machines = forge(s, p, inst.D)
+    forged = Schedule(
+        starts={**s, **starts},
+        machines={**sched.machines, **{i: frozenset(ms) for i, ms in machines.items()}},
+    )
+    assert verify(inst, forged).makespan == inst.W
+    with pytest.raises(RefutationCertificate) as exc:
+        extract_partition(inst3p, inst, forged)
+    assert (exc.value.stage, exc.value.lemma) == (stage, lemma)
+    assert exc.value.detail == detail.format_map({"B_1 end": s["B_1"] + p["B_1"]})
+    assert list(exc.value.events) == events
+
+
 RESULT_CHECKS_UNDER_O = """
 import sys
 from gadgetforge import strip, synthesis

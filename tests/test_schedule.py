@@ -275,6 +275,13 @@ def test_swap_after_crossing_job_rejected(canonical_z1):
         swap_after(inst, sched, t, 1, 4)
 
 
+@pytest.mark.parametrize("machine", [0, 5], ids=["below", "above"])
+def test_swap_after_refuses_a_machine_outside_the_instance(canonical_z1, machine):
+    _, inst, sched = canonical_z1
+    with pytest.raises(InvalidInput, match=f"^machine {machine} out of 1..4$"):
+        swap_after(inst, sched, 0, 2, machine)
+
+
 def test_swap_after_refuses_a_job_no_instance_holds():
     # A job of length 0 at t would both end by t and start at t; swap_after
     # checks the jobs as verify does, so no swap has to decide which.

@@ -745,6 +745,25 @@ def test_a_later_root_branch_answers_after_a_cut_inside_a_run():
     assert witness.to_json() == free.schedule.to_json()
 
 
+@pytest.mark.parametrize("kept", [0, 1], ids=["B_0-kept", "lambda1-kept"])
+def test_a_run_that_leaves_its_start_unfilled_raises(kept):
+    # A run always fills its start (see "Forced runs"), so `_run` tests no
+    # job; a forced-start index that breaks that premise, with one of the
+    # two jobs at 0 left out, raises at that start, where the one kept job
+    # is all that is placed, rather than place the start's jobs again.
+    inst, target = _at_w(gen_yes(2, 0)[0])
+    search = solver._Search(inst, target, False, PruneRules(), 10**6)
+    # a copy: the plan's index is shared by every search of the instance
+    forced = dict(search.forced)
+    assert len(forced[0]) == 2
+    forced[0] = forced[0][kept : kept + 1]
+    search.forced = forced
+    with pytest.raises(RuntimeError, match="idle machines at a forced start"):
+        search.search()
+    assert [r for r, *_ in search.path] == [search.first[forced[0][0][1]]]
+    assert decide_target(inst, target).outcome == "witness"
+
+
 def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
     # a case where the table cuts in both modes: with forced runs a plain
     # search of gen_no(2, 3) takes 11 nodes with or without it
@@ -1416,6 +1435,26 @@ def test_a_witness_that_fails_verification_is_never_returned(call):
         capture_output=True, text=True, check=True, env=env,
     )
     assert result.stdout.strip() == REVERIFY_ERRORS[call]
+
+
+def test_a_witness_short_of_a_job_is_a_fault(monkeypatch):
+    # A search completes its schedule when the earliest free instant
+    # reaches the target.  A witness without every job would be refused by
+    # `verify` as invalid input, so `decide_target` checks the count first,
+    # and the fault stays a fault.
+    inst, target = _at_w(gen_yes(1, 0)[0])
+    full = decide_target(inst, target).schedule
+    dropped = next(iter(full.starts))
+    short = Schedule(
+        starts={j: s for j, s in full.starts.items() if j != dropped},
+        machines={j: ms for j, ms in full.machines.items() if j != dropped},
+    )
+    with pytest.raises(InvalidInput):
+        verify(inst, short)
+    monkeypatch.setattr(solver._Search, "search", lambda search: short)
+    with pytest.raises(RuntimeError, match="^the schedule found fails re-verification: "
+                       "not every job placed$"):
+        decide_target(inst, target)
 
 
 def test_no_instance_at_z3_is_proved_none_plain():

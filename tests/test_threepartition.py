@@ -90,11 +90,37 @@ def test_bad_count_violation():
     assert validate(ThreePartitionInstance(()))
 
 
+@pytest.mark.parametrize("bad", [11.0, True, "11"], ids=["float", "bool", "string"])
+def test_a_value_that_is_no_int_is_a_violation(bad):
+    # checked before the sum, which a bool or a float would pass
+    assert validate(ThreePartitionInstance((10, bad, 12))) == [
+        f"value #2 = {bad!r} is not a positive integer"
+    ]
+
+
 def test_partition_validation():
     inst = ThreePartitionInstance((10, 11, 12))
     assert validate_partition(inst, ((1, 2, 3),)) == []
     assert validate_partition(inst, ((1, 2, 2),))
     assert validate_partition(inst, ())
+
+
+def test_an_index_in_two_sets_is_refused():
+    # both sets sum to D = 100, so the reuse is the only violation
+    inst = ThreePartitionInstance((30, 30, 40, 27, 33, 40))
+    assert validate_partition(inst, ((1, 2, 3), (3, 4, 5))) == [
+        "set (3, 4, 5) reuses an index"
+    ]
+
+
+def test_a_set_that_repeats_an_index_leaves_one_uncovered():
+    # (1, 1, 3) sums to D = 100 with value #1 twice and reuses no index of
+    # another set: only the cover check sees that #2 is in no set
+    inst = ThreePartitionInstance((30, 30, 40, 33, 33, 34))
+    assert validate(inst) == []
+    assert validate_partition(inst, ((1, 1, 3), (4, 5, 6))) == [
+        "sets do not cover every index"
+    ]
 
 
 # ===== scaling =====

@@ -38,19 +38,25 @@ Only the `decide_target` call of an op is timed, and a full garbage
 collection runs before every op, outside the timer, so that neither side
 is timed collecting garbage the other left.  Each round runs every op once
 on each side, and the side that goes first alternates from op to op and
-from round to round.  Every op must give a byte-identical
+from one pair of rounds to the next.  Every op must give a byte-identical
 `Decision.to_dict()` on both sides, in every round, or agree by the rule
 above under `--outcomes`.  The script prints, per op and per corpus, the
 minimum decide time of each side over the rounds and the ratio NEW/OLD of
 those minima; a corpus total is the sum of its per-op minima.  Beside
-each, the cold columns time first decisions: the first three rounds (at
-least three are run) each build the corpus anew, so each of their
-decisions is the first on its instance object, where what an instance
-works out once and keeps, such as the solver's plans, is built.  An op's
-cold time is each side's minimum over those three rounds, printed with
-its ratio beside the warm one, and the total row's cold columns sum
-them.  A slower first decision thus shows in the cold columns and not in
-the warm minima.
+each, the cold columns time first decisions: every other round, from the
+first, builds the corpus anew, so each of its decisions is the first on
+its instance object, where what an instance works out once and keeps,
+such as the solver's plans, is built; the round after it decides the
+same objects warm.  At least five rounds are run, so at least three are
+cold.  An op's cold time is each side's minimum over the cold rounds,
+printed with its ratio beside the warm one, and the total row's cold
+columns sum them.  A slower first decision thus shows in the cold columns
+and not in the warm minima.  Each total row also prints the interquartile
+range of its per-round ratios, warm over the rounds that reuse their
+objects and cold over the cold rounds: each such round's time summed over
+the row's ops, NEW over OLD.  A range that covers 1.0 shows no difference
+this run can tell from noise; an A/A run (OLD and NEW the same checkout)
+shows how far from 1.0 a range strays on the host.
 
 Each corpus prints a second total row, warm and cold, "total without
 probe", that leaves out the equations-off probe `yes(1,5)/equations-off`.
@@ -74,6 +80,8 @@ from collections import Counter
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
+from statistics import quantiles
+from typing import Sequence
 
 HERE = Path(__file__).resolve().parent.parent
 CORPORA = ("decide-witness", "decide-exhaust")
@@ -84,8 +92,8 @@ YES_CASES = ((1, 0), (1, 5), (2, 1), (3, 2), (6, 0), (10, 3))
 NO_CASES = ((2, 0), (2, 3))
 TRAP_DS = (17, 33)
 BUDGETS = (1, 4, 30, 300)
-# the first rounds, each on instance objects of its own, that time cold
-# decisions
+# the fewest cold rounds a run makes: every other round, on instance
+# objects of its own, times cold decisions
 COLD_ROUNDS = 3
 
 
@@ -251,6 +259,16 @@ def _columns(old: float, new: float, digits: str) -> str:
     return f"{old * 1e3:>10{digits}}{new * 1e3:>10{digits}}{new / old:>9.3f}"
 
 
+def _spread(new: Sequence[float], old: Sequence[float]) -> str:
+    """The interquartile range of the per-round ratios NEW/OLD of two
+    sides' times, round by round, as "q1-q3", or "-" when there are none."""
+    ratios = [n / o for n, o in zip(new, old) if o]
+    if not ratios:
+        return "-"
+    q1, _, q3 = quantiles(ratios, n=4, method="inclusive") if ratios[1:] else ratios * 3
+    return f"{q1:.3f}-{q3:.3f}"
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -273,49 +291,56 @@ def main(argv=None) -> None:
         ops = {side: _ops(workloads, lib, corpus, args.seed) for side, lib in libs.items()}
         labels = sorted(ops["old"][0])
         assert labels == sorted(ops["new"][0])
-        best = {side: dict.fromkeys(labels, float("inf")) for side in libs}
-        cold = {side: dict.fromkeys(labels, float("inf")) for side in libs}
+        rounds = max(args.rounds, 2 * COLD_ROUNDS - 1)
+        # per side and op, its decide time in each round
+        times = {side: {label: [] for label in labels} for side in libs}
         verdicts = {}
-        rounds = max(args.rounds, COLD_ROUNDS)
         for r in range(rounds):
-            if 0 < r < COLD_ROUNDS:
+            if r % 2 == 0 and r:
                 # fresh instance objects, so this round's decisions are cold
                 ops = {
                     side: _ops(workloads, lib, corpus, args.seed)
                     for side, lib in libs.items()
                 }
             for k, label in enumerate(labels):
-                sides = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")
+                sides = ("old", "new") if (r // 2 + k) % 2 == 0 else ("new", "old")
                 seen = {}
                 for side in sides:
                     table, recorder = ops[side]
                     seconds, seen[side], budget = _run(table[label], recorder)
-                    best[side][label] = min(best[side][label], seconds)
-                    if r < COLD_ROUNDS:
-                        cold[side][label] = min(cold[side][label], seconds)
+                    times[side][label].append(seconds)
                 verdicts[label] = _verdict(
                     seen["old"], seen["new"], budget is None, args.outcomes
                 )
                 if verdicts[label] == "differ":
                     raise SystemExit(f"{corpus} {label}: the decisions differ")
+        # each side's minimum per op over every round, and over the cold ones
+        best = {side: {k: min(v) for k, v in ts.items()} for side, ts in times.items()}
+        cold = {side: {k: min(v[::2]) for k, v in ts.items()} for side, ts in times.items()}
         moved = Counter(verdicts.values())
         agree = ", ".join(f"{n} {verdict}" for verdict, n in sorted(moved.items()))
         print(f"{corpus}: {len(labels)} ops, {rounds} rounds, decisions {agree}")
         print(
-            f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}"
-            f"{'cold old':>12}{'cold new':>10}{'new/old':>9}"
+            f"  {'op':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}{'IQR':>13}"
+            f"{'cold old':>12}{'cold new':>10}{'new/old':>9}{'IQR':>13}"
         )
         for label in labels:
             warm = _columns(best["old"][label], best["new"][label], ".2f")
             first = _columns(cold["old"][label], cold["new"][label], ".2f")
-            print(f"  {label:<28}{warm}  {first}")
+            print(f"  {label:<28}{warm}{'':>13}  {first}")
         without = [label for label in labels if label != PROBE]
         for name, kept in (("total", labels), ("total without probe", without)):
-            warm, first = (
-                _columns(*(sum(times[side][k] for k in kept) for side in libs), ".1f")
-                for times in (best, cold)
-            )
-            print(f"  {name:<28}{warm}  {first}")
+            # per side, each round's time summed over the row's ops
+            summed = {
+                side: [sum(each) for each in zip(*(times[side][k] for k in kept))]
+                for side in libs
+            }
+            row = ""
+            for mins, parity in ((best, 1), (cold, 0)):
+                total = (sum(mins[side][k] for k in kept) for side in ("old", "new"))
+                spread = _spread(summed["new"][parity::2], summed["old"][parity::2])
+                row += f"{_columns(*total, '.1f')}{spread:>13}  "
+            print(f"  {name:<28}{row.rstrip()}")
 
 
 if __name__ == "__main__":

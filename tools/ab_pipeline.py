@@ -64,9 +64,8 @@ import json
 import time
 from collections import Counter
 from pathlib import Path
-from statistics import quantiles
 
-from ab_decide import HERE, _load
+from ab_decide import HERE, _load, _spread
 
 # machine k of the synthesized schedule becomes RELABEL[k]
 RELABEL = {1: 4, 2: 3, 3: 2, 4: 1}
@@ -245,18 +244,8 @@ def main(argv=None) -> None:
             for side in ("old", "new")
         )
         ratio = f"{new / old:>9.3f}" if old else f"{'-':>9}"
-        print(f"  {layer:<30}{old:>10.2f}{new:>10.2f}{ratio}{_spread(per_round, layer):>15}")
-
-
-def _spread(per_round, layer: str) -> str:
-    """The interquartile range of the layer's per-round NEW/OLD ratios, as
-    "q1-q3", or "-" when a side never ran the layer."""
-    pairs = zip(per_round["new"].get(layer, ()), per_round["old"].get(layer, ()))
-    ratios = [new / old for new, old in pairs if old]
-    if not ratios:
-        return "-"
-    q1, _, q3 = quantiles(ratios, n=4, method="inclusive") if ratios[1:] else ratios * 3
-    return f"{q1:.3f}-{q3:.3f}"
+        spread = _spread(*(per_round[side].get(layer, ()) for side in ("new", "old")))
+        print(f"  {layer:<30}{old:>10.2f}{new:>10.2f}{ratio}{spread:>15}")
 
 
 if __name__ == "__main__":
