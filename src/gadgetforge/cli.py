@@ -8,7 +8,8 @@ Exit codes:
     0   positive result (feasible, audit clean, witness found, partition out)
     1   negative decision (infeasible, violations, proved-none, refutation)
     2   invalid input (usage, malformed JSON, parameter violations, refusals)
-    3   budget exhausted before a decision
+    3   search budget exhausted before a decision (SearchBudgetExceeded,
+        or a `decide` outcome of budget-exceeded)
     70  internal error: a fault of the program, never of the input
         (sysexits EX_SOFTWARE)
 
@@ -30,7 +31,6 @@ import click
 from .exactnum import InvalidInput, dump_json, parse_int
 from .threepartition import (
     DEFAULT_BUDGET,
-    GenerationFailed,
     SearchBudgetExceeded,
     ThreePartitionInstance,
     gen_no,
@@ -70,7 +70,8 @@ def _fail(code: int, message: str) -> None:
 
 def _guard(fn):
     """Map library exceptions onto the exit-code table: a refused input
-    (`InvalidInput`) exits 2, a spent budget 3, and any other exception,
+    (`InvalidInput`) exits 2, a spent search budget
+    (`SearchBudgetExceeded`) 3, and any other exception,
     which no input should cause, 70, on one line and with no traceback.
     click's own exceptions are its usage errors, which it reports."""
 
@@ -80,7 +81,7 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except InvalidInput as exc:
             _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
-        except (SearchBudgetExceeded, GenerationFailed) as exc:
+        except SearchBudgetExceeded as exc:
             _fail(EXIT_BUDGET, f"budget: {exc}")
         except click.ClickException:
             raise

@@ -415,7 +415,12 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
 
 def _read_partition(inst, sched, m1, m4) -> Partition:
     """Each narrow window leaves exactly D free in front of its late
-    separator; the single-machine value jobs tiling it form one triple."""
+    separator; the single-machine value jobs tiling it form one triple.
+
+    Only starts are checked.  `_make_pairs_contiguous` has just checked
+    that machine 2 holds exactly `canonical_ids(2)`, which names every
+    gamma and every value job, and each of them is one machine wide, so
+    each runs on machine 2 alone."""
     stage = "gap-readout"
     values = sorted(inst.tagged("P"), key=lambda j: sched.starts[j.id])
     value_starts = [sched.starts[j.id] for j in values]
@@ -425,7 +430,7 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
         edge = sched.starts[a_i] + inst.by_id[a_i].p
         hi = sched.starts[m4["B", i]]
         g = inst.by_slot["gamma", i]
-        if 2 not in sched.machines[g.id] or not edge <= sched.starts[g.id] <= hi - g.p:
+        if not edge <= sched.starts[g.id] <= hi - g.p:
             raise RefutationCertificate(
                 stage, "narrow-window", f"{g.id} is outside the window after {a_i}"
             )
@@ -436,7 +441,7 @@ def _read_partition(inst, sched, m1, m4) -> Partition:
         occupants = sorted([g, *inside], key=lambda j: sched.starts[j.id])
         cursor, members = edge, []
         for j in occupants:
-            if sched.starts[j.id] != cursor or 2 not in sched.machines[j.id]:
+            if sched.starts[j.id] != cursor:
                 raise RefutationCertificate(
                     stage, "gap-tiling", f"{j.id} misplaced inside gap {i}"
                 )

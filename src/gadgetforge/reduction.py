@@ -427,12 +427,15 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     closed forms, with the premises of the solver's equation rule checked
     (see "Each gap is a bin" and "No count chains" in `solver`): every tag
     has one width, every (p, q) one tag, and the gamma jobs pairwise differ
-    in length; the starts of each tag pairwise differ; every value lies
-    strictly between D/4 and D/2; the gaps are pairwise disjoint, and
-    block k's gamma window [lo, lo + D] fills gap k = [lo, hi) with its
-    gamma job, hi - lo = D + |gamma_k|; the pinned jobs hold exactly m - 1
-    machines at every instant of a gap, and all m at every instant of
-    [0, W) outside the gaps."""
+    in length; the starts of each tag pairwise differ; the gaps are
+    pairwise disjoint, and block k's gamma window [lo, lo + D] fills gap
+    k = [lo, hi) with its gamma job, hi - lo = D + |gamma_k|; the pinned
+    jobs hold exactly m - 1 machines at every instant of a gap, and all m
+    at every instant of [0, W) outside the gaps.  That every value lies
+    strictly between D/4 and D/2 is not checked again: the solver builds
+    the geometry only for an instance that `recognize` accepts, and
+    `recognize` has run `threepartition.validate` on the values the P
+    jobs carry."""
     m, D = inst.m, inst.D
     # each job by its (tag, index) slot, kept no longer than this call,
     # unlike `inst.by_slot`, which a decision never reads
@@ -464,10 +467,6 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     # A gap that is a stretch has no pinned start or end inside it.
     require(
         "the value gaps",
-        (
-            all(4 * j.p > D and 2 * j.p < D for j in inst.tagged("P")),
-            "every value in (D/4, D/2)",
-        ),
         (
             all(hi <= lo for (_, hi), (lo, _) in zip(gaps, gaps[1:])),
             "pairwise disjoint",

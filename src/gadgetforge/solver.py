@@ -74,15 +74,21 @@ order, so a placed job is never visited again.  At a node:
   (every tag but gamma and P), and the start lo_k of gap k for block k's
   gamma job (see "Each gap is a bin").  A class's k-th start holds its
   k-th placement, so at most one job of a family may start at t: the next
-  member of the class whose start is t, if t is the class's next start
-  and the job fits the room.  The forced families are not scanned: one
-  index maps each forced start to the (width, class, k) of its job, and a
-  node looks t up in it and offers each job there that is at most as wide
-  as the idle machines, whose class has k placed members, and that fits.
-  Their first members are counted from the per-width counts of open
-  forced classes, less the open ones longer than the room, whose members
-  are no-fit: a scan of the forced classes, longest first, that stops at
-  the first one that fits the room;
+  member of the class whose start is t, if t is the class's next start.
+  The forced families are not scanned: one index maps each forced start
+  to the (width, class, k) of its job, and a node looks t up in it and
+  offers each job there that is at most as wide as the idle machines and
+  whose class has k placed members.  In every state a search reaches,
+  in every mode, such a job fits the room and the width test passes: the
+  second bullet of "Forced runs" reads only that t is a forced start and
+  the earliest free instant, so the jobs at t not yet placed fill the
+  idle machines exactly and end by the target.  No room is tested; the
+  width test stays for states off the forward direction, which only a
+  walk outside the search reaches, where a listed set must still be a
+  set of idle machines.  Their first members are counted from the
+  per-width counts of open forced classes, less the open ones longer than
+  the room, whose members are no-fit: a scan of the forced classes,
+  longest first, that stops at the first one that fits the room;
 * a value job (P) may start at t only in the last gap k that starts by t,
   found by bisecting the gap starts, and only once gamma_k is placed;
   rest = hi_k - t is then what the gap's values still have to fill.  At
@@ -92,7 +98,8 @@ order, so a placed job is never visited again.  At a node:
   the live list is in rank order these classes are a prefix of it; at
   any other rest only the classes of length rest offer, found by one
   look-up by length.  The premises of these tests are checked once per
-  instance, with the forward geometry (`reduction.forward_geometry`);
+  instance, by recognition and with the forward geometry
+  (`reduction.forward_geometry`), see "Each gap is a bin";
 * the first members that fit and that the equation rule does not offer
   are the equations prunes, counted once per node as the first members
   that fit less the offered ones (without the rule every class that fits
@@ -139,14 +146,15 @@ symmetry breaking between bins (Korf 2003), applied to the gaps.  Its
 premises are checked with the forward geometry: in every gap the pinned
 jobs at their forced starts hold exactly m - 1 machines at every instant,
 so none starts or ends inside it; gamma_k's window [lo_k, lo_k + D]
-starts at lo_k and hi_k - lo_k - |gamma_k| = D; every value lies strictly
-between D/4 and D/2.  Take a forward schedule S.  Over gap k the pinned
-jobs hold the same m - 1 machines, which leaves one machine mu_k, and
-every other job that runs inside the gap, gamma_k and the values (the
-gamma windows and the values lie inside the gaps, which are disjoint),
-runs on mu_k alone, back to back, as S has no idle.  So the values of
-gap k sum to hi_k - lo_k - |gamma_k| = D, and as any j of them sum to
-strictly between jD/4 and jD/2, there are exactly three.
+starts at lo_k and hi_k - lo_k - |gamma_k| = D.  Every value lies strictly
+between D/4 and D/2, as `recognize`, which the equation tables need,
+checks with `threepartition.validate`.  Take a forward schedule S.  Over
+gap k the pinned jobs hold the same m - 1 machines, which leaves one
+machine mu_k, and every other job that runs inside the gap, gamma_k and
+the values (the gamma windows and the values lie inside the gaps, which
+are disjoint), runs on mu_k alone, back to back, as S has no idle.  So
+the values of gap k sum to hi_k - lo_k - |gamma_k| = D, and as any j of
+them sum to strictly between jD/4 and jD/2, there are exactly three.
 * Within a gap: laying the jobs of mu_k over the gap out again in any
   order, back to back, keeps zero idle, every machine set, contiguity
   (one machine is an interval), each value inside its gap and gamma_k
@@ -646,10 +654,10 @@ class _Search:
                     no_fit += size - taken[c]
                     firsts -= 1
             # only the job whose forced start is t may start at t: the
-            # next member of its class, when t is the class's next start
-            # and the member fits
+            # next member of its class, when t is the class's next start;
+            # it then fits the room (see "Candidates at a node")
             for q, c, kth in self.forced.get(t, ()):
-                if q <= width and taken[c] == kth and cls_p[c] <= room:
+                if q <= width and taken[c] == kth:
                     offered += 1
                     r = first[c] + kth
                     for subset in self.subsets(avail, q):
@@ -785,18 +793,19 @@ class _Search:
             rem = rem << bits | c
         return rem
 
-    def _run(self, t: int, most: int) -> tuple[int | None, int]:
-        """The forced run from t, the earliest free instant and a forced
-        start: every job of `_Plan.forced[t]` is placed on the lowest idle
-        machines, in rank order, and so again at the next earliest free
-        instant while it is a forced start.  Each of those jobs is offered
-        at t and together they fill it (see "Forced runs" in the module
-        docstring), so nothing is tested per job.  At most `most` jobs are
-        placed.  Returns the earliest free instant reached, or None where a
-        job past `most` was due, and the nodes taken: one per job placed,
-        and one for the job past `most`, which is not placed.  A start left
-        unfilled breaks the premises of that argument and raises
-        RuntimeError, so no search goes on from it."""
+    def _run(self, t: int, most: int) -> tuple[int, int]:
+        """The forced run from t, the earliest free instant: while it is a
+        forced start, every job of `_Plan.forced[t]` is placed on the
+        lowest idle machines, in rank order, and t moves on to the next
+        earliest free instant.  Each of those jobs is offered at t and
+        together they fill it (see "Forced runs" in the module docstring),
+        so nothing is tested per job.  At most `most` jobs are placed.
+        Returns the instant the run stopped at and the nodes taken: one per
+        job placed, and one for a job past `most`, which is not placed.
+        The caller abandons the branch when the nodes pass `most`, before it
+        reads that instant.  A start left unfilled breaks the premises of
+        that argument and raises RuntimeError, so no search goes on from
+        it."""
         cells, machines, forced = self.cells, self.machines, self.forced
         first, place = self.first, self._place
         nodes = 0
@@ -805,7 +814,7 @@ class _Search:
             for q, c, kth in forced[t]:
                 nodes += 1
                 if nodes > most:
-                    return None, nodes
+                    return t, nodes
                 place(first[c] + kth, tuple(idle[:q]), t)
                 del idle[:q]
             if idle:
@@ -848,8 +857,10 @@ class _Search:
         runs = self.equations and self.rules.symmetry and not self.contiguous
         hits = 0
         # The run at 0 belongs to no root branch, so no budget binds it.  It
-        # never completes the schedule, as no value job is forced.
-        t, nodes = run(0, self.n) if runs and 0 in forced else (0, 0)
+        # never completes the schedule, as no value job is forced.  Under
+        # the equation tables 0 is a forced start: lambda1 and B_0 start
+        # there.
+        t, nodes = run(0, self.n) if runs else (0, 0)
         root = len(path)
         # the root frame's candidates, each of which opens a root branch
         branches = iter(candidates(t))

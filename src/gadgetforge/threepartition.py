@@ -31,10 +31,6 @@ class SearchBudgetExceeded(Exception):
         super().__init__(f"search exceeded node budget after {nodes} nodes")
 
 
-class GenerationFailed(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ProvedNo:
     """Exhaustive-search certificate that no partition exists."""
@@ -198,9 +194,10 @@ def solve(
 
 
 def gen_yes(z: int, seed: int) -> tuple[ThreePartitionInstance, Partition]:
-    """Planted-witness instance with D already above the reduction bound."""
+    """Planted-witness instance with D already above the reduction bound.
+    A z below 1 is refused with InvalidInput."""
     if z < 1:
-        raise GenerationFailed(f"z={z} must be at least 1")
+        raise InvalidInput(f"z={z} must be at least 1")
     rng = random.Random(f"yes:{z}:{seed}")
     bound = digit_bound(z)
     D = 4 * bound + rng.randrange(bound + 9, 4 * bound + 9)
@@ -239,11 +236,28 @@ def gen_no(z: int, seed: int) -> ThreePartitionInstance:
     D is made ≡ 3 (mod 4) while every value is ≡ 0 or ≡ 1, with exactly
     3z-4 values in the ≡ 1 class.  A triple can only reach a sum ≡ 3 by
     using three ≡ 1 values, so a full partition would need 3z of them;
-    only 3z-4 exist.  The instance is still certified by the exact solver
-    before being returned.
+    only 3z-4 exist.  A z below 2 is refused with InvalidInput: the scheme
+    needs 3z-4 >= 2 values in the odd class.
+
+    The values are drawn in [lo, hi] = [D//4 + 1, (D-1)//2], each near D/3
+    and lifted to its residue: D >= 5 * digit_bound(z) + 9, so D/3 plus
+    half the bound plus 3 stays below D/2.  Their sum is then balanced to
+    zD by moves of ±4, which keep every residue and stay in [lo, hi], so
+    the instance is valid.  A move is always possible: while the sum is
+    below zD, some value is at most hi - 4, as otherwise the sum would be
+    at least 3z(hi - 3) > zD; while it is above, some value is at least
+    lo + 4, as otherwise the sum would be at most 3z(lo + 3) < zD; both as
+    D > 48.  So each draw moves a value with probability at least 1/(3z),
+    and the |delta|/4 moves the first difference delta asks for take at
+    most 3z|delta|/4 draws on average.  The cap allows twice that plus
+    10,000z, which a run passes with probability below e^-400 (a Chernoff
+    bound on the moves made in that many draws).  Passing the cap, and a
+    balanced instance that fails `validate` or that `solve` does not prove
+    to have no partition, are thus faults of the program and raise
+    RuntimeError; `solve` past its node budget raises SearchBudgetExceeded.
     """
     if z < 2:
-        raise GenerationFailed(
+        raise InvalidInput(
             "the congruence scheme needs z >= 2 (a no-instance with z=1 "
             "cannot keep exactly 3z-4 >= 2 values in the odd class)"
         )
@@ -267,6 +281,7 @@ def gen_no(z: int, seed: int) -> ThreePartitionInstance:
     delta = target - sum(values)
     require("the drawn values", (delta % 4 == 0, "a multiple of 4 short of z D"))
     step = 4 if delta > 0 else -4
+    cap = 10_000 * z + 6 * z * (abs(delta) // 4)
     guard = 0
     while delta:
         i = rng.randrange(3 * z)
@@ -275,16 +290,15 @@ def gen_no(z: int, seed: int) -> ThreePartitionInstance:
             values[i] = cand
             delta -= step
         guard += 1
-        if guard > 10_000 * z:
-            raise GenerationFailed("could not balance the value sum in bounds")
+        if guard > cap:
+            raise RuntimeError("gen_no could not balance the value sum in bounds")
 
     inst = ThreePartitionInstance(tuple(values))
-    problems = validate(inst)
-    if problems:
-        raise GenerationFailed(f"constructed instance invalid: {problems}")
-    verdict = solve(inst, budget=1_000_000)
-    if not isinstance(verdict, ProvedNo):
-        raise GenerationFailed("congruence construction produced a partition")
+    require(
+        "the generated instance",
+        (not validate(inst), "valid"),
+        (isinstance(solve(inst, budget=1_000_000), ProvedNo), "proved unsolvable"),
+    )
     return inst
 
 

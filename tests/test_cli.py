@@ -66,6 +66,27 @@ def test_gen3p_no_emits_null_witness():
     assert json.loads(result.stdout)["witness"] is None
 
 
+def test_gen3p_no_balances_at_a_large_z():
+    result = run("gen3p", "--no", "--z", "150", "--seed", "18")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["witness"] is None and len(payload["instance"]["values"]) == 450
+
+
+def test_a_spent_search_budget_exits_3(monkeypatch):
+    from gadgetforge import cli
+    from gadgetforge.threepartition import SearchBudgetExceeded
+
+    def spent(z, seed):
+        raise SearchBudgetExceeded(7)
+
+    monkeypatch.setattr(cli, "gen_no", spent)
+    result = run("gen3p", "--no", "--z", "2", "--seed", "0")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "budget: search exceeded node budget after 7 nodes\n"
+
+
 def test_gen3p_witness_out_requires_yes(tmp_path):
     result = run("gen3p", "--no", "--z", "2", "--seed", "3",
                  "--witness-out", str(tmp_path / "w.json"))
@@ -690,6 +711,26 @@ def test_roundtrip_reports_passes():
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert payload["passes"] == 2 and payload["failures"] == []
+
+
+def test_roundtrip_exits_1_and_lists_a_failed_trial(monkeypatch):
+    from types import SimpleNamespace
+
+    from gadgetforge import schedule
+
+    audit, calls = schedule.audit, []
+
+    def fails_second(inst, sched):
+        calls.append(sched)
+        return SimpleNamespace(passed=False) if len(calls) == 2 else audit(inst, sched)
+
+    monkeypatch.setattr(schedule, "audit", fails_second)
+    result = run("roundtrip", "--z", "1", "--trials", "3", "--seed", "11")
+    assert result.exit_code == 1
+    assert json.loads(result.stdout) == {
+        "z": 1, "trials": 3, "passes": 2, "failures": [1]
+    }
+    assert "trial 1: FAIL (seed 12)" in result.stderr
 
 
 def test_missing_file_is_usage_error():

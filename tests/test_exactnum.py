@@ -43,6 +43,13 @@ def test_one_machine_filler_value():
     assert compose(CoeffVector(x3=1, x7=1, x8=1), D1) == value
 
 
+def test_no_vector_has_a_d1_digit():
+    # the unit term is digit 0; D^1 is the one power below D^8 with none
+    with pytest.raises(ValueError, match="^no digit at D\\^1$"):
+        CoeffVector(x0=5).digit(1)
+    assert CoeffVector(x0=5).digit(0) == 5
+
+
 def test_negative_unit_term_value():
     # D^5 + 2*D^7 - D: the unit term borrows from D^2
     value = 33**5 + 2 * 33**7 - 33

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gadgetforge import extraction
+from gadgetforge.exactnum import InvalidInput
 from gadgetforge.extraction import (
     ExtractionTrace,
     NotTargetMakespan,
@@ -112,6 +114,14 @@ def test_extract_rejects_foreign_values(canonical_z1):
         extract_partition(ThreePartitionInstance((9, 12, 12)), inst, sched)
 
 
+def test_extract_refuses_an_instance_that_is_no_reduction(canonical_z1):
+    # the values still match: only the gate's recognition refuses it
+    inst3p, inst, sched = canonical_z1
+    jobs = tuple(replace(j, p=j.p + 1) if j.id == "lambda2" else j for j in inst.jobs)
+    with pytest.raises(InvalidInput, match="^extraction needs an unmodified reduction instance$"):
+        extract_partition(inst3p, replace(inst, jobs=jobs), sched)
+
+
 def test_refutation_names_broken_count_chain(canonical_z1):
     # pushing a_1 past its window starves the late separator's count chain
     inst3p, inst, sched = canonical_z1
@@ -171,7 +181,9 @@ def test_refutation_after_mirroring_a_start_below_zero():
 # gen_yes(1, 0)'s synthesized schedule runs its separators B_0 on {2, 3, 4}
 # from 0, A_0 on {1, 2, 3}, B_1 on {2, 3, 4} and A_1 on {1, 2, 3}, which
 # ends at W; each forgery below changes the starts and machine sets it
-# lists, given the synthesized starts s, the lengths p and D
+# lists, given the synthesized starts s, the lengths p and D.  A detail
+# may name a synthesized start as {job id}.  The forgeries of `WIDER` start
+# from gen_yes(z, 0) with a larger z.
 ORIENTED = [{"stage": "normalize", "event": "ok"}, {"stage": "orient", "event": "ok"}]
 ALTERNATING = [*ORIENTED, {"stage": "alternation", "event": "ok"}]
 LEMMA_FORGERIES = {
@@ -236,13 +248,70 @@ LEMMA_FORGERIES = {
         ("gap-readout", "narrow-window", "gamma_1 is outside the window after a_1"),
         [*ALTERNATING, {"stage": "pair-columns", "event": "ok"}],
     ),
+    # the opening cap on middle machine 3, where no separator walk reaches
+    "machine-contents/cap": (
+        lambda s, p, D: ({}, {"lambda1": {3}}),
+        ("normalize", "machine-contents", "the opening cap sits on a middle machine"),
+        [],
+    ),
+    # alpha_1 on machine 4, c_0 on {1, 2} and a_1 on {1, 3}: each check of
+    # the machine contents fails, and all of them are listed
+    "machine-contents/list": (
+        lambda s, p, D: ({}, {"alpha_1": {4}, "c_0": {1, 2}, "a_1": {1, 3}}),
+        (
+            "normalize",
+            "machine-contents",
+            "machine 1 holds ['alpha_1', 'c_0'] unexpectedly; "
+            "machine 4 holds ['alpha_1'] unexpectedly; "
+            "machine 3 misses ['c_0']; "
+            "machine 2 pairs a/gamma 0/1 and b/delta 0/0; "
+            "machine 2 holds 0 narrow-pair jobs, not z; "
+            "machine 3 pairs a/gamma 1/0 and b/delta 1/1; "
+            "machine 3 holds 2 narrow-pair jobs, not z",
+        ),
+        [],
+    ),
+    # P_1 ends at 0, so it opens machine 2 before B_0
+    "first-job": (
+        lambda s, p, D: ({"P_1": -p["P_1"]}, {}),
+        ("orient", "first-job", "machine 2 opens with P_1 (q=1)"),
+        [{"stage": "normalize", "event": "ok"}],
+    ),
+    # B_1 starts just before A_0
+    "interleaving": (
+        lambda s, p, D: ({"B_1": s["A_0"] - 1}, {}),
+        ("alternation", "interleaving", "rank 0: B_1 precedes A_0"),
+        ORIENTED,
+    ),
+    # the closing cap starts just before B_1, and still ends after it
+    "side-order": (
+        lambda s, p, D: ({"lambda2": s["B_1"] - 1}, {}),
+        ("side-order", "side-order", "machine 4 runs ['B', 'beta', 'b', 'lambda2', 'B']"),
+        ALTERNATING,
+    ),
+    # on gen_yes(2, 0): both narrow pairs of block 1 through machine 2 and
+    # both of block 2 through machine 3, each with its gamma or delta job,
+    # which the machine contents allow, as they only count
+    "pair-columns/shared": (
+        lambda s, p, D: ({}, {"b_1": {2, 4}, "delta_1": {2}, "a_2": {1, 3}, "gamma_2": {3}}),
+        ("pair-columns", "pair-columns", "a_1 and b_1 share machine [2]"),
+        ALTERNATING,
+    ),
+    # delta_1 starts with b_1, which leaves a hole after A_0 on machine 3
+    "zero-idle": (
+        lambda s, p, D: ({"delta_1": s["b_1"]}, {}),
+        ("zero-idle", "zero-idle", "machine 3: b_1 starts at {b_1}, hole ends {delta_1}"),
+        [*ALTERNATING, {"stage": "pair-columns", "event": "ok"}],
+    ),
 }
+# the z of each forgery that needs more than one block
+WIDER = {"pair-columns/shared": 2}
 
 
 @pytest.mark.parametrize("case", list(LEMMA_FORGERIES))
 def test_each_lemma_refutes_its_forgery(case):
     forge, (stage, lemma, detail), events = LEMMA_FORGERIES[case]
-    inst3p, witness = gen_yes(1, 0)
+    inst3p, witness = gen_yes(WIDER.get(case, 1), 0)
     inst = build_jobs(inst3p)
     sched = build_schedule(inst, witness)
     s, p = sched.starts, {j.id: j.p for j in inst.jobs}
@@ -255,7 +324,7 @@ def test_each_lemma_refutes_its_forgery(case):
     with pytest.raises(RefutationCertificate) as exc:
         extract_partition(inst3p, inst, forged)
     assert (exc.value.stage, exc.value.lemma) == (stage, lemma)
-    assert exc.value.detail == detail.format_map({"B_1 end": s["B_1"] + p["B_1"]})
+    assert exc.value.detail == detail.format_map({**s, "B_1 end": s["B_1"] + p["B_1"]})
     assert list(exc.value.events) == events
 
 
@@ -440,6 +509,16 @@ def test_orient_rejects_narrow_first_job(canonical_z1):
     with pytest.raises(RefutationCertificate) as exc:
         orient(inst, forged)
     assert exc.value.lemma == "first-job"
+
+
+def test_orient_refutes_an_empty_machine_2(canonical_z1):
+    # normalization leaves every separator on machine 2, so only a direct
+    # call of `orient` meets an empty one: here machine 2's jobs moved to 3
+    _, inst, sched = canonical_z1
+    forged = permuted(sched, {1: 1, 2: 3, 3: 3, 4: 4})
+    with pytest.raises(RefutationCertificate) as exc:
+        orient(inst, forged)
+    assert (exc.value.lemma, exc.value.detail) == ("first-job", "machine 2 is empty")
 
 
 # ===== check_alternation =====

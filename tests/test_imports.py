@@ -143,14 +143,14 @@ def test_not_target_makespan_is_one_class():
 
 
 # the exceptions that are no refused input: a refutation of a schedule, and
-# a search or generator that ran out of budget
-NOT_INPUT_ERRORS = {"RefutationCertificate", "SearchBudgetExceeded", "GenerationFailed"}
+# a search that ran out of budget
+NOT_INPUT_ERRORS = {"RefutationCertificate", "SearchBudgetExceeded"}
 
 
 def test_every_exception_of_the_package_is_an_input_error_or_named():
     """One type stands for a refused input, which the CLI exits 2 on (or 1
     for `NotTargetMakespan`); any other exception class the package
-    defines must be one of the three named above, so a new one cannot
+    defines must be one of the two named above, so a new one cannot
     slip past the exit-code table."""
     from gadgetforge.exactnum import InvalidInput
 

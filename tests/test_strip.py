@@ -38,6 +38,9 @@ def test_unit_squares_side_by_side():
     )
     assert report.feasible and report.height == 1
     assert report.free_area == 8
+    assert json.loads(json.dumps(report.to_dict())) == {
+        "feasible": True, "height": "1", "free_area": "8", "problems": []
+    }
 
 
 def test_overlapping_squares():

@@ -7,9 +7,8 @@ used to cross-check the DFS solver on small instances.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadgetforge.exactnum import digit_bound
+from gadgetforge.exactnum import InvalidInput, digit_bound
 from gadgetforge.threepartition import (
-    GenerationFailed,
     ProvedNo,
     SearchBudgetExceeded,
     ThreePartitionInstance,
@@ -81,8 +80,10 @@ def test_strict_upper_bound_violation():
 
 
 def test_sum_divisibility_violation():
-    problems = validate(ThreePartitionInstance((10, 11, 12, 10, 11, 13)))
-    assert any("divisible" in p for p in problems)
+    inst = ThreePartitionInstance((10, 11, 12, 10, 11, 13))
+    assert any("divisible" in p for p in validate(inst))
+    with pytest.raises(InvalidInput, match="^values do not sum to a multiple of z$"):
+        inst.D
 
 
 def test_bad_count_violation():
@@ -103,6 +104,13 @@ def test_partition_validation():
     assert validate_partition(inst, ((1, 2, 3),)) == []
     assert validate_partition(inst, ((1, 2, 2),))
     assert validate_partition(inst, ())
+    # a set with an index outside 1..3z is skipped before its sum is read
+    assert validate_partition(inst, ((1, 2, 4),)) == [
+        "set (1, 2, 4) has indices outside 1..3"
+    ]
+    assert validate_partition(inst, ((0, 1, 2),)) == [
+        "set (0, 1, 2) has indices outside 1..3"
+    ]
 
 
 def test_an_index_in_two_sets_is_refused():
@@ -242,8 +250,22 @@ def test_gen_yes_refuses_an_instance_its_witness_does_not_solve(monkeypatch):
 
 
 def test_gen_no_rejects_z1():
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(InvalidInput, match="needs z >= 2"):
         gen_no(1, 0)
+
+
+def test_gen_yes_rejects_z0():
+    with pytest.raises(InvalidInput, match="^z=0 must be at least 1$"):
+        gen_yes(0, 0)
+
+
+def test_gen_no_balances_its_sum_at_a_large_z():
+    # The balancing moves a value by 4 per draw, and at z = 150 seed 18
+    # the first difference asks for more moves than 10,000z draws: the
+    # draw cap grows with that difference.
+    inst = gen_no(150, 18)
+    assert validate(inst) == []
+    assert sum(v % 4 == 1 for v in inst.values) == 3 * 150 - 4
 
 
 def test_gen_no_defeats_dp_oracle():
