@@ -78,14 +78,15 @@ order, so a placed job is never visited again.  At a node:
   The forced families are not scanned: one index maps each forced start
   to the (width, class, k) of its job, and a node looks t up in it and
   offers each job there that is at most as wide as the idle machines and
-  whose class has k placed members.  In every state a search reaches,
-  in every mode, such a job fits the room and the width test passes: the
-  second bullet of "Forced runs" reads only that t is a forced start and
-  the earliest free instant, so the jobs at t not yet placed fill the
-  idle machines exactly and end by the target.  No room is tested; the
-  width test stays for states off the forward direction, which only a
-  walk outside the search reaches, where a listed set must still be a
-  set of idle machines.  Their first members are counted from the
+  whose class has k placed members.  No room is tested: the tables run
+  only at target W, and each forced job at t ends where its canonical
+  job ends, at most W, so it fits the room in any state.  The width test
+  passes in every state a search reaches, in every mode: the second
+  bullet of "Forced runs" reads only that t is a forced start and the
+  earliest free instant, so the jobs at t not yet placed fill the idle
+  machines exactly.  It stays for states off the forward direction,
+  which only a walk outside the search reaches, where a listed set must
+  still be a set of idle machines.  Their first members are counted from the
   per-width counts of open forced classes, less the open ones longer than
   the room, whose members are no-fit: a scan of the forced classes,
   longest first, that stops at the first one that fits the room;
@@ -655,7 +656,7 @@ class _Search:
                     firsts -= 1
             # only the job whose forced start is t may start at t: the
             # next member of its class, when t is the class's next start;
-            # it then fits the room (see "Candidates at a node")
+            # it ends at its canonical end, so it fits the room
             for q, c, kth in self.forced.get(t, ()):
                 if q <= width and taken[c] == kth:
                     offered += 1

@@ -1,14 +1,13 @@
 """The statements of the package that the fast test suite never runs.
 
-    python3 tools/untraced.py [PYTEST ARGS...]
+    python3 tools/untraced.py
 
 Runs `pytest -m "not slow"` on the tests of the checkout this script lives
-in, in this process, under a `sys.settrace` line tracer (and
-`threading.settrace`), and prints each statement of `src/gadgetforge` that
-no traced line reached, as `module:line text`, in file and line order,
-then their count.  Arguments go to pytest in place of the test directory,
-so `tools/untraced.py tests/test_cli.py` traces one file.  The script
-exits with pytest's own code.
+in, in this process, under a `sys.settrace` line tracer, and prints each
+statement of `src/gadgetforge` that no traced line reached, as
+`module:line text`, in file and line order, then their count.  It always
+runs the whole fast suite: a part of it would list as never run what the
+tests left out cover.  The script exits with pytest's own code.
 
 A statement counts as run when any line of its own holds code and was
 traced: the lines of its span less those of the statements nested in it,
@@ -29,7 +28,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -64,7 +62,7 @@ def statements(tree: ast.Module) -> list[tuple[int, set[int]]]:
     return out
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     sys.dont_write_bytecode = True
     ours = str(PACKAGE) + os.sep
@@ -97,18 +95,16 @@ def main(argv: list[str]) -> int:
         return local if todo else None
 
     sys.path.insert(0, str(PACKAGE.parent))
-    threading.settrace(call)
     sys.settrace(call)
     try:
         import pytest
 
         status = pytest.main(
             ["-q", "-m", "not slow", "-p", "no:cacheprovider",
-             "--rootdir", str(HERE), *(argv or [str(HERE / "tests")])]
+             "--rootdir", str(HERE), str(HERE / "tests")]
         )
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     ran: dict[str, set[int]] = {}
     for code, todo in left.items():
         lines = {line for _, _, line in code.co_lines() if line is not None}
@@ -129,4 +125,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
