@@ -15,6 +15,7 @@ deterministic for a given instance and schedule.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor
@@ -90,13 +91,15 @@ class _Axis:
         self.right = cursor
 
     def pos(self, t) -> float:
+        """The x of time t, which lies in [ticks[0], ticks[-1]]: the
+        schedule figure passes its ticks themselves, and the packing figure
+        an item's x and x + p, which lie between its ticks floor(x) and
+        ceil(x + p).  A t off every tick (a fractional packing coordinate)
+        is interpolated inside the one band around it."""
         if t in self.x:
             return self.x[t]
-        # interpolate inside the band (fractional packing coordinates)
-        for lo, hi, left, width in self.bands:
-            if lo <= t <= hi:
-                return left + width * float(Fraction(t - lo) / (hi - lo))
-        raise ValueError(f"time {t} outside the rendered range")
+        lo, hi, left, width = self.bands[bisect_right(self.ticks, t) - 1]
+        return left + width * float(Fraction(t - lo) / (hi - lo))
 
 
 def _fmt(value: int) -> str:

@@ -158,6 +158,13 @@ def solve(
     Returns the first partition found (canonically sorted) or a ProvedNo
     carrying the node count.  Raises SearchBudgetExceeded when the number
     of visited nodes passes `budget`.
+
+    Every pair of the other uncovered indices is tried, with no bound on a
+    value, so the search is complete for any integer values and needs no
+    validation: a value of 0 or below is searched like any other.  On a
+    valid instance no value reaches want = D - values[first], as each is
+    below D/2, so a skip of va >= want would prune nothing there.
+    `nodes` counts `dfs` calls.
     """
     z, D = inst.z, inst.D
     n = 3 * z
@@ -175,8 +182,6 @@ def solve(
         want = D - values[first - 1]
         for a in range(len(rest)):
             va = values[rest[a] - 1]
-            if va >= want:
-                continue
             for b in range(a + 1, len(rest)):
                 if va + values[rest[b] - 1] != want:
                     continue

@@ -87,6 +87,19 @@ def test_a_spent_search_budget_exits_3(monkeypatch):
     assert result.stderr == "budget: search exceeded node budget after 7 nodes\n"
 
 
+def test_an_unreadable_file_exits_2(workspace, monkeypatch):
+    # a suite that runs as root can read any file, so the read itself fails
+    def refused(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    path = str(workspace / "inst3.json")
+    result = run("reduce", "--in", path)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: cannot read {path}: Permission denied\n"
+
+
 def test_gen3p_witness_out_requires_yes(tmp_path):
     result = run("gen3p", "--no", "--z", "2", "--seed", "3",
                  "--witness-out", str(tmp_path / "w.json"))

@@ -13,13 +13,11 @@ from gadgetforge.extraction import (
     ExtractionTrace,
     NotTargetMakespan,
     RefutationCertificate,
-    check_alternation,
     extract_partition,
     normalize_machines,
-    orient,
 )
 from gadgetforge.reduction import build_jobs
-from gadgetforge.schedule import Schedule, mirror, swap_after, verify
+from gadgetforge.schedule import Schedule, finished_by_index, mirror, swap_after, verify
 from gadgetforge.synthesis import build_schedule
 from gadgetforge.threepartition import ThreePartitionInstance, gen_yes
 
@@ -487,54 +485,34 @@ def test_a_torn_second_pair_cut_logs_neither_swap_of_its_block(canonical_z1):
     assert [e["stage"] for e in exc.value.events] == ["normalize", "orient", "alternation"]
 
 
-# ===== orient =====
+# ===== the orient and alternation stages =====
+
+
+def oriented(inst, sched):
+    """`_orient` on `sched`, as the pipeline calls it, with its events."""
+    events = []
+    out = extraction._orient(inst, sched, extraction._lanes(inst, sched)[2], events)
+    return out, events
 
 
 def test_orient_keeps_forward_schedule(canonical_z1):
     _, inst, sched = canonical_z1
-    out = orient(inst, sched)
-    assert dict(out.starts) == dict(sched.starts)
+    out, events = oriented(inst, sched)
+    assert out is sched
+    assert events == [{"stage": "orient", "event": "ok"}]
 
 
 def test_orient_mirrors_backward_schedule(canonical_z1):
     _, inst, sched = canonical_z1
-    out = orient(inst, mirror(inst, sched))
+    out, events = oriented(inst, mirror(inst, sched))
     assert dict(out.starts) == dict(sched.starts)
     assert dict(out.machines) == dict(sched.machines)
-
-
-def test_orient_rejects_narrow_first_job(canonical_z1):
-    _, inst, sched = canonical_z1
-    forged = swapped_starts(sched, "B_0", "P_1")
-    with pytest.raises(RefutationCertificate) as exc:
-        orient(inst, forged)
-    assert exc.value.lemma == "first-job"
-
-
-def test_orient_refutes_an_empty_machine_2(canonical_z1):
-    # normalization leaves every separator on machine 2, so only a direct
-    # call of `orient` meets an empty one: here machine 2's jobs moved to 3
-    _, inst, sched = canonical_z1
-    forged = permuted(sched, {1: 1, 2: 3, 3: 3, 4: 4})
-    with pytest.raises(RefutationCertificate) as exc:
-        orient(inst, forged)
-    assert (exc.value.lemma, exc.value.detail) == ("first-job", "machine 2 is empty")
-
-
-# ===== check_alternation =====
+    assert events == [{"stage": "orient", "event": "mirror"}]
 
 
 def test_alternation_sequences_on_canonical(canonical_z1):
     _, inst, sched = canonical_z1
-    a_seq, b_seq = check_alternation(inst, sched)
+    finished = finished_by_index(inst, sched)
+    a_seq, b_seq = extraction._check_alternation(inst, sched, finished)
     assert a_seq == ("A_0", "A_1")
     assert b_seq == ("B_0", "B_1")
-
-
-def test_alternation_rejects_exchanged_separators(canonical_z1):
-    _, inst, sched = canonical_z1
-    forged = swapped_starts(sched, "A_1", "B_1")
-    with pytest.raises(RefutationCertificate) as exc:
-        check_alternation(inst, forged)
-    assert exc.value.lemma == "interleaving"
-    assert "rank 1" in exc.value.detail

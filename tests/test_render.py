@@ -140,23 +140,37 @@ def test_ids_and_tags_are_escaped_as_saxutils_escapes_them(monkeypatch):
 
 
 # an item 4 wide at each x, in a strip 10 wide: a fractional x beside its
-# integral neighbours, one rounding down past 0 and one up past the width
-FRACTIONAL_X = {"-1/2": Fraction(-1, 2), "-1": -1, "13/2": Fraction(13, 2), "7": 7}
+# integral neighbours, one rounding down past 0 and one up past the width,
+# with the x of its two ends.  Every band is 12 wide but the last case's
+# first, whose gap of 10 makes it 27 wide, and a t inside the band from lo
+# to hi, starting at `left`, is drawn at left + width * (t - lo) / (hi - lo).
+FRACTIONAL_X = {
+    # ticks -1 0 4 10: starts inside band (-1, 0), ends inside (0, 4)
+    "-1/2": (Fraction(-1, 2), 64 + 12 * 1 / 2, 76 + 12 * 7 / 8),
+    # ticks -1 0 3 10: both ends on a tick
+    "-1": (-1, 64, 88),
+    # ticks 0 6 10 11: starts inside band (6, 10), ends inside the last one
+    "13/2": (Fraction(13, 2), 76 + 12 * 1 / 8, 88 + 12 * 1 / 2),
+    "7": (7, 76, 100),
+    # ticks 0 10 15 20: starts and ends inside the last band
+    "31/2": (Fraction(31, 2), 103 + 12 * 1 / 10, 103 + 12 * 9 / 10),
+}
 
 
-@pytest.mark.parametrize("x", FRACTIONAL_X.values(), ids=FRACTIONAL_X)
-def test_an_item_at_a_fractional_x_is_drawn(x):
+@pytest.mark.parametrize("x,x0,x1", FRACTIONAL_X.values(), ids=FRACTIONAL_X)
+def test_an_item_at_a_fractional_x_is_drawn(x, x0, x1):
     """The axis has a tick at or left of the item's start and one at or
     right of its end, so an item whose x is fractional lies inside the
-    drawn range as its integral neighbours do."""
+    drawn range as its integral neighbours do, each end interpolated
+    inside the band around it."""
     strip = StripInstance(m=4, z=0, D=0, W=10, jobs=(Job("r0", 4, 1, "J"),))
     svg = render_packing_svg(strip, Packing(positions={"r0": (x, 0)}))
-    rects = [
+    (rect,) = [
         el
         for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect")
         if el.get("class") == "job"
     ]
-    assert len(rects) == 1
+    assert (rect.get("x"), rect.get("width")) == (f"{x0:.1f}", f"{x1 - x0:.1f}")
 
 
 # an item of height 1 at each y: fractional ones beside their integral

@@ -185,6 +185,19 @@ def test_solve_proves_no():
     assert verdict.nodes >= 1
 
 
+@pytest.mark.parametrize("values", [(0, 0, 0), (5, -2, 0)], ids=["zeros", "negative"])
+def test_solve_finds_a_triple_of_values_at_most_zero(values):
+    """`solve` is complete for any integer values: a value of 0 or below,
+    which no valid instance holds, is searched like any other."""
+    assert solve(ThreePartitionInstance(values)) == ((1, 2, 3),)
+
+
+def test_solve_proves_no_on_values_at_most_zero():
+    # D = 0, and no triple of three 3s and three -3s sums to 0
+    verdict = solve(ThreePartitionInstance((3, 3, 3, -3, -3, -3)))
+    assert isinstance(verdict, ProvedNo)
+
+
 def test_budget_exceeded():
     inst, _ = gen_yes(3, 1)
     with pytest.raises(SearchBudgetExceeded):
