@@ -19,7 +19,6 @@ process that verifies a schedule never loads the solver or the renderer.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -68,17 +67,17 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _guard(fn):
-    """Map library exceptions onto the exit-code table: a refused input
-    (`InvalidInput`) exits 2, a spent search budget
-    (`SearchBudgetExceeded`) 3, and any other exception,
-    which no input should cause, 70, on one line and with no traceback.
-    click's own exceptions are its usage errors, which it reports."""
+class _Guarded(click.Command):
+    """A subcommand whose run maps library exceptions onto the exit-code
+    table: a refused input (`InvalidInput`) exits 2, a spent search budget
+    (`SearchBudgetExceeded`) 3, and any other exception, which no input
+    should cause, 70, on one line and with no traceback.  click's own
+    exceptions are its usage errors, which it reports.  click parses the
+    options before `invoke`, so `--help` and usage errors pass by."""
 
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except InvalidInput as exc:
             _fail(EXIT_BAD_INPUT, f"invalid input: {exc}")
         except SearchBudgetExceeded as exc:
@@ -87,8 +86,6 @@ def _guard(fn):
             raise
         except Exception as exc:
             _fail(EXIT_SOFTWARE, f"internal error: {exc!r}")
-
-    return wrapped
 
 
 def _read(path: str) -> str:
@@ -145,6 +142,9 @@ def main():
     """
 
 
+main.command_class = _Guarded
+
+
 @main.command("gen3p")
 @click.option("--yes/--no", "want_yes", default=None,
               help="Generate a solvable instance (with witness) or a certified unsolvable one.")
@@ -152,7 +152,6 @@ def main():
 @click.option("--seed", type=_StrictInt(), required=True)
 @click.option("--witness-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the witness JSON to this file (solvable only).")
-@_guard
 def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
     """Generate a 3-partition instance."""
     if want_yes is None:
@@ -182,7 +181,6 @@ def gen3p(want_yes: bool, z: int, seed: int, witness_out: str | None):
 @click.option("--in", "in_path", type=_in_file, required=True,
               help="3-partition instance JSON.")
 @click.option("--strip", is_flag=True, help="Emit the strip-packing form instead.")
-@_guard
 def reduce_cmd(in_path: str, strip: bool):
     """Reduce a 3-partition instance to a scheduling (or strip) instance."""
     from .reduction import build_jobs, build_strip
@@ -198,7 +196,6 @@ def reduce_cmd(in_path: str, strip: bool):
               help="Scheduling instance JSON (a reduction).")
 @click.option("--witness", "witness_path", type=_in_file, required=True,
               help="Partition witness JSON.")
-@_guard
 def synth(inst_path: str, witness_path: str):
     """Build the canonical zero-idle schedule realizing a witness."""
     from .reduction import SchedulingInstance
@@ -214,7 +211,6 @@ def synth(inst_path: str, witness_path: str):
 @main.command("verify")
 @click.option("--inst", "inst_path", type=_in_file, required=True)
 @click.option("--sched", "sched_path", type=_in_file, required=True)
-@_guard
 def verify_cmd(inst_path: str, sched_path: str):
     """Check feasibility, makespan, idle time, and contiguity."""
     from .reduction import SchedulingInstance
@@ -232,7 +228,6 @@ def verify_cmd(inst_path: str, sched_path: str):
 @main.command("audit")
 @click.option("--inst", "inst_path", type=_in_file, required=True)
 @click.option("--sched", "sched_path", type=_in_file, required=True)
-@_guard
 def audit_cmd(inst_path: str, sched_path: str):
     """Check the start-time and precedence-count identities of a reduction
     schedule at the target makespan."""
@@ -253,7 +248,6 @@ def audit_cmd(inst_path: str, sched_path: str):
 @click.option("--inst", "inst_path", type=_in_file, required=True)
 @click.option("--sched", "sched_path", type=_in_file, required=True)
 @click.option("--trace", is_flag=True, help="Log normalization stages to stderr.")
-@_guard
 def extract(inst_path: str, sched_path: str, trace: bool):
     """Normalize a target-makespan schedule and read the partition out."""
     from .extraction import RefutationCertificate, extract_partition
@@ -289,7 +283,6 @@ def extract(inst_path: str, sched_path: str, trace: bool):
               show_default=True, help="Node budget per root branch (a plain "
               "decision of a reduction at W has only one, after its "
               "forced run at 0).")
-@_guard
 def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
            budget: int):
     """Exact zero-idle search: witness, proved-none, or an honest refusal."""
@@ -317,7 +310,6 @@ def decide(inst_path: str, target: str | None, use_w: bool, contiguous: bool,
 @click.option("--packing", "packing_path", type=_in_file, default=None,
               help="Packing JSON: draw the strip figure.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@_guard
 def render(inst_path, sched_path, strip_path, packing_path, out_path):
     """Draw an SVG figure with a banded (per-magnitude) time axis."""
     from .reduction import SchedulingInstance, StripInstance
@@ -346,7 +338,6 @@ def render(inst_path, sched_path, strip_path, packing_path, out_path):
 @click.option("--z", type=_StrictInt(), required=True)
 @click.option("--trials", type=_StrictInt(), required=True)
 @click.option("--seed", type=_StrictInt(), default=0, show_default=True)
-@_guard
 def roundtrip(z: int, trials: int, seed: int):
     """Generate, reduce, synthesize, verify, audit, extract, compare."""
     _at_least(z, 1, "--z")

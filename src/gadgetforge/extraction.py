@@ -242,24 +242,24 @@ def _normalize_machines(
 
 def _orient(
     inst: SchedulingInstance, sched: Schedule, front: list[str], events: list
-) -> Schedule:
+) -> tuple[Schedule, bool]:
     """Mirror the schedule when it runs backwards, so that a late-family
     separator opens machine 2, given machine 2's jobs in start order.
+    Returns the schedule and whether it was mirrored.
 
     `front` is never empty: normalization has checked that machine 2 holds
     the backbone `canonical_ids(2) & canonical_ids(3)`, every separator
     among it."""
     first = inst.by_id[front[0]]
     if first.tag == "A":
-        sched = mirror(inst, sched)
         events.append({"stage": "orient", "event": "mirror"})
-        return sched
+        return mirror(inst, sched), True
     if first.tag != "B":
         raise RefutationCertificate(
             "orient", "first-job", f"machine 2 opens with {first.id} (q={first.q})"
         )
     events.append({"stage": "orient", "event": "ok"})
-    return sched
+    return sched, False
 
 
 def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
@@ -466,8 +466,7 @@ def extract_partition(
     events: list[dict[str, Any]] = []
     try:
         sched, lanes = _normalize_machines(inst, sched, events)
-        sched = _orient(inst, sched, lanes[2], events)
-        mirrored = events[-1]["event"] == "mirror"
+        sched, mirrored = _orient(inst, sched, lanes[2], events)
         if mirrored:
             lanes = _lanes(inst, sched)
         finished = finished_by_index(inst, sched)

@@ -73,7 +73,8 @@ def _magnitude(gap: int, base: int) -> int:
 
 
 class _Axis:
-    """Piecewise horizontal scale: one band per gap between event times."""
+    """Piecewise horizontal scale: one band per gap between event times,
+    kept as (lo, hi, left x, width, magnitude of the gap)."""
 
     def __init__(self, times: list[int], base: int):
         self.base = base
@@ -83,8 +84,9 @@ class _Axis:
         self.bands = []
         for lo, hi in zip(self.ticks, self.ticks[1:]):
             self.x[lo] = cursor
-            width = _GAP_MIN + _GAP_STEP * _magnitude(hi - lo, base)
-            self.bands.append((lo, hi, cursor, width))
+            k = _magnitude(hi - lo, base)
+            width = _GAP_MIN + _GAP_STEP * k
+            self.bands.append((lo, hi, cursor, width, k))
             cursor += width
         if self.ticks:
             self.x[self.ticks[-1]] = cursor
@@ -98,7 +100,7 @@ class _Axis:
         is interpolated inside the one band around it."""
         if t in self.x:
             return self.x[t]
-        lo, hi, left, width = self.bands[bisect_right(self.ticks, t) - 1]
+        lo, hi, left, width, _ = self.bands[bisect_right(self.ticks, t) - 1]
         return left + width * float(Fraction(t - lo) / (hi - lo))
 
 
@@ -132,8 +134,7 @@ def _axis_parts(axis: _Axis, y: float) -> list[str]:
         f'<line x1="{_LEFT}" y1="{y:.0f}" x2="{axis.right:.0f}" y2="{y:.0f}" '
         'stroke="#333"/>'
     ]
-    for lo, hi, left, width in axis.bands:
-        k = _magnitude(hi - lo, axis.base)
+    for _, _, left, width, k in axis.bands:
         parts.append(
             f'<line x1="{left:.1f}" y1="{y:.0f}" x2="{left:.1f}" '
             f'y2="{y + 5:.0f}" stroke="#333"/>'

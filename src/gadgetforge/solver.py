@@ -249,31 +249,31 @@ A start that a run leaves unfilled would break these premises, so `_run`
 raises RuntimeError there rather than search on from it.  The run at 0
 comes before the root frame, whose candidates are those of the first
 value choice.  Every frame thus opens at a value choice and keeps the key
-of the choice, read before the choice's job is placed.  When the frame
-runs out, that key is recorded as dead: the run that follows the choice
-is forced by it.  Each placement of a run is still a node and counts
-against its root branch's budget; the run at 0 belongs to no branch.  In
-contiguous mode the order of the jobs at t decides which of them holds
-the lowest idle machine, so the orders reach different states; with the
-symmetry rule off each machine set is a child of its own; without the
-equation tables no start is forced.  These searches keep a frame at every
-placement.
+of the choice, read once the choice's job is placed and before its run.
+When the frame runs out, that key is recorded as dead: the run that
+follows the choice is forced by it.  Each placement of a run is still a
+node and counts against its root branch's budget; the run at 0 belongs to
+no branch.  In contiguous mode the order of the jobs at t decides which
+of them holds the lowest idle machine, so the orders reach different
+states; with the symmetry rule off each machine set is a child of its
+own; without the equation tables no start is forced.  These searches keep
+a frame at every placement.
 
 Dead states.  One set per decision holds the key of each state whose
 frame of candidates ran out: its subtree held no witness.  Nothing is
 recorded for the frames a budget hit abandons or on the path to a
 witness, since those frames never run out, nor for the root, after which
-the search ends.  A child's key is read before the child is placed, off
-the parent's cells with the job's machines set to its end and the
-remaining set without the job: a child that reaches a recorded key is
-counted as a node and tallied as a ``dead-state`` prune, and never
-placed.  The states a forced run passes through carry no key (see
-"Forced runs"): they are neither looked up nor recorded, which only loses
-prunes.  The key is one int packing the remaining-job bitmask and one
-cell per machine, its free time (`_Search._key`).  Plain searches sort the cells; contiguous searches take
-the smaller of the cell list and its reflection k <-> m+1-k.  The table
-stops growing at `DEAD_STATE_CAP` entries, which only loses prunes.  Why an
-equal key means an equal verdict:
+the search ends.  A child's key is read once the child is placed, off the
+live cells and remaining set: a child that reaches a recorded key is
+counted as a node, tallied as a ``dead-state`` prune and taken back at
+once, before its forced run and before any candidate at it is listed.
+The states a forced run passes through carry no key (see "Forced runs"):
+they are neither looked up nor recorded, which only loses prunes.  The
+key is one int packing the remaining-job bitmask and one cell per
+machine, its free time (`_Search._key`).  Plain searches sort the cells;
+contiguous searches take the smaller of the cell list and its reflection
+k <-> m+1-k.  The table stops growing at `DEAD_STATE_CAP` entries, which
+only loses prunes.  Why an equal key means an equal verdict:
 
 1. The key fixes everything the subtree reads.  `_candidates`, `_run` and
    `_place` read the plan, which no search changes, and the free times, the
@@ -829,29 +829,27 @@ class _Search:
 
         The frames of pending candidates are an explicit stack, so depth is
         bounded by memory rather than by the interpreter's recursion limit.
-        Each candidate is a child: it is counted as a node, and its key is
-        read off the parent's cells with the job's machines set to its end
-        and the job's bit taken out of the remaining set, before anything
-        is placed.  A child whose key is a recorded dead state is tallied
-        and never placed.  Any other is placed, and so is its forced run,
-        where one applies (plain mode under the symmetry rule and the
-        equation tables; see "Forced runs"), one node per job.  Then
-        either a frame of the candidates at the state reached opens and
-        keeps the child's key, or the earliest free instant is the target
-        and the schedule is complete: m * target work is placed with no
-        idle, which is the total work, so every job is.  A frame that runs
-        out records its key as dead and takes its child back with the
-        child's run.  The run at 0 comes before the root frame, whose
-        candidates open the root branches: each may place at most `budget`
-        jobs, itself and its runs included.  The node past that sets
-        `starved`, and the branch is abandoned, its frames and placements
-        unwound to the root without being recorded, since they did not run
-        out.
+        Each candidate is a child: it is counted as a node and placed, and
+        its key is read off the state placing it made.  A child whose key
+        is a recorded dead state is tallied and taken back at once.  Any
+        other goes on with its forced run, where one applies (plain mode
+        under the symmetry rule and the equation tables; see "Forced
+        runs"), one node per job.  Then either a frame of the candidates
+        at the state reached opens and keeps the child's key, or the
+        earliest free instant is the target and the schedule is complete:
+        m * target work is placed with no idle, which is the total work, so
+        every job is.  A frame that runs out records its key as dead and
+        takes its child back with the child's run.  The run at 0 comes
+        before the root frame, whose candidates open the root branches:
+        each may place at most `budget` jobs, itself and its runs included.
+        The node past that sets `starved`, and the branch is abandoned, its
+        frames and placements unwound to the root without being recorded,
+        since they did not run out.
 
         The loop keeps what it reads at every node in locals and writes
         the node and dead-state counts back when it returns."""
         target, dead, budget = self.target, self.dead, self.budget
-        path, cells, rec, forced = self.path, self.cells, self.rec, self.forced
+        path, cells, forced = self.path, self.cells, self.forced
         place, unplace = self._place, self._unplace
         candidates, key_of, run = self._candidates, self._key, self._run
         # whether forced runs apply
@@ -885,18 +883,14 @@ class _Search:
                 self._abandon(frames, root)
                 continue
             r, subset = step
-            if dead is not None:
-                _, _, _, bit, p, _ = rec[r]
-                child = cells[:]
-                end = t + p
-                for m in subset:
-                    child[m] = end
-                key = key_of(child, self.rem_mask ^ bit)
-                if key in dead:
-                    hits += 1
-                    continue
             base = len(path)
             place(r, subset, t)
+            if dead is not None:
+                key = key_of(cells, self.rem_mask)
+                if key in dead:
+                    hits += 1
+                    unplace()
+                    continue
             t = min(cells)
             if runs and t in forced:
                 t, took = run(t, limit - nodes)

@@ -32,7 +32,9 @@ from .strip import Packing, schedule_to_packing
 from .threepartition import Partition, validate_partition
 
 
-def _check_witness(inst: SchedulingInstance, witness: Partition) -> None:
+def _check_witness(inst: SchedulingInstance, witness: Partition) -> tuple:
+    """Refuse a witness that is not a 3-Partition of the values `inst`
+    encodes; returns those values."""
     values = recover_values(inst)
     D = inst.D
     for triple in witness:
@@ -45,6 +47,7 @@ def _check_witness(inst: SchedulingInstance, witness: Partition) -> None:
     problems = validate_partition(values, witness)
     if problems:
         raise InvalidInput(problems[0])
+    return values.values
 
 
 def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
@@ -52,9 +55,7 @@ def build_schedule(inst: SchedulingInstance, witness: Partition) -> Schedule:
     makespan exactly the target load and zero idle time."""
     if recognize(inst) is None:
         raise InvalidInput("build_schedule needs an unmodified reduction instance")
-    _check_witness(inst, witness)
-
-    values = recover_values(inst).values
+    values = _check_witness(inst, witness)
 
     def ids(tag: str, i: int | None) -> list[str]:
         if tag != "P":

@@ -196,7 +196,7 @@ def carve_zero_idle(rng, horizon, m=4):
         dims.append((p, q))
         starts[job_id] = t
         machines[job_id] = frozenset(k + 1 for k in lanes)
-    return generic(dims), Schedule(starts=starts, machines=machines)
+    return generic(dims, m), Schedule(starts=starts, machines=machines)
 
 
 def reference_swap(

@@ -5,8 +5,8 @@ is also an assertion, so a plain pytest run enforces the same bar.  All
 value comparisons are exact integer equality.  Pinned limits: criterion 1
 under 5 s; criteria 2 and 3 under 60 s each; criterion 4 within 10^7 search
 nodes; criterion 5 within a 10^9-node budget.  Criterion 7(e) deliberately
-contains one slow run (about 20 s of the test's 30 s on a 2-vCPU machine
-under Python 3.11): the only affordable completed search with the
+contains one slow run (13-19 s of the test's 17-22 s on a shared 2-vCPU
+machine under Python 3.11): the only affordable completed search with the
 equation rule disabled on a reduction, kept because it turns the rule's
 exponential value into a measured number.
 """
@@ -348,7 +348,7 @@ def test_criterion_7e_pruning_rules_change_counts_not_outcomes():
     completed runs must agree on the outcome, and a budget-capped run may
     abstain (budget-exceeded) but never answer differently; toggling the
     dead-state table must keep even the witness.  The z=1 equations-off run
-    is completed on purpose: 4,019,206 nodes and about 20 s with the
+    is completed on purpose: 4,019,206 nodes and 13-19 s with the
     dead-state table, for the outcome the default rules reach in 17
     nodes."""
     D = 33

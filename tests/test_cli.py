@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from gadgetforge import cli
 from gadgetforge.cli import main
 from gadgetforge.reduction import Job, SchedulingInstance, StripInstance
 from gadgetforge.schedule import Schedule
@@ -771,3 +772,12 @@ def test_stdout_is_single_json_document(workspace):
         result = run(*args)
         json.loads(result.stdout)
         assert "\n" not in result.stdout.strip()
+
+
+def test_every_subcommand_is_guarded():
+    # The exit-code guard is the command class of the group, so a
+    # subcommand added later runs under it without a decorator to forget.
+    assert main.commands
+    for name, command in main.commands.items():
+        assert isinstance(command, cli._Guarded), name
+    assert "_guard" not in Path(cli.__file__).read_text().replace("_Guarded", "")

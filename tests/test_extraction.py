@@ -489,22 +489,24 @@ def test_a_torn_second_pair_cut_logs_neither_swap_of_its_block(canonical_z1):
 
 
 def oriented(inst, sched):
-    """`_orient` on `sched`, as the pipeline calls it, with its events."""
+    """`_orient` on `sched`, as the pipeline calls it: the schedule, whether
+    it was mirrored, and the events."""
     events = []
     out = extraction._orient(inst, sched, extraction._lanes(inst, sched)[2], events)
-    return out, events
+    return *out, events
 
 
 def test_orient_keeps_forward_schedule(canonical_z1):
     _, inst, sched = canonical_z1
-    out, events = oriented(inst, sched)
-    assert out is sched
+    out, mirrored, events = oriented(inst, sched)
+    assert out is sched and not mirrored
     assert events == [{"stage": "orient", "event": "ok"}]
 
 
 def test_orient_mirrors_backward_schedule(canonical_z1):
     _, inst, sched = canonical_z1
-    out, events = oriented(inst, mirror(inst, sched))
+    out, mirrored, events = oriented(inst, mirror(inst, sched))
+    assert mirrored
     assert dict(out.starts) == dict(sched.starts)
     assert dict(out.machines) == dict(sched.machines)
     assert events == [{"stage": "orient", "event": "mirror"}]

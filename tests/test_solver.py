@@ -35,7 +35,9 @@ from gadgetforge.threepartition import (
 )
 
 from conftest import (
+    carve_zero_idle,
     contiguous_optimum,
+    generic,
     path_free_times,
     record_builds,
     reference_candidates,
@@ -43,30 +45,6 @@ from conftest import (
     reference_gamma_window,
     reference_partition_gaps,
 )
-
-
-def generic(dims, m=4):
-    jobs = tuple(
-        Job(id=f"J{i}", p=p, q=q, tag="J", index=i)
-        for i, (p, q) in enumerate(dims)
-    )
-    return SchedulingInstance(m=m, z=0, D=0, W=0, jobs=jobs)
-
-
-def random_zero_idle(rng, horizon, m=4):
-    """Carve a full m x horizon rectangle into rigid jobs, so a witness
-    exists by construction and total work is exactly m * horizon."""
-    free = [0] * m
-    dims = []
-    while min(free) < horizon:
-        t = min(free)
-        avail = [k for k in range(m) if free[k] == t]
-        q = rng.randint(1, len(avail))
-        p = rng.randint(1, horizon - t)
-        for k in rng.sample(avail, q):
-            free[k] = t + p
-        dims.append((p, q))
-    return generic(dims)
 
 
 def order_oracle(jobs, m=4):
@@ -168,7 +146,7 @@ def test_random_rectangles_are_witnessed(subtests=None):
     rng = random.Random("solver-rectangles")
     for trial in range(20):
         horizon = rng.randint(4, 9)
-        inst = random_zero_idle(rng, horizon)
+        inst = carve_zero_idle(rng, horizon)[0]
         hit = decide_target(inst, horizon)
         assert hit.outcome == "witness", f"trial {trial}"
         below = decide_target(inst, horizon - 1)
@@ -182,7 +160,7 @@ def test_random_rectangles_are_witnessed(subtests=None):
 def test_contiguous_flag_restricts_machine_sets():
     rng = random.Random("solver-contiguous")
     for _ in range(10):
-        inst = random_zero_idle(rng, rng.randint(4, 7))
+        inst = carve_zero_idle(rng, rng.randint(4, 7))[0]
         decision = decide_target(inst, inst.total_work // 4, contiguous=True)
         # a witness might not survive the contiguity restriction, but when
         # one is found its machine sets must be intervals
@@ -554,7 +532,7 @@ def _carves(rng, count):
     """`count` random zero-idle carves of 12 to 20 jobs."""
     out = []
     while len(out) < count:
-        inst = random_zero_idle(rng, rng.randint(6, 14))
+        inst = carve_zero_idle(rng, rng.randint(6, 14))[0]
         if 12 <= len(inst.jobs) <= 20:
             out.append(inst)
     return out
@@ -789,7 +767,7 @@ def test_a_full_dead_state_table_only_loses_prunes(monkeypatch):
 def _tagged_carve(rng):
     """A random carve whose jobs carry one of two tags, so that one class of
     identical jobs can hold both."""
-    inst = random_zero_idle(rng, rng.randint(6, 10))
+    inst = carve_zero_idle(rng, rng.randint(6, 10))[0]
     jobs = tuple(replace(j, tag=rng.choice("JK")) for j in inst.jobs)
     return replace(inst, jobs=jobs)
 
@@ -904,41 +882,62 @@ LOOK_CASES = {
 }
 
 
-def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
-    # The search reads a choice's dead-state key off the parent's cells and
-    # remaining set before it places the choice's job, so that key must be
-    # the one `_key` gives the state `_place` then makes; the placements of
-    # a forced run read no key.  A child whose key is dead is counted but
-    # never placed, so the placements are the nodes less the dead-state
-    # prunes and the starved cut-offs.
-    key, place, run = solver._Search._key, solver._Search._place, solver._Search._run
-    read, seen = [], Counter()
+def test_a_child_is_keyed_after_it_is_placed(monkeypatch):
+    # The search places a choice's job first and reads the child's
+    # dead-state key off the state `_place` made; the placements of a
+    # forced run read no key.  A child whose key is dead is taken back by
+    # the next `_unplace`, before any run or candidate list at it, so every
+    # node but the starved cut-offs is a placement.
+    Search = solver._Search
+    key, place, unplace = Search._key, Search._place, Search._unplace
+    run, candidates = Search._run, Search._candidates
+    seen = Counter()
+    # the last call spied on, whether a run is on, and the path length a
+    # child with a dead key must be taken back to
+    now = {"last": None, "running": False, "dead": None}
 
     def keyed(search, cells, rem):
-        read.append(key(search, cells, rem))
-        return read[-1]
+        assert now["last"] == "place" and not now["running"]
+        got = key(search, cells, rem)
+        assert got == key(search, search.cells, search.rem_mask)
+        if got in search.dead:
+            now["dead"] = len(search.path) - 1
+        now["last"] = "key"
+        seen["keyed"] += 1
+        return got
 
     def placing(search, job, subset, t):
+        assert now["dead"] is None
         place(search, job, subset, t)
+        now["last"] = "place"
         seen["placed"] += 1
-        if seen["running"]:
-            assert not read
-            seen["run"] += 1
-        elif search.dead is not None and len(search.path) < search.n:
-            assert read[-1] == key(search, search.cells, search.rem_mask)
-            seen["keyed"] += 1
-        read.clear()
+        seen["run"] += now["running"]
+
+    def unplacing(search):
+        unplace(search)
+        if now["dead"] is not None:
+            assert len(search.path) == now["dead"]
+            now["dead"] = None
+            seen["dead"] += 1
+        now["last"] = "unplace"
 
     def running(search, t, most):
-        seen["running"] = 1
+        assert now["dead"] is None
+        now["running"] = True
         try:
             return run(search, t, most)
         finally:
-            seen["running"] = 0
+            now["running"] = False
 
-    monkeypatch.setattr(solver._Search, "_key", keyed)
-    monkeypatch.setattr(solver._Search, "_place", placing)
-    monkeypatch.setattr(solver._Search, "_run", running)
+    def listing(search, t):
+        assert now["dead"] is None
+        now["last"] = "candidates"
+        return candidates(search, t)
+
+    for name, spy in (("_key", keyed), ("_place", placing),
+                      ("_unplace", unplacing), ("_run", running),
+                      ("_candidates", listing)):
+        monkeypatch.setattr(Search, name, spy)
     settings = product(
         LOOK_CASES.values(),
         (PruneRules(*flags) for flags in product((True, False), repeat=3)),
@@ -947,12 +946,12 @@ def test_a_child_is_keyed_before_it_is_placed(monkeypatch):
     )
     for case, rules, contiguous, budget in settings:
         seen["placed"] = 0
-        read.clear()
         search = _CountedCutOffs(*case(), contiguous, rules, budget)
         search.search()
-        assert seen["placed"] == search.nodes - search.pruned_dead - search.cut_offs
-        seen["dead"] += search.pruned_dead
+        assert seen["placed"] == search.nodes - search.cut_offs
+        seen["pruned"] += search.pruned_dead
         seen["cut-offs"] += search.cut_offs
+    assert seen["dead"] == seen["pruned"]
     assert seen["keyed"] and seen["run"] and seen["dead"] and seen["cut-offs"]
 
 
@@ -1647,7 +1646,7 @@ def test_contiguous_decisions_agree_with_the_contiguous_optimum():
     rng = random.Random("contiguous-oracle")
     instances = [random_balanced(rng, digits=k % 2 == 0) for k in range(60)]
     while len(instances) < 90:
-        inst = random_zero_idle(rng, horizon=rng.randint(3, 8))
+        inst = carve_zero_idle(rng, horizon=rng.randint(3, 8))[0]
         if len(inst.jobs) <= 8:
             instances.append((inst, inst.total_work // 4))
     rule_sets = [PruneRules(*flags) for flags in product((True, False), repeat=3)]
