@@ -266,7 +266,14 @@ def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
     """The separator families must interleave strictly, late family first,
     and the finished-job counts at each separator must match its rank,
     counted through the schedule's `finished`.  Returns the early and the
-    late separators in start order."""
+    late separators in start order.
+
+    At the late separator B_i only the early count is tested, as the
+    interleaving and the test at A_{i-1} fix the late one: A_{i-1} starts
+    before B_i with i late separators finished, which can only be
+    B_0 .. B_{i-1}, the ones that start before it, and every later one
+    starts at or after B_i, so exactly i have finished at B_i (none at
+    B_0).  A_{i-1} may still run at B_i, so its count stays."""
     stage = "alternation"
     a_seq = sorted(_ids(inst, "A"), key=lambda i: (sched.starts[i], i))
     b_seq = sorted(_ids(inst, "B"), key=lambda i: (sched.starts[i], i))
@@ -294,7 +301,7 @@ def _check_alternation(inst, sched, finished) -> tuple[tuple, tuple]:
             )
     for i, anchor in enumerate(b_seq):
         t = sched.starts[anchor]
-        if finished(t, "B") != i or finished(t, "A") != i:
+        if finished(t, "A") != i:
             raise RefutationCertificate(stage, "separator-counts", f"{anchor}: rank != {i}")
     return tuple(a_seq), tuple(b_seq)
 
@@ -379,7 +386,14 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
     """Between consecutive separators, route the early narrow pair through
     machine 2 and the late one through machine 3 by swapping the middle
     machines' contents inside the block window.  Returns the new schedule
-    and its `_lanes` (`lanes` are the input's)."""
+    and its `_lanes` (`lanes` are the input's).
+
+    Only machine 2's contents are tested.  Normalization has made machines
+    1 and 4 exactly canonical, put the backbone on both middles and
+    checked every job's width, and the swaps here exchange only the
+    middles, so each a, b, gamma, delta and value job runs on exactly one
+    middle machine, and machine 2 holding `canonical_ids(2)` leaves
+    machine 3 exactly `canonical_ids(3)`."""
     stage = "pair-columns"
     exchange = _Exchange(inst, sched)
     for i in range(1, inst.z + 1):
@@ -398,7 +412,7 @@ def _make_pairs_contiguous(inst, sched, lanes, m1, m4, events):
         sched, lanes = swapped, _lanes(inst, swapped)
     want_2, want_3 = canonical_ids(inst, 2), canonical_ids(inst, 3)
     on_2, on_3 = set(lanes[2]), set(lanes[3])
-    if on_2 != want_2 or on_3 != want_3:
+    if on_2 != want_2:
         raise RefutationCertificate(
             stage,
             "pair-columns",

@@ -74,7 +74,8 @@ def _magnitude(gap: int, base: int) -> int:
 
 class _Axis:
     """Piecewise horizontal scale: one band per gap between event times,
-    kept as (lo, hi, left x, width, magnitude of the gap)."""
+    kept as (lo, hi, left x, width, magnitude of the gap).  Both renderers
+    pass times that hold 0, so there is at least one tick."""
 
     def __init__(self, times: list[int], base: int):
         self.base = base
@@ -88,8 +89,7 @@ class _Axis:
             width = _GAP_MIN + _GAP_STEP * k
             self.bands.append((lo, hi, cursor, width, k))
             cursor += width
-        if self.ticks:
-            self.x[self.ticks[-1]] = cursor
+        self.x[self.ticks[-1]] = cursor
         self.right = cursor
 
     def pos(self, t) -> float:
@@ -139,11 +139,11 @@ def _axis_parts(axis: _Axis, y: float) -> list[str]:
             f'<line x1="{left:.1f}" y1="{y:.0f}" x2="{left:.1f}" '
             f'y2="{y + 5:.0f}" stroke="#333"/>'
         )
+        # only bands with k >= 2 are labelled (12 + 15k >= 30)
         if width >= _LABEL_MIN:
-            label = f"~{axis.base}^{k}" if k else f"&lt;{axis.base}"
             parts.append(
                 f'<text class="band" x="{left + width / 2:.1f}" '
-                f'y="{y + 14:.0f}" text-anchor="middle">{label}</text>'
+                f'y="{y + 14:.0f}" text-anchor="middle">~{axis.base}^{k}</text>'
             )
     first, last = axis.ticks[0], axis.ticks[-1]
     parts.append(

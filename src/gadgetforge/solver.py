@@ -78,18 +78,19 @@ order, so a placed job is never visited again.  At a node:
   The forced families are not scanned: one index maps each forced start
   to the (width, class, k) of its job, and a node looks t up in it and
   offers each job there that is at most as wide as the idle machines and
-  whose class has k placed members.  No room is tested: the tables run
-  only at target W, and each forced job at t ends where its canonical
-  job ends, at most W, so it fits the room in any state.  The width test
-  passes in every state a search reaches, in every mode: the second
-  bullet of "Forced runs" reads only that t is a forced start and the
-  earliest free instant, so the jobs at t not yet placed fill the idle
-  machines exactly.  It stays for states off the forward direction,
-  which only a walk outside the search reaches, where a listed set must
-  still be a set of idle machines.  Their first members are counted from the
-  per-width counts of open forced classes, less the open ones longer than
-  the room, whose members are no-fit: a scan of the forced classes,
-  longest first, that stops at the first one that fits the room;
+  whose class has k placed members.  No forced job is compared with the
+  room, offered or not: by the lemma of "No count chains", in every state
+  a search reaches each forced start below t is taken by a member of its
+  class, so each unplaced member of a forced class starts at or after t
+  and ends where its canonical job ends, at most W, the only target the
+  tables run at; it fits the room W - t.  The width test passes in every
+  state a search reaches, in every mode: the second bullet of "Forced
+  runs" reads only that t is a forced start and the earliest free
+  instant, so the jobs at t not yet placed fill the idle machines
+  exactly.  It stays for states off the forward direction, which only a
+  walk outside the search reaches, where a listed set must still be a
+  set of idle machines.  Their first members are counted from the
+  per-width counts of open forced classes;
 * a value job (P) may start at t only in the last gap k that starts by t,
   found by bisecting the gap starts, and only once gamma_k is placed;
   rest = hi_k - t is then what the gap's values still have to fill.  At
@@ -182,27 +183,30 @@ rest, as rest - p is a value, and the third fills it.
 No count chains.  The count chains of `reduction.COUNT_CHAINS` hold in
 every target schedule, and the audit and extraction check them on any
 schedule, but the search does not test them: where they could cut, the
-forced starts already fix the finished counts.  Lemma: let the search
-offer a pinned job at t, the earliest free instant, which is then a
-forced start.  Then every tag's finished count at t is its count in the
-canonical schedule, the forward one `synthesis.build_schedule` builds, so
-every chain holds at t.  Proof.  Every placed pinned job started at the
-forced start of a job identical to it, one job per forced start, so it
-ends where the canonical job there does.  The prefix is zero idle, so all
-m machines are covered over [0, t), and every placed job starts by t.
-Outside the gaps only pinned jobs can run, as the gamma and value jobs
-start and end inside them, and the pinned jobs hold all m machines
-there; inside a gap they hold m - 1, and none starts or ends inside one
-(both are checked with the forward geometry).  Say a forced start
-s < t were not taken, by a job X of width q.  Outside the gaps, the
-pinned jobs placed would cover fewer than m machines at s.  Inside gap
-k, s is the gap's start and t, a forced start too, is at or past its
-end, so q + 1 machines over the whole gap would be left to gamma_k and
-to values: gamma_k covers |gamma_k| of that area, and the rest, at least
-|gamma_k| + 2D, is far more than the values' total zD.  So every forced
-start below t is taken, by a job that ends where the canonical one does,
-and the finished counts at t are the canonical ones.  Soundness never
-rested on the chains: dropping a sound cut can only add nodes.
+forced starts already fix the finished counts.  Lemma: in every state a
+search under the equation tables reaches, with t the earliest free
+instant, every forced start below t is taken, by a job that ends where
+the canonical job there does.  So where the search offers a pinned job
+at t, which is then a forced start, every tag's finished count at t is
+its count in the canonical schedule, the forward one
+`synthesis.build_schedule` builds, and every chain holds at t.  Proof.
+Every placed pinned job started at the forced start of a job identical
+to it, one job per forced start, so it covers an instant exactly when
+the canonical job there does.  A gamma job starts only at its gap's
+start lo_k and a value only inside a gap, and each ends inside it.  The
+prefix is zero idle, so all m machines are covered at every s < t.  The
+pinned jobs hold all m machines at every instant outside the gaps and
+m - 1 inside one, where none starts or ends (both checked with the
+forward geometry), so a forced start s < t lies outside the gaps or is a
+gap's start lo_k.  Outside the gaps only pinned jobs run, so the m
+machines at s need every canonical pinned job that covers s, those that
+start at s among them.  At lo_k no value starts: the rest there is 0
+before gamma_k is placed, which no value fills, and D + |gamma_k| after
+it, where a value would need 2p >= rest > D, while every value is
+shorter than D/2.  So the m machines at lo_k need gamma_k and the
+canonical pinned jobs over lo_k, which hold m - 1, and again every job
+that starts at s is placed.  Soundness never rested on the chains:
+dropping a sound cut can only add nodes.
 
 Forced runs.  In plain mode under the symmetry rule and the equation
 tables, a search lists no candidates at a forced start: whenever the
@@ -222,12 +226,11 @@ it.  It loses nothing, and it always fills its start:
   D + |gamma_k| once it is placed, so a value would need 2p >= rest > D,
   while every value is shorter than D/2.
 * So every child at t is a forced job at t, and every job of
-  `_Plan.forced[t]` is one.  The proof of "No count chains" reads only
-  that t is a forced start and the earliest free instant, so every forced
-  start below t is taken by a job that ends where the canonical job there
-  does.  A gamma or value job placed before t lies in a gap that ends by
-  t, as gap k's jobs start at lo_k or later and t lies strictly inside no
-  gap.  So as many machines are busy over t as the canonical jobs running
+  `_Plan.forced[t]` is one.  By the lemma of "No count chains", every
+  forced start below t is taken by a job that ends where the canonical
+  job there does.  A gamma or value job placed before t lies in a gap
+  that ends by t, as gap k's jobs start at lo_k or later and t lies
+  strictly inside no gap.  So as many machines are busy over t as the canonical jobs running
   over t hold, and the idle ones number the widths of the canonical jobs
   that start at t, the canonical schedule having no idle.  Those are the
   jobs of `_Plan.forced[t]`, as no value starts at a forced start.  Each
@@ -312,8 +315,7 @@ instance, the symmetry rule and whether the equation tables are active:
 the jobs in rank order, each class's first rank, size and length, each
 rank's placement record, the scanned families by width with their initial
 live lists, the per-width job and forced-class counts of the empty
-schedule, the forced-start index, the forced classes by length and the
-value family's gap facts.
+schedule, the forced-start index and the value family's gap facts.
 That is one `_Plan`, an immutable value built by `_plan` for the first
 decision that needs it and kept on the instance by
 `reduction.per_instance`, as the forward geometry is, so the instance
@@ -446,8 +448,6 @@ class _Plan:
     # (width, class, k) of each job there, its class's k-th start, in the
     # rank order of those jobs
     forced: dict[int, tuple[tuple[int, int, int], ...]]
-    # the forced classes, longest first, as (p, q, class, size)
-    longest: tuple[tuple[int, int, int, int], ...]
     # the forced classes per width
     open_forced: tuple[int, ...]
 
@@ -534,12 +534,6 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
         left=tuple(left),
         upto=upto,
         forced={s: tuple(at) for s, at in forced.items()},
-        longest=tuple(
-            sorted(
-                ((cls_p[c], heads[c].q, c, cls_n[c]) for c in forced_classes),
-                key=lambda e: -e[0],
-            )
-        ),
         open_forced=tuple(open_forced),
     )
 
@@ -552,7 +546,7 @@ class _Search:
     __slots__ = (
         "inst", "m", "machines", "target", "contiguous", "rules", "budget",
         "equations", "n", "jobs", "first", "cls_n", "cls_p", "rec", "upto",
-        "forced", "longest", "dead", "cell_bits", "live", "left",
+        "forced", "dead", "cell_bits", "live", "left",
         "open_forced", "taken", "path", "nodes", "starved", "pruned_no_fit",
         "pruned_symmetry", "pruned_equations", "pruned_dead", "cells",
         "rem_mask", "__weakref__",
@@ -576,7 +570,7 @@ class _Search:
         # the same rules: nothing writes into them
         self.jobs, self.first, self.cls_n = plan.jobs, plan.first, plan.cls_n
         self.cls_p, self.rec, self.upto = plan.cls_p, plan.rec, plan.upto
-        self.forced, self.longest = plan.forced, plan.longest
+        self.forced = plan.forced
         self.n = len(self.jobs)
         self.dead: set[int] | None = set() if rules.dead_states else None
         self.cell_bits = target.bit_length()
@@ -645,18 +639,12 @@ class _Search:
         out = []
         add = out.append
         if self.equations:
-            # the forced classes at most `width` wide with unplaced members,
-            # less those longer than the room, whose members are no-fit
+            # the forced classes at most `width` wide with unplaced members;
+            # each member starts at or after t and ends by W, so it fits the
+            # room (see "Candidates at a node")
             firsts = sum(self.open_forced[: width + 1])
-            for p, q, c, size in self.longest:
-                if p <= room:
-                    break
-                if q <= width and taken[c] < size:
-                    no_fit += size - taken[c]
-                    firsts -= 1
             # only the job whose forced start is t may start at t: the
-            # next member of its class, when t is the class's next start;
-            # it ends at its canonical end, so it fits the room
+            # next member of its class, when t is the class's next start
             for q, c, kth in self.forced.get(t, ()):
                 if q <= width and taken[c] == kth:
                     offered += 1

@@ -837,11 +837,5 @@ def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):
             s: tuple(sorted(at, key=lambda e: rank[members[e[1]][e[2]].id]))
             for s, at in forced.items()
         },
-        longest=tuple(
-            sorted(
-                ((cls_p[c], members[c][0].q, c, len(members[c])) for c in forced_classes),
-                key=lambda e: -e[0],
-            )
-        ),
         open_forced=tuple(open_forced),
     )

@@ -101,6 +101,23 @@ def test_an_unreadable_file_exits_2(workspace, monkeypatch):
     assert result.stderr == f"invalid input: cannot read {path}: Permission denied\n"
 
 
+def test_an_os_error_without_strerror_is_named_by_its_text(workspace, tmp_path, monkeypatch):
+    # an OSError raised with one argument has no strerror
+    def boom(self, *args, **kwargs):
+        raise OSError("boom")
+
+    monkeypatch.setattr(Path, "read_text", boom)
+    path = str(workspace / "inst3.json")
+    result = run("reduce", "--in", path)
+    assert result.exit_code == 2
+    assert result.stderr == f"invalid input: cannot read {path}: boom\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(Path, "write_text", boom)
+    path = tmp_path / "w.json"
+    result = run("gen3p", "--yes", "--z", "1", "--seed", "0", "--witness-out", str(path))
+    assert _refused_path(result, path) == f"invalid input: cannot write {path}: boom"
+
+
 def test_gen3p_witness_out_requires_yes(tmp_path):
     result = run("gen3p", "--no", "--z", "2", "--seed", "3",
                  "--witness-out", str(tmp_path / "w.json"))
@@ -718,6 +735,21 @@ def test_render_mode_conflict(workspace, tmp_path):
     result = run("render", "--inst", str(workspace / "inst.json"),
                  "--out", str(tmp_path / "x.svg"))
     assert result.exit_code == 2
+    # both figures at once, one figure with an input of the other, and half
+    # of the strip figure
+    ws = {name: str(workspace / f"{name}.json") for name in ("inst", "sched", "strip")}
+    ws["packing"] = str(workspace / "pack.json")
+    for names in (
+        ("inst", "sched", "strip", "packing"),
+        ("inst", "sched", "packing"),
+        ("strip", "packing", "sched"),
+        ("strip",),
+    ):
+        options = [arg for name in names for arg in (f"--{name}", ws[name])]
+        result = run("render", *options, "--out", str(tmp_path / "x.svg"))
+        assert result.exit_code == 2, names
+        assert "give --inst with --sched" in result.stderr
+        assert not (tmp_path / "x.svg").exists()
 
 
 def test_roundtrip_reports_passes():

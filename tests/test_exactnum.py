@@ -18,6 +18,7 @@ from gadgetforge.exactnum import (
     decompose,
     digit_bound,
     parse_int,
+    reading,
 )
 
 Z1, D1 = 1, 33
@@ -138,6 +139,15 @@ def test_parse_int_rejects_every_other_form(token):
     limit with a ValueError, which is invalid input here."""
     with pytest.raises(InvalidInput, match="n must be an integer"):
         parse_int(token, "n")
+
+
+def test_reading_names_a_repeated_key_after_the_first():
+    # the key named is the one repeated, not the object's first key
+    with pytest.raises(
+        InvalidInput, match="^a document repeats the key 'b' in one object$"
+    ):
+        with reading('{"a": 1, "b": 2, "b": 3}', "a document"):
+            pass
 
 
 # ===== property tests =====

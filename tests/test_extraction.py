@@ -269,6 +269,18 @@ LEMMA_FORGERIES = {
         ),
         [],
     ),
+    # on gen_yes(2, 0): delta_1 moved from machine 3 to machine 2, so
+    # neither middle holds as many delta jobs as b jobs
+    "machine-contents/pairs": (
+        lambda s, p, D: ({}, {"delta_1": {2}}),
+        (
+            "normalize",
+            "machine-contents",
+            "machine 2 pairs a/gamma 2/2 and b/delta 0/1; "
+            "machine 3 pairs a/gamma 0/0 and b/delta 2/1",
+        ),
+        [],
+    ),
     # P_1 ends at 0, so it opens machine 2 before B_0
     "first-job": (
         lambda s, p, D: ({"P_1": -p["P_1"]}, {}),
@@ -303,7 +315,7 @@ LEMMA_FORGERIES = {
     ),
 }
 # the z of each forgery that needs more than one block
-WIDER = {"pair-columns/shared": 2}
+WIDER = {"pair-columns/shared": 2, "machine-contents/pairs": 2}
 
 
 @pytest.mark.parametrize("case", list(LEMMA_FORGERIES))

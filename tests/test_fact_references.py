@@ -131,7 +131,7 @@ def _by_id(plan: solver._Plan) -> dict:
     rank-indexed fields mapped back to ids: each class's members (its run
     of ranks), each job's rank and each job's placement record."""
     jobs = plan.jobs
-    shared = ("cls_p", "live", "left", "upto", "forced", "longest", "open_forced")
+    shared = ("cls_p", "live", "left", "upto", "forced", "open_forced")
     return dict(
         members=tuple(jobs[a : a + n] for a, n in zip(plan.first, plan.cls_n)),
         rank={j.id: r for r, j in enumerate(jobs)},

@@ -271,8 +271,9 @@ def test_recognize_rejects_tampering():
     [
         lambda j: 2 if j.id == "gamma_1" else j.index,
         lambda j: None if j.tag == "P" else j.index,
+        lambda j: None if j.id == "P_2" else j.index,
     ],
-    ids=["gamma_1-index-2", "P-index-none"],
+    ids=["gamma_1-index-2", "P-index-none", "P_2-index-none"],
 )
 def test_recognize_checks_every_index(index_of):
     """A job whose index disagrees with its id makes the instance no

@@ -74,6 +74,14 @@ def test_verify_reports_wrong_multiplicity_and_negative_start():
     report = verify(inst, sched)
     assert not report.feasible
     assert len(report.problems) == 2
+    # no job on any machine: the machine range has nothing to check, and
+    # every job's width is reported
+    inst = tiny_instance([job("x", 5, 2), job("y", 3, 1)])
+    sched = Schedule(starts={"x": 0, "y": 0}, machines={"x": frozenset(), "y": frozenset()})
+    assert verify(inst, sched).problems == (
+        "job x occupies 0 machines, needs 2",
+        "job y occupies 0 machines, needs 1",
+    )
 
 
 def test_verify_idle_accounting():

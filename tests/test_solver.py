@@ -115,6 +115,19 @@ def test_work_is_compared_with_m_times_the_target():
     assert huge.nodes == 0
 
 
+def test_a_non_reduction_at_its_own_w_is_searched_without_the_tables():
+    # the equation tables need a recognised reduction as well as target W:
+    # an instance that only declares W = target decides as with them off
+    rng = random.Random("solver-own-w")
+    cases = [(generic([(5, 2), (3, 2), (2, 2), (2, 2)]), 6)]
+    cases += [(carve_zero_idle(rng, h)[0], h) for h in (5, 7)]
+    for inst, target in cases:
+        inst = replace(inst, W=target)
+        off = decide_target(inst, target, rules=PruneRules(equations=False))
+        assert decide_target(inst, target).to_dict() == off.to_dict()
+    assert off.outcome == "witness"
+
+
 def test_a_balanced_instance_with_too_many_machines_is_refused(monkeypatch):
     # One job as wide as m machines is balanced at target 1.  Above the
     # limit the refusal comes before the search builds any per-machine

@@ -77,6 +77,9 @@ def test_rejects_malformed_partition():
     inst = build_jobs(inst3p)
     with pytest.raises(InvalidInput, match=r"^set \(1, 2\) does not have 3 members$"):
         build_schedule(inst, ((1, 2),))
+    # an index below 1 is refused before any value is read by it
+    with pytest.raises(InvalidInput, match=r"^set \(0, 1, 2\) has indices outside 1..3$"):
+        build_schedule(inst, ((0, 1, 2),))
     with pytest.raises(InvalidInput, match="^0 sets, expected 1$"):
         build_schedule(inst, ())
 

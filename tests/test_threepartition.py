@@ -89,11 +89,17 @@ def test_sum_divisibility_violation():
 def test_bad_count_violation():
     assert validate(ThreePartitionInstance((10, 11)))
     assert validate(ThreePartitionInstance(()))
+    # no values, so z = 0 and no D
+    with pytest.raises(InvalidInput, match="^values do not sum to a multiple of z$"):
+        ThreePartitionInstance(()).D
 
 
-@pytest.mark.parametrize("bad", [11.0, True, "11"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "bad", [11.0, True, "11", 0, -11], ids=["float", "bool", "string", "zero", "negative"]
+)
 def test_a_value_that_is_no_int_is_a_violation(bad):
-    # checked before the sum, which a bool or a float would pass
+    # checked before the sum, which a bool or a float would pass; an int at
+    # most 0 is no positive int either
     assert validate(ThreePartitionInstance((10, bad, 12))) == [
         f"value #2 = {bad!r} is not a positive integer"
     ]

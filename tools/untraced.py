@@ -14,6 +14,9 @@ traced: the lines of its span less those of the statements nested in it,
 so an `if` is its test, and a function its `def` line and decorators,
 which run at import.  An `except` clause is a statement of its own.  A
 statement with no code of its own (`else:`, a docstring) is never listed.
+It lists statements, not conditions: an `if` whose test always takes one
+side, or an `and`/`or` operand that always reads the same value, has run,
+and is not listed.
 
 Only this process is traced: a test that runs the package in a subprocess
 (the CLI fuzz, `python -O` checks, the import-set probes) adds nothing to
