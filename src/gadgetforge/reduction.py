@@ -21,10 +21,11 @@ polynomials in D, and `evaluate` works out every base and step and W at
 one (z, D) from one table: `build_jobs` once per build, `recognize` once
 for the values the P jobs carry, and `_start_columns` once per call of
 `forced_starts` or `forward_geometry`.  Those start columns are the one
-statement of the forward starts; `forward_geometry` reads block j's gamma
-window as opening at alpha_j's start, and gap j as running from there to
-B_j's start.  Synthesis builds the same starts by accumulation, without
-the table, so the two cross-check.
+statement of the forward starts, per (tag, index) slot: `forced_starts`
+names each by its job's id, and `forward_geometry` keeps each under its
+slot, with block j's gamma window opening at alpha_j's start, and reads
+gap j as running from there to B_j's start.  Synthesis builds the same
+starts by accumulation, without the table, so the two cross-check.
 
 The gamma job of block j is one unit of D short of its gap, so exactly a
 D-sum subset of P jobs fits beside it: that is where the partition lives.
@@ -33,15 +34,15 @@ The shape of every target schedule is stated once, at the end of this
 module: `CANONICAL_LAYOUT` holds each machine's job sequence, read by
 synthesis and extraction, and `COUNT_CHAINS` the count identities at every
 separator and filler start, read by the audit and extraction.  The solver
-reads neither; its equation rule reads the closed-form starts of the
-canonical geometry through `forward_geometry`.
+reads neither; its equation rule reads the forward starts by slot, and
+the gaps, through `forward_geometry`.
 
 An instance never changes, so what is derived from it never does either.
-Each derived fact (`recognize`, `forward_geometry`, `canonical_slots`,
-`canonical_ids`) is one function decorated with
-`per_instance`, which works it out on the first call and keeps it on the
-instance; a module that derives its own facts, as the solver does its
-plans, uses the same decorator.
+Each derived fact (`recognize`, the (starts, gaps) pair of
+`forward_geometry`, `canonical_slots`, `canonical_ids`) is one function
+decorated with `per_instance`, which works it out on the first call and
+keeps it on the instance; a module that derives its own facts, as the
+solver does its plans, uses the same decorator.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, repeat
-from operator import itemgetter, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -65,6 +66,8 @@ MACHINES = 4
 # base + i * step, as (base, step)
 Powers = tuple[int, ...]
 Affine = tuple[int, int]
+# a job's (tag, index), such as ("gamma", 1), or ("lambda1", None)
+Slot = tuple[str, int | None]
 
 
 @dataclass(frozen=True)
@@ -411,36 +414,30 @@ def forced_starts(inst: SchedulingInstance) -> dict[str, int]:
     }
 
 
-class ForwardGeometry(NamedTuple):
-    """The forward starts of a reduction as the solver's equation rule
-    reads them: per tag but P, its jobs' starts in ascending order, each
-    with its job (gamma_k at the start of gap k, its window's first start),
-    and the gaps in ascending order."""
-
-    starts: Mapping[str, tuple[tuple[int, Job], ...]]
-    gaps: tuple[tuple[int, int], ...]
-
-
 @per_instance
-def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
-    """The `ForwardGeometry` of a recognised reduction, worked out from the
-    closed forms, with the premises of the solver's equation rule checked
-    (see "Each gap is a bin" and "No count chains" in `solver`): every tag
-    has one width, every (p, q) one tag, and the gamma jobs pairwise differ
-    in length; the starts of each tag pairwise differ; the gaps are
-    pairwise disjoint, and block k's gamma window [lo, lo + D] fills gap
-    k = [lo, hi) with its gamma job, hi - lo = D + |gamma_k|; the pinned
-    jobs hold exactly m - 1 machines at every instant of a gap, and all m
-    at every instant of [0, W) outside the gaps.  That every value lies
-    strictly between D/4 and D/2 is not checked again: the solver builds
-    the geometry only for an instance that `recognize` accepts, and
-    `recognize` has run `threepartition.validate` on the values the P
-    jobs carry."""
+def forward_geometry(inst: SchedulingInstance) -> tuple[dict[Slot, int], tuple]:
+    """The forward geometry of a recognised reduction as the solver's
+    equation rule reads it, (starts, gaps): each forward start by the slot
+    (tag, index) of its job, every tag but P, with index None for lambda1
+    and lambda2 and gamma_k at the start of gap k, its window's first
+    start; and the gaps as (lo, hi) pairs in ascending order.  Both are
+    worked out from the closed forms, with the premises of the solver's
+    equation rule checked (see "Each gap is a bin" and "No count chains"
+    in `solver`): every tag has one width, every (p, q) one tag, and the
+    gamma jobs pairwise differ in length; the starts of each tag pairwise
+    differ; the gaps are pairwise disjoint, and block k's gamma window
+    [lo, lo + D] fills gap k = [lo, hi) with its gamma job,
+    hi - lo = D + |gamma_k|; the pinned jobs hold exactly m - 1 machines
+    at every instant of a gap, and all m at every instant of [0, W)
+    outside the gaps.  That every value lies strictly between D/4 and D/2
+    is not checked again: the solver builds the geometry only for an
+    instance that `recognize` accepts, and `recognize` has run
+    `threepartition.validate` on the values the P jobs carry."""
     m, D = inst.m, inst.D
     # each job by its (tag, index) slot, kept no longer than this call,
     # unlike `inst.by_slot`, which a decision never reads
     by_slot = {(j.tag, j.index): j for j in inst.jobs}
-    tables = {}
+    starts = {}
     # one sweep: the machines the pinned jobs take (or free) at each of
     # their starts (and ends), and the pinned load on each stretch between
     # two consecutive instants
@@ -449,21 +446,20 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
     for tag, column in columns.items():
         first = FAMILIES[tag][1]
         slots = [None] if first is None else range(first, first + len(column))
-        table = [(s, by_slot[tag, i]) for s, i in zip(column, slots)]
-        tables[tag] = tuple(sorted(table, key=itemgetter(0)))
-        if tag != "gamma":
-            for s, job in table:
+        for s, i in zip(column, slots):
+            starts[tag, i] = s
+            if tag != "gamma":
+                job = by_slot[tag, i]
                 delta[s] += job.q
                 delta[s + job.p] -= job.q
+        distinct = len(set(column)) == len(column)
+        require(f"the {tag} starts", (distinct, "pairwise distinct"))
     instants = sorted(delta)
     loads = accumulate(delta[x] for x in instants)
     stretches = dict(zip(zip(instants, instants[1:]), loads))
-    gammas = [j for _, j in tables["gamma"]]
+    gammas = [by_slot["gamma", k] for k in range(1, inst.z + 1)]
     # gap j runs from gamma_j's window start to B_j's start
     gaps = tuple(sorted(zip(columns["gamma"], columns["B"][1:])))
-    for tag, table in tables.items():
-        distinct = all(s < u for (s, _), (u, _) in zip(table, table[1:]))
-        require(f"the {tag} starts", (distinct, "pairwise distinct"))
     # A gap that is a stretch has no pinned start or end inside it.
     require(
         "the value gaps",
@@ -475,7 +471,7 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
             len(gammas) == len(gaps)
             and all(
                 s == lo and hi - s - j.p == D
-                for (s, j), (lo, hi) in zip(tables["gamma"], gaps)
+                for s, j, (lo, hi) in zip(columns["gamma"], gammas, gaps)
             ),
             "one window inside each gap, from its start, leaving D beside "
             "its gamma job, in gap order",
@@ -499,7 +495,7 @@ def forward_geometry(inst: SchedulingInstance) -> ForwardGeometry:
         (len({(p, q) for p, q, _ in shapes}) == len(shapes), "one tag per (p, q)"),
         (len({j.p for j in gammas}) == len(gammas), "one gamma job per length"),
     )
-    return ForwardGeometry(MappingProxyType(tables), gaps)
+    return starts, gaps
 
 
 # ===== the canonical shape =====
@@ -514,9 +510,6 @@ CANONICAL_LAYOUT: dict[int, str] = {
     3: "B_0 c_0 A_0 | delta_i b_i B_i c_i A_i |",
     4: "B_0 | beta_i b_i B_i | lambda2",
 }
-
-
-Slot = tuple[str, int | None]
 
 
 def _slot(token: str, i: int | None) -> Slot:

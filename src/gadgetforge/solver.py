@@ -44,17 +44,18 @@ The scan visits classes, not jobs.  The search names every job by its rank,
 its place in (-q, -p, id) order.  A class is a set of identical jobs under
 the symmetry rule's (p, q) key, so a run of consecutive ranks, in id
 order: the k-th member of class c has rank first[c] + k.  With the rule off
-every job is a class of its own.  Classes are grouped into families: by
-(q, tag) when the equation tables are active, else by q alone.  No rule
-but the equation tables reads a tag, and they run only on recognised
-reductions, whose tags each have one width and whose (p, q) each have one
-tag (both checked with the forward geometry), so a class lies inside one
-family.  Under the equation tables every family but the values is forced,
-and the others are scanned.  A search keeps the placed count of each
-class, per scanned family a live list of the classes that still have
-unplaced members, in rank order, and per width the number of forced
-classes that still have some; `_place` and `_unplace` update them in LIFO
-order, so a placed job is never visited again.  At a node:
+every job is a class of its own.  The classes a node scans are grouped
+into families by width q: every class when the equation tables are off,
+and under them only the value classes, as every other class is forced.
+No rule but the equation tables reads a tag, and they run only on
+recognised reductions, whose tags each have one width and whose (p, q)
+each have one tag (both checked with the forward geometry), so a class
+holds jobs of one tag and the values form one family.  A search keeps
+the placed count of each class, per scanned family a live list of the
+classes that still have unplaced members, in rank order, and per width
+the number of forced classes that still have some; `_place` and
+`_unplace` update them in LIFO order, so a placed job is never visited
+again.  At a node:
 
 * the unplaced jobs wider than the idle machines are no-fit, read from a
   per-width tally; only the classes at most that wide are visited;
@@ -69,13 +70,13 @@ order, so a placed job is never visited again.  At a node:
   exactly when the member before it in id order is unplaced, which for an
   id prefix holds for every unplaced member but the first;
 * the equation rule decides which of those first members may start at t
-  (see "Forward only").  A forced family holds one forced start per job,
-  pairwise distinct within the family: the start s of each pinned job
+  (see "Forward only").  Each tag but P holds one forced start per job,
+  pairwise distinct within the tag: the start s of each pinned job
   (every tag but gamma and P), and the start lo_k of gap k for block k's
   gamma job (see "Each gap is a bin").  A class's k-th start holds its
-  k-th placement, so at most one job of a family may start at t: the next
+  k-th placement, so at most one job of a tag may start at t: the next
   member of the class whose start is t, if t is the class's next start.
-  The forced families are not scanned: one index maps each forced start
+  The forced classes are not scanned: one index maps each forced start
   to the (width, class, k) of its job, and a node looks t up in it and
   offers each job there that is at most as wide as the idle machines and
   whose class has k placed members.  No forced job is compared with the
@@ -237,7 +238,7 @@ it.  It loses nothing, and it always fills its start:
   class there has one placed member per start of it below t, which is k,
   and each job ends where its canonical one does, by W, the target.  So
   every job at t is offered, and placing them all, in any order, fills t
-  exactly: no two share a class (a family's forced starts are pairwise
+  exactly: no two share a class (a tag's forced starts are pairwise
   distinct), so placing one changes only the idle machines the others
   may take, and their widths sum to the idle count.
 * Machines idle at t are interchangeable in plain mode, and widths are
@@ -319,20 +320,24 @@ schedule, the forced-start index and the value family's gap facts.
 That is one `_Plan`, an immutable value built by `_plan` for the first
 decision that needs it and kept on the instance by
 `reduction.per_instance`, as the forward geometry is, so the instance
-holds at most four; they live as long as it does, 40-77 KB each at
-z = 14 (173 jobs), 66 KB under the default rules (tracemalloc).  The
-plan is built in one sort of the jobs into rank order and a few passes
-over them; the forced-start index is filled by one pass in rank order,
-each class's k-th member taking its k-th forced start, so each start
-lists its jobs in rank order without a sort of its own.  A job's id is
-read only where the plan joins the forward geometry, which names jobs
-by id, and in a witness (`_Search._snapshot`).  After it is
-built nothing writes into a plan: a search copies the live lists and the
-counts it updates.  The dead-state table is not part of it.  It stays
-per decision: a table kept across decisions would cut branches a fresh
-decision searches, so node counts, and with them every `Decision`, would
-depend on what was decided before, and a repeated decision would be
-little more than a look-up.
+holds at most four; they live as long as it does, 29-52 KB each at
+z = 14 (173 jobs), 50 KB under the default rules (tracemalloc: what a
+build keeps, with the forward geometry built before it; a build peaks
+at 52-111 KB).
+The plan is built in one sort of the jobs into rank order and a few
+passes over them.  The forward geometry names each forced start by the
+slot (tag, index) of its job, the form `reduction._start_columns` states
+it in, and the plan joins it to the classes by slot, each class's starts
+sorted; the forced-start index is filled by one pass over the classes in
+rank order, each class's k-th member taking its k-th forced start, so
+each start lists its jobs in rank order without a sort of its own.  A
+job's id is read only by the sort into rank order and in a witness
+(`_Search._snapshot`).  After it is built nothing writes into a plan: a
+search copies the live lists and the counts it updates.  The dead-state
+table is not part of it.  It stays per decision: a table kept across
+decisions would cut branches a fresh decision searches, so node counts,
+and with them every `Decision`, would depend on what was decided before,
+and a repeated decision would be little more than a look-up.
 
 A decision is one `_Search`, holding its instance's plan, the dead-state
 table and one state that each placement updates and its undo takes back
@@ -469,14 +474,13 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
     # each class's first member
     heads = [jobs[r] for r in first]
     cls_p = tuple(j.p for j in heads)
+    # the scanned families, by width: under the equation tables only the
+    # values, one family of width 1, as every other class is forced
     families: dict = {}
     for c, j in enumerate(heads):
-        families.setdefault((j.q, j.tag) if equations else j.q, []).append(c)
-    # every family is scanned, except the forced ones under the equation
-    # tables: all but the values
-    scanned = [
-        cs for cs in families.values() if not equations or heads[cs[0]].tag == "P"
-    ]
+        if not equations or j.tag == "P":
+            families.setdefault(j.q, []).append(c)
+    scanned = list(families.values())
     fam_of = {c: f for f, cs in enumerate(scanned) for c in cs}
     rec = tuple(
         (c, fam_of.get(c), n, 1 << r, j.p, j.q)
@@ -488,18 +492,18 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
         left[j.q] += n
     forced: dict[int, list[tuple[int, int, int]]] = {}
     if equations:
-        geometry = forward_geometry(inst)
-        # the forward geometry names its jobs by id: each id's class
-        cls_by_id = {j.id: e[0] for j, e in zip(jobs, rec)}
+        starts, gaps = forward_geometry(inst)
+        # the forward geometry names its jobs by slot: each slot's class
+        cls_of = {(j.tag, j.index): e[0] for j, e in zip(jobs, rec)}
         # the gap starts and ends in ascending order, the class of each
         # gap's gamma job, the value classes by length and D
         (values,) = scanned
         by_len: dict[int, list[int]] = {}
         for c in values:
             by_len.setdefault(cls_p[c], []).append(c)
-        lows = tuple(lo for lo, _ in geometry.gaps)
-        ends = tuple(hi for _, hi in geometry.gaps)
-        gammas = tuple(cls_by_id[g.id] for _, g in geometry.starts["gamma"])
+        lows = tuple(lo for lo, _ in gaps)
+        ends = tuple(hi for _, hi in gaps)
+        gammas = tuple(cls_of["gamma", k] for k in range(1, inst.z + 1))
         facts = (lows, ends, gammas, by_len, inst.D)
         specs = [(0, heads[values[0]].q, facts)]
         # each class's forced starts in ascending order, the k-th for its
@@ -508,11 +512,10 @@ def _plan(inst: SchedulingInstance, symmetry: bool, equations: bool) -> _Plan:
         # rank order lists each start's jobs in rank order, the order a
         # search tries them
         starts_of: list[list[int]] = [[] for _ in first]
-        for table in geometry.starts.values():
-            for s, job in table:
-                starts_of[cls_by_id[job.id]].append(s)
-        for c, starts in enumerate(starts_of):
-            for k, s in enumerate(starts):
+        for slot, s in starts.items():
+            starts_of[cls_of[slot]].append(s)
+        for c, at in enumerate(starts_of):
+            for k, s in enumerate(sorted(at)):
                 forced.setdefault(s, []).append((heads[c].q, c, k))
     else:
         specs = [(f, heads[cs[0]].q, None) for f, cs in enumerate(scanned)]

@@ -70,7 +70,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Mapping, NamedTuple
 from unittest.mock import patch
 from weakref import WeakKeyDictionary
 
@@ -81,7 +81,6 @@ from gadgetforge.exactnum import InvalidInput, decompose, digit_bound, require
 from gadgetforge.reduction import (
     COUNT_CHAINS,
     MACHINES,
-    ForwardGeometry,
     Job,
     SchedulingInstance,
     build_jobs,
@@ -711,7 +710,17 @@ def reference_partition_gaps(inst: SchedulingInstance) -> tuple[tuple[int, int],
     return tuple(gaps)
 
 
-def reference_geometry(inst: SchedulingInstance) -> ForwardGeometry:
+class ReferenceGeometry(NamedTuple):
+    """The forward starts as the reference reads them: per tag but P, its
+    jobs' starts in ascending order, each with its job (gamma_k at the
+    start of gap k, its window's first start), and the gaps in ascending
+    order."""
+
+    starts: Mapping[str, tuple[tuple[int, Job], ...]]
+    gaps: tuple[tuple[int, int], ...]
+
+
+def reference_geometry(inst: SchedulingInstance) -> ReferenceGeometry:
     m, D = inst.m, inst.D
     starts: dict[str, list[tuple[int, Job]]] = {}
     delta: dict[int, int] = {}
@@ -766,7 +775,7 @@ def reference_geometry(inst: SchedulingInstance) -> ForwardGeometry:
         (len({tag for tag, _ in widths}) == len(widths), "one width per tag"),
         (len({j.p for j in gammas}) == len(gammas), "one gamma job per length"),
     )
-    return ForwardGeometry(MappingProxyType(tables), gaps)
+    return ReferenceGeometry(MappingProxyType(tables), gaps)
 
 
 def reference_plan(inst: SchedulingInstance, symmetry: bool, equations: bool):

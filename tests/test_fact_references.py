@@ -2,8 +2,9 @@
 recognition, the closed-form geometry and the solver's plans, each worked
 out in one pass, agree with the rebuild-and-compare recognition, the
 closed forms evaluated one power at a time and the plan that sorts each
-forced start's jobs, on reductions at z = 1..16 and 80 and on
-perturbations of them.
+forced start's jobs, on reductions at z = 1..16, 34 and 80, at the
+smallest D the reduction takes, with tied values, and on perturbations
+of them.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ from itertools import product
 import pytest
 
 from gadgetforge import solver
-from gadgetforge.exactnum import InvalidInput
+from gadgetforge.exactnum import InvalidInput, digit_bound
 from gadgetforge.reduction import (
     FAMILIES,
     Job,
@@ -27,7 +28,7 @@ from gadgetforge.reduction import (
     forward_geometry,
     recognize,
 )
-from gadgetforge.threepartition import gen_no, gen_yes
+from gadgetforge.threepartition import ThreePartitionInstance, gen_no, gen_yes
 
 from conftest import (
     reference_build_jobs,
@@ -44,13 +45,36 @@ SIZES = (*range(1, 17), 80)
 RULES = tuple(product((True, False), repeat=2))
 
 
+def _triples(z: int, D: int, rng: random.Random) -> list[int]:
+    """The values of z random triples (a, b, D - a - b), each value
+    strictly between D/4 and D/2."""
+    values: list[int] = []
+    while len(values) < 3 * z:
+        a, b = (rng.randrange(D // 4 + 1, (D + 1) // 2) for _ in range(2))
+        if 4 * (D - a - b) > D and 2 * (D - a - b) < D:
+            values += [a, b, D - a - b]
+    return values
+
+
 def _generated():
-    """Each gen_yes and gen_no reduction of the differential by label."""
+    """Each reduction of the differential by label: gen_yes and gen_no at
+    every size, gen_yes at z = 34, the first size whose P ids sort away
+    from their indices ("P_100" < "P_11"), random triples at the smallest
+    D the reduction takes, and values with ties, so that value classes
+    have several members."""
     out = {}
     for z in SIZES:
         out[f"yes({z})"] = build_jobs(gen_yes(z, z)[0])
         if z >= 2:
             out[f"no({z})"] = build_jobs(gen_no(z, z))
+    out["yes(34)"] = build_jobs(gen_yes(34, 34)[0])
+    for z in (1, 3, 10):
+        values = _triples(z, digit_bound(z) + 1, random.Random(z))
+        out[f"least-D({z})"] = build_jobs(ThreePartitionInstance(tuple(values)))
+    D = digit_bound(6) + 1
+    third = D // 3
+    tied = (third, third, D - 2 * third, *_triples(1, D, random.Random(6)) * 5)
+    out["ties(6)"] = build_jobs(ThreePartitionInstance(tied))
     return out
 
 
@@ -153,14 +177,19 @@ def test_the_derived_facts_agree_with_their_references(label):
     want = reference_recognize(inst)
     assert recognize(fresh) == want
     if want is not None:
-        geometry = forward_geometry(fresh)
-        assert geometry == reference_geometry(inst)
+        starts, gaps = forward_geometry(fresh)
+        want_geometry = reference_geometry(inst)
+        assert starts == {
+            (j.tag, j.index): s
+            for table in want_geometry.starts.values()
+            for s, j in table
+        }
+        assert gaps == want_geometry.gaps
         assert forced_starts(fresh) == reference_forced_starts(inst)
-        assert geometry.gaps == reference_partition_gaps(inst)
-        gammas = geometry.starts["gamma"]
-        assert [j.index for _, j in gammas] == list(range(1, inst.z + 1))
-        for s, j in gammas:
-            assert reference_gamma_window(inst, j.index) == (s, s + inst.D)
+        assert gaps == reference_partition_gaps(inst)
+        for k in range(1, inst.z + 1):
+            s = starts["gamma", k]
+            assert reference_gamma_window(inst, k) == (s, s + inst.D)
         for symmetry, equations in RULES:
             got = solver._plan(fresh, symmetry, equations)
             assert _by_id(got) == reference_plan(inst, symmetry, equations)

@@ -180,12 +180,10 @@ def test_gamma_window_and_gaps(generated):
     _, sched = generated
     z, D = sched.z, sched.D
     starts = forced_starts(sched)
-    geometry = forward_geometry(sched)
-    gammas = geometry.starts["gamma"]
-    assert [gamma.index for _, gamma in gammas] == list(range(1, z + 1))
-    assert len(geometry.gaps) == z
-    for (lo, gamma), (gap_lo, gap_hi) in zip(gammas, geometry.gaps):
-        j = gamma.index
+    forward, gaps = forward_geometry(sched)
+    assert len(gaps) == z
+    for j, (gap_lo, gap_hi) in enumerate(gaps, 1):
+        lo, gamma = forward["gamma", j], sched.by_slot["gamma", j]
         assert lo == starts[f"alpha_{j}"]  # gamma opens with alpha's start
         assert gap_lo == lo
         assert gap_hi == starts[f"B_{j}"]

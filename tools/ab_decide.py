@@ -24,6 +24,16 @@ gets its own copy of every instance.  Every decision must give a
 byte-identical `Decision.to_dict()` on both sides; the script lists every
 case that differs and stops.
 
+Then, before the corpora, the facts table times what a first decision
+on a recognised reduction works out before its search: `recognize`, then
+`solver._plan(inst, True, True)`, the plan under the default rules, which
+builds the forward geometry.  It runs on fresh `gen_yes(16, 0..11)` and
+`gen_yes(80, 0..1)` objects, each built outside the timer, for 40 rounds;
+the side that goes first alternates from object to object and from round
+to round.  Per size it prints each side's median over the rounds of the
+round's time summed over the objects, the ratio NEW/OLD of those
+medians, and the interquartile range of the per-round ratios.
+
 With `--outcomes`, for a change that is meant to move node and prune
 counts, a decision may differ in its counts as long as its answer stands:
 every answered outcome (witness, proved-none, refused) must be the same on
@@ -61,10 +71,11 @@ shows how far from 1.0 a range strays on the host.
 Each corpus prints a second total row, warm and cold, "total without
 probe", that leaves out the equations-off probe `yes(1,5)/equations-off`.
 The probe decides a reduction with the equation tables off, so it derives
-no reduction fact (no forward geometry, no forced-start index), and it is
-about 44 of the 64 to 72 ms of the decide-exhaust total: a change to the
-cold path of the other ops, or to the equation tables, moves the total
-little and this row much more.
+no reduction fact (no forward geometry, no forced-start index), and it
+was 45.3 of the 61.7 ms warm and 45.3 of the 72.9 ms cold decide-exhaust
+total in one run (Python 3.11.7, 2 vCPUs): a change to the cold path of
+the other ops, or to the equation tables, moves the total little and
+this row much more.
 """
 
 from __future__ import annotations
@@ -80,7 +91,7 @@ from collections import Counter
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 from typing import Sequence
 
 HERE = Path(__file__).resolve().parent.parent
@@ -95,6 +106,10 @@ BUDGETS = (1, 4, 30, 300)
 # the fewest cold rounds a run makes: every other round, on instance
 # objects of its own, times cold decisions
 COLD_ROUNDS = 3
+# the facts table's sizes, each with the gen_yes seeds it is timed on, and
+# its rounds: one fresh object per seed, side and round
+FACT_CASES = {16: range(12), 80: range(2)}
+FACT_ROUNDS = 40
 
 
 def _load(name: str, path: Path, package: bool = False):
@@ -269,6 +284,38 @@ def _spread(new: Sequence[float], old: Sequence[float]) -> str:
     return f"{q1:.3f}-{q3:.3f}"
 
 
+def _facts(libs) -> None:
+    """Print the facts table: see the module docstring."""
+    plans = {
+        side: importlib.import_module(f"{lib.__name__}.solver")._plan
+        for side, lib in libs.items()
+    }
+    print(f"facts: recognize + default plan, fresh objects, {FACT_ROUNDS} rounds")
+    print(f"  {'z (seeds)':<28}{'old ms':>10}{'new ms':>10}{'new/old':>9}{'IQR':>13}")
+    for z, seeds in FACT_CASES.items():
+        values = {
+            side: [lib.gen_yes(z, s)[0] for s in seeds] for side, lib in libs.items()
+        }
+        # per side, each round's time summed over the seeds' objects
+        times = {side: [] for side in libs}
+        for r in range(FACT_ROUNDS):
+            spent = dict.fromkeys(libs, 0.0)
+            for k in range(len(seeds)):
+                for side in ("old", "new") if (r + k) % 2 == 0 else ("new", "old"):
+                    lib = libs[side]
+                    inst = lib.build_jobs(values[side][k])
+                    gc.collect()
+                    start = time.perf_counter()
+                    lib.recognize(inst)
+                    plans[side](inst, True, True)
+                    spent[side] += time.perf_counter() - start
+            for side in libs:
+                times[side].append(spent[side])
+        old, new = (median(times[side]) for side in ("old", "new"))
+        spread = _spread(times["new"], times["old"])
+        print(f"  {f'{z} ({len(seeds)})':<28}{_columns(old, new, '.3f')}{spread:>13}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -286,6 +333,7 @@ def main(argv=None) -> None:
         for side, root in (("old", args.old), ("new", args.new))
     }
     _differential(libs, args.outcomes)
+    _facts(libs)
     workloads = _load("workloads", HERE / "perfbench" / "workloads.py")
     for corpus in CORPORA:
         ops = {side: _ops(workloads, lib, corpus, args.seed) for side, lib in libs.items()}
